@@ -86,15 +86,15 @@ def _emit_json(args, payload: dict):
 
 
 def _operator_entries(op) -> list[dict]:
-    basis = op.basis
+    labels = op.basis.labels
     full = op.to_full()
     entries = []
     rows, cols = np.nonzero(np.abs(full) >= DISPLAY_ZERO)
     for r, c in zip(rows, cols):
         entries.append(
             {
-                "bra": basis.tree_at(int(r)).label(),
-                "ket": basis.tree_at(int(c)).label(),
+                "bra": labels[r],
+                "ket": labels[c],
                 "re": _clip(full[r, c].real),
                 "im": _clip(full[r, c].imag),
             }
@@ -121,16 +121,16 @@ def cmd_basis(args, model: AnyonModel) -> int:
             "dim": basis.dim,
             "sector_dims": {g: basis.sector_dim(g) for g in model.charges},
             "trees": [
-                {"index": i, "sector": t.global_charge, "label": t.label()}
-                for i, t in enumerate(basis.trees)
+                {"index": i, "sector": t.global_charge, "label": label}
+                for i, (t, label) in enumerate(zip(basis.trees, basis.labels))
             ],
         })
     else:
         lines = [f"basis for N={args.n} anyons, shape {shape.serialize()}, dim {basis.dim}"]
         for g in model.charges:
             lines.append(f"sector {g}: dim {basis.sector_dim(g)}")
-        for i, tree in enumerate(basis.trees):
-            lines.append(f"{i:4d}  [{tree.global_charge:>3s}]  {tree.label()}")
+        for i, (tree, label) in enumerate(zip(basis.trees, basis.labels)):
+            lines.append(f"{i:4d}  [{tree.global_charge:>3s}]  {label}")
         _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -5,10 +5,15 @@ with coefficients given by the F-symbols of the subtree root charges:
 
     |(a,b),c; d; g>  =  sum_f  [F^{abc}_g]_{df}  |a,(b,c); f; g>
 
-Arbitrary shape-to-shape changes are composed from elementary moves,
-routed through the left comb.  Every such matrix is unitary and block
-diagonal in the global charge; two different routes between the same
-shapes give the same matrix (pentagon identity), which the tests check.
+A move touches one internal label, so it sends each tree to at most
+|fusion outcomes| trees.  Basis changes are therefore stored sparsely, as
+their nonzero (row, col, coeff) entries, and composed and applied without
+ever forming a dim x dim matrix; ``BasisChange.matrix`` builds the dense
+matrix only when asked.  Each shape's route to the left (or right) comb is
+composed once and cached, and a shape-to-shape change is the source's map
+to the comb followed by the inverse of the target's.  Every such change is
+unitary and block diagonal in the global charge; routing through either
+comb gives the same change (pentagon identity), which the tests check.
 """
 
 from __future__ import annotations
@@ -20,24 +25,78 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import AnyonModel
-from .trees import FusionTree, SectorBasis, TreeShape, enumerate_basis, left_comb, right_comb
+from .trees import (
+    FusionTree,
+    SectorBasis,
+    TreeShape,
+    _n_internal,
+    enumerate_basis,
+    left_comb,
+    right_comb,
+)
 
 
 @dataclass(frozen=True)
 class BasisChange:
-    """Unitary matrix re-expressing source-shape amplitudes in a target shape."""
+    """Sparse unitary re-expressing source-shape amplitudes in a target shape.
+
+    Entry k sends source index ``cols[k]`` to target index ``rows[k]`` with
+    weight ``coeffs[k]``; no (row, col) pair repeats.
+    """
 
     source: SectorBasis
     target: SectorBasis
-    matrix: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    coeffs: np.ndarray
+
+    @classmethod
+    def identity(cls, basis: SectorBasis) -> "BasisChange":
+        index = np.arange(basis.dim, dtype=np.intp)
+        return cls(basis, basis, index, index, np.ones(basis.dim, dtype=complex))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense target.dim x source.dim matrix, built on every access."""
+        out = np.zeros((self.target.dim, self.source.dim), dtype=complex)
+        out[self.rows, self.cols] = self.coeffs
+        return out
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """``self.matrix @ vec`` for a source-basis vector, without the matrix."""
+        terms = self.coeffs * np.asarray(vec, dtype=complex)[self.cols]
+        return _sum_by_index(self.rows, terms, self.target.dim)
 
     def then(self, other: "BasisChange") -> "BasisChange":
+        """This change followed by `other`: joins on the middle index."""
         if not other.source.compatible(self.target):
             raise ShapeError("basis changes do not compose: shape mismatch")
-        return BasisChange(self.source, other.target, other.matrix @ self.matrix)
+        # pair entry i of self with every entry j of other where other.cols[j]
+        # == self.rows[i]: `left` lists the i's, `right` the matching j's
+        order = np.argsort(other.cols, kind="stable")
+        mid = other.cols[order]
+        starts = np.searchsorted(mid, self.rows, side="left")
+        counts = np.searchsorted(mid, self.rows, side="right") - starts
+        left = np.repeat(np.arange(len(self.rows)), counts)
+        offsets = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
+        right = order[np.repeat(starts, counts) + offsets]
+        terms = other.coeffs[right] * self.coeffs[left]
+        keys, slot = np.unique(
+            other.rows[right] * self.source.dim + self.cols[left], return_inverse=True
+        )
+        coeffs = _sum_by_index(slot, terms, len(keys))
+        keep = coeffs != 0
+        rows, cols = np.divmod(keys[keep], self.source.dim)
+        return BasisChange(self.source, other.target, rows, cols, coeffs[keep])
 
     def inverse(self) -> "BasisChange":
-        return BasisChange(self.target, self.source, self.matrix.conj().T)
+        return BasisChange(self.target, self.source, self.cols, self.rows, self.coeffs.conj())
+
+
+def _sum_by_index(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[k] = sum of values[i] with index[i] == k, added in array order."""
+    return (np.bincount(index, weights=values.real, minlength=size)
+            + 1j * np.bincount(index, weights=values.imag, minlength=size))
 
 
 def _rotated_structure(shape: TreeShape, vertex: int, direction: str):
@@ -92,10 +151,11 @@ def elementary_fmove(
         (a_node, b_node), c_node = node
     else:
         a_node, (b_node, c_node) = node
-    n_a = _count_internal(a_node)
-    n_b = _count_internal(b_node)
+    n_a = _n_internal(a_node)
 
-    matrix = np.zeros((target.dim, source.dim), dtype=complex)
+    rows: list[int] = []
+    cols: list[int] = []
+    coeffs: list[complex] = []
     for src_idx, tree in enumerate(source.trees):
         ints = tree.internal_charges
         g = ints[vertex]
@@ -104,37 +164,27 @@ def elementary_fmove(
         c = tree.charge_at(c_node)
         if direction == "right":
             d = ints[vertex + 1]
-            for f in model.fusion_outcomes(b, c):
-                coeff = model.f_symbol(a, b, c, g, d, f)
-                if coeff == 0.0:
-                    continue
-                new_ints = (
-                    ints[: vertex + 1]
-                    + ints[vertex + 2 : vertex + 2 + n_a]
-                    + (f,)
-                    + ints[vertex + 2 + n_a :]
-                )
-                tgt_idx = target.index_of(FusionTree(target_shape, tree.leaf_charges, new_ints))
-                matrix[tgt_idx, src_idx] = coeff
+            images = [
+                (model.f_symbol(a, b, c, g, d, f),
+                 ints[: vertex + 1] + ints[vertex + 2 : vertex + 2 + n_a] + (f,)
+                 + ints[vertex + 2 + n_a :])
+                for f in model.fusion_outcomes(b, c)
+            ]
         else:
             f = ints[vertex + 1 + n_a]
-            for d in model.fusion_outcomes(a, b):
-                coeff = np.conj(model.f_symbol(a, b, c, g, d, f))
-                if coeff == 0.0:
-                    continue
-                new_ints = (
-                    ints[: vertex + 1]
-                    + (d,)
-                    + ints[vertex + 1 : vertex + 1 + n_a]
-                    + ints[vertex + 2 + n_a :]
-                )
-                tgt_idx = target.index_of(FusionTree(target_shape, tree.leaf_charges, new_ints))
-                matrix[tgt_idx, src_idx] = coeff
-    return BasisChange(source, target, matrix)
-
-
-def _count_internal(node) -> int:
-    return 0 if isinstance(node, int) else 1 + _count_internal(node[0]) + _count_internal(node[1])
+            images = [
+                (np.conj(model.f_symbol(a, b, c, g, d, f)),
+                 ints[: vertex + 1] + (d,) + ints[vertex + 1 : vertex + 1 + n_a]
+                 + ints[vertex + 2 + n_a :])
+                for d in model.fusion_outcomes(a, b)
+            ]
+        for coeff, new_ints in images:
+            if coeff != 0.0:
+                rows.append(target.index_of(FusionTree(target_shape, tree.leaf_charges, new_ints)))
+                cols.append(src_idx)
+                coeffs.append(coeff)
+    return BasisChange(source, target, np.asarray(rows, dtype=np.intp),
+                       np.asarray(cols, dtype=np.intp), np.asarray(coeffs, dtype=complex))
 
 
 def _moves_to_comb(shape: TreeShape, comb_builder) -> list[tuple[int, str]]:
@@ -156,39 +206,39 @@ def _moves_to_comb(shape: TreeShape, comb_builder) -> list[tuple[int, str]]:
         current = _rotated_structure(current, *pick)
 
 
+@functools.lru_cache(maxsize=256)
+def _to_comb(model: AnyonModel, shape: TreeShape, via: str) -> BasisChange:
+    """Composed moves from the `shape` basis to the left (or right) comb basis."""
+    comb = left_comb if via == "left" else right_comb
+    steps = []
+    current = shape
+    for vertex, direction in _moves_to_comb(shape, comb):
+        steps.append(elementary_fmove(model, current, vertex, direction))
+        current = steps[-1].target.shape
+    # Fold from the comb end: the inverse, used on the target side of a shape
+    # change, then associates like undoing the moves one at a time.
+    change = BasisChange.identity(enumerate_basis(model, current))
+    for step in reversed(steps):
+        change = step.then(change)
+    return change
+
+
 @functools.lru_cache(maxsize=128)
 def shape_change(
     model: AnyonModel, source: TreeShape, target: TreeShape, via: str = "left"
 ) -> BasisChange:
-    """Unitary from the source-shape basis to the target-shape basis.
+    """Sparse unitary from the source-shape basis to the target-shape basis.
 
     Routed through the left comb by default (``via="right"`` uses the
-    right comb; both give the same matrix by path independence).
-    Results are cached per (model, source, target, via).
+    right comb; both give the same change by path independence).
+    Results are cached per (model, source, target, via), and each shape's
+    route to the comb per (model, shape, via).
     """
     if source.n_leaves != target.n_leaves:
         raise ShapeError("source and target shapes have different leaf counts")
     if source == target:
-        basis = enumerate_basis(model, source)
-        return BasisChange(basis, basis, np.eye(basis.dim, dtype=complex))
-    comb = left_comb if via == "left" else right_comb
-    basis = enumerate_basis(model, source)
-    change = BasisChange(basis, basis, np.eye(basis.dim, dtype=complex))
-    current = source
-    for vertex, direction in _moves_to_comb(source, comb):
-        step = elementary_fmove(model, current, vertex, direction)
-        change = change.then(step)
-        current = step.target.shape
-    # comb -> target: invert the target's route to the comb, in reverse.
-    down: list[BasisChange] = []
-    t_current = target
-    for vertex, direction in _moves_to_comb(target, comb):
-        step = elementary_fmove(model, t_current, vertex, direction)
-        down.append(step)
-        t_current = step.target.shape
-    for step in reversed(down):
-        change = change.then(step.inverse())
-    return change
+        return BasisChange.identity(enumerate_basis(model, source))
+    return _to_comb(model, source, via).then(_to_comb(model, target, via).inverse())
 
 
 def change_shape(model: AnyonModel, state, target: TreeShape):
@@ -196,7 +246,7 @@ def change_shape(model: AnyonModel, state, target: TreeShape):
     from .states import AnyonState
 
     change = shape_change(model, state.basis.shape, target)
-    return AnyonState(enumerate_basis(model, target), change.matrix @ state.amplitudes)
+    return AnyonState(change.target, change.apply(state.amplitudes))
 
 
 def braid_adjacent(model: AnyonModel, state, leaf_pair: tuple[int, int], direction: str = "ccw"):

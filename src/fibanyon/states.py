@@ -34,6 +34,7 @@ from .trees import (
     FusionTree,
     SectorBasis,
     TreeShape,
+    _leaves,
     enumerate_basis,
     parse_tree_label,
     subtree_shape,
@@ -349,7 +350,7 @@ class Bipartition:
         if isinstance(struct, int):
             raise ShapeError("cannot bipartition a single anyon")
         left_node, right_node = struct
-        n_left = len(_collect_leaves(left_node))
+        n_left = len(_leaves(left_node))
         if n_left != n_a:
             raise ShapeError(
                 f"shape {basis.shape} splits {n_left}|{basis.shape.n_leaves - n_left} at the "
@@ -411,12 +412,6 @@ class Bipartition:
         return self.a_basis if traced == "B" else self.b_basis
 
 
-def _collect_leaves(node):
-    if isinstance(node, int):
-        return [node]
-    return _collect_leaves(node[0]) + _collect_leaves(node[1])
-
-
 @functools.lru_cache(maxsize=256)
 def bipartition(basis: SectorBasis, n_a: int) -> Bipartition:
     """Cached Bipartition; bases are interned so the tables are built once."""
@@ -432,11 +427,14 @@ def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B
     condition with :func:`embed_local`.
     """
     _require_same_basis(rho.basis, bipartition.basis)
-    full = rho.to_full()
+    basis = rho.basis
     kept = bipartition.kept_basis(traced)
     out = np.zeros((kept.dim, kept.dim), dtype=complex)
+    # every family lies in one global-charge sector, so it reads one block
     for members, kept_members in bipartition.groups(traced):
-        out[np.ix_(kept_members, kept_members)] += full[np.ix_(members, members)]
+        g = basis.sector_of(members[0])
+        local = members - basis.sector_slice(g).start
+        out[np.ix_(kept_members, kept_members)] += rho.blocks[g][np.ix_(local, local)]
     return BlockOperator.from_full(out, kept)
 
 
@@ -507,11 +505,10 @@ def random_observable(basis: SectorBasis, rng: np.random.Generator) -> BlockOper
 def format_state_text(state: AnyonState) -> str:
     """State file: a shape header plus one line per nonzero amplitude."""
     lines = [f"shape: {state.basis.shape.serialize()}"]
+    labels = state.basis.labels
     for i in np.nonzero(state.amplitudes)[0]:
         amp = state.amplitudes[i]
-        lines.append(
-            f"{state.basis.tree_at(i).label()} : {float(amp.real)!r} {float(amp.imag)!r}"
-        )
+        lines.append(f"{labels[i]} : {float(amp.real)!r} {float(amp.imag)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -529,14 +526,12 @@ def parse_state_text(model, text: str) -> AnyonState:
 def format_operator_text(op: BlockOperator) -> str:
     """Operator file: lines ``<bra label> | <ket label> : re im`` per entry."""
     lines = [f"shape: {op.basis.shape.serialize()}"]
+    labels = op.basis.labels
     full = op.to_full()
     rows, cols = np.nonzero(full)
     for r, c in zip(rows, cols):
         val = full[r, c]
-        lines.append(
-            f"{op.basis.tree_at(r).label()} | {op.basis.tree_at(c).label()}"
-            f" : {float(val.real)!r} {float(val.imag)!r}"
-        )
+        lines.append(f"{labels[r]} | {labels[c]} : {float(val.real)!r} {float(val.imag)!r}")
     return "\n".join(lines) + "\n"
 
 

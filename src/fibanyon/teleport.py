@@ -237,7 +237,7 @@ class SplitState:
             measured_shape = join_shapes(grouped_shape(1, 1), grouped_shape(2, 2))
             n_a, receiver_side = 2, "A"
         change = shape_change(model, composed.basis.shape, measured_shape)
-        amplitudes = change.matrix @ composed.amplitudes
+        amplitudes = change.apply(composed.amplitudes)
         self.basis = change.target
         self.part = bipartition(self.basis, n_a)
         self.receiver_side = receiver_side

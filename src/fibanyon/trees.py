@@ -326,6 +326,11 @@ class SectorBasis:
     def tree_at(self, index: int) -> FusionTree:
         return self.trees[index]
 
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Every tree's :meth:`FusionTree.label`, in index order, rendered once."""
+        return tuple(tree.label() for tree in self.trees)
+
     def index_of_label(self, text: str) -> int:
         return self.index_of(parse_tree_label(self.shape, text))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibanyon.errors import ShapeError
-from fibanyon.recouple import braid_adjacent, change_shape, elementary_fmove, shape_change
+from fibanyon.recouple import (
+    BasisChange,
+    _moves_to_comb,
+    _to_comb,
+    braid_adjacent,
+    change_shape,
+    elementary_fmove,
+    shape_change,
+)
 from fibanyon.states import ket, random_pure_state
-from fibanyon.trees import all_shapes, enumerate_basis, left_comb, right_comb
+from fibanyon.trees import all_shapes, enumerate_basis, grouped_shape, left_comb, right_comb
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -84,6 +93,57 @@ def test_change_shape_roundtrip_identity(model):
             fwd = shape_change(model, src, tgt).matrix
             back = shape_change(model, tgt, src).matrix
             np.testing.assert_allclose(back @ fwd, np.eye(34), atol=1e-12)
+
+
+def _dense_route(model, shape, comb):
+    """Reference path: dense product of the moves that take `shape` to the comb."""
+    u = np.eye(enumerate_basis(model, shape).dim, dtype=complex)
+    for vertex, direction in _moves_to_comb(shape, comb):
+        step = elementary_fmove(model, shape, vertex, direction)
+        u = step.matrix @ u
+        shape = step.target.shape
+    return u
+
+
+@pytest.mark.parametrize("via", ["left", "right"])
+def test_sparse_shape_change_matches_dense_products(model, via):
+    comb = left_comb if via == "left" else right_comb
+    for n in range(2, 6):
+        shapes = all_shapes(n)
+        routes = {shape: _dense_route(model, shape, comb) for shape in shapes}
+        for src in shapes:
+            for tgt in shapes:
+                expected = routes[tgt].conj().T @ routes[src]
+                got = shape_change(model, src, tgt, via=via).matrix
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_apply_equals_dense_matvec(model, rng, n):
+    shapes = all_shapes(n)
+    pairs = [(left_comb(n), s) for s in shapes] + [(s, right_comb(n)) for s in shapes]
+    for src, tgt in pairs:
+        change = shape_change(model, src, tgt)
+        vec = rng.standard_normal(change.source.dim) + 1j * rng.standard_normal(change.source.dim)
+        np.testing.assert_allclose(change.apply(vec), change.matrix @ vec, rtol=0, atol=1e-12)
+
+
+def test_regroup_n9_stays_sparse(model, monkeypatch):
+    def no_dense(self):
+        raise AssertionError("a dense basis-change matrix was built")
+
+    monkeypatch.setattr(BasisChange, "matrix", property(no_dense))
+    shape_change.cache_clear()
+    _to_comb.cache_clear()
+    state = random_pure_state(enumerate_basis(model, left_comb(9)), "tau", np.random.default_rng(9))
+    tracemalloc.start()
+    try:
+        moved = change_shape(model, state, grouped_shape(2, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(moved.norm() - 1.0) <= 1e-12
+    assert peak < 100 * 2**20
 
 
 def test_change_shape_leaf_count_mismatch(model):
