@@ -21,6 +21,7 @@ from .states import (
     mixture,
     partial_trace,
     pure_density,
+    pure_marginal,
     purity,
     spectrum,
     superpose,

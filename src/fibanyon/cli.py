@@ -24,9 +24,9 @@ from .recouple import change_shape
 from .states import (
     bipartition,
     parse_state_text,
-    partial_trace,
-    pure_density,
+    pure_marginal,
     purity,
+    spectra_agree,
     spectrum,
 )
 from .teleport import MessageQubit, builtin_scenarios, receiver_reachability_check, run_protocol
@@ -172,15 +172,10 @@ def _load_split_state(args, model: AnyonModel):
 
 def cmd_marginals(args, model: AnyonModel) -> int:
     state, part, split = _load_split_state(args, model)
-    rho = pure_density(state)
-    rho_a = partial_trace(rho, part, traced="B")
-    rho_b = partial_trace(rho, part, traced="A")
+    rho_a = pure_marginal(state, part, traced="B")
+    rho_b = pure_marginal(state, part, traced="A")
     spec_a, spec_b = spectrum(rho_a), spectrum(rho_b)
-    width = max(len(spec_a), len(spec_b))
-    symmetric = bool(
-        np.max(np.abs(np.pad(spec_a, (0, width - len(spec_a)))
-                      - np.pad(spec_b, (0, width - len(spec_b))))) <= args.tol
-    )
+    symmetric = spectra_agree(spec_a, spec_b, args.tol)
     if args.format == "json":
         _emit_json(args, {
             "command": "marginals",

@@ -9,6 +9,16 @@ for every pair of local observables.  Both sides are bilinear in
 algebra decides the universally quantified statement; the largest
 violation over the spanning set is reported as the witness.
 
+The whole table of violations is one sparse contraction.  Each party's
+spanning set is kept, embedded, as (operator, row, col, coeff) entries in
+the joint basis, built once per :class:`Bipartition` from its partial-trace
+families.  Joining the B entries' columns with the A entries' rows gives
+every nonzero term of Tr(O_B O_A rho) = sum B[p, q] A[q, r] rho[r, p]; the
+terms are weighted by rho[r, p] (for a pure state psi_r conj(psi_p), read
+from the amplitudes) and summed into their (O_A, O_B) slot with one
+``np.bincount``.  The single-party expectations come from the same entries.
+No dense matrix of the joint basis is formed.
+
 For two anyons this has a closed form.  Pure states split per sector as
 
     vacuum sector:  c_ee |e,e;e> + c_tt |tau,tau;e>
@@ -22,7 +32,6 @@ deterministically as the first class.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,12 +42,14 @@ from .states import (
     AnyonState,
     Bipartition,
     BlockOperator,
+    _join,
     bipartition,
     embed_local,
+    hermitian_units,
     partial_trace,
-    pure_density,
+    pure_marginal,
+    spectra_agree,
     spectrum,
-    trace,
 )
 from .trees import SectorBasis, enumerate_basis, grouped_shape
 
@@ -71,39 +82,53 @@ class CorrelationReport:
 
 
 def local_observable_basis(basis: SectorBasis) -> list[BlockOperator]:
-    """Hermitian spanning set of the block-diagonal operator algebra.
+    """The operators of :func:`~fibanyon.states.hermitian_units`, one per block operator.
 
     Per sector of dimension d: d diagonal units, and for every pair k < l
     the symmetric and antisymmetric Hermitian units - d^2 operators, all
     superselection-respecting by construction.
     """
+    units = hermitian_units(basis)
+    bounds = np.searchsorted(units.op, np.arange(units.count + 1))
     out = []
-    for g in basis.model.charges:
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows, cols = units.row[lo:hi], units.col[lo:hi]
+        g = basis.sector_of(rows[0])
+        start = basis.sector_slice(g).start
         d = basis.sector_dim(g)
-        for k in range(d):
-            block = np.zeros((d, d), dtype=complex)
-            block[k, k] = 1.0
-            out.append(BlockOperator(basis, {g: block}))
-        for k in range(d):
-            for l in range(k + 1, d):
-                sym = np.zeros((d, d), dtype=complex)
-                sym[k, l] = sym[l, k] = 1.0
-                out.append(BlockOperator(basis, {g: sym}))
-                asym = np.zeros((d, d), dtype=complex)
-                asym[k, l] = -1.0j
-                asym[l, k] = 1.0j
-                out.append(BlockOperator(basis, {g: asym}))
+        block = np.zeros((d, d), dtype=complex)
+        block[rows - start, cols - start] = units.coeff[lo:hi]
+        out.append(BlockOperator(basis, {g: block}))
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _embedded_spanning_sets(part: Bipartition):
-    """Spanning sets of both parties, pre-embedded into the joint basis."""
-    ops_a = local_observable_basis(part.a_basis)
-    ops_b = local_observable_basis(part.b_basis)
-    emb_a = [embed_local(op, part, side="A").to_full() for op in ops_a]
-    emb_b = [embed_local(op, part, side="B").to_full() for op in ops_b]
-    return ops_a, ops_b, emb_a, emb_b
+def _density_at(state_or_rho, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rho[rows[k], cols[k]]; for a pure state psi[rows] * conj(psi[cols])."""
+    if isinstance(state_or_rho, AnyonState):
+        amps = state_or_rho.amplitudes
+        return amps[rows] * amps[cols].conj()
+    return state_or_rho.at(rows, cols)
+
+
+def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
+    """T[i, j] = Tr(O_A^i O_B^j rho) - Tr(O_A^i rho_A) Tr(O_B^j rho_B).
+
+    O_A^i and O_B^j run over :func:`local_observable_basis` of the two
+    parties.  `state_or_rho` is a normalized :class:`AnyonState` or a
+    density :class:`BlockOperator` in the grouped shape of `part`.
+    """
+    a = part.spanning_entries("A")
+    b = part.spanning_entries("B")
+    exp_a = np.bincount(a.op, (a.coeff * _density_at(state_or_rho, a.col, a.row)).real,
+                        minlength=a.count)
+    exp_b = np.bincount(b.op, (b.coeff * _density_at(state_or_rho, b.col, b.row)).real,
+                        minlength=b.count)
+    # Tr(O_B O_A rho) = sum B[p, q] A[q, r] rho[r, p]: B's column q meets A's row q
+    in_b, in_a = _join(b.col, a.row)
+    terms = b.coeff[in_b] * a.coeff[in_a] * _density_at(state_or_rho, a.col[in_a], b.row[in_b])
+    lhs = np.bincount(a.op[in_a] * b.count + b.op[in_b], terms.real,
+                      minlength=a.count * b.count)
+    return lhs.reshape(a.count, b.count) - np.outer(exp_a, exp_b)
 
 
 def is_uncorrelated(
@@ -115,46 +140,33 @@ def is_uncorrelated(
     """Evaluate the uncorrelated-state condition over spanning observable sets.
 
     Accepts a pure :class:`AnyonState` or a density :class:`BlockOperator`
-    already in the grouped shape of `part`.
+    already in the grouped shape of `part`.  The witness is the first
+    (row-major) spanning pair of largest violation.
     """
     if isinstance(state_or_rho, AnyonState):
         psi = state_or_rho.normalized()
-        rho = pure_density(psi)
+        rho_a = pure_marginal(psi, part, traced="B")
+        rho_b = pure_marginal(psi, part, traced="A")
+        table = violation_table(psi, part)
     else:
         psi = None
-        rho = state_or_rho
-    ops_a, ops_b, emb_a, emb_b = _embedded_spanning_sets(part)
-    rho_a = partial_trace(rho, part, traced="B")
-    rho_b = partial_trace(rho, part, traced="A")
-    exp_a = np.array([trace(oa @ rho_a).real for oa in ops_a])
-    exp_b = np.array([trace(ob @ rho_b).real for ob in ops_b])
-
-    rho_full = rho.to_full()
-    worst = 0.0
-    witness = (0, 0)
-    for i, ea in enumerate(emb_a):
-        ea_rho = ea @ rho_full
-        for j, eb in enumerate(emb_b):
-            lhs = np.einsum("ij,ji->", eb, ea_rho).real  # Tr(O_A O_B rho)
-            violation = abs(lhs - exp_a[i] * exp_b[j])
-            if violation > worst:
-                worst = violation
-                witness = (i, j)
+        rho_a = partial_trace(state_or_rho, part, traced="B")
+        rho_b = partial_trace(state_or_rho, part, traced="A")
+        table = violation_table(state_or_rho, part)
+    violations = np.abs(table)
+    worst = int(np.argmax(violations))
 
     spec_a = spectrum(rho_a)
     spec_b = spectrum(rho_b)
-    width = max(len(spec_a), len(spec_b))
-    pad_a = np.pad(spec_a, (0, width - len(spec_a)))
-    pad_b = np.pad(spec_b, (0, width - len(spec_b)))
     label = None
     if classify and psi is not None and part.basis.shape.n_leaves == 2:
         label = classify_pure_2anyon(psi)
     return CorrelationReport(
-        is_uncorrelated=bool(worst <= tol),
-        max_violation=float(worst),
-        witness=witness,
+        is_uncorrelated=bool(violations.flat[worst] <= tol),
+        max_violation=float(violations.flat[worst]),
+        witness=divmod(worst, table.shape[1]),
         marginal_spectra=(spec_a, spec_b),
-        spectra_symmetric=bool(np.max(np.abs(pad_a - pad_b)) <= tol),
+        spectra_symmetric=spectra_agree(spec_a, spec_b, tol),
         tol=tol,
         pure_class=label,
     )
@@ -210,10 +222,9 @@ def is_maximally_entangled_2anyon(
         raise ShapeError("maximal-entanglement test applies to 2-anyon states")
     psi = psi.normalized()
     part = bipartition(basis, 1)
-    rho = pure_density(psi)
     target = np.array([0.5, 0.5])
     for traced in ("B", "A"):
-        marg = partial_trace(rho, part, traced=traced)
+        marg = pure_marginal(psi, part, traced=traced)
         if np.max(np.abs(spectrum(marg) - target)) > tol:
             return False, None
     c_et = psi.amplitude("e,tau;tau")

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import AnyonModel
+from .states import AnyonState, _join, _sum_by_index
 from .trees import (
     FusionTree,
     SectorBasis,
@@ -73,13 +74,7 @@ class BasisChange:
             raise ShapeError("basis changes do not compose: shape mismatch")
         # pair entry i of self with every entry j of other where other.cols[j]
         # == self.rows[i]: `left` lists the i's, `right` the matching j's
-        order = np.argsort(other.cols, kind="stable")
-        mid = other.cols[order]
-        starts = np.searchsorted(mid, self.rows, side="left")
-        counts = np.searchsorted(mid, self.rows, side="right") - starts
-        left = np.repeat(np.arange(len(self.rows)), counts)
-        offsets = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
-        right = order[np.repeat(starts, counts) + offsets]
+        left, right = _join(self.rows, other.cols)
         terms = other.coeffs[right] * self.coeffs[left]
         keys, slot = np.unique(
             other.rows[right] * self.source.dim + self.cols[left], return_inverse=True
@@ -91,12 +86,6 @@ class BasisChange:
 
     def inverse(self) -> "BasisChange":
         return BasisChange(self.target, self.source, self.cols, self.rows, self.coeffs.conj())
-
-
-def _sum_by_index(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """out[k] = sum of values[i] with index[i] == k, added in array order."""
-    return (np.bincount(index, weights=values.real, minlength=size)
-            + 1j * np.bincount(index, weights=values.imag, minlength=size))
 
 
 def _rotated_structure(shape: TreeShape, vertex: int, direction: str):
@@ -243,8 +232,6 @@ def shape_change(
 
 def change_shape(model: AnyonModel, state, target: TreeShape):
     """Re-express a state in the target-shape basis; norm is preserved."""
-    from .states import AnyonState
-
     change = shape_change(model, state.basis.shape, target)
     return AnyonState(change.target, change.apply(state.amplitudes))
 
@@ -256,8 +243,6 @@ def braid_adjacent(model: AnyonModel, state, leaf_pair: tuple[int, int], directi
     amplitude by R^{xy}_c and swaps the two leaf labels; clockwise is the
     inverse.  If the leaves do not share a vertex, reshape first.
     """
-    from .states import AnyonState
-
     i, j = leaf_pair
     if j != i + 1:
         raise ShapeError("braid_adjacent exchanges a pair of neighbouring leaves (i, i+1)")

@@ -25,6 +25,7 @@ construction (and is property-tested).
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,6 +218,23 @@ class BlockOperator:
     def block(self, g: Charge) -> np.ndarray:
         return self.blocks[g]
 
+    @classmethod
+    def from_entries(cls, basis: SectorBasis, rows, cols, values) -> "BlockOperator":
+        """Operator whose entry (rows[k], cols[k]) sums values[k], added in order."""
+        flat = _sum_by_index(_block_positions(basis, rows, cols), values,
+                             sum(basis.sector_dim(g) ** 2 for g in basis.model.charges))
+        blocks, offset = {}, 0
+        for g in basis.model.charges:
+            d = basis.sector_dim(g)
+            blocks[g] = flat[offset : offset + d * d].reshape(d, d)
+            offset += d * d
+        return cls(basis, blocks)
+
+    def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Full-matrix entries ``[rows[k], cols[k]]``, read from the sector blocks."""
+        flat = np.concatenate([self.blocks[g].ravel() for g in self.basis.model.charges])
+        return flat[_block_positions(self.basis, rows, cols)]
+
     def adjoint(self) -> "BlockOperator":
         return BlockOperator(self.basis, {g: b.conj().T for g, b in self.blocks.items()})
 
@@ -261,6 +279,33 @@ class BlockOperator:
     def __repr__(self):
         dims = {g: b.shape[0] for g, b in self.blocks.items()}
         return f"BlockOperator(shape={self.basis.shape}, sector_dims={dims})"
+
+
+def _block_positions(basis: SectorBasis, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat positions of entries (rows[k], cols[k]) in the sector blocks.
+
+    The blocks are raveled and concatenated in charge order.  Raises if a
+    pair crosses sectors.
+    """
+    start = np.empty(basis.dim, dtype=np.intp)
+    base = np.empty(basis.dim, dtype=np.intp)
+    width = np.empty(basis.dim, dtype=np.intp)
+    offset = 0
+    for g in basis.model.charges:
+        sl = basis.sector_slice(g)
+        d = sl.stop - sl.start
+        start[sl], base[sl], width[sl] = sl.start, offset, d
+        offset += d * d
+    row_start = start[rows]
+    if np.any(row_start != start[cols]):
+        raise SuperselectionError("entries cross global-charge sectors")
+    return base[rows] + (rows - row_start) * width[rows] + (cols - row_start)
+
+
+def _sum_by_index(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[k] = sum of values[i] with index[i] == k, added in array order."""
+    return (np.bincount(index, weights=values.real, minlength=size)
+            + 1j * np.bincount(index, weights=values.imag, minlength=size))
 
 
 def _off_block_mass(matrix: np.ndarray, basis: SectorBasis) -> float:
@@ -320,6 +365,14 @@ def spectrum(rho: BlockOperator) -> np.ndarray:
     return np.sort(vals)[::-1]
 
 
+def spectra_agree(spec_a: np.ndarray, spec_b: np.ndarray, tol: float) -> bool:
+    """True iff two descending spectra agree within tol, the shorter padded with zeros."""
+    padded = np.zeros((2, max(len(spec_a), len(spec_b))))
+    padded[0, : len(spec_a)] = spec_a
+    padded[1, : len(spec_b)] = spec_b
+    return bool(np.max(np.abs(padded[0] - padded[1])) <= tol)
+
+
 def fidelity(psi: AnyonState, rho: BlockOperator | AnyonState) -> float:
     """<psi|rho|psi> for a pure target psi (normalized first)."""
     psi = psi.normalized()
@@ -335,6 +388,69 @@ def is_density(op: BlockOperator, tol: float = SPECTRAL_TOL) -> bool:
     if abs(trace(op) - 1.0) > tol:
         return False
     return float(spectrum(op)[-1]) >= -tol
+
+
+class FamilyPairs(NamedTuple):
+    """Every (i, j) pair of full indices within one partial-trace family.
+
+    ``kept_row``/``kept_col`` are the kept-party indices of ``row``/``col``;
+    pairs run over the families in order, each family row-major.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    kept_row: np.ndarray
+    kept_col: np.ndarray
+
+
+class OperatorEntries(NamedTuple):
+    """A numbered set of operators as sparse entries.
+
+    Operator ``op[k]`` has matrix element ``coeff[k]`` at ``(row[k], col[k])``
+    in the full basis; ``count`` is the number of operators.
+    """
+
+    count: int
+    op: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    coeff: np.ndarray
+
+
+def hermitian_units(basis: SectorBasis) -> OperatorEntries:
+    """Hermitian spanning set of the block-diagonal operator algebra.
+
+    Per sector of dimension d, in charge order: d diagonal units, then for
+    every pair k < l the symmetric unit (1 at (k, l) and (l, k)) followed
+    by the antisymmetric one (-i at (k, l), i at (l, k)) - d^2 operators,
+    all superselection-respecting by construction.  Entries are sorted by
+    operator.
+    """
+    ops, rows, cols, coeffs = [], [], [], []
+    first = 0
+    for g in basis.model.charges:
+        d = basis.sector_dim(g)
+        start = basis.sector_slice(g).start
+        diag = np.arange(d)
+        k, l = np.triu_indices(d, 1)
+        sym = first + d + 2 * np.arange(len(k))
+        ops += [first + diag, np.stack([sym, sym, sym + 1, sym + 1], axis=1).ravel()]
+        rows += [start + diag, start + np.stack([k, l, k, l], axis=1).ravel()]
+        cols += [start + diag, start + np.stack([l, k, l, k], axis=1).ravel()]
+        coeffs += [np.ones(d, dtype=complex), np.tile(np.array([1, 1, -1j, 1j]), len(k))]
+        first += d * d
+    return OperatorEntries(first, *(np.concatenate(x) for x in (ops, rows, cols, coeffs)))
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs (i, j) with left[i] == right[j], by i, then by j."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    starts = np.searchsorted(ordered, left, side="left")
+    counts = np.searchsorted(ordered, left, side="right") - starts
+    i = np.repeat(np.arange(len(left)), counts)
+    offsets = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return i, order[np.repeat(starts, counts) + offsets]
 
 
 class Bipartition:
@@ -381,6 +497,8 @@ class Bipartition:
         self.a_root = tuple(t.global_charge for t in self.a_basis.trees)
         self.b_root = tuple(t.global_charge for t in self.b_basis.trees)
         self._groups: dict[str, list] = {}
+        self._families: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._spanning: dict[str, OperatorEntries] = {}
 
     def groups(self, traced: str) -> list[tuple[np.ndarray, np.ndarray]]:
         """Families of full indices that the partial trace pairs up.
@@ -411,6 +529,46 @@ class Bipartition:
     def kept_basis(self, traced: str) -> SectorBasis:
         return self.a_basis if traced == "B" else self.b_basis
 
+    def pairs(self, traced: str) -> FamilyPairs:
+        """Every (i, j) pair within one family of :meth:`groups`.
+
+        Families come in order, each row-major.  The partial trace, the
+        embedding and the spanning entries all walk this table; it is
+        rebuilt on each call from the members listed family by family, so
+        only O(dim) indices stay cached.
+        """
+        if traced not in self._families:
+            families = self.groups(traced)
+            self._families[traced] = (
+                np.concatenate([members for members, _ in families]),
+                np.repeat(np.arange(len(families)), [len(members) for members, _ in families]),
+            )
+        members, family = self._families[traced]
+        first, second = _join(family, family)
+        row, col = members[first], members[second]
+        keep_idx = self.a_index if traced == "B" else self.b_index
+        return FamilyPairs(row, col, keep_idx[row], keep_idx[col])
+
+    def spanning_entries(self, side: str) -> OperatorEntries:
+        """One party's :func:`hermitian_units`, embedded into the joint basis.
+
+        Operator k equals ``embed_local`` of the party's unit k: the
+        entries join the :meth:`pairs` table with the units on the
+        party-basis (row, col), once per side.
+        """
+        if side not in ("A", "B"):
+            raise ValueError("side must be 'A' or 'B'")
+        if side not in self._spanning:
+            pairs = self.pairs("B" if side == "A" else "A")
+            sub = self.a_basis if side == "A" else self.b_basis
+            units = hermitian_units(sub)
+            pair, unit = _join(pairs.kept_row * sub.dim + pairs.kept_col,
+                               units.row * sub.dim + units.col)
+            self._spanning[side] = OperatorEntries(
+                units.count, units.op[unit], pairs.row[pair], pairs.col[pair], units.coeff[unit]
+            )
+        return self._spanning[side]
+
 
 @functools.lru_cache(maxsize=256)
 def bipartition(basis: SectorBasis, n_a: int) -> Bipartition:
@@ -427,15 +585,27 @@ def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B
     condition with :func:`embed_local`.
     """
     _require_same_basis(rho.basis, bipartition.basis)
-    basis = rho.basis
-    kept = bipartition.kept_basis(traced)
-    out = np.zeros((kept.dim, kept.dim), dtype=complex)
-    # every family lies in one global-charge sector, so it reads one block
-    for members, kept_members in bipartition.groups(traced):
-        g = basis.sector_of(members[0])
-        local = members - basis.sector_slice(g).start
-        out[np.ix_(kept_members, kept_members)] += rho.blocks[g][np.ix_(local, local)]
-    return BlockOperator.from_full(out, kept)
+    pairs = bipartition.pairs(traced)
+    return BlockOperator.from_entries(
+        bipartition.kept_basis(traced), pairs.kept_row, pairs.kept_col,
+        rho.at(pairs.row, pairs.col),
+    )
+
+
+def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
+    """``partial_trace(pure_density(state), ...)`` without forming the density.
+
+    Reads rho[i, j] = psi_i conj(psi_j) of the normalized state straight
+    from its amplitudes and adds the terms in the same order, so the
+    result is bit-identical.
+    """
+    _require_same_basis(state.basis, bipartition.basis)
+    psi = state.normalized().amplitudes
+    pairs = bipartition.pairs(traced)
+    return BlockOperator.from_entries(
+        bipartition.kept_basis(traced), pairs.kept_row, pairs.kept_col,
+        psi[pairs.row] * psi[pairs.col].conj(),
+    )
 
 
 def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") -> BlockOperator:
@@ -445,18 +615,16 @@ def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") ->
     charges, which BlockOperator enforces) is summed over all compatible
     labelings of the other side and all admissible global charges.  The
     embedding is an algebra homomorphism and the adjoint of the partial
-    trace.
+    trace: it walks the same pair table, and each joint entry is one pair.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     traced = "B" if side == "A" else "A"
-    sub_basis = bipartition.kept_basis(traced)
-    _require_same_basis(op.basis, sub_basis)
-    op_full = op.to_full()
-    out = np.zeros((bipartition.basis.dim, bipartition.basis.dim), dtype=complex)
-    for members, kept_members in bipartition.groups(traced):
-        out[np.ix_(members, members)] += op_full[np.ix_(kept_members, kept_members)]
-    return BlockOperator.from_full(out, bipartition.basis)
+    _require_same_basis(op.basis, bipartition.kept_basis(traced))
+    pairs = bipartition.pairs(traced)
+    return BlockOperator.from_entries(
+        bipartition.basis, pairs.row, pairs.col, op.at(pairs.kept_row, pairs.kept_col)
+    )
 
 
 # ---------------------------------------------------------------------------

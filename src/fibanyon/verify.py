@@ -17,6 +17,7 @@ from .correlations import (
     is_uncorrelated,
     local_observable_basis,
     random_pure_2anyon,
+    violation_table,
 )
 from .model import AnyonModel, fibonacci_model, pentagon_residual, validate_model
 from .recouple import shape_change
@@ -304,7 +305,7 @@ def suite_correlations(
             psi = random_pure_2anyon(model, "tau", rng)
         else:
             psi = random_pure_2anyon(model, "e", rng)
-        table = np.empty((len(ops_a), len(ops_b)))
+        table = violation_table(psi, part)
         rho = pure_density(psi)
         rho_a = partial_trace(rho, part, traced="B")
         rho_b = partial_trace(rho, part, traced="A")
@@ -313,10 +314,6 @@ def suite_correlations(
         emb_b = [embed_local(o, part, side="B").to_full() for o in ops_b]
         ea = np.array([trace(o @ rho_a).real for o in ops_a])
         eb = np.array([trace(o @ rho_b).real for o in ops_b])
-        for i in range(len(ops_a)):
-            for j in range(len(ops_b)):
-                lhs = np.einsum("ij,ji->", emb_b[j], emb_a[i] @ rho_full).real
-                table[i, j] = lhs - ea[i] * eb[j]
         span_max = float(np.max(np.abs(table)))
         for _ in range(random_pairs // 3):
             ca = rng.standard_normal(len(ops_a))

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fibanyon.correlations import (
+    PURE_CLASSES,
     classify_pure_2anyon,
     is_maximally_entangled_2anyon,
     is_uncorrelated,
@@ -11,8 +13,21 @@ from fibanyon.correlations import (
     local_unitary_orbit_check,
     random_pure_2anyon,
 )
-from fibanyon.states import AnyonState, bipartition, ket, superpose, validate_cssr
-from fibanyon.trees import enumerate_basis
+from fibanyon.states import (
+    AnyonState,
+    Bipartition,
+    bipartition,
+    embed_local,
+    ket,
+    mixture,
+    partial_trace,
+    pure_density,
+    random_pure_state,
+    superpose,
+    trace,
+    validate_cssr,
+)
+from fibanyon.trees import enumerate_basis, grouped_shape
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -142,3 +157,111 @@ def test_report_json_keys(basis2, unequal_marginals_state):
         "uncorrelated", "max_violation", "witness_a", "witness_b",
         "spectrum_a", "spectrum_b", "class",
     }
+
+
+# --- the sparse table against the dense spanning-pair loop
+
+
+def _dense_reference(state_or_rho, part):
+    """(max violation, witness) from the dense double loop over spanning pairs.
+
+    Every spanning operator is embedded as a dense joint-basis matrix, and
+    the first pair of largest violation in row-major order wins.
+    """
+    ops_a = local_observable_basis(part.a_basis)
+    ops_b = local_observable_basis(part.b_basis)
+    emb_a = [embed_local(o, part, side="A").to_full() for o in ops_a]
+    emb_b = [embed_local(o, part, side="B").to_full() for o in ops_b]
+    if isinstance(state_or_rho, AnyonState):
+        rho = pure_density(state_or_rho.normalized())
+    else:
+        rho = state_or_rho
+    exp_a = [trace(o @ partial_trace(rho, part, traced="B")).real for o in ops_a]
+    exp_b = [trace(o @ partial_trace(rho, part, traced="A")).real for o in ops_b]
+    rho_full = rho.to_full()
+    worst = 0.0
+    witness = (0, 0)
+    for i, ea in enumerate(emb_a):
+        ea_rho = ea @ rho_full
+        for j, eb in enumerate(emb_b):
+            lhs = np.einsum("ij,ji->", eb, ea_rho).real
+            violation = abs(lhs - exp_a[i] * exp_b[j])
+            if violation > worst:
+                worst = violation
+                witness = (i, j)
+    return worst, witness
+
+
+def _family_member(basis, label, rng):
+    """A random pure 2-anyon state of one closed-form class.
+
+    Every kept coefficient has modulus at least 0.2 before normalizing, far
+    from the class boundaries.
+    """
+    phases = np.exp(2j * math.pi * rng.uniform(size=3))
+    mods = rng.uniform(0.2, 1.0, size=3)
+    if label == "product-e-alpha":
+        terms = {"e,e;e": 1.0}
+    elif label == "product-e-beta":
+        terms = {"tau,tau;e": phases[0]}
+    elif label == "class-1-tau":
+        terms = {"tau,e;tau": mods[0] * phases[0], "tau,tau;tau": mods[1] * phases[1]}
+    elif label == "class-2-tau":
+        terms = {"e,tau;tau": mods[0] * phases[0], "tau,tau;tau": mods[1] * phases[1]}
+    else:
+        terms = {"tau,e;tau": mods[0] * phases[0], "e,tau;tau": mods[1] * phases[1],
+                 "tau,tau;tau": mods[2] * phases[2]}
+    amps = np.zeros(basis.dim, dtype=complex)
+    for key, value in terms.items():
+        amps[basis.index_of_label(key)] = value
+    state = AnyonState(basis, amps).normalized()
+    assert classify_pure_2anyon(state) == label
+    return state
+
+
+def _assert_matches_reference(state_or_rho, part):
+    report = is_uncorrelated(state_or_rho, part, classify=False)
+    worst, witness = _dense_reference(state_or_rho, part)
+    assert report.witness == witness
+    assert abs(report.max_violation - worst) <= 1e-15
+
+
+def test_table_matches_dense_loop_on_2anyon_families(basis2, unequal_marginals_state):
+    part = bipartition(basis2, 1)
+    rng = np.random.default_rng(31)
+    _assert_matches_reference(unequal_marginals_state, part)
+    for label in PURE_CLASSES:
+        for _ in range(4):
+            _assert_matches_reference(_family_member(basis2, label, rng), part)
+    for _ in range(4):
+        members = [_family_member(basis2, label, rng) for label in PURE_CLASSES[2:]]
+        _assert_matches_reference(mixture(zip(rng.dirichlet(np.ones(3)), members)), part)
+
+
+@pytest.mark.parametrize("n_a,n_b", [(2, 2), (2, 3)])
+def test_table_matches_dense_loop_on_random_states(model, n_a, n_b):
+    part = bipartition(enumerate_basis(model, grouped_shape(n_a, n_b)), n_a)
+    rng = np.random.default_rng(10 * n_a + n_b)
+    for sector in model.charges:
+        for _ in range(3):
+            _assert_matches_reference(random_pure_state(part.basis, sector, rng), part)
+        states = [random_pure_state(part.basis, sector, rng) for _ in range(3)]
+        _assert_matches_reference(mixture(zip(rng.dirichlet(np.ones(3)), states)), part)
+
+
+def test_table_matches_dense_loop_at_3_3(model):
+    part = bipartition(enumerate_basis(model, grouped_shape(3, 3)), 3)
+    _assert_matches_reference(random_pure_state(part.basis, "tau", np.random.default_rng(33)), part)
+
+
+def test_first_3_3_call_stays_small(model):
+    # a fresh Bipartition, so the spanning entries are built inside the trace
+    part = Bipartition(enumerate_basis(model, grouped_shape(3, 3)), 3)
+    psi = random_pure_state(part.basis, "e", np.random.default_rng(34))
+    tracemalloc.start()
+    try:
+        is_uncorrelated(psi, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

@@ -26,6 +26,7 @@ from fibanyon.states import (
     parse_state_text,
     partial_trace,
     pure_density,
+    pure_marginal,
     purity,
     random_density,
     random_observable,
@@ -141,6 +142,74 @@ def test_embed_homomorphism(model, basis4, rng):
         embed_local(o1, part, side="A").adjoint().to_full(),
         atol=1e-12,
     )
+
+
+def _dense_embed(op, part, side):
+    """Reference embedding through dense full-basis matrices."""
+    traced = "B" if side == "A" else "A"
+    op_full = op.to_full()
+    out = np.zeros((part.basis.dim, part.basis.dim), dtype=complex)
+    for members, kept_members in part.groups(traced):
+        out[np.ix_(members, members)] += op_full[np.ix_(kept_members, kept_members)]
+    return BlockOperator.from_full(out, part.basis)
+
+
+def _dense_partial_trace(rho, part, traced):
+    """Reference partial trace through a dense kept-basis matrix."""
+    kept = part.kept_basis(traced)
+    rho_full = rho.to_full()
+    out = np.zeros((kept.dim, kept.dim), dtype=complex)
+    for members, kept_members in part.groups(traced):
+        out[np.ix_(kept_members, kept_members)] += rho_full[np.ix_(members, members)]
+    return BlockOperator.from_full(out, kept)
+
+
+def _splits(max_n):
+    for n in range(2, max_n + 1):
+        for n_a in range(1, n):
+            yield n, n_a
+
+
+@pytest.mark.parametrize("n,n_a", list(_splits(6)))
+def test_embed_and_partial_trace_equal_dense_reference(model, n, n_a):
+    part = bipartition(enumerate_basis(model, grouped_shape(n_a, n - n_a)), n_a)
+    rng = np.random.default_rng(1000 * n + n_a)
+    for side, sub in (("A", part.a_basis), ("B", part.b_basis)):
+        op = random_observable(sub, rng)
+        assert np.array_equal(
+            embed_local(op, part, side=side).to_full(), _dense_embed(op, part, side).to_full()
+        )
+    rho = random_density(part.basis, rng)
+    for traced in ("A", "B"):
+        assert np.array_equal(
+            partial_trace(rho, part, traced=traced).to_full(),
+            _dense_partial_trace(rho, part, traced).to_full(),
+        )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pure_marginal_equals_trace_of_pure_density(model, n):
+    rng = np.random.default_rng(n)
+    for n_a in sorted({1, 2, n // 2, n - 1} & set(range(1, n))):
+        part = bipartition(enumerate_basis(model, grouped_shape(n_a, n - n_a)), n_a)
+        for sector in model.charges:
+            # unnormalized on purpose: both sides normalize first
+            amplitudes = 3.0 * random_pure_state(part.basis, sector, rng).amplitudes
+            state = AnyonState(part.basis, amplitudes)
+            for traced in ("A", "B"):
+                assert np.array_equal(
+                    pure_marginal(state, part, traced=traced).to_full(),
+                    partial_trace(pure_density(state), part, traced=traced).to_full(),
+                )
+
+
+def test_block_entries_reject_cross_sector_pairs(basis2):
+    rows = np.array([basis2.index_of_label("e,e;e")])
+    cols = np.array([basis2.index_of_label("tau,e;tau")])
+    with pytest.raises(SuperselectionError):
+        BlockOperator.from_entries(basis2, rows, cols, np.ones(1, dtype=complex))
+    with pytest.raises(SuperselectionError):
+        BlockOperator.identity(basis2).at(rows, cols)
 
 
 # --- partial trace
