@@ -37,7 +37,6 @@ from .trees import (
     grouped_shape,
     left_comb,
     right_comb,
-    sector_dimension,
 )
 
 __version__ = "0.1.0"

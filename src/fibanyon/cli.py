@@ -321,21 +321,6 @@ def _fmt_imag(x: float) -> str:
 
 
 def cmd_verify(args, model: AnyonModel) -> int:
-    if args.corrupt_model:
-        # test hook: damage one F-symbol so the model suite must fail
-        broken = dict(model.f_symbols)
-        key = ("tau", "tau", "tau", "tau", "e", "e")
-        if key in broken:
-            broken[key] = 0.0
-        model = AnyonModel(
-            name=model.name + "-corrupted",
-            charges=model.charges,
-            vacuum=model.vacuum,
-            fusion=model.fusion,
-            f_symbols=broken,
-            r_symbols=model.r_symbols,
-            quantum_dims=model.quantum_dims,
-        )
     names = [args.suite] if args.suite else None
     start = time.monotonic()
     results = run_suites(model, names=names, seed=args.seed, quick=args.quick)
@@ -424,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default=None, choices=(
         "model", "dims", "recoupling", "algebra", "correlations", "teleportation"))
     p.add_argument("--quick", action="store_true", help="reduced sample counts")
-    p.add_argument("--corrupt-model", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -256,6 +256,18 @@ class SplitState:
         roots = [t.global_charge for t in self.receiver_basis.trees]
         self.receiver_mask = np.equal.outer(np.array(roots), np.array(roots))
 
+    def conditionals(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Receiver vectors w_k (columns of W) for measurement vectors `columns`, and ||w_k||^2."""
+        W = self.coefficients @ columns.conj()
+        return W, np.sum(np.abs(W) ** 2, axis=0)
+
+    def average_fidelity(self, columns: np.ndarray, target: np.ndarray) -> float:
+        """Uncorrected average fidelity sum_k <t|mask(w_k w_k^dagger)|t> over p_k > PROB_TOL."""
+        W, probs = self.conditionals(columns)
+        kept = W[:, probs > PROB_TOL]
+        rho = np.where(self.receiver_mask, kept @ kept.conj().T, 0.0)
+        return float(np.real(target.conj() @ rho @ target))
+
     def branch(self, projector: np.ndarray, decohere: bool) -> tuple[float, np.ndarray | None]:
         """Probability and conditional receiver operator for one projector."""
         D = self.coefficients @ projector.T
@@ -300,32 +312,12 @@ def run_protocol(
     if corrections is not None and len(corrections) != len(mats):
         raise ValueError("one correction per projector is required (use identity to skip)")
 
-    target = message.target_vector(split.receiver_basis, scenario.encoding)
-    branches = []
-    for k, mat in enumerate(mats):
-        p, rho = split.branch(mat, decohere=enforce_superselection)
-        if rho is None:
-            branches.append(Branch(p, None, None))
-            continue
-        if corrections is not None:
-            U = _as_full(corrections[k], split.receiver_basis)
-            if enforce_superselection:
-                if not validate_cssr(U, split.receiver_basis, tol):
-                    raise SuperselectionError(f"correction {k} mixes receiver charge sectors")
-                if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > tol:
-                    raise ValueError(f"correction {k} is not unitary")
-            rho = U @ rho @ U.conj().T
-        branches.append(Branch(p, rho, float(np.real(target.conj() @ rho @ target))))
-
+    raw = [split.branch(mat, decohere=enforce_superselection) for mat in mats]
     residual = np.eye(meas_basis.dim, dtype=complex) - sum(mats)
-    p_nc, rho_nc = split.branch(residual, decohere=enforce_superselection)
-    fid_nc = None if rho_nc is None else float(np.real(target.conj() @ rho_nc @ target))
-    no_click = Branch(p_nc, rho_nc, fid_nc)
-
-    avg = sum(b.probability * b.fidelity for b in branches if b.fidelity is not None)
-    if fid_nc is not None:
-        avg += p_nc * fid_nc
-    return TeleportOutcome(branches, no_click, float(avg), split.receiver_basis, message)
+    no_click = split.branch(residual, decohere=enforce_superselection)
+    target = message.target_vector(split.receiver_basis, scenario.encoding)
+    return _assemble(raw, no_click, target, corrections, split.receiver_basis, message,
+                     validate=enforce_superselection, tol=tol)
 
 
 def run_protocol_via_embedding(
@@ -352,45 +344,80 @@ def run_protocol_via_embedding(
         if p <= PROB_TOL:
             return max(p, 0.0), None
         normalized = AnyonState(psi.basis, conditional.amplitudes / math.sqrt(p))
-        return p, partial_trace(pure_density(normalized), split.part, traced=traced)
+        return p, partial_trace(pure_density(normalized), split.part, traced=traced).to_full()
+
+    blocks = [op if isinstance(op, BlockOperator) else BlockOperator.from_full(op, meas_basis)
+              for op in scenario.pvm]
+    total = BlockOperator.identity(meas_basis)
+    for block in blocks:
+        total = total - block
+    raw = [receiver_branch(block) for block in blocks]
+    return _assemble(raw, receiver_branch(total), target, scenario.corrections,
+                     split.receiver_basis, message, validate=True, tol=tol)
+
+
+def _assemble(raw_branches, no_click, target, corrections, receiver_basis, message,
+              validate, tol) -> TeleportOutcome:
+    """Correct each branch, score it against `target` and sum the average fidelity.
+
+    `raw_branches` and `no_click` are (probability, receiver matrix or None)
+    pairs.  The no-click branch is never corrected.  With `validate`,
+    each correction must be unitary and block diagonal on the receiver.
+    """
+
+    def scored(p, rho):
+        if rho is None:
+            return Branch(p, None, None)
+        return Branch(p, rho, float(np.real(target.conj() @ rho @ target)))
 
     branches = []
-    total = BlockOperator.identity(meas_basis)
-    for k, op in enumerate(scenario.pvm):
-        block = op if isinstance(op, BlockOperator) else BlockOperator.from_full(op, meas_basis)
-        total = total - block
-        p, rho = receiver_branch(block)
-        if rho is None:
-            branches.append(Branch(p, None, None))
-            continue
-        rho_mat = rho.to_full()
-        if scenario.corrections is not None:
-            U = _as_full(scenario.corrections[k], split.receiver_basis)
-            rho_mat = U @ rho_mat @ U.conj().T
-        branches.append(Branch(p, rho_mat, float(np.real(target.conj() @ rho_mat @ target))))
-    p_nc, rho_nc = receiver_branch(total)
-    mat_nc = None if rho_nc is None else rho_nc.to_full()
-    fid_nc = None if mat_nc is None else float(np.real(target.conj() @ mat_nc @ target))
+    for k, (p, rho) in enumerate(raw_branches):
+        if rho is not None and corrections is not None:
+            U = _as_full(corrections[k], receiver_basis)
+            if validate:
+                if not validate_cssr(U, receiver_basis, tol):
+                    raise SuperselectionError(f"correction {k} mixes receiver charge sectors")
+                if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > tol:
+                    raise ValueError(f"correction {k} is not unitary")
+            rho = U @ rho @ U.conj().T
+        branches.append(scored(p, rho))
+    no_click = scored(*no_click)
     avg = sum(b.probability * b.fidelity for b in branches if b.fidelity is not None)
-    if fid_nc is not None:
-        avg += p_nc * fid_nc
-    return TeleportOutcome(branches, Branch(p_nc, mat_nc, fid_nc), float(avg),
-                           split.receiver_basis, message)
+    if no_click.fidelity is not None:
+        avg += no_click.probability * no_click.fidelity
+    return TeleportOutcome(branches, no_click, float(avg), receiver_basis, message)
 
 
 # ---------------------------------------------------------------------------
 # sampled measurements and reachability
 
 
+def sample_rng(seed: int, *key: int) -> np.random.Generator:
+    """Independent seeded stream for one sample: ``SeedSequence(seed, spawn_key=key)``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
     gin = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(gin)
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases.conj()
+
+
+def sector_haar_columns(basis: SectorBasis, rng: np.random.Generator) -> np.ndarray:
+    """Block-diagonal unitary with one Haar block per nonempty charge sector.
+
+    Blocks are drawn in the model's charge order.  Column k is the k-th
+    vector of a complete rank-1 measurement that respects the sectors.
+    """
+    columns = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for g in basis.model.charges:
+        sl = basis.sector_slice(g)
+        if sl.stop > sl.start:
+            columns[sl, sl] = haar_unitary(rng, sl.stop - sl.start)
+    return columns
 
 
 def random_sector_pvm(basis: SectorBasis, rng: np.random.Generator) -> list[np.ndarray]:
@@ -399,18 +426,7 @@ def random_sector_pvm(basis: SectorBasis, rng: np.random.Generator) -> list[np.n
     One Haar unitary per sector; every column becomes a projector, so the
     sector choice is exhaustive and the elements sum to the identity.
     """
-    out = []
-    for g in basis.model.charges:
-        sl = basis.sector_slice(g)
-        d = basis.sector_dim(g)
-        if d == 0:
-            continue
-        u = haar_unitary(rng, d)
-        for col in range(d):
-            vec = np.zeros(basis.dim, dtype=complex)
-            vec[sl] = u[:, col]
-            out.append(np.outer(vec, vec.conj()))
-    return out
+    return [np.outer(col, col.conj()) for col in sector_haar_columns(basis, rng).T]
 
 
 @dataclass
@@ -454,31 +470,18 @@ def receiver_reachability_check(
     for idx in allowed:
         off_mask[idx, idx] = False
 
+    # |rho_k[r, s]| = |w_r| |w_s| / p_k on the decohered, off-support entries
+    rows, cols = np.nonzero(splits[0].receiver_mask & off_mask)
     worst = 0.0
     conditionals = 0
     for s in range(pvm_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-        meas_basis = splits[0].measured_basis
-        # One Haar unitary per sector; columns are the measurement vectors.
-        columns = []
-        for g in meas_basis.model.charges:
-            d = meas_basis.sector_dim(g)
-            if d == 0:
-                continue
-            u = haar_unitary(rng, d)
-            block = np.zeros((meas_basis.dim, d), dtype=complex)
-            block[meas_basis.sector_slice(g)] = u
-            columns.append(block)
-        U = np.hstack(columns)
+        columns = sector_haar_columns(splits[0].measured_basis, sample_rng(seed, s))
         for split in splits:
-            W = split.coefficients @ U.conj()  # column k: conditional receiver vector
-            probs = np.sum(np.abs(W) ** 2, axis=0)
-            for k in np.nonzero(probs > PROB_TOL)[0]:
-                w = W[:, k]
-                rho = np.outer(w, w.conj()) / probs[k]
-                rho = np.where(split.receiver_mask, rho, 0.0)
-                worst = max(worst, float(np.max(np.abs(rho[off_mask]))))
-                conditionals += 1
+            W, probs = split.conditionals(columns)
+            keep = probs > PROB_TOL
+            mags = np.abs(W[:, keep])
+            worst = max(worst, float(np.max(mags[rows] * mags[cols] / probs[keep], initial=0.0)))
+            conditionals += int(np.count_nonzero(keep))
     return ReachabilityReport(
         scenario=scenario.name,
         direction=scenario.direction,
@@ -491,24 +494,16 @@ def receiver_reachability_check(
 
 
 def diagonal_mixture_fidelity_bound(
-    target: np.ndarray, basis: SectorBasis, kets: tuple[str, ...], grid: int = 4001
+    target: np.ndarray, basis: SectorBasis, kets: tuple[str, ...]
 ) -> float:
-    """Brute-force oracle: best fidelity any diagonal mixture of `kets` reaches.
+    """Oracle: best fidelity any diagonal mixture of `kets` reaches.
 
-    Scans mixing weights on a grid (two-element sets scan one weight);
-    used as the classical ceiling for one-way protocols whose receiver
-    states are confined to a diagonal family.
+    Fidelity is linear in the mixing weights, so the best mixture is the
+    single ket with the largest overlap.  Used as the classical ceiling
+    for one-way protocols whose receiver states are confined to a
+    diagonal family.
     """
-    indices = [basis.index_of_label(lbl) for lbl in kets]
-    overlaps = np.array([abs(target[i]) ** 2 for i in indices])
-    if len(indices) == 1:
-        return float(overlaps[0])
-    if len(indices) != 2:
-        raise ValueError("oracle implemented for one- or two-element diagonal families")
-    best = 0.0
-    for p in np.linspace(0.0, 1.0, grid):
-        best = max(best, p * overlaps[0] + (1.0 - p) * overlaps[1])
-    return float(best)
+    return float(max(abs(target[basis.index_of_label(lbl)]) ** 2 for lbl in kets))
 
 
 # ---------------------------------------------------------------------------

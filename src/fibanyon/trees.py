@@ -362,10 +362,6 @@ def enumerate_basis(model: AnyonModel, shape: TreeShape | str | int) -> SectorBa
     return _cached_basis(model, shape)
 
 
-def sector_dimension(basis: SectorBasis, g: Charge) -> int:
-    return basis.sector_dim(g)
-
-
 def all_shapes(n: int) -> list[TreeShape]:
     """Every full binary shape on n ordered leaves (Catalan many)."""
 

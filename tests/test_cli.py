@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fibanyon.cli import main
+from fibanyon.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -130,10 +131,38 @@ def test_verify_quick_passes():
     assert "overall: PASS" in out
 
 
-def test_verify_corrupted_model_fails():
-    code, out = run_cli("verify", "--suite", "model", "--corrupt-model")
+def test_verify_corrupted_model_fails(tmp_path):
+    # Fibonacci with F^{tau,tau,tau}_tau[e,e] zeroed: not unitary, no pentagon
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    model_file = tmp_path / "corrupted.model"
+    model_file.write_text(
+        "charges e tau\n"
+        "vacuum e\n"
+        "fusion e e -> e\n"
+        "fusion e tau -> tau\n"
+        "fusion tau tau -> e tau\n"
+        "F tau tau tau ; tau ; e e = 0.0 0.0\n"
+        f"F tau tau tau ; tau ; e tau = {math.sqrt(inv_phi)!r} 0.0\n"
+        f"F tau tau tau ; tau ; tau e = {math.sqrt(inv_phi)!r} 0.0\n"
+        f"F tau tau tau ; tau ; tau tau = {-inv_phi!r} 0.0\n",
+        encoding="utf-8",
+    )
+    code, out = run_cli("verify", "--suite", "model", "--model", str(model_file))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_no_hidden_options():
+    parser = build_parser()
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.extend(action.choices.values())
+    hidden = [
+        action.option_strings or action.dest
+        for p in parsers for action in p._actions if action.help == argparse.SUPPRESS
+    ]
+    assert hidden == []
 
 
 def test_out_flag_writes_file(tmp_path):

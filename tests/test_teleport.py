@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,14 @@ from fibanyon.teleport import (
     builtin_scenarios,
     compose,
     d1_family_resource,
+    PROB_TOL,
     diagonal_mixture_fidelity_bound,
+    haar_unitary,
     random_sector_pvm,
     receiver_reachability_check,
     run_protocol,
     run_protocol_via_embedding,
+    sector_haar_columns,
     superselection_violating_protocol,
     validate_pvm,
 )
@@ -222,6 +226,86 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
             if rho is not None:
                 avg += p * float(np.real(target.conj() @ rho @ target))
         assert avg <= bound + 1e-10
+        columns = sector_haar_columns(split.measured_basis, np.random.default_rng(1000 + s))
+        assert abs(split.average_fidelity(columns, target) - avg) <= 1e-14
+
+    skewed = MessageQubit(0.6, 0.8)
+    target = skewed.target_vector(split.receiver_basis, scenario.encoding)
+    i_tau_e = split.receiver_basis.index_of_label("tau,e;tau")
+    bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
+    assert bound == abs(target[i_tau_e]) ** 2
+
+
+def _old_sector_pvm(basis, rng):
+    """Reference: one Haar unitary per sector, one outer product per column."""
+    out = []
+    for g in basis.model.charges:
+        sl = basis.sector_slice(g)
+        d = basis.sector_dim(g)
+        if d == 0:
+            continue
+        u = haar_unitary(rng, d)
+        for col in range(d):
+            vec = np.zeros(basis.dim, dtype=complex)
+            vec[sl] = u[:, col]
+            out.append(np.outer(vec, vec.conj()))
+    return out
+
+
+def test_sector_haar_columns_unitary_and_block_diagonal(model, basis4):
+    columns = sector_haar_columns(basis4, np.random.default_rng(7))
+    np.testing.assert_allclose(columns.conj().T @ columns, np.eye(basis4.dim), atol=1e-12)
+    off_block = columns.copy()
+    for g in model.charges:
+        sl = basis4.sector_slice(g)
+        off_block[sl, sl] = 0.0
+    assert not np.any(off_block)
+
+
+def test_random_sector_pvm_matches_per_sector_loop(basis2, basis4):
+    for basis in (basis2, basis4):
+        new = random_sector_pvm(basis, np.random.default_rng(17))
+        old = _old_sector_pvm(basis, np.random.default_rng(17))
+        assert len(new) == len(old) == basis.dim
+        for lhs, rhs in zip(new, old):
+            assert np.array_equal(lhs, rhs)
+
+
+def test_reachability_matches_per_outcome_loop(catalog):
+    # with only |e,e;e> reachable, the tau-sector receiver states leak
+    scenario = dataclasses.replace(catalog["main-text"]["ba"], reachable=("e,e;e",))
+    messages = [MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2)]
+    samples, seed = 30, 9
+    report = receiver_reachability_check(scenario, messages, pvm_samples=samples, seed=seed)
+
+    splits = [SplitState(scenario, m) for m in messages]
+    recv_basis, meas_basis = splits[0].receiver_basis, splits[0].measured_basis
+    off_mask = np.ones((recv_basis.dim, recv_basis.dim), dtype=bool)
+    i_ee = recv_basis.index_of_label("e,e;e")
+    off_mask[i_ee, i_ee] = False
+    worst, conditionals = 0.0, 0
+    for s in range(samples):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+        blocks = []
+        for g in meas_basis.model.charges:
+            d = meas_basis.sector_dim(g)
+            if d == 0:
+                continue
+            block = np.zeros((meas_basis.dim, d), dtype=complex)
+            block[meas_basis.sector_slice(g)] = haar_unitary(rng, d)
+            blocks.append(block)
+        U = np.hstack(blocks)
+        for split in splits:
+            W = split.coefficients @ U.conj()
+            probs = np.sum(np.abs(W) ** 2, axis=0)
+            for k in np.nonzero(probs > PROB_TOL)[0]:
+                rho = np.outer(W[:, k], W[:, k].conj()) / probs[k]
+                rho = np.where(split.receiver_mask, rho, 0.0)
+                worst = max(worst, float(np.max(np.abs(rho[off_mask]))))
+                conditionals += 1
+    assert report.conditionals == conditionals
+    assert worst > 0.1
+    assert abs(report.max_off_support - worst) <= 1e-15
 
 
 def test_superselection_disabled_enables_reverse_teleport(model):

@@ -10,7 +10,6 @@ from fibanyon.trees import (
     left_comb,
     parse_tree_label,
     right_comb,
-    sector_dimension,
 )
 
 FIB_DIMS = {1: 2, 2: 5, 3: 13, 4: 34, 5: 89, 6: 233, 7: 610, 8: 1597}
@@ -37,12 +36,12 @@ def test_two_anyon_sector_listing(basis2):
 def test_one_anyon_basis(model):
     basis = enumerate_basis(model, 1)
     assert [t.label() for t in basis.trees] == ["e", "tau"]
-    assert sector_dimension(basis, "tau") == 1
+    assert basis.sector_dim("tau") == 1
 
 
 def test_sector_dimension_unknown_charge(basis2):
     with pytest.raises(FusionError):
-        sector_dimension(basis2, "sigma")
+        basis2.sector_dim("sigma")
 
 
 def test_index_tree_roundtrip(model):
