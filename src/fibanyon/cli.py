@@ -235,6 +235,8 @@ def cmd_teleport(args, model: AnyonModel) -> int:
         )
     if args.direction not in ("ab", "ba"):
         raise UsageError("--direction must be 'ab' or 'ba'")
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     scenario = catalog[args.scenario][args.direction]
     alpha = _parse_amplitude(args.alpha)
     beta = _parse_amplitude(args.beta)

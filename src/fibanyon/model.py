@@ -129,6 +129,11 @@ def build_model(
         out = fusion.get((a, b), fusion.get((b, a)))
         if out is None:
             raise ModelFormatError(f"fusion rule missing for {a} x {b}")
+        if len(set(out)) != len(out):
+            raise ModelFormatError(
+                f"fusion {a} x {b} lists an outcome more than once; fusion multiplicities"
+                " are not supported"
+            )
         fusion_total[(a, b)] = tuple(c for c in charges if c in out)
 
     def outcomes(a, b):

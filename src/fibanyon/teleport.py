@@ -16,12 +16,30 @@ partial trace keeps only matrix elements with equal receiver root
 charges).  Dropping that decoherence step and admitting sector-mixing
 projectors reproduces ordinary qudit teleportation - the
 ``enforce_superselection=False`` mode, kept as an executable counterfactual.
+
+One scenario runs over many messages, so the work is split in two:
+
+- The layout, cached per (model, resource basis, direction, channel,
+  encoding): the join table from (message tree, resource tree) to the
+  composed index (which :func:`join_states` reads too), the regrouping
+  map, the bipartition, the receiver and measured bases, the C position
+  of every regrouped index, the receiver mask and the message and
+  encoding indices.  ``with_resource`` copies share it.
+- The measurement, built once per (scenario, tol): the PVM as matrices
+  with its no-click residual, validated by :func:`validate_pvm`, and
+  every correction, checked block diagonal and unitary whether or not
+  its outcome can fire.  Explicit ``pvm=`` / ``corrections=`` overrides
+  are built the same way on every call.
+
+A :class:`SplitState` then only multiplies the message into the resource,
+regroups, scatters into C and checks the state's superselection.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +57,7 @@ from .states import (
     superpose,
     validate_cssr,
 )
-from .trees import FusionTree, SectorBasis, enumerate_basis, grouped_shape, join_shapes
+from .trees import SectorBasis, TreeShape, enumerate_basis, grouped_shape, join_shapes
 
 PROB_TOL = 1e-12
 
@@ -52,6 +70,9 @@ MESSAGE_GRID = (
     (0.6, 0.8),
     (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)),
 )
+
+# The kets carrying a message's alpha and beta on two anyons.
+MESSAGE_KETS = ("tau,e;tau", "e,tau;tau")
 
 
 @dataclass(frozen=True)
@@ -68,8 +89,8 @@ class MessageQubit:
     def as_state(self, model: AnyonModel) -> AnyonState:
         basis = enumerate_basis(model, grouped_shape(1, 1))
         amplitudes = np.zeros(basis.dim, dtype=complex)
-        amplitudes[basis.index_of_label("tau,e;tau")] = self.alpha
-        amplitudes[basis.index_of_label("e,tau;tau")] = self.beta
+        amplitudes[basis.index_of_label(MESSAGE_KETS[0])] = self.alpha
+        amplitudes[basis.index_of_label(MESSAGE_KETS[1])] = self.beta
         return AnyonState(basis, amplitudes)
 
     def target_vector(self, basis: SectorBasis, encoding: tuple[str, str]) -> np.ndarray:
@@ -102,29 +123,41 @@ def compose(
 
 def join_states(model: AnyonModel, left: AnyonState, right: AnyonState, channel: Charge):
     """6 = 2 + 4 (or any split): couple two single-sector states at a new root."""
-    ls, rs = left.sector, right.sector
-    if ls is None or rs is None:
+    table = _join_table(model, left.basis.shape, right.basis.shape, channel)
+    basis = enumerate_basis(model, join_shapes(left.basis.shape, right.basis.shape))
+    return AnyonState(basis, _joined(table, basis.dim, left.amplitudes, right.amplitudes))
+
+
+@functools.lru_cache(maxsize=64)
+def _join_table(model: AnyonModel, left: TreeShape, right: TreeShape, channel: Charge):
+    """table[i, j]: index of left tree i and right tree j joined at `channel`, or -1.
+
+    The joined basis splits at its root into the two factors, so its
+    bipartition tables, read over the `channel` sector, invert the join.
+    """
+    basis = enumerate_basis(model, join_shapes(left, right))
+    part = bipartition(basis, left.n_leaves)
+    table = np.full((part.a_basis.dim, part.b_basis.dim), -1, dtype=np.intp)
+    sector = basis.sector_slice(channel)
+    table[part.a_index[sector], part.b_index[sector]] = np.arange(sector.start, sector.stop)
+    return table
+
+
+def _joined(table: np.ndarray, dim: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Joined amplitudes: left[i] * right[j] at table[i, j] over both supports."""
+    l_nz, r_nz = np.flatnonzero(left), np.flatnonzero(right)
+    index = table[np.ix_(l_nz, r_nz)]
+    if not index.size:
         raise ValueError("cannot join a zero state")
-    if channel not in model.fusion_outcomes(ls, rs):
-        raise FusionError(
-            f"channel {channel!r} not in fusion outcomes of {ls} x {rs}"
-        )
-    shape = join_shapes(left.basis.shape, right.basis.shape)
-    basis = enumerate_basis(model, shape)
-    amplitudes = np.zeros(basis.dim, dtype=complex)
-    l_nz = np.nonzero(left.amplitudes)[0]
-    r_nz = np.nonzero(right.amplitudes)[0]
-    for i in l_nz:
-        ti = left.basis.tree_at(i)
-        for j in r_nz:
-            tj = right.basis.tree_at(j)
-            joined = FusionTree(
-                shape,
-                ti.leaf_charges + tj.leaf_charges,
-                (channel,) + ti.internal_charges + tj.internal_charges,
-            )
-            amplitudes[basis.index_of(joined)] = left.amplitudes[i] * right.amplitudes[j]
-    return AnyonState(basis, amplitudes)
+    if np.any(index < 0):
+        raise FusionError("the channel is not a fusion outcome of the two factors' charges")
+    lhs, rhs = left[l_nz, None], right[None, r_nz]
+    amplitudes = np.zeros(dim, dtype=complex)
+    # Rounded like a scalar complex product: numpy's vectorized complex
+    # multiply may fuse multiply-adds, which moves the last bit.
+    amplitudes.real[index] = lhs.real * rhs.real - lhs.imag * rhs.imag
+    amplitudes.imag[index] = lhs.real * rhs.imag + lhs.imag * rhs.real
+    return amplitudes
 
 
 def validate_pvm(pvm, basis: SectorBasis, tol: float = 1e-10) -> list[str]:
@@ -166,6 +199,78 @@ def _as_full(op, basis: SectorBasis) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
+class _Layout:
+    """What every run of one scenario shares: all but the message and the
+    resource amplitudes.  Build it through :func:`_cached_layout`."""
+
+    def __init__(self, model: AnyonModel, resource_basis: SectorBasis, direction: str,
+                 channel: Charge, encoding: tuple[str, str]):
+        message_basis = enumerate_basis(model, grouped_shape(1, 1))
+        self.message_first = direction == "ab"
+        if self.message_first:
+            left, right = message_basis.shape, resource_basis.shape
+            measured_shape = join_shapes(grouped_shape(2, 2), grouped_shape(1, 1))
+            n_a, self.receiver_side = 4, "B"
+        else:
+            left, right = resource_basis.shape, message_basis.shape
+            measured_shape = join_shapes(grouped_shape(1, 1), grouped_shape(2, 2))
+            n_a, self.receiver_side = 2, "A"
+        self.message_dim = message_basis.dim
+        self.message_index = [message_basis.index_of_label(lbl) for lbl in MESSAGE_KETS]
+        self.join = _join_table(model, left, right, channel)
+        self.change = shape_change(model, join_shapes(left, right), measured_shape)
+        self.part = part = bipartition(self.change.target, n_a)
+        if self.receiver_side == "A":
+            self.receiver_basis, self.measured_basis = part.a_basis, part.b_basis
+            recv_idx, meas_idx = part.a_index, part.b_index
+        else:
+            self.receiver_basis, self.measured_basis = part.b_basis, part.a_basis
+            recv_idx, meas_idx = part.b_index, part.a_index
+        # the regrouped state lives in the channel sector, where each index
+        # has its own (receiver row, measured column) of C
+        self.sector = self.change.target.sector_slice(channel)
+        self.receiver_row, self.measured_col = recv_idx[self.sector], meas_idx[self.sector]
+        roots = np.array([t.global_charge for t in self.receiver_basis.trees])
+        self.receiver_mask = np.equal.outer(roots, roots)
+        self.receiver_mask.setflags(write=False)  # every SplitState shares it
+        self.encoding = [self.receiver_basis.index_of_label(lbl) for lbl in encoding]
+
+
+# keyed on (model, resource basis, direction, channel, encoding)
+_cached_layout = functools.lru_cache(maxsize=64)(_Layout)
+
+
+class _Measurement:
+    """A PVM and its corrections as the matrices one run applies.
+
+    With `validate`, the PVM must pass :func:`validate_pvm` and every
+    correction must be block diagonal and unitary on the receiver, whether
+    or not its outcome can fire.
+    """
+
+    def __init__(self, pvm, corrections, measured_basis: SectorBasis,
+                 receiver_basis: SectorBasis, validate: bool, tol: float):
+        if validate:
+            problems = validate_pvm(pvm, measured_basis, tol)
+            if problems:
+                raise SuperselectionError("invalid PVM: " + "; ".join(problems))
+        self.projectors = [_as_full(op, measured_basis) for op in pvm]
+        if corrections is not None and len(corrections) != len(self.projectors):
+            raise ValueError("one correction per projector is required (use identity to skip)")
+        self.no_click = np.eye(measured_basis.dim, dtype=complex) - sum(self.projectors)
+        self.corrections = None  # or one (U, U^dagger) per outcome
+        if corrections is not None:
+            self.corrections = []
+            for k, op in enumerate(corrections):
+                U = _as_full(op, receiver_basis)
+                if validate:
+                    if not validate_cssr(U, receiver_basis, tol):
+                        raise SuperselectionError(f"correction {k} mixes receiver charge sectors")
+                    if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > tol:
+                        raise ValueError(f"correction {k} is not unitary")
+                self.corrections.append((U, U.conj().T))
+
+
 @dataclass(frozen=True)
 class TeleportScenario:
     """Protocol configuration: resource, direction, PVM, corrections.
@@ -185,13 +290,28 @@ class TeleportScenario:
     corrections: tuple | None
     encoding: tuple[str, str]
     reachable: tuple[str, ...] | None = None
-
-    @property
-    def message_side(self) -> str:
-        return "A" if self.direction == "ab" else "B"
+    # the scenario's own measurement per (validate, tol), built on first use
+    _measurements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def with_resource(self, resource: AnyonState) -> "TeleportScenario":
-        return replace(self, resource=resource)
+        copy = replace(self, resource=resource)
+        # the measurement does not depend on the resource, so copies share it
+        object.__setattr__(copy, "_measurements", self._measurements)
+        return copy
+
+    def _layout(self) -> _Layout:
+        return _cached_layout(self.model, self.resource.basis, self.direction, self.channel,
+                              self.encoding)
+
+    def _measurement(self, validate: bool, tol: float) -> _Measurement:
+        key = (validate, tol)
+        if key not in self._measurements:
+            layout = self._layout()
+            self._measurements[key] = _Measurement(
+                self.pvm, self.corrections, layout.measured_basis, layout.receiver_basis,
+                validate, tol,
+            )
+        return self._measurements[key]
 
 
 @dataclass
@@ -222,39 +342,36 @@ class TeleportOutcome:
 
 
 class SplitState:
-    """Regrouped 6-anyon state as a receiver x measured coefficient matrix."""
+    """Regrouped 6-anyon state as a receiver x measured coefficient matrix.
+
+    The scenario's cached layout holds every table; construction only
+    multiplies the message into the resource, regroups and scatters.
+    `target` is the message re-encoded on the receiver's encoding pair.
+    """
 
     def __init__(self, scenario: TeleportScenario, message: MessageQubit):
-        model = scenario.model
-        composed = compose(
-            model, message.as_state(model), scenario.resource, scenario.message_side,
-            scenario.channel,
+        layout = scenario._layout()
+        msg = np.zeros(layout.message_dim, dtype=complex)
+        msg[layout.message_index[0]] = message.alpha
+        msg[layout.message_index[1]] = message.beta
+        resource = scenario.resource.amplitudes
+        left, right = (msg, resource) if layout.message_first else (resource, msg)
+        amplitudes = layout.change.apply(
+            _joined(layout.join, layout.change.source.dim, left, right)
         )
-        if scenario.direction == "ab":
-            measured_shape = join_shapes(grouped_shape(2, 2), grouped_shape(1, 1))
-            n_a, receiver_side = 4, "B"
-        else:
-            measured_shape = join_shapes(grouped_shape(1, 1), grouped_shape(2, 2))
-            n_a, receiver_side = 2, "A"
-        change = shape_change(model, composed.basis.shape, measured_shape)
-        amplitudes = change.apply(composed.amplitudes)
-        self.basis = change.target
-        self.part = bipartition(self.basis, n_a)
-        self.receiver_side = receiver_side
-        if receiver_side == "A":
-            self.receiver_basis, self.measured_basis = self.part.a_basis, self.part.b_basis
-        else:
-            self.receiver_basis, self.measured_basis = self.part.b_basis, self.part.a_basis
-        recv_idx = self.part.a_index if receiver_side == "A" else self.part.b_index
-        meas_idx = self.part.b_index if receiver_side == "A" else self.part.a_index
+        self.basis = layout.change.target
+        self.part = layout.part
+        self.receiver_side = layout.receiver_side
+        self.receiver_basis = layout.receiver_basis
+        self.measured_basis = layout.measured_basis
         C = np.zeros((self.receiver_basis.dim, self.measured_basis.dim), dtype=complex)
-        for i in np.nonzero(amplitudes)[0]:
-            C[recv_idx[i], meas_idx[i]] = amplitudes[i]
+        C[layout.receiver_row, layout.measured_col] = amplitudes[layout.sector]
         self.coefficients = C
         self.state = AnyonState(self.basis, amplitudes)
-        # mask[r, r'] == True iff the receiver root charges agree
-        roots = [t.global_charge for t in self.receiver_basis.trees]
-        self.receiver_mask = np.equal.outer(np.array(roots), np.array(roots))
+        self.receiver_mask = layout.receiver_mask
+        self.target = np.zeros(self.receiver_basis.dim, dtype=complex)
+        self.target[layout.encoding[0]] = message.alpha
+        self.target[layout.encoding[1]] = message.beta
 
     def conditionals(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Receiver vectors w_k (columns of W) for measurement vectors `columns`, and ||w_k||^2."""
@@ -294,30 +411,27 @@ def run_protocol(
     measurements and for the superselection-disabled counterfactual).
     With enforcement on, the PVM must validate and the receiver state is
     decohered across its charge sectors, as the anyonic partial trace
-    demands; corrections are then required to be block diagonal.
+    demands; corrections are then required to be block diagonal and
+    unitary.  The scenario's own measurement is validated once per
+    (scenario, tol); overrides are validated on every call.
     """
-    pvm = scenario.pvm if pvm is None else pvm
-    corrections = scenario.corrections if corrections is None else corrections
-    if pvm is None:
+    if pvm is None and scenario.pvm is None:
         raise ValueError(
             f"scenario {scenario.name}/{scenario.direction} has no PVM; pass one explicitly"
         )
     split = SplitState(scenario, message)
-    meas_basis = split.measured_basis
-    if enforce_superselection:
-        problems = validate_pvm(pvm, meas_basis, tol)
-        if problems:
-            raise SuperselectionError("invalid PVM: " + "; ".join(problems))
-    mats = [_as_full(op, meas_basis) for op in pvm]
-    if corrections is not None and len(corrections) != len(mats):
-        raise ValueError("one correction per projector is required (use identity to skip)")
-
-    raw = [split.branch(mat, decohere=enforce_superselection) for mat in mats]
-    residual = np.eye(meas_basis.dim, dtype=complex) - sum(mats)
-    no_click = split.branch(residual, decohere=enforce_superselection)
-    target = message.target_vector(split.receiver_basis, scenario.encoding)
-    return _assemble(raw, no_click, target, corrections, split.receiver_basis, message,
-                     validate=enforce_superselection, tol=tol)
+    if pvm is None and corrections is None:
+        measurement = scenario._measurement(enforce_superselection, tol)
+    else:
+        measurement = _Measurement(
+            scenario.pvm if pvm is None else pvm,
+            scenario.corrections if corrections is None else corrections,
+            split.measured_basis, split.receiver_basis, enforce_superselection, tol,
+        )
+    raw = [split.branch(mat, decohere=enforce_superselection) for mat in measurement.projectors]
+    no_click = split.branch(measurement.no_click, decohere=enforce_superselection)
+    return _assemble(raw, no_click, split.target, measurement.corrections,
+                     split.receiver_basis, message)
 
 
 def run_protocol_via_embedding(
@@ -326,7 +440,8 @@ def run_protocol_via_embedding(
     """Reference path: embed each projector globally and partial-trace.
 
     Algebraically identical to :func:`run_protocol` for valid PVMs; kept
-    as an independent route for consistency testing.
+    as an independent route for consistency testing.  It shares only the
+    validated corrections and the final assembly.
     """
     if scenario.pvm is None:
         raise ValueError("scenario has no PVM")
@@ -335,7 +450,6 @@ def run_protocol_via_embedding(
     measured_side = "A" if split.receiver_side == "B" else "B"
     traced = measured_side
     psi = split.state
-    target = message.target_vector(split.receiver_basis, scenario.encoding)
 
     def receiver_branch(op_block: BlockOperator):
         embedded = embed_local(op_block, split.part, side=measured_side)
@@ -352,17 +466,17 @@ def run_protocol_via_embedding(
     for block in blocks:
         total = total - block
     raw = [receiver_branch(block) for block in blocks]
-    return _assemble(raw, receiver_branch(total), target, scenario.corrections,
-                     split.receiver_basis, message, validate=True, tol=tol)
+    return _assemble(raw, receiver_branch(total), split.target,
+                     scenario._measurement(True, tol).corrections, split.receiver_basis, message)
 
 
-def _assemble(raw_branches, no_click, target, corrections, receiver_basis, message,
-              validate, tol) -> TeleportOutcome:
+def _assemble(raw_branches, no_click, target, corrections, receiver_basis,
+              message) -> TeleportOutcome:
     """Correct each branch, score it against `target` and sum the average fidelity.
 
     `raw_branches` and `no_click` are (probability, receiver matrix or None)
-    pairs.  The no-click branch is never corrected.  With `validate`,
-    each correction must be unitary and block diagonal on the receiver.
+    pairs; `corrections` are a :class:`_Measurement`'s (U, U^dagger) pairs.
+    The no-click branch is never corrected.
     """
 
     def scored(p, rho):
@@ -373,13 +487,8 @@ def _assemble(raw_branches, no_click, target, corrections, receiver_basis, messa
     branches = []
     for k, (p, rho) in enumerate(raw_branches):
         if rho is not None and corrections is not None:
-            U = _as_full(corrections[k], receiver_basis)
-            if validate:
-                if not validate_cssr(U, receiver_basis, tol):
-                    raise SuperselectionError(f"correction {k} mixes receiver charge sectors")
-                if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > tol:
-                    raise ValueError(f"correction {k} is not unitary")
-            rho = U @ rho @ U.conj().T
+            U, U_dagger = corrections[k]
+            rho = U @ rho @ U_dagger
         branches.append(scored(p, rho))
     no_click = scored(*no_click)
     avg = sum(b.probability * b.fidelity for b in branches if b.fidelity is not None)
@@ -462,6 +571,8 @@ def receiver_reachability_check(
     """
     if scenario.reachable is None:
         raise ValueError(f"scenario {scenario.name}/{scenario.direction} declares no reachable set")
+    if pvm_samples < 1:
+        raise ValueError(f"pvm_samples must be at least 1, got {pvm_samples}")
     message_list = [m if isinstance(m, MessageQubit) else MessageQubit(*m) for m in messages]
     splits = [SplitState(scenario, m) for m in message_list]
     recv_basis = splits[0].receiver_basis

@@ -125,6 +125,15 @@ def test_teleport_unknown_scenario_usage_error():
     assert run_cli("teleport", "--scenario", "nope", "--direction", "ab")[0] == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_teleport_empty_sweep_usage_error(samples):
+    # a sweep over no measurements must not report the direction as confined
+    code, out = run_cli("teleport", "--scenario", "main-text", "--direction", "ba",
+                        "--samples", samples)
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_quick_passes():
     code, out = run_cli("verify", "--quick")
     assert code == 0

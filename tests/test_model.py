@@ -155,3 +155,14 @@ def test_build_model_rejects_inconsistent_override():
             {("e", "e"): ("e",), ("e", "tau"): ("tau",), ("tau", "tau"): ("e", "tau")},
             f_overrides={("e", "e", "e", "tau", "e", "e"): 1.0},
         )
+
+
+def test_fusion_multiplicity_rejected():
+    text = MODEL_TEXT.replace("fusion tau tau -> e tau", "fusion tau tau -> e e tau")
+    with pytest.raises(ModelFormatError, match="more than once"):
+        load_model_text(text)
+    with pytest.raises(ModelFormatError, match="more than once"):
+        build_model(
+            "bad", ("e", "tau"), "e",
+            {("e", "e"): ("e",), ("e", "tau"): ("tau",), ("tau", "tau"): ("e", "tau", "tau")},
+        )

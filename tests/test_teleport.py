@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from fibanyon import teleport
 from fibanyon.errors import FusionError, SuperselectionError
 from fibanyon.recouple import change_shape
-from fibanyon.states import BlockOperator, ket, superpose
+from fibanyon.states import AnyonState, BlockOperator, bipartition, ket, superpose
 from fibanyon.teleport import (
     MESSAGE_GRID,
     MessageQubit,
@@ -25,7 +26,7 @@ from fibanyon.teleport import (
     superselection_violating_protocol,
     validate_pvm,
 )
-from fibanyon.trees import enumerate_basis, grouped_shape, join_shapes, left_comb
+from fibanyon.trees import FusionTree, enumerate_basis, grouped_shape, join_shapes, left_comb
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -396,3 +397,175 @@ def test_message_qubit_validation():
 def test_scenario_without_pvm_refuses_run(catalog):
     with pytest.raises(ValueError):
         run_protocol(catalog["main-text"]["ba"], MessageQubit(0.6, 0.8))
+
+
+def test_reachability_rejects_empty_sweep(catalog):
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            receiver_reachability_check(catalog["main-text"]["ba"], [(0.6, 0.8)],
+                                        pvm_samples=samples, seed=0)
+
+
+# --- the cached layout and measurement against a per-call reference
+
+
+def _reference_protocol(scenario, message):
+    """One protocol run the long way, with every table rebuilt from the trees.
+
+    Joins the message to the resource tree by tree, scatters the regrouped
+    amplitudes index by index, and runs one branch per projector.
+    """
+    model = scenario.model
+    msg = message.as_state(model)
+    left, right = ((msg, scenario.resource) if scenario.direction == "ab"
+                   else (scenario.resource, msg))
+    shape = join_shapes(left.basis.shape, right.basis.shape)
+    basis = enumerate_basis(model, shape)
+    amplitudes = np.zeros(basis.dim, dtype=complex)
+    for i in np.nonzero(left.amplitudes)[0]:
+        ti = left.basis.tree_at(i)
+        for j in np.nonzero(right.amplitudes)[0]:
+            tj = right.basis.tree_at(j)
+            joined = FusionTree(shape, ti.leaf_charges + tj.leaf_charges,
+                                (scenario.channel,) + ti.internal_charges + tj.internal_charges)
+            amplitudes[basis.index_of(joined)] = left.amplitudes[i] * right.amplitudes[j]
+    if scenario.direction == "ab":
+        measured_shape = join_shapes(grouped_shape(2, 2), grouped_shape(1, 1))
+        part = bipartition(enumerate_basis(model, measured_shape), 4)
+        recv_basis, meas_basis = part.b_basis, part.a_basis
+        recv_idx, meas_idx = part.b_index, part.a_index
+    else:
+        measured_shape = join_shapes(grouped_shape(1, 1), grouped_shape(2, 2))
+        part = bipartition(enumerate_basis(model, measured_shape), 2)
+        recv_basis, meas_basis = part.a_basis, part.b_basis
+        recv_idx, meas_idx = part.a_index, part.b_index
+    regrouped = change_shape(model, AnyonState(basis, amplitudes), measured_shape)
+    C = np.zeros((recv_basis.dim, meas_basis.dim), dtype=complex)
+    for i in np.nonzero(regrouped.amplitudes)[0]:
+        C[recv_idx[i], meas_idx[i]] = regrouped.amplitudes[i]
+    roots = [t.global_charge for t in recv_basis.trees]
+    mask = np.equal.outer(np.array(roots), np.array(roots))
+    target = message.target_vector(recv_basis, scenario.encoding)
+
+    def branch(projector):
+        D = C @ projector.T
+        p = float(np.sum(np.abs(D) ** 2))
+        if p <= PROB_TOL:
+            return max(p, 0.0), None
+        return p, np.where(mask, D @ D.conj().T / p, 0.0)
+
+    def fidelity(rho):
+        return None if rho is None else float(np.real(target.conj() @ rho @ target))
+
+    mats = [op.to_full() for op in scenario.pvm]
+    branches = []
+    for proj, corr in zip(mats, scenario.corrections):
+        p, rho = branch(proj)
+        if rho is not None:
+            U = corr.to_full()
+            rho = U @ rho @ U.conj().T
+        branches.append((p, rho, fidelity(rho)))
+    p, rho = branch(np.eye(meas_basis.dim, dtype=complex) - sum(mats))
+    no_click = (p, rho, fidelity(rho))
+    avg = sum(p * f for p, _, f in branches if f is not None)
+    if no_click[2] is not None:
+        avg += no_click[0] * no_click[2]
+    return branches, no_click, float(avg)
+
+
+def _assert_matches_reference(scenario, message):
+    outcome = run_protocol(scenario, message)
+    branches, no_click, avg = _reference_protocol(scenario, message)
+    assert outcome.average_fidelity == avg
+    for got, (p, rho, fid) in zip(outcome.branches + [outcome.no_click], branches + [no_click]):
+        assert got.probability == p
+        assert got.fidelity == fid
+        assert (got.receiver_state is None) == (rho is None)
+        if rho is not None:
+            assert np.array_equal(got.receiver_state, rho)
+
+
+def _catalog_runs(catalog):
+    return [s for directions in catalog.values() for s in directions.values() if s.pvm is not None]
+
+
+def test_run_protocol_equals_reference_on_grid(catalog):
+    scenarios = _catalog_runs(catalog)
+    assert len(scenarios) == 4
+    for scenario in scenarios:
+        for alpha, beta in MESSAGE_GRID:
+            _assert_matches_reference(scenario, MessageQubit(alpha, beta))
+
+
+def test_run_protocol_equals_reference_on_random_messages(catalog):
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        vec /= np.linalg.norm(vec)
+        for scenario in _catalog_runs(catalog):
+            _assert_matches_reference(scenario, MessageQubit(vec[0], vec[1]))
+
+
+def test_run_protocol_equals_reference_on_d1_family(model, catalog):
+    rng = np.random.default_rng(77)
+    for _ in range(3):
+        vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        vec /= np.linalg.norm(vec)
+        resource = d1_family_resource(model, vec[0], vec[1])
+        for direction in ("ab", "ba"):
+            scenario = catalog["appendix-d1-symmetric"][direction].with_resource(resource)
+            for alpha, beta in MESSAGE_GRID:
+                _assert_matches_reference(scenario, MessageQubit(alpha, beta))
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    original = teleport.validate_pvm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(teleport, "validate_pvm", counting)
+    return calls
+
+
+def test_catalog_pvm_validated_once_per_scenario(model, monkeypatch):
+    scenario = builtin_scenarios(model)["main-text"]["ab"]
+    calls = _count_validations(monkeypatch)
+    for alpha, beta in MESSAGE_GRID * 2:
+        run_protocol(scenario, MessageQubit(alpha, beta))
+    assert len(calls) == 1
+    run_protocol(scenario, MessageQubit(0.6, 0.8), tol=1e-9)
+    assert len(calls) == 2
+
+
+def test_override_pvm_validated_on_every_call(model, monkeypatch):
+    scenario = builtin_scenarios(model)["main-text"]["ab"]
+    calls = _count_validations(monkeypatch)
+    for _ in range(5):
+        run_protocol(scenario, MessageQubit(0.6, 0.8))
+        run_protocol(scenario, MessageQubit(0.6, 0.8), pvm=scenario.pvm)
+    assert len(calls) == 1 + 5
+
+
+def test_with_resource_copies_share_layout(model, catalog):
+    base = catalog["appendix-d1-symmetric"]["ab"]
+    first = base.with_resource(d1_family_resource(model, 0.6, 0.8))
+    second = base.with_resource(d1_family_resource(model, 0.8, -0.6j))
+    SplitState(first, MessageQubit(0.6, 0.8))
+    hits = teleport._cached_layout.cache_info().hits
+    SplitState(second, MessageQubit(0.6, 0.8))
+    assert teleport._cached_layout.cache_info().hits == hits + 1
+
+
+def test_non_unitary_correction_on_dead_branch_raises(model, catalog):
+    scenario = catalog["appendix-d2-asymmetric"]["ba"]
+    g4 = enumerate_basis(model, grouped_shape(2, 2))
+    g2 = enumerate_basis(model, grouped_shape(1, 1))
+    dead = BlockOperator.from_ket_bra(ket(g4, "(tau,tau),(tau,tau);e,e;e"))
+    with pytest.raises(ValueError, match="not unitary"):
+        run_protocol(scenario, MessageQubit(0.6, 0.8),
+                     pvm=tuple(scenario.pvm) + (dead,),
+                     corrections=tuple(scenario.corrections)
+                     + (BlockOperator.identity(g2) * 2.0,))
