@@ -9,15 +9,15 @@ for every pair of local observables.  Both sides are bilinear in
 algebra decides the universally quantified statement; the largest
 violation over the spanning set is reported as the witness.
 
-The whole table of violations is one sparse contraction.  Each party's
-spanning set is kept, embedded, as (operator, row, col, coeff) entries in
-the joint basis, built once per :class:`Bipartition` from its partial-trace
-families.  Joining the B entries' columns with the A entries' rows gives
-every nonzero term of Tr(O_B O_A rho) = sum B[p, q] A[q, r] rho[r, p]; the
-terms are weighted by rho[r, p] (for a pure state psi_r conj(psi_p), read
-from the amplitudes) and summed into their (O_A, O_B) slot with one
-``np.bincount``.  The single-party expectations come from the same entries.
-No dense matrix of the joint basis is formed.
+The table of violations is read off the bipartition's charge blocks.
+Realigning each block (g, x, y) of rho_g as
+R[(a, a'), (b, b')] = rho[(a, b), (a', b')] gives
+Tr((|a'><a| (x) |b'><b|) rho) for every pair of matrix units at once,
+and each Hermitian unit is a fixed combination of matrix units: (k, k);
+(k, l) + (l, k); i (k, l) - i (l, k).  So the table is R with one gather on its rows and
+one on its columns.  The diagonal units sum to each party's identity, so
+the single-party expectations are sums of the table's own entries.  No
+dense matrix of the joint basis is formed.
 
 For two anyons this has a closed form.  Pure states split per sector as
 
@@ -32,8 +32,10 @@ deterministically as the first class.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,10 +44,8 @@ from .states import (
     AnyonState,
     Bipartition,
     BlockOperator,
-    _join,
     bipartition,
     embed_local,
-    hermitian_units,
     partial_trace,
     pure_marginal,
     spectra_agree,
@@ -81,54 +81,120 @@ class CorrelationReport:
         }
 
 
-def local_observable_basis(basis: SectorBasis) -> list[BlockOperator]:
-    """The operators of :func:`~fibanyon.states.hermitian_units`, one per block operator.
+class _Units(NamedTuple):
+    """Gathers from matrix-unit positions to :func:`local_observable_basis` coordinates.
 
-    Per sector of dimension d: d diagonal units, and for every pair k < l
-    the symmetric and antisymmetric Hermitian units - d^2 operators, all
-    superselection-respecting by construction.
+    A position is an entry (k, l) of one sector block, with the blocks
+    raveled and concatenated in charge order; ``block[g]`` is the slice of
+    sector g's positions.  ``diag`` and ``sym`` number the diagonal and
+    symmetric units (each antisymmetric unit follows its symmetric one),
+    which read the positions ``at_kk`` and ``at_kl``/``at_lk``.
     """
-    units = hermitian_units(basis)
-    bounds = np.searchsorted(units.op, np.arange(units.count + 1))
-    out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rows, cols = units.row[lo:hi], units.col[lo:hi]
-        g = basis.sector_of(rows[0])
-        start = basis.sector_slice(g).start
+
+    count: int
+    block: dict
+    diag: np.ndarray
+    sym: np.ndarray
+    at_kk: np.ndarray
+    at_kl: np.ndarray
+    at_lk: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def _units(basis: SectorBasis) -> _Units:
+    block, diag, sym, at_kk, at_kl, at_lk = {}, [], [], [], [], []
+    first = 0  # the sector's first unit, and its first position
+    for g in basis.model.charges:
         d = basis.sector_dim(g)
-        block = np.zeros((d, d), dtype=complex)
-        block[rows - start, cols - start] = units.coeff[lo:hi]
-        out.append(BlockOperator(basis, {g: block}))
+        k, l = np.triu_indices(d, 1)
+        block[g] = slice(first, first + d * d)
+        diag.append(first + np.arange(d))
+        sym.append(first + d + 2 * np.arange(len(k)))
+        at_kk.append(first + np.arange(d) * (d + 1))
+        at_kl.append(first + k * d + l)
+        at_lk.append(first + l * d + k)
+        first += d * d
+    return _Units(first, block, *(np.concatenate(x) for x in (diag, sym, at_kk, at_kl, at_lk)))
+
+
+def _to_units(flat: np.ndarray, units: _Units) -> np.ndarray:
+    """Rows of `flat`, indexed by position, in unit coordinates.
+
+    Tr(O rho) = sum O[k, l] rho[l, k], so a diagonal unit reads rho at
+    (k, k), a symmetric one (k, l) + (l, k) and an antisymmetric one
+    i (k, l) - i (l, k).
+    """
+    kl, lk = flat[units.at_kl], flat[units.at_lk]
+    out = np.empty(flat.shape, dtype=complex)
+    out[units.diag] = flat[units.at_kk]
+    out[units.sym] = kl + lk
+    out[units.sym + 1] = 1j * (kl - lk)
     return out
 
 
-def _density_at(state_or_rho, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """rho[rows[k], cols[k]]; for a pure state psi[rows] * conj(psi[cols])."""
-    if isinstance(state_or_rho, AnyonState):
-        amps = state_or_rho.amplitudes
-        return amps[rows] * amps[cols].conj()
-    return state_or_rho.at(rows, cols)
+def local_observable_basis(basis: SectorBasis) -> list[BlockOperator]:
+    """Hermitian spanning set of the block-diagonal operator algebra.
+
+    Per sector of dimension d, in charge order: d diagonal units, then for
+    every pair k < l the symmetric unit (1 at (k, l) and (l, k)) followed
+    by the antisymmetric one (-i at (k, l), i at (l, k)) - d^2 operators,
+    all superselection-respecting by construction.
+    """
+    units = _units(basis)
+    # row i of the map to unit coordinates is unit i transposed: its conjugate
+    rows = _to_units(np.eye(units.count), units).conj()
+    return [
+        BlockOperator(basis, {g: row[units.block[g]].reshape((basis.sector_dim(g),) * 2)
+                              for g in basis.model.charges})
+        for row in rows
+    ]
 
 
 def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
     """T[i, j] = Tr(O_A^i O_B^j rho) - Tr(O_A^i rho_A) Tr(O_B^j rho_B).
 
     O_A^i and O_B^j run over :func:`local_observable_basis` of the two
-    parties.  `state_or_rho` is a normalized :class:`AnyonState` or a
-    density :class:`BlockOperator` in the grouped shape of `part`.
+    parties.  `state_or_rho` is an :class:`AnyonState` (normalized first)
+    or a density :class:`BlockOperator` in the grouped shape of `part`.
     """
-    a = part.spanning_entries("A")
-    b = part.spanning_entries("B")
-    exp_a = np.bincount(a.op, (a.coeff * _density_at(state_or_rho, a.col, a.row)).real,
-                        minlength=a.count)
-    exp_b = np.bincount(b.op, (b.coeff * _density_at(state_or_rho, b.col, b.row)).real,
-                        minlength=b.count)
-    # Tr(O_B O_A rho) = sum B[p, q] A[q, r] rho[r, p]: B's column q meets A's row q
-    in_b, in_a = _join(b.col, a.row)
-    terms = b.coeff[in_b] * a.coeff[in_a] * _density_at(state_or_rho, a.col[in_a], b.row[in_b])
-    lhs = np.bincount(a.op[in_a] * b.count + b.op[in_b], terms.real,
-                      minlength=a.count * b.count)
-    return lhs.reshape(a.count, b.count) - np.outer(exp_a, exp_b)
+    units_a, units_b = _units(part.a_basis), _units(part.b_basis)
+    # realigned[(a, a'), (b, b')] = sum_g rho_g[(a, b), (a', b')] on each block (g, x, y)
+    realigned = np.zeros((units_a.count, units_b.count), dtype=complex)
+    if isinstance(state_or_rho, AnyonState):
+        psi = state_or_rho.normalized()
+        sector = psi.sector
+        amplitudes = psi.amplitudes[psi.basis.sector_slice(sector)]
+        for g, x, y, index in part.blocks:
+            if g == sector:
+                C = amplitudes[index]
+                realigned[units_a.block[x], units_b.block[y]] = (
+                    C[:, None, :, None] * C.conj()[None, :, None, :]
+                ).reshape(C.shape[0] ** 2, C.shape[1] ** 2)
+    else:
+        for g, x, y, index in part.blocks:
+            d_a, d_b = index.shape
+            flat = index.ravel()
+            sub = state_or_rho.blocks[g][flat[:, None], flat[None, :]]
+            realigned[units_a.block[x], units_b.block[y]] += (
+                sub.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a**2, d_b**2)
+            )
+    lhs = _to_units(_to_units(realigned, units_a).T, units_b).T.real
+    # The diagonal units sum to the identity, so Tr(O_A^i rho_A) is the sum
+    # of row i over B's diagonal units.  Read from the table, not from
+    # separately rounded marginals, both terms of T use the same products.
+    exp_a = lhs[:, units_b.diag].sum(axis=1)
+    exp_b = lhs[units_a.diag].sum(axis=0)
+    return lhs - np.outer(exp_a, exp_b)
+
+
+def _witness(violations: np.ndarray) -> int:
+    """Flat index of the first entry within 4 ulps of the largest.
+
+    Exact ties are common (a one-anyon party's P_e and P_tau sum to 1), so
+    the first of them wins whatever the rounding of the last digit.
+    """
+    top = violations.max()
+    return int(np.argmax(violations >= top - 4 * np.spacing(top)))
 
 
 def is_uncorrelated(
@@ -141,30 +207,25 @@ def is_uncorrelated(
 
     Accepts a pure :class:`AnyonState` or a density :class:`BlockOperator`
     already in the grouped shape of `part`.  The witness is the first
-    (row-major) spanning pair of largest violation.
+    (row-major) spanning pair within 4 ulps of the largest violation.
     """
     if isinstance(state_or_rho, AnyonState):
-        psi = state_or_rho.normalized()
-        rho_a = pure_marginal(psi, part, traced="B")
-        rho_b = pure_marginal(psi, part, traced="A")
-        table = violation_table(psi, part)
+        rho_a = pure_marginal(state_or_rho, part, traced="B")
+        rho_b = pure_marginal(state_or_rho, part, traced="A")
     else:
-        psi = None
         rho_a = partial_trace(state_or_rho, part, traced="B")
         rho_b = partial_trace(state_or_rho, part, traced="A")
-        table = violation_table(state_or_rho, part)
-    violations = np.abs(table)
-    worst = int(np.argmax(violations))
+    violations = np.abs(violation_table(state_or_rho, part))
+    top = float(violations.max())
 
-    spec_a = spectrum(rho_a)
-    spec_b = spectrum(rho_b)
+    spec_a, spec_b = spectrum(rho_a), spectrum(rho_b)
     label = None
-    if classify and psi is not None and part.basis.shape.n_leaves == 2:
-        label = classify_pure_2anyon(psi)
+    if classify and isinstance(state_or_rho, AnyonState) and part.basis.shape.n_leaves == 2:
+        label = classify_pure_2anyon(state_or_rho)
     return CorrelationReport(
-        is_uncorrelated=bool(violations.flat[worst] <= tol),
-        max_violation=float(violations.flat[worst]),
-        witness=divmod(worst, table.shape[1]),
+        is_uncorrelated=top <= tol,
+        max_violation=top,
+        witness=divmod(_witness(violations), violations.shape[1]),
         marginal_spectra=(spec_a, spec_b),
         spectra_symmetric=spectra_agree(spec_a, spec_b, tol),
         tol=tol,

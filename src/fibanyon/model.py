@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -46,7 +46,6 @@ class AnyonModel:
     fusion: dict[tuple[Charge, Charge], tuple[Charge, ...]]
     f_symbols: dict[FKey, complex]
     r_symbols: dict[RKey, complex]
-    quantum_dims: dict[Charge, float] = field(default_factory=dict)
 
     def charge_index(self, a: Charge) -> int:
         try:
@@ -114,7 +113,6 @@ def build_model(
     fusion: dict,
     f_overrides: dict | None = None,
     r_overrides: dict | None = None,
-    quantum_dims: dict | None = None,
 ) -> AnyonModel:
     """Assemble an AnyonModel, completing the F/R tables.
 
@@ -124,6 +122,12 @@ def build_model(
     physical freedom in a multiplicity-free theory.
     """
     charges = tuple(charges)
+    for (a, b), out in fusion.items():
+        undeclared = [c for c in (a, b, *out) if c not in charges]
+        if undeclared:
+            raise ModelFormatError(
+                f"fusion {a} x {b} -> {' '.join(out)} names undeclared charge {undeclared[0]!r}"
+            )
     fusion_total = {}
     for a, b in product(charges, repeat=2):
         out = fusion.get((a, b), fusion.get((b, a)))
@@ -157,10 +161,6 @@ def build_model(
             raise ModelFormatError(f"R override {key} is not fusion-consistent")
         r_symbols[key] = complex(val)
 
-    dims = dict(quantum_dims or {})
-    for a in charges:
-        dims.setdefault(a, 1.0)
-
     return AnyonModel(
         name=name,
         charges=charges,
@@ -168,7 +168,6 @@ def build_model(
         fusion=fusion_total,
         f_symbols=f_symbols,
         r_symbols=r_symbols,
-        quantum_dims=dims,
     )
 
 
@@ -210,8 +209,15 @@ def fibonacci_model() -> AnyonModel:
         },
         f_overrides=f_overrides,
         r_overrides=r_overrides,
-        quantum_dims={"e": 1.0, t: GOLDEN_RATIO},
     )
+
+
+def quantum_dimension(model: AnyonModel, a: Charge) -> float:
+    """d_a: the Perron-Frobenius eigenvalue of a's fusion matrix N_a[b, c] = N_ab^c."""
+    fusion_matrix = np.array(
+        [[model.can_fuse(a, b, c) for c in model.charges] for b in model.charges], dtype=float
+    )
+    return float(np.max(np.abs(np.linalg.eigvals(fusion_matrix))))
 
 
 def validate_model(model: AnyonModel, tol: float = 1e-12) -> list[str]:
@@ -306,7 +312,8 @@ def load_model_text(text: str, name: str = "custom") -> AnyonModel:
         R tau tau ; e = -0.8090169943749475 -0.5877852522924731
 
     Unlisted fusion-consistent F/R entries default to 1 (see
-    :func:`build_model`).
+    :func:`build_model`).  A ``dim`` line must match the charge's
+    :func:`quantum_dimension` to a relative 1e-9; it is checked, not stored.
     """
     charges: list[str] = []
     vacuum = None
@@ -360,6 +367,13 @@ def load_model_text(text: str, name: str = "custom") -> AnyonModel:
 
     if not charges or vacuum is None:
         raise ModelFormatError("model file must declare 'charges' and 'vacuum'")
-    return build_model(
-        name, charges, vacuum, fusion, f_overrides, r_overrides, quantum_dims=dims
-    )
+    model = build_model(name, charges, vacuum, fusion, f_overrides, r_overrides)
+    for a, value in dims.items():
+        if a not in model.charges:
+            raise ModelFormatError(f"dim line names undeclared charge {a!r}")
+        expected = quantum_dimension(model, a)
+        if abs(value - expected) > 1e-9 * expected:
+            raise ModelFormatError(
+                f"dim {a} {value!r} does not match the fusion rules' quantum dimension {expected!r}"
+            )
+    return model

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import AnyonModel
-from .states import AnyonState, _join, _sum_by_index
+from .states import AnyonState
 from .trees import (
     FusionTree,
     SectorBasis,
@@ -35,6 +35,23 @@ from .trees import (
     left_comb,
     right_comb,
 )
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs (i, j) with left[i] == right[j], by i, then by j."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    starts = np.searchsorted(ordered, left, side="left")
+    counts = np.searchsorted(ordered, left, side="right") - starts
+    i = np.repeat(np.arange(len(left)), counts)
+    offsets = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return i, order[np.repeat(starts, counts) + offsets]
+
+
+def _sum_by_index(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[k] = sum of values[i] with index[i] == k, added in array order."""
+    return (np.bincount(index, weights=values.real, minlength=size)
+            + 1j * np.bincount(index, weights=values.imag, minlength=size))
 
 
 @dataclass(frozen=True)

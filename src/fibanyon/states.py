@@ -20,16 +20,32 @@ exactly what makes marginals of pure states disagree in spectrum.
 Local-operator embedding is the adjoint map, so the defining consistency
 condition  Tr(O_A . Tr_B rho) = Tr(embed(O_A) . rho)  holds by
 construction (and is property-tested).
+
+Every bipartite operation reads one structure, the charge-block tables of
+a :class:`Bipartition`: for each global charge g, the joint index of
+every (A tree, B tree) pair.  Its sub-block of A root x and B root y is
+dense when g is in x * y, so a pure state is a set of matrices C_xyg and
+
+    rho_A^x = sum_{y,g} C_xyg C_xyg^dagger,    rho_B^y = sum_{x,g} C_xyg^T conj(C_xyg).
+
+The partial trace of a mixed state traces the (x, y, g) sub-blocks of
+rho_g over the traced index, and the embedding writes O_x (x) 1_y into
+each of them.  No dense joint-basis matrix is formed.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BasisMismatchError, ModelFormatError, ShapeError, SuperselectionError
+from .errors import (
+    BasisMismatchError,
+    FusionError,
+    ModelFormatError,
+    ShapeError,
+    SuperselectionError,
+)
 from .model import Charge
 from .trees import (
     FusionTree,
@@ -60,7 +76,7 @@ class AnyonState:
             raise BasisMismatchError(
                 f"amplitude vector has length {amplitudes.shape}, basis dim {basis.dim}"
             )
-        support = {basis.sector_of(i) for i in np.nonzero(amplitudes)[0]}
+        support = [g for g in basis.model.charges if np.any(amplitudes[basis.sector_slice(g)])]
         if len(support) > 1:
             raise SuperselectionError(
                 f"state has support in several global-charge sectors: {sorted(support)}"
@@ -218,23 +234,6 @@ class BlockOperator:
     def block(self, g: Charge) -> np.ndarray:
         return self.blocks[g]
 
-    @classmethod
-    def from_entries(cls, basis: SectorBasis, rows, cols, values) -> "BlockOperator":
-        """Operator whose entry (rows[k], cols[k]) sums values[k], added in order."""
-        flat = _sum_by_index(_block_positions(basis, rows, cols), values,
-                             sum(basis.sector_dim(g) ** 2 for g in basis.model.charges))
-        blocks, offset = {}, 0
-        for g in basis.model.charges:
-            d = basis.sector_dim(g)
-            blocks[g] = flat[offset : offset + d * d].reshape(d, d)
-            offset += d * d
-        return cls(basis, blocks)
-
-    def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Full-matrix entries ``[rows[k], cols[k]]``, read from the sector blocks."""
-        flat = np.concatenate([self.blocks[g].ravel() for g in self.basis.model.charges])
-        return flat[_block_positions(self.basis, rows, cols)]
-
     def adjoint(self) -> "BlockOperator":
         return BlockOperator(self.basis, {g: b.conj().T for g, b in self.blocks.items()})
 
@@ -279,33 +278,6 @@ class BlockOperator:
     def __repr__(self):
         dims = {g: b.shape[0] for g, b in self.blocks.items()}
         return f"BlockOperator(shape={self.basis.shape}, sector_dims={dims})"
-
-
-def _block_positions(basis: SectorBasis, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Flat positions of entries (rows[k], cols[k]) in the sector blocks.
-
-    The blocks are raveled and concatenated in charge order.  Raises if a
-    pair crosses sectors.
-    """
-    start = np.empty(basis.dim, dtype=np.intp)
-    base = np.empty(basis.dim, dtype=np.intp)
-    width = np.empty(basis.dim, dtype=np.intp)
-    offset = 0
-    for g in basis.model.charges:
-        sl = basis.sector_slice(g)
-        d = sl.stop - sl.start
-        start[sl], base[sl], width[sl] = sl.start, offset, d
-        offset += d * d
-    row_start = start[rows]
-    if np.any(row_start != start[cols]):
-        raise SuperselectionError("entries cross global-charge sectors")
-    return base[rows] + (rows - row_start) * width[rows] + (cols - row_start)
-
-
-def _sum_by_index(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """out[k] = sum of values[i] with index[i] == k, added in array order."""
-    return (np.bincount(index, weights=values.real, minlength=size)
-            + 1j * np.bincount(index, weights=values.imag, minlength=size))
 
 
 def _off_block_mass(matrix: np.ndarray, basis: SectorBasis) -> float:
@@ -390,75 +362,17 @@ def is_density(op: BlockOperator, tol: float = SPECTRAL_TOL) -> bool:
     return float(spectrum(op)[-1]) >= -tol
 
 
-class FamilyPairs(NamedTuple):
-    """Every (i, j) pair of full indices within one partial-trace family.
-
-    ``kept_row``/``kept_col`` are the kept-party indices of ``row``/``col``;
-    pairs run over the families in order, each family row-major.
-    """
-
-    row: np.ndarray
-    col: np.ndarray
-    kept_row: np.ndarray
-    kept_col: np.ndarray
-
-
-class OperatorEntries(NamedTuple):
-    """A numbered set of operators as sparse entries.
-
-    Operator ``op[k]`` has matrix element ``coeff[k]`` at ``(row[k], col[k])``
-    in the full basis; ``count`` is the number of operators.
-    """
-
-    count: int
-    op: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    coeff: np.ndarray
-
-
-def hermitian_units(basis: SectorBasis) -> OperatorEntries:
-    """Hermitian spanning set of the block-diagonal operator algebra.
-
-    Per sector of dimension d, in charge order: d diagonal units, then for
-    every pair k < l the symmetric unit (1 at (k, l) and (l, k)) followed
-    by the antisymmetric one (-i at (k, l), i at (l, k)) - d^2 operators,
-    all superselection-respecting by construction.  Entries are sorted by
-    operator.
-    """
-    ops, rows, cols, coeffs = [], [], [], []
-    first = 0
-    for g in basis.model.charges:
-        d = basis.sector_dim(g)
-        start = basis.sector_slice(g).start
-        diag = np.arange(d)
-        k, l = np.triu_indices(d, 1)
-        sym = first + d + 2 * np.arange(len(k))
-        ops += [first + diag, np.stack([sym, sym, sym + 1, sym + 1], axis=1).ravel()]
-        rows += [start + diag, start + np.stack([k, l, k, l], axis=1).ravel()]
-        cols += [start + diag, start + np.stack([l, k, l, k], axis=1).ravel()]
-        coeffs += [np.ones(d, dtype=complex), np.tile(np.array([1, 1, -1j, 1j]), len(k))]
-        first += d * d
-    return OperatorEntries(first, *(np.concatenate(x) for x in (ops, rows, cols, coeffs)))
-
-
-def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs (i, j) with left[i] == right[j], by i, then by j."""
-    order = np.argsort(right, kind="stable")
-    ordered = right[order]
-    starts = np.searchsorted(ordered, left, side="left")
-    counts = np.searchsorted(ordered, left, side="right") - starts
-    i = np.repeat(np.arange(len(left)), counts)
-    offsets = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return i, order[np.repeat(starts, counts) + offsets]
-
-
 class Bipartition:
-    """Contiguous A|B split of a grouped shape, with index tables.
+    """Contiguous A|B split of a grouped shape, as charge-block tables.
 
     The shape's root must join the A subtree (leaves 0..n_a-1) to the B
-    subtree (the rest).  Tables map every full-basis index to its A- and
-    B-subsystem labelings, which drive the partial trace and embedding.
+    subtree (the rest), so every joint tree is a triple (A tree a, B tree b,
+    global charge g).  For each nonempty sector g, :meth:`table` holds the
+    joint index of every (a, b), or -1 where a and b cannot fuse to g.  The
+    party bases are grouped by root charge, so the table splits into
+    sub-blocks (x, y): A trees of root x against B trees of root y.  Each is
+    all -1 unless g is in x * y, and then it is dense; :attr:`blocks` lists
+    those admissible (g, x, y) with their indices local to sector g.
     """
 
     def __init__(self, basis: SectorBasis, n_a: int):
@@ -494,80 +408,39 @@ class Bipartition:
             b_idx[i] = self.b_basis.index_of(b_tree)
         self.a_index = a_idx
         self.b_index = b_idx
-        self.a_root = tuple(t.global_charge for t in self.a_basis.trees)
-        self.b_root = tuple(t.global_charge for t in self.b_basis.trees)
-        self._groups: dict[str, list] = {}
-        self._families: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._spanning: dict[str, OperatorEntries] = {}
 
-    def groups(self, traced: str) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Families of full indices that the partial trace pairs up.
+        self._tables: dict[Charge, np.ndarray] = {}
+        self.blocks: list[tuple[Charge, Charge, Charge, np.ndarray]] = []
+        for g in model.charges:
+            sector = basis.sector_slice(g)
+            if sector.stop == sector.start:
+                continue
+            table = np.full((self.a_basis.dim, self.b_basis.dim), -1, dtype=np.intp)
+            table[a_idx[sector], b_idx[sector]] = np.arange(sector.start, sector.stop)
+            table.setflags(write=False)
+            self._tables[g] = table
+            for x in model.charges:
+                for y in model.charges:
+                    index = table[self.a_basis.sector_slice(x), self.b_basis.sector_slice(y)]
+                    if index.size and model.can_fuse(x, y, g):
+                        self.blocks.append((g, x, y, index - sector.start))
 
-        For traced="B": full indices sharing (B labeling, sector g, A root
-        charge); the second array holds the matching A-subsystem indices.
-        Within one family every (i, j) pair contributes rho[i, j] to
-        out[a_i, a_j]; across families nothing contributes.
-        """
-        if traced not in ("A", "B"):
-            raise ValueError("traced side must be 'A' or 'B'")
-        if traced in self._groups:
-            return self._groups[traced]
-        keep_idx = self.a_index if traced == "B" else self.b_index
-        other_idx = self.b_index if traced == "B" else self.a_index
-        keep_root = self.a_root if traced == "B" else self.b_root
-        buckets: dict[tuple, list[int]] = {}
-        for i in range(self.basis.dim):
-            key = (other_idx[i], self.basis.sector_of(i), keep_root[keep_idx[i]])
-            buckets.setdefault(key, []).append(i)
-        out = [
-            (np.asarray(members, dtype=np.intp), keep_idx[np.asarray(members, dtype=np.intp)])
-            for members in buckets.values()
-        ]
-        self._groups[traced] = out
-        return out
+    def table(self, g: Charge) -> np.ndarray:
+        """d_A x d_B joint indices of (A tree, B tree) at global charge g, or -1."""
+        if g not in self._tables:
+            raise FusionError(f"no tree of shape {self.basis.shape} has global charge {g!r}")
+        return self._tables[g]
 
     def kept_basis(self, traced: str) -> SectorBasis:
+        if traced not in ("A", "B"):
+            raise ValueError("traced side must be 'A' or 'B'")
         return self.a_basis if traced == "B" else self.b_basis
 
-    def pairs(self, traced: str) -> FamilyPairs:
-        """Every (i, j) pair within one family of :meth:`groups`.
-
-        Families come in order, each row-major.  The partial trace, the
-        embedding and the spanning entries all walk this table; it is
-        rebuilt on each call from the members listed family by family, so
-        only O(dim) indices stay cached.
-        """
-        if traced not in self._families:
-            families = self.groups(traced)
-            self._families[traced] = (
-                np.concatenate([members for members, _ in families]),
-                np.repeat(np.arange(len(families)), [len(members) for members, _ in families]),
-            )
-        members, family = self._families[traced]
-        first, second = _join(family, family)
-        row, col = members[first], members[second]
-        keep_idx = self.a_index if traced == "B" else self.b_index
-        return FamilyPairs(row, col, keep_idx[row], keep_idx[col])
-
-    def spanning_entries(self, side: str) -> OperatorEntries:
-        """One party's :func:`hermitian_units`, embedded into the joint basis.
-
-        Operator k equals ``embed_local`` of the party's unit k: the
-        entries join the :meth:`pairs` table with the units on the
-        party-basis (row, col), once per side.
-        """
-        if side not in ("A", "B"):
-            raise ValueError("side must be 'A' or 'B'")
-        if side not in self._spanning:
-            pairs = self.pairs("B" if side == "A" else "A")
-            sub = self.a_basis if side == "A" else self.b_basis
-            units = hermitian_units(sub)
-            pair, unit = _join(pairs.kept_row * sub.dim + pairs.kept_col,
-                               units.row * sub.dim + units.col)
-            self._spanning[side] = OperatorEntries(
-                units.count, units.op[unit], pairs.row[pair], pairs.col[pair], units.coeff[unit]
-            )
-        return self._spanning[side]
+    def kept_blocks(self, traced: str) -> list[tuple[Charge, Charge, np.ndarray]]:
+        """(g, kept root charge, index) per block; index rows run over the traced trees."""
+        if traced == "B":
+            return [(g, x, index.T) for g, x, _, index in self.blocks]
+        return [(g, y, index) for g, _, y, index in self.blocks]
 
 
 @functools.lru_cache(maxsize=256)
@@ -576,36 +449,49 @@ def bipartition(basis: SectorBasis, n_a: int) -> Bipartition:
     return Bipartition(basis, n_a)
 
 
+def _zero_blocks(basis: SectorBasis) -> dict[Charge, np.ndarray]:
+    return {g: np.zeros((basis.sector_dim(g),) * 2, dtype=complex) for g in basis.model.charges}
+
+
 def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
     """Anyonic partial trace onto the kept subsystem.
 
     Keeps matrix elements with identical traced-side labelings *and*
-    identical kept-side root charges; see the module docstring.  Maps
-    density operators to density operators and satisfies the consistency
-    condition with :func:`embed_local`.
+    identical kept-side root charges; see the module docstring.  Each
+    block (g, x, y) of rho_g adds one kept-party matrix per traced tree,
+    in global-charge and then traced-basis order.  Maps density operators
+    to density operators and satisfies the consistency condition with
+    :func:`embed_local`.
     """
     _require_same_basis(rho.basis, bipartition.basis)
-    pairs = bipartition.pairs(traced)
-    return BlockOperator.from_entries(
-        bipartition.kept_basis(traced), pairs.kept_row, pairs.kept_col,
-        rho.at(pairs.row, pairs.col),
-    )
+    kept = bipartition.kept_basis(traced)
+    out = _zero_blocks(kept)
+    for g, keep, index in bipartition.kept_blocks(traced):
+        for term in rho.blocks[g][index[:, :, None], index[:, None, :]]:
+            out[keep] += term
+    return BlockOperator(kept, out)
 
 
 def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
     """``partial_trace(pure_density(state), ...)`` without forming the density.
 
-    Reads rho[i, j] = psi_i conj(psi_j) of the normalized state straight
-    from its amplitudes and adds the terms in the same order, so the
-    result is bit-identical.
+    With C[a, b] the normalized amplitude of (A tree a, B tree b) at the
+    state's charge, the kept marginal is C_x C_x^dagger for each root
+    charge x of A (traced B), or C_y^T conj(C_y) for each root charge y
+    of B (traced A).  Equal to the partial trace up to summation order.
     """
     _require_same_basis(state.basis, bipartition.basis)
-    psi = state.normalized().amplitudes
-    pairs = bipartition.pairs(traced)
-    return BlockOperator.from_entries(
-        bipartition.kept_basis(traced), pairs.kept_row, pairs.kept_col,
-        psi[pairs.row] * psi[pairs.col].conj(),
-    )
+    kept = bipartition.kept_basis(traced)
+    psi = state.normalized()
+    # -1 in the table reads the appended zero
+    C = np.append(psi.amplitudes, 0.0)[bipartition.table(psi.sector)]
+    if traced == "A":
+        C = C.T
+    blocks = {}
+    for c in kept.model.charges:
+        rows = C[kept.sector_slice(c)]
+        blocks[c] = rows @ rows.conj().T
+    return BlockOperator(kept, blocks)
 
 
 def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") -> BlockOperator:
@@ -613,18 +499,19 @@ def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") ->
 
     A subsystem matrix element |avec><avec'| (with equal subsystem root
     charges, which BlockOperator enforces) is summed over all compatible
-    labelings of the other side and all admissible global charges.  The
-    embedding is an algebra homomorphism and the adjoint of the partial
-    trace: it walks the same pair table, and each joint entry is one pair.
+    labelings of the other side and all admissible global charges: each
+    block (g, x, y) of the result is O_x (x) 1_y for side A, 1_x (x) O_y
+    for side B.  The embedding is an algebra homomorphism and the adjoint
+    of the partial trace.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     traced = "B" if side == "A" else "A"
     _require_same_basis(op.basis, bipartition.kept_basis(traced))
-    pairs = bipartition.pairs(traced)
-    return BlockOperator.from_entries(
-        bipartition.basis, pairs.row, pairs.col, op.at(pairs.kept_row, pairs.kept_col)
-    )
+    out = _zero_blocks(bipartition.basis)
+    for g, keep, index in bipartition.kept_blocks(traced):
+        out[g][index[:, :, None], index[:, None, :]] = op.blocks[keep]
+    return BlockOperator(bipartition.basis, out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,22 +9,25 @@ subtree, and the receiver applies an outcome-conditioned correction.
 
 Internally the regrouped state is held in split form: a coefficient
 matrix C[receiver tree, measured tree] within the fixed global fusion
-channel.  For a projector P on the measured subsystem, D = C P^T gives
-outcome probability ||D||_F^2 and the receiver's conditional operator
-D D^dagger, decohered across the receiver's charge sectors (the anyonic
-partial trace keeps only matrix elements with equal receiver root
-charges).  Dropping that decoherence step and admitting sector-mixing
-projectors reproduces ordinary qudit teleportation - the
-``enforce_superselection=False`` mode, kept as an executable counterfactual.
+channel, which is the regrouped bipartition's charge-block table at the
+channel read through the amplitudes.  For a projector P on the measured
+subsystem, D = C P^T gives outcome probability ||D||_F^2 and the
+receiver's conditional operator D D^dagger, decohered across the
+receiver's charge sectors (the anyonic partial trace keeps only matrix
+elements with equal receiver root charges).  Dropping that decoherence
+step and admitting sector-mixing projectors reproduces ordinary qudit
+teleportation - the ``enforce_superselection=False`` mode, kept as an
+executable counterfactual.
 
 One scenario runs over many messages, so the work is split in two:
 
 - The layout, cached per (model, resource basis, direction, channel,
-  encoding): the join table from (message tree, resource tree) to the
-  composed index (which :func:`join_states` reads too), the regrouping
-  map, the bipartition, the receiver and measured bases, the C position
-  of every regrouped index, the receiver mask and the message and
-  encoding indices.  ``with_resource`` copies share it.
+  encoding): the joined basis's table at the channel (the index of every
+  (message tree, resource tree) pair, which :func:`join_states` reads
+  too), the regrouping map, the bipartition and its table at the channel
+  (the index of every C entry), the receiver and measured bases, the
+  receiver mask and the message and encoding indices.  ``with_resource``
+  copies share it.
 - The measurement, built once per (scenario, tol): the PVM as matrices
   with its no-click residual, validated by :func:`validate_pvm`, and
   every correction, checked block diagonal and unitary whether or not
@@ -32,7 +35,7 @@ One scenario runs over many messages, so the work is split in two:
   are built the same way on every call.
 
 A :class:`SplitState` then only multiplies the message into the resource,
-regroups, scatters into C and checks the state's superselection.
+regroups, gathers C and checks the state's superselection.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .states import (
     superpose,
     validate_cssr,
 )
-from .trees import SectorBasis, TreeShape, enumerate_basis, grouped_shape, join_shapes
+from .trees import SectorBasis, enumerate_basis, grouped_shape, join_shapes
 
 PROB_TOL = 1e-12
 
@@ -122,25 +125,14 @@ def compose(
 
 
 def join_states(model: AnyonModel, left: AnyonState, right: AnyonState, channel: Charge):
-    """6 = 2 + 4 (or any split): couple two single-sector states at a new root."""
-    table = _join_table(model, left.basis.shape, right.basis.shape, channel)
-    basis = enumerate_basis(model, join_shapes(left.basis.shape, right.basis.shape))
-    return AnyonState(basis, _joined(table, basis.dim, left.amplitudes, right.amplitudes))
-
-
-@functools.lru_cache(maxsize=64)
-def _join_table(model: AnyonModel, left: TreeShape, right: TreeShape, channel: Charge):
-    """table[i, j]: index of left tree i and right tree j joined at `channel`, or -1.
+    """6 = 2 + 4 (or any split): couple two single-sector states at a new root.
 
     The joined basis splits at its root into the two factors, so its
-    bipartition tables, read over the `channel` sector, invert the join.
+    bipartition table at `channel` gives the joined index of every pair.
     """
-    basis = enumerate_basis(model, join_shapes(left, right))
-    part = bipartition(basis, left.n_leaves)
-    table = np.full((part.a_basis.dim, part.b_basis.dim), -1, dtype=np.intp)
-    sector = basis.sector_slice(channel)
-    table[part.a_index[sector], part.b_index[sector]] = np.arange(sector.start, sector.stop)
-    return table
+    basis = enumerate_basis(model, join_shapes(left.basis.shape, right.basis.shape))
+    table = bipartition(basis, left.basis.shape.n_leaves).table(channel)
+    return AnyonState(basis, _joined(table, basis.dim, left.amplitudes, right.amplitudes))
 
 
 def _joined(table: np.ndarray, dim: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -217,19 +209,18 @@ class _Layout:
             n_a, self.receiver_side = 2, "A"
         self.message_dim = message_basis.dim
         self.message_index = [message_basis.index_of_label(lbl) for lbl in MESSAGE_KETS]
-        self.join = _join_table(model, left, right, channel)
-        self.change = shape_change(model, join_shapes(left, right), measured_shape)
+        joined = enumerate_basis(model, join_shapes(left, right))
+        self.join = bipartition(joined, left.n_leaves).table(channel)
+        self.change = shape_change(model, joined.shape, measured_shape)
         self.part = part = bipartition(self.change.target, n_a)
+        # the regrouped state lives in the channel sector: C gathers it
+        # through that sector's table, oriented receiver x measured
+        self.gather = part.table(channel)
         if self.receiver_side == "A":
             self.receiver_basis, self.measured_basis = part.a_basis, part.b_basis
-            recv_idx, meas_idx = part.a_index, part.b_index
         else:
             self.receiver_basis, self.measured_basis = part.b_basis, part.a_basis
-            recv_idx, meas_idx = part.b_index, part.a_index
-        # the regrouped state lives in the channel sector, where each index
-        # has its own (receiver row, measured column) of C
-        self.sector = self.change.target.sector_slice(channel)
-        self.receiver_row, self.measured_col = recv_idx[self.sector], meas_idx[self.sector]
+            self.gather = self.gather.T
         roots = np.array([t.global_charge for t in self.receiver_basis.trees])
         self.receiver_mask = np.equal.outer(roots, roots)
         self.receiver_mask.setflags(write=False)  # every SplitState shares it
@@ -345,7 +336,7 @@ class SplitState:
     """Regrouped 6-anyon state as a receiver x measured coefficient matrix.
 
     The scenario's cached layout holds every table; construction only
-    multiplies the message into the resource, regroups and scatters.
+    multiplies the message into the resource, regroups and gathers C.
     `target` is the message re-encoded on the receiver's encoding pair.
     """
 
@@ -364,9 +355,8 @@ class SplitState:
         self.receiver_side = layout.receiver_side
         self.receiver_basis = layout.receiver_basis
         self.measured_basis = layout.measured_basis
-        C = np.zeros((self.receiver_basis.dim, self.measured_basis.dim), dtype=complex)
-        C[layout.receiver_row, layout.measured_col] = amplitudes[layout.sector]
-        self.coefficients = C
+        # -1 in the table reads the appended zero
+        self.coefficients = np.append(amplitudes, 0.0)[layout.gather]
         self.state = AnyonState(self.basis, amplitudes)
         self.receiver_mask = layout.receiver_mask
         self.target = np.zeros(self.receiver_basis.dim, dtype=complex)

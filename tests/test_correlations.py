@@ -6,6 +6,7 @@ import pytest
 
 from fibanyon.correlations import (
     PURE_CLASSES,
+    _witness,
     classify_pure_2anyon,
     is_maximally_entangled_2anyon,
     is_uncorrelated,
@@ -48,6 +49,10 @@ def test_spanning_set_sizes(model, basis2):
     assert diags == [(0.0, 1.0), (1.0, 0.0)]
     ops2 = local_observable_basis(basis2)
     assert len(ops2) == 13  # 2^2 + 3^2
+    # vacuum sector: the two diagonal units, then the symmetric and antisymmetric one
+    assert [np.diag(op.block("e")).tolist() for op in ops2[:2]] == [[1, 0], [0, 1]]
+    assert np.array_equal(ops2[2].block("e"), [[0, 1], [1, 0]])
+    assert np.array_equal(ops2[3].block("e"), [[0, -1j], [1j, 0]])
     assert all(validate_cssr(op) for op in ops2)
     assert all(op.is_hermitian(1e-14) for op in ops2)
 
@@ -166,7 +171,8 @@ def _dense_reference(state_or_rho, part):
     """(max violation, witness) from the dense double loop over spanning pairs.
 
     Every spanning operator is embedded as a dense joint-basis matrix, and
-    the first pair of largest violation in row-major order wins.
+    the first pair in row-major order within 4 ulps of the largest
+    violation wins.
     """
     ops_a = local_observable_basis(part.a_basis)
     ops_b = local_observable_basis(part.b_basis)
@@ -179,16 +185,14 @@ def _dense_reference(state_or_rho, part):
     exp_a = [trace(o @ partial_trace(rho, part, traced="B")).real for o in ops_a]
     exp_b = [trace(o @ partial_trace(rho, part, traced="A")).real for o in ops_b]
     rho_full = rho.to_full()
-    worst = 0.0
-    witness = (0, 0)
+    violations = []
     for i, ea in enumerate(emb_a):
         ea_rho = ea @ rho_full
         for j, eb in enumerate(emb_b):
             lhs = np.einsum("ij,ji->", eb, ea_rho).real
-            violation = abs(lhs - exp_a[i] * exp_b[j])
-            if violation > worst:
-                worst = violation
-                witness = (i, j)
+            violations.append(((i, j), abs(lhs - exp_a[i] * exp_b[j])))
+    worst = max(v for _, v in violations)
+    witness = next(ij for ij, v in violations if v >= worst - 4 * np.spacing(worst))
     return worst, witness
 
 
@@ -238,7 +242,7 @@ def test_table_matches_dense_loop_on_2anyon_families(basis2, unequal_marginals_s
         _assert_matches_reference(mixture(zip(rng.dirichlet(np.ones(3)), members)), part)
 
 
-@pytest.mark.parametrize("n_a,n_b", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("n_a,n_b", [(1, 3), (3, 1), (2, 2), (2, 3)])
 def test_table_matches_dense_loop_on_random_states(model, n_a, n_b):
     part = bipartition(enumerate_basis(model, grouped_shape(n_a, n_b)), n_a)
     rng = np.random.default_rng(10 * n_a + n_b)
@@ -254,8 +258,17 @@ def test_table_matches_dense_loop_at_3_3(model):
     _assert_matches_reference(random_pure_state(part.basis, "tau", np.random.default_rng(33)), part)
 
 
+def test_witness_is_first_pair_within_4_ulps():
+    top = 0.25
+    table = np.array([[0.0, top], [np.nextafter(top, 1.0), 0.0]])
+    assert _witness(table) == 1  # a later entry 1 ulp larger does not win
+    table[1, 0] = top + 8 * np.spacing(top)
+    assert _witness(table) == 2
+    assert _witness(np.zeros((2, 3))) == 0
+
+
 def test_first_3_3_call_stays_small(model):
-    # a fresh Bipartition, so the spanning entries are built inside the trace
+    # a fresh Bipartition, as the first call on a new split sees it
     part = Bipartition(enumerate_basis(model, grouped_shape(3, 3)), 3)
     psi = random_pure_state(part.basis, "e", np.random.default_rng(34))
     tracemalloc.start()

@@ -10,6 +10,7 @@ from fibanyon.model import (
     build_model,
     load_model_text,
     pentagon_residual,
+    quantum_dimension,
     validate_model,
 )
 
@@ -55,8 +56,8 @@ def test_r_symbols(model):
 
 
 def test_quantum_dims(model):
-    assert model.quantum_dims["e"] == 1.0
-    assert model.quantum_dims["tau"] == pytest.approx((1 + math.sqrt(5)) / 2)
+    assert quantum_dimension(model, "e") == pytest.approx(1.0)
+    assert quantum_dimension(model, "tau") == pytest.approx((1 + math.sqrt(5)) / 2)
 
 
 def test_conjugates_self(model):
@@ -80,7 +81,6 @@ def _corrupt(model, **overrides) -> AnyonModel:
         fusion=model.fusion,
         f_symbols=model.f_symbols,
         r_symbols=model.r_symbols,
-        quantum_dims=model.quantum_dims,
     )
     fields.update(overrides)
     return AnyonModel(**fields)
@@ -166,3 +166,25 @@ def test_fusion_multiplicity_rejected():
             "bad", ("e", "tau"), "e",
             {("e", "e"): ("e",), ("e", "tau"): ("tau",), ("tau", "tau"): ("e", "tau", "tau")},
         )
+
+
+def test_undeclared_charges_rejected():
+    with pytest.raises(ModelFormatError, match="undeclared charge 'sigma'"):
+        load_model_text(MODEL_TEXT.replace("fusion tau tau -> e tau", "fusion tau tau -> e sigma"))
+    with pytest.raises(ModelFormatError, match="undeclared charge 'sigma'"):
+        load_model_text(MODEL_TEXT + "fusion tau sigma -> e\n")
+    with pytest.raises(ModelFormatError, match="undeclared charge 'sigma'"):
+        build_model(
+            "bad", ("e", "tau"), "e",
+            {("e", "e"): ("e",), ("e", "tau"): ("tau",), ("tau", "tau"): ("e", "sigma")},
+        )
+
+
+def test_dim_lines_checked_against_fusion_rules():
+    assert "dim tau 1.618033988749895" in MODEL_TEXT
+    loaded = load_model_text(MODEL_TEXT + "dim e 1.0\n")
+    assert not hasattr(loaded, "quantum_dims")
+    with pytest.raises(ModelFormatError, match="dim tau"):
+        load_model_text(MODEL_TEXT.replace("dim tau 1.618033988749895", "dim tau 2.0"))
+    with pytest.raises(ModelFormatError, match="undeclared charge 'sigma'"):
+        load_model_text(MODEL_TEXT + "dim sigma 1.0\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from fibanyon.states import (
     trace,
     validate_cssr,
 )
-from fibanyon.trees import enumerate_basis, grouped_shape, left_comb
+from fibanyon.trees import FusionTree, enumerate_basis, grouped_shape, left_comb
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -144,12 +145,37 @@ def test_embed_homomorphism(model, basis4, rng):
     )
 
 
+def _families(part, traced):
+    """Partial-trace families read off the trees' labels, as (members, kept indices).
+
+    A family is every joint tree with one traced-side labeling, one global
+    charge and one kept-side root charge.  Families come in (global
+    charge, traced tree) order, the order in which the partial trace adds
+    its terms.
+    """
+    charges = part.basis.model.charges
+    kept_basis = part.kept_basis(traced)
+    traced_basis = part.b_basis if traced == "B" else part.a_basis
+    n_a, n_int_a = part.n_a, part.a_basis.shape.n_internal
+    families = {}
+    for i, tree in enumerate(part.basis.trees):
+        leaves, ints = tree.leaf_charges, tree.internal_charges
+        a_tree = FusionTree(part.a_basis.shape, leaves[:n_a], ints[1 : 1 + n_int_a])
+        b_tree = FusionTree(part.b_basis.shape, leaves[n_a:], ints[1 + n_int_a :])
+        kept, other = (a_tree, b_tree) if traced == "B" else (b_tree, a_tree)
+        key = (charges.index(tree.global_charge), traced_basis.index_of(other), kept.global_charge)
+        members, kept_members = families.setdefault(key, ([], []))
+        members.append(i)
+        kept_members.append(kept_basis.index_of(kept))
+    return [(np.array(m), np.array(k)) for _, (m, k) in sorted(families.items())]
+
+
 def _dense_embed(op, part, side):
     """Reference embedding through dense full-basis matrices."""
     traced = "B" if side == "A" else "A"
     op_full = op.to_full()
     out = np.zeros((part.basis.dim, part.basis.dim), dtype=complex)
-    for members, kept_members in part.groups(traced):
+    for members, kept_members in _families(part, traced):
         out[np.ix_(members, members)] += op_full[np.ix_(kept_members, kept_members)]
     return BlockOperator.from_full(out, part.basis)
 
@@ -159,7 +185,7 @@ def _dense_partial_trace(rho, part, traced):
     kept = part.kept_basis(traced)
     rho_full = rho.to_full()
     out = np.zeros((kept.dim, kept.dim), dtype=complex)
-    for members, kept_members in part.groups(traced):
+    for members, kept_members in _families(part, traced):
         out[np.ix_(kept_members, kept_members)] += rho_full[np.ix_(members, members)]
     return BlockOperator.from_full(out, kept)
 
@@ -197,19 +223,24 @@ def test_pure_marginal_equals_trace_of_pure_density(model, n):
             amplitudes = 3.0 * random_pure_state(part.basis, sector, rng).amplitudes
             state = AnyonState(part.basis, amplitudes)
             for traced in ("A", "B"):
-                assert np.array_equal(
-                    pure_marginal(state, part, traced=traced).to_full(),
-                    partial_trace(pure_density(state), part, traced=traced).to_full(),
-                )
+                # C C^dagger adds in BLAS order, so the last bit may differ
+                diff = (pure_marginal(state, part, traced=traced).to_full()
+                        - partial_trace(pure_density(state), part, traced=traced).to_full())
+                assert np.max(np.abs(diff)) <= 1e-15
 
 
-def test_block_entries_reject_cross_sector_pairs(basis2):
-    rows = np.array([basis2.index_of_label("e,e;e")])
-    cols = np.array([basis2.index_of_label("tau,e;tau")])
-    with pytest.raises(SuperselectionError):
-        BlockOperator.from_entries(basis2, rows, cols, np.ones(1, dtype=complex))
-    with pytest.raises(SuperselectionError):
-        BlockOperator.identity(basis2).at(rows, cols)
+def test_pure_marginal_n10_stays_small(model):
+    part = bipartition(enumerate_basis(model, grouped_shape(2, 8)), 2)
+    state = random_pure_state(part.basis, "tau", np.random.default_rng(10))
+    tracemalloc.start()
+    try:
+        marginals = [pure_marginal(state, part, traced=traced) for traced in ("A", "B")]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    for marginal in marginals:
+        assert trace(marginal).real == pytest.approx(1.0, abs=1e-12)
 
 
 # --- partial trace
