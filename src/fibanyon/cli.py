@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from .correlations import is_uncorrelated
-from .errors import AnyonError
-from .model import AnyonModel, fibonacci_model, load_model_text
+from .errors import AnyonError, ModelFormatError
+from .model import AnyonModel, fibonacci_model, load_model_text, validate_model
 from .recouple import change_shape
 from .states import (
     bipartition,
@@ -44,11 +44,17 @@ def _fmt(x: float) -> str:
     return format(_clip(x), ".6g")
 
 
-def _load_model(spec: str) -> AnyonModel:
+def _load_model(spec: str, validate: bool) -> AnyonModel:
+    """The built-in model, or a model file that must pass :func:`validate_model`
+    when `validate` is set (``verify`` reports violations itself)."""
     if spec == "fibonacci":
         return fibonacci_model()
     with open(spec, encoding="utf-8") as handle:
-        return load_model_text(handle.read(), name=spec)
+        model = load_model_text(handle.read(), name=spec)
+    problems = validate_model(model) if validate else []
+    if problems:
+        raise ModelFormatError(f"model {spec} fails validation: " + "; ".join(problems))
+    return model
 
 
 def _parse_amplitude(text: str) -> complex:
@@ -419,7 +425,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        model = _load_model(args.model)
+        model = _load_model(args.model, validate=args.command != "verify")
         return args.func(args, model)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

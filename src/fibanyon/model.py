@@ -225,8 +225,9 @@ def validate_model(model: AnyonModel, tol: float = 1e-12) -> list[str]:
 
     An empty report means: fusion symmetry and vacuum identity hold,
     conjugates are unique, every F-matrix is unitary, R entries are
-    phases (vacuum ones trivial), and the F-symbols satisfy the pentagon
-    identity on all 4-leaf relabelings.
+    phases (vacuum ones trivial), the F-symbols satisfy the pentagon
+    identity on all 4-leaf relabelings, and F and R satisfy both hexagon
+    identities.
     """
     report = []
     charges = model.charges
@@ -266,6 +267,10 @@ def validate_model(model: AnyonModel, tol: float = 1e-12) -> list[str]:
     if dev > tol:
         report.append(f"pentagon identity violated (residual {dev:.2e})")
 
+    dev = hexagon_residual(model)
+    if dev > tol:
+        report.append(f"hexagon identities violated (residual {dev:.2e})")
+
     return report
 
 
@@ -289,6 +294,32 @@ def pentagon_residual(model: AnyonModel) -> float:
                 F(a, b, c, g, f, h) * F(a, h, d, e, g, k) * F(b, c, d, k, h, l)
                 for h in model.charges
             )
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def hexagon_residual(model: AnyonModel) -> float:
+    """Largest deviation in the two hexagon identities over all labelings.
+
+    Exchanging c past a then b must equal exchanging c past the pair (ab):
+
+        R[c,a; e] F[a,c,b; d]_{e,g} R[c,b; g]
+            = sum_f F[c,a,b; d]_{e,f} R[c,f; d] F[a,b,c; d]_{f,g}
+
+    and the same with every R[x,y; z] replaced by the clockwise exchange
+    R[y,x; z]^{-1}, the conjugate of a phase (Kitaev, Ann. Phys. 321, 2
+    (2006); Bonderson, PhD thesis, Caltech (2007)).  Entries outside the
+    fusion rules are zero.
+    """
+    F = model.f_symbol
+    counterclockwise = model.r_symbols
+    clockwise = {(b, a, c): val.conjugate() for (a, b, c), val in model.r_symbols.items()}
+    worst = 0.0
+    for R in (counterclockwise, clockwise):
+        for a, b, c, d, e, g in product(model.charges, repeat=6):
+            lhs = R.get((c, a, e), 0.0) * F(a, c, b, d, e, g) * R.get((c, b, g), 0.0)
+            rhs = sum(F(c, a, b, d, e, f) * R.get((c, f, d), 0.0) * F(a, b, c, d, f, g)
+                      for f in model.charges)
             worst = max(worst, abs(lhs - rhs))
     return worst
 

@@ -36,6 +36,14 @@ One scenario runs over many messages, so the work is split in two:
 
 A :class:`SplitState` then only multiplies the message into the resource,
 regroups, gathers C and checks the state's superselection.
+
+Sampled measurements (the reachability sweep and the verification
+oracle) are block diagonal unitaries with one Haar block per charge
+sector of the measured basis.  Sample s is drawn from the stream
+``sample_rng(seed, *key, s)`` with one ``standard_normal`` call; the
+samples are drawn in chunks of :data:`SAMPLE_CHUNK`, each sector's chunk
+is one stacked QR, and W = C U-bar is one product per sector block for
+every sample of the chunk and every message of the sweep.
 """
 
 from __future__ import annotations
@@ -221,6 +229,7 @@ class _Layout:
         else:
             self.receiver_basis, self.measured_basis = part.b_basis, part.a_basis
             self.gather = self.gather.T
+        self.measured_slices = _sector_slices(self.measured_basis)
         roots = np.array([t.global_charge for t in self.receiver_basis.trees])
         self.receiver_mask = np.equal.outer(roots, roots)
         self.receiver_mask.setflags(write=False)  # every SplitState shares it
@@ -359,21 +368,25 @@ class SplitState:
         self.coefficients = np.append(amplitudes, 0.0)[layout.gather]
         self.state = AnyonState(self.basis, amplitudes)
         self.receiver_mask = layout.receiver_mask
+        self.measured_slices = layout.measured_slices
         self.target = np.zeros(self.receiver_basis.dim, dtype=complex)
         self.target[layout.encoding[0]] = message.alpha
         self.target[layout.encoding[1]] = message.beta
 
-    def conditionals(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Receiver vectors w_k (columns of W) for measurement vectors `columns`, and ||w_k||^2."""
-        W = self.coefficients @ columns.conj()
-        return W, np.sum(np.abs(W) ** 2, axis=0)
+    def conditionals(self, blocks: list[np.ndarray]):
+        """Per measured sector, the receiver vectors W[s, :, k] and ||w_k||^2 of every
+        sampled unitary in `blocks` (see :func:`conditionals`)."""
+        return conditionals(self.coefficients, blocks, self.measured_slices)
 
-    def average_fidelity(self, columns: np.ndarray, target: np.ndarray) -> float:
-        """Uncorrected average fidelity sum_k <t|mask(w_k w_k^dagger)|t> over p_k > PROB_TOL."""
-        W, probs = self.conditionals(columns)
-        kept = W[:, probs > PROB_TOL]
-        rho = np.where(self.receiver_mask, kept @ kept.conj().T, 0.0)
-        return float(np.real(target.conj() @ rho @ target))
+    def average_fidelity(self, blocks: list[np.ndarray], target: np.ndarray) -> np.ndarray:
+        """Uncorrected average fidelity sum_k <t|mask(w_k w_k^dagger)|t> over p_k > PROB_TOL,
+        one per sampled measurement in `blocks`."""
+        rho = 0.0
+        for W, probs in self.conditionals(blocks):
+            kept = np.where(probs[:, None, :] > PROB_TOL, W, 0.0)
+            rho = rho + kept @ kept.conj().swapaxes(1, 2)
+        rho = np.where(self.receiver_mask, rho, 0.0)
+        return np.einsum("i,sij,j->s", target.conj(), rho, target).real
 
     def branch(self, projector: np.ndarray, decohere: bool) -> tuple[float, np.ndarray | None]:
         """Probability and conditional receiver operator for one projector."""
@@ -496,27 +509,98 @@ def sample_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    gin = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(gin)
-    phases = np.diag(r).copy()
+# Samples are drawn in chunks.  On the 34-dim 4-anyon measured basis one
+# sample's scratch is about 64 KiB: its Ginibre draw, the complex matrix,
+# QR's copies, the unitary, and W with its moduli (4 KiB per message).  A
+# chunk keeps a sweep's peak near 0.5 MiB (0.8 MiB with ten messages); an
+# unchunked stack of a few hundred samples leaves multi-MiB buffers that
+# the allocator keeps after they are freed.
+_CHUNK_BYTES = 512 * 1024
+_SAMPLE_BYTES = 64 * 1024
+SAMPLE_CHUNK = _CHUNK_BYTES // _SAMPLE_BYTES
+
+
+def _sector_slices(basis: SectorBasis) -> list[slice]:
+    """The slices of the nonempty charge sectors of `basis`, in charge order."""
+    slices = (basis.sector_slice(g) for g in basis.model.charges)
+    return [sl for sl in slices if sl.stop > sl.start]
+
+
+def _haar(draws: np.ndarray, n: int) -> np.ndarray:
+    """Haar unitaries from (samples, 2 n^2) standard normals, one row per sample.
+
+    A row is the real and then the imaginary part of an n x n complex
+    Ginibre matrix, row-major.  QR, then each column of Q times the
+    conjugate phase of R's diagonal entry (Mezzadri, Notices AMS 54, 592
+    (2007)); each call is one stacked QR.
+    """
+    ginibre = draws[:, :n * n].reshape(-1, n, n).astype(complex)
+    ginibre.imag = draws[:, n * n:].reshape(-1, n, n)
+    q, r = np.linalg.qr(ginibre)
+    phases = np.diagonal(r, axis1=1, axis2=2).copy()
     phases /= np.abs(phases)
-    return q * phases.conj()
+    return q * phases.conj()[:, None, :]
+
+
+def sector_haar_blocks(basis: SectorBasis, rngs) -> list[np.ndarray]:
+    """One Haar unitary per nonempty charge sector of `basis` and generator in `rngs`.
+
+    Returns one (len(rngs), d, d) stack per sector, in charge order.  Each
+    generator makes one ``standard_normal`` call of sum_g 2 d_g^2 values:
+    per sector in charge order, the real and then the imaginary d_g x d_g
+    part of its Ginibre matrix, row-major.
+    """
+    dims = [sl.stop - sl.start for sl in _sector_slices(basis)]
+    draws = np.empty((len(rngs), sum(2 * d * d for d in dims)))
+    for rng, row in zip(rngs, draws):
+        rng.standard_normal(out=row)
+    blocks, start = [], 0
+    for d in dims:
+        blocks.append(_haar(draws[:, start:start + 2 * d * d], d))
+        start += 2 * d * d
+    return blocks
+
+
+def sector_haar_chunks(basis: SectorBasis, seed: int, samples: int, *key: int):
+    """Yield :func:`sector_haar_blocks` for samples 0..samples-1, SAMPLE_CHUNK at a time.
+
+    Sample s is drawn from ``sample_rng(seed, *key, s)``, so a sample does
+    not depend on the chunking or on how many samples are drawn.
+    """
+    for start in range(0, samples, SAMPLE_CHUNK):
+        stop = min(start + SAMPLE_CHUNK, samples)
+        yield sector_haar_blocks(basis, [sample_rng(seed, *key, s) for s in range(start, stop)])
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix (real part drawn first)."""
+    return _haar(rng.standard_normal((1, 2 * n * n)), n)[0]
 
 
 def sector_haar_columns(basis: SectorBasis, rng: np.random.Generator) -> np.ndarray:
     """Block-diagonal unitary with one Haar block per nonempty charge sector.
 
-    Blocks are drawn in the model's charge order.  Column k is the k-th
-    vector of a complete rank-1 measurement that respects the sectors.
+    The dense form of :func:`sector_haar_blocks` for one generator.  Column
+    k is the k-th vector of a complete rank-1 measurement that respects
+    the sectors.
     """
     columns = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for g in basis.model.charges:
-        sl = basis.sector_slice(g)
-        if sl.stop > sl.start:
-            columns[sl, sl] = haar_unitary(rng, sl.stop - sl.start)
+    for sl, block in zip(_sector_slices(basis), sector_haar_blocks(basis, [rng])):
+        columns[sl, sl] = block[0]
     return columns
+
+
+def conditionals(coefficients: np.ndarray, blocks: list[np.ndarray], slices: list[slice]):
+    """Yield, per measured sector block, W and the outcome probabilities ||w_k||^2.
+
+    `coefficients` is C[..., receiver, measured] (one matrix or a stack
+    over messages); `blocks` holds one (samples, d, d) stack of unitaries
+    per entry of `slices`.  W[..., s, :, k] = C[..., :, block] conj(U_s)[:, k]
+    is the unnormalised receiver vector of outcome k of sample s.
+    """
+    for sl, unitaries in zip(slices, blocks):
+        W = coefficients[..., None, :, sl] @ unitaries.conj()
+        yield W, np.sum(np.abs(W) ** 2, axis=-2)
 
 
 def random_sector_pvm(basis: SectorBasis, rng: np.random.Generator) -> list[np.ndarray]:
@@ -557,7 +641,10 @@ def receiver_reachability_check(
     For every sampled measurement and message, each conditional receiver
     state is decomposed in the receiver's 2-anyon basis; the report
     records the largest matrix-element magnitude outside the scenario's
-    reachable diagonal set.
+    reachable diagonal set.  Sample s is the measurement
+    ``sector_haar_columns(measured basis, sample_rng(seed, s))``; the
+    samples are drawn and reduced SAMPLE_CHUNK at a time, for all
+    messages at once.
     """
     if scenario.reachable is None:
         raise ValueError(f"scenario {scenario.name}/{scenario.direction} declares no reachable set")
@@ -567,28 +654,31 @@ def receiver_reachability_check(
     splits = [SplitState(scenario, m) for m in message_list]
     recv_basis = splits[0].receiver_basis
     allowed = [recv_basis.index_of_label(lbl) for lbl in scenario.reachable]
-    off_mask = np.ones((recv_basis.dim, recv_basis.dim), dtype=bool)
-    for idx in allowed:
-        off_mask[idx, idx] = False
+    off_mask = splits[0].receiver_mask.copy()
+    off_mask[allowed, allowed] = False
+    # each receiver row with its off-support partners in the decohered state
+    partners = [(r, np.flatnonzero(row)) for r, row in enumerate(off_mask) if row.any()]
+    coefficients = np.stack([split.coefficients for split in splits])
 
-    # |rho_k[r, s]| = |w_r| |w_s| / p_k on the decohered, off-support entries
-    rows, cols = np.nonzero(splits[0].receiver_mask & off_mask)
+    # |rho_k[r, s]| = |w_r| |w_s| / p_k; rounding is monotone, so the largest
+    # over s is |w_r| max_s |w_s| / p_k
     worst = 0.0
-    conditionals = 0
-    for s in range(pvm_samples):
-        columns = sector_haar_columns(splits[0].measured_basis, sample_rng(seed, s))
-        for split in splits:
-            W, probs = split.conditionals(columns)
+    count = 0
+    for blocks in sector_haar_chunks(splits[0].measured_basis, seed, pvm_samples):
+        for W, probs in conditionals(coefficients, blocks, splits[0].measured_slices):
             keep = probs > PROB_TOL
-            mags = np.abs(W[:, keep])
-            worst = max(worst, float(np.max(mags[rows] * mags[cols] / probs[keep], initial=0.0)))
-            conditionals += int(np.count_nonzero(keep))
+            mags = np.abs(W)
+            peak = np.zeros(probs.shape)
+            for r, cols in partners:
+                np.maximum(peak, mags[..., r, :] * np.max(mags[..., cols, :], axis=-2), out=peak)
+            worst = max(worst, float(np.max(peak[keep] / probs[keep], initial=0.0)))
+            count += int(np.count_nonzero(keep))
     return ReachabilityReport(
         scenario=scenario.name,
         direction=scenario.direction,
         samples=pvm_samples,
         messages=len(message_list),
-        conditionals=conditionals,
+        conditionals=count,
         max_off_support=worst,
         tol=tol,
     )

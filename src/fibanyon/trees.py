@@ -331,8 +331,17 @@ class SectorBasis:
         """Every tree's :meth:`FusionTree.label`, in index order, rendered once."""
         return tuple(tree.label() for tree in self.trees)
 
+    @functools.cached_property
+    def _label_index(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index_of_label(self, text: str) -> int:
-        return self.index_of(parse_tree_label(self.shape, text))
+        """Index of a tree by label; a canonical label is one dict lookup, any
+        other spelling (``τ``, extra spaces) goes through :func:`parse_tree_label`."""
+        index = self._label_index.get(text)
+        if index is None:
+            index = self.index_of(parse_tree_label(self.shape, text))
+        return index
 
     def compatible(self, other: "SectorBasis") -> bool:
         return self.model is other.model and self.shape == other.shape

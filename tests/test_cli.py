@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import json
 import math
 import subprocess
@@ -159,6 +160,61 @@ def test_verify_corrupted_model_fails(tmp_path):
     code, out = run_cli("verify", "--suite", "model", "--model", str(model_file))
     assert code == 1
     assert "FAIL" in out
+
+
+def _fibonacci_model_file(tmp_path, name, *overrides):
+    """Fibonacci in the model-file format, with some F or R lines replaced."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    r_e, r_tau = cmath.exp(-4j * math.pi / 5.0), cmath.exp(3j * math.pi / 5.0)
+    lines = {
+        "F tau tau tau ; tau ; e e": f"{inv_phi!r} 0.0",
+        "F tau tau tau ; tau ; e tau": f"{math.sqrt(inv_phi)!r} 0.0",
+        "F tau tau tau ; tau ; tau e": f"{math.sqrt(inv_phi)!r} 0.0",
+        "F tau tau tau ; tau ; tau tau": f"{-inv_phi!r} 0.0",
+        "R tau tau ; e": f"{r_e.real!r} {r_e.imag!r}",
+        "R tau tau ; tau": f"{r_tau.real!r} {r_tau.imag!r}",
+    }
+    for key, value in overrides:
+        lines[key] = value
+    path = tmp_path / name
+    path.write_text(
+        "charges e tau\nvacuum e\nfusion e e -> e\nfusion e tau -> tau\nfusion tau tau -> e tau\n"
+        + "".join(f"{key} = {value}\n" for key, value in lines.items()),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_model_file_validated_on_load(tmp_path, capsys):
+    valid = _fibonacci_model_file(tmp_path, "fibonacci.model")
+    for argv in (("marginals", "--state", STATE_FILE),
+                 ("teleport", "--scenario", "main-text", "--direction", "ab")):
+        assert run_cli(*argv, "--model", valid) == run_cli(*argv)
+    capsys.readouterr()
+
+    corrupted = _fibonacci_model_file(tmp_path, "corrupted.model",
+                                      ("F tau tau tau ; tau ; e e", "0.0 0.0"))
+    for argv in (("marginals", "--state", STATE_FILE, "--split", "1"),
+                 ("teleport", "--scenario", "main-text", "--direction", "ab")):
+        code, out = run_cli(*argv, "--model", corrupted)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert f"model {corrupted} fails validation" in err
+        assert "F-matrix not unitary: [tau,tau,tau; tau]" in err
+        assert "pentagon identity violated" in err
+
+
+def test_hexagon_violation_fails_verify_and_load(tmp_path, capsys):
+    # R^{tau tau}_e = i, R^{tau tau}_tau = -i: phases, but no braiding
+    path = _fibonacci_model_file(tmp_path, "plus_minus_i.model",
+                                 ("R tau tau ; e", "0.0 1.0"), ("R tau tau ; tau", "0.0 -1.0"))
+    code, out = run_cli("verify", "--suite", "model", "--model", path)
+    assert code == 1
+    assert "[FAIL] suite model  checks=2" in out
+    assert "violation: hexagon identities violated" in out
+    code, out = run_cli("marginals", "--model", path, "--state", STATE_FILE, "--split", "1")
+    assert code == 1 and out == ""
+    assert "hexagon identities violated" in capsys.readouterr().err
 
 
 def test_no_hidden_options():

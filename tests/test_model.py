@@ -8,6 +8,7 @@ from fibanyon.errors import FusionError, ModelFormatError
 from fibanyon.model import (
     AnyonModel,
     build_model,
+    hexagon_residual,
     load_model_text,
     pentagon_residual,
     quantum_dimension,
@@ -188,3 +189,39 @@ def test_dim_lines_checked_against_fusion_rules():
         load_model_text(MODEL_TEXT.replace("dim tau 1.618033988749895", "dim tau 2.0"))
     with pytest.raises(ModelFormatError, match="undeclared charge 'sigma'"):
         load_model_text(MODEL_TEXT + "dim sigma 1.0\n")
+
+
+Z2_TEXT = """
+charges e s
+vacuum e
+fusion e e -> e
+fusion e s -> s
+fusion s s -> e
+"""
+
+
+def test_hexagon_identities(model):
+    assert hexagon_residual(model) <= 1e-12
+    # the mirror theory (conjugate R) braids too
+    mirror = {key: val.conjugate() for key, val in model.r_symbols.items()}
+    assert hexagon_residual(_corrupt(model, r_symbols=mirror)) <= 1e-12
+    # Z2 as a boson, a fermion and, with F^{sss}_s = -1, the semion
+    assert validate_model(load_model_text(Z2_TEXT), 1e-12) == []
+    assert validate_model(load_model_text(Z2_TEXT + "R s s ; e = -1.0 0.0\n"), 1e-12) == []
+    semion = Z2_TEXT + "R s s ; e = 0.0 1.0\nF s s s ; s ; e e = -1.0 0.0\n"
+    assert validate_model(load_model_text(semion), 1e-12) == []
+
+
+def test_validate_flags_hexagon_violations(model):
+    plus_minus_i = dict(model.r_symbols)
+    plus_minus_i[("tau", "tau", "e")] = 1j
+    plus_minus_i[("tau", "tau", "tau")] = -1j
+    swapped = dict(model.r_symbols)
+    swapped[("tau", "tau", "e")] = model.r_symbols[("tau", "tau", "tau")]
+    swapped[("tau", "tau", "tau")] = model.r_symbols[("tau", "tau", "e")]
+    for r_symbols in (plus_minus_i, swapped):
+        report = validate_model(_corrupt(model, r_symbols=r_symbols))
+        assert len(report) == 1 and report[0].startswith("hexagon identities violated")
+    # a semion phase needs F^{sss}_s = -1
+    report = validate_model(load_model_text(Z2_TEXT + "R s s ; e = 0.0 1.0\n"))
+    assert report == ["hexagon identities violated (residual 2.00e+00)"]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,17 +17,22 @@ from fibanyon.teleport import (
     compose,
     d1_family_resource,
     PROB_TOL,
+    SAMPLE_CHUNK,
     diagonal_mixture_fidelity_bound,
     haar_unitary,
     random_sector_pvm,
     receiver_reachability_check,
     run_protocol,
     run_protocol_via_embedding,
+    sample_rng,
+    sector_haar_blocks,
+    sector_haar_chunks,
     sector_haar_columns,
     superselection_violating_protocol,
     validate_pvm,
 )
 from fibanyon.trees import FusionTree, enumerate_basis, grouped_shape, join_shapes, left_comb
+from fibanyon.verify import oracle_excess
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -227,8 +233,8 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
             if rho is not None:
                 avg += p * float(np.real(target.conj() @ rho @ target))
         assert avg <= bound + 1e-10
-        columns = sector_haar_columns(split.measured_basis, np.random.default_rng(1000 + s))
-        assert abs(split.average_fidelity(columns, target) - avg) <= 1e-14
+        blocks = sector_haar_blocks(split.measured_basis, [np.random.default_rng(1000 + s)])
+        assert abs(split.average_fidelity(blocks, target)[0] - avg) <= 1e-14
 
     skewed = MessageQubit(0.6, 0.8)
     target = skewed.target_vector(split.receiver_basis, scenario.encoding)
@@ -276,37 +282,112 @@ def test_reachability_matches_per_outcome_loop(catalog):
     # with only |e,e;e> reachable, the tau-sector receiver states leak
     scenario = dataclasses.replace(catalog["main-text"]["ba"], reachable=("e,e;e",))
     messages = [MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2)]
-    samples, seed = 30, 9
-    report = receiver_reachability_check(scenario, messages, pvm_samples=samples, seed=seed)
-
+    seed = 9
     splits = [SplitState(scenario, m) for m in messages]
     recv_basis, meas_basis = splits[0].receiver_basis, splits[0].measured_basis
     off_mask = np.ones((recv_basis.dim, recv_basis.dim), dtype=bool)
     i_ee = recv_basis.index_of_label("e,e;e")
     off_mask[i_ee, i_ee] = False
-    worst, conditionals = 0.0, 0
-    for s in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-        blocks = []
-        for g in meas_basis.model.charges:
-            d = meas_basis.sector_dim(g)
-            if d == 0:
-                continue
-            block = np.zeros((meas_basis.dim, d), dtype=complex)
-            block[meas_basis.sector_slice(g)] = haar_unitary(rng, d)
-            blocks.append(block)
-        U = np.hstack(blocks)
-        for split in splits:
-            W = split.coefficients @ U.conj()
-            probs = np.sum(np.abs(W) ** 2, axis=0)
-            for k in np.nonzero(probs > PROB_TOL)[0]:
-                rho = np.outer(W[:, k], W[:, k].conj()) / probs[k]
-                rho = np.where(split.receiver_mask, rho, 0.0)
-                worst = max(worst, float(np.max(np.abs(rho[off_mask]))))
-                conditionals += 1
-    assert report.conditionals == conditionals
-    assert worst > 0.1
-    assert abs(report.max_off_support - worst) <= 1e-15
+    # sample counts on both sides of chunk boundaries
+    for samples in (SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1, 30):
+        report = receiver_reachability_check(scenario, messages, pvm_samples=samples, seed=seed)
+        worst, conditionals = 0.0, 0
+        for s in range(samples):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+            U = _reference_columns(meas_basis, rng)
+            for split in splits:
+                W = split.coefficients @ U.conj()
+                probs = np.sum(np.abs(W) ** 2, axis=0)
+                for k in np.nonzero(probs > PROB_TOL)[0]:
+                    rho = np.outer(W[:, k], W[:, k].conj()) / probs[k]
+                    rho = np.where(split.receiver_mask, rho, 0.0)
+                    worst = max(worst, float(np.max(np.abs(rho[off_mask]))))
+                    conditionals += 1
+        assert report.conditionals == conditionals
+        assert worst > 0.1
+        assert abs(report.max_off_support - worst) <= 1e-15
+
+
+def _reference_columns(basis, rng):
+    """Reference draw: per sector in charge order, a real then an imaginary d x d
+    Ginibre draw, one QR and the phase fix."""
+    columns = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for g in basis.model.charges:
+        sl = basis.sector_slice(g)
+        d = sl.stop - sl.start
+        if d == 0:
+            continue
+        gin = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(gin)
+        phases = np.diag(r).copy()
+        phases /= np.abs(phases)
+        columns[sl, sl] = q * phases.conj()
+    return columns
+
+
+def test_stacked_draw_equals_per_sample_columns(basis2, basis4, catalog):
+    measured = [SplitState(catalog[name][direction], MessageQubit(0.6, 0.8)).measured_basis
+                for name, direction in (("main-text", "ba"), ("appendix-d2-asymmetric", "ab"))]
+    seed = 5
+    for basis in (basis2, basis4, *measured):
+        slices = [basis.sector_slice(g) for g in basis.model.charges if basis.sector_dim(g)]
+        for samples in (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 2):
+            chunks = list(sector_haar_chunks(basis, seed, samples))
+            assert [len(chunk[0]) for chunk in chunks[:-1]] == [SAMPLE_CHUNK] * (len(chunks) - 1)
+            stacks = [np.concatenate(parts) for parts in zip(*chunks)]
+            assert [len(stack) for stack in stacks] == [samples] * len(slices)
+            for s in range(samples):
+                columns = sector_haar_columns(basis, sample_rng(seed, s))
+                assert np.array_equal(columns, _reference_columns(basis, sample_rng(seed, s)))
+                stacked = np.zeros_like(columns)
+                for sl, stack in zip(slices, stacks):
+                    stacked[sl, sl] = stack[s]
+                assert np.array_equal(stacked, columns)
+    # the 302 stream of the oracle is keyed the same way
+    blocks = next(sector_haar_chunks(basis4, seed, 1, 302))
+    direct = sector_haar_blocks(basis4, [sample_rng(seed, 302, 0)])
+    assert np.array_equal(blocks[0][0], direct[0][0])
+
+
+def _reference_average_fidelity(split, columns, target):
+    W = split.coefficients @ columns.conj()
+    probs = np.sum(np.abs(W) ** 2, axis=0)
+    kept = W[:, probs > PROB_TOL]
+    rho = np.where(split.receiver_mask, kept @ kept.conj().T, 0.0)
+    return float(np.real(target.conj() @ rho @ target))
+
+
+@pytest.mark.parametrize("samples, message_count", [(25, 4), (100, 10)])
+def test_oracle_excess_matches_per_sample_loop(catalog, samples, message_count):
+    # the quick and full counts of the teleportation suite
+    scenario = catalog["main-text"]["ba"]
+    messages = [MessageQubit(SQ2, np.exp(1j * th) * SQ2)
+                for th in np.linspace(0.0, 2.0 * math.pi, message_count, endpoint=False)]
+    seed = 42
+    worst = -math.inf
+    for message in messages:
+        split = SplitState(scenario, message)
+        target = message.target_vector(split.receiver_basis, scenario.encoding)
+        bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
+        for s in range(samples):
+            columns = sector_haar_columns(split.measured_basis, sample_rng(seed, 302, s))
+            worst = max(worst, _reference_average_fidelity(split, columns, target) - bound)
+    assert abs(oracle_excess(scenario, messages, samples, seed) - worst) <= 1e-14
+
+
+def test_reachability_sweep_memory_stays_bounded(catalog):
+    scenario = catalog["main-text"]["ba"]
+    messages = [MessageQubit(SQ2, np.exp(1j * th) * SQ2)
+                for th in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)]
+    receiver_reachability_check(scenario, messages, pvm_samples=1, seed=0)  # cache the layout
+    tracemalloc.start()
+    try:
+        report = receiver_reachability_check(scenario, messages, pvm_samples=1000, seed=42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.conditionals == 340000
+    assert peak < 1 << 20
 
 
 def test_superselection_disabled_enables_reverse_teleport(model):

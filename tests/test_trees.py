@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fibanyon.errors import FusionError, ShapeError
@@ -123,3 +124,38 @@ def test_label_roundtrip_all_trees(model):
 
 def test_label_accepts_unicode_tau(basis2):
     assert basis2.index_of_label("τ,e;τ") == basis2.index_of_label("tau,e;tau")
+
+
+def test_canonical_labels_resolve_without_parsing(monkeypatch, model, basis2, basis4):
+    from fibanyon import trees
+    from fibanyon.correlations import classify_pure_2anyon, random_pure_2anyon
+    from fibanyon.states import AnyonState
+
+    calls = []
+    parse = trees.parse_tree_label
+
+    def counting_parse(shape, text):
+        calls.append(text)
+        return parse(shape, text)
+
+    monkeypatch.setattr(trees, "parse_tree_label", counting_parse)
+    rng = np.random.default_rng(3)
+    states = [random_pure_2anyon(model, ("e", "tau")[i % 2], rng) for i in range(10)]
+    for i in range(1000):
+        classify_pure_2anyon(states[i % 10])
+    for basis in (basis2, basis4):
+        for index, tree in enumerate(basis.trees):
+            assert basis.index_of_label(tree.label()) == index
+    assert calls == []
+
+    # any other spelling falls back to the parser, with its errors unchanged
+    assert basis2.index_of_label("τ,e;τ") == basis2.index_of_label("tau,e;tau")
+    assert basis2.index_of_label(" tau , e ; tau ") == basis2.index_of_label("tau,e;tau")
+    assert calls == ["τ,e;τ", " tau , e ; tau "]
+    with pytest.raises(FusionError, match=r"^tree 'e,e;tau' is not fusion-consistent$"):
+        basis2.index_of_label("e,e;tau")
+    with pytest.raises(FusionError, match=r"^unknown charge 'sigma' \(model fibonacci\)$"):
+        basis2.index_of_label("sigma,e;sigma")
+    with pytest.raises(ShapeError, match=r"^label 'e;e' has 1 leaves, shape has 2$"):
+        basis2.index_of_label("e;e")
+    assert AnyonState(basis2, np.eye(5)[0]).amplitude("e,e;e") == 1.0
