@@ -31,7 +31,7 @@ from .states import (
 )
 from .teleport import MessageQubit, builtin_scenarios, receiver_reachability_check, run_protocol
 from .trees import TreeShape, enumerate_basis, grouped_shape, left_comb
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 DISPLAY_ZERO = 1e-12  # magnitudes below this render as 0 (API values untouched)
 
@@ -164,8 +164,11 @@ def cmd_dims(args, model: AnyonModel) -> int:
 
 
 def _load_split_state(args, model: AnyonModel):
-    with open(args.state, encoding="utf-8") as handle:
-        state = parse_state_text(model, handle.read())
+    try:
+        with open(args.state, encoding="utf-8") as handle:
+            state = parse_state_text(model, handle.read())
+    except AnyonError as exc:
+        raise type(exc)(f"state file {args.state}: {exc}") from None
     n = state.basis.shape.n_leaves
     split = args.split if args.split is not None else n // 2
     if not 1 <= split < n:
@@ -414,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_teleport)
 
     p = sub.add_parser("verify", parents=[common], help="run the invariant suites")
-    p.add_argument("--suite", default=None, choices=(
-        "model", "dims", "recoupling", "algebra", "correlations", "teleportation"))
+    p.add_argument("--suite", default=None, choices=tuple(SUITES))
     p.add_argument("--quick", action="store_true", help="reduced sample counts")
     p.set_defaults(func=cmd_verify)
     return parser

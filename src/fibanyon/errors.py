@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class AnyonError(Exception):
     """Base class for all fibanyon errors."""
@@ -27,3 +29,12 @@ class BasisMismatchError(AnyonError, ValueError):
 
 class ModelFormatError(AnyonError, ValueError):
     """A model/state/operator text file could not be parsed."""
+
+
+@contextlib.contextmanager
+def fibonacci_only(what: str):
+    """Re-raise a FusionError as one saying that `what` assumes Fibonacci; also a decorator."""
+    try:
+        yield
+    except FusionError as exc:
+        raise FusionError(f"{what} is defined for the Fibonacci charges e and tau: {exc}") from None

@@ -5,6 +5,9 @@ with coefficients given by the F-symbols of the subtree root charges:
 
     |(a,b),c; d; g>  =  sum_f  [F^{abc}_g]_{df}  |a,(b,c); f; g>
 
+F is unitary, so the left move (A (B C)) -> ((A B) C) is the right move
+from the rotated shape, inverted (Bonderson, PhD thesis, Caltech 2007).
+
 A move touches one internal label, so it sends each tree to at most
 |fusion outcomes| trees.  Basis changes are therefore stored sparsely, as
 their nonzero (row, col, coeff) entries, and composed and applied without
@@ -19,7 +22,7 @@ comb gives the same change (pentagon identity), which the tests check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,8 +35,6 @@ from .trees import (
     TreeShape,
     _n_internal,
     enumerate_basis,
-    left_comb,
-    right_comb,
 )
 
 
@@ -141,70 +142,59 @@ def elementary_fmove(
 
     ``direction="right"`` turns ((A B) C) into (A (B C)) at the vertex,
     ``"left"`` is the inverse.  All other labels carry through unchanged.
+    The left move is the inverted right move from the rotated shape, its
+    entries listed by source index, then by the new label d in charge order.
     """
     if direction not in ("right", "left"):
         raise ShapeError(f"direction must be 'right' or 'left', got {direction!r}")
-    source = enumerate_basis(model, shape)
     target_shape = _rotated_structure(shape, vertex, direction)
+    if direction == "left":
+        move = elementary_fmove(model, target_shape, vertex, "right").inverse()
+        order = np.lexsort((move.rows, move.cols))
+        return replace(move, rows=move.rows[order], cols=move.cols[order],
+                       coeffs=move.coeffs[order])
+    source = enumerate_basis(model, shape)
     target = enumerate_basis(model, target_shape)
 
     # Internal charges in preorder around the vertex v:
-    #   right move: [.. prefix, g@v, d@(A B), A.., B.., C.., suffix ..]
-    #         ->    [.. prefix, g@v, A.., f@(B C), B.., C.., suffix ..]
+    #   [.. prefix, g@v, d@(A B), A.., B.., C.., suffix ..]
+    #   -> [.. prefix, g@v, A.., f@(B C), B.., C.., suffix ..]
     # so the move splices one entry; everything else is positional.
-    node = shape.internal_nodes[vertex]
-    if direction == "right":
-        (a_node, b_node), c_node = node
-    else:
-        a_node, (b_node, c_node) = node
-    n_a = _n_internal(a_node)
+    (a_node, b_node), c_node = shape.internal_nodes[vertex]
+    cut = vertex + 2 + _n_internal(a_node)  # just past the charges inside A
 
     rows: list[int] = []
     cols: list[int] = []
     coeffs: list[complex] = []
     for src_idx, tree in enumerate(source.trees):
         ints = tree.internal_charges
-        g = ints[vertex]
+        g, d = ints[vertex], ints[vertex + 1]
         a = tree.charge_at(a_node)
         b = tree.charge_at(b_node)
         c = tree.charge_at(c_node)
-        if direction == "right":
-            d = ints[vertex + 1]
-            images = [
-                (model.f_symbol(a, b, c, g, d, f),
-                 ints[: vertex + 1] + ints[vertex + 2 : vertex + 2 + n_a] + (f,)
-                 + ints[vertex + 2 + n_a :])
-                for f in model.fusion_outcomes(b, c)
-            ]
-        else:
-            f = ints[vertex + 1 + n_a]
-            images = [
-                (np.conj(model.f_symbol(a, b, c, g, d, f)),
-                 ints[: vertex + 1] + (d,) + ints[vertex + 1 : vertex + 1 + n_a]
-                 + ints[vertex + 2 + n_a :])
-                for d in model.fusion_outcomes(a, b)
-            ]
-        for coeff, new_ints in images:
+        head, tail = ints[: vertex + 1] + ints[vertex + 2 : cut], ints[cut:]
+        for f in model.fusion_outcomes(b, c):
+            coeff = model.f_symbol(a, b, c, g, d, f)
             if coeff != 0.0:
-                rows.append(target.index_of(FusionTree(target_shape, tree.leaf_charges, new_ints)))
+                rows.append(target.index_of(FusionTree(target_shape, tree.leaf_charges,
+                                                       head + (f,) + tail)))
                 cols.append(src_idx)
                 coeffs.append(coeff)
     return BasisChange(source, target, np.asarray(rows, dtype=np.intp),
                        np.asarray(cols, dtype=np.intp), np.asarray(coeffs, dtype=complex))
 
 
-def _moves_to_comb(shape: TreeShape, comb_builder) -> list[tuple[int, str]]:
-    """Rotation sequence taking `shape` to the left (or right) comb."""
-    want_left = comb_builder is left_comb
+def _moves_to_comb(shape: TreeShape, via: str) -> list[tuple[int, str]]:
+    """Rotation sequence taking `shape` to the left (``via="left"``) or right comb."""
     moves = []
     current = shape
     while True:
         nodes = current.internal_nodes
         pick = None
         for i, node in enumerate(nodes):
-            child = node[1] if want_left else node[0]
+            child = node[1] if via == "left" else node[0]
             if not isinstance(child, int):
-                pick = (i, "left" if want_left else "right")
+                pick = (i, via)
                 break
         if pick is None:
             return moves
@@ -215,10 +205,9 @@ def _moves_to_comb(shape: TreeShape, comb_builder) -> list[tuple[int, str]]:
 @functools.lru_cache(maxsize=256)
 def _to_comb(model: AnyonModel, shape: TreeShape, via: str) -> BasisChange:
     """Composed moves from the `shape` basis to the left (or right) comb basis."""
-    comb = left_comb if via == "left" else right_comb
     steps = []
     current = shape
-    for vertex, direction in _moves_to_comb(shape, comb):
+    for vertex, direction in _moves_to_comb(shape, via):
         steps.append(elementary_fmove(model, current, vertex, direction))
         current = steps[-1].target.shape
     # Fold from the comb end: the inverse, used on the target side of a shape

@@ -21,13 +21,14 @@ executable counterfactual.
 
 One scenario runs over many messages, so the work is split in two:
 
-- The layout, cached per (model, resource basis, direction, channel,
-  encoding): the joined basis's table at the channel (the index of every
-  (message tree, resource tree) pair, which :func:`join_states` reads
-  too), the regrouping map, the bipartition and its table at the channel
-  (the index of every C entry), the receiver and measured bases, the
-  receiver mask and the message and encoding indices.  ``with_resource``
-  copies share it.
+- The layout, cached per (model, resource basis, direction, channel):
+  the message basis, the joined basis's table at the channel (the index
+  of every (message tree, resource tree) pair, as :func:`compose` reads
+  it), the regrouping map, the bipartition and its table at the channel
+  (the index of every C entry), and the receiver and measured bases.
+  :meth:`MessageQubit.target_vector` places both the message and its
+  target, so scenarios that differ only in their encoding share one
+  layout, and so do ``with_resource`` copies.
 - The measurement, built once per (scenario, tol): the PVM as matrices
   with its no-click residual, validated by :func:`validate_pvm`, and
   every correction, checked block diagonal and unitary whether or not
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FusionError, SuperselectionError
+from .errors import FusionError, SuperselectionError, fibonacci_only
 from .model import AnyonModel, Charge
 from .recouple import shape_change
 from .states import (
@@ -99,13 +100,10 @@ class MessageQubit:
 
     def as_state(self, model: AnyonModel) -> AnyonState:
         basis = enumerate_basis(model, grouped_shape(1, 1))
-        amplitudes = np.zeros(basis.dim, dtype=complex)
-        amplitudes[basis.index_of_label(MESSAGE_KETS[0])] = self.alpha
-        amplitudes[basis.index_of_label(MESSAGE_KETS[1])] = self.beta
-        return AnyonState(basis, amplitudes)
+        return AnyonState(basis, self.target_vector(basis, MESSAGE_KETS))
 
     def target_vector(self, basis: SectorBasis, encoding: tuple[str, str]) -> np.ndarray:
-        """The message re-encoded on a receiver basis pair (ket0, ket1)."""
+        """The message placed on a basis pair (ket0, ket1): alpha on ket0, beta on ket1."""
         vec = np.zeros(basis.dim, dtype=complex)
         vec[basis.index_of_label(encoding[0])] = self.alpha
         vec[basis.index_of_label(encoding[1])] = self.beta
@@ -129,15 +127,8 @@ def compose(
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     left, right = (message, resource) if side == "A" else (resource, message)
-    return join_states(model, left, right, channel)
-
-
-def join_states(model: AnyonModel, left: AnyonState, right: AnyonState, channel: Charge):
-    """6 = 2 + 4 (or any split): couple two single-sector states at a new root.
-
-    The joined basis splits at its root into the two factors, so its
-    bipartition table at `channel` gives the joined index of every pair.
-    """
+    # the joined basis splits at its root into the two factors, so its
+    # bipartition table at `channel` gives the joined index of every pair
     basis = enumerate_basis(model, join_shapes(left.basis.shape, right.basis.shape))
     table = bipartition(basis, left.basis.shape.n_leaves).table(channel)
     return AnyonState(basis, _joined(table, basis.dim, left.amplitudes, right.amplitudes))
@@ -204,8 +195,8 @@ class _Layout:
     resource amplitudes.  Build it through :func:`_cached_layout`."""
 
     def __init__(self, model: AnyonModel, resource_basis: SectorBasis, direction: str,
-                 channel: Charge, encoding: tuple[str, str]):
-        message_basis = enumerate_basis(model, grouped_shape(1, 1))
+                 channel: Charge):
+        self.message_basis = message_basis = enumerate_basis(model, grouped_shape(1, 1))
         self.message_first = direction == "ab"
         if self.message_first:
             left, right = message_basis.shape, resource_basis.shape
@@ -215,8 +206,6 @@ class _Layout:
             left, right = resource_basis.shape, message_basis.shape
             measured_shape = join_shapes(grouped_shape(1, 1), grouped_shape(2, 2))
             n_a, self.receiver_side = 2, "A"
-        self.message_dim = message_basis.dim
-        self.message_index = [message_basis.index_of_label(lbl) for lbl in MESSAGE_KETS]
         joined = enumerate_basis(model, join_shapes(left, right))
         self.join = bipartition(joined, left.n_leaves).table(channel)
         self.change = shape_change(model, joined.shape, measured_shape)
@@ -230,13 +219,9 @@ class _Layout:
             self.receiver_basis, self.measured_basis = part.b_basis, part.a_basis
             self.gather = self.gather.T
         self.measured_slices = _sector_slices(self.measured_basis)
-        roots = np.array([t.global_charge for t in self.receiver_basis.trees])
-        self.receiver_mask = np.equal.outer(roots, roots)
-        self.receiver_mask.setflags(write=False)  # every SplitState shares it
-        self.encoding = [self.receiver_basis.index_of_label(lbl) for lbl in encoding]
 
 
-# keyed on (model, resource basis, direction, channel, encoding)
+# keyed on (model, resource basis, direction, channel)
 _cached_layout = functools.lru_cache(maxsize=64)(_Layout)
 
 
@@ -300,8 +285,7 @@ class TeleportScenario:
         return copy
 
     def _layout(self) -> _Layout:
-        return _cached_layout(self.model, self.resource.basis, self.direction, self.channel,
-                              self.encoding)
+        return _cached_layout(self.model, self.resource.basis, self.direction, self.channel)
 
     def _measurement(self, validate: bool, tol: float) -> _Measurement:
         key = (validate, tol)
@@ -346,14 +330,12 @@ class SplitState:
 
     The scenario's cached layout holds every table; construction only
     multiplies the message into the resource, regroups and gathers C.
-    `target` is the message re-encoded on the receiver's encoding pair.
+    `target` is the message re-encoded on the scenario's encoding pair.
     """
 
     def __init__(self, scenario: TeleportScenario, message: MessageQubit):
         layout = scenario._layout()
-        msg = np.zeros(layout.message_dim, dtype=complex)
-        msg[layout.message_index[0]] = message.alpha
-        msg[layout.message_index[1]] = message.beta
+        msg = message.target_vector(layout.message_basis, MESSAGE_KETS)
         resource = scenario.resource.amplitudes
         left, right = (msg, resource) if layout.message_first else (resource, msg)
         amplitudes = layout.change.apply(
@@ -367,22 +349,15 @@ class SplitState:
         # -1 in the table reads the appended zero
         self.coefficients = np.append(amplitudes, 0.0)[layout.gather]
         self.state = AnyonState(self.basis, amplitudes)
-        self.receiver_mask = layout.receiver_mask
+        self.receiver_mask = self.receiver_basis.sector_mask
         self.measured_slices = layout.measured_slices
-        self.target = np.zeros(self.receiver_basis.dim, dtype=complex)
-        self.target[layout.encoding[0]] = message.alpha
-        self.target[layout.encoding[1]] = message.beta
-
-    def conditionals(self, blocks: list[np.ndarray]):
-        """Per measured sector, the receiver vectors W[s, :, k] and ||w_k||^2 of every
-        sampled unitary in `blocks` (see :func:`conditionals`)."""
-        return conditionals(self.coefficients, blocks, self.measured_slices)
+        self.target = message.target_vector(self.receiver_basis, scenario.encoding)
 
     def average_fidelity(self, blocks: list[np.ndarray], target: np.ndarray) -> np.ndarray:
         """Uncorrected average fidelity sum_k <t|mask(w_k w_k^dagger)|t> over p_k > PROB_TOL,
         one per sampled measurement in `blocks`."""
         rho = 0.0
-        for W, probs in self.conditionals(blocks):
+        for W, probs in conditionals(self.coefficients, blocks, self.measured_slices):
             kept = np.where(probs[:, None, :] > PROB_TOL, W, 0.0)
             rho = rho + kept @ kept.conj().swapaxes(1, 2)
         rho = np.where(self.receiver_mask, rho, 0.0)
@@ -512,12 +487,10 @@ def sample_rng(seed: int, *key: int) -> np.random.Generator:
 # Samples are drawn in chunks.  On the 34-dim 4-anyon measured basis one
 # sample's scratch is about 64 KiB: its Ginibre draw, the complex matrix,
 # QR's copies, the unitary, and W with its moduli (4 KiB per message).  A
-# chunk keeps a sweep's peak near 0.5 MiB (0.8 MiB with ten messages); an
-# unchunked stack of a few hundred samples leaves multi-MiB buffers that
-# the allocator keeps after they are freed.
-_CHUNK_BYTES = 512 * 1024
-_SAMPLE_BYTES = 64 * 1024
-SAMPLE_CHUNK = _CHUNK_BYTES // _SAMPLE_BYTES
+# chunk of 8 is a 0.5 MiB budget and keeps a sweep's peak near 0.5 MiB
+# (0.8 MiB with ten messages); an unchunked stack of a few hundred samples
+# leaves multi-MiB buffers that the allocator keeps after they are freed.
+SAMPLE_CHUNK = 8
 
 
 def _sector_slices(basis: SectorBasis) -> list[slice]:
@@ -570,11 +543,6 @@ def sector_haar_chunks(basis: SectorBasis, seed: int, samples: int, *key: int):
     for start in range(0, samples, SAMPLE_CHUNK):
         stop = min(start + SAMPLE_CHUNK, samples)
         yield sector_haar_blocks(basis, [sample_rng(seed, *key, s) for s in range(start, stop)])
-
-
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix (real part drawn first)."""
-    return _haar(rng.standard_normal((1, 2 * n * n)), n)[0]
 
 
 def sector_haar_columns(basis: SectorBasis, rng: np.random.Generator) -> np.ndarray:
@@ -727,6 +695,7 @@ def _projector_onto(basis: SectorBasis, terms) -> BlockOperator:
     return BlockOperator.from_ket_bra(state)
 
 
+@fibonacci_only("the scenario catalog")
 def builtin_scenarios(model: AnyonModel | None = None) -> dict[str, dict[str, TeleportScenario]]:
     """The three catalog scenarios, each in both directions.
 

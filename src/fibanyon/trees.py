@@ -19,6 +19,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FusionError, ShapeError
 from .model import AnyonModel, Charge, normalize_charge_label
 
@@ -308,6 +310,15 @@ class SectorBasis:
         if g not in self._slices:
             raise FusionError(f"unknown charge {g!r}")
         return self._slices[g]
+
+    @functools.cached_property
+    def sector_mask(self) -> np.ndarray:
+        """Read-only dim x dim mask: True where row and column share a global charge."""
+        mask = np.zeros((self.dim, self.dim), dtype=bool)
+        for sl in self._slices.values():
+            mask[sl, sl] = True
+        mask.setflags(write=False)
+        return mask
 
     def sector_of(self, index: int) -> Charge:
         return self.trees[index].global_charge

@@ -19,9 +19,11 @@ from .correlations import (
     random_pure_2anyon,
     violation_table,
 )
+from .errors import fibonacci_only
 from .model import AnyonModel, fibonacci_model, validate_model
 from .recouple import shape_change
 from .states import (
+    AnyonState,
     bipartition,
     embed_local,
     is_density,
@@ -49,9 +51,7 @@ from .teleport import (
     sector_haar_chunks,
     superselection_violating_protocol,
 )
-from .trees import all_shapes, enumerate_basis, grouped_shape, left_comb
-
-FIB_DIMS = (2, 5, 13, 34, 89, 233, 610, 1597)  # F_{2N+1} for N = 1..8
+from .trees import SectorBasis, all_shapes, enumerate_basis, grouped_shape, left_comb
 
 
 @dataclass
@@ -92,21 +92,23 @@ def suite_model(model: AnyonModel, tol: float = 1e-12) -> SuiteResult:
 
 def suite_dims(model: AnyonModel, max_n: int = 8) -> SuiteResult:
     out = SuiteResult("dims")
+    counts = dict.fromkeys(model.charges, 1)  # trees per root charge, from the fusion rules
     for n in range(1, max_n + 1):
-        dim = enumerate_basis(model, left_comb(n)).dim
-        expected = FIB_DIMS[n - 1] if n <= len(FIB_DIMS) else None
-        label = f"N={n} dim {dim}" + (f" (expect {expected})" if expected else "")
-        out.add(label, expected is None or dim == expected)
+        basis = enumerate_basis(model, left_comb(n))
+        out.add(f"N={n} dim {basis.dim} (expect {sum(counts.values())})",
+                all(basis.sector_dim(g) == counts[g] for g in model.charges))
+        # the next leaf b takes root a to every c in a x b
+        counts = {c: sum(counts[a] for a in model.charges for b in model.charges
+                         if model.can_fuse(a, b, c)) for c in model.charges}
     for n in range(2, 6):
         dims = {
             tuple(enumerate_basis(model, s).sector_dim(g) for g in model.charges)
             for s in all_shapes(n)
         }
         out.add(f"N={n} sector dims shape-independent", len(dims) == 1)
-    basis = enumerate_basis(model, left_comb(4))
-    repeated = enumerate_basis(model, left_comb(4))
-    out.add("enumeration deterministic", basis is repeated or
-            [t.label() for t in basis.trees] == [t.label() for t in repeated.trees])
+    # enumerate_basis is cached: compare with a fresh enumeration, not with itself
+    fresh = SectorBasis(model, left_comb(4)).labels
+    out.add("enumeration deterministic", enumerate_basis(model, left_comb(4)).labels == fresh)
     return out
 
 
@@ -121,10 +123,7 @@ def suite_recoupling(model: AnyonModel, max_n: int = 5, tol: float = 1e-12) -> S
         shapes = all_shapes(n)
         for src in shapes:
             basis = enumerate_basis(model, src)
-            sector_mask = np.ones((basis.dim, basis.dim), dtype=bool)
-            for g in model.charges:
-                sl = basis.sector_slice(g)
-                sector_mask[sl, sl] = False
+            off_sector = ~basis.sector_mask
             for tgt in shapes:
                 pairs += 1
                 fwd = shape_change(model, src, tgt)
@@ -132,7 +131,7 @@ def suite_recoupling(model: AnyonModel, max_n: int = 5, tol: float = 1e-12) -> S
                 worst_unitary = max(
                     worst_unitary, float(np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))))
                 )
-                worst_sector = max(worst_sector, float(np.max(np.abs(u[sector_mask]), initial=0.0)))
+                worst_sector = max(worst_sector, float(np.max(np.abs(u[off_sector]), initial=0.0)))
                 back = shape_change(model, tgt, src)
                 worst_roundtrip = max(
                     worst_roundtrip,
@@ -213,6 +212,7 @@ def suite_algebra(
     return out
 
 
+@fibonacci_only("the 2-anyon correlations suite")
 def suite_correlations(
     model: AnyonModel,
     seed: int = 42,
@@ -264,17 +264,11 @@ def suite_correlations(
         th = rng.uniform(0, 2 * math.pi, size=4)
         mag = math.sqrt(rng.uniform(0.05, 0.95))
         c1, c2 = mag * np.exp(1j * th[0]), math.sqrt(1 - mag**2) * np.exp(1j * th[1])
-        amp = np.zeros(basis.dim, dtype=complex)
-        amp[basis.index_of_label("tau,e;tau")] = c1
-        amp[basis.index_of_label("tau,tau;tau")] = c2
-        from .states import AnyonState
-
-        rep1 = is_uncorrelated(AnyonState(basis, amp), part, classify=False)
-        amp = np.zeros(basis.dim, dtype=complex)
-        amp[basis.index_of_label("e,tau;tau")] = c1
-        amp[basis.index_of_label("tau,tau;tau")] = c2
-        rep2 = is_uncorrelated(AnyonState(basis, amp), part, classify=False)
-        worst_family = max(worst_family, rep1.max_violation, rep2.max_violation)
+        pair = MessageQubit(c1, c2)  # c1 on the first ket, c2 on the second
+        for kets in (("tau,e;tau", "tau,tau;tau"), ("e,tau;tau", "tau,tau;tau")):
+            psi = AnyonState(basis, pair.target_vector(basis, kets))
+            report = is_uncorrelated(psi, part, classify=False)
+            worst_family = max(worst_family, report.max_violation)
     out.add_residual("both uncorrelated families satisfy the product rule", worst_family, 1e-12)
 
     # bilinearity: spanning-set violations reproduce random-observable ones
@@ -344,12 +338,8 @@ def suite_teleportation(
     # probability conservation + fidelity bounds over random messages
     worst_prob = 0.0
     worst_fid = 0.0
-    runnable = [
-        catalog["main-text"]["ab"],
-        catalog["appendix-d1-symmetric"]["ab"],
-        catalog["appendix-d1-symmetric"]["ba"],
-        catalog["appendix-d2-asymmetric"]["ba"],
-    ]
+    runnable = [s for directions in catalog.values() for s in directions.values()
+                if s.pvm is not None]
     for scenario in runnable:
         for _ in range(25):
             alpha, beta = _random_message(rng)
@@ -446,13 +436,13 @@ def oracle_excess(scenario, messages, samples: int, seed: int) -> float:
     runs = []
     for message in messages:
         split = SplitState(scenario, message)
-        target = message.target_vector(split.receiver_basis, scenario.encoding)
-        bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
-        runs.append((split, target, bound))
+        bound = diagonal_mixture_fidelity_bound(split.target, split.receiver_basis,
+                                                scenario.reachable)
+        runs.append((split, bound))
     worst = -math.inf
     for blocks in sector_haar_chunks(runs[0][0].measured_basis, seed, samples, 302):
-        for split, target, bound in runs:
-            worst = max(worst, float(np.max(split.average_fidelity(blocks, target))) - bound)
+        for split, bound in runs:
+            worst = max(worst, float(np.max(split.average_fidelity(blocks, split.target))) - bound)
     return worst
 
 
@@ -462,13 +452,16 @@ def _random_message(rng) -> tuple[complex, complex]:
     return complex(vec[0]), complex(vec[1])
 
 
+# name -> (suite, whether it takes the seed, full keyword arguments, --quick ones)
 SUITES = {
-    "model": suite_model,
-    "dims": suite_dims,
-    "recoupling": suite_recoupling,
-    "algebra": suite_algebra,
-    "correlations": suite_correlations,
-    "teleportation": suite_teleportation,
+    "model": (suite_model, False, {}, {}),
+    "dims": (suite_dims, False, {}, {}),
+    "recoupling": (suite_recoupling, False, {"max_n": 5}, {"max_n": 4}),
+    "algebra": (suite_algebra, True, {"pairs": 500}, {"pairs": 50}),
+    "correlations": (suite_correlations, True, {"samples": 10000, "random_pairs": 1000},
+                     {"samples": 1000, "random_pairs": 100}),
+    "teleportation": (suite_teleportation, True, {"pvm_samples": 1000, "message_count": 10},
+                      {"pvm_samples": 100, "message_count": 4}),
 }
 
 
@@ -485,28 +478,7 @@ def run_suites(
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
-        if name == "model":
-            results.append(suite_model(model))
-        elif name == "dims":
-            results.append(suite_dims(model))
-        elif name == "recoupling":
-            results.append(suite_recoupling(model, max_n=4 if quick else 5))
-        elif name == "algebra":
-            results.append(suite_algebra(model, seed=seed, pairs=50 if quick else 500))
-        elif name == "correlations":
-            results.append(
-                suite_correlations(
-                    model, seed=seed,
-                    samples=1000 if quick else 10000,
-                    random_pairs=100 if quick else 1000,
-                )
-            )
-        else:
-            results.append(
-                suite_teleportation(
-                    model, seed=seed,
-                    pvm_samples=100 if quick else 1000,
-                    message_count=4 if quick else 10,
-                )
-            )
+        suite, seeded, full, reduced = SUITES[name]
+        kwargs = reduced if quick else full
+        results.append(suite(model, seed=seed, **kwargs) if seeded else suite(model, **kwargs))
     return results

@@ -13,6 +13,7 @@ from fibanyon.cli import build_parser, main
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 STATE_FILE = str(DATA / "unequal_marginals.state")
+Z2_MODEL = str(DATA / "z2.model")
 
 
 def run_cli(*argv):
@@ -215,6 +216,43 @@ def test_hexagon_violation_fails_verify_and_load(tmp_path, capsys):
     code, out = run_cli("marginals", "--model", path, "--state", STATE_FILE, "--split", "1")
     assert code == 1 and out == ""
     assert "hexagon identities violated" in capsys.readouterr().err
+
+
+def test_dims_suite_counts_trees_of_any_model():
+    code, out = run_cli("verify", "--suite", "dims", "--model", Z2_MODEL)
+    assert code == 0
+    for n in range(1, 9):
+        assert f"[ok] N={n} dim {2**n} (expect {2**n})" in out
+    assert "[ok] enumeration deterministic" in out
+
+
+def _fails_on_z2(capsys, *argv):
+    code, out = run_cli(*argv, "--model", Z2_MODEL)
+    assert code == 1 and out == ""
+    return capsys.readouterr().err
+
+
+def test_teleport_catalog_on_other_model_says_fibonacci(capsys):
+    err = _fails_on_z2(capsys, "teleport", "--scenario", "main-text", "--direction", "ab")
+    assert err.startswith("error: the scenario catalog is defined for the Fibonacci charges")
+    assert f"unknown charge 'tau' (model {Z2_MODEL})" in err
+
+
+def test_marginals_state_error_names_file(capsys):
+    err = _fails_on_z2(capsys, "marginals", "--state", STATE_FILE)
+    assert err.startswith(f"error: state file {STATE_FILE}: unknown charge 'tau'")
+
+
+def test_correlations_state_error_names_file(capsys):
+    err = _fails_on_z2(capsys, "correlations", "--state", STATE_FILE)
+    assert err.startswith(f"error: state file {STATE_FILE}: unknown charge 'tau'")
+
+
+@pytest.mark.parametrize("suite, what", [("correlations", "the 2-anyon correlations suite"),
+                                         ("teleportation", "the scenario catalog")])
+def test_verify_fibonacci_suites_on_other_model(capsys, suite, what):
+    err = _fails_on_z2(capsys, "verify", "--suite", suite, "--quick")
+    assert err.startswith(f"error: {what} is defined for the Fibonacci charges e and tau:")
 
 
 def test_no_hidden_options():

@@ -2,6 +2,7 @@
 nontrivial recoupling inside protocols, uneven splits, reshaped braids."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,14 +32,7 @@ from fibanyon.teleport import (
 )
 from fibanyon.trees import TreeShape, enumerate_basis, grouped_shape, left_comb
 
-ABELIAN_MODEL = """
-# Z2 charge model: a single self-inverse particle
-charges e s
-vacuum e
-fusion e e -> e
-fusion e s -> s
-fusion s s -> e
-"""
+ABELIAN_MODEL = (Path(__file__).parent / "data" / "z2.model").read_text(encoding="utf-8")
 
 
 def test_abelian_model_loads_and_validates():

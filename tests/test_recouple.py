@@ -10,6 +10,7 @@ from fibanyon.errors import ShapeError
 from fibanyon.recouple import (
     BasisChange,
     _moves_to_comb,
+    _rotated_structure,
     _to_comb,
     braid_adjacent,
     change_shape,
@@ -17,7 +18,15 @@ from fibanyon.recouple import (
     shape_change,
 )
 from fibanyon.states import ket, random_pure_state
-from fibanyon.trees import all_shapes, enumerate_basis, grouped_shape, left_comb, right_comb
+from fibanyon.trees import (
+    FusionTree,
+    _n_internal,
+    all_shapes,
+    enumerate_basis,
+    grouped_shape,
+    left_comb,
+    right_comb,
+)
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -55,6 +64,50 @@ def test_fmove_inverse_roundtrip(model):
     move = elementary_fmove(model, left_comb(3), vertex=0, direction="right")
     back = elementary_fmove(model, move.target.shape, vertex=0, direction="left")
     np.testing.assert_allclose(back.matrix @ move.matrix, np.eye(13), atol=1e-12)
+
+
+def _left_loop_fmove(model, shape, vertex):
+    """Reference left move (A (B C)) -> ((A B) C): per source tree, splice in every
+    d in a x b with coefficient conj([F^{abc}_g]_{df})."""
+    source = enumerate_basis(model, shape)
+    target_shape = _rotated_structure(shape, vertex, "left")
+    target = enumerate_basis(model, target_shape)
+    a_node, (b_node, c_node) = shape.internal_nodes[vertex]
+    n_a = _n_internal(a_node)
+    rows, cols, coeffs = [], [], []
+    for src_idx, tree in enumerate(source.trees):
+        ints = tree.internal_charges
+        g, f = ints[vertex], ints[vertex + 1 + n_a]
+        a, b, c = (tree.charge_at(node) for node in (a_node, b_node, c_node))
+        for d in model.fusion_outcomes(a, b):
+            coeff = np.conj(model.f_symbol(a, b, c, g, d, f))
+            if coeff != 0.0:
+                new_ints = (ints[: vertex + 1] + (d,) + ints[vertex + 1 : vertex + 1 + n_a]
+                            + ints[vertex + 2 + n_a :])
+                rows.append(target.index_of(FusionTree(target_shape, tree.leaf_charges, new_ints)))
+                cols.append(src_idx)
+                coeffs.append(coeff)
+    return (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp),
+            np.asarray(coeffs, dtype=complex))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_left_fmove_equals_left_loop_reference(model, n):
+    # the left move is the inverted right move; entries must match the
+    # direct left loop bit for bit, in the same order
+    moves = 0
+    for shape in all_shapes(n):
+        for vertex, node in enumerate(shape.internal_nodes):
+            if isinstance(node[1], int):
+                continue
+            move = elementary_fmove(model, shape, vertex, "left")
+            rows, cols, coeffs = _left_loop_fmove(model, shape, vertex)
+            assert np.array_equal(move.rows, rows)
+            assert np.array_equal(move.cols, cols)
+            assert np.array_equal(move.coeffs, coeffs)
+            assert move.source.shape == shape
+            moves += 1
+    assert moves > 0
 
 
 def test_fmove_requires_internal_child(model):
@@ -95,10 +148,10 @@ def test_change_shape_roundtrip_identity(model):
             np.testing.assert_allclose(back @ fwd, np.eye(34), atol=1e-12)
 
 
-def _dense_route(model, shape, comb):
+def _dense_route(model, shape, via):
     """Reference path: dense product of the moves that take `shape` to the comb."""
     u = np.eye(enumerate_basis(model, shape).dim, dtype=complex)
-    for vertex, direction in _moves_to_comb(shape, comb):
+    for vertex, direction in _moves_to_comb(shape, via):
         step = elementary_fmove(model, shape, vertex, direction)
         u = step.matrix @ u
         shape = step.target.shape
@@ -107,10 +160,9 @@ def _dense_route(model, shape, comb):
 
 @pytest.mark.parametrize("via", ["left", "right"])
 def test_sparse_shape_change_matches_dense_products(model, via):
-    comb = left_comb if via == "left" else right_comb
     for n in range(2, 6):
         shapes = all_shapes(n)
-        routes = {shape: _dense_route(model, shape, comb) for shape in shapes}
+        routes = {shape: _dense_route(model, shape, via) for shape in shapes}
         for src in shapes:
             for tgt in shapes:
                 expected = routes[tgt].conj().T @ routes[src]

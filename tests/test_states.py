@@ -361,6 +361,9 @@ def test_validate_cssr(model, basis2, unequal_marginals_state):
     assert not validate_cssr(full, basis2)
     with pytest.raises(SuperselectionError):
         BlockOperator.from_full(full, basis2)
+    for check in (validate_cssr, BlockOperator.from_full):
+        with pytest.raises(BasisMismatchError, match=r"matrix shape \(3, 3\) != basis dim 5"):
+            check(np.eye(3), basis2)
 
 
 # --- file formats

@@ -19,7 +19,6 @@ from fibanyon.teleport import (
     PROB_TOL,
     SAMPLE_CHUNK,
     diagonal_mixture_fidelity_bound,
-    haar_unitary,
     random_sector_pvm,
     receiver_reachability_check,
     run_protocol,
@@ -244,19 +243,8 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
 
 
 def _old_sector_pvm(basis, rng):
-    """Reference: one Haar unitary per sector, one outer product per column."""
-    out = []
-    for g in basis.model.charges:
-        sl = basis.sector_slice(g)
-        d = basis.sector_dim(g)
-        if d == 0:
-            continue
-        u = haar_unitary(rng, d)
-        for col in range(d):
-            vec = np.zeros(basis.dim, dtype=complex)
-            vec[sl] = u[:, col]
-            out.append(np.outer(vec, vec.conj()))
-    return out
+    """Reference: one outer product per column of the per-sector reference draw."""
+    return [np.outer(col, col.conj()) for col in _reference_columns(basis, rng).T]
 
 
 def test_sector_haar_columns_unitary_and_block_diagonal(model, basis4):
@@ -638,6 +626,24 @@ def test_with_resource_copies_share_layout(model, catalog):
     hits = teleport._cached_layout.cache_info().hits
     SplitState(second, MessageQubit(0.6, 0.8))
     assert teleport._cached_layout.cache_info().hits == hits + 1
+
+
+def test_encodings_share_one_layout(catalog):
+    base = catalog["main-text"]["ab"]
+    other = dataclasses.replace(base, encoding=("e,e;e", "tau,tau;e"))
+    message = MessageQubit(0.6, 0.8j)
+    split = SplitState(base, message)
+    hits = teleport._cached_layout.cache_info().hits
+    other_split = SplitState(other, message)
+    assert teleport._cached_layout.cache_info().hits == hits + 1
+    assert np.array_equal(other_split.coefficients, split.coefficients)
+    for scenario, target in ((base, split.target), (other, other_split.target)):
+        basis = split.receiver_basis
+        expected = np.zeros(basis.dim, dtype=complex)
+        expected[basis.index_of_label(scenario.encoding[0])] = 0.6
+        expected[basis.index_of_label(scenario.encoding[1])] = 0.8j
+        assert np.array_equal(target, expected)
+    assert not np.array_equal(split.target, other_split.target)
 
 
 def test_non_unitary_correction_on_dead_branch_raises(model, catalog):

@@ -79,6 +79,20 @@ def test_enumeration_deterministic(model):
     assert sectors == sorted(sectors, key=("e", "tau").index)
 
 
+def test_sector_mask_matches_per_sector_loop(model):
+    for n in range(1, 6):
+        for shape in all_shapes(n):
+            basis = enumerate_basis(model, shape)
+            expected = np.zeros((basis.dim, basis.dim), dtype=bool)
+            for g in model.charges:
+                sl = basis.sector_slice(g)
+                expected[sl, sl] = True
+            assert np.array_equal(basis.sector_mask, expected)
+            assert basis.sector_mask is basis.sector_mask  # built once
+            with pytest.raises(ValueError):
+                basis.sector_mask[0, 0] = False
+
+
 def test_shape_parse_serialize_roundtrip():
     for text in ["0", "(0 1)", "((0 1) 2)", "((0 1)((2 3)(4 5)))"]:
         assert TreeShape.parse(text).serialize() == text
