@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, require_memory
 from .states import (
     AnyonState,
     Bipartition,
@@ -158,6 +158,9 @@ def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
     or a density :class:`BlockOperator` in the grouped shape of `part`.
     """
     units_a, units_b = _units(part.a_basis), _units(part.b_basis)
+    # the table and its temporaries peak near five complex arrays of its size
+    require_memory(80 * units_a.count * units_b.count,
+                   f"the correlation table of a {part.n_a}|{part.n_b} split")
     # realigned[(a, a'), (b, b')] = sum_g rho_g[(a, b), (a', b')] on each block (g, x, y)
     realigned = np.zeros((units_a.count, units_b.count), dtype=complex)
     if isinstance(state_or_rho, AnyonState):

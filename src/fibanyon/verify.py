@@ -19,7 +19,7 @@ from .correlations import (
     random_pure_2anyon,
     violation_table,
 )
-from .errors import fibonacci_only
+from .errors import FibonacciOnlyError, fibonacci_only
 from .model import AnyonModel, fibonacci_model, validate_model
 from .recouple import shape_change
 from .states import (
@@ -65,6 +65,7 @@ class Check:
 class SuiteResult:
     name: str
     checks: list[Check] = field(default_factory=list)
+    skipped: str | None = None  # why a suite did not run on this model; no checks then
 
     def add(self, label: str, ok, residual: float = 0.0):
         self.checks.append(Check(label, bool(ok), float(residual)))
@@ -471,14 +472,24 @@ def run_suites(
     seed: int = 42,
     quick: bool = False,
 ) -> list[SuiteResult]:
-    """Run the named suites (all by default).  `quick` shrinks sample counts."""
+    """Run the named suites (all by default).  `quick` shrinks sample counts.
+
+    In a run of all suites, a Fibonacci-only suite on another model is
+    returned as skipped; a suite named explicitly raises instead.
+    """
     model = model or fibonacci_model()
-    names = list(SUITES) if names is None else list(names)
+    run_all = names is None
+    names = list(SUITES) if run_all else list(names)
     results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
         suite, seeded, full, reduced = SUITES[name]
         kwargs = reduced if quick else full
-        results.append(suite(model, seed=seed, **kwargs) if seeded else suite(model, **kwargs))
+        try:
+            results.append(suite(model, seed=seed, **kwargs) if seeded else suite(model, **kwargs))
+        except FibonacciOnlyError as exc:
+            if not run_all:
+                raise
+            results.append(SuiteResult(name, skipped=str(exc)))
     return results
