@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .correlations import is_uncorrelated
-from .errors import AnyonError, ModelFormatError
+from .errors import AnyonError, ModelFormatError, ShapeError
 from .model import AnyonModel, fibonacci_model, load_model_text, validate_model
 from .recouple import change_shape
 from .states import (
@@ -59,15 +59,14 @@ def _load_model(spec: str, validate: bool) -> AnyonModel:
 
 
 def _parse_amplitude(text: str) -> complex:
-    """Accept '0.6', '0.6,0.8' (re,im) or '0.8@1.57' (polar r@theta)."""
+    """Accept '0.6', '0.6,0.8' (re,im) or '0.8@1.57' (polar r@theta); finite only."""
     text = text.strip()
-    if "@" in text:
-        mag, _, angle = text.partition("@")
-        return cmath.rect(float(mag), float(angle))
-    if "," in text:
-        re_s, _, im_s = text.partition(",")
-        return complex(float(re_s), float(im_s))
-    return complex(float(text))
+    polar = "@" in text
+    head, sep, tail = text.partition("@" if polar else ",")
+    parts = (float(head), float(tail) if sep else 0.0)
+    if not all(map(math.isfinite, parts)):
+        raise UsageError(f"amplitude {text!r} is not finite")
+    return cmath.rect(*parts) if polar else complex(*parts)
 
 
 def _output(args):
@@ -209,6 +208,8 @@ def _load_split_state(args, model: AnyonModel):
     except AnyonError as exc:
         raise type(exc)(f"state file {args.state}: {exc}") from None
     n = state.basis.shape.n_leaves
+    if n < 2:
+        raise ShapeError(f"state file {args.state}: a split needs at least two anyons, not {n}")
     split = args.split if args.split is not None else n // 2
     if not 1 <= split < n:
         raise UsageError(f"--split must be between 1 and {n - 1}")
@@ -473,6 +474,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 <= args.tol < math.inf:
+            raise UsageError("--tol must be a finite number >= 0")
         model = _load_model(args.model, validate=args.command != "verify")
         return args.func(args, model)
     except UsageError as exc:

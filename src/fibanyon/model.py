@@ -95,6 +95,31 @@ class AnyonModel:
         except KeyError:
             raise FusionError(f"R symbol undefined: {a} x {b} -> {c}") from None
 
+    # The same data as read-only arrays over charge indices, zero off the fusion rules.
+
+    @functools.cached_property
+    def fusion_array(self) -> np.ndarray:
+        """N[a, b, c]: True iff c is an outcome of a x b."""
+        triples = {(a, b, c): True for (a, b), out in self.fusion.items() for c in out}
+        return self._dense(triples, 3, bool)
+
+    @functools.cached_property
+    def f_array(self) -> np.ndarray:
+        """F[a, b, c, g, d, f] = [F^{abc}_g]_{df}."""
+        return self._dense(self.f_symbols, 6, complex)
+
+    @functools.cached_property
+    def r_array(self) -> np.ndarray:
+        """R[a, b, c] = R^{ab}_c."""
+        return self._dense(self.r_symbols, 3, complex)
+
+    def _dense(self, symbols: dict, rank: int, dtype) -> np.ndarray:
+        out = np.zeros((len(self.charges),) * rank, dtype=dtype)
+        for key, val in symbols.items():
+            out[tuple(map(self.charge_index, key))] = val
+        out.setflags(write=False)
+        return out
+
 
 def _consistent_f_keys(charges, fusion_outcomes, can_fuse):
     for a, b, c, g in product(charges, repeat=4):
@@ -214,9 +239,7 @@ def fibonacci_model() -> AnyonModel:
 
 def quantum_dimension(model: AnyonModel, a: Charge) -> float:
     """d_a: the Perron-Frobenius eigenvalue of a's fusion matrix N_a[b, c] = N_ab^c."""
-    fusion_matrix = np.array(
-        [[model.can_fuse(a, b, c) for c in model.charges] for b in model.charges], dtype=float
-    )
+    fusion_matrix = model.fusion_array[model.charge_index(a)].astype(float)
     return float(np.max(np.abs(np.linalg.eigvals(fusion_matrix))))
 
 
@@ -283,19 +306,12 @@ def pentagon_residual(model: AnyonModel) -> float:
         F[f,c,d; e]_{g,l} F[a,b,l; e]_{f,k}
             = sum_h F[a,b,c; g]_{f,h} F[a,h,d; e]_{g,k} F[b,c,d; k]_{h,l}
 
-    The alphabet is tiny, so brute force over all 9-tuples is fine.
+    The alphabet is tiny, so both sides are dense arrays over all 9-tuples.
     """
-    F = model.f_symbol
-    worst = 0.0
-    for a, b, c, d, e in product(model.charges, repeat=5):
-        for f, g, k, l in product(model.charges, repeat=4):
-            lhs = F(f, c, d, e, g, l) * F(a, b, l, e, f, k)
-            rhs = sum(
-                F(a, b, c, g, f, h) * F(a, h, d, e, g, k) * F(b, c, d, k, h, l)
-                for h in model.charges
-            )
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    F = model.f_array
+    lhs = np.einsum("fcdegl,ablefk->abcdefgkl", F, F)
+    rhs = np.einsum("abcgfh,ahdegk,bcdkhl->abcdefgkl", F, F, F)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def hexagon_residual(model: AnyonModel) -> float:
@@ -311,16 +327,13 @@ def hexagon_residual(model: AnyonModel) -> float:
     (2006); Bonderson, PhD thesis, Caltech (2007)).  Entries outside the
     fusion rules are zero.
     """
-    F = model.f_symbol
-    counterclockwise = model.r_symbols
-    clockwise = {(b, a, c): val.conjugate() for (a, b, c), val in model.r_symbols.items()}
+    F = model.f_array
     worst = 0.0
-    for R in (counterclockwise, clockwise):
-        for a, b, c, d, e, g in product(model.charges, repeat=6):
-            lhs = R.get((c, a, e), 0.0) * F(a, c, b, d, e, g) * R.get((c, b, g), 0.0)
-            rhs = sum(F(c, a, b, d, e, f) * R.get((c, f, d), 0.0) * F(a, b, c, d, f, g)
-                      for f in model.charges)
-            worst = max(worst, abs(lhs - rhs))
+    # counterclockwise, then clockwise (R[x, y; z] -> conj(R[y, x; z]))
+    for R in (model.r_array, model.r_array.transpose(1, 0, 2).conj()):
+        lhs = np.einsum("cae,acbdeg,cbg->abcdeg", R, F, R)
+        rhs = np.einsum("cabdef,cfd,abcdfg->abcdeg", F, R, F)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 

@@ -28,14 +28,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import AnyonModel
-from .states import AnyonState
-from .trees import (
-    FusionTree,
-    SectorBasis,
-    TreeShape,
-    _n_internal,
-    enumerate_basis,
-)
+from .states import AnyonState, rounded_product
+from .trees import SectorBasis, TreeShape, enumerate_basis
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,32 +150,19 @@ def elementary_fmove(
     source = enumerate_basis(model, shape)
     target = enumerate_basis(model, target_shape)
 
-    # Internal charges in preorder around the vertex v:
-    #   [.. prefix, g@v, d@(A B), A.., B.., C.., suffix ..]
-    #   -> [.. prefix, g@v, A.., f@(B C), B.., C.., suffix ..]
-    # so the move splices one entry; everything else is positional.
-    (a_node, b_node), c_node = shape.internal_nodes[vertex]
-    cut = vertex + 2 + _n_internal(a_node)  # just past the charges inside A
-
-    rows: list[int] = []
-    cols: list[int] = []
-    coeffs: list[complex] = []
-    for src_idx, tree in enumerate(source.trees):
-        ints = tree.internal_charges
-        g, d = ints[vertex], ints[vertex + 1]
-        a = tree.charge_at(a_node)
-        b = tree.charge_at(b_node)
-        c = tree.charge_at(c_node)
-        head, tail = ints[: vertex + 1] + ints[vertex + 2 : cut], ints[cut:]
-        for f in model.fusion_outcomes(b, c):
-            coeff = model.f_symbol(a, b, c, g, d, f)
-            if coeff != 0.0:
-                rows.append(target.index_of(FusionTree(target_shape, tree.leaf_charges,
-                                                       head + (f,) + tail)))
-                cols.append(src_idx)
-                coeffs.append(coeff)
-    return BasisChange(source, target, np.asarray(rows, dtype=np.intp),
-                       np.asarray(cols, dtype=np.intp), np.asarray(coeffs, dtype=complex))
+    # The move rewrites the vertex's columns [g, d, A.., B.., C..] as
+    # [g, A.., f, B.., C..]; every other column carries through.
+    (a_node, b_node), c_node = node = shape.internal_nodes[vertex]
+    g, d, a, b, c = (source.charges[:, shape.span(x).start]
+                     for x in (node, node[0], a_node, b_node, c_node))
+    coeffs = model.f_array[a, b, c, g, d]
+    cols, f = np.nonzero(coeffs)  # by source index, then f in charge order
+    moved = source.charges[cols]
+    target_rows = moved.copy()
+    for x in (a_node, b_node, c_node):
+        target_rows[:, target_shape.span(x)] = moved[:, shape.span(x)]
+    target_rows[:, target_shape.span((b_node, c_node)).start] = f
+    return BasisChange(source, target, target.index_of_rows(target_rows), cols, coeffs[cols, f])
 
 
 def _moves_to_comb(shape: TreeShape, via: str) -> list[tuple[int, str]]:
@@ -253,25 +234,20 @@ def braid_adjacent(model: AnyonModel, state, leaf_pair: tuple[int, int], directi
     if j != i + 1:
         raise ShapeError("braid_adjacent exchanges a pair of neighbouring leaves (i, i+1)")
     shape = state.basis.shape
-    try:
-        vertex = shape.internal_nodes.index((i, j))
-    except ValueError:
+    if (i, j) not in shape.internal_nodes:
         raise ShapeError(
             f"leaves {i},{j} do not meet at a vertex of {shape}; apply change_shape first"
-        ) from None
+        )
     if direction not in ("ccw", "cw"):
         raise ShapeError(f"direction must be 'ccw' or 'cw', got {direction!r}")
 
     basis = state.basis
+    nz = np.flatnonzero(state.amplitudes)
+    rows = basis.charges[nz]
+    x_col, y_col, c_col = (shape.span(node).start for node in (i, j, (i, j)))
+    x, y, c = rows[:, x_col], rows[:, y_col], rows[:, c_col]
+    phase = model.r_array[x, y, c] if direction == "ccw" else model.r_array[y, x, c].conj()
+    rows[:, [x_col, y_col]] = rows[:, [y_col, x_col]]
     out = np.zeros_like(state.amplitudes)
-    for idx, amp in enumerate(state.amplitudes):
-        if amp == 0.0:
-            continue
-        tree = basis.tree_at(idx)
-        x, y = tree.leaf_charges[i], tree.leaf_charges[j]
-        c = tree.internal_charges[vertex]
-        phase = model.r_symbol(x, y, c) if direction == "ccw" else np.conj(model.r_symbol(y, x, c))
-        leaves = list(tree.leaf_charges)
-        leaves[i], leaves[j] = y, x
-        out[basis.index_of(FusionTree(shape, tuple(leaves), tree.internal_charges))] += phase * amp
+    out[basis.index_of_rows(rows)] += rounded_product(phase, state.amplitudes[nz])
     return AnyonState(basis, out)

@@ -35,6 +35,7 @@ each of them.  No dense joint-basis matrix is formed.
 
 from __future__ import annotations
 
+import cmath
 import functools
 
 import numpy as np
@@ -51,7 +52,6 @@ from .trees import (
     FusionTree,
     SectorBasis,
     TreeShape,
-    _leaves,
     enumerate_basis,
     parse_tree_label,
     subtree_shape,
@@ -123,6 +123,16 @@ def _resolve_index(basis: SectorBasis, tree_or_label) -> int:
     if isinstance(tree_or_label, FusionTree):
         return basis.index_of(tree_or_label)
     return basis.index_of_label(str(tree_or_label))
+
+
+def rounded_product(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Elementwise complex ``lhs * rhs``, rounded like a scalar complex product:
+    numpy's vectorized complex multiply may fuse multiply-adds, which moves
+    the last bit."""
+    out = np.empty(np.broadcast(lhs, rhs).shape, dtype=complex)
+    out.real = lhs.real * rhs.real - lhs.imag * rhs.imag
+    out.imag = lhs.real * rhs.imag + lhs.imag * rhs.real
+    return out
 
 
 def _require_same_basis(a: SectorBasis, b: SectorBasis):
@@ -376,34 +386,21 @@ class Bipartition:
         if isinstance(struct, int):
             raise ShapeError("cannot bipartition a single anyon")
         left_node, right_node = struct
-        n_left = len(_leaves(left_node))
-        if n_left != n_a:
+        a_shape, b_shape = subtree_shape(left_node), subtree_shape(right_node)
+        if a_shape.n_leaves != n_a:
             raise ShapeError(
-                f"shape {basis.shape} splits {n_left}|{basis.shape.n_leaves - n_left} at the "
+                f"shape {basis.shape} splits {a_shape.n_leaves}|{b_shape.n_leaves} at the "
                 f"root, not {n_a}|{basis.shape.n_leaves - n_a}; use change_shape to regroup"
             )
         self.basis = basis
         self.n_a = n_a
-        self.n_b = basis.shape.n_leaves - n_a
+        self.n_b = b_shape.n_leaves
         model = basis.model
-        self.a_basis = enumerate_basis(model, subtree_shape(left_node))
-        self.b_basis = enumerate_basis(model, subtree_shape(right_node))
-
-        n_int_a = self.a_basis.shape.n_internal
-        a_idx = np.empty(basis.dim, dtype=np.intp)
-        b_idx = np.empty(basis.dim, dtype=np.intp)
-        for i, tree in enumerate(basis.trees):
-            ints = tree.internal_charges
-            a_tree = FusionTree(
-                self.a_basis.shape, tree.leaf_charges[:n_a], ints[1 : 1 + n_int_a]
-            )
-            b_tree = FusionTree(
-                self.b_basis.shape, tree.leaf_charges[n_a:], ints[1 + n_int_a :]
-            )
-            a_idx[i] = self.a_basis.index_of(a_tree)
-            b_idx[i] = self.b_basis.index_of(b_tree)
-        self.a_index = a_idx
-        self.b_index = b_idx
+        self.a_basis = enumerate_basis(model, a_shape)
+        self.b_basis = enumerate_basis(model, b_shape)
+        # each party's subtree is a run of joint-table columns, laid out as its own table
+        self.a_index = self.a_basis.index_of_rows(basis.charges[:, basis.shape.span(left_node)])
+        self.b_index = self.b_basis.index_of_rows(basis.charges[:, basis.shape.span(right_node)])
 
         self._tables: dict[Charge, np.ndarray] = {}
         self.blocks: list[tuple[Charge, Charge, Charge, np.ndarray]] = []
@@ -412,7 +409,7 @@ class Bipartition:
             if sector.stop == sector.start:
                 continue
             table = np.full((self.a_basis.dim, self.b_basis.dim), -1, dtype=np.intp)
-            table[a_idx[sector], b_idx[sector]] = np.arange(sector.start, sector.stop)
+            table[self.a_index[sector], self.b_index[sector]] = np.arange(sector.start, sector.stop)
             table.setflags(write=False)
             self._tables[g] = table
             for x in model.charges:
@@ -615,9 +612,12 @@ def _parse_entry_file(text: str):
             label_part, value_part = line.rsplit(":", 1)
             re_s, im_s = value_part.split()
             labels = [seg.strip() for seg in label_part.split("|")]
-            entries.append((labels, complex(float(re_s), float(im_s))))
+            value = complex(float(re_s), float(im_s))
         except ValueError:
             raise ModelFormatError(f"line {lineno}: cannot parse entry {line!r}") from None
+        if not cmath.isfinite(value):
+            raise ModelFormatError(f"line {lineno}: amplitude is not finite in {line!r}")
+        entries.append((labels, value))
     if shape is None:
         raise ModelFormatError("missing 'shape:' header")
     return shape, entries

@@ -66,6 +66,7 @@ from .states import (
     ket,
     partial_trace,
     pure_density,
+    rounded_product,
     superpose,
     validate_cssr,
 )
@@ -95,7 +96,7 @@ class MessageQubit:
     beta: complex
 
     def __post_init__(self):
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > 1e-10:
+        if not abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) <= 1e-10:  # NaN fails
             raise ValueError("message amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
 
     def as_state(self, model: AnyonModel) -> AnyonState:
@@ -142,12 +143,8 @@ def _joined(table: np.ndarray, dim: int, left: np.ndarray, right: np.ndarray) ->
         raise ValueError("cannot join a zero state")
     if np.any(index < 0):
         raise FusionError("the channel is not a fusion outcome of the two factors' charges")
-    lhs, rhs = left[l_nz, None], right[None, r_nz]
     amplitudes = np.zeros(dim, dtype=complex)
-    # Rounded like a scalar complex product: numpy's vectorized complex
-    # multiply may fuse multiply-adds, which moves the last bit.
-    amplitudes.real[index] = lhs.real * rhs.real - lhs.imag * rhs.imag
-    amplitudes.imag[index] = lhs.real * rhs.imag + lhs.imag * rhs.real
+    amplitudes[index] = rounded_product(left[l_nz, None], right[None, r_nz])
     return amplitudes
 
 

@@ -33,10 +33,6 @@ def _leaves(node) -> list[int]:
     return _leaves(node[0]) + _leaves(node[1])
 
 
-def _n_internal(node) -> int:
-    return 0 if isinstance(node, int) else 1 + _n_internal(node[0]) + _n_internal(node[1])
-
-
 @dataclass(frozen=True)
 class TreeShape:
     """A full binary coupling tree over leaves 0..N-1 in physical order."""
@@ -57,19 +53,34 @@ class TreeShape:
         return self.n_leaves - 1 if self.n_leaves > 1 else 0
 
     @functools.cached_property
+    def _spans(self) -> dict:
+        """Each node's charge-table columns (see :class:`SectorBasis`), keyed in
+        preorder: a subtree of k leaves is the run of its 2k - 1 nodes."""
+        spans = {}
+
+        def walk(node, start: int):
+            spans[node] = slice(start, start + 2 * len(_leaves(node)) - 1)
+            if not isinstance(node, int):
+                walk(node[0], start + 1)
+                walk(node[1], spans[node[0]].stop)
+
+        walk(self.structure, 0)
+        return spans
+
+    @functools.cached_property
     def internal_nodes(self) -> tuple:
         """Internal nodes in depth-first preorder (root first)."""
-        out = []
+        return tuple(node for node in self._spans if not isinstance(node, int))
 
-        def walk(node):
-            if isinstance(node, int):
-                return
-            out.append(node)
-            walk(node[0])
-            walk(node[1])
+    def span(self, node) -> slice:
+        """The charge-table columns of the subtree at `node`."""
+        return self._spans[node]
 
-        walk(self.structure)
-        return tuple(out)
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Charge-table columns of the leaves and of the internal nodes (preorder)."""
+        return (np.array([self.span(i).start for i in range(self.n_leaves)], dtype=np.intp),
+                np.array([self.span(v).start for v in self.internal_nodes], dtype=np.intp))
 
     def serialize(self) -> str:
         """Canonical form, e.g. ``((0 1)((2 3)(4 5)))``."""
@@ -165,8 +176,8 @@ class FusionTree:
 
     ``internal_charges`` follows the shape's depth-first preorder, so the
     first entry (when N > 1) is the root label == the global charge.
-    Construction does not validate fusion consistency; use
-    :meth:`is_consistent` or go through :func:`enumerate_basis`.
+    Construction does not validate fusion consistency; a basis's
+    :meth:`SectorBasis.index_of` does.
     """
 
     shape: TreeShape
@@ -184,20 +195,6 @@ class FusionTree:
         if self.shape.n_leaves == 1:
             return self.leaf_charges[0]
         return self.internal_charges[0]
-
-    def charge_at(self, node) -> Charge:
-        """Charge carried by a node of the shape (leaf or internal)."""
-        if isinstance(node, int):
-            return self.leaf_charges[node]
-        return self.internal_charges[self.shape.internal_nodes.index(node)]
-
-    def is_consistent(self, model: AnyonModel) -> bool:
-        for node in self.shape.internal_nodes:
-            if not model.can_fuse(
-                self.charge_at(node[0]), self.charge_at(node[1]), self.charge_at(node)
-            ):
-                return False
-        return True
 
     def label(self) -> str:
         """Render as e.g. ``(tau,e),(e,tau);tau,tau;e``."""
@@ -246,18 +243,14 @@ def parse_tree_label(shape: TreeShape, text: str) -> FusionTree:
     return FusionTree(shape, leaf_charges, internal)
 
 
-def _enumerate_labelings(model: AnyonModel, node):
-    """All (root charge, leaf charges, preorder internal charges) of a subtree."""
+def _labelings(fusion: np.ndarray, node) -> np.ndarray:
+    """Every consistent labeling of a subtree: int8 charge indices, one row per
+    labeling, one column per node in preorder (root first)."""
     if isinstance(node, int):
-        return [(c, (c,), ()) for c in model.charges]
-    left = _enumerate_labelings(model, node[0])
-    right = _enumerate_labelings(model, node[1])
-    out = []
-    for cl, ll, il in left:
-        for cr, lr, ir in right:
-            for root in model.fusion_outcomes(cl, cr):
-                out.append((root, ll + lr, (root,) + il + ir))
-    return out
+        return np.arange(len(fusion), dtype=np.int8)[:, None]
+    left, right = _labelings(fusion, node[0]), _labelings(fusion, node[1])
+    i, j, root = np.nonzero(fusion[left[:, :1], right[:, 0]])
+    return np.concatenate([root.astype(np.int8)[:, None], left[i], right[j]], axis=1)
 
 
 class SectorBasis:
@@ -267,44 +260,37 @@ class SectorBasis:
     Fibonacci); within a sector trees sort lexicographically by
     (leaf charges, internal charges).  Flat indices run over sectors in
     that order, so every sector occupies a contiguous slice.
+
+    The basis is one read-only int8 table, :attr:`charges`: a row of charge
+    indices per tree, a column per shape node in preorder, root first, so
+    every subtree is a run of columns (:meth:`TreeShape.span`).  Read as a
+    mixed-radix number over (global charge, leaves, other internals), a
+    row increases with its index, so :meth:`index_of_rows` is one
+    ``searchsorted``.  Trees and labels are built on demand, for I/O.
     """
 
     def __init__(self, model: AnyonModel, shape: TreeShape):
         self.model = model
         self.shape = shape
-        order = {c: i for i, c in enumerate(model.charges)}
-
-        def sort_key(entry):
-            _, leaf_charges, internals = entry
-            return tuple(order[c] for c in leaf_charges) + tuple(order[c] for c in internals)
-
-        by_sector: dict[Charge, list[FusionTree]] = {c: [] for c in model.charges}
-        for root, leaf_charges, internals in _enumerate_labelings(model, shape.structure):
-            by_sector[root].append((root, leaf_charges, internals))
-        self.sectors: dict[Charge, tuple[FusionTree, ...]] = {}
-        trees: list[FusionTree] = []
-        for charge in model.charges:
-            entries = sorted(by_sector[charge], key=sort_key)
-            sector_trees = tuple(
-                FusionTree(shape, leaf_charges, internals)
-                for _, leaf_charges, internals in entries
-            )
-            self.sectors[charge] = sector_trees
-            trees.extend(sector_trees)
-        self.trees: tuple[FusionTree, ...] = tuple(trees)
-        self.dim = len(trees)
-        self._index = {t: i for i, t in enumerate(trees)}
-        self._slices: dict[Charge, slice] = {}
-        start = 0
-        for charge in model.charges:
-            stop = start + len(self.sectors[charge])
-            self._slices[charge] = slice(start, stop)
-            start = stop
+        leaf_cols, internal_cols = shape.columns
+        self._key_cols = np.concatenate([internal_cols[:1], leaf_cols, internal_cols[1:]])
+        radix = len(model.charges)
+        if radix > 127 or radix ** len(self._key_cols) > np.iinfo(np.int64).max:
+            raise ShapeError(f"shape {shape} over {radix} charges is too large to index")
+        self._weights = radix ** np.arange(len(self._key_cols) - 1, -1, -1, dtype=np.int64)
+        table = _labelings(model.fusion_array, shape.structure)
+        keys = table[:, self._key_cols] @ self._weights
+        order = np.argsort(keys)
+        self.charges = table[order]
+        self.charges.setflags(write=False)
+        self._keys = keys[order]
+        self.dim = len(table)
+        bounds = np.searchsorted(self.charges[:, 0], np.arange(radix + 1)).tolist()
+        self._slices = {c: slice(bounds[k], bounds[k + 1]) for k, c in enumerate(model.charges)}
 
     def sector_dim(self, g: Charge) -> int:
-        if g not in self.sectors:
-            raise FusionError(f"unknown charge {g!r}")
-        return len(self.sectors[g])
+        sl = self.sector_slice(g)
+        return sl.stop - sl.start
 
     def sector_slice(self, g: Charge) -> slice:
         if g not in self._slices:
@@ -314,28 +300,52 @@ class SectorBasis:
     @functools.cached_property
     def sector_mask(self) -> np.ndarray:
         """Read-only dim x dim mask: True where row and column share a global charge."""
-        mask = np.zeros((self.dim, self.dim), dtype=bool)
-        for sl in self._slices.values():
-            mask[sl, sl] = True
+        mask = self.charges[:, :1] == self.charges[:, 0]
         mask.setflags(write=False)
         return mask
 
     def sector_of(self, index: int) -> Charge:
-        return self.trees[index].global_charge
+        return self.model.charges[self.charges[index, 0]]
+
+    def index_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of the trees given as charge-table rows (the last axis);
+        raises FusionError if a row is not a tree of this basis."""
+        keys = rows[..., self._key_cols] @ self._weights
+        index = np.searchsorted(self._keys, keys)
+        if not np.array_equal(self._keys[np.minimum(index, self.dim - 1)], keys):
+            raise FusionError(f"charge rows are not trees of {self!r}")
+        return index
 
     def index_of(self, tree: FusionTree) -> int:
-        try:
-            return self._index[tree]
-        except KeyError:
-            pass
+        if tree in self._tree_index:
+            return self._tree_index[tree]
         if tree.shape != self.shape:
             raise ShapeError("tree shape does not match basis shape")
-        if not tree.is_consistent(self.model):
-            raise FusionError(f"tree {tree.label()!r} is not fusion-consistent")
-        raise FusionError(f"tree {tree.label()!r} not in basis")  # unknown charge labels
+        for c in tree.leaf_charges + tree.internal_charges:
+            self.model.charge_index(c)  # an unknown charge raises here
+        raise FusionError(f"tree {tree.label()!r} is not fusion-consistent")
 
     def tree_at(self, index: int) -> FusionTree:
         return self.trees[index]
+
+    @functools.cached_property
+    def trees(self) -> tuple[FusionTree, ...]:
+        """Every tree in index order, built on first use."""
+        names = np.array(self.model.charges, dtype=object)
+        leaf_cols, internal_cols = self.shape.columns
+        return tuple(
+            FusionTree(self.shape, tuple(leaves), tuple(internals))
+            for leaves, internals in zip(names[self.charges[:, leaf_cols]].tolist(),
+                                         names[self.charges[:, internal_cols]].tolist())
+        )
+
+    @functools.cached_property
+    def _tree_index(self) -> dict[FusionTree, int]:
+        return {tree: i for i, tree in enumerate(self.trees)}
+
+    @functools.cached_property
+    def sectors(self) -> dict[Charge, tuple[FusionTree, ...]]:
+        return {g: self.trees[sl] for g, sl in self._slices.items()}
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:

@@ -154,6 +154,39 @@ def test_teleport_empty_sweep_usage_error(samples):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("teleport", "--scenario", "main-text", "--direction", "ab", "--alpha", "nan"),
+    ("teleport", "--scenario", "main-text", "--direction", "ba", "--alpha", "inf"),
+    ("teleport", "--scenario", "main-text", "--direction", "ab", "--beta", "1@inf"),
+    ("marginals", "--state", STATE_FILE, "--tol", "nan"),
+    ("marginals", "--state", STATE_FILE, "--tol", "-1"),
+    ("correlations", "--state", STATE_FILE, "--tol", "inf"),
+], ids=["alpha-nan", "alpha-inf-ba", "beta-polar-inf", "tol-nan", "tol-negative", "tol-inf"])
+def test_non_finite_or_negative_numbers_are_usage_errors(capsys, argv):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_non_finite_amplitude_in_state_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "inf.state"
+    path.write_text("shape: (0 1)\ne,tau;tau : inf 0.0\n", encoding="utf-8")
+    code, out = run_cli("marginals", "--state", str(path), "--format", "json")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: state file {path}: line 2: amplitude is not finite in 'e,tau;tau : inf 0.0'\n")
+
+
+@pytest.mark.parametrize("command", ["marginals", "correlations"])
+def test_one_anyon_state_file_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "one.state"
+    path.write_text("shape: 0\ntau : 1.0 0.0\n", encoding="utf-8")
+    code, out = run_cli(command, "--state", str(path))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: state file {path}: a split needs at least two anyons, not 1\n")
+
+
 def test_verify_quick_passes():
     code, out = run_cli("verify", "--quick")
     assert code == 0

@@ -37,7 +37,14 @@ from fibanyon.states import (
     trace,
     validate_cssr,
 )
-from fibanyon.trees import FusionTree, enumerate_basis, grouped_shape, left_comb
+from fibanyon.trees import (
+    FusionTree,
+    all_shapes,
+    enumerate_basis,
+    grouped_shape,
+    left_comb,
+    subtree_shape,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -168,6 +175,30 @@ def _families(part, traced):
         members.append(i)
         kept_members.append(kept_basis.index_of(kept))
     return [(np.array(m), np.array(k)) for _, (m, k) in sorted(families.items())]
+
+
+def _index_loop(part):
+    """Reference a_index / b_index: one FusionTree pair per joint tree."""
+    n_a, n_int_a = part.n_a, part.a_basis.shape.n_internal
+    a_idx = np.empty(part.basis.dim, dtype=np.intp)
+    b_idx = np.empty(part.basis.dim, dtype=np.intp)
+    for i, tree in enumerate(part.basis.trees):
+        ints = tree.internal_charges
+        a_tree = FusionTree(part.a_basis.shape, tree.leaf_charges[:n_a], ints[1 : 1 + n_int_a])
+        b_tree = FusionTree(part.b_basis.shape, tree.leaf_charges[n_a:], ints[1 + n_int_a :])
+        a_idx[i] = part.a_basis.index_of(a_tree)
+        b_idx[i] = part.b_basis.index_of(b_tree)
+    return a_idx, b_idx
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_bipartition_indices_equal_per_tree_reference(model, n):
+    for shape in all_shapes(n):
+        part = bipartition(enumerate_basis(model, shape),
+                           subtree_shape(shape.structure[0]).n_leaves)
+        a_idx, b_idx = _index_loop(part)
+        assert part.a_index.dtype == a_idx.dtype and np.array_equal(part.a_index, a_idx)
+        assert part.b_index.dtype == b_idx.dtype and np.array_equal(part.b_index, b_idx)
 
 
 def _dense_embed(op, part, side):
@@ -387,6 +418,14 @@ def test_operator_file_roundtrip(model, basis4, rng):
     op = random_density(basis4, rng)
     back = parse_operator_text(model, format_operator_text(op))
     np.testing.assert_array_equal(back.to_full(), op.to_full())
+
+
+@pytest.mark.parametrize("value", ["inf 0.0", "0.5 nan", "-inf -inf"])
+def test_entry_files_reject_non_finite_values(model, value):
+    with pytest.raises(ModelFormatError, match=r"^line 3: amplitude is not finite in "):
+        parse_state_text(model, f"shape: (0 1)\ne,tau;tau : 0.6 0.0\ntau,tau;tau : {value}")
+    with pytest.raises(ModelFormatError, match=r"^line 2: amplitude is not finite in "):
+        parse_operator_text(model, f"shape: (0 1)\ne,e;e | e,e;e : {value}")
 
 
 def test_state_file_rejects_malformed(model):

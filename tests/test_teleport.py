@@ -457,8 +457,9 @@ def test_resource_marginals_match_catalog_claims(model, catalog):
 
 
 def test_message_qubit_validation():
-    with pytest.raises(ValueError):
-        MessageQubit(1.0, 1.0)
+    for alpha in (1.0, math.nan, complex(0.6, math.nan)):
+        with pytest.raises(ValueError):
+            MessageQubit(alpha, 0.8)
     msg = MessageQubit(0.6, 0.8)
     assert msg.alpha == 0.6
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from fibanyon.errors import FusionError, ShapeError
+from fibanyon.model import load_model_text
 from fibanyon.trees import (
     FusionTree,
+    SectorBasis,
     TreeShape,
     all_shapes,
     enumerate_basis,
@@ -173,3 +177,47 @@ def test_canonical_labels_resolve_without_parsing(monkeypatch, model, basis2, ba
     with pytest.raises(ShapeError, match=r"^label 'e;e' has 1 leaves, shape has 2$"):
         basis2.index_of_label("e;e")
     assert AnyonState(basis2, np.eye(5)[0]).amplitude("e,e;e") == 1.0
+
+
+def _enumerate_labelings(model, node):
+    """Reference enumeration: all (root charge, leaf charges, preorder internal
+    charges) of a subtree, by recursion over Python tuples."""
+    if isinstance(node, int):
+        return [(c, (c,), ()) for c in model.charges]
+    left = _enumerate_labelings(model, node[0])
+    right = _enumerate_labelings(model, node[1])
+    out = []
+    for cl, ll, il in left:
+        for cr, lr, ir in right:
+            for root in model.fusion_outcomes(cl, cr):
+                out.append((root, ll + lr, (root,) + il + ir))
+    return out
+
+
+def _reference_trees(model, shape):
+    """Reference basis order: by sector, then leaf charges, then internal charges,
+    each in the model's charge order."""
+    order = {c: i for i, c in enumerate(model.charges)}
+
+    def sort_key(entry):
+        root, leaf_charges, internals = entry
+        return ((order[root],) + tuple(order[c] for c in leaf_charges)
+                + tuple(order[c] for c in internals))
+
+    entries = sorted(_enumerate_labelings(model, shape.structure), key=sort_key)
+    return tuple(FusionTree(shape, leaf_charges, internals) for _, leaf_charges, internals in entries)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_basis_equals_per_tree_reference(model, n):
+    z2 = load_model_text((Path(__file__).parent / "data" / "z2.model").read_text(), name="z2")
+    for m in (model, z2):
+        for shape in all_shapes(n):
+            basis = SectorBasis(m, shape)
+            expected = _reference_trees(m, shape)
+            assert basis.trees == expected
+            assert basis.labels == tuple(tree.label() for tree in expected)
+            for g in m.charges:
+                assert basis.sectors[g] == tuple(t for t in expected if t.global_charge == g)
+            assert [basis.index_of(tree) for tree in expected] == list(range(basis.dim))
+            assert not basis.charges.flags.writeable
