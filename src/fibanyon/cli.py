@@ -58,15 +58,18 @@ def _load_model(spec: str, validate: bool) -> AnyonModel:
     return model
 
 
-def _parse_amplitude(text: str) -> complex:
+def _parse_amplitude(flag: str, text: str) -> complex:
     """Accept '0.6', '0.6,0.8' (re,im) or '0.8@1.57' (polar r@theta); finite only."""
     text = text.strip()
     polar = "@" in text
     head, sep, tail = text.partition("@" if polar else ",")
-    parts = (float(head), float(tail) if sep else 0.0)
-    if not all(map(math.isfinite, parts)):
-        raise UsageError(f"amplitude {text!r} is not finite")
-    return cmath.rect(*parts) if polar else complex(*parts)
+    try:
+        parts = (float(head), float(tail) if sep else 0.0)
+        if all(map(math.isfinite, parts)):
+            return cmath.rect(*parts) if polar else complex(*parts)
+    except ValueError:
+        pass
+    raise UsageError(f"{flag} {text!r} is not a finite 're', 're,im' or 'r@theta'")
 
 
 def _output(args):
@@ -165,16 +168,16 @@ def cmd_basis(args, model: AnyonModel) -> int:
             "dim": basis.dim,
             "sector_dims": {g: basis.sector_dim(g) for g in model.charges},
             "trees": [
-                {"index": i, "sector": t.global_charge, "label": label}
-                for i, (t, label) in enumerate(zip(basis.trees, basis.labels))
+                {"index": i, "sector": basis.sector_of(i), "label": label}
+                for i, label in enumerate(basis.labels)
             ],
         })
     else:
         lines = [f"basis for N={args.n} anyons, shape {shape.serialize()}, dim {basis.dim}"]
         for g in model.charges:
             lines.append(f"sector {g}: dim {basis.sector_dim(g)}")
-        for i, (tree, label) in enumerate(zip(basis.trees, basis.labels)):
-            lines.append(f"{i:4d}  [{tree.global_charge:>3s}]  {label}")
+        for i, label in enumerate(basis.labels):
+            lines.append(f"{i:4d}  [{basis.sector_of(i):>3s}]  {label}")
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -291,8 +294,8 @@ def cmd_teleport(args, model: AnyonModel) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     scenario = catalog[args.scenario][args.direction]
-    alpha = _parse_amplitude(args.alpha)
-    beta = _parse_amplitude(args.beta)
+    alpha = _parse_amplitude("--alpha", args.alpha)
+    beta = _parse_amplitude("--beta", args.beta)
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     if norm == 0.0:
         raise UsageError("message amplitudes must not both vanish")

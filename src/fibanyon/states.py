@@ -53,7 +53,6 @@ from .trees import (
     SectorBasis,
     TreeShape,
     enumerate_basis,
-    parse_tree_label,
     subtree_shape,
 )
 
@@ -112,9 +111,7 @@ class AnyonState:
 
     def __repr__(self):
         nz = np.nonzero(self.amplitudes)[0]
-        terms = ", ".join(
-            f"{self.amplitudes[i]:.4g}|{self.basis.tree_at(i).label()}>" for i in nz[:4]
-        )
+        terms = ", ".join(f"{self.amplitudes[i]:.4g}|{self.basis.labels[i]}>" for i in nz[:4])
         more = "" if len(nz) <= 4 else f" +{len(nz) - 4} terms"
         return f"AnyonState({terms}{more})"
 
@@ -567,7 +564,7 @@ def parse_state_text(model, text: str) -> AnyonState:
     for labels, value in entries:
         if len(labels) != 1:
             raise ModelFormatError("state lines must contain a single basis label")
-        amplitudes[basis.index_of(parse_tree_label(shape, labels[0]))] += value
+        amplitudes[basis.index_of_label(labels[0])] += value
     return AnyonState(basis, amplitudes)
 
 
@@ -590,9 +587,7 @@ def parse_operator_text(model, text: str) -> BlockOperator:
     for labels, value in entries:
         if len(labels) != 2:
             raise ModelFormatError("operator lines must contain '<bra> | <ket>'")
-        r = basis.index_of(parse_tree_label(shape, labels[0]))
-        c = basis.index_of(parse_tree_label(shape, labels[1]))
-        full[r, c] += value
+        full[basis.index_of_label(labels[0]), basis.index_of_label(labels[1])] += value
     return BlockOperator.from_full(full, basis)
 
 

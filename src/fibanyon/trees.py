@@ -11,7 +11,7 @@ Shapes are written as nested parentheses over leaf positions, e.g.
 ``((0 1)((2 3)(4 5)))``.  Basis vectors are written like
 ``(tau,e),(e,tau);tau,tau;e`` - leaf charges following the shape's
 grouping, then the non-root internal charges in depth-first order, then
-the global charge.
+the global charge (:attr:`TreeShape.label_format` is the one renderer).
 """
 
 from __future__ import annotations
@@ -77,10 +77,23 @@ class TreeShape:
         return self._spans[node]
 
     @functools.cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Charge-table columns of the leaves and of the internal nodes (preorder)."""
-        return (np.array([self.span(i).start for i in range(self.n_leaves)], dtype=np.intp),
-                np.array([self.span(v).start for v in self.internal_nodes], dtype=np.intp))
+    def label_format(self) -> tuple[str, np.ndarray]:
+        """The basis-label syntax, defined here only: a ``%`` template and the
+        charge-table columns that fill it, in order - the leaves, the non-root
+        internals (preorder), the root.  ``((0 1)(2 3))`` gives
+        ``(%s,%s),(%s,%s);%s,%s;%s``."""
+
+        def render(node):
+            return "%s" if isinstance(node, int) else f"({render(node[0])},{render(node[1])})"
+
+        internals = [self.span(v).start for v in self.internal_nodes]
+        columns = np.array([self.span(i).start for i in range(self.n_leaves)]
+                           + internals[1:] + internals[:1], dtype=np.intp)
+        if not internals:
+            return "%s", columns
+        inner = ",".join(["%s"] * (len(internals) - 1))
+        head = render(self.structure)[1:-1]
+        return (f"{head};{inner};%s" if inner else f"{head};%s"), columns
 
     def serialize(self) -> str:
         """Canonical form, e.g. ``((0 1)((2 3)(4 5)))``."""
@@ -197,21 +210,9 @@ class FusionTree:
         return self.internal_charges[0]
 
     def label(self) -> str:
-        """Render as e.g. ``(tau,e),(e,tau);tau,tau;e``."""
-
-        def render(node):
-            if isinstance(node, int):
-                return self.leaf_charges[node]
-            return f"({render(node[0])},{render(node[1])})"
-
-        struct = self.shape.structure
-        if isinstance(struct, int):
-            return self.leaf_charges[0]
-        leaf_part = f"{render(struct[0])},{render(struct[1])}"
-        inner = ",".join(self.internal_charges[1:])
-        if inner:
-            return f"{leaf_part};{inner};{self.internal_charges[0]}"
-        return f"{leaf_part};{self.internal_charges[0]}"
+        """Render as e.g. ``(tau,e),(e,tau);tau,tau;e`` (see :attr:`TreeShape.label_format`)."""
+        inner = self.internal_charges
+        return self.shape.label_format[0] % (self.leaf_charges + inner[1:] + inner[:1])
 
 
 def parse_tree_label(shape: TreeShape, text: str) -> FusionTree:
@@ -220,27 +221,20 @@ def parse_tree_label(shape: TreeShape, text: str) -> FusionTree:
     The leaf grouping parentheses are decorative (the shape fixes the
     structure); only the charge order matters.
     """
-    segments = [seg.strip() for seg in text.split(";")]
-    leaf_part = segments[0].replace("(", " ").replace(")", " ").replace(",", " ")
-    leaf_charges = tuple(normalize_charge_label(t) for t in leaf_part.split())
+    head, *tail = (seg.strip() for seg in text.split(";"))
+    leaf_part = head.replace("(", " ").replace(")", " ").replace(",", " ")
+    leaf_charges = tuple(map(normalize_charge_label, leaf_part.split()))
     if len(leaf_charges) != shape.n_leaves:
         raise ShapeError(
             f"label {text!r} has {len(leaf_charges)} leaves, shape has {shape.n_leaves}"
         )
-    if shape.n_leaves == 1:
-        if len(segments) != 1:
-            raise ShapeError(f"single-anyon label {text!r} must have no ';'")
-        return FusionTree(shape, leaf_charges, ())
-    if len(segments) == 2:
-        inner: tuple[Charge, ...] = ()
-        global_charge = normalize_charge_label(segments[1])
-    elif len(segments) == 3:
-        inner = tuple(normalize_charge_label(t) for t in segments[1].split(",") if t.strip())
-        global_charge = normalize_charge_label(segments[2])
-    else:
+    if shape.n_leaves == 1 and tail:
+        raise ShapeError(f"single-anyon label {text!r} must have no ';'")
+    if shape.n_leaves > 1 and len(tail) not in (1, 2):
         raise ShapeError(f"cannot parse basis label {text!r}")
-    internal = (global_charge,) + inner
-    return FusionTree(shape, leaf_charges, internal)
+    # the global charge, then the other internals (the middle segment, if any)
+    inner = [t for t in tail[0].split(",") if t.strip()] if len(tail) == 2 else []
+    return FusionTree(shape, leaf_charges, tuple(map(normalize_charge_label, tail[-1:] + inner)))
 
 
 def _labelings(fusion: np.ndarray, node) -> np.ndarray:
@@ -272,8 +266,8 @@ class SectorBasis:
     def __init__(self, model: AnyonModel, shape: TreeShape):
         self.model = model
         self.shape = shape
-        leaf_cols, internal_cols = shape.columns
-        self._key_cols = np.concatenate([internal_cols[:1], leaf_cols, internal_cols[1:]])
+        # (global charge, leaves, other internals): the label columns, root first
+        self._key_cols = np.roll(shape.label_format[1], 1)
         radix = len(model.charges)
         if radix > 127 or radix ** len(self._key_cols) > np.iinfo(np.int64).max:
             raise ShapeError(f"shape {shape} over {radix} charges is too large to index")
@@ -317,13 +311,14 @@ class SectorBasis:
         return index
 
     def index_of(self, tree: FusionTree) -> int:
-        if tree in self._tree_index:
-            return self._tree_index[tree]
         if tree.shape != self.shape:
             raise ShapeError("tree shape does not match basis shape")
-        for c in tree.leaf_charges + tree.internal_charges:
-            self.model.charge_index(c)  # an unknown charge raises here
-        raise FusionError(f"tree {tree.label()!r} is not fusion-consistent")
+        label = tree.label()
+        if label not in self._label_index:
+            for c in tree.leaf_charges + tree.internal_charges:
+                self.model.charge_index(c)  # an unknown charge raises here
+            raise FusionError(f"tree {label!r} is not fusion-consistent")
+        return self._label_index[label]
 
     def tree_at(self, index: int) -> FusionTree:
         return self.trees[index]
@@ -331,26 +326,20 @@ class SectorBasis:
     @functools.cached_property
     def trees(self) -> tuple[FusionTree, ...]:
         """Every tree in index order, built on first use."""
+        n = self.shape.n_leaves  # a label row is leaves, other internals, root
+        return tuple(FusionTree(self.shape, tuple(row[:n]), tuple(row[n:][-1:] + row[n:-1]))
+                     for row in self._label_rows())
+
+    def _label_rows(self) -> list[list[Charge]]:
+        """Charge names in :attr:`TreeShape.label_format` column order, a list per tree."""
         names = np.array(self.model.charges, dtype=object)
-        leaf_cols, internal_cols = self.shape.columns
-        return tuple(
-            FusionTree(self.shape, tuple(leaves), tuple(internals))
-            for leaves, internals in zip(names[self.charges[:, leaf_cols]].tolist(),
-                                         names[self.charges[:, internal_cols]].tolist())
-        )
-
-    @functools.cached_property
-    def _tree_index(self) -> dict[FusionTree, int]:
-        return {tree: i for i, tree in enumerate(self.trees)}
-
-    @functools.cached_property
-    def sectors(self) -> dict[Charge, tuple[FusionTree, ...]]:
-        return {g: self.trees[sl] for g, sl in self._slices.items()}
+        return names[self.charges[:, self.shape.label_format[1]]].tolist()
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
-        """Every tree's :meth:`FusionTree.label`, in index order, rendered once."""
-        return tuple(tree.label() for tree in self.trees)
+        """Every tree's label, in index order: one ``%`` per tree."""
+        template = self.shape.label_format[0]
+        return tuple(template % tuple(row) for row in self._label_rows())
 
     @functools.cached_property
     def _label_index(self) -> dict[str, int]:
@@ -358,11 +347,9 @@ class SectorBasis:
 
     def index_of_label(self, text: str) -> int:
         """Index of a tree by label; a canonical label is one dict lookup, any
-        other spelling (``τ``, extra spaces) goes through :func:`parse_tree_label`."""
+        other spelling (``τ``, extra spaces) is parsed and re-rendered."""
         index = self._label_index.get(text)
-        if index is None:
-            index = self.index_of(parse_tree_label(self.shape, text))
-        return index
+        return self.index_of(parse_tree_label(self.shape, text)) if index is None else index
 
     def compatible(self, other: "SectorBasis") -> bool:
         return self.model is other.model and self.shape == other.shape

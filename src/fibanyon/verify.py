@@ -198,8 +198,8 @@ def suite_algebra(
     purity_worst = 0.0
     for n in range(1, 5):
         basis = enumerate_basis(model, left_comb(n))
-        for tree in basis.trees:
-            purity_worst = max(purity_worst, abs(purity(pure_density(ket(basis, tree))) - 1.0))
+        for label in basis.labels:
+            purity_worst = max(purity_worst, abs(purity(pure_density(ket(basis, label))) - 1.0))
     rng = sample_rng(seed, 105)
     for _ in range(1000):
         n = int(rng.integers(1, 5))

@@ -168,6 +168,30 @@ def test_non_finite_or_negative_numbers_are_usage_errors(capsys, argv):
     assert capsys.readouterr().err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--alpha", "0.6,"), ("--alpha", "abc"), ("--beta", "1@x"), ("--beta", "@1"),
+    ("--alpha", "0.6,0.8,0.1"), ("--beta", "1@inf"),
+])
+def test_malformed_amplitude_is_usage_error_naming_flag(capsys, flag, text):
+    code, out = run_cli("teleport", "--scenario", "main-text", "--direction", "ab", flag, text)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"usage error: {flag} {text!r} is not a finite 're', 're,im' or 'r@theta'\n")
+
+
+@pytest.mark.parametrize("label, message", [
+    ("(tau,e),(e,tau);tau,e;e", "tree '(tau,e),(e,tau);tau,e;e' is not fusion-consistent"),
+    ("(sigma,e),(e,tau);tau,tau;e", "unknown charge 'sigma' (model fibonacci)"),
+    ("(tau,e),(e);tau,tau;e", "label '(tau,e),(e);tau,tau;e' has 3 leaves, shape has 4"),
+], ids=["inconsistent", "unknown-charge", "leaf-count"])
+def test_bad_label_in_state_file_exits_1(tmp_path, capsys, label, message):
+    path = tmp_path / "bad.state"
+    path.write_text(f"shape: ((0 1)(2 3))\n{label} : 1.0 0.0\n", encoding="utf-8")
+    code, out = run_cli("marginals", "--state", str(path))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: state file {path}: {message}\n"
+
+
 def test_non_finite_amplitude_in_state_file_exits_1(tmp_path, capsys):
     path = tmp_path / "inf.state"
     path.write_text("shape: (0 1)\ne,tau;tau : inf 0.0\n", encoding="utf-8")

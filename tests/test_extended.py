@@ -161,8 +161,9 @@ def test_superpose_of_reshaped_states_consistent(model):
     # building a superposition before or after a reshape commutes
     basis = enumerate_basis(model, left_comb(4))
     target = grouped_shape(2, 2)
-    s1 = ket(basis, basis.sectors["tau"][0])
-    s2 = ket(basis, basis.sectors["tau"][3])
+    tau_trees = basis.trees[basis.sector_slice("tau")]
+    s1 = ket(basis, tau_trees[0])
+    s2 = ket(basis, tau_trees[3])
     pre, _ = superpose([(0.6, s1), (0.8j, s2)])
     moved_pre = change_shape(model, pre, target)
     moved_parts, _ = superpose([

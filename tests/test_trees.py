@@ -32,8 +32,9 @@ def test_dimension_shape_independent(model):
 
 
 def test_two_anyon_sector_listing(basis2):
-    assert [t.label() for t in basis2.sectors["e"]] == ["e,e;e", "tau,tau;e"]
-    assert [t.label() for t in basis2.sectors["tau"]] == ["e,tau;tau", "tau,e;tau", "tau,tau;tau"]
+    sector = {g: basis2.trees[basis2.sector_slice(g)] for g in ("e", "tau")}
+    assert [t.label() for t in sector["e"]] == ["e,e;e", "tau,tau;e"]
+    assert [t.label() for t in sector["tau"]] == ["e,tau;tau", "tau,e;tau", "tau,tau;tau"]
     assert basis2.sector_dim("e") == 2
     assert basis2.sector_dim("tau") == 3
 
@@ -208,16 +209,50 @@ def _reference_trees(model, shape):
     return tuple(FusionTree(shape, leaf_charges, internals) for _, leaf_charges, internals in entries)
 
 
+def _reference_label(tree):
+    """Reference label: a recursive render of the leaf grouping, then the
+    non-root internal charges, then the global charge."""
+
+    def render(node):
+        if isinstance(node, int):
+            return tree.leaf_charges[node]
+        return f"({render(node[0])},{render(node[1])})"
+
+    struct = tree.shape.structure
+    if isinstance(struct, int):
+        return tree.leaf_charges[0]
+    leaf_part = f"{render(struct[0])},{render(struct[1])}"
+    inner = ",".join(tree.internal_charges[1:])
+    if inner:
+        return f"{leaf_part};{inner};{tree.internal_charges[0]}"
+    return f"{leaf_part};{tree.internal_charges[0]}"
+
+
+@pytest.fixture(scope="module")
+def reference_models(model):
+    """Fibonacci, Z2 (self-dual, two charges) and Z3 (not self-dual, three charges)."""
+    data = Path(__file__).parent / "data"
+    return [model] + [load_model_text((data / f"{name}.model").read_text(), name=name)
+                      for name in ("z2", "z3")]
+
+
 @pytest.mark.parametrize("n", range(1, 8))
-def test_basis_equals_per_tree_reference(model, n):
-    z2 = load_model_text((Path(__file__).parent / "data" / "z2.model").read_text(), name="z2")
-    for m in (model, z2):
+def test_basis_equals_per_tree_reference(reference_models, n):
+    for m in reference_models:
         for shape in all_shapes(n):
             basis = SectorBasis(m, shape)
             expected = _reference_trees(m, shape)
             assert basis.trees == expected
-            assert basis.labels == tuple(tree.label() for tree in expected)
             for g in m.charges:
-                assert basis.sectors[g] == tuple(t for t in expected if t.global_charge == g)
-            assert [basis.index_of(tree) for tree in expected] == list(range(basis.dim))
+                members = basis.trees[basis.sector_slice(g)]
+                assert members == tuple(t for t in expected if t.global_charge == g)
             assert not basis.charges.flags.writeable
+            # one label template and one lookup, against the recursive renderer
+            # and a {tree: index} dict
+            labels = tuple(_reference_label(tree) for tree in expected)
+            index = {tree: i for i, tree in enumerate(expected)}
+            assert basis.labels == labels
+            assert tuple(tree.label() for tree in expected) == labels
+            assert [basis.index_of(tree) for tree in expected] == [index[t] for t in expected]
+            assert [basis.index_of_label(label) for label in labels] == list(range(basis.dim))
+            assert tuple(parse_tree_label(shape, label) for label in labels) == expected
