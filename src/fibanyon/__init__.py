@@ -29,7 +29,6 @@ from .states import (
     validate_cssr,
 )
 from .trees import (
-    FusionTree,
     SectorBasis,
     TreeShape,
     all_shapes,

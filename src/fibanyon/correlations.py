@@ -44,6 +44,7 @@ from .states import (
     AnyonState,
     Bipartition,
     BlockOperator,
+    amplitude_marginal,
     bipartition,
     embed_local,
     partial_trace,
@@ -157,19 +158,25 @@ def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
     parties.  `state_or_rho` is an :class:`AnyonState` (normalized first)
     or a density :class:`BlockOperator` in the grouped shape of `part`.
     """
+    if isinstance(state_or_rho, AnyonState):
+        psi = state_or_rho.normalized()
+        return _violations(part, part.amplitude_matrix(psi), psi.sector)
+    return _violations(part, state_or_rho)
+
+
+def _violations(part: Bipartition, source, sector=None) -> np.ndarray:
+    """The violation table of a density :class:`BlockOperator`, or (given its
+    `sector`) of the normalized pure state with amplitude matrix `source`."""
     units_a, units_b = _units(part.a_basis), _units(part.b_basis)
     # the table and its temporaries peak near five complex arrays of its size
     require_memory(80 * units_a.count * units_b.count,
                    f"the correlation table of a {part.n_a}|{part.n_b} split")
     # realigned[(a, a'), (b, b')] = sum_g rho_g[(a, b), (a', b')] on each block (g, x, y)
     realigned = np.zeros((units_a.count, units_b.count), dtype=complex)
-    if isinstance(state_or_rho, AnyonState):
-        psi = state_or_rho.normalized()
-        sector = psi.sector
-        amplitudes = psi.amplitudes[psi.basis.sector_slice(sector)]
-        for g, x, y, index in part.blocks:
+    if sector is not None:
+        for g, x, y, _ in part.blocks:
             if g == sector:
-                C = amplitudes[index]
+                C = source[part.a_basis.sector_slice(x), part.b_basis.sector_slice(y)]
                 realigned[units_a.block[x], units_b.block[y]] = (
                     C[:, None, :, None] * C.conj()[None, :, None, :]
                 ).reshape(C.shape[0] ** 2, C.shape[1] ** 2)
@@ -177,7 +184,7 @@ def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
         for g, x, y, index in part.blocks:
             d_a, d_b = index.shape
             flat = index.ravel()
-            sub = state_or_rho.blocks[g][flat[:, None], flat[None, :]]
+            sub = source.blocks[g][flat[:, None], flat[None, :]]
             realigned[units_a.block[x], units_b.block[y]] += (
                 sub.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a**2, d_b**2)
             )
@@ -212,19 +219,24 @@ def is_uncorrelated(
     already in the grouped shape of `part`.  The witness is the first
     (row-major) spanning pair within 4 ulps of the largest violation.
     """
-    if isinstance(state_or_rho, AnyonState):
-        rho_a = pure_marginal(state_or_rho, part, traced="B")
-        rho_b = pure_marginal(state_or_rho, part, traced="A")
+    pure = isinstance(state_or_rho, AnyonState)
+    if pure:
+        # normalized once: the marginals, the table and the class read the same vector
+        psi = state_or_rho.normalized()
+        C = part.amplitude_matrix(psi)
+        rho_a = amplitude_marginal(C, part, traced="B")
+        rho_b = amplitude_marginal(C, part, traced="A")
+        violations = np.abs(_violations(part, C, psi.sector))
     else:
         rho_a = partial_trace(state_or_rho, part, traced="B")
         rho_b = partial_trace(state_or_rho, part, traced="A")
-    violations = np.abs(violation_table(state_or_rho, part))
+        violations = np.abs(_violations(part, state_or_rho))
     top = float(violations.max())
 
     spec_a, spec_b = spectrum(rho_a), spectrum(rho_b)
     label = None
-    if classify and isinstance(state_or_rho, AnyonState) and part.basis.shape.n_leaves == 2:
-        label = classify_pure_2anyon(state_or_rho)
+    if classify and pure and part.basis.shape.n_leaves == 2:
+        label = _pure_class(psi, ZERO_COEFF_TOL)
     return CorrelationReport(
         is_uncorrelated=top <= tol,
         max_violation=top,
@@ -250,12 +262,14 @@ def classify_pure_2anyon(psi: AnyonState, tol: float = ZERO_COEFF_TOL) -> str:
     by |tau,tau;tau> alone sits in both tau families and is assigned
     class-1-tau deterministically.
     """
-    basis = psi.basis
-    if basis.shape.n_leaves != 2:
+    if psi.basis.shape.n_leaves != 2:
         raise ShapeError("classification applies to 2-anyon states")
-    psi = psi.normalized()
-    sector = psi.sector
-    if sector == basis.model.vacuum:
+    return _pure_class(psi.normalized(), tol)
+
+
+def _pure_class(psi: AnyonState, tol: float) -> str:
+    """:func:`classify_pure_2anyon` of a normalized 2-anyon state."""
+    if psi.sector == psi.basis.model.vacuum:
         c_ee = abs(psi.amplitude("e,e;e"))
         c_tt = abs(psi.amplitude("tau,tau;e"))
         if c_tt <= tol:

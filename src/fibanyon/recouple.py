@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, require_memory
 from .model import AnyonModel
 from .states import AnyonState, rounded_product
 from .trees import SectorBasis, TreeShape, enumerate_basis
@@ -71,6 +71,8 @@ class BasisChange:
     @property
     def matrix(self) -> np.ndarray:
         """The dense target.dim x source.dim matrix, built on every access."""
+        require_memory(16 * self.target.dim * self.source.dim,
+                       f"the dense {self.target.dim} x {self.source.dim} basis change")
         out = np.zeros((self.target.dim, self.source.dim), dtype=complex)
         out[self.rows, self.cols] = self.coeffs
         return out

@@ -46,15 +46,10 @@ from .errors import (
     ModelFormatError,
     ShapeError,
     SuperselectionError,
+    require_memory,
 )
 from .model import Charge
-from .trees import (
-    FusionTree,
-    SectorBasis,
-    TreeShape,
-    enumerate_basis,
-    subtree_shape,
-)
+from .trees import SectorBasis, TreeShape, enumerate_basis, subtree_shape
 
 STRUCT_TOL = 1e-12  # structural checks (unitarity, hermiticity)
 SPECTRAL_TOL = 1e-10  # positivity / normalization checks
@@ -105,21 +100,14 @@ class AnyonState:
         _require_same_basis(self.basis, other.basis)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def amplitude(self, tree_or_label) -> complex:
-        index = _resolve_index(self.basis, tree_or_label)
-        return complex(self.amplitudes[index])
+    def amplitude(self, label: str) -> complex:
+        return complex(self.amplitudes[self.basis.index_of_label(label)])
 
     def __repr__(self):
         nz = np.nonzero(self.amplitudes)[0]
         terms = ", ".join(f"{self.amplitudes[i]:.4g}|{self.basis.labels[i]}>" for i in nz[:4])
         more = "" if len(nz) <= 4 else f" +{len(nz) - 4} terms"
         return f"AnyonState({terms}{more})"
-
-
-def _resolve_index(basis: SectorBasis, tree_or_label) -> int:
-    if isinstance(tree_or_label, FusionTree):
-        return basis.index_of(tree_or_label)
-    return basis.index_of_label(str(tree_or_label))
 
 
 def rounded_product(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -137,10 +125,10 @@ def _require_same_basis(a: SectorBasis, b: SectorBasis):
         raise BasisMismatchError("objects live on different bases")
 
 
-def ket(basis: SectorBasis, tree_or_label) -> AnyonState:
-    """Unit basis vector for one fusion tree (by tree or by label string)."""
+def ket(basis: SectorBasis, label: str) -> AnyonState:
+    """Unit basis vector for one fusion tree, by label."""
     amplitudes = np.zeros(basis.dim, dtype=complex)
-    amplitudes[_resolve_index(basis, tree_or_label)] = 1.0
+    amplitudes[basis.index_of_label(label)] = 1.0
     return AnyonState(basis, amplitudes)
 
 
@@ -230,7 +218,9 @@ class BlockOperator:
         return cls(basis, blocks)
 
     def to_full(self) -> np.ndarray:
-        out = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
+        dim = self.basis.dim
+        require_memory(16 * dim * dim, f"the dense {dim} x {dim} operator")
+        out = np.zeros((dim, dim), dtype=complex)
         for g, block in self.blocks.items():
             sl = self.basis.sector_slice(g)
             out[sl, sl] = block
@@ -421,6 +411,13 @@ class Bipartition:
             raise FusionError(f"no tree of shape {self.basis.shape} has global charge {g!r}")
         return self._tables[g]
 
+    def amplitude_matrix(self, psi: AnyonState) -> np.ndarray:
+        """C[a, b] = psi's amplitude on (A tree a, B tree b) at psi's charge, or 0
+        where a and b cannot fuse to it; psi is taken as given, not normalized."""
+        _require_same_basis(psi.basis, self.basis)
+        # -1 in the table reads the appended zero
+        return np.append(psi.amplitudes, 0.0)[self.table(psi.sector)]
+
     def kept_basis(self, traced: str) -> SectorBasis:
         if traced not in ("A", "B"):
             raise ValueError("traced side must be 'A' or 'B'")
@@ -465,16 +462,19 @@ def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B
 def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
     """``partial_trace(pure_density(state), ...)`` without forming the density.
 
-    With C[a, b] the normalized amplitude of (A tree a, B tree b) at the
-    state's charge, the kept marginal is C_x C_x^dagger for each root
-    charge x of A (traced B), or C_y^T conj(C_y) for each root charge y
-    of B (traced A).  Equal to the partial trace up to summation order.
+    Equal to the partial trace up to summation order; see
+    :func:`amplitude_marginal`.
     """
-    _require_same_basis(state.basis, bipartition.basis)
+    return amplitude_marginal(bipartition.amplitude_matrix(state.normalized()), bipartition, traced)
+
+
+def amplitude_marginal(C: np.ndarray, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
+    """The kept marginal of the pure state with ``C = bipartition.amplitude_matrix(psi)``.
+
+    It is C_x C_x^dagger for each root charge x of A (traced B), or
+    C_y^T conj(C_y) for each root charge y of B (traced A).
+    """
     kept = bipartition.kept_basis(traced)
-    psi = state.normalized()
-    # -1 in the table reads the appended zero
-    C = np.append(psi.amplitudes, 0.0)[bipartition.table(psi.sector)]
     if traced == "A":
         C = C.T
     blocks = {}

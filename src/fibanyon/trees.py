@@ -183,40 +183,9 @@ def subtree_shape(node) -> TreeShape:
     return TreeShape(_shift(node, -offset))
 
 
-@dataclass(frozen=True)
-class FusionTree:
-    """One basis vector: a shape plus charge labels on leaves and vertices.
-
-    ``internal_charges`` follows the shape's depth-first preorder, so the
-    first entry (when N > 1) is the root label == the global charge.
-    Construction does not validate fusion consistency; a basis's
-    :meth:`SectorBasis.index_of` does.
-    """
-
-    shape: TreeShape
-    leaf_charges: tuple[Charge, ...]
-    internal_charges: tuple[Charge, ...]
-
-    def __post_init__(self):
-        if len(self.leaf_charges) != self.shape.n_leaves:
-            raise ShapeError("wrong number of leaf charges")
-        if len(self.internal_charges) != self.shape.n_internal:
-            raise ShapeError("wrong number of internal charges")
-
-    @property
-    def global_charge(self) -> Charge:
-        if self.shape.n_leaves == 1:
-            return self.leaf_charges[0]
-        return self.internal_charges[0]
-
-    def label(self) -> str:
-        """Render as e.g. ``(tau,e),(e,tau);tau,tau;e`` (see :attr:`TreeShape.label_format`)."""
-        inner = self.internal_charges
-        return self.shape.label_format[0] % (self.leaf_charges + inner[1:] + inner[:1])
-
-
-def parse_tree_label(shape: TreeShape, text: str) -> FusionTree:
-    """Inverse of :meth:`FusionTree.label` for a known shape.
+def parse_tree_label(shape: TreeShape, text: str) -> tuple[Charge, ...]:
+    """A label's charge names in :attr:`TreeShape.label_format` order, for a
+    known shape: the leaves, the non-root internals, the root.
 
     The leaf grouping parentheses are decorative (the shape fixes the
     structure); only the charge order matters.
@@ -232,9 +201,12 @@ def parse_tree_label(shape: TreeShape, text: str) -> FusionTree:
         raise ShapeError(f"single-anyon label {text!r} must have no ';'")
     if shape.n_leaves > 1 and len(tail) not in (1, 2):
         raise ShapeError(f"cannot parse basis label {text!r}")
-    # the global charge, then the other internals (the middle segment, if any)
+    # the other internals (the middle segment, if any), then the global charge
     inner = [t for t in tail[0].split(",") if t.strip()] if len(tail) == 2 else []
-    return FusionTree(shape, leaf_charges, tuple(map(normalize_charge_label, tail[-1:] + inner)))
+    internals = tuple(map(normalize_charge_label, inner + tail[-1:]))
+    if len(internals) != shape.n_internal:
+        raise ShapeError("wrong number of internal charges")
+    return leaf_charges + internals
 
 
 def _labelings(fusion: np.ndarray, node) -> np.ndarray:
@@ -260,7 +232,7 @@ class SectorBasis:
     every subtree is a run of columns (:meth:`TreeShape.span`).  Read as a
     mixed-radix number over (global charge, leaves, other internals), a
     row increases with its index, so :meth:`index_of_rows` is one
-    ``searchsorted``.  Trees and labels are built on demand, for I/O.
+    ``searchsorted``.  Labels are built on demand, for I/O.
     """
 
     def __init__(self, model: AnyonModel, shape: TreeShape):
@@ -310,36 +282,15 @@ class SectorBasis:
             raise FusionError(f"charge rows are not trees of {self!r}")
         return index
 
-    def index_of(self, tree: FusionTree) -> int:
-        if tree.shape != self.shape:
-            raise ShapeError("tree shape does not match basis shape")
-        label = tree.label()
-        if label not in self._label_index:
-            for c in tree.leaf_charges + tree.internal_charges:
-                self.model.charge_index(c)  # an unknown charge raises here
-            raise FusionError(f"tree {label!r} is not fusion-consistent")
-        return self._label_index[label]
-
-    def tree_at(self, index: int) -> FusionTree:
-        return self.trees[index]
-
-    @functools.cached_property
-    def trees(self) -> tuple[FusionTree, ...]:
-        """Every tree in index order, built on first use."""
-        n = self.shape.n_leaves  # a label row is leaves, other internals, root
-        return tuple(FusionTree(self.shape, tuple(row[:n]), tuple(row[n:][-1:] + row[n:-1]))
-                     for row in self._label_rows())
-
-    def _label_rows(self) -> list[list[Charge]]:
-        """Charge names in :attr:`TreeShape.label_format` column order, a list per tree."""
-        names = np.array(self.model.charges, dtype=object)
-        return names[self.charges[:, self.shape.label_format[1]]].tolist()
+    def tree_at(self, index: int) -> str:
+        return self.labels[index]
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         """Every tree's label, in index order: one ``%`` per tree."""
-        template = self.shape.label_format[0]
-        return tuple(template % tuple(row) for row in self._label_rows())
+        template, columns = self.shape.label_format
+        names = np.array(self.model.charges, dtype=object)
+        return tuple(template % tuple(row) for row in names[self.charges[:, columns]].tolist())
 
     @functools.cached_property
     def _label_index(self) -> dict[str, int]:
@@ -349,13 +300,19 @@ class SectorBasis:
         """Index of a tree by label; a canonical label is one dict lookup, any
         other spelling (``τ``, extra spaces) is parsed and re-rendered."""
         index = self._label_index.get(text)
-        return self.index_of(parse_tree_label(self.shape, text)) if index is None else index
+        if index is None:
+            names = parse_tree_label(self.shape, text)
+            label = self.shape.label_format[0] % names
+            index = self._label_index.get(label)
+            if index is None:
+                n = self.shape.n_leaves  # checked as leaves, root, other internals
+                for c in names[:n] + names[-1:] + names[n:-1]:
+                    self.model.charge_index(c)  # an unknown charge raises here
+                raise FusionError(f"tree {label!r} is not fusion-consistent")
+        return index
 
     def compatible(self, other: "SectorBasis") -> bool:
         return self.model is other.model and self.shape == other.shape
-
-    def __len__(self) -> int:
-        return self.dim
 
     def __repr__(self) -> str:
         return f"SectorBasis({self.model.name}, {self.shape}, dim={self.dim})"

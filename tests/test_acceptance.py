@@ -252,8 +252,8 @@ def test_criterion_10_purity_of_pure_states(model):
     worst = 0.0
     for n in range(1, 5):
         basis = enumerate_basis(model, left_comb(n))
-        for tree in basis.trees:
-            worst = max(worst, abs(purity(pure_density(ket(basis, tree))) - 1.0))
+        for label in basis.labels:
+            worst = max(worst, abs(purity(pure_density(ket(basis, label))) - 1.0))
     rng = _rng(10)
     tau_seen = 0
     for _ in range(1000):

@@ -61,8 +61,8 @@ def test_abelian_marginals_have_equal_spectra():
     z2 = load_model_text(ABELIAN_MODEL, name="z2")
     basis = enumerate_basis(z2, grouped_shape(1, 1))
     part = bipartition(basis, 1)
-    for tree in basis.trees:
-        rho = pure_density(ket(basis, tree))
+    for label in basis.labels:
+        rho = pure_density(ket(basis, label))
         assert purity(partial_trace(rho, part, traced="B")) == pytest.approx(1.0)
         assert purity(partial_trace(rho, part, traced="A")) == pytest.approx(1.0)
 
@@ -161,9 +161,9 @@ def test_superpose_of_reshaped_states_consistent(model):
     # building a superposition before or after a reshape commutes
     basis = enumerate_basis(model, left_comb(4))
     target = grouped_shape(2, 2)
-    tau_trees = basis.trees[basis.sector_slice("tau")]
-    s1 = ket(basis, tau_trees[0])
-    s2 = ket(basis, tau_trees[3])
+    tau_labels = basis.labels[basis.sector_slice("tau")]
+    s1 = ket(basis, tau_labels[0])
+    s2 = ket(basis, tau_labels[3])
     pre, _ = superpose([(0.6, s1), (0.8j, s2)])
     moved_pre = change_shape(model, pre, target)
     moved_parts, _ = superpose([

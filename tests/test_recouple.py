@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibanyon.errors import ShapeError
+from fibanyon import errors
+from fibanyon.errors import MemoryBudgetError, ShapeError
 from fibanyon.recouple import (
     BasisChange,
     _moves_to_comb,
@@ -17,15 +18,9 @@ from fibanyon.recouple import (
     elementary_fmove,
     shape_change,
 )
-from fibanyon.states import ket, random_pure_state
-from fibanyon.trees import (
-    FusionTree,
-    all_shapes,
-    enumerate_basis,
-    grouped_shape,
-    left_comb,
-    right_comb,
-)
+from fibanyon.states import BlockOperator, ket, random_pure_state
+from fibanyon.trees import all_shapes, enumerate_basis, grouped_shape, left_comb, right_comb
+from reference import reference
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -69,31 +64,29 @@ def _n_internal(node) -> int:
     return 0 if isinstance(node, int) else 1 + _n_internal(node[0]) + _n_internal(node[1])
 
 
-def _charge_at(tree, node):
+def _charge_at(shape, tree, node):
+    leaves, internals = tree
     if isinstance(node, int):
-        return tree.leaf_charges[node]
-    return tree.internal_charges[tree.shape.internal_nodes.index(node)]
+        return leaves[node]
+    return internals[shape.internal_nodes.index(node)]
 
 
 def _right_loop_fmove(model, shape, vertex):
     """Reference right move ((A B) C) -> (A (B C)): per source tree, splice in every
     f in b x c with coefficient [F^{abc}_g]_{df}."""
-    source = enumerate_basis(model, shape)
-    target_shape = _rotated_structure(shape, vertex, "right")
-    target = enumerate_basis(model, target_shape)
+    target = reference(model, _rotated_structure(shape, vertex, "right")).index
     (a_node, b_node), c_node = shape.internal_nodes[vertex]
     cut = vertex + 2 + _n_internal(a_node)  # just past the charges inside A
     rows, cols, coeffs = [], [], []
-    for src_idx, tree in enumerate(source.trees):
-        ints = tree.internal_charges
+    for src_idx, tree in enumerate(reference(model, shape).trees):
+        leaves, ints = tree
         g, d = ints[vertex], ints[vertex + 1]
-        a, b, c = (_charge_at(tree, node) for node in (a_node, b_node, c_node))
+        a, b, c = (_charge_at(shape, tree, node) for node in (a_node, b_node, c_node))
         head, tail = ints[: vertex + 1] + ints[vertex + 2 : cut], ints[cut:]
         for f in model.fusion_outcomes(b, c):
             coeff = model.f_symbol(a, b, c, g, d, f)
             if coeff != 0.0:
-                rows.append(target.index_of(FusionTree(target_shape, tree.leaf_charges,
-                                                       head + (f,) + tail)))
+                rows.append(target[leaves, head + (f,) + tail])
                 cols.append(src_idx)
                 coeffs.append(coeff)
     return (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp),
@@ -119,22 +112,20 @@ def test_right_fmove_equals_right_loop_reference(model, n):
 def _left_loop_fmove(model, shape, vertex):
     """Reference left move (A (B C)) -> ((A B) C): per source tree, splice in every
     d in a x b with coefficient conj([F^{abc}_g]_{df})."""
-    source = enumerate_basis(model, shape)
-    target_shape = _rotated_structure(shape, vertex, "left")
-    target = enumerate_basis(model, target_shape)
+    target = reference(model, _rotated_structure(shape, vertex, "left")).index
     a_node, (b_node, c_node) = shape.internal_nodes[vertex]
     n_a = _n_internal(a_node)
     rows, cols, coeffs = [], [], []
-    for src_idx, tree in enumerate(source.trees):
-        ints = tree.internal_charges
+    for src_idx, tree in enumerate(reference(model, shape).trees):
+        leaves, ints = tree
         g, f = ints[vertex], ints[vertex + 1 + n_a]
-        a, b, c = (_charge_at(tree, node) for node in (a_node, b_node, c_node))
+        a, b, c = (_charge_at(shape, tree, node) for node in (a_node, b_node, c_node))
         for d in model.fusion_outcomes(a, b):
             coeff = np.conj(model.f_symbol(a, b, c, g, d, f))
             if coeff != 0.0:
                 new_ints = (ints[: vertex + 1] + (d,) + ints[vertex + 1 : vertex + 1 + n_a]
                             + ints[vertex + 2 + n_a :])
-                rows.append(target.index_of(FusionTree(target_shape, tree.leaf_charges, new_ints)))
+                rows.append(target[leaves, new_ints])
                 cols.append(src_idx)
                 coeffs.append(coeff)
     return (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp),
@@ -293,22 +284,22 @@ def test_braid_requires_shared_vertex(model):
 
 
 def _braid_loop(model, state, leaf_pair, direction):
-    """Reference braid: one FusionTree per nonzero amplitude."""
+    """Reference braid: one reference tree per nonzero amplitude."""
     i, j = leaf_pair
-    basis = state.basis
-    shape = basis.shape
+    shape = state.basis.shape
+    ref = reference(model, shape)
     vertex = shape.internal_nodes.index((i, j))
     out = np.zeros_like(state.amplitudes)
     for idx, amp in enumerate(state.amplitudes):
         if amp == 0.0:
             continue
-        tree = basis.tree_at(idx)
-        x, y = tree.leaf_charges[i], tree.leaf_charges[j]
-        c = tree.internal_charges[vertex]
+        leaves, ints = ref.trees[idx]
+        x, y = leaves[i], leaves[j]
+        c = ints[vertex]
         phase = model.r_symbol(x, y, c) if direction == "ccw" else np.conj(model.r_symbol(y, x, c))
-        leaves = list(tree.leaf_charges)
-        leaves[i], leaves[j] = y, x
-        out[basis.index_of(FusionTree(shape, tuple(leaves), tree.internal_charges))] += phase * amp
+        swapped = list(leaves)
+        swapped[i], swapped[j] = y, x
+        out[ref.index[tuple(swapped), ints]] += phase * amp
     return out
 
 
@@ -330,3 +321,17 @@ def test_braid_equals_per_tree_reference(model, n):
                         model, state, node, direction).tobytes()
                     braids += 1
     assert braids > 0
+
+
+def test_dense_matrices_check_memory_first(model, monkeypatch):
+    # n=6: a 233 x 233 complex matrix is 0.81 MiB, over half of the 1 MiB "available"
+    move = shape_change(model, left_comb(6), grouped_shape(2, 4))
+    op = BlockOperator.identity(move.source)
+    need = f"~{16 * 233**2 / 2**30:.3g} GiB, {2**20 / 2**30:.3g} GiB available"
+    monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
+    with pytest.raises(MemoryBudgetError, match=f"^the dense 233 x 233 basis change needs {need}"):
+        move.matrix
+    with pytest.raises(MemoryBudgetError, match=f"^the dense 233 x 233 operator needs {need}"):
+        op.to_full()
+    monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
+    assert move.matrix.shape == op.to_full().shape == (233, 233)

@@ -37,14 +37,8 @@ from fibanyon.states import (
     trace,
     validate_cssr,
 )
-from fibanyon.trees import (
-    FusionTree,
-    all_shapes,
-    enumerate_basis,
-    grouped_shape,
-    left_comb,
-    subtree_shape,
-)
+from fibanyon.trees import all_shapes, enumerate_basis, grouped_shape, left_comb, subtree_shape
+from reference import global_charge, reference
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -160,34 +154,38 @@ def _families(part, traced):
     charge, traced tree) order, the order in which the partial trace adds
     its terms.
     """
-    charges = part.basis.model.charges
-    kept_basis = part.kept_basis(traced)
-    traced_basis = part.b_basis if traced == "B" else part.a_basis
-    n_a, n_int_a = part.n_a, part.a_basis.shape.n_internal
+    model = part.basis.model
+    kept_index = reference(model, part.kept_basis(traced).shape).index
+    traced_index = reference(model, (part.b_basis if traced == "B" else part.a_basis).shape).index
     families = {}
-    for i, tree in enumerate(part.basis.trees):
-        leaves, ints = tree.leaf_charges, tree.internal_charges
-        a_tree = FusionTree(part.a_basis.shape, leaves[:n_a], ints[1 : 1 + n_int_a])
-        b_tree = FusionTree(part.b_basis.shape, leaves[n_a:], ints[1 + n_int_a :])
+    for i, tree in enumerate(reference(model, part.basis.shape).trees):
+        a_tree, b_tree = _party_trees(part, tree)
         kept, other = (a_tree, b_tree) if traced == "B" else (b_tree, a_tree)
-        key = (charges.index(tree.global_charge), traced_basis.index_of(other), kept.global_charge)
+        key = (model.charges.index(global_charge(tree)), traced_index[other], global_charge(kept))
         members, kept_members = families.setdefault(key, ([], []))
         members.append(i)
-        kept_members.append(kept_basis.index_of(kept))
+        kept_members.append(kept_index[kept])
     return [(np.array(m), np.array(k)) for _, (m, k) in sorted(families.items())]
 
 
+def _party_trees(part, tree):
+    """The A and B subtrees of a joint reference tree."""
+    (leaves, ints), n_a = tree, part.n_a
+    n_int_a = part.a_basis.shape.n_internal
+    return (leaves[:n_a], ints[1 : 1 + n_int_a]), (leaves[n_a:], ints[1 + n_int_a :])
+
+
 def _index_loop(part):
-    """Reference a_index / b_index: one FusionTree pair per joint tree."""
-    n_a, n_int_a = part.n_a, part.a_basis.shape.n_internal
+    """Reference a_index / b_index: one reference tree pair per joint tree."""
+    model = part.basis.model
+    a_index = reference(model, part.a_basis.shape).index
+    b_index = reference(model, part.b_basis.shape).index
     a_idx = np.empty(part.basis.dim, dtype=np.intp)
     b_idx = np.empty(part.basis.dim, dtype=np.intp)
-    for i, tree in enumerate(part.basis.trees):
-        ints = tree.internal_charges
-        a_tree = FusionTree(part.a_basis.shape, tree.leaf_charges[:n_a], ints[1 : 1 + n_int_a])
-        b_tree = FusionTree(part.b_basis.shape, tree.leaf_charges[n_a:], ints[1 + n_int_a :])
-        a_idx[i] = part.a_basis.index_of(a_tree)
-        b_idx[i] = part.b_basis.index_of(b_tree)
+    for i, tree in enumerate(reference(model, part.basis.shape).trees):
+        a_tree, b_tree = _party_trees(part, tree)
+        a_idx[i] = a_index[a_tree]
+        b_idx[i] = b_index[b_tree]
     return a_idx, b_idx
 
 

@@ -30,8 +30,9 @@ from fibanyon.teleport import (
     superselection_violating_protocol,
     validate_pvm,
 )
-from fibanyon.trees import FusionTree, enumerate_basis, grouped_shape, join_shapes, left_comb
+from fibanyon.trees import enumerate_basis, grouped_shape, join_shapes, left_comb
 from fibanyon.verify import oracle_excess
+from reference import global_charge, reference
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -56,7 +57,7 @@ def test_compose_main_text_four_terms(model, catalog):
         "(e,tau),((tau,e),(tau,e));tau,tau,tau,tau;e": b,
     }
     nonzero = {
-        composed.basis.tree_at(i).label(): composed.amplitudes[i]
+        composed.basis.labels[i]: composed.amplitudes[i]
         for i in np.nonzero(composed.amplitudes)[0]
     }
     assert set(nonzero) == set(expected)
@@ -491,14 +492,16 @@ def _reference_protocol(scenario, message):
                    else (scenario.resource, msg))
     shape = join_shapes(left.basis.shape, right.basis.shape)
     basis = enumerate_basis(model, shape)
+    left_trees = reference(model, left.basis.shape).trees
+    right_trees = reference(model, right.basis.shape).trees
+    index = reference(model, shape).index
     amplitudes = np.zeros(basis.dim, dtype=complex)
     for i in np.nonzero(left.amplitudes)[0]:
-        ti = left.basis.tree_at(i)
+        leaves_i, ints_i = left_trees[i]
         for j in np.nonzero(right.amplitudes)[0]:
-            tj = right.basis.tree_at(j)
-            joined = FusionTree(shape, ti.leaf_charges + tj.leaf_charges,
-                                (scenario.channel,) + ti.internal_charges + tj.internal_charges)
-            amplitudes[basis.index_of(joined)] = left.amplitudes[i] * right.amplitudes[j]
+            leaves_j, ints_j = right_trees[j]
+            joined = (leaves_i + leaves_j, (scenario.channel,) + ints_i + ints_j)
+            amplitudes[index[joined]] = left.amplitudes[i] * right.amplitudes[j]
     if scenario.direction == "ab":
         measured_shape = join_shapes(grouped_shape(2, 2), grouped_shape(1, 1))
         part = bipartition(enumerate_basis(model, measured_shape), 4)
@@ -513,7 +516,7 @@ def _reference_protocol(scenario, message):
     C = np.zeros((recv_basis.dim, meas_basis.dim), dtype=complex)
     for i in np.nonzero(regrouped.amplitudes)[0]:
         C[recv_idx[i], meas_idx[i]] = regrouped.amplitudes[i]
-    roots = [t.global_charge for t in recv_basis.trees]
+    roots = [global_charge(t) for t in reference(model, recv_basis.shape).trees]
     mask = np.equal.outer(np.array(roots), np.array(roots))
     target = message.target_vector(recv_basis, scenario.encoding)
 

@@ -6,7 +6,6 @@ from pathlib import Path
 from fibanyon.errors import FusionError, ShapeError
 from fibanyon.model import load_model_text
 from fibanyon.trees import (
-    FusionTree,
     SectorBasis,
     TreeShape,
     all_shapes,
@@ -16,6 +15,7 @@ from fibanyon.trees import (
     parse_tree_label,
     right_comb,
 )
+from reference import global_charge, reference
 
 FIB_DIMS = {1: 2, 2: 5, 3: 13, 4: 34, 5: 89, 6: 233, 7: 610, 8: 1597}
 
@@ -32,16 +32,16 @@ def test_dimension_shape_independent(model):
 
 
 def test_two_anyon_sector_listing(basis2):
-    sector = {g: basis2.trees[basis2.sector_slice(g)] for g in ("e", "tau")}
-    assert [t.label() for t in sector["e"]] == ["e,e;e", "tau,tau;e"]
-    assert [t.label() for t in sector["tau"]] == ["e,tau;tau", "tau,e;tau", "tau,tau;tau"]
+    sector = {g: basis2.labels[basis2.sector_slice(g)] for g in ("e", "tau")}
+    assert sector["e"] == ("e,e;e", "tau,tau;e")
+    assert sector["tau"] == ("e,tau;tau", "tau,e;tau", "tau,tau;tau")
     assert basis2.sector_dim("e") == 2
     assert basis2.sector_dim("tau") == 3
 
 
 def test_one_anyon_basis(model):
     basis = enumerate_basis(model, 1)
-    assert [t.label() for t in basis.trees] == ["e", "tau"]
+    assert basis.labels == ("e", "tau")
     assert basis.sector_dim("tau") == 1
 
 
@@ -54,33 +54,32 @@ def test_index_tree_roundtrip(model):
     basis = enumerate_basis(model, grouped_shape(2, 2))
     assert basis.dim == 34
     for i in range(basis.dim):
-        assert basis.index_of(basis.tree_at(i)) == i
+        assert basis.index_of_label(basis.tree_at(i)) == i
 
 
 def test_indices_cover_basis_once(basis2):
-    seen = {basis2.index_of(t) for t in basis2.trees}
+    seen = {basis2.index_of_label(label) for label in basis2.labels}
     assert seen == set(range(5))
 
 
 def test_index_of_inconsistent_tree(basis2):
-    bad = FusionTree(basis2.shape, ("e", "e"), ("tau",))  # (e,e) -> tau is not allowed
-    with pytest.raises(FusionError):
-        basis2.index_of(bad)
+    with pytest.raises(FusionError):  # (e,e) -> tau is not allowed
+        basis2.index_of_label("e,e;tau")
 
 
 def test_index_of_wrong_shape(model, basis2):
     other = enumerate_basis(model, left_comb(3))
     with pytest.raises(ShapeError):
-        basis2.index_of(other.tree_at(0))
+        basis2.index_of_label(other.tree_at(0))
 
 
 def test_enumeration_deterministic(model):
-    a = [t.label() for t in enumerate_basis(model, left_comb(4)).trees]
-    b = [t.label() for t in enumerate_basis(model, left_comb(4)).trees]
+    a = SectorBasis(model, left_comb(4)).labels
+    b = SectorBasis(model, left_comb(4)).labels
     assert a == b
     # vacuum sector comes first in the flat ordering
     basis = enumerate_basis(model, left_comb(4))
-    sectors = [t.global_charge for t in basis.trees]
+    sectors = [basis.sector_of(i) for i in range(basis.dim)]
     assert sectors == sorted(sectors, key=("e", "tau").index)
 
 
@@ -128,17 +127,23 @@ def test_all_shapes_counts_catalan():
 
 
 def test_tree_label_fields_explicit(basis4):
-    tree = basis4.tree_at(basis4.index_of_label("(tau,e),(e,tau);tau,tau;e"))
-    assert tree.leaf_charges == ("tau", "e", "e", "tau")
-    assert tree.internal_charges == ("e", "tau", "tau")
-    assert tree.label() == "(tau,e),(e,tau);tau,tau;e"
+    label = "(tau,e),(e,tau);tau,tau;e"
+    index = basis4.index_of_label(label)
+    assert basis4.tree_at(index) == label
+    # leaves, non-root internals, root
+    assert parse_tree_label(basis4.shape, label) == ("tau", "e", "e", "tau", "tau", "tau", "e")
+    # preorder columns, root first: root, (0 1), 0, 1, (2 3), 2, 3
+    names = [basis4.model.charges[c] for c in basis4.charges[index]]
+    assert names == ["e", "tau", "tau", "e", "tau", "e", "tau"]
 
 
 def test_label_roundtrip_all_trees(model):
     for shape in (left_comb(3), grouped_shape(2, 2), grouped_shape(2, 4)):
         basis = enumerate_basis(model, shape)
-        for tree in basis.trees:
-            assert parse_tree_label(shape, tree.label()) == tree
+        template = shape.label_format[0]
+        for index, label in enumerate(basis.labels):
+            assert template % parse_tree_label(shape, label) == label
+            assert basis.index_of_label(label) == index
 
 
 def test_label_accepts_unicode_tau(basis2):
@@ -163,8 +168,8 @@ def test_canonical_labels_resolve_without_parsing(monkeypatch, model, basis2, ba
     for i in range(1000):
         classify_pure_2anyon(states[i % 10])
     for basis in (basis2, basis4):
-        for index, tree in enumerate(basis.trees):
-            assert basis.index_of_label(tree.label()) == index
+        for index, label in enumerate(basis.labels):
+            assert basis.index_of_label(label) == index
     assert calls == []
 
     # any other spelling falls back to the parser, with its errors unchanged
@@ -180,54 +185,6 @@ def test_canonical_labels_resolve_without_parsing(monkeypatch, model, basis2, ba
     assert AnyonState(basis2, np.eye(5)[0]).amplitude("e,e;e") == 1.0
 
 
-def _enumerate_labelings(model, node):
-    """Reference enumeration: all (root charge, leaf charges, preorder internal
-    charges) of a subtree, by recursion over Python tuples."""
-    if isinstance(node, int):
-        return [(c, (c,), ()) for c in model.charges]
-    left = _enumerate_labelings(model, node[0])
-    right = _enumerate_labelings(model, node[1])
-    out = []
-    for cl, ll, il in left:
-        for cr, lr, ir in right:
-            for root in model.fusion_outcomes(cl, cr):
-                out.append((root, ll + lr, (root,) + il + ir))
-    return out
-
-
-def _reference_trees(model, shape):
-    """Reference basis order: by sector, then leaf charges, then internal charges,
-    each in the model's charge order."""
-    order = {c: i for i, c in enumerate(model.charges)}
-
-    def sort_key(entry):
-        root, leaf_charges, internals = entry
-        return ((order[root],) + tuple(order[c] for c in leaf_charges)
-                + tuple(order[c] for c in internals))
-
-    entries = sorted(_enumerate_labelings(model, shape.structure), key=sort_key)
-    return tuple(FusionTree(shape, leaf_charges, internals) for _, leaf_charges, internals in entries)
-
-
-def _reference_label(tree):
-    """Reference label: a recursive render of the leaf grouping, then the
-    non-root internal charges, then the global charge."""
-
-    def render(node):
-        if isinstance(node, int):
-            return tree.leaf_charges[node]
-        return f"({render(node[0])},{render(node[1])})"
-
-    struct = tree.shape.structure
-    if isinstance(struct, int):
-        return tree.leaf_charges[0]
-    leaf_part = f"{render(struct[0])},{render(struct[1])}"
-    inner = ",".join(tree.internal_charges[1:])
-    if inner:
-        return f"{leaf_part};{inner};{tree.internal_charges[0]}"
-    return f"{leaf_part};{tree.internal_charges[0]}"
-
-
 @pytest.fixture(scope="module")
 def reference_models(model):
     """Fibonacci, Z2 (self-dual, two charges) and Z3 (not self-dual, three charges)."""
@@ -241,18 +198,73 @@ def test_basis_equals_per_tree_reference(reference_models, n):
     for m in reference_models:
         for shape in all_shapes(n):
             basis = SectorBasis(m, shape)
-            expected = _reference_trees(m, shape)
-            assert basis.trees == expected
-            for g in m.charges:
-                members = basis.trees[basis.sector_slice(g)]
-                assert members == tuple(t for t in expected if t.global_charge == g)
+            ref = reference(m, shape)
+            # the labels hold every charge, and the recursive renderer is one to one
+            assert basis.labels == ref.labels
+            assert sorted(shape.label_format[1]) == list(range(2 * n - 1))
             assert not basis.charges.flags.writeable
-            # one label template and one lookup, against the recursive renderer
-            # and a {tree: index} dict
-            labels = tuple(_reference_label(tree) for tree in expected)
-            index = {tree: i for i, tree in enumerate(expected)}
-            assert basis.labels == labels
-            assert tuple(tree.label() for tree in expected) == labels
-            assert [basis.index_of(tree) for tree in expected] == [index[t] for t in expected]
-            assert [basis.index_of_label(label) for label in labels] == list(range(basis.dim))
-            assert tuple(parse_tree_label(shape, label) for label in labels) == expected
+            roots = [global_charge(tree) for tree in ref.trees]
+            for g in m.charges:
+                sl = basis.sector_slice(g)
+                assert roots[sl] == [g] * (sl.stop - sl.start) == [r for r in roots if r == g]
+            # one lookup, the label dict
+            assert [basis.index_of_label(label) for label in ref.labels] == list(range(basis.dim))
+            assert [parse_tree_label(shape, label) for label in ref.labels] == [
+                leaves + internals[1:] + internals[:1] for leaves, internals in ref.trees]
+
+
+# (shape, label, index or (error type, exact message)); unknown charges are
+# reported in the order leaves, root, other internals
+FIB_SPELLINGS = [
+    ("((0 1)(2 3))", "(τ,e),(e,τ);τ,τ;e", 5),
+    ("((0 1)(2 3))", " ( tau , e ) , ( e , tau ) ; tau , tau ; e ", 5),
+    ("((0 1)(2 3))", "tau,e,e,tau;tau,tau;e", 5),
+    ("((0 1)(2 3))", "(tau,e),(e,tau);,tau,,tau,;e", 5),
+    ("((0 1)(2 3))", "(sigma,e),(e,tau);tau,tau;e",
+     (FusionError, "unknown charge 'sigma' (model fibonacci)")),
+    ("((0 1)(2 3))", "(tau,e),(e,tau);tau,tau;sigma",
+     (FusionError, "unknown charge 'sigma' (model fibonacci)")),
+    ("((0 1)(2 3))", "(tau,e),(e,tau);sigma,tau;e",
+     (FusionError, "unknown charge 'sigma' (model fibonacci)")),
+    ("((0 1)(2 3))", "(x,e),(e,tau);y,tau;z", (FusionError, "unknown charge 'x' (model fibonacci)")),
+    ("((0 1)(2 3))", "(tau,e),(e,tau);y,tau;z", (FusionError, "unknown charge 'z' (model fibonacci)")),
+    ("((0 1)(2 3))", "(tau,e),(e,tau);tau,tau;", (FusionError, "unknown charge '' (model fibonacci)")),
+    ("((0 1)(2 3))", " (e,e),(e,tau) ; tau,tau ; e",
+     (FusionError, "tree '(e,e),(e,tau);tau,tau;e' is not fusion-consistent")),
+    ("((0 1)(2 3))", "(tau,e),(e,tau);tau;e", (ShapeError, "wrong number of internal charges")),
+    ("((0 1)(2 3))", "(tau,e),(e,tau);tau,tau,tau;e", (ShapeError, "wrong number of internal charges")),
+    ("((0 1)(2 3))", "(tau,e),(e,tau);tau,tau;e;e",
+     (ShapeError, "cannot parse basis label '(tau,e),(e,tau);tau,tau;e;e'")),
+    ("0", "τ", 1),
+    ("0", " tau ", 1),
+    ("0", "sigma", (FusionError, "unknown charge 'sigma' (model fibonacci)")),
+    ("0", "tau;", (ShapeError, "single-anyon label 'tau;' must have no ';'")),
+]
+
+Z3_SPELLINGS = [
+    ("((0 1) 2)", "( a , a ) , a ; b ; e", 4),
+    ("((0 1) 2)", "a,a,a;b;e", 4),
+    ("((0 1) 2)", "(τ,a),a;b;e", (FusionError, "unknown charge 'tau' (model z3)")),
+    ("((0 1) 2)", "(c,a),a;b;e", (FusionError, "unknown charge 'c' (model z3)")),
+    ("((0 1) 2)", "(a,a),a;b;c", (FusionError, "unknown charge 'c' (model z3)")),
+    ("((0 1) 2)", "(a,a),a;c;e", (FusionError, "unknown charge 'c' (model z3)")),
+    ("((0 1) 2)", "(a,a),a;x;y", (FusionError, "unknown charge 'y' (model z3)")),
+    ("((0 1) 2)", "(a,a),a;a;e", (FusionError, "tree '(a,a),a;a;e' is not fusion-consistent")),
+    ("((0 1) 2)", "(a,a),a;e", (ShapeError, "wrong number of internal charges")),
+    ("((0 1) 2)", "(a,a),a;b,b;e", (ShapeError, "wrong number of internal charges")),
+    ("((0 1) 2)", "a,a;b;e", (ShapeError, "label 'a,a;b;e' has 2 leaves, shape has 3")),
+    ("((0 1) 2)", "(a,a),a;b;e;", (ShapeError, "cannot parse basis label '(a,a),a;b;e;'")),
+]
+
+
+@pytest.mark.parametrize("model_index,shape,label,expected",
+                         [(0, *case) for case in FIB_SPELLINGS] + [(2, *case) for case in Z3_SPELLINGS])
+def test_index_of_label_non_canonical_spellings(reference_models, model_index, shape, label, expected):
+    basis = enumerate_basis(reference_models[model_index], shape)
+    if isinstance(expected, int):
+        assert basis.index_of_label(label) == expected
+        return
+    error, message = expected
+    with pytest.raises(error) as raised:
+        basis.index_of_label(label)
+    assert type(raised.value) is error and str(raised.value) == message
