@@ -142,6 +142,9 @@ def local_observable_basis(basis: SectorBasis) -> list[BlockOperator]:
     all superselection-respecting by construction.
     """
     units = _units(basis)
+    # the identity, its unit coordinates and their conjugate: four count^2 arrays
+    require_memory(64 * units.count ** 2,
+                   f"the {units.count} local observables of a {basis.dim}-dim basis")
     # row i of the map to unit coordinates is unit i transposed: its conjugate
     rows = _to_units(np.eye(units.count), units).conj()
     return [

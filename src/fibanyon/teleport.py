@@ -22,21 +22,25 @@ executable counterfactual.
 One scenario runs over many messages, so the work is split in two:
 
 - The layout, cached per (model, resource basis, direction, channel):
-  the message basis, the joined basis's table at the channel (the index
-  of every (message tree, resource tree) pair, as :func:`compose` reads
-  it), the regrouping map, the bipartition and its table at the channel
-  (the index of every C entry), and the receiver and measured bases.
-  :meth:`MessageQubit.target_vector` places both the message and its
-  target, so scenarios that differ only in their encoding share one
-  layout, and so do ``with_resource`` copies.
-- The measurement, built once per (scenario, tol): the PVM as matrices
-  with its no-click residual, validated by :func:`validate_pvm`, and
-  every correction, checked block diagonal and unitary whether or not
-  its outcome can fire.  Explicit ``pvm=`` / ``corrections=`` overrides
-  are built the same way on every call.
+  the two rows of the joined basis's table at the channel that belong to
+  the message kets (the joined index of every (message ket, resource
+  tree) pair), the regrouping map, the bipartition and its table at the
+  channel (the index of every C entry), and the receiver and measured
+  bases.  :meth:`MessageQubit.target_vector` places the target, so
+  scenarios that differ only in their encoding share one layout, and so
+  do ``with_resource`` copies.
+- The measurement, built once per (scenario, tol): the PVM and its
+  no-click residual as one stack of transposed projectors, validated by
+  :func:`validate_pvm`, and the corrections as stacks U and U^dagger,
+  each checked block diagonal and unitary whether or not its outcome can
+  fire.  Explicit ``pvm=`` / ``corrections=`` overrides are built the
+  same way on every call.
 
 A :class:`SplitState` then only multiplies the message into the resource,
-regroups, gathers C and checks the state's superselection.
+regroups, gathers C and checks the state's superselection.  One round is
+a handful of stacked products over every outcome at once: D = C P^T,
+the probabilities, D D^dagger / p, the decoherence mask and U rho
+U^dagger; only each branch's fidelity is scored on its own.
 
 Sampled measurements (the reachability sweep and the verification
 oracle) are block diagonal unitaries with one Haar block per charge
@@ -55,7 +59,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FusionError, SuperselectionError, fibonacci_only
+from .errors import FusionError, SuperselectionError, fibonacci_only, require_memory
 from .model import AnyonModel, Charge
 from .recouple import shape_change
 from .states import (
@@ -137,11 +141,11 @@ def compose(
 
 def _joined(table: np.ndarray, dim: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Joined amplitudes: left[i] * right[j] at table[i, j] over both supports."""
-    l_nz, r_nz = np.flatnonzero(left), np.flatnonzero(right)
-    index = table[np.ix_(l_nz, r_nz)]
+    l_nz, r_nz = left.nonzero()[0], right.nonzero()[0]
+    index = table[l_nz][:, r_nz]
     if not index.size:
         raise ValueError("cannot join a zero state")
-    if np.any(index < 0):
+    if (index < 0).any():
         raise FusionError("the channel is not a fusion outcome of the two factors' charges")
     amplitudes = np.zeros(dim, dtype=complex)
     amplitudes[index] = rounded_product(left[l_nz, None], right[None, r_nz])
@@ -156,6 +160,9 @@ def validate_pvm(pvm, basis: SectorBasis, tol: float = 1e-10) -> list[str]:
     superpose different global charges of the measured subsystem are
     unphysical, which is the headline violation here.
     """
+    # the dense projectors, their products and the residual's eigensolve
+    require_memory(16 * (len(pvm) + 4) * basis.dim ** 2,
+                   f"validating {len(pvm)} projectors on a {basis.dim}-dim basis")
     report = []
     mats = []
     for k, op in enumerate(pvm):
@@ -193,9 +200,9 @@ class _Layout:
 
     def __init__(self, model: AnyonModel, resource_basis: SectorBasis, direction: str,
                  channel: Charge):
-        self.message_basis = message_basis = enumerate_basis(model, grouped_shape(1, 1))
-        self.message_first = direction == "ab"
-        if self.message_first:
+        message_basis = enumerate_basis(model, grouped_shape(1, 1))
+        message_first = direction == "ab"
+        if message_first:
             left, right = message_basis.shape, resource_basis.shape
             measured_shape = join_shapes(grouped_shape(2, 2), grouped_shape(1, 1))
             n_a, self.receiver_side = 4, "B"
@@ -204,7 +211,10 @@ class _Layout:
             measured_shape = join_shapes(grouped_shape(1, 1), grouped_shape(2, 2))
             n_a, self.receiver_side = 2, "A"
         joined = enumerate_basis(model, join_shapes(left, right))
-        self.join = bipartition(joined, left.n_leaves).table(channel)
+        join = bipartition(joined, left.n_leaves).table(channel)
+        kets = [message_basis.index_of_label(lbl) for lbl in MESSAGE_KETS]
+        # row k: the joined index of (message ket k, resource tree j)
+        self.message_rows = join[kets] if message_first else join[:, kets].T
         self.change = shape_change(model, joined.shape, measured_shape)
         self.part = part = bipartition(self.change.target, n_a)
         # the regrouped state lives in the channel sector: C gathers it
@@ -223,11 +233,13 @@ _cached_layout = functools.lru_cache(maxsize=64)(_Layout)
 
 
 class _Measurement:
-    """A PVM and its corrections as the matrices one run applies.
+    """A PVM and its corrections as the stacks one run applies.
 
-    With `validate`, the PVM must pass :func:`validate_pvm` and every
-    correction must be block diagonal and unitary on the receiver, whether
-    or not its outcome can fire.
+    `projectors_t` holds P_k^T for every outcome k, the no-click residual
+    last; `corrections` is None or the stacks (U, U^dagger), one matrix per
+    projector.  With `validate`, the PVM must pass :func:`validate_pvm` and
+    every correction must be block diagonal and unitary on the receiver,
+    whether or not its outcome can fire.
     """
 
     def __init__(self, pvm, corrections, measured_basis: SectorBasis,
@@ -236,21 +248,28 @@ class _Measurement:
             problems = validate_pvm(pvm, measured_basis, tol)
             if problems:
                 raise SuperselectionError("invalid PVM: " + "; ".join(problems))
-        self.projectors = [_as_full(op, measured_basis) for op in pvm]
-        if corrections is not None and len(corrections) != len(self.projectors):
+        if corrections is not None and len(corrections) != len(pvm):
             raise ValueError("one correction per projector is required (use identity to skip)")
-        self.no_click = np.eye(measured_basis.dim, dtype=complex) - sum(self.projectors)
-        self.corrections = None  # or one (U, U^dagger) per outcome
+        m = measured_basis.dim
+        # the projectors as given and their transposed stack
+        require_memory(32 * (len(pvm) + 1) * m * m,
+                       f"the stack of {len(pvm) + 1} {m} x {m} projectors")
+        projectors = [_as_full(op, measured_basis) for op in pvm]
+        projectors.append(np.eye(m, dtype=complex) - sum(projectors))
+        self.projectors_t = np.stack(projectors).swapaxes(1, 2)
+        self.corrections = None
         if corrections is not None:
-            self.corrections = []
+            r = receiver_basis.dim
+            U = np.empty((len(corrections), r, r), dtype=complex)
             for k, op in enumerate(corrections):
-                U = _as_full(op, receiver_basis)
+                mat = _as_full(op, receiver_basis)
                 if validate:
-                    if not validate_cssr(U, receiver_basis, tol):
+                    if not validate_cssr(mat, receiver_basis, tol):
                         raise SuperselectionError(f"correction {k} mixes receiver charge sectors")
-                    if np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) > tol:
+                    if np.max(np.abs(mat.conj().T @ mat - np.eye(r))) > tol:
                         raise ValueError(f"correction {k} is not unitary")
-                self.corrections.append((U, U.conj().T))
+                U[k] = mat
+            self.corrections = (U, U.conj().swapaxes(1, 2))
 
 
 @dataclass(frozen=True)
@@ -332,12 +351,10 @@ class SplitState:
 
     def __init__(self, scenario: TeleportScenario, message: MessageQubit):
         layout = scenario._layout()
-        msg = message.target_vector(layout.message_basis, MESSAGE_KETS)
-        resource = scenario.resource.amplitudes
-        left, right = (msg, resource) if layout.message_first else (resource, msg)
-        amplitudes = layout.change.apply(
-            _joined(layout.join, layout.change.source.dim, left, right)
-        )
+        amplitudes = layout.change.apply(_joined(
+            layout.message_rows, layout.change.source.dim,
+            np.array([message.alpha, message.beta], dtype=complex), scenario.resource.amplitudes,
+        ))
         self.basis = layout.change.target
         self.part = layout.part
         self.receiver_side = layout.receiver_side
@@ -360,17 +377,6 @@ class SplitState:
         rho = np.where(self.receiver_mask, rho, 0.0)
         return np.einsum("i,sij,j->s", target.conj(), rho, target).real
 
-    def branch(self, projector: np.ndarray, decohere: bool) -> tuple[float, np.ndarray | None]:
-        """Probability and conditional receiver operator for one projector."""
-        D = self.coefficients @ projector.T
-        p = float(np.sum(np.abs(D) ** 2))
-        if p <= PROB_TOL:
-            return max(p, 0.0), None
-        rho = D @ D.conj().T / p
-        if decohere:
-            rho = np.where(self.receiver_mask, rho, 0.0)
-        return p, rho
-
 
 def run_protocol(
     scenario: TeleportScenario,
@@ -380,7 +386,7 @@ def run_protocol(
     enforce_superselection: bool = True,
     tol: float = 1e-10,
 ) -> TeleportOutcome:
-    """Execute one teleportation round for every measurement outcome.
+    """Execute one teleportation round for every measurement outcome at once.
 
     `pvm` / `corrections` override the scenario's own (needed for sampled
     measurements and for the superselection-disabled counterfactual).
@@ -403,9 +409,14 @@ def run_protocol(
             scenario.corrections if corrections is None else corrections,
             split.measured_basis, split.receiver_basis, enforce_superselection, tol,
         )
-    raw = [split.branch(mat, decohere=enforce_superselection) for mat in measurement.projectors]
-    no_click = split.branch(measurement.no_click, decohere=enforce_superselection)
-    return _assemble(raw, no_click, split.target, measurement.corrections,
+    D = split.coefficients @ measurement.projectors_t
+    probabilities = (np.abs(D) ** 2).sum(axis=(1, 2))
+    # a branch at p <= PROB_TOL is dropped: divide it by 1, not by ~0
+    scale = np.where(probabilities > PROB_TOL, probabilities, 1.0)
+    rho = D @ D.conj().swapaxes(1, 2) / scale[:, None, None]
+    if enforce_superselection:
+        rho = np.where(split.receiver_mask, rho, 0.0)
+    return _assemble(probabilities, rho, measurement.corrections, split.target,
                      split.receiver_basis, message)
 
 
@@ -440,32 +451,35 @@ def run_protocol_via_embedding(
     total = BlockOperator.identity(meas_basis)
     for block in blocks:
         total = total - block
-    raw = [receiver_branch(block) for block in blocks]
-    return _assemble(raw, receiver_branch(total), split.target,
-                     scenario._measurement(True, tol).corrections, split.receiver_basis, message)
+    raw = [receiver_branch(block) for block in blocks + [total]]
+    rho = np.zeros((len(raw), split.receiver_basis.dim, split.receiver_basis.dim), dtype=complex)
+    for k, (_, state) in enumerate(raw):
+        if state is not None:
+            rho[k] = state
+    return _assemble(np.array([p for p, _ in raw]), rho,
+                     scenario._measurement(True, tol).corrections, split.target,
+                     split.receiver_basis, message)
 
 
-def _assemble(raw_branches, no_click, target, corrections, receiver_basis,
+def _assemble(probabilities, rho, corrections, target, receiver_basis,
               message) -> TeleportOutcome:
-    """Correct each branch, score it against `target` and sum the average fidelity.
+    """Correct every branch, score each against `target` and sum the average fidelity.
 
-    `raw_branches` and `no_click` are (probability, receiver matrix or None)
-    pairs; `corrections` are a :class:`_Measurement`'s (U, U^dagger) pairs.
-    The no-click branch is never corrected.
+    `probabilities` and `rho` hold one probability and one receiver matrix
+    per outcome, the no-click branch last; a branch at p <= PROB_TOL has
+    no state.  `corrections` is a :class:`_Measurement`'s (U, U^dagger)
+    stacks or None; the no-click branch is never corrected.
     """
-
-    def scored(p, rho):
-        if rho is None:
-            return Branch(p, None, None)
-        return Branch(p, rho, float(np.real(target.conj() @ rho @ target)))
-
-    branches = []
-    for k, (p, rho) in enumerate(raw_branches):
-        if rho is not None and corrections is not None:
-            U, U_dagger = corrections[k]
-            rho = U @ rho @ U_dagger
-        branches.append(scored(p, rho))
-    no_click = scored(*no_click)
+    if corrections is not None:
+        U, U_dagger = corrections
+        rho[:len(U)] = U @ rho[:len(U)] @ U_dagger
+    bra = target.conj()
+    branches = [
+        Branch(float(p), state, float((bra @ state @ target).real)) if p > PROB_TOL
+        else Branch(float(p), None, None)
+        for p, state in zip(probabilities, rho)
+    ]
+    no_click = branches.pop()
     avg = sum(b.probability * b.fidelity for b in branches if b.fidelity is not None)
     if no_click.fidelity is not None:
         avg += no_click.probability * no_click.fidelity

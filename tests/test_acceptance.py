@@ -277,4 +277,5 @@ def test_criterion_11_cli_golden_files():
         if code != 0 or out != (GOLDEN / golden_name).read_bytes():
             failures.append(golden_name)
     _report(11, "CLI determinism against golden files", not failures,
-            f"failures={failures}" if failures else "6 golden files byte-identical")
+            f"failures={failures}" if failures
+            else f"{len(GOLDEN_CASES)} golden files byte-identical")

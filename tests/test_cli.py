@@ -59,8 +59,14 @@ GOLDEN_CASES = [
     ("dims.txt", ("dims",)),
     ("marginals_unequal.txt", ("marginals", "--state", STATE_FILE)),
     ("correlations_unequal.json", ("correlations", "--state", STATE_FILE, "--format", "json")),
-    ("teleport_main_ab.json",
-     ("teleport", "--scenario", "main-text", "--direction", "ab", "--format", "json")),
+    *(
+        (f"teleport_{short}_{direction}.{ext}",
+         ("teleport", "--scenario", scenario, "--direction", direction, "--format", fmt))
+        for short, scenario in (("main", "main-text"), ("d1", "appendix-d1-symmetric"),
+                                ("d2", "appendix-d2-asymmetric"))
+        for direction in ("ab", "ba")
+        for fmt, ext in (("text", "txt"), ("json", "json"))
+    ),
     ("verify_dims.txt", ("verify", "--suite", "dims")),
 ]
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fibanyon import errors
 from fibanyon.correlations import (
     PURE_CLASSES,
     _witness,
@@ -14,6 +15,7 @@ from fibanyon.correlations import (
     local_unitary_orbit_check,
     random_pure_2anyon,
 )
+from fibanyon.errors import MemoryBudgetError
 from fibanyon.states import (
     AnyonState,
     Bipartition,
@@ -28,7 +30,7 @@ from fibanyon.states import (
     trace,
     validate_cssr,
 )
-from fibanyon.trees import enumerate_basis, grouped_shape
+from fibanyon.trees import enumerate_basis, grouped_shape, left_comb
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -278,3 +280,15 @@ def test_first_3_3_call_stays_small(model):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_local_observable_basis_checks_memory_first(model, monkeypatch):
+    # n=4: 13^2 + 21^2 = 610 units, four 610 x 610 arrays, over half of 1 MiB
+    basis = enumerate_basis(model, left_comb(4))
+    need = f"~{64 * 610**2 / 2**30:.3g} GiB, {2**20 / 2**30:.3g} GiB available"
+    monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
+    with pytest.raises(MemoryBudgetError,
+                       match=f"^the 610 local observables of a 34-dim basis needs {need}"):
+        local_observable_basis(basis)
+    monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
+    assert len(local_observable_basis(basis)) == 610

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fibanyon import teleport
-from fibanyon.errors import FusionError, SuperselectionError
+from fibanyon import errors, teleport
+from fibanyon.errors import FusionError, MemoryBudgetError, SuperselectionError
 from fibanyon.recouple import change_shape
 from fibanyon.states import AnyonState, BlockOperator, bipartition, ket, superpose
 from fibanyon.teleport import (
@@ -229,8 +229,10 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
         pvm = random_sector_pvm(split.measured_basis, rng)
         avg = 0.0
         for proj in pvm:
-            p, rho = split.branch(proj, decohere=True)
-            if rho is not None:
+            D = split.coefficients @ proj.T
+            p = float(np.sum(np.abs(D) ** 2))
+            if p > PROB_TOL:
+                rho = np.where(split.receiver_mask, D @ D.conj().T / p, 0.0)
                 avg += p * float(np.real(target.conj() @ rho @ target))
         assert avg <= bound + 1e-10
         blocks = sector_haar_blocks(split.measured_basis, [np.random.default_rng(1000 + s)])
@@ -480,11 +482,14 @@ def test_reachability_rejects_empty_sweep(catalog):
 # --- the cached layout and measurement against a per-call reference
 
 
-def _reference_protocol(scenario, message):
+def _reference_protocol(scenario, message, pvm=None, corrections=None, decohere=True):
     """One protocol run the long way, with every table rebuilt from the trees.
 
     Joins the message to the resource tree by tree, scatters the regrouped
-    amplitudes index by index, and runs one branch per projector.
+    amplitudes index by index, and runs one branch per projector.  `pvm`
+    and `corrections` default to the scenario's own, as in
+    :func:`run_protocol`; `decohere` keeps only the receiver's
+    equal-charge matrix elements.
     """
     model = scenario.model
     msg = message.as_state(model)
@@ -525,17 +530,22 @@ def _reference_protocol(scenario, message):
         p = float(np.sum(np.abs(D) ** 2))
         if p <= PROB_TOL:
             return max(p, 0.0), None
-        return p, np.where(mask, D @ D.conj().T / p, 0.0)
+        rho = D @ D.conj().T / p
+        return p, np.where(mask, rho, 0.0) if decohere else rho
 
     def fidelity(rho):
         return None if rho is None else float(np.real(target.conj() @ rho @ target))
 
-    mats = [op.to_full() for op in scenario.pvm]
+    def full(op):
+        return op.to_full() if isinstance(op, BlockOperator) else np.asarray(op, dtype=complex)
+
+    mats = [full(op) for op in (scenario.pvm if pvm is None else pvm)]
+    corrections = scenario.corrections if corrections is None else corrections
     branches = []
-    for proj, corr in zip(mats, scenario.corrections):
+    for k, proj in enumerate(mats):
         p, rho = branch(proj)
-        if rho is not None:
-            U = corr.to_full()
+        if rho is not None and corrections is not None:
+            U = full(corrections[k])
             rho = U @ rho @ U.conj().T
         branches.append((p, rho, fidelity(rho)))
     p, rho = branch(np.eye(meas_basis.dim, dtype=complex) - sum(mats))
@@ -546,9 +556,12 @@ def _reference_protocol(scenario, message):
     return branches, no_click, float(avg)
 
 
-def _assert_matches_reference(scenario, message):
-    outcome = run_protocol(scenario, message)
-    branches, no_click, avg = _reference_protocol(scenario, message)
+def _assert_matches_reference(scenario, message, pvm=None, corrections=None,
+                              enforce_superselection=True):
+    outcome = run_protocol(scenario, message, pvm=pvm, corrections=corrections,
+                           enforce_superselection=enforce_superselection)
+    branches, no_click, avg = _reference_protocol(scenario, message, pvm, corrections,
+                                                  decohere=enforce_superselection)
     assert outcome.average_fidelity == avg
     for got, (p, rho, fid) in zip(outcome.branches + [outcome.no_click], branches + [no_click]):
         assert got.probability == p
@@ -581,14 +594,54 @@ def test_run_protocol_equals_reference_on_random_messages(catalog):
 
 def test_run_protocol_equals_reference_on_d1_family(model, catalog):
     rng = np.random.default_rng(77)
+    resources = []
     for _ in range(3):
         vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         vec /= np.linalg.norm(vec)
-        resource = d1_family_resource(model, vec[0], vec[1])
+        resources.append(d1_family_resource(model, vec[0], vec[1]))
+    # one coefficient exactly 0: a support smaller than the catalog resource's
+    resources.append(d1_family_resource(model, 0.0, 1.0))
+    assert np.count_nonzero(resources[-1].amplitudes) == 1
+    for resource in resources:
         for direction in ("ab", "ba"):
             scenario = catalog["appendix-d1-symmetric"][direction].with_resource(resource)
             for alpha, beta in MESSAGE_GRID:
                 _assert_matches_reference(scenario, MessageQubit(alpha, beta))
+
+
+def test_run_protocol_equals_reference_with_explicit_measurements(model, catalog):
+    scenario, pvm, corrections = superselection_violating_protocol(model)
+    for alpha, beta in MESSAGE_GRID:
+        _assert_matches_reference(scenario, MessageQubit(alpha, beta), pvm=pvm,
+                                  corrections=corrections, enforce_superselection=False)
+    for scenario in _catalog_runs(catalog):
+        for alpha, beta in MESSAGE_GRID:
+            _assert_matches_reference(scenario, MessageQubit(alpha, beta), pvm=scenario.pvm)
+
+
+def test_dense_measurements_check_memory_first(catalog, monkeypatch):
+    # twelve 34 x 34 projectors: past the 256 KiB every machine has, over half of 512 KiB
+    scenario = catalog["main-text"]["ab"]
+    split = SplitState(scenario, MessageQubit(0.6, 0.8))
+    m, r = split.measured_basis.dim, split.receiver_basis.dim
+    pvm = [np.zeros((m, m))] * 12
+    identities = [np.eye(r)] * 12
+    available = f"{2**19 / 2**30:.3g} GiB available"
+    monkeypatch.setattr(errors, "_available_bytes", lambda: 2**19)
+    with pytest.raises(MemoryBudgetError, match=(
+            f"^validating 12 projectors on a 34-dim basis needs ~{16 * 16 * m * m / 2**30:.3g}"
+            f" GiB, {available}")):
+        validate_pvm(pvm, split.measured_basis)
+    with pytest.raises(MemoryBudgetError, match=(
+            f"^the stack of 13 34 x 34 projectors needs ~{32 * 13 * m * m / 2**30:.3g}"
+            f" GiB, {available}")):
+        run_protocol(scenario, MessageQubit(0.6, 0.8), pvm=pvm, corrections=identities,
+                     enforce_superselection=False)
+    monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
+    assert validate_pvm(pvm, split.measured_basis) == []
+    outcome = run_protocol(scenario, MessageQubit(0.6, 0.8), pvm=pvm, corrections=identities)
+    assert outcome.probabilities() == [0.0] * 12
+    assert outcome.no_click.probability == pytest.approx(1.0, abs=1e-12)
 
 
 def _count_validations(monkeypatch):
