@@ -23,6 +23,7 @@ from .states import (
     pure_density,
     pure_marginal,
     purity,
+    spectra,
     spectrum,
     superpose,
     trace,

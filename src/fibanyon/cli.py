@@ -27,8 +27,8 @@ from .states import (
     parse_state_text,
     pure_marginal,
     purity,
+    spectra,
     spectra_agree,
-    spectrum,
 )
 from .teleport import MessageQubit, builtin_scenarios, receiver_reachability_check, run_protocol
 from .trees import TreeShape, enumerate_basis, grouped_shape, left_comb
@@ -234,7 +234,7 @@ def cmd_marginals(args, model: AnyonModel) -> int:
 
 def _write_marginals(out, fmt: str, split: int, n: int, rho_a, rho_b, tol: float):
     """The marginals report, its entry lists streamed from the sector blocks."""
-    spec_a, spec_b = spectrum(rho_a), spectrum(rho_b)
+    spec_a, spec_b = spectra(rho_a.blocks.values(), rho_b.blocks.values())
     symmetric = spectra_agree(spec_a, spec_b, tol)
     if fmt == "json":
         head = json.dumps({

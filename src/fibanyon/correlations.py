@@ -17,7 +17,10 @@ and each Hermitian unit is a fixed combination of matrix units: (k, k);
 (k, l) + (l, k); i (k, l) - i (l, k).  So the table is R with one gather on its rows and
 one on its columns.  The diagonal units sum to each party's identity, so
 the single-party expectations are sums of the table's own entries.  No
-dense matrix of the joint basis is formed.
+dense matrix of the joint basis is formed.  A pure state's R is
+C[a, b] conj(C[a', b']) with C its amplitude matrix: two gathers and one
+product.  Everything that depends only on the split is built once per
+bipartition, on first use (:func:`_plan`).
 
 For two anyons this has a closed form.  Pure states split per sector as
 
@@ -39,16 +42,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, require_memory
+from .errors import BasisMismatchError, ShapeError, require_memory
 from .states import (
+    SPECTRAL_TOL,
     AnyonState,
     Bipartition,
     BlockOperator,
-    amplitude_marginal,
     bipartition,
     embed_local,
+    marginal_blocks,
     partial_trace,
     pure_marginal,
+    spectra,
     spectra_agree,
     spectrum,
 )
@@ -87,15 +92,19 @@ class _Units(NamedTuple):
 
     A position is an entry (k, l) of one sector block, with the blocks
     raveled and concatenated in charge order; ``block[g]`` is the slice of
-    sector g's positions.  ``diag`` and ``sym`` number the diagonal and
-    symmetric units (each antisymmetric unit follows its symmetric one),
-    which read the positions ``at_kk`` and ``at_kl``/``at_lk``.
+    sector g's positions, and ``row``/``col`` hold each position's k and l
+    as basis indices.  ``diag``, ``sym`` and ``anti`` number the diagonal,
+    symmetric and antisymmetric units (each antisymmetric unit follows its
+    symmetric one), which read the positions ``at_kk`` and ``at_kl``/``at_lk``.
     """
 
     count: int
     block: dict
+    row: np.ndarray
+    col: np.ndarray
     diag: np.ndarray
     sym: np.ndarray
+    anti: np.ndarray
     at_kk: np.ndarray
     at_kl: np.ndarray
     at_lk: np.ndarray
@@ -103,19 +112,47 @@ class _Units(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _units(basis: SectorBasis) -> _Units:
-    block, diag, sym, at_kk, at_kl, at_lk = {}, [], [], [], [], []
+    block, row, col, diag, sym, at_kk, at_kl, at_lk = {}, [], [], [], [], [], [], []
     first = 0  # the sector's first unit, and its first position
     for g in basis.model.charges:
-        d = basis.sector_dim(g)
+        sector = basis.sector_slice(g)
+        d = sector.stop - sector.start
         k, l = np.triu_indices(d, 1)
         block[g] = slice(first, first + d * d)
+        row.append(np.repeat(np.arange(sector.start, sector.stop), d))
+        col.append(np.tile(np.arange(sector.start, sector.stop), d))
         diag.append(first + np.arange(d))
         sym.append(first + d + 2 * np.arange(len(k)))
         at_kk.append(first + np.arange(d) * (d + 1))
         at_kl.append(first + k * d + l)
         at_lk.append(first + l * d + k)
         first += d * d
-    return _Units(first, block, *(np.concatenate(x) for x in (diag, sym, at_kk, at_kl, at_lk)))
+    row, col, diag, sym, at_kk, at_kl, at_lk = (
+        np.concatenate(x) for x in (row, col, diag, sym, at_kk, at_kl, at_lk))
+    return _Units(first, block, row, col, diag, sym, sym + 1, at_kk, at_kl, at_lk)
+
+
+class _Plan(NamedTuple):
+    """What every correlation test on one bipartition reuses: both parties'
+    units and, per charge block (g, x, y) in order, the positions of A and B
+    it fills and the gather from rho_g that realigns it.  All of it is
+    O(units + blocks); nothing is the size of the table."""
+
+    units_a: _Units
+    units_b: _Units
+    mixed: list
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(part: Bipartition) -> _Plan:
+    units_a, units_b = _units(part.a_basis), _units(part.b_basis)
+    mixed = []
+    for g, x, y, index in part.blocks:
+        d_a, d_b = index.shape
+        flat = index.ravel()
+        mixed.append((g, units_a.block[x], units_b.block[y], flat[:, None], flat[None, :],
+                      (d_a, d_b, d_a, d_b), (d_a**2, d_b**2)))
+    return _Plan(units_a, units_b, mixed)
 
 
 def _to_units(flat: np.ndarray, units: _Units) -> np.ndarray:
@@ -125,11 +162,12 @@ def _to_units(flat: np.ndarray, units: _Units) -> np.ndarray:
     (k, k), a symmetric one (k, l) + (l, k) and an antisymmetric one
     i (k, l) - i (l, k).
     """
-    kl, lk = flat[units.at_kl], flat[units.at_lk]
     out = np.empty(flat.shape, dtype=complex)
     out[units.diag] = flat[units.at_kk]
-    out[units.sym] = kl + lk
-    out[units.sym + 1] = 1j * (kl - lk)
+    if len(units.sym):
+        kl, lk = flat[units.at_kl], flat[units.at_lk]
+        out[units.sym] = kl + lk
+        out[units.anti] = 1j * (kl - lk)
     return out
 
 
@@ -159,37 +197,34 @@ def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
 
     O_A^i and O_B^j run over :func:`local_observable_basis` of the two
     parties.  `state_or_rho` is an :class:`AnyonState` (normalized first)
-    or a density :class:`BlockOperator` in the grouped shape of `part`.
+    or a density :class:`BlockOperator` in the grouped shape of `part`,
+    whose trace must be 1 within ``SPECTRAL_TOL``.
     """
     if isinstance(state_or_rho, AnyonState):
-        psi = state_or_rho.normalized()
-        return _violations(part, part.amplitude_matrix(psi), psi.sector)
+        return _violations(part, part.amplitude_matrix(state_or_rho.normalized()))
     return _violations(part, state_or_rho)
 
 
-def _violations(part: Bipartition, source, sector=None) -> np.ndarray:
-    """The violation table of a density :class:`BlockOperator`, or (given its
-    `sector`) of the normalized pure state with amplitude matrix `source`."""
-    units_a, units_b = _units(part.a_basis), _units(part.b_basis)
+def _violations(part: Bipartition, source) -> np.ndarray:
+    """The violation table of a density :class:`BlockOperator`, or of the
+    normalized pure state with amplitude matrix `source`."""
+    plan = _plan(part)
+    units_a, units_b = plan.units_a, plan.units_b
     # the table and its temporaries peak near five complex arrays of its size
     require_memory(80 * units_a.count * units_b.count,
                    f"the correlation table of a {part.n_a}|{part.n_b} split")
     # realigned[(a, a'), (b, b')] = sum_g rho_g[(a, b), (a', b')] on each block (g, x, y)
-    realigned = np.zeros((units_a.count, units_b.count), dtype=complex)
-    if sector is not None:
-        for g, x, y, _ in part.blocks:
-            if g == sector:
-                C = source[part.a_basis.sector_slice(x), part.b_basis.sector_slice(y)]
-                realigned[units_a.block[x], units_b.block[y]] = (
-                    C[:, None, :, None] * C.conj()[None, :, None, :]
-                ).reshape(C.shape[0] ** 2, C.shape[1] ** 2)
+    if isinstance(source, np.ndarray):
+        # C[a, b] conj(C[a', b']): C is 0 off the state's blocks, and so is the product
+        realigned = source.take(units_a.row, 0).take(units_b.row, 1)
+        realigned *= source.take(units_a.col, 0).take(units_b.col, 1).conj()
     else:
-        for g, x, y, index in part.blocks:
-            d_a, d_b = index.shape
-            flat = index.ravel()
-            sub = source.blocks[g][flat[:, None], flat[None, :]]
-            realigned[units_a.block[x], units_b.block[y]] += (
-                sub.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a**2, d_b**2)
+        if not source.basis.compatible(part.basis):  # same sector sizes would go unnoticed
+            raise BasisMismatchError("objects live on different bases")
+        realigned = np.zeros((units_a.count, units_b.count), dtype=complex)
+        for g, at_a, at_b, rows, cols, shape, square in plan.mixed:
+            realigned[at_a, at_b] += (
+                source.blocks[g][rows, cols].reshape(shape).transpose(0, 2, 1, 3).reshape(square)
             )
     lhs = _to_units(_to_units(realigned, units_a).T, units_b).T.real
     # The diagonal units sum to the identity, so Tr(O_A^i rho_A) is the sum
@@ -197,6 +232,9 @@ def _violations(part: Bipartition, source, sector=None) -> np.ndarray:
     # separately rounded marginals, both terms of T use the same products.
     exp_a = lhs[:, units_b.diag].sum(axis=1)
     exp_b = lhs[units_a.diag].sum(axis=0)
+    norm = float(exp_b[units_b.diag].sum())  # Tr rho
+    if abs(norm - 1.0) > SPECTRAL_TOL:
+        raise ValueError(f"density operator has trace {norm!r}, not 1")
     return lhs - np.outer(exp_a, exp_b)
 
 
@@ -227,16 +265,15 @@ def is_uncorrelated(
         # normalized once: the marginals, the table and the class read the same vector
         psi = state_or_rho.normalized()
         C = part.amplitude_matrix(psi)
-        rho_a = amplitude_marginal(C, part, traced="B")
-        rho_b = amplitude_marginal(C, part, traced="A")
-        violations = np.abs(_violations(part, C, psi.sector))
+        marginals = [marginal_blocks(C, part, traced).values() for traced in ("B", "A")]
+        violations = np.abs(_violations(part, C))
     else:
-        rho_a = partial_trace(state_or_rho, part, traced="B")
-        rho_b = partial_trace(state_or_rho, part, traced="A")
+        marginals = [partial_trace(state_or_rho, part, traced).blocks.values()
+                     for traced in ("B", "A")]
         violations = np.abs(_violations(part, state_or_rho))
     top = float(violations.max())
 
-    spec_a, spec_b = spectrum(rho_a), spectrum(rho_b)
+    spec_a, spec_b = spectra(*marginals)
     label = None
     if classify and pure and part.basis.shape.n_leaves == 2:
         label = _pure_class(psi, ZERO_COEFF_TOL)

@@ -94,7 +94,10 @@ class AnyonState:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return AnyonState(self.basis, self.amplitudes / n)
+        # scaling cannot widen the support, so the sector check is not repeated
+        out = object.__new__(AnyonState)
+        out.basis, out.amplitudes = self.basis, self.amplitudes / n
+        return out
 
     def inner(self, other: "AnyonState") -> complex:
         _require_same_basis(self.basis, other.basis)
@@ -324,10 +327,31 @@ def purity(rho: BlockOperator) -> float:
 
 def spectrum(rho: BlockOperator) -> np.ndarray:
     """Eigenvalues merged over sectors, sorted descending."""
-    vals = np.concatenate(
-        [np.linalg.eigvalsh(b) if b.size else np.empty(0) for b in rho.blocks.values()]
-    )
-    return np.sort(vals)[::-1]
+    return spectra(rho.blocks.values())[0]
+
+
+def spectra(*parties) -> list[np.ndarray]:
+    """The spectrum of each party, given as its Hermitian sector blocks.
+
+    Bit for bit what per-block ``np.linalg.eigvalsh``, concatenated in block
+    order and sorted descending, gives.  A 1 x 1 block's eigenvalue is read
+    off as its real diagonal, which is all LAPACK's ``heevd`` returns for
+    one row, and the same-size blocks of all parties go through one stacked
+    call, which runs LAPACK on each matrix in turn.
+    """
+    parties = [[b for b in blocks if len(b)] for blocks in parties]
+    flat = [b for blocks in parties for b in blocks]
+    vals = [b.real[0] for b in flat]  # a 1 x 1 block's eigenvalue; the rest are replaced
+    for d in {len(b) for b in flat} - {1}:
+        same = [k for k, b in enumerate(flat) if len(b) == d]
+        for k, v in zip(same, np.linalg.eigvalsh(np.stack([flat[k] for k in same]))):
+            vals[k] = v
+    out, first = [], 0
+    for blocks in parties:
+        party = vals[first:first + len(blocks)] or [np.empty(0)]
+        out.append(np.sort(np.concatenate(party))[::-1])
+        first += len(blocks)
+    return out
 
 
 def spectra_agree(spec_a: np.ndarray, spec_b: np.ndarray, tol: float) -> bool:
@@ -429,6 +453,18 @@ class Bipartition:
             return [(g, x, index.T) for g, x, _, index in self.blocks]
         return [(g, y, index) for g, _, y, index in self.blocks]
 
+    @functools.cached_property
+    def trace_gathers(self) -> dict[str, dict[Charge, list]]:
+        """Per traced side and kept charge, one (g, rows, cols) per block, in block
+        order: rho_g[rows, cols] stacks the kept-party matrices of its traced trees."""
+        out = {}
+        for traced in ("A", "B"):
+            out[traced] = {c: [] for c in self.basis.model.charges}
+            for g, keep, index in self.kept_blocks(traced):
+                index = np.ascontiguousarray(index)  # a C-ordered stack, which the sum needs
+                out[traced][keep].append((g, index[:, :, None], index[:, None, :]))
+        return out
+
 
 @functools.lru_cache(maxsize=256)
 def bipartition(basis: SectorBasis, n_a: int) -> Bipartition:
@@ -452,10 +488,13 @@ def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B
     """
     _require_same_basis(rho.basis, bipartition.basis)
     kept = bipartition.kept_basis(traced)
-    out = _zero_blocks(kept)
-    for g, keep, index in bipartition.kept_blocks(traced):
-        for term in rho.blocks[g][index[:, :, None], index[:, None, :]]:
-            out[keep] += term
+    out = {}  # a kept charge that no block reaches stays zero
+    for keep, gathers in bipartition.trace_gathers[traced].items():
+        if gathers:
+            terms = np.concatenate([rho.blocks[g][rows, cols] for g, rows, cols in gathers])
+            # Summed as reals, each term in turn from 0, as a per-term += would:
+            # a complex sum over one-entry terms would be pairwise.
+            out[keep] = np.add.reduce(terms.view(float), axis=0, initial=0.0).view(complex)
     return BlockOperator(kept, out)
 
 
@@ -463,17 +502,17 @@ def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B"
     """``partial_trace(pure_density(state), ...)`` without forming the density.
 
     Equal to the partial trace up to summation order; see
-    :func:`amplitude_marginal`.
+    :func:`marginal_blocks`.
     """
-    return amplitude_marginal(bipartition.amplitude_matrix(state.normalized()), bipartition, traced)
+    C = bipartition.amplitude_matrix(state.normalized())
+    return BlockOperator(bipartition.kept_basis(traced), marginal_blocks(C, bipartition, traced))
 
 
-def amplitude_marginal(C: np.ndarray, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
-    """The kept marginal of the pure state with ``C = bipartition.amplitude_matrix(psi)``.
-
-    It is C_x C_x^dagger for each root charge x of A (traced B), or
-    C_y^T conj(C_y) for each root charge y of B (traced A).
-    """
+def marginal_blocks(C: np.ndarray, bipartition: Bipartition, traced: str = "B") -> dict:
+    """The kept marginal's sector blocks for the pure state with
+    ``C = bipartition.amplitude_matrix(psi)``: C_x C_x^dagger for each root
+    charge x of A (traced B), or C_y^T conj(C_y) for each root charge y of B
+    (traced A)."""
     kept = bipartition.kept_basis(traced)
     if traced == "A":
         C = C.T
@@ -481,7 +520,7 @@ def amplitude_marginal(C: np.ndarray, bipartition: Bipartition, traced: str = "B
     for c in kept.model.charges:
         rows = C[kept.sector_slice(c)]
         blocks[c] = rows @ rows.conj().T
-    return BlockOperator(kept, blocks)
+    return blocks
 
 
 def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") -> BlockOperator:

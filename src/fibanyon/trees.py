@@ -288,18 +288,35 @@ class SectorBasis:
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         """Every tree's label, in index order: one ``%`` per tree."""
-        template, columns = self.shape.label_format
+        return self._render(self.shape.label_format[0])
+
+    def _render(self, template: str) -> tuple[str, ...]:
         names = np.array(self.model.charges, dtype=object)
-        return tuple(template % tuple(row) for row in names[self.charges[:, columns]].tolist())
+        rows = names[self.charges[:, self.shape.label_format[1]]].tolist()
+        return tuple(template % tuple(row) for row in rows)
 
     @functools.cached_property
     def _label_index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
 
+    @functools.cached_property
+    def _flat_label_index(self) -> dict[str, int]:
+        """The canonical labels without the leaf segment's parentheses
+        (``tau,e,e,tau;tau,tau;e``), a spelling state files often use."""
+        template = self.shape.label_format[0]
+        head, sep, tail = template.partition(";")
+        flat = head.replace("(", "").replace(")", "") + sep + tail
+        if flat == template:
+            return self._label_index
+        return {label: i for i, label in enumerate(self._render(flat))}
+
     def index_of_label(self, text: str) -> int:
-        """Index of a tree by label; a canonical label is one dict lookup, any
-        other spelling (``τ``, extra spaces) is parsed and re-rendered."""
+        """Index of a tree by label; a canonical label, or one without the leaf
+        parentheses, is one dict lookup, any other spelling (``τ``, extra
+        spaces) is parsed and re-rendered."""
         index = self._label_index.get(text)
+        if index is None:
+            index = self._flat_label_index.get(text)
         if index is None:
             names = parse_tree_label(self.shape, text)
             label = self.shape.label_format[0] % names

@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from fibanyon.correlations import (
     local_observable_basis,
     local_unitary_orbit_check,
     random_pure_2anyon,
+    violation_table,
 )
-from fibanyon.errors import MemoryBudgetError
+from fibanyon.errors import BasisMismatchError, MemoryBudgetError
+from fibanyon.model import load_model_text
 from fibanyon.states import (
     AnyonState,
     Bipartition,
@@ -25,6 +29,7 @@ from fibanyon.states import (
     mixture,
     partial_trace,
     pure_density,
+    random_density,
     random_pure_state,
     superpose,
     trace,
@@ -166,7 +171,38 @@ def test_report_json_keys(basis2, unequal_marginals_state):
     }
 
 
+@pytest.mark.parametrize("weight", [2.0, 0.5])
+def test_density_operator_of_wrong_trace_is_rejected(basis2, weight):
+    # a scaled product state would otherwise read as correlated, by weight - weight**2
+    part = bipartition(basis2, 1)
+    rho = mixture([(weight, ket(basis2, "e,e;e"))])
+    for call in (is_uncorrelated, violation_table):
+        with pytest.raises(ValueError, match=rf"^density operator has trace {weight!r}, not 1$"):
+            call(rho, part)
+    # within SPECTRAL_TOL of 1 passes, and the state is the product it is
+    report = is_uncorrelated(mixture([(1 + 1e-12, ket(basis2, "e,e;e"))]), part)
+    assert report.is_uncorrelated and report.max_violation <= 1e-11
+
+
+def test_density_operator_of_another_shape_is_rejected(model):
+    # left_comb(4) has the sector sizes of the 2|2 grouped shape, 13 and 21
+    rho = random_density(enumerate_basis(model, left_comb(4)), np.random.default_rng(5))
+    part = bipartition(enumerate_basis(model, grouped_shape(2, 2)), 2)
+    for call in (is_uncorrelated, violation_table):
+        with pytest.raises(BasisMismatchError, match="^objects live on different bases$"):
+            call(rho, part)
+
+
 # --- the sparse table against the dense spanning-pair loop
+
+
+@functools.lru_cache(maxsize=1)  # the tests run one split at a time
+def _dense_spanning_sets(part):
+    ops_a = local_observable_basis(part.a_basis)
+    ops_b = local_observable_basis(part.b_basis)
+    emb_a = [embed_local(o, part, side="A").to_full() for o in ops_a]
+    emb_b = [embed_local(o, part, side="B").to_full() for o in ops_b]
+    return ops_a, ops_b, emb_a, emb_b
 
 
 def _dense_reference(state_or_rho, part):
@@ -176,16 +212,15 @@ def _dense_reference(state_or_rho, part):
     the first pair in row-major order within 4 ulps of the largest
     violation wins.
     """
-    ops_a = local_observable_basis(part.a_basis)
-    ops_b = local_observable_basis(part.b_basis)
-    emb_a = [embed_local(o, part, side="A").to_full() for o in ops_a]
-    emb_b = [embed_local(o, part, side="B").to_full() for o in ops_b]
+    ops_a, ops_b, emb_a, emb_b = _dense_spanning_sets(part)
     if isinstance(state_or_rho, AnyonState):
         rho = pure_density(state_or_rho.normalized())
     else:
         rho = state_or_rho
-    exp_a = [trace(o @ partial_trace(rho, part, traced="B")).real for o in ops_a]
-    exp_b = [trace(o @ partial_trace(rho, part, traced="A")).real for o in ops_b]
+    rho_a = partial_trace(rho, part, traced="B")
+    rho_b = partial_trace(rho, part, traced="A")
+    exp_a = [trace(o @ rho_a).real for o in ops_a]
+    exp_b = [trace(o @ rho_b).real for o in ops_b]
     rho_full = rho.to_full()
     violations = []
     for i, ea in enumerate(emb_a):
@@ -225,8 +260,17 @@ def _family_member(basis, label, rng):
     return state
 
 
-def _assert_matches_reference(state_or_rho, part):
+def _assert_matches_table(state_or_rho, part):
+    """is_uncorrelated's maximum and witness are those of violation_table."""
     report = is_uncorrelated(state_or_rho, part, classify=False)
+    table = np.abs(violation_table(state_or_rho, part))
+    assert report.max_violation == table.max()
+    assert report.witness == divmod(_witness(table), table.shape[1])
+    return report, table
+
+
+def _assert_matches_reference(state_or_rho, part):
+    report, _ = _assert_matches_table(state_or_rho, part)
     worst, witness = _dense_reference(state_or_rho, part)
     assert report.witness == witness
     assert abs(report.max_violation - worst) <= 1e-15
@@ -244,20 +288,81 @@ def test_table_matches_dense_loop_on_2anyon_families(basis2, unequal_marginals_s
         _assert_matches_reference(mixture(zip(rng.dirichlet(np.ones(3)), members)), part)
 
 
-@pytest.mark.parametrize("n_a,n_b", [(1, 3), (3, 1), (2, 2), (2, 3)])
-def test_table_matches_dense_loop_on_random_states(model, n_a, n_b):
+@pytest.fixture(scope="module")
+def models(model):
+    z3 = load_model_text((Path(__file__).parent / "data" / "z3.model").read_text(), name="z3")
+    return {"fibonacci": model, "z3": z3}
+
+
+# Every split whose dense loop fits in about 100 MB, with the pure states
+# drawn per sector.  Z3 has three charges and is not self-dual, so its blocks
+# (g, x, y) are not Fibonacci's.
+DENSE_SPLITS = (
+    [pytest.param("fibonacci", n_a, n_b, 3, id=f"{n_a}-{n_b}")
+     for n_a, n_b in [(1, 3), (3, 1), (2, 2), (2, 3)]]
+    + [pytest.param("fibonacci", n_a, n_b, 1, id=f"{n_a}-{n_b}")
+       for n_a, n_b in [(1, 1), (1, 2), (2, 1), (3, 2), (1, 4), (4, 1)]]
+    + [pytest.param("z3", n_a, n_b, 1, id=f"z3-{n_a}-{n_b}")
+       for n_a, n_b in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]]
+)
+
+
+@pytest.mark.parametrize("model_name,n_a,n_b,pure", DENSE_SPLITS)
+def test_table_matches_dense_loop_on_random_states(models, model_name, n_a, n_b, pure):
+    model = models[model_name]
     part = bipartition(enumerate_basis(model, grouped_shape(n_a, n_b)), n_a)
-    rng = np.random.default_rng(10 * n_a + n_b)
+    rng = np.random.default_rng(10 * n_a + n_b + (100 if model_name == "z3" else 0))
     for sector in model.charges:
-        for _ in range(3):
+        for _ in range(pure):
             _assert_matches_reference(random_pure_state(part.basis, sector, rng), part)
         states = [random_pure_state(part.basis, sector, rng) for _ in range(3)]
         _assert_matches_reference(mixture(zip(rng.dirichlet(np.ones(3)), states)), part)
+    # a mixture over every sector
+    _assert_matches_reference(random_density(part.basis, rng), part)
 
 
 def test_table_matches_dense_loop_at_3_3(model):
     part = bipartition(enumerate_basis(model, grouped_shape(3, 3)), 3)
-    _assert_matches_reference(random_pure_state(part.basis, "tau", np.random.default_rng(33)), part)
+    rng = np.random.default_rng(33)
+    _assert_matches_reference(random_pure_state(part.basis, "tau", rng), part)
+    _assert_matches_reference(random_density(part.basis, rng), part)
+
+
+def _pair_reference(rho, part, i, j, ops_a, ops_b):
+    """|T[i, j]| from block algebra, for splits too large for the dense loop."""
+    lhs = trace(embed_local(ops_a[i], part, side="A") @ embed_local(ops_b[j], part, side="B") @ rho)
+    exp_a = trace(ops_a[i] @ partial_trace(rho, part, traced="B"))
+    exp_b = trace(ops_b[j] @ partial_trace(rho, part, traced="A"))
+    return abs(lhs.real - exp_a.real * exp_b.real)
+
+
+# The rest of the splits up to 4|4 (Z3 up to six anyons: its 4|4 table alone
+# would take about 0.4 GiB).
+SAMPLED_SPLITS = (
+    [pytest.param("fibonacci", n_a, n_b, id=f"{n_a}-{n_b}")
+     for n_a, n_b in [(2, 4), (4, 2), (3, 4), (4, 3), (4, 4)]]
+    + [pytest.param("z3", n_a, n_b, id=f"z3-{n_a}-{n_b}")
+       for n_a, n_b in [(2, 3), (3, 2), (1, 4), (4, 1), (3, 3)]]
+)
+
+
+@pytest.mark.parametrize("model_name,n_a,n_b", SAMPLED_SPLITS)
+def test_table_matches_sampled_pairs_beyond_the_dense_loop(models, model_name, n_a, n_b):
+    model = models[model_name]
+    part = bipartition(enumerate_basis(model, grouped_shape(n_a, n_b)), n_a)
+    ops_a = local_observable_basis(part.a_basis)
+    ops_b = local_observable_basis(part.b_basis)
+    rng = np.random.default_rng(10 * n_a + n_b + (100 if model_name == "z3" else 0))
+    sector = model.charges[1]
+    states = [random_pure_state(part.basis, g, rng) for g in model.charges]
+    for arg in (random_pure_state(part.basis, sector, rng),
+                mixture(zip(rng.dirichlet(np.ones(len(states))), states))):
+        report, table = _assert_matches_table(arg, part)
+        rho = pure_density(arg) if isinstance(arg, AnyonState) else arg
+        pairs = [report.witness] + [divmod(int(k), table.shape[1])
+                                    for k in rng.integers(table.size, size=2)]
+        for i, j in pairs:
+            assert abs(table[i, j] - _pair_reference(rho, part, i, j, ops_a, ops_b)) <= 1e-15
 
 
 def test_witness_is_first_pair_within_4_ulps():

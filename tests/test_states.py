@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 import tracemalloc
 
 import numpy as np
@@ -32,11 +33,13 @@ from fibanyon.states import (
     random_density,
     random_observable,
     random_pure_state,
+    spectra,
     spectrum,
     superpose,
     trace,
     validate_cssr,
 )
+from fibanyon.model import load_model_text
 from fibanyon.trees import all_shapes, enumerate_basis, grouped_shape, left_comb, subtree_shape
 from reference import global_charge, reference
 
@@ -365,6 +368,46 @@ def test_spectrum_sorted_and_normalized(model, basis4, rng):
     assert np.all(np.diff(vals) <= 1e-14)
     assert float(np.sum(vals)) == pytest.approx(1.0, abs=1e-10)
     assert vals[-1] >= -1e-10 and vals[0] <= 1 + 1e-10
+
+
+def _per_block_spectrum(blocks) -> np.ndarray:
+    """Per-block eigvalsh, concatenated in block order and sorted descending."""
+    vals = [np.linalg.eigvalsh(b) if b.size else np.empty(0) for b in blocks]
+    return np.sort(np.concatenate(vals))[::-1]
+
+
+def _hermitian(rng, d):
+    gin = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return gin + gin.conj().T
+
+
+def test_spectra_equal_per_block_eigvalsh_bytes(rng):
+    # 1 x 1 blocks: a tiny imaginary part, -0.0 (also beside +0.0, which sorts
+    # as its equal), and a negative value; 0 x 0 blocks; same-size blocks in
+    # both parties, stacked into one eigvalsh call per size
+    one = [np.array([[0.25 + 1e-18j]]), np.array([[complex(-0.0, 0.0)]]),
+           np.array([[complex(-0.0, -1e-300)]]), np.array([[0.0j]]), np.array([[-3.5 + 2e-17j]])]
+    empty = np.zeros((0, 0), dtype=complex)
+    party_a = [empty, one[0], _hermitian(rng, 3), one[1], _hermitian(rng, 2), _hermitian(rng, 3)]
+    party_b = [_hermitian(rng, 3), one[2], empty, _hermitian(rng, 2), one[3], _hermitian(rng, 3),
+               one[4], _hermitian(rng, 4)]
+    parties = (party_a, party_b, [empty], [one[1], one[3], one[2]])
+    got = spectra(*parties)
+    assert len(got) == len(parties)
+    for blocks, spec in zip(parties, got):
+        expected = _per_block_spectrum(blocks)
+        assert spec.dtype == expected.dtype and spec.tobytes() == expected.tobytes()
+    assert np.signbit(got[3]).sum() == 2  # both -0.0 kept
+
+
+def test_spectrum_equals_per_block_eigvalsh_bytes(model, rng):
+    z3 = load_model_text((Path(__file__).parent / "data" / "z3.model").read_text(), name="z3")
+    for m in (model, z3):
+        for n in (1, 2, 3, 4):
+            basis = enumerate_basis(m, left_comb(n))
+            rho = random_density(basis, rng)
+            for op in (rho, partial_trace(rho, bipartition(basis, n - 1), "A") if n > 1 else rho):
+                assert spectrum(op).tobytes() == _per_block_spectrum(op.blocks.values()).tobytes()
 
 
 def test_fidelity_and_mismatch(model, basis2, unequal_marginals_state):

@@ -167,9 +167,13 @@ def test_canonical_labels_resolve_without_parsing(monkeypatch, model, basis2, ba
     states = [random_pure_2anyon(model, ("e", "tau")[i % 2], rng) for i in range(10)]
     for i in range(1000):
         classify_pure_2anyon(states[i % 10])
-    for basis in (basis2, basis4):
+    for basis in (basis2, basis4, enumerate_basis(model, left_comb(6))):
         for index, label in enumerate(basis.labels):
             assert basis.index_of_label(label) == index
+            # the spelling of state files: no parentheses in the leaf segment
+            head, tail = label.split(";", 1)
+            flat = head.replace("(", "").replace(")", "") + ";" + tail
+            assert basis.index_of_label(flat) == index
     assert calls == []
 
     # any other spelling falls back to the parser, with its errors unchanged
@@ -256,9 +260,35 @@ Z3_SPELLINGS = [
     ("((0 1) 2)", "(a,a),a;b;e;", (ShapeError, "cannot parse basis label '(a,a),a;b;e;'")),
 ]
 
+# flat spellings (no leaf parentheses) hit a second dict; a parenthesis in
+# the internal segment still fails as before
+FLAT_SPELLINGS = [(0, *case) for case in [
+    ("((0 1)(2 3))", "τ,e,e,τ;τ,τ;e", 5),
+    ("((0 1)(2 3))", "(tau,e),e,tau;tau,tau;e", 5),
+    ("(((0 1) 2) 3)", "tau,tau,tau,tau;tau,e;e", 11),
+    ("(((0 1) 2) 3)", "tau,tau,tau,tau;e,tau;tau", 31),
+    ("((0 1)(2 3))", "tau,e,e,tau;(tau,tau);e",
+     (FusionError, "unknown charge '(tau' (model fibonacci)")),
+    ("((0 1)(2 3))", "tau,e,e,tau;tau,(tau);e",
+     (FusionError, "unknown charge '(tau)' (model fibonacci)")),
+    ("((0 1)(2 3))", "(tau,e),(e,tau);tau,tau;(e)",
+     (FusionError, "unknown charge '(e)' (model fibonacci)")),
+    ("(((0 1) 2) 3)", "tau,tau,tau,tau;(e,tau);tau",
+     (FusionError, "unknown charge '(e' (model fibonacci)")),
+    ("((0 1)(2 3))", "e,e,e,tau;tau,tau;e",
+     (FusionError, "tree '(e,e),(e,tau);tau,tau;e' is not fusion-consistent")),
+    ("((0 1)(2 3))", "tau,e,e,tau;tau;e", (ShapeError, "wrong number of internal charges")),
+]] + [(2, *case) for case in [
+    ("((0 1) 2)", "a,a,a;(b);e", (FusionError, "unknown charge '(b)' (model z3)")),
+    ("((0 1) 2)", "a,a,b;b;e", (FusionError, "tree '(a,a),b;b;e' is not fusion-consistent")),
+    ("(0 (1 2))", "a,a,a;b;e", 4),
+    ("(0 (1 2))", "a,b,a;e;b", (FusionError, "tree 'a,(b,a);e;b' is not fusion-consistent")),
+]]
+
 
 @pytest.mark.parametrize("model_index,shape,label,expected",
-                         [(0, *case) for case in FIB_SPELLINGS] + [(2, *case) for case in Z3_SPELLINGS])
+                         [(0, *case) for case in FIB_SPELLINGS] + [(2, *case) for case in Z3_SPELLINGS]
+                         + FLAT_SPELLINGS)
 def test_index_of_label_non_canonical_spellings(reference_models, model_index, shape, label, expected):
     basis = enumerate_basis(reference_models[model_index], shape)
     if isinstance(expected, int):
