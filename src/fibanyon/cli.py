@@ -84,18 +84,8 @@ def _emit(args, text: str):
         out.write(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit_json(args, payload: dict):
-    _emit(args, json.dumps(payload, indent=2, default=_json_default) + "\n")
+    _emit(args, json.dumps(payload, indent=2) + "\n")
 
 
 # Entries per write: a few hundred kB of text, whatever the size of the report.
@@ -245,7 +235,7 @@ def _write_marginals(out, fmt: str, split: int, n: int, rho_a, rho_b, tol: float
             "purity_a": _clip(purity(rho_a)),
             "purity_b": _clip(purity(rho_b)),
             "spectra_symmetric": symmetric,
-        }, indent=2, default=_json_default)
+        }, indent=2)
         out.write(head[:-2])  # the entry lists go before the closing "\n}"
         for key, rho in (("marginal_a", rho_a), ("marginal_b", rho_b)):
             out.write(f',\n  "{key}": ')

@@ -277,21 +277,21 @@ def validate_model(model: AnyonModel, tol: float = 1e-12) -> list[str]:
             report.append(f"F-matrix not square: [{a},{b},{c}; {g}]")
             continue
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(len(ds))))
-        if dev > tol:
+        if not dev <= tol:  # NaN fails
             report.append(f"F-matrix not unitary: [{a},{b},{c}; {g}] (dev {dev:.2e})")
 
     for (a, b, c), val in model.r_symbols.items():
-        if abs(abs(val) - 1.0) > tol:
+        if not abs(abs(val) - 1.0) <= tol:
             report.append(f"R not a phase: {a} x {b} -> {c}")
-        if (a == model.vacuum or b == model.vacuum) and abs(val - 1.0) > tol:
+        if (a == model.vacuum or b == model.vacuum) and not abs(val - 1.0) <= tol:
             report.append(f"vacuum R not trivial: {a} x {b} -> {c}")
 
     dev = pentagon_residual(model)
-    if dev > tol:
+    if not dev <= tol:
         report.append(f"pentagon identity violated (residual {dev:.2e})")
 
     dev = hexagon_residual(model)
-    if dev > tol:
+    if not dev <= tol:
         report.append(f"hexagon identities violated (residual {dev:.2e})")
 
     return report
@@ -333,8 +333,8 @@ def hexagon_residual(model: AnyonModel) -> float:
     for R in (model.r_array, model.r_array.transpose(1, 0, 2).conj()):
         lhs = np.einsum("cae,acbdeg,cbg->abcdeg", R, F, R)
         rhs = np.einsum("cabdef,cfd,abcdfg->abcdeg", F, R, F)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))  # NaN propagates
+    return float(worst)
 
 
 def normalize_charge_label(text: str) -> str:
@@ -369,6 +369,12 @@ def load_model_text(text: str, name: str = "custom") -> AnyonModel:
     def charges_of(tokens):
         return [normalize_charge_label(t) for t in tokens]
 
+    def number(token):
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValueError(f"{token!r} is not a finite number")
+        return value
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -382,7 +388,7 @@ def load_model_text(text: str, name: str = "custom") -> AnyonModel:
                 vacuum = normalize_charge_label(body)
             elif head == "dim":
                 label, value = body.split()
-                dims[normalize_charge_label(label)] = float(value)
+                dims[normalize_charge_label(label)] = number(value)
             elif head == "fusion":
                 lhs, rhs = body.split("->")
                 a, b = charges_of(lhs.split())
@@ -394,14 +400,14 @@ def load_model_text(text: str, name: str = "custom") -> AnyonModel:
                 (g,) = charges_of(g.split())
                 d, f = charges_of(df.split())
                 re_s, im_s = val_part.split()
-                f_overrides[(a, b, c, g, d, f)] = complex(float(re_s), float(im_s))
+                f_overrides[(a, b, c, g, d, f)] = complex(number(re_s), number(im_s))
             elif head == "R":
                 spec_part, val_part = body.split("=")
                 ab, c = (seg.strip() for seg in spec_part.split(";"))
                 a, b = charges_of(ab.split())
                 (c,) = charges_of(c.split())
                 re_s, im_s = val_part.split()
-                r_overrides[(a, b, c)] = complex(float(re_s), float(im_s))
+                r_overrides[(a, b, c)] = complex(number(re_s), number(im_s))
             else:
                 raise ValueError(f"unknown directive {head!r}")
         except ModelFormatError:

@@ -302,14 +302,18 @@ def pure_density(state: AnyonState) -> BlockOperator:
 
 
 def mixture(terms) -> BlockOperator:
-    """Probabilistic mixture sum_k w_k rho_k of states/operators."""
+    """Probabilistic mixture sum_k w_k rho_k of states/operators; every weight
+    must be finite and >= 0."""
     terms = list(terms)
     if not terms:
         raise ValueError("mixture needs at least one term")
     ops = []
     for weight, item in terms:
+        weight = float(weight)
+        if not 0.0 <= weight < np.inf:  # NaN fails
+            raise ValueError(f"mixture weight {weight!r} is not a finite number >= 0")
         op = pure_density(item) if isinstance(item, AnyonState) else item
-        ops.append(float(weight) * op)
+        ops.append(weight * op)
     acc = ops[0]
     for op in ops[1:]:
         acc = acc + op

@@ -679,143 +679,109 @@ def diagonal_mixture_fidelity_bound(
 # ---------------------------------------------------------------------------
 # built-in scenarios
 
+# The catalog as one table.  Per scenario: the resource terms (weight, label)
+# on the grouped 4-anyon basis, normalized; the global fusion channel of the
+# joined 6-anyon state; the receiver's encoding pair.  Per direction, either
+# ("pvm", Bell pairs): each pair (u, v) gives the rank-1 projectors onto
+# (|u> + |v>)/sqrt(2) and (|u> - |v>)/sqrt(2), and the four outcomes are
+# corrected by X, Y, I, Z on the encoding pair; or ("reachable", kets): the
+# direction has no useful PVM, only the receiver's diagonal kets for
+# sampling sweeps.
+SCENARIO_TABLE = {
+    # identical marginal spectra: perfect A->B teleportation, B->A limited to
+    # a classical diagonal family
+    "main-text": {
+        "resource": ((1, "(e,e),(e,tau);e,tau;tau"), (1, "(tau,e),(tau,e);tau,tau;tau")),
+        "channel": "e",
+        "encoding": MESSAGE_KETS,
+        "ab": ("pvm", (("(tau,e),(e,e);tau,e;tau", "(e,tau),(tau,e);tau,tau;tau"),    # lambda
+                       ("(tau,e),(tau,e);tau,tau;tau", "(e,tau),(e,e);tau,e;tau"))),  # eta
+        "ba": ("reachable", ("e,e;e", "tau,e;tau")),
+    },
+    # each half carries charge e: teleportation works identically both ways
+    "appendix-d1-symmetric": {
+        "resource": ((1, "(e,e),(e,e);e,e;e"), (1, "(tau,tau),(tau,tau);e,e;e")),
+        "channel": "tau",
+        "encoding": ("tau,tau;e", "e,e;e"),
+        "ab": ("pvm", (("(tau,e),(e,e);tau,e;tau", "(e,tau),(tau,tau);tau,e;tau"),    # lambda
+                       ("(tau,e),(tau,tau);tau,e;tau", "(e,tau),(e,e);tau,e;tau"))),  # theta
+        "ba": ("pvm", (("(e,e),(tau,e);e,tau;tau", "(tau,tau),(e,tau);e,tau;tau"),
+                       ("(tau,tau),(tau,e);e,tau;tau", "(e,e),(e,tau);e,tau;tau"))),
+    },
+    # unequal marginal spectra: B->A succeeds on half the runs (no-click
+    # otherwise), A->B is classical
+    "appendix-d2-asymmetric": {
+        "resource": ((math.sqrt(2.0), "(e,e),(e,tau);e,tau;tau"),
+                     (1, "(e,tau),(e,e);tau,e;tau"),
+                     (1, "(tau,e),(e,tau);tau,tau;tau")),
+        "channel": "e",
+        "encoding": MESSAGE_KETS,
+        "ab": ("reachable", ("e,tau;tau", "e,e;e")),
+        "ba": ("pvm", (("(e,e),(tau,e);e,tau;tau", "(e,tau),(e,tau);tau,tau;tau"),    # lambda
+                       ("(e,tau),(tau,e);tau,tau;tau", "(e,e),(e,tau);e,tau;tau"))),  # eta
+    },
+}
+
+# The encoded Paulis as 2 x 2 matrices on (ket0, ket1).
+_PAULIS = {
+    "I": ((1.0, 0.0), (0.0, 1.0)),
+    "X": ((0.0, 1.0), (1.0, 0.0)),
+    "Y": ((0.0, -1.0j), (1.0j, 0.0)),
+    "Z": ((1.0, 0.0), (0.0, -1.0)),
+}
+
 
 def pauli_correction(basis: SectorBasis, ket0: str, ket1: str, kind: str) -> BlockOperator:
     """Encoded Pauli acting on the (ket0, ket1) pair, identity elsewhere."""
-    i0 = basis.index_of_label(ket0)
-    i1 = basis.index_of_label(ket1)
-    mat = np.eye(basis.dim, dtype=complex)
-    if kind == "I":
-        pass
-    elif kind == "X":
-        mat[i0, i0] = mat[i1, i1] = 0.0
-        mat[i0, i1] = mat[i1, i0] = 1.0
-    elif kind == "Y":
-        mat[i0, i0] = mat[i1, i1] = 0.0
-        mat[i1, i0] = 1.0j
-        mat[i0, i1] = -1.0j
-    elif kind == "Z":
-        mat[i1, i1] = -1.0
-    else:
+    if kind not in _PAULIS:
         raise ValueError(f"unknown Pauli kind {kind!r}")
+    pair = np.array([basis.index_of_label(ket0), basis.index_of_label(ket1)])
+    mat = np.eye(basis.dim, dtype=complex)
+    mat[pair[:, None], pair] = _PAULIS[kind]
     return BlockOperator.from_full(mat, basis)
 
 
-def _projector_onto(basis: SectorBasis, terms) -> BlockOperator:
-    state, _ = superpose([(w, ket(basis, lbl)) for w, lbl in terms])
-    return BlockOperator.from_ket_bra(state)
+def _superposed(basis: SectorBasis, terms) -> AnyonState:
+    """The normalized sum of w |label> over the (w, label) terms."""
+    return superpose([(w, ket(basis, lbl)) for w, lbl in terms])[0]
 
 
 @fibonacci_only("the scenario catalog")
 def builtin_scenarios(model: AnyonModel | None = None) -> dict[str, dict[str, TeleportScenario]]:
-    """The three catalog scenarios, each in both directions.
-
-    ``main-text``: resource with identical marginal spectra; perfect A->B
-    teleportation, B->A limited to a classical diagonal family.
-    ``appendix-d1-symmetric``: resource whose halves each carry charge e;
-    teleportation works identically in both directions.
-    ``appendix-d2-asymmetric``: resource with unequal marginal spectra;
-    B->A succeeds on half the runs (no-click otherwise), A->B is classical.
-    Directions without a useful PVM carry ``pvm=None`` plus the reachable
-    diagonal set for sampling sweeps.
-    """
+    """The three scenarios of :data:`SCENARIO_TABLE`, each in both directions,
+    as ``{name: {direction: scenario}}``.  A "reachable" direction carries
+    ``pvm=None`` and its reachable diagonal set for sampling sweeps."""
     from .model import fibonacci_model
 
     model = model or fibonacci_model()
     g4 = enumerate_basis(model, grouped_shape(2, 2))
     g2 = enumerate_basis(model, grouped_shape(1, 1))
     s = 1.0 / math.sqrt(2.0)
-
-    def res(terms):
-        state, _ = superpose([(w, ket(g4, lbl)) for w, lbl in terms])
-        return state
-
-    def pvm_of(*vector_terms):
-        return tuple(_projector_onto(g4, terms) for terms in vector_terms)
-
-    def paulis(ket0, ket1):
-        return tuple(pauli_correction(g2, ket0, ket1, kind) for kind in ("X", "Y", "I", "Z"))
-
     catalog: dict[str, dict[str, TeleportScenario]] = {}
-
-    # --- main text: R = (|(e,e),(e,tau);e,tau;tau> + |(tau,e),(tau,e);tau,tau;tau>)/sqrt(2)
-    resource_main = res([(1, "(e,e),(e,tau);e,tau;tau"), (1, "(tau,e),(tau,e);tau,tau;tau")])
-    pvm_main_ab = pvm_of(
-        [(s, "(tau,e),(e,e);tau,e;tau"), (s, "(e,tau),(tau,e);tau,tau;tau")],   # lambda+
-        [(s, "(tau,e),(e,e);tau,e;tau"), (-s, "(e,tau),(tau,e);tau,tau;tau")],  # lambda-
-        [(s, "(tau,e),(tau,e);tau,tau;tau"), (s, "(e,tau),(e,e);tau,e;tau")],   # eta+
-        [(s, "(tau,e),(tau,e);tau,tau;tau"), (-s, "(e,tau),(e,e);tau,e;tau")],  # eta-
-    )
-    tau_pair = ("tau,e;tau", "e,tau;tau")
-    catalog["main-text"] = {
-        "ab": TeleportScenario(
-            "main-text", "ab", model, resource_main, "e",
-            pvm_main_ab, paulis(*tau_pair), tau_pair,
-        ),
-        "ba": TeleportScenario(
-            "main-text", "ba", model, resource_main, "e",
-            None, None, tau_pair, reachable=("e,e;e", "tau,e;tau"),
-        ),
-    }
-
-    # --- appendix-d1-symmetric: R = (|(e,e),(e,e);e,e;e> + |(tau,tau),(tau,tau);e,e;e>)/sqrt(2)
-    resource_d1 = res([(1, "(e,e),(e,e);e,e;e"), (1, "(tau,tau),(tau,tau);e,e;e")])
-    e_pair = ("tau,tau;e", "e,e;e")
-    pvm_d1_ab = pvm_of(
-        [(s, "(tau,e),(e,e);tau,e;tau"), (s, "(e,tau),(tau,tau);tau,e;tau")],   # lambda+
-        [(s, "(tau,e),(e,e);tau,e;tau"), (-s, "(e,tau),(tau,tau);tau,e;tau")],  # lambda-
-        [(s, "(tau,e),(tau,tau);tau,e;tau"), (s, "(e,tau),(e,e);tau,e;tau")],   # theta+
-        [(s, "(tau,e),(tau,tau);tau,e;tau"), (-s, "(e,tau),(e,e);tau,e;tau")],  # theta-
-    )
-    pvm_d1_ba = pvm_of(
-        [(s, "(e,e),(tau,e);e,tau;tau"), (s, "(tau,tau),(e,tau);e,tau;tau")],
-        [(s, "(e,e),(tau,e);e,tau;tau"), (-s, "(tau,tau),(e,tau);e,tau;tau")],
-        [(s, "(tau,tau),(tau,e);e,tau;tau"), (s, "(e,e),(e,tau);e,tau;tau")],
-        [(s, "(tau,tau),(tau,e);e,tau;tau"), (-s, "(e,e),(e,tau);e,tau;tau")],
-    )
-    catalog["appendix-d1-symmetric"] = {
-        "ab": TeleportScenario(
-            "appendix-d1-symmetric", "ab", model, resource_d1, "tau",
-            pvm_d1_ab, paulis(*e_pair), e_pair,
-        ),
-        "ba": TeleportScenario(
-            "appendix-d1-symmetric", "ba", model, resource_d1, "tau",
-            pvm_d1_ba, paulis(*e_pair), e_pair,
-        ),
-    }
-
-    # --- appendix-d2-asymmetric: R = (sqrt(2)|(e,e),(e,tau);e,tau;tau>
-    #                        + |(e,tau),(e,e);tau,e;tau> + |(tau,e),(e,tau);tau,tau;tau>)/2
-    resource_d2 = res([
-        (math.sqrt(2.0), "(e,e),(e,tau);e,tau;tau"),
-        (1, "(e,tau),(e,e);tau,e;tau"),
-        (1, "(tau,e),(e,tau);tau,tau;tau"),
-    ])
-    pvm_d2_ba = pvm_of(
-        [(s, "(e,e),(tau,e);e,tau;tau"), (s, "(e,tau),(e,tau);tau,tau;tau")],   # lambda+
-        [(s, "(e,e),(tau,e);e,tau;tau"), (-s, "(e,tau),(e,tau);tau,tau;tau")],  # lambda-
-        [(s, "(e,tau),(tau,e);tau,tau;tau"), (s, "(e,e),(e,tau);e,tau;tau")],   # eta+
-        [(s, "(e,tau),(tau,e);tau,tau;tau"), (-s, "(e,e),(e,tau);e,tau;tau")],  # eta-
-    )
-    catalog["appendix-d2-asymmetric"] = {
-        "ab": TeleportScenario(
-            "appendix-d2-asymmetric", "ab", model, resource_d2, "e",
-            None, None, tau_pair, reachable=("e,tau;tau", "e,e;e"),
-        ),
-        "ba": TeleportScenario(
-            "appendix-d2-asymmetric", "ba", model, resource_d2, "e",
-            pvm_d2_ba, paulis(*tau_pair), tau_pair,
-        ),
-    }
+    for name, row in SCENARIO_TABLE.items():
+        resource = _superposed(g4, row["resource"])
+        catalog[name] = {}
+        for direction in ("ab", "ba"):
+            kind, items = row[direction]
+            pvm = corrections = reachable = None
+            if kind == "pvm":
+                pvm = tuple(BlockOperator.from_ket_bra(_superposed(g4, [(s, u), (sign, v)]))
+                            for u, v in items for sign in (s, -s))
+                corrections = tuple(pauli_correction(g2, *row["encoding"], pauli)
+                                    for pauli in "XYIZ")
+            else:
+                reachable = items
+            catalog[name][direction] = TeleportScenario(
+                name, direction, model, resource, row["channel"], pvm, corrections,
+                row["encoding"], reachable,
+            )
     return catalog
 
 
 def d1_family_resource(model: AnyonModel, a: complex, b: complex) -> AnyonState:
     """Resource a|(e,e),(e,e);e,e;e> + b|(tau,tau),(tau,tau);e,e;e> (normalized)."""
-    g4 = enumerate_basis(model, grouped_shape(2, 2))
-    state, _ = superpose([(a, ket(g4, "(e,e),(e,e);e,e;e")),
-                          (b, ket(g4, "(tau,tau),(tau,tau);e,e;e"))])
-    return state
+    (_, first), (_, second) = SCENARIO_TABLE["appendix-d1-symmetric"]["resource"]
+    return _superposed(enumerate_basis(model, grouped_shape(2, 2)), [(a, first), (b, second)])
 
 
 def superselection_violating_protocol(model: AnyonModel | None = None):
@@ -836,45 +802,28 @@ def superselection_violating_protocol(model: AnyonModel | None = None):
     g4 = enumerate_basis(model, grouped_shape(2, 2))
     g2 = enumerate_basis(model, grouped_shape(1, 1))
     s = 1.0 / math.sqrt(2.0)
-    u1 = "(e,tau),(tau,e);tau,tau;e"
-    u2 = "(e,tau),(e,tau);tau,tau;e"
-    v1 = "(tau,e),(tau,e);tau,tau;tau"
-    v2 = "(tau,e),(e,tau);tau,tau;tau"
+    # raw (|u> +- |v>)/sqrt(2) across the e and tau sectors, which superpose
+    # and BlockOperator refuse
+    pvm = []
+    for u, v in (("(e,tau),(tau,e);tau,tau;e", "(tau,e),(e,tau);tau,tau;tau"),
+                 ("(e,tau),(e,tau);tau,tau;e", "(tau,e),(tau,e);tau,tau;tau")):
+        for sign in (s, -s):
+            vec = np.zeros(g4.dim, dtype=complex)
+            vec[[g4.index_of_label(u), g4.index_of_label(v)]] = s, sign
+            pvm.append(np.outer(vec, vec.conj()))
 
-    def raw_projector(terms):
-        vec = np.zeros(g4.dim, dtype=complex)
-        for w, lbl in terms:
-            vec[g4.index_of_label(lbl)] = w
-        return np.outer(vec, vec.conj())
-
-    pvm = (
-        raw_projector([(s, u1), (s, v2)]),
-        raw_projector([(s, u1), (-s, v2)]),
-        raw_projector([(s, u2), (s, v1)]),
-        raw_projector([(s, u2), (-s, v1)]),
-    )
-
-    i_ee = g2.index_of_label("e,e;e")
-    i_te = g2.index_of_label("tau,e;tau")
-    i_et = g2.index_of_label("e,tau;tau")
-
-    def correction(image_ee, image_te, sign_te=1.0):
+    # signed permutations of (|e,e;e>, |tau,e;tau>, |e,tau;tau>): the images of
+    # the three kets, as positions in that tuple, and the sign on |tau,e;tau>'s
+    kets = [g2.index_of_label(lbl) for lbl in ("e,e;e", "tau,e;tau", "e,tau;tau")]
+    corrections = []
+    for images, sign in (
+        ((1, 2, 0), 1.0),    # alpha|e,e;e> + beta|tau,e;tau> -> message
+        ((1, 2, 0), -1.0),   # alpha|e,e;e> - beta|tau,e;tau>
+        ((2, 1, 0), 1.0),    # beta|e,e;e> + alpha|tau,e;tau>
+        ((2, 1, 0), -1.0),   # beta|e,e;e> - alpha|tau,e;tau>
+    ):
         mat = np.eye(g2.dim, dtype=complex)
-        for idx in (i_ee, i_te, i_et):
-            mat[idx, idx] = 0.0
-        used = np.zeros(g2.dim, dtype=bool)
-        mat[image_ee, i_ee] = 1.0
-        used[image_ee] = True
-        mat[image_te, i_te] = sign_te
-        used[image_te] = True
-        spare = next(idx for idx in (i_ee, i_te, i_et) if not used[idx])
-        mat[spare, i_et] = 1.0
-        return mat
-
-    corrections = (
-        correction(i_te, i_et),          # alpha|e,e;e> + beta|tau,e;tau> -> message
-        correction(i_te, i_et, -1.0),    # alpha|e,e;e> - beta|tau,e;tau>
-        correction(i_et, i_te),          # beta|e,e;e> + alpha|tau,e;tau>
-        correction(i_et, i_te, -1.0),    # beta|e,e;e> - alpha|tau,e;tau>
-    )
-    return scenario, pvm, corrections
+        mat[kets, kets] = 0.0
+        mat[[kets[i] for i in images], kets] = (1.0, sign, 1.0)
+        corrections.append(mat)
+    return scenario, tuple(pvm), tuple(corrections)

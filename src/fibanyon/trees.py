@@ -297,26 +297,22 @@ class SectorBasis:
 
     @functools.cached_property
     def _label_index(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.labels)}
-
-    @functools.cached_property
-    def _flat_label_index(self) -> dict[str, int]:
-        """The canonical labels without the leaf segment's parentheses
-        (``tau,e,e,tau;tau,tau;e``), a spelling state files often use."""
+        """Every tree's canonical label and its spelling without the leaf
+        segment's parentheses (``tau,e,e,tau;tau,tau;e``), which state files
+        often use."""
         template = self.shape.label_format[0]
         head, sep, tail = template.partition(";")
         flat = head.replace("(", "").replace(")", "") + sep + tail
-        if flat == template:
-            return self._label_index
-        return {label: i for i, label in enumerate(self._render(flat))}
+        index = {label: i for i, label in enumerate(self.labels)}
+        if flat != template:
+            index.update((label, i) for i, label in enumerate(self._render(flat)))
+        return index
 
     def index_of_label(self, text: str) -> int:
         """Index of a tree by label; a canonical label, or one without the leaf
         parentheses, is one dict lookup, any other spelling (``τ``, extra
         spaces) is parsed and re-rendered."""
         index = self._label_index.get(text)
-        if index is None:
-            index = self._flat_label_index.get(text)
         if index is None:
             names = parse_tree_label(self.shape, text)
             label = self.shape.label_format[0] % names

@@ -451,7 +451,7 @@ def _reference_marginals_report(fmt, split, n, rho_a, rho_b, tol=1e-10):
             "spectra_symmetric": symmetric,
             "marginal_a": operator_entries(rho_a),
             "marginal_b": operator_entries(rho_b),
-        }, indent=2, default=cli._json_default) + "\n"
+        }, indent=2) + "\n"
     lines = [f"marginals at split {split}|{n - split}"]
     for name, rho_side, spec in (("A", rho_a, spec_a), ("B", rho_b, spec_b)):
         lines.append(f"party {name}: spectrum [" + ", ".join(cli._fmt(x) for x in spec) + "]"

@@ -191,6 +191,36 @@ def test_dim_lines_checked_against_fusion_rules():
         load_model_text(MODEL_TEXT + "dim sigma 1.0\n")
 
 
+
+@pytest.mark.parametrize("old, new, token", [
+    ("F tau tau tau ; tau ; e e = 0.6180339887498949 0.0",
+     "F tau tau tau ; tau ; e e = nan 0.0", "nan"),
+    ("R tau tau ; e = -0.8090169943749475 -0.5877852522924731",
+     "R tau tau ; e = -0.8090169943749475 inf", "inf"),
+    ("dim tau 1.618033988749895", "dim tau nan", "nan"),
+], ids=["F", "R", "dim"])
+def test_load_model_text_rejects_non_finite_numbers(old, new, token):
+    text = MODEL_TEXT.replace(old, new)
+    lineno = text.splitlines().index(new) + 1
+    with pytest.raises(ModelFormatError, match=rf"^line {lineno}: '{token}' is not a finite number$"):
+        load_model_text(text)
+
+
+def test_validate_flags_nan_overrides(model):
+    fusion = {("e", "e"): ("e",), ("e", "tau"): ("tau",), ("tau", "tau"): ("e", "tau")}
+    f_symbols = dict(model.f_symbols)
+    f_symbols[("tau", "tau", "tau", "tau", "e", "e")] = math.nan
+    report = validate_model(build_model("nan-f", ("e", "tau"), "e", fusion, f_symbols,
+                                        model.r_symbols))
+    assert report == ["F-matrix not unitary: [tau,tau,tau; tau] (dev nan)",
+                      "pentagon identity violated (residual nan)",
+                      "hexagon identities violated (residual nan)"]
+    r_symbols = dict(model.r_symbols)
+    r_symbols[("tau", "tau", "e")] = complex(math.nan, 0.0)
+    report = validate_model(build_model("nan-r", ("e", "tau"), "e", fusion, model.f_symbols,
+                                        r_symbols))
+    assert report == ["R not a phase: tau x tau -> e", "hexagon identities violated (residual nan)"]
+
 Z2_TEXT = """
 charges e s
 vacuum e

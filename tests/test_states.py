@@ -288,6 +288,13 @@ def test_unequal_marginals(model, basis2, unequal_marginals_state):
     assert rho_b.block("tau")[0, 0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+def test_mixture_rejects_negative_or_non_finite_weight(basis2, weight):
+    # with weights 2 and -1 the 1|1 correlation test read spectra [2, -1]
+    with pytest.raises(ValueError, match=rf"^mixture weight {weight!r} is not a finite number >= 0$"):
+        mixture([(2.0, ket(basis2, "e,e;e")), (weight, ket(basis2, "tau,tau;e"))])
+
+
 def test_mixed_state_with_pure_marginals(model, basis2):
     rho = mixture([(0.5, ket(basis2, "tau,tau;e")), (0.5, ket(basis2, "tau,tau;tau"))])
     part = bipartition(basis2, 1)

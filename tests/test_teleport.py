@@ -11,6 +11,7 @@ from fibanyon.recouple import change_shape
 from fibanyon.states import AnyonState, BlockOperator, bipartition, ket, superpose
 from fibanyon.teleport import (
     MESSAGE_GRID,
+    MESSAGE_KETS,
     MessageQubit,
     SplitState,
     builtin_scenarios,
@@ -19,6 +20,7 @@ from fibanyon.teleport import (
     PROB_TOL,
     SAMPLE_CHUNK,
     diagonal_mixture_fidelity_bound,
+    pauli_correction,
     random_sector_pvm,
     receiver_reachability_check,
     run_protocol,
@@ -144,6 +146,71 @@ def test_d2_pvm_sum_below_identity(model, catalog, basis4):
     assert eigvals.min() >= -1e-12
     assert eigvals.max() <= 1 + 1e-12
     assert np.trace(total).real == pytest.approx(4.0)  # rank-4 < dim 34
+
+
+# --- catalog structure
+
+
+def _catalog_scenarios(catalog):
+    return [scenario for directions in catalog.values() for scenario in directions.values()]
+
+
+def test_catalog_pvm_elements_are_bell_pair_partners(basis4, catalog):
+    # |w><w| with w = (|u> +- |v>)/sqrt(2) in one sector, elements 2k and 2k+1
+    # the + and - partners of one pair (u, v)
+    for scenario in _catalog_scenarios(catalog):
+        if scenario.pvm is None:
+            continue
+        full = [op.to_full() for op in scenario.pvm]
+        assert len(full) == 4
+        supports = []
+        for mat in full:
+            assert np.linalg.matrix_rank(mat, tol=1e-12) == 1
+            support = np.flatnonzero(np.abs(np.diag(mat)) > 1e-12)
+            assert len(support) == 2 and np.count_nonzero(mat) == 4
+            np.testing.assert_allclose(np.diag(mat)[support], 0.5, rtol=0, atol=1e-15)
+            assert basis4.sector_of(support[0]) == basis4.sector_of(support[1])
+            supports.append(support)
+        for k in (0, 2):
+            assert np.array_equal(supports[k], supports[k + 1])
+            pair_projector = np.zeros_like(full[k])
+            pair_projector[supports[k], supports[k]] = 1.0
+            np.testing.assert_allclose(full[k] + full[k + 1], pair_projector, rtol=0, atol=1e-15)
+
+
+def test_catalog_corrections_are_encoded_x_y_i_z(basis2, catalog):
+    paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, 1]], [[1, 0], [0, -1]])
+    for scenario in _catalog_scenarios(catalog):
+        if scenario.corrections is None:
+            continue
+        pair = [basis2.index_of_label(lbl) for lbl in scenario.encoding]
+        assert len(scenario.corrections) == len(paulis)
+        for op, pauli in zip(scenario.corrections, paulis):
+            expected = np.eye(basis2.dim, dtype=complex)
+            expected[np.ix_(pair, pair)] = pauli
+            assert np.array_equal(op.to_full(), expected)
+
+
+def test_catalog_directions_without_pvm_declare_reachable_sets(catalog):
+    without_pvm = {(s.name, s.direction) for s in _catalog_scenarios(catalog) if s.pvm is None}
+    assert without_pvm == {("main-text", "ba"), ("appendix-d2-asymmetric", "ab")}
+    for scenario in _catalog_scenarios(catalog):
+        has_pvm = scenario.pvm is not None
+        assert (scenario.corrections is not None) == has_pvm
+        assert (scenario.reachable is None) == has_pvm
+
+
+def test_d1_family_resource_at_one_one_is_the_catalog_resource(model, catalog):
+    resource = catalog["appendix-d1-symmetric"]["ab"].resource
+    assert d1_family_resource(model, 1, 1).amplitudes.tobytes() == resource.amplitudes.tobytes()
+    family = d1_family_resource(model, 0.6, 0.8)
+    for label, weight in (("(e,e),(e,e);e,e;e", 0.6), ("(tau,tau),(tau,tau);e,e;e", 0.8)):
+        assert family.amplitudes[family.basis.index_of_label(label)] == pytest.approx(weight)
+
+
+def test_pauli_correction_rejects_unknown_kind(basis2):
+    with pytest.raises(ValueError, match="^unknown Pauli kind 'W'$"):
+        pauli_correction(basis2, *MESSAGE_KETS, "W")
 
 
 # --- protocols
