@@ -469,6 +469,8 @@ def main(argv=None) -> int:
     try:
         if not 0.0 <= args.tol < math.inf:
             raise UsageError("--tol must be a finite number >= 0")
+        if args.seed < 0:
+            raise UsageError("--seed must be a non-negative integer")
         model = _load_model(args.model, validate=args.command != "verify")
         return args.func(args, model)
     except UsageError as exc:

@@ -36,7 +36,6 @@ deterministically as the first class.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,16 +47,12 @@ from .states import (
     AnyonState,
     Bipartition,
     BlockOperator,
-    bipartition,
-    embed_local,
     marginal_blocks,
     partial_trace,
-    pure_marginal,
     spectra,
     spectra_agree,
-    spectrum,
 )
-from .trees import SectorBasis, enumerate_basis, grouped_shape
+from .trees import SectorBasis
 
 DEFAULT_TOL = 1e-10
 ZERO_COEFF_TOL = 1e-10  # classification threshold on amplitude moduli
@@ -324,68 +319,3 @@ def _pure_class(psi: AnyonState, tol: float) -> str:
     if c_te <= tol:
         return "class-2-tau"
     return "entangled"
-
-
-def is_maximally_entangled_2anyon(
-    psi: AnyonState, tol: float = DEFAULT_TOL
-) -> tuple[bool, float | None]:
-    """True iff both 1-anyon marginals are maximally mixed (diag(1/2, 1/2)).
-
-    When the state matches the tau-sector family
-    (|e,tau;tau> + e^{i phi} |tau,e;tau>)/sqrt(2) the relative phase phi is
-    returned; otherwise the phase slot is None.
-    """
-    basis = psi.basis
-    if basis.shape.n_leaves != 2:
-        raise ShapeError("maximal-entanglement test applies to 2-anyon states")
-    psi = psi.normalized()
-    part = bipartition(basis, 1)
-    target = np.array([0.5, 0.5])
-    for traced in ("B", "A"):
-        marg = pure_marginal(psi, part, traced=traced)
-        if np.max(np.abs(spectrum(marg) - target)) > tol:
-            return False, None
-    c_et = psi.amplitude("e,tau;tau")
-    c_te = psi.amplitude("tau,e;tau")
-    if abs(abs(c_et) - 1 / math.sqrt(2)) <= tol and abs(abs(c_te) - 1 / math.sqrt(2)) <= tol:
-        return True, float(np.angle(c_te / c_et))
-    return True, None
-
-
-def local_unitary_orbit_check(
-    psi: AnyonState, samples: int = 100, seed: int = 0, tol: float = 1e-12
-) -> bool:
-    """Products of local unitaries only re-phase the coefficients.
-
-    One-anyon unitaries respecting the superselection rule are diagonal
-    phase pairs, so U_A V_B embedded leaves every amplitude modulus of a
-    2-anyon state fixed; verified here on `samples` random phase draws.
-    """
-    basis = psi.basis
-    if basis.shape.n_leaves != 2:
-        raise ShapeError("orbit check applies to 2-anyon states")
-    part = bipartition(basis, 1)
-    one_anyon = part.a_basis
-    rng = np.random.default_rng(seed)
-    moduli = np.abs(psi.amplitudes)
-    for _ in range(samples):
-        th = rng.uniform(0.0, 2.0 * math.pi, size=4)
-        u_a = BlockOperator(
-            one_anyon, {"e": [[np.exp(1j * th[0])]], "tau": [[np.exp(1j * th[1])]]}
-        )
-        v_b = BlockOperator(
-            one_anyon, {"e": [[np.exp(1j * th[2])]], "tau": [[np.exp(1j * th[3])]]}
-        )
-        product = embed_local(u_a, part, side="A") @ embed_local(v_b, part, side="B")
-        moved = product.apply(psi)
-        if np.max(np.abs(np.abs(moved.amplitudes) - moduli)) > tol:
-            return False
-    return True
-
-
-def random_pure_2anyon(model, sector, rng) -> AnyonState:
-    """Uniform random pure 2-anyon state in one sector (standard shape)."""
-    from .states import random_pure_state
-
-    basis = enumerate_basis(model, grouped_shape(1, 1))
-    return random_pure_state(basis, sector, rng)

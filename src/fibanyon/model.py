@@ -88,13 +88,6 @@ class AnyonModel:
         ).reshape(len(ds), len(fs))
         return ds, fs, mat
 
-    def r_symbol(self, a: Charge, b: Charge, c: Charge) -> complex:
-        """Exchange phase R^{ab}_c for counterclockwise exchange of a and b."""
-        try:
-            return self.r_symbols[(a, b, c)]
-        except KeyError:
-            raise FusionError(f"R symbol undefined: {a} x {b} -> {c}") from None
-
     # The same data as read-only arrays over charge indices, zero off the fusion rules.
 
     @functools.cached_property

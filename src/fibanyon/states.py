@@ -169,6 +169,12 @@ class BlockOperator:
     __slots__ = ("basis", "blocks")
 
     def __init__(self, basis: SectorBasis, blocks: dict[Charge, np.ndarray]):
+        unknown = blocks.keys() - basis.model.charges
+        if unknown:
+            raise BasisMismatchError(
+                f"block keys {', '.join(sorted(map(repr, unknown)))} are not charges"
+                f" of model {basis.model.name}"
+            )
         self.basis = basis
         self.blocks = {}
         for g in basis.model.charges:

@@ -103,40 +103,12 @@ class MessageQubit:
         if not abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) <= 1e-10:  # NaN fails
             raise ValueError("message amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
 
-    def as_state(self, model: AnyonModel) -> AnyonState:
-        basis = enumerate_basis(model, grouped_shape(1, 1))
-        return AnyonState(basis, self.target_vector(basis, MESSAGE_KETS))
-
     def target_vector(self, basis: SectorBasis, encoding: tuple[str, str]) -> np.ndarray:
         """The message placed on a basis pair (ket0, ket1): alpha on ket0, beta on ket1."""
         vec = np.zeros(basis.dim, dtype=complex)
         vec[basis.index_of_label(encoding[0])] = self.alpha
         vec[basis.index_of_label(encoding[1])] = self.beta
         return vec
-
-
-def compose(
-    model: AnyonModel,
-    message: AnyonState,
-    resource: AnyonState,
-    side: str,
-    channel: Charge,
-) -> AnyonState:
-    """Attach the message next to the resource and fix the fusion channel.
-
-    side "A": message leaves come first (grouping M(AB)); side "B": the
-    resource comes first ((AB)M).  Amplitudes multiply term by term - in a
-    multiplicity-free theory the joint labeling is determined by the two
-    factors plus the chosen root channel.
-    """
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
-    left, right = (message, resource) if side == "A" else (resource, message)
-    # the joined basis splits at its root into the two factors, so its
-    # bipartition table at `channel` gives the joined index of every pair
-    basis = enumerate_basis(model, join_shapes(left.basis.shape, right.basis.shape))
-    table = bipartition(basis, left.basis.shape.n_leaves).table(channel)
-    return AnyonState(basis, _joined(table, basis.dim, left.amplitudes, right.amplitudes))
 
 
 def _joined(table: np.ndarray, dim: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -556,19 +528,6 @@ def sector_haar_chunks(basis: SectorBasis, seed: int, samples: int, *key: int):
         yield sector_haar_blocks(basis, [sample_rng(seed, *key, s) for s in range(start, stop)])
 
 
-def sector_haar_columns(basis: SectorBasis, rng: np.random.Generator) -> np.ndarray:
-    """Block-diagonal unitary with one Haar block per nonempty charge sector.
-
-    The dense form of :func:`sector_haar_blocks` for one generator.  Column
-    k is the k-th vector of a complete rank-1 measurement that respects
-    the sectors.
-    """
-    columns = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for sl, block in zip(_sector_slices(basis), sector_haar_blocks(basis, [rng])):
-        columns[sl, sl] = block[0]
-    return columns
-
-
 def conditionals(coefficients: np.ndarray, blocks: list[np.ndarray], slices: list[slice]):
     """Yield, per measured sector block, W and the outcome probabilities ||w_k||^2.
 
@@ -580,15 +539,6 @@ def conditionals(coefficients: np.ndarray, blocks: list[np.ndarray], slices: lis
     for sl, unitaries in zip(slices, blocks):
         W = coefficients[..., None, :, sl] @ unitaries.conj()
         yield W, np.sum(np.abs(W) ** 2, axis=-2)
-
-
-def random_sector_pvm(basis: SectorBasis, rng: np.random.Generator) -> list[np.ndarray]:
-    """Complete rank-1 PVM respecting the charge sectors of `basis`.
-
-    One Haar unitary per sector; every column becomes a projector, so the
-    sector choice is exhaustive and the elements sum to the identity.
-    """
-    return [np.outer(col, col.conj()) for col in sector_haar_columns(basis, rng).T]
 
 
 @dataclass
@@ -620,8 +570,9 @@ def receiver_reachability_check(
     For every sampled measurement and message, each conditional receiver
     state is decomposed in the receiver's 2-anyon basis; the report
     records the largest matrix-element magnitude outside the scenario's
-    reachable diagonal set.  Sample s is the measurement
-    ``sector_haar_columns(measured basis, sample_rng(seed, s))``; the
+    reachable diagonal set.  Sample s measures the measured basis in the
+    columns of the unitary ``sector_haar_blocks(measured basis,
+    [sample_rng(seed, s)])``, one rank-1 projector per column; the
     samples are drawn and reduced SAMPLE_CHUNK at a time, for all
     messages at once.
     """
@@ -630,6 +581,8 @@ def receiver_reachability_check(
     if pvm_samples < 1:
         raise ValueError(f"pvm_samples must be at least 1, got {pvm_samples}")
     message_list = [m if isinstance(m, MessageQubit) else MessageQubit(*m) for m in messages]
+    if not message_list:
+        raise ValueError("at least one message is required")
     splits = [SplitState(scenario, m) for m in message_list]
     recv_basis = splits[0].receiver_basis
     allowed = [recv_basis.index_of_label(lbl) for lbl in scenario.reachable]
@@ -746,7 +699,6 @@ def _superposed(basis: SectorBasis, terms) -> AnyonState:
     return superpose([(w, ket(basis, lbl)) for w, lbl in terms])[0]
 
 
-@fibonacci_only("the scenario catalog")
 def builtin_scenarios(model: AnyonModel | None = None) -> dict[str, dict[str, TeleportScenario]]:
     """The three scenarios of :data:`SCENARIO_TABLE`, each in both directions,
     as ``{name: {direction: scenario}}``.  A "reachable" direction carries
@@ -754,28 +706,29 @@ def builtin_scenarios(model: AnyonModel | None = None) -> dict[str, dict[str, Te
     from .model import fibonacci_model
 
     model = model or fibonacci_model()
+    return {name: {direction: _scenario(model, name, direction) for direction in ("ab", "ba")}
+            for name in SCENARIO_TABLE}
+
+
+@fibonacci_only("the scenario catalog")
+def _scenario(model: AnyonModel, name: str, direction: str) -> TeleportScenario:
+    """One direction of one :data:`SCENARIO_TABLE` row, for the catalog and
+    the counterfactual alike."""
+    row = SCENARIO_TABLE[name]
     g4 = enumerate_basis(model, grouped_shape(2, 2))
-    g2 = enumerate_basis(model, grouped_shape(1, 1))
-    s = 1.0 / math.sqrt(2.0)
-    catalog: dict[str, dict[str, TeleportScenario]] = {}
-    for name, row in SCENARIO_TABLE.items():
-        resource = _superposed(g4, row["resource"])
-        catalog[name] = {}
-        for direction in ("ab", "ba"):
-            kind, items = row[direction]
-            pvm = corrections = reachable = None
-            if kind == "pvm":
-                pvm = tuple(BlockOperator.from_ket_bra(_superposed(g4, [(s, u), (sign, v)]))
-                            for u, v in items for sign in (s, -s))
-                corrections = tuple(pauli_correction(g2, *row["encoding"], pauli)
-                                    for pauli in "XYIZ")
-            else:
-                reachable = items
-            catalog[name][direction] = TeleportScenario(
-                name, direction, model, resource, row["channel"], pvm, corrections,
-                row["encoding"], reachable,
-            )
-    return catalog
+    resource = _superposed(g4, row["resource"])
+    kind, items = row[direction]
+    pvm = corrections = reachable = None
+    if kind == "pvm":
+        s = 1.0 / math.sqrt(2.0)
+        pvm = tuple(BlockOperator.from_ket_bra(_superposed(g4, [(s, u), (sign, v)]))
+                    for u, v in items for sign in (s, -s))
+        g2 = enumerate_basis(model, grouped_shape(1, 1))
+        corrections = tuple(pauli_correction(g2, *row["encoding"], pauli) for pauli in "XYIZ")
+    else:
+        reachable = items
+    return TeleportScenario(name, direction, model, resource, row["channel"], pvm, corrections,
+                           row["encoding"], reachable)
 
 
 def d1_family_resource(model: AnyonModel, a: complex, b: complex) -> AnyonState:
@@ -798,7 +751,7 @@ def superselection_violating_protocol(model: AnyonModel | None = None):
     from .model import fibonacci_model
 
     model = model or fibonacci_model()
-    scenario = builtin_scenarios(model)["main-text"]["ba"]
+    scenario = _scenario(model, "main-text", "ba")
     g4 = enumerate_basis(model, grouped_shape(2, 2))
     g2 = enumerate_basis(model, grouped_shape(1, 1))
     s = 1.0 / math.sqrt(2.0)

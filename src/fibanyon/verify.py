@@ -16,7 +16,6 @@ from .correlations import (
     classify_pure_2anyon,
     is_uncorrelated,
     local_observable_basis,
-    random_pure_2anyon,
     violation_table,
 )
 from .errors import FibonacciOnlyError, fibonacci_only
@@ -236,7 +235,7 @@ def suite_correlations(
     for sector in sectors:
         done = 0
         while done < per_sector:
-            psi = random_pure_2anyon(model, sector, rng)
+            psi = random_pure_state(basis, sector, rng)
             report = is_uncorrelated(psi, part, tol=class_tol, classify=False)
             label = classify_pure_2anyon(psi)
             if label == "entangled" and report.max_violation < clear_margin:
@@ -282,9 +281,9 @@ def suite_correlations(
         if which == 0:
             psi, _ = _unequal_marginals_state(model)
         elif which == 1:
-            psi = random_pure_2anyon(model, "tau", rng)
+            psi = random_pure_state(basis, "tau", rng)
         else:
-            psi = random_pure_2anyon(model, "e", rng)
+            psi = random_pure_state(basis, "e", rng)
         table = violation_table(psi, part)
         rho = pure_density(psi)
         rho_a = partial_trace(rho, part, traced="B")
@@ -397,9 +396,7 @@ def suite_teleportation(
     worst_sym = 0.0
     rng = sample_rng(seed, 303)
     for _ in range(10):
-        vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        vec /= np.linalg.norm(vec)
-        resource = d1_family_resource(model, vec[0], vec[1])
+        resource = d1_family_resource(model, *_random_message(rng))
         for alpha, beta in MESSAGE_GRID:
             f_ab = run_protocol(
                 catalog["appendix-d1-symmetric"]["ab"].with_resource(resource),
@@ -440,6 +437,8 @@ def oracle_excess(scenario, messages, samples: int, seed: int) -> float:
         bound = diagonal_mixture_fidelity_bound(split.target, split.receiver_basis,
                                                 scenario.reachable)
         runs.append((split, bound))
+    if not runs:
+        raise ValueError("at least one message is required")
     worst = -math.inf
     for blocks in sector_haar_chunks(runs[0][0].measured_basis, seed, samples, 302):
         for split, bound in runs:

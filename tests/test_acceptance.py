@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from fibanyon.correlations import classify_pure_2anyon, is_uncorrelated, random_pure_2anyon
+from fibanyon.correlations import classify_pure_2anyon, is_uncorrelated
 from fibanyon.model import pentagon_residual, validate_model
 from fibanyon.recouple import shape_change
 from fibanyon.states import (
@@ -136,7 +136,7 @@ def test_criterion_05_pure_state_classification(model, basis2):
     for sector_key, sector in ((1, "e"), (2, "tau")):
         rng = _rng(5, sector_key)
         while checked < 5000 * sector_key:
-            psi = random_pure_2anyon(model, sector, rng)
+            psi = random_pure_state(basis2, sector, rng)
             report = is_uncorrelated(psi, part, tol=1e-8, classify=False)
             label = classify_pure_2anyon(psi)
             if label == "entangled" and report.max_violation < 1e-6:
@@ -269,11 +269,11 @@ def test_criterion_10_purity_of_pure_states(model):
 
 
 def test_criterion_11_cli_golden_files():
-    from test_cli import GOLDEN, GOLDEN_CASES, run_cli_subprocess
+    from test_cli import GOLDEN, GOLDEN_CASES, golden_run
 
     failures = []
     for golden_name, argv in GOLDEN_CASES:
-        code, out = run_cli_subprocess(*argv)
+        code, out = golden_run(argv)
         if code != 0 or out != (GOLDEN / golden_name).read_bytes():
             failures.append(golden_name)
     _report(11, "CLI determinism against golden files", not failures,

@@ -1,5 +1,6 @@
 import argparse
 import cmath
+import functools
 import io
 import json
 import math
@@ -71,9 +72,15 @@ GOLDEN_CASES = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def golden_run(argv):
+    """run_cli_subprocess(*argv), once per session: both golden tests compare its bytes."""
+    return run_cli_subprocess(*argv)
+
+
 @pytest.mark.parametrize("golden_name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_golden_byte_equality(golden_name, argv):
-    code, out = run_cli_subprocess(*argv)
+    code, out = golden_run(argv)
     assert code == 0
     assert out == (GOLDEN / golden_name).read_bytes()
 
@@ -172,6 +179,13 @@ def test_non_finite_or_negative_numbers_are_usage_errors(capsys, argv):
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_negative_seed_is_usage_error(capsys):
+    code, out = run_cli("teleport", "--scenario", "main-text", "--direction", "ba",
+                        "--seed", "-1")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "usage error: --seed must be a non-negative integer\n"
 
 
 @pytest.mark.parametrize("flag, text", [

@@ -11,11 +11,8 @@ from fibanyon.correlations import (
     PURE_CLASSES,
     _witness,
     classify_pure_2anyon,
-    is_maximally_entangled_2anyon,
     is_uncorrelated,
     local_observable_basis,
-    local_unitary_orbit_check,
-    random_pure_2anyon,
     violation_table,
 )
 from fibanyon.errors import BasisMismatchError, MemoryBudgetError
@@ -23,14 +20,17 @@ from fibanyon.model import load_model_text
 from fibanyon.states import (
     AnyonState,
     Bipartition,
+    BlockOperator,
     bipartition,
     embed_local,
     ket,
     mixture,
     partial_trace,
     pure_density,
+    pure_marginal,
     random_density,
     random_pure_state,
+    spectra,
     superpose,
     trace,
     validate_cssr,
@@ -117,7 +117,7 @@ def test_classification_matches_numeric_verdict(model, basis2):
     rng = np.random.default_rng(7)
     for sector in ("e", "tau"):
         for _ in range(500):
-            psi = random_pure_2anyon(model, sector, rng)
+            psi = random_pure_state(basis2, sector, rng)
             report = is_uncorrelated(psi, part, tol=1e-8)
             label = classify_pure_2anyon(psi)
             assert (label == "entangled") == (report.max_violation > 1e-8)
@@ -138,28 +138,51 @@ def test_uncorrelated_families_violation_floor(model, basis2):
             assert report.max_violation <= 1e-12
 
 
+def _marginal_spectra(psi):
+    """The spectra of both one-anyon marginals of a 2-anyon state, A first."""
+    part = bipartition(psi.basis, 1)
+    return spectra(*(pure_marginal(psi, part, traced).blocks.values() for traced in ("B", "A")))
+
+
 def test_maximally_entangled_tau_family(basis2):
     state = _tau_state(basis2, 1j * SQ2, SQ2, 0.0)  # (|e,tau> + i|tau,e>)/sqrt(2)
-    flag, phase = is_maximally_entangled_2anyon(state)
-    assert flag
-    assert phase == pytest.approx(math.pi / 2)
+    for spec in _marginal_spectra(state):
+        np.testing.assert_allclose(spec, [0.5, 0.5], rtol=0, atol=1e-10)
+    c_te, c_et = state.amplitude("tau,e;tau"), state.amplitude("e,tau;tau")
+    assert abs(c_te) == pytest.approx(SQ2) and abs(c_et) == pytest.approx(SQ2)
+    assert np.angle(c_te / c_et) == pytest.approx(math.pi / 2)
 
 
 def test_maximally_entangled_vacuum_pair(basis2):
     state, _ = superpose([(1.0, ket(basis2, "e,e;e")), (1.0, ket(basis2, "tau,tau;e"))])
-    flag, phase = is_maximally_entangled_2anyon(state)
-    assert flag  # both marginals are diag(1/2, 1/2) by direct partial trace
-    assert phase is None
+    # both marginals are diag(1/2, 1/2) by direct partial trace
+    for spec in _marginal_spectra(state):
+        np.testing.assert_allclose(spec, [0.5, 0.5], rtol=0, atol=1e-10)
+    # outside the tau-sector family: no relative phase to read
+    assert state.amplitude("tau,e;tau") == state.amplitude("e,tau;tau") == 0.0
 
 
 def test_unequal_marginals_state_not_maximally_entangled(unequal_marginals_state):
-    flag, _ = is_maximally_entangled_2anyon(unequal_marginals_state)
-    assert not flag
+    spec_a, spec_b = _marginal_spectra(unequal_marginals_state)
+    np.testing.assert_allclose(spec_a, [0.5, 0.5], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(spec_b, [1.0, 0.0], rtol=0, atol=1e-10)
 
 
 def test_local_unitary_orbit_preserves_moduli(basis2):
-    assert local_unitary_orbit_check(_tau_state(basis2, 0.0, 0.6, 0.8), samples=100, seed=3)
-    assert local_unitary_orbit_check(_tau_state(basis2, 0.6, 0.0, 0.8), samples=100, seed=4)
+    # one-anyon unitaries that respect the superselection rule are diagonal
+    # phase pairs, so U_A V_B leaves every amplitude modulus fixed
+    part = bipartition(basis2, 1)
+    one_anyon = part.a_basis
+    for psi, seed in ((_tau_state(basis2, 0.0, 0.6, 0.8), 3), (_tau_state(basis2, 0.6, 0.0, 0.8), 4)):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            th = rng.uniform(0.0, 2.0 * math.pi, size=4)
+            u_a, v_b = (BlockOperator(one_anyon, {"e": [[np.exp(1j * th[k])]],
+                                                  "tau": [[np.exp(1j * th[k + 1])]]})
+                        for k in (0, 2))
+            moved = (embed_local(u_a, part, side="A") @ embed_local(v_b, part, side="B")).apply(psi)
+            np.testing.assert_allclose(np.abs(moved.amplitudes), np.abs(psi.amplitudes),
+                                       rtol=0, atol=1e-12)
 
 
 def test_report_json_keys(basis2, unequal_marginals_state):

@@ -11,6 +11,7 @@ from fibanyon.model import load_model_text, validate_model
 from fibanyon.recouple import change_shape
 from fibanyon.states import (
     AnyonState,
+    BlockOperator,
     bipartition,
     embed_local,
     ket,
@@ -26,9 +27,9 @@ from fibanyon.teleport import (
     MessageQubit,
     TeleportScenario,
     builtin_scenarios,
-    random_sector_pvm,
     run_protocol,
     run_protocol_via_embedding,
+    sector_haar_blocks,
 )
 from fibanyon.trees import TreeShape, enumerate_basis, grouped_shape, left_comb
 
@@ -72,8 +73,11 @@ def test_tau_channel_protocol_uses_nontrivial_recoupling(model):
     # re-association a genuine 2x2 F-block; both engines must still agree
     base = builtin_scenarios(model)["main-text"]["ab"]
     g4 = enumerate_basis(model, grouped_shape(2, 2))
-    rng = np.random.default_rng(123)
-    pvm = tuple(random_sector_pvm(g4, rng))
+    # a complete rank-1 measurement: one projector per column of each sector's Haar unitary
+    sectors = [g for g in model.charges if g4.sector_dim(g)]
+    blocks = sector_haar_blocks(g4, [np.random.default_rng(123)])
+    pvm = tuple(BlockOperator(g4, {g: np.outer(u, u.conj())})
+                for g, stack in zip(sectors, blocks) for u in stack[0].T)
     scenario = TeleportScenario(
         name="tau-channel-probe",
         direction="ab",

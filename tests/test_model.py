@@ -50,10 +50,10 @@ def test_vacuum_f_symbols_trivial(model):
 
 
 def test_r_symbols(model):
-    assert model.r_symbol("tau", "tau", "e") == pytest.approx(cmath.exp(-4j * math.pi / 5))
-    assert model.r_symbol("tau", "tau", "tau") == pytest.approx(cmath.exp(3j * math.pi / 5))
-    assert model.r_symbol("e", "tau", "tau") == 1.0
-    assert model.r_symbol("tau", "e", "tau") == 1.0
+    assert model.r_symbols["tau", "tau", "e"] == pytest.approx(cmath.exp(-4j * math.pi / 5))
+    assert model.r_symbols["tau", "tau", "tau"] == pytest.approx(cmath.exp(3j * math.pi / 5))
+    assert model.r_symbols["e", "tau", "tau"] == 1.0
+    assert model.r_symbols["tau", "e", "tau"] == 1.0
 
 
 def test_quantum_dims(model):

@@ -296,7 +296,7 @@ def _braid_loop(model, state, leaf_pair, direction):
         leaves, ints = ref.trees[idx]
         x, y = leaves[i], leaves[j]
         c = ints[vertex]
-        phase = model.r_symbol(x, y, c) if direction == "ccw" else np.conj(model.r_symbol(y, x, c))
+        phase = model.r_symbols[x, y, c] if direction == "ccw" else np.conj(model.r_symbols[y, x, c])
         swapped = list(leaves)
         swapped[i], swapped[j] = y, x
         out[ref.index[tuple(swapped), ints]] += phase * amp

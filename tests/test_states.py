@@ -430,6 +430,13 @@ def test_trace_sums_blocks(model, basis2):
     assert trace(op) == pytest.approx(7.0)
 
 
+def test_block_operator_rejects_keys_that_are_not_charges(basis2):
+    # a misspelt charge would otherwise be dropped, leaving its sector's block zero
+    with pytest.raises(BasisMismatchError,
+                       match=r"^block keys 'sigma', 'tau ' are not charges of model fibonacci$"):
+        BlockOperator(basis2, {"e": np.eye(2), "tau ": np.eye(3), "sigma": np.eye(1)})
+
+
 # --- superselection validation of raw matrices
 
 

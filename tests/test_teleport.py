@@ -15,20 +15,17 @@ from fibanyon.teleport import (
     MessageQubit,
     SplitState,
     builtin_scenarios,
-    compose,
     d1_family_resource,
     PROB_TOL,
     SAMPLE_CHUNK,
     diagonal_mixture_fidelity_bound,
     pauli_correction,
-    random_sector_pvm,
     receiver_reachability_check,
     run_protocol,
     run_protocol_via_embedding,
     sample_rng,
     sector_haar_blocks,
     sector_haar_chunks,
-    sector_haar_columns,
     superselection_violating_protocol,
     validate_pvm,
 )
@@ -44,13 +41,21 @@ def catalog(model):
     return builtin_scenarios(model)
 
 
-# --- composition
+# --- composition: SplitState joins the message to the resource, then regroups
 
 
-def test_compose_main_text_four_terms(model, catalog):
-    message = MessageQubit(0.6, 0.8).as_state(model)
-    resource = catalog["main-text"]["ab"].resource
-    composed = compose(model, message, resource, side="A", channel="e")
+def _joined_state(scenario, message):
+    """SplitState's regrouped state, taken back to the joined grouping: the
+    message first for "ab", the resource first for "ba"."""
+    parts = (grouped_shape(1, 1), grouped_shape(2, 2))
+    if scenario.direction == "ba":
+        parts = parts[::-1]
+    state = SplitState(scenario, message).state
+    return change_shape(scenario.model, state, join_shapes(*parts))
+
+
+def test_compose_main_text_four_terms(catalog):
+    composed = _joined_state(catalog["main-text"]["ab"], MessageQubit(0.6, 0.8))
     a, b = 0.6 * SQ2, 0.8 * SQ2
     expected = {
         "(tau,e),((e,e),(e,tau));tau,tau,e,tau;e": a,
@@ -67,10 +72,8 @@ def test_compose_main_text_four_terms(model, catalog):
         assert nonzero[label] == pytest.approx(amp)
 
 
-def test_compose_resource_first_grouping(model, catalog):
-    message = MessageQubit(0.6, 0.8).as_state(model)
-    resource = catalog["main-text"]["ba"].resource
-    composed = compose(model, message, resource, side="B", channel="e")
+def test_compose_resource_first_grouping(catalog):
+    composed = _joined_state(catalog["main-text"]["ba"], MessageQubit(0.6, 0.8))
     a, b = 0.6 * SQ2, 0.8 * SQ2
     # internal charges in preorder: AB root, A root, B root, M root
     expected = {
@@ -83,13 +86,11 @@ def test_compose_resource_first_grouping(model, catalog):
         assert composed.amplitude(label) == pytest.approx(amp)
 
 
-def test_trivial_fmoves_preserve_main_text_amplitudes(model, catalog):
+def test_trivial_fmoves_preserve_main_text_amplitudes(catalog):
     # global charge e makes every re-association coefficient 1, so the
     # regrouped state carries the same four coefficients unchanged.
-    message = MessageQubit(0.6, 0.8).as_state(model)
-    composed = compose(model, message, catalog["main-text"]["ab"].resource, "A", "e")
-    measured_grouping = join_shapes(grouped_shape(2, 2), grouped_shape(1, 1))
-    regrouped = change_shape(model, composed, measured_grouping)
+    regrouped = SplitState(catalog["main-text"]["ab"], MessageQubit(0.6, 0.8)).state
+    assert regrouped.basis.shape == join_shapes(grouped_shape(2, 2), grouped_shape(1, 1))
     a, b = 0.6 * SQ2, 0.8 * SQ2
     expected = {
         "((tau,e),(e,e)),(e,tau);tau,tau,e,tau;e": a,
@@ -103,15 +104,14 @@ def test_trivial_fmoves_preserve_main_text_amplitudes(model, catalog):
         assert regrouped.amplitude(label) == pytest.approx(amp)
 
 
-def test_compose_channel_admissibility(model, catalog):
-    message = MessageQubit(1.0, 0.0).as_state(model)
-    resource_tau = catalog["main-text"]["ab"].resource
+def test_compose_channel_admissibility(catalog):
+    message = MessageQubit(1.0, 0.0)
     # tau x tau contains tau, so the tau channel is allowed too
-    composed = compose(model, message, resource_tau, "A", "tau")
-    assert composed.sector == "tau"
-    resource_e = catalog["appendix-d1-symmetric"]["ab"].resource
+    tau_channel = dataclasses.replace(catalog["main-text"]["ab"], channel="tau")
+    assert SplitState(tau_channel, message).state.sector == "tau"
+    e_channel = dataclasses.replace(catalog["appendix-d1-symmetric"]["ab"], channel="e")
     with pytest.raises(FusionError):
-        compose(model, message, resource_e, "A", "e")  # tau x e has no e channel
+        SplitState(e_channel, message)  # tau x e has no e channel
 
 
 # --- PVM validation
@@ -291,18 +291,20 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
     target = message.target_vector(split.receiver_basis, scenario.encoding)
     bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
     assert bound == pytest.approx(0.5, abs=1e-6)
+    sectors = [g for g in model.charges if split.measured_basis.sector_dim(g)]
     for s in range(25):
-        rng = np.random.default_rng(1000 + s)
-        pvm = random_sector_pvm(split.measured_basis, rng)
+        blocks = sector_haar_blocks(split.measured_basis, [np.random.default_rng(1000 + s)])
+        # one rank-1 projector per column of each sector's unitary
+        pvm = [BlockOperator(split.measured_basis, {g: np.outer(u, u.conj())})
+               for g, stack in zip(sectors, blocks) for u in stack[0].T]
         avg = 0.0
         for proj in pvm:
-            D = split.coefficients @ proj.T
+            D = split.coefficients @ proj.to_full().T
             p = float(np.sum(np.abs(D) ** 2))
             if p > PROB_TOL:
                 rho = np.where(split.receiver_mask, D @ D.conj().T / p, 0.0)
                 avg += p * float(np.real(target.conj() @ rho @ target))
         assert avg <= bound + 1e-10
-        blocks = sector_haar_blocks(split.measured_basis, [np.random.default_rng(1000 + s)])
         assert abs(split.average_fidelity(blocks, target)[0] - avg) <= 1e-14
 
     skewed = MessageQubit(0.6, 0.8)
@@ -312,28 +314,13 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
     assert bound == abs(target[i_tau_e]) ** 2
 
 
-def _old_sector_pvm(basis, rng):
-    """Reference: one outer product per column of the per-sector reference draw."""
-    return [np.outer(col, col.conj()) for col in _reference_columns(basis, rng).T]
-
-
-def test_sector_haar_columns_unitary_and_block_diagonal(model, basis4):
-    columns = sector_haar_columns(basis4, np.random.default_rng(7))
-    np.testing.assert_allclose(columns.conj().T @ columns, np.eye(basis4.dim), atol=1e-12)
-    off_block = columns.copy()
-    for g in model.charges:
-        sl = basis4.sector_slice(g)
-        off_block[sl, sl] = 0.0
-    assert not np.any(off_block)
-
-
-def test_random_sector_pvm_matches_per_sector_loop(basis2, basis4):
-    for basis in (basis2, basis4):
-        new = random_sector_pvm(basis, np.random.default_rng(17))
-        old = _old_sector_pvm(basis, np.random.default_rng(17))
-        assert len(new) == len(old) == basis.dim
-        for lhs, rhs in zip(new, old):
-            assert np.array_equal(lhs, rhs)
+def test_sector_haar_blocks_are_unitary_per_sector(model, basis4):
+    # one d x d unitary per nonempty sector, in charge order: block diagonal by construction
+    blocks = sector_haar_blocks(basis4, [np.random.default_rng(7)])
+    dims = [basis4.sector_dim(g) for g in model.charges if basis4.sector_dim(g)]
+    assert [stack.shape for stack in blocks] == [(1, d, d) for d in dims]
+    for (unitary,) in blocks:
+        np.testing.assert_allclose(unitary.conj().T @ unitary, np.eye(len(unitary)), atol=1e-12)
 
 
 def test_reachability_matches_per_outcome_loop(catalog):
@@ -395,12 +382,10 @@ def test_stacked_draw_equals_per_sample_columns(basis2, basis4, catalog):
             stacks = [np.concatenate(parts) for parts in zip(*chunks)]
             assert [len(stack) for stack in stacks] == [samples] * len(slices)
             for s in range(samples):
-                columns = sector_haar_columns(basis, sample_rng(seed, s))
-                assert np.array_equal(columns, _reference_columns(basis, sample_rng(seed, s)))
-                stacked = np.zeros_like(columns)
+                stacked = np.zeros((basis.dim, basis.dim), dtype=complex)
                 for sl, stack in zip(slices, stacks):
                     stacked[sl, sl] = stack[s]
-                assert np.array_equal(stacked, columns)
+                assert np.array_equal(stacked, _reference_columns(basis, sample_rng(seed, s)))
     # the 302 stream of the oracle is keyed the same way
     blocks = next(sector_haar_chunks(basis4, seed, 1, 302))
     direct = sector_haar_blocks(basis4, [sample_rng(seed, 302, 0)])
@@ -428,7 +413,7 @@ def test_oracle_excess_matches_per_sample_loop(catalog, samples, message_count):
         target = message.target_vector(split.receiver_basis, scenario.encoding)
         bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
         for s in range(samples):
-            columns = sector_haar_columns(split.measured_basis, sample_rng(seed, 302, s))
+            columns = _reference_columns(split.measured_basis, sample_rng(seed, 302, s))
             worst = max(worst, _reference_average_fidelity(split, columns, target) - bound)
     assert abs(oracle_excess(scenario, messages, samples, seed) - worst) <= 1e-14
 
@@ -507,13 +492,15 @@ def test_split_engine_matches_embedding_route(catalog):
 
 def test_regrouping_route_invariance(model, catalog):
     # reshaping directly or via the flat comb gives the same regrouped state
-    message = MessageQubit(0.6, 0.8).as_state(model)
-    composed = compose(model, message, catalog["main-text"]["ab"].resource, "A", "e")
+    scenario, message = catalog["main-text"]["ab"], MessageQubit(0.6, 0.8)
+    composed = _reference_join(scenario, message)
     measured_grouping = join_shapes(grouped_shape(2, 2), grouped_shape(1, 1))
     direct = change_shape(model, composed, measured_grouping)
     detour = change_shape(model, change_shape(model, composed, left_comb(6)),
                           measured_grouping)
     np.testing.assert_allclose(direct.amplitudes, detour.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(SplitState(scenario, message).state.amplitudes, direct.amplitudes,
+                               atol=1e-12)
 
 
 def test_resource_marginals_match_catalog_claims(model, catalog):
@@ -546,20 +533,28 @@ def test_reachability_rejects_empty_sweep(catalog):
                                         pvm_samples=samples, seed=0)
 
 
+@pytest.mark.parametrize("sweep", [receiver_reachability_check, oracle_excess])
+def test_sweeps_reject_an_empty_message_list(catalog, sweep):
+    with pytest.raises(ValueError, match="^at least one message is required$"):
+        sweep(catalog["main-text"]["ba"], [], 5, 0)
+
+
+def test_counterfactual_runs_on_the_catalog_main_text_ba(model, catalog):
+    scenario, _, _ = superselection_violating_protocol(model)
+    expected = catalog["main-text"]["ba"]
+    for name in ("name", "direction", "channel", "pvm", "corrections", "encoding", "reachable"):
+        assert getattr(scenario, name) == getattr(expected, name)
+    assert scenario.resource.amplitudes.tobytes() == expected.resource.amplitudes.tobytes()
+
+
 # --- the cached layout and measurement against a per-call reference
 
 
-def _reference_protocol(scenario, message, pvm=None, corrections=None, decohere=True):
-    """One protocol run the long way, with every table rebuilt from the trees.
-
-    Joins the message to the resource tree by tree, scatters the regrouped
-    amplitudes index by index, and runs one branch per projector.  `pvm`
-    and `corrections` default to the scenario's own, as in
-    :func:`run_protocol`; `decohere` keeps only the receiver's
-    equal-charge matrix elements.
-    """
+def _reference_join(scenario, message):
+    """The message joined to the scenario's resource tree by tree, in its channel."""
     model = scenario.model
-    msg = message.as_state(model)
+    g2 = enumerate_basis(model, grouped_shape(1, 1))
+    msg = AnyonState(g2, message.target_vector(g2, MESSAGE_KETS))
     left, right = ((msg, scenario.resource) if scenario.direction == "ab"
                    else (scenario.resource, msg))
     shape = join_shapes(left.basis.shape, right.basis.shape)
@@ -574,6 +569,19 @@ def _reference_protocol(scenario, message, pvm=None, corrections=None, decohere=
             leaves_j, ints_j = right_trees[j]
             joined = (leaves_i + leaves_j, (scenario.channel,) + ints_i + ints_j)
             amplitudes[index[joined]] = left.amplitudes[i] * right.amplitudes[j]
+    return AnyonState(basis, amplitudes)
+
+
+def _reference_protocol(scenario, message, pvm=None, corrections=None, decohere=True):
+    """One protocol run the long way, with every table rebuilt from the trees.
+
+    Joins the message to the resource tree by tree, scatters the regrouped
+    amplitudes index by index, and runs one branch per projector.  `pvm`
+    and `corrections` default to the scenario's own, as in
+    :func:`run_protocol`; `decohere` keeps only the receiver's
+    equal-charge matrix elements.
+    """
+    model = scenario.model
     if scenario.direction == "ab":
         measured_shape = join_shapes(grouped_shape(2, 2), grouped_shape(1, 1))
         part = bipartition(enumerate_basis(model, measured_shape), 4)
@@ -584,7 +592,7 @@ def _reference_protocol(scenario, message, pvm=None, corrections=None, decohere=
         part = bipartition(enumerate_basis(model, measured_shape), 2)
         recv_basis, meas_basis = part.a_basis, part.b_basis
         recv_idx, meas_idx = part.a_index, part.b_index
-    regrouped = change_shape(model, AnyonState(basis, amplitudes), measured_shape)
+    regrouped = change_shape(model, _reference_join(scenario, message), measured_shape)
     C = np.zeros((recv_basis.dim, meas_basis.dim), dtype=complex)
     for i in np.nonzero(regrouped.amplitudes)[0]:
         C[recv_idx[i], meas_idx[i]] = regrouped.amplitudes[i]

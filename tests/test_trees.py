@@ -152,8 +152,8 @@ def test_label_accepts_unicode_tau(basis2):
 
 def test_canonical_labels_resolve_without_parsing(monkeypatch, model, basis2, basis4):
     from fibanyon import trees
-    from fibanyon.correlations import classify_pure_2anyon, random_pure_2anyon
-    from fibanyon.states import AnyonState
+    from fibanyon.correlations import classify_pure_2anyon
+    from fibanyon.states import AnyonState, random_pure_state
 
     calls = []
     parse = trees.parse_tree_label
@@ -164,7 +164,7 @@ def test_canonical_labels_resolve_without_parsing(monkeypatch, model, basis2, ba
 
     monkeypatch.setattr(trees, "parse_tree_label", counting_parse)
     rng = np.random.default_rng(3)
-    states = [random_pure_2anyon(model, ("e", "tau")[i % 2], rng) for i in range(10)]
+    states = [random_pure_state(basis2, ("e", "tau")[i % 2], rng) for i in range(10)]
     for i in range(1000):
         classify_pure_2anyon(states[i % 10])
     for basis in (basis2, basis4, enumerate_basis(model, left_comb(6))):
