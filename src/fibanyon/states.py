@@ -220,6 +220,8 @@ class BlockOperator:
                 f"|{sk}><{sb}| mixes global-charge sectors and is not a physical operator"
             )
         basis = ket_state.basis
+        require_memory(16 * sum(basis.sector_dim(g) ** 2 for g in basis.model.charges),
+                       f"the ket-bra of a {basis.dim}-dim state")
         blocks = {}
         for g in basis.model.charges:
             sl = basis.sector_slice(g)

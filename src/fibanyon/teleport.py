@@ -43,12 +43,18 @@ the probabilities, D D^dagger / p, the decoherence mask and U rho
 U^dagger; only each branch's fidelity is scored on its own.
 
 Sampled measurements (the reachability sweep and the verification
-oracle) are block diagonal unitaries with one Haar block per charge
-sector of the measured basis.  Sample s is drawn from the stream
-``sample_rng(seed, *key, s)`` with one ``standard_normal`` call; the
-samples are drawn in chunks of :data:`SAMPLE_CHUNK`, each sector's chunk
-is one stacked QR, and W = C U-bar is one product per sector block for
-every sample of the chunk and every message of the sweep.
+oracle) measure each charge sector of the measured basis in the columns
+of a Haar unitary U-bar, one rank-1 projector per column, and are read
+only through W = C U-bar.  Per sector, B spans the conjugated rows of
+every message's block, so C = C B B^dagger and W = (C B)(B^dagger U-bar),
+and B^dagger U-bar is drawn directly as the top r rows of a Haar unitary
+(r is 1 or 2 in the catalog's sweeps, against sector dimensions of 13
+and 21).  Sample s is drawn
+from the stream ``sample_rng(seed, *key, s)`` with one
+``standard_normal`` call; the samples are drawn in chunks of
+:data:`SAMPLE_CHUNK`, each sector's chunk is one stacked thin QR, and W
+is one product per sector for every sample of the chunk and every
+message of the sweep.
 """
 
 from __future__ import annotations
@@ -339,16 +345,6 @@ class SplitState:
         self.measured_slices = layout.measured_slices
         self.target = message.target_vector(self.receiver_basis, scenario.encoding)
 
-    def average_fidelity(self, blocks: list[np.ndarray], target: np.ndarray) -> np.ndarray:
-        """Uncorrected average fidelity sum_k <t|mask(w_k w_k^dagger)|t> over p_k > PROB_TOL,
-        one per sampled measurement in `blocks`."""
-        rho = 0.0
-        for W, probs in conditionals(self.coefficients, blocks, self.measured_slices):
-            kept = np.where(probs[:, None, :] > PROB_TOL, W, 0.0)
-            rho = rho + kept @ kept.conj().swapaxes(1, 2)
-        rho = np.where(self.receiver_mask, rho, 0.0)
-        return np.einsum("i,sij,j->s", target.conj(), rho, target).real
-
 
 def run_protocol(
     scenario: TeleportScenario,
@@ -468,11 +464,12 @@ def sample_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 # Samples are drawn in chunks.  On the 34-dim 4-anyon measured basis one
-# sample's scratch is about 64 KiB: its Ginibre draw, the complex matrix,
-# QR's copies, the unitary, and W with its moduli (4 KiB per message).  A
-# chunk of 8 is a 0.5 MiB budget and keeps a sweep's peak near 0.5 MiB
-# (0.8 MiB with ten messages); an unchunked stack of a few hundred samples
-# leaves multi-MiB buffers that the allocator keeps after they are freed.
+# sample's scratch is its Ginibre draw and top rows (2 d r values per
+# sector, under 2 KiB) and, per message, W with its moduli and the
+# off-support pair products (about 7 KiB).  A chunk of 8 keeps a sweep's
+# peak near 0.1 MiB with one message and 0.65 MiB with ten; an unchunked
+# stack of a few hundred samples leaves multi-MiB buffers that the
+# allocator keeps after they are freed.
 SAMPLE_CHUNK = 8
 
 
@@ -482,63 +479,115 @@ def _sector_slices(basis: SectorBasis) -> list[slice]:
     return [sl for sl in slices if sl.stop > sl.start]
 
 
-def _haar(draws: np.ndarray, n: int) -> np.ndarray:
-    """Haar unitaries from (samples, 2 n^2) standard normals, one row per sample.
+def row_space(block: np.ndarray) -> np.ndarray:
+    """Orthonormal basis B (d x r) of the span of the conjugated rows of `block`.
 
-    A row is the real and then the imaginary part of an n x n complex
-    Ginibre matrix, row-major.  QR, then each column of Q times the
-    conjugate phase of R's diagonal entry (Mezzadri, Notices AMS 54, 592
-    (2007)); each call is one stacked QR.
+    `block` is C[..., receiver, d], one matrix or a stack over messages, and
+    C = C B B^dagger.  The columns are the right singular vectors whose
+    singular values exceed numpy's ``matrix_rank`` tolerance (the largest
+    singular value x max(rows, d) x eps); r = 0 for a zero block.
     """
-    ginibre = draws[:, :n * n].reshape(-1, n, n).astype(complex)
-    ginibre.imag = draws[:, n * n:].reshape(-1, n, n)
-    q, r = np.linalg.qr(ginibre)
-    phases = np.diagonal(r, axis1=1, axis2=2).copy()
+    rows = block.reshape(-1, block.shape[-1])
+    _, singular, vh = np.linalg.svd(rows, full_matrices=False)
+    tol = singular.max(initial=0.0) * max(rows.shape) * np.finfo(float).eps
+    return vh[:np.count_nonzero(singular > tol)].conj().T
+
+
+def _haar_rows(draws: np.ndarray, d: int, r: int) -> np.ndarray:
+    """The top r rows of Haar unitaries from (samples, 2 d r) standard normals.
+
+    A row of `draws` is the real and then the imaginary part of a d x r
+    complex Ginibre matrix, row-major.  Its thin QR, each column of Q times
+    the conjugate phase of R's diagonal entry, gives the first r columns of
+    a Haar unitary (Mezzadri, Notices AMS 54, 592 (2007)), and the transpose
+    of a Haar unitary is Haar: returns the (samples, r, d) stack of Q^T.
+    """
+    ginibre = draws[:, :d * r].reshape(-1, d, r).astype(complex)
+    ginibre.imag = draws[:, d * r:].reshape(-1, d, r)
+    q, upper = np.linalg.qr(ginibre)
+    phases = np.diagonal(upper, axis1=1, axis2=2).copy()
     phases /= np.abs(phases)
-    return q * phases.conj()[:, None, :]
+    return (q * phases.conj()[:, None, :]).swapaxes(1, 2)
 
 
-def sector_haar_blocks(basis: SectorBasis, rngs) -> list[np.ndarray]:
-    """One Haar unitary per nonempty charge sector of `basis` and generator in `rngs`.
+def sector_haar_rows(shapes, rngs) -> list[np.ndarray]:
+    """Top rows Y (r x d, orthonormal rows) of one Haar unitary per (d, r) in
+    `shapes` and generator in `rngs`.
 
-    Returns one (len(rngs), d, d) stack per sector, in charge order.  Each
-    generator makes one ``standard_normal`` call of sum_g 2 d_g^2 values:
-    per sector in charge order, the real and then the imaginary d_g x d_g
-    part of its Ginibre matrix, row-major.
+    Returns one (len(rngs), r, d) stack per shape.  Each generator makes one
+    ``standard_normal`` call of sum 2 d r values: per shape in order, the
+    real and then the imaginary d x r part of its Ginibre matrix, row-major.
     """
-    dims = [sl.stop - sl.start for sl in _sector_slices(basis)]
-    draws = np.empty((len(rngs), sum(2 * d * d for d in dims)))
+    draws = np.empty((len(rngs), sum(2 * d * r for d, r in shapes)))
     for rng, row in zip(rngs, draws):
         rng.standard_normal(out=row)
-    blocks, start = [], 0
-    for d in dims:
-        blocks.append(_haar(draws[:, start:start + 2 * d * d], d))
-        start += 2 * d * d
-    return blocks
+    stacks, start = [], 0
+    for d, r in shapes:
+        stacks.append(_haar_rows(draws[:, start:start + 2 * d * r], d, r))
+        start += 2 * d * r
+    return stacks
 
 
-def sector_haar_chunks(basis: SectorBasis, seed: int, samples: int, *key: int):
-    """Yield :func:`sector_haar_blocks` for samples 0..samples-1, SAMPLE_CHUNK at a time.
+def sector_haar_chunks(shapes, seed: int, samples: int, *key: int):
+    """Yield :func:`sector_haar_rows` for samples 0..samples-1, SAMPLE_CHUNK at a time.
 
     Sample s is drawn from ``sample_rng(seed, *key, s)``, so a sample does
     not depend on the chunking or on how many samples are drawn.
     """
     for start in range(0, samples, SAMPLE_CHUNK):
         stop = min(start + SAMPLE_CHUNK, samples)
-        yield sector_haar_blocks(basis, [sample_rng(seed, *key, s) for s in range(start, stop)])
+        yield sector_haar_rows(shapes, [sample_rng(seed, *key, s) for s in range(start, stop)])
 
 
-def conditionals(coefficients: np.ndarray, blocks: list[np.ndarray], slices: list[slice]):
-    """Yield, per measured sector block, W and the outcome probabilities ||w_k||^2.
+def sampled_conditionals(coefficients: np.ndarray, slices: list[slice], seed: int,
+                         samples: int, *key: int):
+    """Yield, per chunk of sampled measurements, an iterator over W and the
+    outcome probabilities ||w_k||^2 of every measured sector the state reaches.
 
-    `coefficients` is C[..., receiver, measured] (one matrix or a stack
-    over messages); `blocks` holds one (samples, d, d) stack of unitaries
-    per entry of `slices`.  W[..., s, :, k] = C[..., :, block] conj(U_s)[:, k]
-    is the unnormalised receiver vector of outcome k of sample s.
+    `coefficients` is the (messages, receiver, measured) stack C.  Sample s
+    measures each sector block of `slices` in the columns of a Haar unitary
+    U-bar, one rank-1 projector per column, and W[m, s, :, k] = C[m, :, block]
+    u-bar_k is the unnormalised receiver vector of outcome k.  With
+    B = :func:`row_space` of the block over every message, C = C B B^dagger,
+    so W = (C B)(B^dagger U-bar), and B^dagger U-bar is distributed as the top
+    r rows of a Haar unitary: the draw of :func:`sector_haar_chunks` is exact
+    and joint over all messages and outcomes.  A sector with r = 0 has only
+    p = 0 outcomes and is left out.
     """
-    for sl, unitaries in zip(slices, blocks):
-        W = coefficients[..., None, :, sl] @ unitaries.conj()
-        yield W, np.sum(np.abs(W) ** 2, axis=-2)
+    blocks = [coefficients[..., sl] for sl in slices]
+    bases = list(map(row_space, blocks))
+    reduced = [block @ basis for block, basis in zip(blocks, bases) if basis.shape[1]]
+    shapes = [basis.shape for basis in bases if basis.shape[1]]
+
+    def outcomes(rows):
+        for cb, y in zip(reduced, rows):
+            W = cb[:, None] @ y
+            yield W, np.sum(np.abs(W) ** 2, axis=-2)
+
+    for rows in sector_haar_chunks(shapes, seed, samples, *key):
+        yield outcomes(rows)
+
+
+def average_fidelities(chunk, receiver_mask: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Uncorrected average fidelity sum_k <t|mask(w_k w_k^dagger)|t> over p_k > PROB_TOL,
+    per message (row of `targets`) and sample of a :func:`sampled_conditionals` chunk."""
+    rho = 0.0
+    for W, probs in chunk:
+        kept = np.where(probs[..., None, :] > PROB_TOL, W, 0.0)
+        rho = rho + kept @ kept.conj().swapaxes(-1, -2)
+    rho = np.where(receiver_mask, rho, 0.0)
+    return np.einsum("mi,msij,mj->ms", targets.conj(), rho, targets).real
+
+
+def sweep_splits(scenario: TeleportScenario, messages, samples: int) -> list[SplitState]:
+    """The split state of every message of a sampled sweep, which needs at
+    least one message and one sample."""
+    if samples < 1:
+        raise ValueError(f"pvm_samples must be at least 1, got {samples}")
+    message_list = [m if isinstance(m, MessageQubit) else MessageQubit(*m) for m in messages]
+    if not message_list:
+        raise ValueError("at least one message is required")
+    return [SplitState(scenario, m) for m in message_list]
 
 
 @dataclass
@@ -570,46 +619,40 @@ def receiver_reachability_check(
     For every sampled measurement and message, each conditional receiver
     state is decomposed in the receiver's 2-anyon basis; the report
     records the largest matrix-element magnitude outside the scenario's
-    reachable diagonal set.  Sample s measures the measured basis in the
-    columns of the unitary ``sector_haar_blocks(measured basis,
-    [sample_rng(seed, s)])``, one rank-1 projector per column; the
-    samples are drawn and reduced SAMPLE_CHUNK at a time, for all
-    messages at once.
+    reachable diagonal set.  Sample s measures each sector of the measured
+    basis in the columns of a Haar unitary, one rank-1 projector per column,
+    drawn from ``sample_rng(seed, s)`` by :func:`sampled_conditionals`; the
+    samples are drawn and reduced SAMPLE_CHUNK at a time, for all messages
+    at once.
     """
     if scenario.reachable is None:
         raise ValueError(f"scenario {scenario.name}/{scenario.direction} declares no reachable set")
-    if pvm_samples < 1:
-        raise ValueError(f"pvm_samples must be at least 1, got {pvm_samples}")
-    message_list = [m if isinstance(m, MessageQubit) else MessageQubit(*m) for m in messages]
-    if not message_list:
-        raise ValueError("at least one message is required")
-    splits = [SplitState(scenario, m) for m in message_list]
+    splits = sweep_splits(scenario, messages, pvm_samples)
     recv_basis = splits[0].receiver_basis
     allowed = [recv_basis.index_of_label(lbl) for lbl in scenario.reachable]
     off_mask = splits[0].receiver_mask.copy()
     off_mask[allowed, allowed] = False
-    # each receiver row with its off-support partners in the decohered state
-    partners = [(r, np.flatnonzero(row)) for r, row in enumerate(off_mask) if row.any()]
+    # the off-support pairs (r, s) of the decohered state
+    rows, cols = np.nonzero(off_mask)
     coefficients = np.stack([split.coefficients for split in splits])
 
-    # |rho_k[r, s]| = |w_r| |w_s| / p_k; rounding is monotone, so the largest
-    # over s is |w_r| max_s |w_s| / p_k
+    # |rho_k[r, s]| = |w_r| |w_s| / p_k
     worst = 0.0
     count = 0
-    for blocks in sector_haar_chunks(splits[0].measured_basis, seed, pvm_samples):
-        for W, probs in conditionals(coefficients, blocks, splits[0].measured_slices):
+    for chunk in sampled_conditionals(coefficients, splits[0].measured_slices, seed, pvm_samples):
+        for W, probs in chunk:
             keep = probs > PROB_TOL
             mags = np.abs(W)
-            peak = np.zeros(probs.shape)
-            for r, cols in partners:
-                np.maximum(peak, mags[..., r, :] * np.max(mags[..., cols, :], axis=-2), out=peak)
+            pairs = mags[..., rows, :]
+            pairs *= mags[..., cols, :]
+            peak = np.max(pairs, axis=-2, initial=0.0)
             worst = max(worst, float(np.max(peak[keep] / probs[keep], initial=0.0)))
             count += int(np.count_nonzero(keep))
     return ReachabilityReport(
         scenario=scenario.name,
         direction=scenario.direction,
         samples=pvm_samples,
-        messages=len(message_list),
+        messages=len(splits),
         conditionals=count,
         max_off_support=worst,
         tol=tol,

@@ -39,7 +39,7 @@ from .states import (
 from .teleport import (
     MESSAGE_GRID,
     MessageQubit,
-    SplitState,
+    average_fidelities,
     builtin_scenarios,
     d1_family_resource,
     diagonal_mixture_fidelity_bound,
@@ -47,8 +47,9 @@ from .teleport import (
     run_protocol,
     run_protocol_via_embedding,
     sample_rng,
-    sector_haar_chunks,
+    sampled_conditionals,
     superselection_violating_protocol,
+    sweep_splits,
 )
 from .trees import SectorBasis, all_shapes, enumerate_basis, grouped_shape, left_comb
 
@@ -431,18 +432,15 @@ def oracle_excess(scenario, messages, samples: int, seed: int) -> float:
     Sample s is the sector-Haar measurement drawn from ``sample_rng(seed, 302, s)``;
     each is drawn once and shared by every message.
     """
-    runs = []
-    for message in messages:
-        split = SplitState(scenario, message)
-        bound = diagonal_mixture_fidelity_bound(split.target, split.receiver_basis,
-                                                scenario.reachable)
-        runs.append((split, bound))
-    if not runs:
-        raise ValueError("at least one message is required")
+    splits = sweep_splits(scenario, messages, samples)
+    targets = np.stack([split.target for split in splits])
+    bounds = np.array([diagonal_mixture_fidelity_bound(split.target, split.receiver_basis,
+                                                       scenario.reachable) for split in splits])
+    coefficients = np.stack([split.coefficients for split in splits])
     worst = -math.inf
-    for blocks in sector_haar_chunks(runs[0][0].measured_basis, seed, samples, 302):
-        for split, bound in runs:
-            worst = max(worst, float(np.max(split.average_fidelity(blocks, split.target))) - bound)
+    for chunk in sampled_conditionals(coefficients, splits[0].measured_slices, seed, samples, 302):
+        fidelities = average_fidelities(chunk, splits[0].receiver_mask, targets)
+        worst = max(worst, float(np.max(fidelities - bounds[:, None])))
     return worst
 
 

@@ -8,12 +8,18 @@ rendering each leaf grouping in the same recursion, and sorts them by
 :class:`~fibanyon.trees.SectorBasis`, so the tests can compare the
 charge-table code against it.  One reference is built per (model, shape)
 and shared by every test that compares against it.
+
+The sampled-measurement references draw one sample at a time: the square
+sector-Haar unitary, the top rows of Haar unitaries that the sweeps draw,
+and the completion of such rows to a full unitary.
 """
 
 from __future__ import annotations
 
 import functools
 from typing import NamedTuple
+
+import numpy as np
 
 
 class Reference(NamedTuple):
@@ -65,3 +71,43 @@ def reference(model, shape) -> Reference:
     trees = tuple((leaves, internals) for _, leaves, internals, _ in entries)
     return Reference(trees, tuple(_label(grouping, internals) for _, _, internals, grouping in entries),
                      {tree: i for i, tree in enumerate(trees)})
+
+
+def _phase_fixed_q(ginibre):
+    """Q of the QR of `ginibre`, each column times the conjugate phase of R's diagonal entry."""
+    q, r = np.linalg.qr(ginibre)
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases.conj()
+
+
+def sector_haar_unitary(basis, rng):
+    """Block diagonal Haar unitary on `basis`: per nonempty sector in charge
+    order, a real then an imaginary d x d Ginibre draw and its phase-fixed Q."""
+    unitary = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for g in basis.model.charges:
+        sl = basis.sector_slice(g)
+        d = sl.stop - sl.start
+        if d:
+            unitary[sl, sl] = _phase_fixed_q(rng.standard_normal((d, d))
+                                             + 1j * rng.standard_normal((d, d)))
+    return unitary
+
+
+def haar_rows(shapes, rng):
+    """Per (d, r) in order, a real then an imaginary d x r Ginibre draw and the
+    transpose of its phase-fixed Q: the top r rows of a Haar unitary."""
+    return [_phase_fixed_q(rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))).T
+            for d, r in shapes]
+
+
+def complete_unitary(basis_columns, rows):
+    """A d x d unitary U with B^dagger U = `rows` for B = `basis_columns` (d x r,
+    orthonormal columns): B rows + B_perp Z, where B_perp and Z^dagger are
+    orthonormal complements of B's columns and of the rows' conjugates."""
+    d, r = basis_columns.shape
+    if r == 0:
+        return np.eye(d, dtype=complex)
+    b_perp = np.linalg.qr(basis_columns, mode="complete")[0][:, r:]
+    z = np.linalg.qr(rows.conj().T, mode="complete")[0][:, r:].conj().T
+    return basis_columns @ rows + b_perp @ z

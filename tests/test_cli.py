@@ -69,6 +69,7 @@ GOLDEN_CASES = [
         for fmt, ext in (("text", "txt"), ("json", "json"))
     ),
     ("verify_dims.txt", ("verify", "--suite", "dims")),
+    ("verify_teleportation_quick.txt", ("verify", "--suite", "teleportation", "--quick")),
 ]
 
 

@@ -29,9 +29,9 @@ from fibanyon.teleport import (
     builtin_scenarios,
     run_protocol,
     run_protocol_via_embedding,
-    sector_haar_blocks,
 )
 from fibanyon.trees import TreeShape, enumerate_basis, grouped_shape, left_comb
+from reference import sector_haar_unitary
 
 ABELIAN_MODEL = (Path(__file__).parent / "data" / "z2.model").read_text(encoding="utf-8")
 
@@ -73,11 +73,9 @@ def test_tau_channel_protocol_uses_nontrivial_recoupling(model):
     # re-association a genuine 2x2 F-block; both engines must still agree
     base = builtin_scenarios(model)["main-text"]["ab"]
     g4 = enumerate_basis(model, grouped_shape(2, 2))
-    # a complete rank-1 measurement: one projector per column of each sector's Haar unitary
-    sectors = [g for g in model.charges if g4.sector_dim(g)]
-    blocks = sector_haar_blocks(g4, [np.random.default_rng(123)])
-    pvm = tuple(BlockOperator(g4, {g: np.outer(u, u.conj())})
-                for g, stack in zip(sectors, blocks) for u in stack[0].T)
+    # a complete rank-1 measurement: one projector per column of a block diagonal Haar unitary
+    unitary = sector_haar_unitary(g4, np.random.default_rng(123))
+    pvm = tuple(BlockOperator.from_full(np.outer(u, u.conj()), g4) for u in unitary.T)
     scenario = TeleportScenario(
         name="tau-channel-probe",
         direction="ab",

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibanyon import errors
 from fibanyon.errors import (
     BasisMismatchError,
+    MemoryBudgetError,
     ModelFormatError,
     ShapeError,
     SuperselectionError,
@@ -488,3 +490,16 @@ def test_state_file_rejects_malformed(model):
         parse_state_text(model, "e,tau;tau : 1.0 0.0")  # missing shape header
     with pytest.raises(ModelFormatError):
         parse_state_text(model, "shape: (0 1)\nnonsense")
+
+
+def test_pure_density_checks_memory_first(model, monkeypatch):
+    # n=6: the 89 x 89 and 144 x 144 blocks are 0.44 MiB, over half of the 512 KiB "available"
+    basis = enumerate_basis(model, left_comb(6))
+    state = ket(basis, basis.labels[-1])
+    need = f"~{16 * (89**2 + 144**2) / 2**30:.3g} GiB, {2**19 / 2**30:.3g} GiB available"
+    monkeypatch.setattr(errors, "_available_bytes", lambda: 2**19)
+    with pytest.raises(MemoryBudgetError,
+                       match=f"^the ket-bra of a 233-dim state needs {need}"):
+        pure_density(state)
+    monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
+    assert [block.shape for block in pure_density(state).blocks.values()] == [(89, 89), (144, 144)]

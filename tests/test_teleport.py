@@ -18,20 +18,24 @@ from fibanyon.teleport import (
     d1_family_resource,
     PROB_TOL,
     SAMPLE_CHUNK,
+    average_fidelities,
     diagonal_mixture_fidelity_bound,
     pauli_correction,
     receiver_reachability_check,
     run_protocol,
+    row_space,
     run_protocol_via_embedding,
     sample_rng,
-    sector_haar_blocks,
+    sampled_conditionals,
     sector_haar_chunks,
+    sector_haar_rows,
     superselection_violating_protocol,
     validate_pvm,
 )
 from fibanyon.trees import enumerate_basis, grouped_shape, join_shapes, left_comb
 from fibanyon.verify import oracle_excess
-from reference import global_charge, reference
+from reference import (complete_unitary, global_charge, haar_rows, reference,
+                       sector_haar_unitary)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -291,12 +295,19 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
     target = message.target_vector(split.receiver_basis, scenario.encoding)
     bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
     assert bound == pytest.approx(0.5, abs=1e-6)
-    sectors = [g for g in model.charges if split.measured_basis.sector_dim(g)]
-    for s in range(25):
-        blocks = sector_haar_blocks(split.measured_basis, [np.random.default_rng(1000 + s)])
-        # one rank-1 projector per column of each sector's unitary
-        pvm = [BlockOperator(split.measured_basis, {g: np.outer(u, u.conj())})
-               for g, stack in zip(sectors, blocks) for u in stack[0].T]
+    coefficients = split.coefficients[None]
+    seed, samples = 1000, 25
+    fidelities = np.concatenate([
+        average_fidelities(chunk, split.receiver_mask, target[None])[0]
+        for chunk in sampled_conditionals(coefficients, split.measured_slices, seed, samples)
+    ])
+    assert fidelities.shape == (samples,)
+    unitaries = _reference_unitaries(coefficients, split.measured_basis,
+                                     [sample_rng(seed, s) for s in range(samples)])
+    for unitary, fidelity in zip(unitaries, fidelities):
+        # one rank-1 projector per column of each sector's completed unitary
+        pvm = [BlockOperator.from_full(np.outer(u.conj(), u), split.measured_basis)
+               for u in unitary.T]
         avg = 0.0
         for proj in pvm:
             D = split.coefficients @ proj.to_full().T
@@ -305,7 +316,7 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
                 rho = np.where(split.receiver_mask, D @ D.conj().T / p, 0.0)
                 avg += p * float(np.real(target.conj() @ rho @ target))
         assert avg <= bound + 1e-10
-        assert abs(split.average_fidelity(blocks, target)[0] - avg) <= 1e-14
+        assert abs(fidelity - avg) <= 1e-14
 
     skewed = MessageQubit(0.6, 0.8)
     target = skewed.target_vector(split.receiver_basis, scenario.encoding)
@@ -314,13 +325,32 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
     assert bound == abs(target[i_tau_e]) ** 2
 
 
-def test_sector_haar_blocks_are_unitary_per_sector(model, basis4):
-    # one d x d unitary per nonempty sector, in charge order: block diagonal by construction
-    blocks = sector_haar_blocks(basis4, [np.random.default_rng(7)])
+def test_sector_haar_rows_are_orthonormal(model, basis4):
+    # per (d, r): the top r rows of a d x d unitary, down to r = 1 and up to the whole unitary
     dims = [basis4.sector_dim(g) for g in model.charges if basis4.sector_dim(g)]
-    assert [stack.shape for stack in blocks] == [(1, d, d) for d in dims]
-    for (unitary,) in blocks:
-        np.testing.assert_allclose(unitary.conj().T @ unitary, np.eye(len(unitary)), atol=1e-12)
+    shapes = [(d, r) for d in dims for r in (1, 2, d)]
+    stacks = sector_haar_rows(shapes, [np.random.default_rng(7)])
+    assert [stack.shape for stack in stacks] == [(1, r, d) for d, r in shapes]
+    for (rows,) in stacks:
+        np.testing.assert_allclose(rows @ rows.conj().T, np.eye(len(rows)), atol=1e-12)
+
+
+def _reference_unitaries(coefficients, measured_basis, rngs):
+    """One sample's block diagonal U-bar per generator, drawn one at a time:
+    per sector, the reference top rows completed with the row space B of the
+    coefficients' block (any unitary where the block is zero)."""
+    slices = [measured_basis.sector_slice(g) for g in measured_basis.model.charges
+              if measured_basis.sector_dim(g)]
+    bases = [row_space(coefficients[..., sl]) for sl in slices]
+    shapes = [basis.shape for basis in bases if basis.shape[1]]
+    unitaries = []
+    for rng in rngs:
+        rows = iter(haar_rows(shapes, rng))
+        unitary = np.zeros((measured_basis.dim, measured_basis.dim), dtype=complex)
+        for sl, basis in zip(slices, bases):
+            unitary[sl, sl] = complete_unitary(basis, next(rows) if basis.shape[1] else None)
+        unitaries.append(unitary)
+    return unitaries
 
 
 def test_reachability_matches_per_outcome_loop(catalog):
@@ -329,6 +359,7 @@ def test_reachability_matches_per_outcome_loop(catalog):
     messages = [MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2)]
     seed = 9
     splits = [SplitState(scenario, m) for m in messages]
+    coefficients = np.stack([split.coefficients for split in splits])
     recv_basis, meas_basis = splits[0].receiver_basis, splits[0].measured_basis
     off_mask = np.ones((recv_basis.dim, recv_basis.dim), dtype=bool)
     i_ee = recv_basis.index_of_label("e,e;e")
@@ -337,11 +368,11 @@ def test_reachability_matches_per_outcome_loop(catalog):
     for samples in (SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1, 30):
         report = receiver_reachability_check(scenario, messages, pvm_samples=samples, seed=seed)
         worst, conditionals = 0.0, 0
-        for s in range(samples):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-            U = _reference_columns(meas_basis, rng)
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
+                for s in range(samples)]
+        for U in _reference_unitaries(coefficients, meas_basis, rngs):
             for split in splits:
-                W = split.coefficients @ U.conj()
+                W = split.coefficients @ U
                 probs = np.sum(np.abs(W) ** 2, axis=0)
                 for k in np.nonzero(probs > PROB_TOL)[0]:
                     rho = np.outer(W[:, k], W[:, k].conj()) / probs[k]
@@ -353,21 +384,27 @@ def test_reachability_matches_per_outcome_loop(catalog):
         assert abs(report.max_off_support - worst) <= 1e-15
 
 
-def _reference_columns(basis, rng):
-    """Reference draw: per sector in charge order, a real then an imaginary d x d
-    Ginibre draw, one QR and the phase fix."""
-    columns = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for g in basis.model.charges:
-        sl = basis.sector_slice(g)
-        d = sl.stop - sl.start
-        if d == 0:
-            continue
-        gin = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        q, r = np.linalg.qr(gin)
-        phases = np.diag(r).copy()
-        phases /= np.abs(phases)
-        columns[sl, sl] = q * phases.conj()
-    return columns
+def test_sampled_outcomes_equal_the_completed_unitary(catalog):
+    # W = (C B) Y is C U-bar for the completed unitary, outcome by outcome; one
+    # message's main-text A->B tau block has rank 2, so there W's columns follow the draw
+    for name, direction in (("main-text", "ba"), ("main-text", "ab"),
+                            ("appendix-d2-asymmetric", "ab")):
+        splits = [SplitState(catalog[name][direction], m)
+                  for m in (MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2))]
+        coefficients = np.stack([split.coefficients for split in splits])
+        seed, samples = 3, SAMPLE_CHUNK + 3
+        chunks = [list(chunk) for chunk in sampled_conditionals(
+            coefficients, splits[0].measured_slices, seed, samples)]
+        reached = [sl for sl in splits[0].measured_slices if np.any(coefficients[..., sl])]
+        assert [len(chunk) for chunk in chunks] == [len(reached)] * len(chunks)
+        unitaries = _reference_unitaries(coefficients, splits[0].measured_basis,
+                                         [sample_rng(seed, s) for s in range(samples)])
+        expected = np.stack([coefficients @ unitary for unitary in unitaries], axis=1)
+        for k, sl in enumerate(reached):
+            W = np.concatenate([chunk[k][0] for chunk in chunks], axis=1)
+            probs = np.concatenate([chunk[k][1] for chunk in chunks], axis=1)
+            assert np.max(np.abs(W - expected[..., sl])) <= 1e-14
+            assert np.array_equal(probs, np.sum(np.abs(W) ** 2, axis=-2))
 
 
 def test_stacked_draw_equals_per_sample_columns(basis2, basis4, catalog):
@@ -375,25 +412,31 @@ def test_stacked_draw_equals_per_sample_columns(basis2, basis4, catalog):
                 for name, direction in (("main-text", "ba"), ("appendix-d2-asymmetric", "ab"))]
     seed = 5
     for basis in (basis2, basis4, *measured):
-        slices = [basis.sector_slice(g) for g in basis.model.charges if basis.sector_dim(g)]
+        dims = [basis.sector_dim(g) for g in basis.model.charges if basis.sector_dim(g)]
+        shapes = [(d, r) for d in dims for r in sorted({1, min(2, d), d})]
         for samples in (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 2):
-            chunks = list(sector_haar_chunks(basis, seed, samples))
+            chunks = list(sector_haar_chunks(shapes, seed, samples))
             assert [len(chunk[0]) for chunk in chunks[:-1]] == [SAMPLE_CHUNK] * (len(chunks) - 1)
             stacks = [np.concatenate(parts) for parts in zip(*chunks)]
-            assert [len(stack) for stack in stacks] == [samples] * len(slices)
+            assert [len(stack) for stack in stacks] == [samples] * len(shapes)
             for s in range(samples):
-                stacked = np.zeros((basis.dim, basis.dim), dtype=complex)
-                for sl, stack in zip(slices, stacks):
-                    stacked[sl, sl] = stack[s]
-                assert np.array_equal(stacked, _reference_columns(basis, sample_rng(seed, s)))
+                direct = haar_rows(shapes, sample_rng(seed, s))
+                assert all(np.array_equal(stack[s], rows) for stack, rows in zip(stacks, direct))
     # the 302 stream of the oracle is keyed the same way
-    blocks = next(sector_haar_chunks(basis4, seed, 1, 302))
-    direct = sector_haar_blocks(basis4, [sample_rng(seed, 302, 0)])
-    assert np.array_equal(blocks[0][0], direct[0][0])
+    shapes = [(13, 2), (21, 2)]
+    rows = next(sector_haar_chunks(shapes, seed, 1, 302))
+    direct = haar_rows(shapes, sample_rng(seed, 302, 0))
+    assert all(np.array_equal(stack[0], one) for stack, one in zip(rows, direct))
 
 
-def _reference_average_fidelity(split, columns, target):
-    W = split.coefficients @ columns.conj()
+def _verify_messages(count):
+    """The balanced messages of the teleportation suite's sweep and oracle."""
+    return [MessageQubit(SQ2, np.exp(1j * th) * SQ2)
+            for th in np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)]
+
+
+def _reference_average_fidelity(split, unitary, target):
+    W = split.coefficients @ unitary
     probs = np.sum(np.abs(W) ** 2, axis=0)
     kept = W[:, probs > PROB_TOL]
     rho = np.where(split.receiver_mask, kept @ kept.conj().T, 0.0)
@@ -404,18 +447,87 @@ def _reference_average_fidelity(split, columns, target):
 def test_oracle_excess_matches_per_sample_loop(catalog, samples, message_count):
     # the quick and full counts of the teleportation suite
     scenario = catalog["main-text"]["ba"]
-    messages = [MessageQubit(SQ2, np.exp(1j * th) * SQ2)
-                for th in np.linspace(0.0, 2.0 * math.pi, message_count, endpoint=False)]
+    messages = _verify_messages(message_count)
     seed = 42
+    splits = [SplitState(scenario, message) for message in messages]
+    # one measurement per sample for every message: B spans all of their blocks
+    unitaries = _reference_unitaries(np.stack([split.coefficients for split in splits]),
+                                     splits[0].measured_basis,
+                                     [sample_rng(seed, 302, s) for s in range(samples)])
     worst = -math.inf
-    for message in messages:
-        split = SplitState(scenario, message)
+    for message, split in zip(messages, splits):
         target = message.target_vector(split.receiver_basis, scenario.encoding)
         bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
-        for s in range(samples):
-            columns = _reference_columns(split.measured_basis, sample_rng(seed, 302, s))
-            worst = max(worst, _reference_average_fidelity(split, columns, target) - bound)
+        for unitary in unitaries:
+            worst = max(worst, _reference_average_fidelity(split, unitary, target) - bound)
     assert abs(oracle_excess(scenario, messages, samples, seed) - worst) <= 1e-14
+
+
+def test_row_space_reproduces_every_sampled_block(catalog):
+    # the reduced draw is exact only if C = C B B^dagger in every measured sector
+    message_sets = [[MessageQubit(0.6, 0.8)], [MessageQubit(1.0, 0.0)], [MessageQubit(0.0, 1.0)],
+                    _verify_messages(4), _verify_messages(10)]
+    for directions in catalog.values():
+        for scenario in directions.values():
+            for messages in message_sets:
+                splits = [SplitState(scenario, m) for m in messages]
+                coefficients = np.stack([split.coefficients for split in splits])
+                for sl in splits[0].measured_slices:
+                    block = coefficients[..., sl]
+                    basis = row_space(block)
+                    if scenario.pvm is None:
+                        # C(alpha, beta) = alpha C_0 + beta C_1, with rank-1 C_0 and C_1
+                        assert basis.shape[1] <= min(2, len(messages))
+                    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
+                                               atol=1e-13)
+                    assert np.max(np.abs(block - block @ basis @ basis.conj().T),
+                                  initial=0.0) <= 1e-13
+
+
+def test_zero_sector_has_no_sampled_outcomes(catalog):
+    # main-text A->B leaves the measured e sector empty: r = 0, no draws, no outcomes
+    scenario = dataclasses.replace(catalog["main-text"]["ab"], reachable=("e,e;e",))
+    split = SplitState(scenario, MessageQubit(0.6, 0.8))
+    e_block, tau_block = (split.coefficients[:, sl] for sl in split.measured_slices)
+    assert row_space(e_block).shape == (13, 0) and row_space(tau_block).shape == (21, 2)
+    report = receiver_reachability_check(scenario, [MessageQubit(0.6, 0.8)], pvm_samples=200,
+                                         seed=4)
+    assert report.conditionals == 200 * 21
+
+
+def test_reduced_draw_matches_full_draw_in_distribution(catalog):
+    # per sector: E[p_k] = ||C_g||_F^2 / d, E[p_k^2] and E[p_k(m1) p_k(m2)] of
+    # the reduced sampler against full d x d sector-Haar unitaries, within 5 sigma
+    scenario = catalog["main-text"]["ba"]
+    splits = [SplitState(scenario, m) for m in (MessageQubit(0.6, 0.8),
+                                                 MessageQubit(SQ2, 1j * SQ2))]
+    coefficients = np.stack([split.coefficients for split in splits])
+    slices = splits[0].measured_slices
+    samples = 2000
+    chunks = [list(chunk) for chunk in sampled_conditionals(coefficients, slices, 11, samples)]
+    reduced = [np.concatenate([chunk[k][1] for chunk in chunks], axis=1)
+               for k in range(len(chunks[0]))]
+    rng = np.random.default_rng(12)
+    full = np.stack([np.sum(np.abs(coefficients @ sector_haar_unitary(splits[0].measured_basis,
+                                                                      rng)) ** 2, axis=-2)
+                     for _ in range(samples)], axis=1)
+    assert len(reduced) == len(slices)
+    for sl, probs in zip(slices, reduced):
+        d = sl.stop - sl.start
+        weight = np.sum(np.abs(coefficients[..., sl]) ** 2, axis=(-2, -1))
+        # each sample's outcomes of a sector sum to the sector's weight
+        np.testing.assert_allclose(probs.sum(axis=-1), weight[:, None] * np.ones(samples),
+                                   rtol=1e-12)
+        stats = []
+        for p in (probs, full[..., sl]):
+            # per sample: p_0, the mean p_k^2 and the mean p_k(m1) p_k(m2)
+            per_sample = np.stack([p[0, :, 0], np.mean(p[0] ** 2, axis=-1),
+                                   np.mean(p[0] * p[1], axis=-1)])
+            mean = per_sample.mean(axis=1)
+            stats.append((mean, per_sample.var(axis=1, ddof=1) / samples))
+            assert abs(mean[0] - weight[0] / d) <= 5 * math.sqrt(stats[-1][1][0])
+        (mean_r, var_r), (mean_f, var_f) = stats
+        assert np.all(np.abs(mean_r - mean_f) <= 5 * np.sqrt(var_r + var_f))
 
 
 def test_reachability_sweep_memory_stays_bounded(catalog):
@@ -526,11 +638,11 @@ def test_scenario_without_pvm_refuses_run(catalog):
         run_protocol(catalog["main-text"]["ba"], MessageQubit(0.6, 0.8))
 
 
-def test_reachability_rejects_empty_sweep(catalog):
+@pytest.mark.parametrize("sweep", [receiver_reachability_check, oracle_excess])
+def test_reachability_rejects_empty_sweep(catalog, sweep):
     for samples in (0, -3):
-        with pytest.raises(ValueError):
-            receiver_reachability_check(catalog["main-text"]["ba"], [(0.6, 0.8)],
-                                        pvm_samples=samples, seed=0)
+        with pytest.raises(ValueError, match=f"^pvm_samples must be at least 1, got {samples}$"):
+            sweep(catalog["main-text"]["ba"], [MessageQubit(0.6, 0.8)], samples, 0)
 
 
 @pytest.mark.parametrize("sweep", [receiver_reachability_check, oracle_excess])
