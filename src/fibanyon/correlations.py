@@ -247,13 +247,14 @@ def is_uncorrelated(
     state_or_rho,
     part: Bipartition,
     tol: float = DEFAULT_TOL,
-    classify: bool = True,
 ) -> CorrelationReport:
     """Evaluate the uncorrelated-state condition over spanning observable sets.
 
     Accepts a pure :class:`AnyonState` or a density :class:`BlockOperator`
     already in the grouped shape of `part`.  The witness is the first
-    (row-major) spanning pair within 4 ulps of the largest violation.
+    (row-major) spanning pair within 4 ulps of the largest violation.  A
+    pure state on the Fibonacci 2-anyon basis also gets its
+    :func:`classify_pure_2anyon` class.
     """
     pure = isinstance(state_or_rho, AnyonState)
     if pure:
@@ -270,7 +271,7 @@ def is_uncorrelated(
 
     spec_a, spec_b = spectra(*marginals)
     label = None
-    if classify and pure and part.basis.shape.n_leaves == 2:
+    if pure and part.basis.shape.n_leaves == 2 and part.basis.labels == _FIBONACCI_PAIR:
         label = _pure_class(psi, ZERO_COEFF_TOL)
     return CorrelationReport(
         is_uncorrelated=top <= tol,
@@ -288,6 +289,9 @@ def is_uncorrelated(
 #   class-1-tau: no |e,tau;tau> component (spans |tau,e;tau>, |tau,tau;tau>)
 #   class-2-tau: no |tau,e;tau> component (spans |e,tau;tau>, |tau,tau;tau>)
 PURE_CLASSES = ("product-e-alpha", "product-e-beta", "class-1-tau", "class-2-tau", "entangled")
+
+# The Fibonacci 2-anyon basis, in basis order: the one the classes are stated on.
+_FIBONACCI_PAIR = ("e,e;e", "tau,tau;e", "e,tau;tau", "tau,e;tau", "tau,tau;tau")
 
 
 def classify_pure_2anyon(psi: AnyonState, tol: float = ZERO_COEFF_TOL) -> str:

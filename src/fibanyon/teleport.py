@@ -29,12 +29,13 @@ One scenario runs over many messages, so the work is split in two:
   bases.  :meth:`MessageQubit.target_vector` places the target, so
   scenarios that differ only in their encoding share one layout, and so
   do ``with_resource`` copies.
-- The measurement, built once per (scenario, tol): the PVM and its
-  no-click residual as one stack of transposed projectors, validated by
-  :func:`validate_pvm`, and the corrections as stacks U and U^dagger,
-  each checked block diagonal and unitary whether or not its outcome can
-  fire.  Explicit ``pvm=`` / ``corrections=`` overrides are built the
-  same way on every call.
+- The measurement, built once per (scenario, enforcement, tol): the PVM
+  and its no-click residual as one stack of transposed projectors,
+  validated by :func:`validate_pvm`, and the corrections as stacks U and
+  U^dagger, each checked block diagonal and unitary whether or not its
+  outcome can fire.  A scenario is always run with its own measurement;
+  another PVM or other corrections make a ``dataclasses.replace`` copy,
+  which starts with an empty cache (the counterfactual is one).
 
 A :class:`SplitState` then only multiplies the message into the resource,
 regroups, gathers C and checks the state's superselection.  One round is
@@ -49,12 +50,11 @@ only through W = C U-bar.  Per sector, B spans the conjugated rows of
 every message's block, so C = C B B^dagger and W = (C B)(B^dagger U-bar),
 and B^dagger U-bar is drawn directly as the top r rows of a Haar unitary
 (r is 1 or 2 in the catalog's sweeps, against sector dimensions of 13
-and 21).  Sample s is drawn
-from the stream ``sample_rng(seed, *key, s)`` with one
-``standard_normal`` call; the samples are drawn in chunks of
-:data:`SAMPLE_CHUNK`, each sector's chunk is one stacked thin QR, and W
-is one product per sector for every sample of the chunk and every
-message of the sweep.
+and 21).  :func:`sampled_sweep` builds the split states, the row spaces
+and the draws for both, from one stream per sweep: the samples are drawn
+in chunks of :data:`SAMPLE_CHUNK`, one ``standard_normal`` call per
+chunk, each sector's chunk is one stacked thin QR, and W is one product
+per sector for every sample of the chunk and every message of the sweep.
 """
 
 from __future__ import annotations
@@ -349,34 +349,22 @@ class SplitState:
 def run_protocol(
     scenario: TeleportScenario,
     message: MessageQubit,
-    pvm=None,
-    corrections=None,
     enforce_superselection: bool = True,
     tol: float = 1e-10,
 ) -> TeleportOutcome:
     """Execute one teleportation round for every measurement outcome at once.
 
-    `pvm` / `corrections` override the scenario's own (needed for sampled
-    measurements and for the superselection-disabled counterfactual).
-    With enforcement on, the PVM must validate and the receiver state is
-    decohered across its charge sectors, as the anyonic partial trace
-    demands; corrections are then required to be block diagonal and
-    unitary.  The scenario's own measurement is validated once per
-    (scenario, tol); overrides are validated on every call.
+    The scenario's PVM and corrections are measured; another measurement is
+    a ``dataclasses.replace`` copy of the scenario.  With enforcement on, the
+    PVM must validate and the receiver state is decohered across its charge
+    sectors, as the anyonic partial trace demands; corrections are then
+    required to be block diagonal and unitary.  The measurement is built and
+    validated once per (scenario, enforcement, tol).
     """
-    if pvm is None and scenario.pvm is None:
-        raise ValueError(
-            f"scenario {scenario.name}/{scenario.direction} has no PVM; pass one explicitly"
-        )
+    if scenario.pvm is None:
+        raise ValueError(f"scenario {scenario.name}/{scenario.direction} has no PVM")
     split = SplitState(scenario, message)
-    if pvm is None and corrections is None:
-        measurement = scenario._measurement(enforce_superselection, tol)
-    else:
-        measurement = _Measurement(
-            scenario.pvm if pvm is None else pvm,
-            scenario.corrections if corrections is None else corrections,
-            split.measured_basis, split.receiver_basis, enforce_superselection, tol,
-        )
+    measurement = scenario._measurement(enforce_superselection, tol)
     D = split.coefficients @ measurement.projectors_t
     probabilities = (np.abs(D) ** 2).sum(axis=(1, 2))
     # a branch at p <= PROB_TOL is dropped: divide it by 1, not by ~0
@@ -459,7 +447,7 @@ def _assemble(probabilities, rho, corrections, target, receiver_basis,
 
 
 def sample_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent seeded stream for one sample: ``SeedSequence(seed, spawn_key=key)``."""
+    """Independent seeded stream per (seed, key): ``SeedSequence(seed, spawn_key=key)``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
@@ -510,84 +498,64 @@ def _haar_rows(draws: np.ndarray, d: int, r: int) -> np.ndarray:
     return (q * phases.conj()[:, None, :]).swapaxes(1, 2)
 
 
-def sector_haar_rows(shapes, rngs) -> list[np.ndarray]:
-    """Top rows Y (r x d, orthonormal rows) of one Haar unitary per (d, r) in
-    `shapes` and generator in `rngs`.
+def sampled_sweep(scenario: TeleportScenario, messages, samples: int,
+                  rng: np.random.Generator):
+    """The split state of every message and, per chunk of sampled measurements,
+    W and the outcome probabilities ||w_k||^2 of every measured sector reached.
 
-    Returns one (len(rngs), r, d) stack per shape.  Each generator makes one
-    ``standard_normal`` call of sum 2 d r values: per shape in order, the
-    real and then the imaginary d x r part of its Ginibre matrix, row-major.
+    Returns (splits, chunks); `chunks` yields, per chunk of up to
+    SAMPLE_CHUNK samples, an iterator over the (W, probs) pairs of the
+    reached sectors.  Sample s measures each sector block of the measured
+    basis in the columns of a Haar unitary U-bar, one rank-1 projector per
+    column, and W[m, s, :, k] = C[m, :, block] u-bar_k is the unnormalised
+    receiver vector of outcome k.  With B = :func:`row_space` of the block
+    over every message, C = C B B^dagger, so W = (C B)(B^dagger U-bar), and
+    B^dagger U-bar is drawn as the top r rows of a Haar unitary: the draw is
+    exact and joint over all messages and outcomes.  A sector with r = 0
+    has only p = 0 outcomes and is left out.  Every chunk is one
+    ``rng.standard_normal`` call, made when the chunk is yielded: one row
+    per sample holding, per reached sector in charge order, its
+    :func:`_haar_rows` draw.  The generator fills its draws in sequence, so
+    a sample depends on neither the chunking nor the count.
     """
-    draws = np.empty((len(rngs), sum(2 * d * r for d, r in shapes)))
-    for rng, row in zip(rngs, draws):
-        rng.standard_normal(out=row)
-    stacks, start = [], 0
-    for d, r in shapes:
-        stacks.append(_haar_rows(draws[:, start:start + 2 * d * r], d, r))
-        start += 2 * d * r
-    return stacks
+    if samples < 1:
+        raise ValueError(f"pvm_samples must be at least 1, got {samples}")
+    message_list = [m if isinstance(m, MessageQubit) else MessageQubit(*m) for m in messages]
+    if not message_list:
+        raise ValueError("at least one message is required")
+    splits = [SplitState(scenario, m) for m in message_list]
+    coefficients = np.stack([split.coefficients for split in splits])
+    blocks = [coefficients[..., sl] for sl in splits[0].measured_slices]
+    # per reached sector: C B, the (d, r) of its draw and its columns of a draw row
+    reduced, width = [], 0
+    for block, basis in zip(blocks, map(row_space, blocks)):
+        d, r = basis.shape
+        if r:
+            reduced.append((block @ basis, d, r, slice(width, width + 2 * d * r)))
+            width += 2 * d * r
 
-
-def sector_haar_chunks(shapes, seed: int, samples: int, *key: int):
-    """Yield :func:`sector_haar_rows` for samples 0..samples-1, SAMPLE_CHUNK at a time.
-
-    Sample s is drawn from ``sample_rng(seed, *key, s)``, so a sample does
-    not depend on the chunking or on how many samples are drawn.
-    """
-    for start in range(0, samples, SAMPLE_CHUNK):
-        stop = min(start + SAMPLE_CHUNK, samples)
-        yield sector_haar_rows(shapes, [sample_rng(seed, *key, s) for s in range(start, stop)])
-
-
-def sampled_conditionals(coefficients: np.ndarray, slices: list[slice], seed: int,
-                         samples: int, *key: int):
-    """Yield, per chunk of sampled measurements, an iterator over W and the
-    outcome probabilities ||w_k||^2 of every measured sector the state reaches.
-
-    `coefficients` is the (messages, receiver, measured) stack C.  Sample s
-    measures each sector block of `slices` in the columns of a Haar unitary
-    U-bar, one rank-1 projector per column, and W[m, s, :, k] = C[m, :, block]
-    u-bar_k is the unnormalised receiver vector of outcome k.  With
-    B = :func:`row_space` of the block over every message, C = C B B^dagger,
-    so W = (C B)(B^dagger U-bar), and B^dagger U-bar is distributed as the top
-    r rows of a Haar unitary: the draw of :func:`sector_haar_chunks` is exact
-    and joint over all messages and outcomes.  A sector with r = 0 has only
-    p = 0 outcomes and is left out.
-    """
-    blocks = [coefficients[..., sl] for sl in slices]
-    bases = list(map(row_space, blocks))
-    reduced = [block @ basis for block, basis in zip(blocks, bases) if basis.shape[1]]
-    shapes = [basis.shape for basis in bases if basis.shape[1]]
-
-    def outcomes(rows):
-        for cb, y in zip(reduced, rows):
-            W = cb[:, None] @ y
+    def outcomes(draws):
+        # one sector's W at a time keeps a chunk's peak to one sector
+        for cb, d, r, columns in reduced:
+            W = cb[:, None] @ _haar_rows(draws[:, columns], d, r)
             yield W, np.sum(np.abs(W) ** 2, axis=-2)
 
-    for rows in sector_haar_chunks(shapes, seed, samples, *key):
-        yield outcomes(rows)
+    def chunks():
+        for start in range(0, samples, SAMPLE_CHUNK):
+            yield outcomes(rng.standard_normal((min(SAMPLE_CHUNK, samples - start), width)))
+
+    return splits, chunks()
 
 
 def average_fidelities(chunk, receiver_mask: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Uncorrected average fidelity sum_k <t|mask(w_k w_k^dagger)|t> over p_k > PROB_TOL,
-    per message (row of `targets`) and sample of a :func:`sampled_conditionals` chunk."""
+    per message (row of `targets`) and sample of a :func:`sampled_sweep` chunk."""
     rho = 0.0
     for W, probs in chunk:
         kept = np.where(probs[..., None, :] > PROB_TOL, W, 0.0)
         rho = rho + kept @ kept.conj().swapaxes(-1, -2)
     rho = np.where(receiver_mask, rho, 0.0)
     return np.einsum("mi,msij,mj->ms", targets.conj(), rho, targets).real
-
-
-def sweep_splits(scenario: TeleportScenario, messages, samples: int) -> list[SplitState]:
-    """The split state of every message of a sampled sweep, which needs at
-    least one message and one sample."""
-    if samples < 1:
-        raise ValueError(f"pvm_samples must be at least 1, got {samples}")
-    message_list = [m if isinstance(m, MessageQubit) else MessageQubit(*m) for m in messages]
-    if not message_list:
-        raise ValueError("at least one message is required")
-    return [SplitState(scenario, m) for m in message_list]
 
 
 @dataclass
@@ -620,26 +588,24 @@ def receiver_reachability_check(
     state is decomposed in the receiver's 2-anyon basis; the report
     records the largest matrix-element magnitude outside the scenario's
     reachable diagonal set.  Sample s measures each sector of the measured
-    basis in the columns of a Haar unitary, one rank-1 projector per column,
-    drawn from ``sample_rng(seed, s)`` by :func:`sampled_conditionals`; the
-    samples are drawn and reduced SAMPLE_CHUNK at a time, for all messages
-    at once.
+    basis in the columns of a Haar unitary, one rank-1 projector per column;
+    :func:`sampled_sweep` draws every sample from the one stream
+    ``sample_rng(seed)``, SAMPLE_CHUNK at a time for all messages at once.
     """
     if scenario.reachable is None:
         raise ValueError(f"scenario {scenario.name}/{scenario.direction} declares no reachable set")
-    splits = sweep_splits(scenario, messages, pvm_samples)
+    splits, chunks = sampled_sweep(scenario, messages, pvm_samples, sample_rng(seed))
     recv_basis = splits[0].receiver_basis
     allowed = [recv_basis.index_of_label(lbl) for lbl in scenario.reachable]
     off_mask = splits[0].receiver_mask.copy()
     off_mask[allowed, allowed] = False
     # the off-support pairs (r, s) of the decohered state
     rows, cols = np.nonzero(off_mask)
-    coefficients = np.stack([split.coefficients for split in splits])
 
     # |rho_k[r, s]| = |w_r| |w_s| / p_k
     worst = 0.0
     count = 0
-    for chunk in sampled_conditionals(coefficients, splits[0].measured_slices, seed, pvm_samples):
+    for chunk in chunks:
         for W, probs in chunk:
             keep = probs > PROB_TOL
             mags = np.abs(W)
@@ -780,7 +746,7 @@ def d1_family_resource(model: AnyonModel, a: complex, b: complex) -> AnyonState:
     return _superposed(enumerate_basis(model, grouped_shape(2, 2)), [(a, first), (b, second)])
 
 
-def superselection_violating_protocol(model: AnyonModel | None = None):
+def superselection_violating_protocol(model: AnyonModel | None = None) -> TeleportScenario:
     """Counterfactual B->A measurement that ignores the superselection rule.
 
     Bell-type projectors pair the two charge sectors of the measured
@@ -789,12 +755,13 @@ def superselection_violating_protocol(model: AnyonModel | None = None):
     teleportation from Bob to Alice on the main-text resource - exactly
     the move the superselection rule forbids.
 
-    Returns (scenario, pvm, corrections).
+    Returns the catalog's main-text B->A scenario with this PVM and these
+    corrections; as a ``dataclasses.replace`` copy it has a measurement
+    cache of its own.
     """
     from .model import fibonacci_model
 
     model = model or fibonacci_model()
-    scenario = _scenario(model, "main-text", "ba")
     g4 = enumerate_basis(model, grouped_shape(2, 2))
     g2 = enumerate_basis(model, grouped_shape(1, 1))
     s = 1.0 / math.sqrt(2.0)
@@ -822,4 +789,5 @@ def superselection_violating_protocol(model: AnyonModel | None = None):
         mat[kets, kets] = 0.0
         mat[[kets[i] for i in images], kets] = (1.0, sign, 1.0)
         corrections.append(mat)
-    return scenario, tuple(pvm), tuple(corrections)
+    return replace(_scenario(model, "main-text", "ba"), pvm=tuple(pvm),
+                   corrections=tuple(corrections))

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlations import (
-    classify_pure_2anyon,
     is_uncorrelated,
     local_observable_basis,
     violation_table,
@@ -47,9 +46,8 @@ from .teleport import (
     run_protocol,
     run_protocol_via_embedding,
     sample_rng,
-    sampled_conditionals,
+    sampled_sweep,
     superselection_violating_protocol,
-    sweep_splits,
 )
 from .trees import SectorBasis, all_shapes, enumerate_basis, grouped_shape, left_comb
 
@@ -237,8 +235,8 @@ def suite_correlations(
         done = 0
         while done < per_sector:
             psi = random_pure_state(basis, sector, rng)
-            report = is_uncorrelated(psi, part, tol=class_tol, classify=False)
-            label = classify_pure_2anyon(psi)
+            report = is_uncorrelated(psi, part, tol=class_tol)
+            label = report.pure_class
             if label == "entangled" and report.max_violation < clear_margin:
                 # degenerate near-boundary draw; log and redraw
                 boundary += 1
@@ -268,7 +266,7 @@ def suite_correlations(
         pair = MessageQubit(c1, c2)  # c1 on the first ket, c2 on the second
         for kets in (("tau,e;tau", "tau,tau;tau"), ("e,tau;tau", "tau,tau;tau")):
             psi = AnyonState(basis, pair.target_vector(basis, kets))
-            report = is_uncorrelated(psi, part, classify=False)
+            report = is_uncorrelated(psi, part)
             worst_family = max(worst_family, report.max_violation)
     out.add_residual("both uncorrelated families satisfy the product rule", worst_family, 1e-12)
 
@@ -382,11 +380,8 @@ def suite_teleportation(
     )
 
     # superselection disabled: the forbidden direction becomes perfect
-    scenario_v, pvm_v, corr_v = superselection_violating_protocol(model)
-    outcome = run_protocol(
-        scenario_v, MessageQubit(0.6, 0.8), pvm=pvm_v, corrections=corr_v,
-        enforce_superselection=False,
-    )
+    outcome = run_protocol(superselection_violating_protocol(model), MessageQubit(0.6, 0.8),
+                           enforce_superselection=False)
     out.add_residual(
         "superselection off: constructed PVM teleports B->A perfectly",
         abs(outcome.average_fidelity - 1.0),
@@ -429,16 +424,16 @@ def suite_teleportation(
 def oracle_excess(scenario, messages, samples: int, seed: int) -> float:
     """Largest sampled average fidelity minus the diagonal-mixture bound, unclipped.
 
-    Sample s is the sector-Haar measurement drawn from ``sample_rng(seed, 302, s)``;
-    each is drawn once and shared by every message.
+    The samples are the sector-Haar measurements of :func:`sampled_sweep`,
+    drawn in sequence from the one stream ``sample_rng(seed, 302)``; each is
+    drawn once and shared by every message.
     """
-    splits = sweep_splits(scenario, messages, samples)
+    splits, chunks = sampled_sweep(scenario, messages, samples, sample_rng(seed, 302))
     targets = np.stack([split.target for split in splits])
     bounds = np.array([diagonal_mixture_fidelity_bound(split.target, split.receiver_basis,
                                                        scenario.reachable) for split in splits])
-    coefficients = np.stack([split.coefficients for split in splits])
     worst = -math.inf
-    for chunk in sampled_conditionals(coefficients, splits[0].measured_slices, seed, samples, 302):
+    for chunk in chunks:
         fidelities = average_fidelities(chunk, splits[0].receiver_mask, targets)
         worst = max(worst, float(np.max(fidelities - bounds[:, None])))
     return worst

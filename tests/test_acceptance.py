@@ -137,7 +137,7 @@ def test_criterion_05_pure_state_classification(model, basis2):
         rng = _rng(5, sector_key)
         while checked < 5000 * sector_key:
             psi = random_pure_state(basis2, sector, rng)
-            report = is_uncorrelated(psi, part, tol=1e-8, classify=False)
+            report = is_uncorrelated(psi, part, tol=1e-8)
             label = classify_pure_2anyon(psi)
             if label == "entangled" and report.max_violation < 1e-6:
                 boundary += 1  # degenerate near-boundary sample; redraw
@@ -156,7 +156,7 @@ def test_criterion_05_pure_state_classification(model, basis2):
             amps = np.zeros(basis2.dim, dtype=complex)
             amps[basis2.index_of_label(labels[0])] = c
             amps[basis2.index_of_label(labels[1])] = s * phase
-            rep = is_uncorrelated(AnyonState(basis2, amps), part, classify=False)
+            rep = is_uncorrelated(AnyonState(basis2, amps), part)
             worst_family = max(worst_family, rep.max_violation)
     ok = mismatches == 0 and checked == 10000 and worst_family <= 1e-12
     _report(5, "closed-form classification vs numeric verdict (10000 states)", ok,
@@ -183,11 +183,11 @@ def test_criterion_07_main_text_reverse_blocked(model):
                 for th in np.linspace(0.0, 2 * math.pi, 10, endpoint=False)]
     report = receiver_reachability_check(scenario, messages, pvm_samples=1000,
                                          seed=SEED, tol=1e-10)
-    violating, pvm, corrections = superselection_violating_protocol(model)
+    violating = superselection_violating_protocol(model)
     worst_fid = 0.0
     for alpha, beta in MESSAGE_GRID:
-        outcome = run_protocol(violating, MessageQubit(alpha, beta), pvm=pvm,
-                               corrections=corrections, enforce_superselection=False)
+        outcome = run_protocol(violating, MessageQubit(alpha, beta),
+                               enforce_superselection=False)
         worst_fid = max(worst_fid, abs(outcome.average_fidelity - 1.0))
     ok = report.max_off_support <= 1e-10 and worst_fid <= 1e-10
     _report(7, "main-text B->A support-confined; unblocked without superselection", ok,

@@ -68,6 +68,14 @@ GOLDEN_CASES = [
         for direction in ("ab", "ba")
         for fmt, ext in (("text", "txt"), ("json", "json"))
     ),
+    # the two reachability sweeps away from the default seed and sample count
+    *(
+        (f"teleport_{short}_{direction}_seed7.json",
+         ("teleport", "--scenario", scenario, "--direction", direction, "--samples", "1000",
+          "--seed", "7", "--format", "json"))
+        for short, scenario, direction in (("main", "main-text", "ba"),
+                                           ("d2", "appendix-d2-asymmetric", "ab"))
+    ),
     ("verify_dims.txt", ("verify", "--suite", "dims")),
     ("verify_teleportation_quick.txt", ("verify", "--suite", "teleportation", "--quick")),
 ]
@@ -342,6 +350,17 @@ def test_marginals_state_error_names_file(capsys):
 def test_correlations_state_error_names_file(capsys):
     err = _fails_on_z2(capsys, "correlations", "--state", STATE_FILE)
     assert err.startswith(f"error: state file {STATE_FILE}: unknown charge 'tau'")
+
+
+def test_correlations_of_an_other_model_pair_has_no_class(tmp_path):
+    # the closed-form classes are stated on the Fibonacci pair basis only
+    state = tmp_path / "z2.state"
+    state.write_text("shape: (0 1)\ne,s;s : 0.6 0.0\ns,e;s : 0.8 0.0\n")
+    code, out = run_cli("correlations", "--state", str(state), "--model", Z2_MODEL,
+                        "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["class"] is None and report["uncorrelated"] is False
 
 
 @pytest.mark.parametrize("suite, what", [("correlations", "the 2-anyon correlations suite"),

@@ -285,7 +285,7 @@ def _family_member(basis, label, rng):
 
 def _assert_matches_table(state_or_rho, part):
     """is_uncorrelated's maximum and witness are those of violation_table."""
-    report = is_uncorrelated(state_or_rho, part, classify=False)
+    report = is_uncorrelated(state_or_rho, part)
     table = np.abs(violation_table(state_or_rho, part))
     assert report.max_violation == table.max()
     assert report.witness == divmod(_witness(table), table.shape[1])

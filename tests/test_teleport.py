@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fibanyon import errors, teleport
+from fibanyon import errors, teleport, verify
 from fibanyon.errors import FusionError, MemoryBudgetError, SuperselectionError
 from fibanyon.recouple import change_shape
 from fibanyon.states import AnyonState, BlockOperator, bipartition, ket, superpose
@@ -26,9 +26,7 @@ from fibanyon.teleport import (
     row_space,
     run_protocol_via_embedding,
     sample_rng,
-    sampled_conditionals,
-    sector_haar_chunks,
-    sector_haar_rows,
+    sampled_sweep,
     superselection_violating_protocol,
     validate_pvm,
 )
@@ -295,15 +293,14 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
     target = message.target_vector(split.receiver_basis, scenario.encoding)
     bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
     assert bound == pytest.approx(0.5, abs=1e-6)
-    coefficients = split.coefficients[None]
     seed, samples = 1000, 25
+    _, chunks = sampled_sweep(scenario, [message], samples, sample_rng(seed))
     fidelities = np.concatenate([
-        average_fidelities(chunk, split.receiver_mask, target[None])[0]
-        for chunk in sampled_conditionals(coefficients, split.measured_slices, seed, samples)
+        average_fidelities(chunk, split.receiver_mask, target[None])[0] for chunk in chunks
     ])
     assert fidelities.shape == (samples,)
-    unitaries = _reference_unitaries(coefficients, split.measured_basis,
-                                     [sample_rng(seed, s) for s in range(samples)])
+    unitaries = _reference_unitaries(split.coefficients[None], split.measured_basis,
+                                     sample_rng(seed), samples)
     for unitary, fidelity in zip(unitaries, fidelities):
         # one rank-1 projector per column of each sector's completed unitary
         pvm = [BlockOperator.from_full(np.outer(u.conj(), u), split.measured_basis)
@@ -328,23 +325,24 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
 def test_sector_haar_rows_are_orthonormal(model, basis4):
     # per (d, r): the top r rows of a d x d unitary, down to r = 1 and up to the whole unitary
     dims = [basis4.sector_dim(g) for g in model.charges if basis4.sector_dim(g)]
-    shapes = [(d, r) for d in dims for r in (1, 2, d)]
-    stacks = sector_haar_rows(shapes, [np.random.default_rng(7)])
-    assert [stack.shape for stack in stacks] == [(1, r, d) for d, r in shapes]
-    for (rows,) in stacks:
-        np.testing.assert_allclose(rows @ rows.conj().T, np.eye(len(rows)), atol=1e-12)
+    rng = np.random.default_rng(7)
+    for d, r in [(d, r) for d in dims for r in (1, 2, d)]:
+        stack = teleport._haar_rows(rng.standard_normal((1, 2 * d * r)), d, r)
+        assert stack.shape == (1, r, d)
+        np.testing.assert_allclose(stack[0] @ stack[0].conj().T, np.eye(r), atol=1e-12)
 
 
-def _reference_unitaries(coefficients, measured_basis, rngs):
-    """One sample's block diagonal U-bar per generator, drawn one at a time:
-    per sector, the reference top rows completed with the row space B of the
-    coefficients' block (any unitary where the block is zero)."""
+def _reference_unitaries(coefficients, measured_basis, rng, samples):
+    """The block diagonal U-bar of every sample, drawn sample by sample from
+    the one stream `rng`: per sector, the reference top rows completed with
+    the row space B of the coefficients' block (any unitary where the block
+    is zero)."""
     slices = [measured_basis.sector_slice(g) for g in measured_basis.model.charges
               if measured_basis.sector_dim(g)]
     bases = [row_space(coefficients[..., sl]) for sl in slices]
     shapes = [basis.shape for basis in bases if basis.shape[1]]
     unitaries = []
-    for rng in rngs:
+    for _ in range(samples):
         rows = iter(haar_rows(shapes, rng))
         unitary = np.zeros((measured_basis.dim, measured_basis.dim), dtype=complex)
         for sl, basis in zip(slices, bases):
@@ -368,9 +366,8 @@ def test_reachability_matches_per_outcome_loop(catalog):
     for samples in (SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1, 30):
         report = receiver_reachability_check(scenario, messages, pvm_samples=samples, seed=seed)
         worst, conditionals = 0.0, 0
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-                for s in range(samples)]
-        for U in _reference_unitaries(coefficients, meas_basis, rngs):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        for U in _reference_unitaries(coefficients, meas_basis, rng, samples):
             for split in splits:
                 W = split.coefficients @ U
                 probs = np.sum(np.abs(W) ** 2, axis=0)
@@ -389,16 +386,16 @@ def test_sampled_outcomes_equal_the_completed_unitary(catalog):
     # message's main-text A->B tau block has rank 2, so there W's columns follow the draw
     for name, direction in (("main-text", "ba"), ("main-text", "ab"),
                             ("appendix-d2-asymmetric", "ab")):
-        splits = [SplitState(catalog[name][direction], m)
-                  for m in (MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2))]
-        coefficients = np.stack([split.coefficients for split in splits])
         seed, samples = 3, SAMPLE_CHUNK + 3
-        chunks = [list(chunk) for chunk in sampled_conditionals(
-            coefficients, splits[0].measured_slices, seed, samples)]
+        splits, chunks = sampled_sweep(catalog[name][direction],
+                                       [MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2)],
+                                       samples, sample_rng(seed))
+        chunks = [list(chunk) for chunk in chunks]
+        coefficients = np.stack([split.coefficients for split in splits])
         reached = [sl for sl in splits[0].measured_slices if np.any(coefficients[..., sl])]
         assert [len(chunk) for chunk in chunks] == [len(reached)] * len(chunks)
         unitaries = _reference_unitaries(coefficients, splits[0].measured_basis,
-                                         [sample_rng(seed, s) for s in range(samples)])
+                                         sample_rng(seed), samples)
         expected = np.stack([coefficients @ unitary for unitary in unitaries], axis=1)
         for k, sl in enumerate(reached):
             W = np.concatenate([chunk[k][0] for chunk in chunks], axis=1)
@@ -407,26 +404,51 @@ def test_sampled_outcomes_equal_the_completed_unitary(catalog):
             assert np.array_equal(probs, np.sum(np.abs(W) ** 2, axis=-2))
 
 
-def test_stacked_draw_equals_per_sample_columns(basis2, basis4, catalog):
+def test_stacked_draw_equals_per_sample_columns(basis2, basis4, catalog, monkeypatch):
     measured = [SplitState(catalog[name][direction], MessageQubit(0.6, 0.8)).measured_basis
                 for name, direction in (("main-text", "ba"), ("appendix-d2-asymmetric", "ab"))]
     seed = 5
     for basis in (basis2, basis4, *measured):
         dims = [basis.sector_dim(g) for g in basis.model.charges if basis.sector_dim(g)]
         shapes = [(d, r) for d in dims for r in sorted({1, min(2, d), d})]
+        width = sum(2 * d * r for d, r in shapes)
         for samples in (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 2):
-            chunks = list(sector_haar_chunks(shapes, seed, samples))
-            assert [len(chunk[0]) for chunk in chunks[:-1]] == [SAMPLE_CHUNK] * (len(chunks) - 1)
-            stacks = [np.concatenate(parts) for parts in zip(*chunks)]
-            assert [len(stack) for stack in stacks] == [samples] * len(shapes)
+            # one stacked draw, one row per sample, against sample-by-sample draws of one stream
+            draws = sample_rng(seed).standard_normal((samples, width))
+            direct = sample_rng(seed)
             for s in range(samples):
-                direct = haar_rows(shapes, sample_rng(seed, s))
-                assert all(np.array_equal(stack[s], rows) for stack, rows in zip(stacks, direct))
-    # the 302 stream of the oracle is keyed the same way
-    shapes = [(13, 2), (21, 2)]
-    rows = next(sector_haar_chunks(shapes, seed, 1, 302))
-    direct = haar_rows(shapes, sample_rng(seed, 302, 0))
-    assert all(np.array_equal(stack[0], one) for stack, one in zip(rows, direct))
+                rows, offset = haar_rows(shapes, direct), 0
+                for (d, r), one in zip(shapes, rows):
+                    stacked = teleport._haar_rows(draws[:, offset:offset + 2 * d * r], d, r)
+                    assert np.array_equal(stacked[s], one)
+                    offset += 2 * d * r
+
+    # a sweep's sample s is the same whatever the chunk size and however many are drawn
+    messages = [MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2)]
+
+    def drawn(scenario, samples, chunk_size):
+        """Per reached sector, W and the probabilities of every sample."""
+        monkeypatch.setattr(teleport, "SAMPLE_CHUNK", chunk_size)
+        _, chunks = sampled_sweep(scenario, messages, samples, sample_rng(seed))
+        chunks = [list(chunk) for chunk in chunks]
+        sizes = [chunk[0][1].shape[1] for chunk in chunks]
+        assert sum(sizes) == samples and set(sizes[:-1]) <= {chunk_size}
+        return [[np.concatenate(parts, axis=1) for parts in zip(*sector)]
+                for sector in zip(*chunks)]
+
+    for name, direction in (("main-text", "ba"), ("main-text", "ab"),
+                            ("appendix-d2-asymmetric", "ab")):
+        scenario = catalog[name][direction]
+        whole = drawn(scenario, 27, 27)  # one 27-row draw
+        # chunks of 8, 8, 8 and 3 rows, and of one row each
+        for chunked in (drawn(scenario, 27, SAMPLE_CHUNK), drawn(scenario, 27, 1)):
+            assert len(chunked) == len(whole)
+            for sector, sector_whole in zip(chunked, whole):
+                assert all(map(np.array_equal, sector, sector_whole))
+        # fewer samples draw the first ones of the same stream
+        for sector, sector_whole in zip(drawn(scenario, SAMPLE_CHUNK + 3, SAMPLE_CHUNK), whole):
+            assert all(np.array_equal(part, part_whole[:, :SAMPLE_CHUNK + 3])
+                       for part, part_whole in zip(sector, sector_whole))
 
 
 def _verify_messages(count):
@@ -452,8 +474,7 @@ def test_oracle_excess_matches_per_sample_loop(catalog, samples, message_count):
     splits = [SplitState(scenario, message) for message in messages]
     # one measurement per sample for every message: B spans all of their blocks
     unitaries = _reference_unitaries(np.stack([split.coefficients for split in splits]),
-                                     splits[0].measured_basis,
-                                     [sample_rng(seed, 302, s) for s in range(samples)])
+                                     splits[0].measured_basis, sample_rng(seed, 302), samples)
     worst = -math.inf
     for message, split in zip(messages, splits):
         target = message.target_vector(split.receiver_basis, scenario.encoding)
@@ -499,12 +520,12 @@ def test_reduced_draw_matches_full_draw_in_distribution(catalog):
     # per sector: E[p_k] = ||C_g||_F^2 / d, E[p_k^2] and E[p_k(m1) p_k(m2)] of
     # the reduced sampler against full d x d sector-Haar unitaries, within 5 sigma
     scenario = catalog["main-text"]["ba"]
-    splits = [SplitState(scenario, m) for m in (MessageQubit(0.6, 0.8),
-                                                 MessageQubit(SQ2, 1j * SQ2))]
+    samples = 2000
+    splits, chunks = sampled_sweep(scenario, [MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2)],
+                                   samples, sample_rng(11))
+    chunks = [list(chunk) for chunk in chunks]
     coefficients = np.stack([split.coefficients for split in splits])
     slices = splits[0].measured_slices
-    samples = 2000
-    chunks = [list(chunk) for chunk in sampled_conditionals(coefficients, slices, 11, samples)]
     reduced = [np.concatenate([chunk[k][1] for chunk in chunks], axis=1)
                for k in range(len(chunks[0]))]
     rng = np.random.default_rng(12)
@@ -530,6 +551,21 @@ def test_reduced_draw_matches_full_draw_in_distribution(catalog):
         assert np.all(np.abs(mean_r - mean_f) <= 5 * np.sqrt(var_r + var_f))
 
 
+def test_verify_suites_never_reuse_a_stream(monkeypatch):
+    # every (seed, key) that seeds a generator in a run of all suites is distinct
+    keys = []
+
+    def recording(seed, *key):
+        keys.append((seed, key))
+        return sample_rng(seed, *key)
+
+    monkeypatch.setattr(teleport, "sample_rng", recording)
+    monkeypatch.setattr(verify, "sample_rng", recording)
+    results = verify.run_suites(quick=True)
+    assert all(result.passed for result in results)
+    assert keys and len(set(keys)) == len(keys)
+
+
 def test_reachability_sweep_memory_stays_bounded(catalog):
     scenario = catalog["main-text"]["ba"]
     messages = [MessageQubit(SQ2, np.exp(1j * th) * SQ2)
@@ -546,18 +582,14 @@ def test_reachability_sweep_memory_stays_bounded(catalog):
 
 
 def test_superselection_disabled_enables_reverse_teleport(model):
-    scenario, pvm, corrections = superselection_violating_protocol(model)
+    scenario = superselection_violating_protocol(model)
     for alpha, beta in MESSAGE_GRID:
-        outcome = run_protocol(
-            scenario, MessageQubit(alpha, beta), pvm=pvm, corrections=corrections,
-            enforce_superselection=False,
-        )
+        outcome = run_protocol(scenario, MessageQubit(alpha, beta), enforce_superselection=False)
         assert outcome.average_fidelity == pytest.approx(1.0, abs=1e-10)
         for branch in outcome.branches:
             assert branch.probability == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(SuperselectionError):
-        run_protocol(scenario, MessageQubit(0.6, 0.8), pvm=pvm, corrections=corrections,
-                     enforce_superselection=True)
+        run_protocol(scenario, MessageQubit(0.6, 0.8), enforce_superselection=True)
 
 
 def test_zero_probability_branch_reported_null(model, catalog):
@@ -566,10 +598,10 @@ def test_zero_probability_branch_reported_null(model, catalog):
     # a projector orthogonal to the composed state's measured support
     dead = BlockOperator.from_ket_bra(ket(g4, "(tau,tau),(tau,tau);e,e;e"))
     g2 = enumerate_basis(model, grouped_shape(1, 1))
-    outcome = run_protocol(scenario, MessageQubit(0.6, 0.8),
-                           pvm=tuple(scenario.pvm) + (dead,),
-                           corrections=tuple(scenario.corrections)
-                           + (BlockOperator.identity(g2),))
+    extended = dataclasses.replace(
+        scenario, pvm=scenario.pvm + (dead,),
+        corrections=scenario.corrections + (BlockOperator.identity(g2),))
+    outcome = run_protocol(extended, MessageQubit(0.6, 0.8))
     assert outcome.branches[-1].probability == pytest.approx(0.0, abs=1e-12)
     assert outcome.branches[-1].receiver_state is None
     assert outcome.branches[-1].fidelity is None
@@ -652,11 +684,19 @@ def test_sweeps_reject_an_empty_message_list(catalog, sweep):
 
 
 def test_counterfactual_runs_on_the_catalog_main_text_ba(model, catalog):
-    scenario, _, _ = superselection_violating_protocol(model)
+    scenario = superselection_violating_protocol(model)
     expected = catalog["main-text"]["ba"]
-    for name in ("name", "direction", "channel", "pvm", "corrections", "encoding", "reachable"):
+    for name in ("name", "direction", "channel", "encoding", "reachable"):
         assert getattr(scenario, name) == getattr(expected, name)
     assert scenario.resource.amplitudes.tobytes() == expected.resource.amplitudes.tobytes()
+    # its own four cross-sector projectors and corrections, and a cache of its own
+    assert expected.pvm is None and len(scenario.pvm) == len(scenario.corrections) == 4
+    basis4 = enumerate_basis(model, grouped_shape(2, 2))
+    report = validate_pvm(scenario.pvm, basis4)
+    assert len(report) == 4 and all("cross-sector" in line for line in report)
+    run_protocol(scenario, MessageQubit(0.6, 0.8), enforce_superselection=False)
+    assert scenario._measurements is not expected._measurements
+    assert list(scenario._measurements) == [(False, 1e-10)] and not expected._measurements
 
 
 # --- the cached layout and measurement against a per-call reference
@@ -684,14 +724,13 @@ def _reference_join(scenario, message):
     return AnyonState(basis, amplitudes)
 
 
-def _reference_protocol(scenario, message, pvm=None, corrections=None, decohere=True):
+def _reference_protocol(scenario, message, decohere=True):
     """One protocol run the long way, with every table rebuilt from the trees.
 
     Joins the message to the resource tree by tree, scatters the regrouped
-    amplitudes index by index, and runs one branch per projector.  `pvm`
-    and `corrections` default to the scenario's own, as in
-    :func:`run_protocol`; `decohere` keeps only the receiver's
-    equal-charge matrix elements.
+    amplitudes index by index, and runs one branch per projector of the
+    scenario's PVM; `decohere` keeps only the receiver's equal-charge matrix
+    elements.
     """
     model = scenario.model
     if scenario.direction == "ab":
@@ -726,8 +765,8 @@ def _reference_protocol(scenario, message, pvm=None, corrections=None, decohere=
     def full(op):
         return op.to_full() if isinstance(op, BlockOperator) else np.asarray(op, dtype=complex)
 
-    mats = [full(op) for op in (scenario.pvm if pvm is None else pvm)]
-    corrections = scenario.corrections if corrections is None else corrections
+    mats = [full(op) for op in scenario.pvm]
+    corrections = scenario.corrections
     branches = []
     for k, proj in enumerate(mats):
         p, rho = branch(proj)
@@ -743,11 +782,9 @@ def _reference_protocol(scenario, message, pvm=None, corrections=None, decohere=
     return branches, no_click, float(avg)
 
 
-def _assert_matches_reference(scenario, message, pvm=None, corrections=None,
-                              enforce_superselection=True):
-    outcome = run_protocol(scenario, message, pvm=pvm, corrections=corrections,
-                           enforce_superselection=enforce_superselection)
-    branches, no_click, avg = _reference_protocol(scenario, message, pvm, corrections,
+def _assert_matches_reference(scenario, message, enforce_superselection=True):
+    outcome = run_protocol(scenario, message, enforce_superselection=enforce_superselection)
+    branches, no_click, avg = _reference_protocol(scenario, message,
                                                   decohere=enforce_superselection)
     assert outcome.average_fidelity == avg
     for got, (p, rho, fid) in zip(outcome.branches + [outcome.no_click], branches + [no_click]):
@@ -797,13 +834,15 @@ def test_run_protocol_equals_reference_on_d1_family(model, catalog):
 
 
 def test_run_protocol_equals_reference_with_explicit_measurements(model, catalog):
-    scenario, pvm, corrections = superselection_violating_protocol(model)
+    scenario = superselection_violating_protocol(model)
     for alpha, beta in MESSAGE_GRID:
-        _assert_matches_reference(scenario, MessageQubit(alpha, beta), pvm=pvm,
-                                  corrections=corrections, enforce_superselection=False)
+        _assert_matches_reference(scenario, MessageQubit(alpha, beta),
+                                  enforce_superselection=False)
+    # a replaced PVM is built afresh, not read from the catalog scenario's cache
     for scenario in _catalog_runs(catalog):
+        copy = dataclasses.replace(scenario, pvm=tuple(scenario.pvm))
         for alpha, beta in MESSAGE_GRID:
-            _assert_matches_reference(scenario, MessageQubit(alpha, beta), pvm=scenario.pvm)
+            _assert_matches_reference(copy, MessageQubit(alpha, beta))
 
 
 def test_dense_measurements_check_memory_first(catalog, monkeypatch):
@@ -819,14 +858,14 @@ def test_dense_measurements_check_memory_first(catalog, monkeypatch):
             f"^validating 12 projectors on a 34-dim basis needs ~{16 * 16 * m * m / 2**30:.3g}"
             f" GiB, {available}")):
         validate_pvm(pvm, split.measured_basis)
+    dense = dataclasses.replace(scenario, pvm=tuple(pvm), corrections=tuple(identities))
     with pytest.raises(MemoryBudgetError, match=(
             f"^the stack of 13 34 x 34 projectors needs ~{32 * 13 * m * m / 2**30:.3g}"
             f" GiB, {available}")):
-        run_protocol(scenario, MessageQubit(0.6, 0.8), pvm=pvm, corrections=identities,
-                     enforce_superselection=False)
+        run_protocol(dense, MessageQubit(0.6, 0.8), enforce_superselection=False)
     monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
     assert validate_pvm(pvm, split.measured_basis) == []
-    outcome = run_protocol(scenario, MessageQubit(0.6, 0.8), pvm=pvm, corrections=identities)
+    outcome = run_protocol(dense, MessageQubit(0.6, 0.8))
     assert outcome.probabilities() == [0.0] * 12
     assert outcome.no_click.probability == pytest.approx(1.0, abs=1e-12)
 
@@ -851,15 +890,6 @@ def test_catalog_pvm_validated_once_per_scenario(model, monkeypatch):
     assert len(calls) == 1
     run_protocol(scenario, MessageQubit(0.6, 0.8), tol=1e-9)
     assert len(calls) == 2
-
-
-def test_override_pvm_validated_on_every_call(model, monkeypatch):
-    scenario = builtin_scenarios(model)["main-text"]["ab"]
-    calls = _count_validations(monkeypatch)
-    for _ in range(5):
-        run_protocol(scenario, MessageQubit(0.6, 0.8))
-        run_protocol(scenario, MessageQubit(0.6, 0.8), pvm=scenario.pvm)
-    assert len(calls) == 1 + 5
 
 
 def test_with_resource_copies_share_layout(model, catalog):
@@ -895,8 +925,8 @@ def test_non_unitary_correction_on_dead_branch_raises(model, catalog):
     g4 = enumerate_basis(model, grouped_shape(2, 2))
     g2 = enumerate_basis(model, grouped_shape(1, 1))
     dead = BlockOperator.from_ket_bra(ket(g4, "(tau,tau),(tau,tau);e,e;e"))
+    extended = dataclasses.replace(
+        scenario, pvm=scenario.pvm + (dead,),
+        corrections=scenario.corrections + (BlockOperator.identity(g2) * 2.0,))
     with pytest.raises(ValueError, match="not unitary"):
-        run_protocol(scenario, MessageQubit(0.6, 0.8),
-                     pvm=tuple(scenario.pvm) + (dead,),
-                     corrections=tuple(scenario.corrections)
-                     + (BlockOperator.identity(g2) * 2.0,))
+        run_protocol(extended, MessageQubit(0.6, 0.8))
