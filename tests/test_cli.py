@@ -76,6 +76,16 @@ GOLDEN_CASES = [
         for short, scenario, direction in (("main", "main-text", "ba"),
                                            ("d2", "appendix-d2-asymmetric", "ab"))
     ),
+    # a complex message on the four PVM directions: the Y correction's +-i phases
+    *(
+        (f"teleport_{short}_{direction}_complex.json",
+         ("teleport", "--scenario", scenario, "--direction", direction,
+          "--alpha", "0.3,0.2", "--beta", "0.5@1.1", "--format", "json"))
+        for short, scenario, direction in (("main", "main-text", "ab"),
+                                           ("d1", "appendix-d1-symmetric", "ab"),
+                                           ("d1", "appendix-d1-symmetric", "ba"),
+                                           ("d2", "appendix-d2-asymmetric", "ba"))
+    ),
     ("verify_dims.txt", ("verify", "--suite", "dims")),
     ("verify_teleportation_quick.txt", ("verify", "--suite", "teleportation", "--quick")),
 ]

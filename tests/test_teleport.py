@@ -112,8 +112,9 @@ def test_compose_channel_admissibility(catalog):
     tau_channel = dataclasses.replace(catalog["main-text"]["ab"], channel="tau")
     assert SplitState(tau_channel, message).state.sector == "tau"
     e_channel = dataclasses.replace(catalog["appendix-d1-symmetric"]["ab"], channel="e")
-    with pytest.raises(FusionError):
-        SplitState(e_channel, message)  # tau x e has no e channel
+    for _ in range(2):  # a plan that fails to build is not cached: every call raises
+        with pytest.raises(FusionError):
+            SplitState(e_channel, message)  # tau x e has no e channel
 
 
 # --- PVM validation
@@ -930,3 +931,136 @@ def test_non_unitary_correction_on_dead_branch_raises(model, catalog):
         corrections=scenario.corrections + (BlockOperator.identity(g2) * 2.0,))
     with pytest.raises(ValueError, match="not unitary"):
         run_protocol(extended, MessageQubit(0.6, 0.8))
+
+
+# --- the cached message -> C plan against the join -> regroup -> gather route
+
+
+def _seeded_messages(seed, count):
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return [MessageQubit(a, b) for a, b in vecs]
+
+
+def _plan_scenarios(model, catalog):
+    """Every catalog direction, d1 resource copies (one with a smaller
+    support), the main-text A->B scenario in the tau channel, and seeded
+    resources on a whole 4-anyon sector in the tau channel, where several
+    terms add up to one C entry."""
+    scenarios = _catalog_scenarios(catalog)
+    for a, b in ((0.6, 0.8), (0.8, -0.6j), (0.0, 1.0)):
+        resource = d1_family_resource(model, a, b)
+        scenarios += [catalog["appendix-d1-symmetric"][d].with_resource(resource)
+                      for d in ("ab", "ba")]
+    scenarios.append(dataclasses.replace(catalog["main-text"]["ab"], channel="tau"))
+    g4 = enumerate_basis(model, grouped_shape(2, 2))
+    rng = np.random.default_rng(31)
+    for sector in ("e", "tau"):
+        sl = g4.sector_slice(sector)
+        amplitudes = np.zeros(g4.dim, dtype=complex)
+        amplitudes[sl] = rng.standard_normal(sl.stop - sl.start) + 1j * rng.standard_normal(
+            sl.stop - sl.start)
+        resource = AnyonState(g4, amplitudes).normalized()
+        scenarios += [dataclasses.replace(catalog["main-text"][d], channel="tau",
+                                          resource=resource) for d in ("ab", "ba")]
+    return scenarios
+
+
+def test_plan_equals_regrouped_state_read_through_the_gather(model, catalog):
+    messages = [MessageQubit(a, b) for a, b in MESSAGE_GRID] + _seeded_messages(19, 200)
+    for scenario in _plan_scenarios(model, catalog):
+        gather = scenario._layout().gather
+        for message in messages:
+            split = SplitState(scenario, message)
+            expected = np.append(split.state.amplitudes, 0.0)[gather]
+            assert np.array_equal(split.coefficients, expected)
+
+
+def test_resources_with_one_support_share_a_plan(model, catalog):
+    base = catalog["appendix-d1-symmetric"]["ab"]
+    message = MessageQubit(0.6, 0.8)
+    teleport._cached_plan.cache_clear()
+    for a, b in ((0.6, 0.8), (0.8, -0.6j), (1.0, 1.0), (-0.28, 0.96)):
+        SplitState(base.with_resource(d1_family_resource(model, a, b)), message)
+    info = teleport._cached_plan.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+    # one amplitude exactly 0: another support, another plan
+    for a, b in ((0.0, 1.0), (0.0, -1.0j)):
+        SplitState(base.with_resource(d1_family_resource(model, a, b)), message)
+    info = teleport._cached_plan.cache_info()
+    assert (info.hits, info.misses) == (4, 2)
+
+
+def test_warm_round_never_applies_the_regrouping_map(catalog, monkeypatch):
+    from fibanyon.recouple import BasisChange
+
+    scenarios = _catalog_runs(catalog)
+    for scenario in scenarios:
+        run_protocol(scenario, MessageQubit(1.0, 0.0))
+
+    def refuse(self, vec):
+        raise AssertionError("BasisChange.apply called in a warm round")
+
+    monkeypatch.setattr(BasisChange, "apply", refuse)
+    for scenario in scenarios:
+        for alpha, beta in MESSAGE_GRID:
+            run_protocol(scenario, MessageQubit(alpha, beta))
+    with pytest.raises(AssertionError, match="BasisChange.apply"):
+        _ = SplitState(scenarios[0], MessageQubit(0.6, 0.8)).state  # the reference route
+
+
+# --- corrections: a gather and a phase, or the dense stacks
+
+
+def _dense_corrected(corrections, rho):
+    out = rho.copy()
+    for k, op in enumerate(corrections):
+        U = op.to_full() if isinstance(op, BlockOperator) else np.asarray(op, dtype=complex)
+        out[k] = U @ rho[k] @ U.conj().T
+    return out
+
+
+def test_phased_permutation_corrections_take_the_gather(model, catalog):
+    counterfactual = superselection_violating_protocol(model)
+    cases = [(scenario, True) for scenario in _catalog_runs(catalog)]
+    cases.append((counterfactual, False))
+    rng = np.random.default_rng(23)
+    for scenario, enforce in cases:
+        measurement = scenario._measurement(enforce, 1e-10)
+        assert measurement.gather is not None and measurement.dense is None
+        n, r = len(scenario.corrections) + 1, scenario._layout().receiver_basis.dim
+        for _ in range(50):
+            rho = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
+            expected = _dense_corrected(scenario.corrections, rho)
+            got = rho.copy()
+            measurement.correct(got)
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("gate", [
+    np.array([[1.0, 1.0], [1.0, -1.0]]) * SQ2,       # Hadamard: two nonzeros a row
+    np.diag([1.0, np.exp(0.25j * math.pi)]),          # T: a phase that is not a unit
+])
+def test_other_block_diagonal_corrections_take_the_dense_path(model, catalog, gate):
+    g2 = enumerate_basis(model, grouped_shape(1, 1))
+    for scenario in _catalog_runs(catalog):
+        pair = [g2.index_of_label(lbl) for lbl in scenario.encoding]
+        unitary = np.eye(g2.dim, dtype=complex)
+        unitary[np.ix_(pair, pair)] = gate
+        corrections = (BlockOperator.from_full(unitary, g2),) + scenario.corrections[1:]
+        copy = dataclasses.replace(scenario, corrections=corrections)
+        measurement = copy._measurement(True, 1e-10)
+        assert measurement.gather is None and measurement.dense is not None
+        for alpha, beta in MESSAGE_GRID:
+            message = MessageQubit(alpha, beta)
+            split_out = run_protocol(copy, message)
+            embed_out = run_protocol_via_embedding(copy, message)
+            for lhs, rhs in zip(split_out.branches + [split_out.no_click],
+                                embed_out.branches + [embed_out.no_click]):
+                assert lhs.probability == pytest.approx(rhs.probability, abs=1e-10)
+                if lhs.receiver_state is not None and rhs.receiver_state is not None:
+                    np.testing.assert_allclose(lhs.receiver_state, rhs.receiver_state,
+                                               atol=1e-10)
+            assert split_out.average_fidelity == pytest.approx(embed_out.average_fidelity,
+                                                               abs=1e-10)
