@@ -123,6 +123,19 @@ def rounded_product(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
+def rounded_outer(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The outer product ``lhs[:, None] * rhs[None, :]`` of two contiguous
+    complex vectors, rounded as :func:`rounded_product` rounds it: one
+    ``np.multiply.outer`` of their float views, then one subtract and one
+    add into the output's float view."""
+    parts = np.multiply.outer(lhs.view(float), rhs.view(float))
+    out = np.empty((len(lhs), len(rhs)), dtype=complex)
+    view = out.view(float)
+    np.subtract(parts[0::2, 0::2], parts[1::2, 1::2], out=view[:, 0::2])
+    np.add(parts[0::2, 1::2], parts[1::2, 0::2], out=view[:, 1::2])
+    return out
+
+
 def _require_same_basis(a: SectorBasis, b: SectorBasis):
     if a is not b and not a.compatible(b):
         raise BasisMismatchError("objects live on different bases")

@@ -44,7 +44,7 @@ One scenario runs over many messages, so the work is split in three:
   ``dataclasses.replace`` copy, which starts with an empty cache (the
   counterfactual is one).
 
-A :class:`SplitState` then only runs the plan: one product of (alpha,
+A :class:`SplitState` then only runs the plan: one outer product of (alpha,
 beta) with the resource's nonzero amplitudes and one sum by index, about
 16-23 us of CPU for C against 36-57 us for joining and regrouping the
 whole 233-dim state (one BLAS thread, 2 vCPU shared host).  That state is
@@ -66,9 +66,12 @@ and B^dagger U-bar is drawn directly as the top r rows of a Haar unitary
 (r is 1 or 2 in the catalog's sweeps, against sector dimensions of 13
 and 21).  :func:`sampled_sweep` builds the split states, the row spaces
 and the draws for both, from one stream per sweep: the samples are drawn
-in chunks of :data:`SAMPLE_CHUNK`, one ``standard_normal`` call per
-chunk, each sector's chunk is one stacked thin QR, and W is one product
-per sector for every sample of the chunk and every message of the sweep.
+in chunks of ``MESSAGE_SAMPLES // len(messages)`` (80 samples for one
+message, 20 for four, 8 for ten), one ``standard_normal`` call per chunk,
+each sector's chunk is one stacked thin QR, and W and its moduli are one
+product and one ``abs`` per sector for every sample of the chunk and every
+message of the sweep.  A one-message sweep of 200 samples is 3 chunks and
+takes 2.5-2.8 ms of CPU, against 5.0-5.6 ms in chunks of 8 samples.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ from .states import (
     ket,
     partial_trace,
     pure_density,
+    rounded_outer,
     rounded_product,
     superpose,
     validate_cssr,
@@ -264,8 +268,8 @@ class _Plan:
         self.shape = layout.gather.shape
 
     def coefficients(self, message: MessageQubit, resource: np.ndarray) -> np.ndarray:
-        prod = rounded_product(np.array([[message.alpha], [message.beta]], dtype=complex),
-                               resource[self.support])
+        prod = rounded_outer(np.array([message.alpha, message.beta], dtype=complex),
+                             resource[self.support])
         terms = self.coeffs * prod.ravel()[self.src]
         return _sum_by_index(self.slot, terms, math.prod(self.shape)).reshape(self.shape)
 
@@ -370,6 +374,12 @@ class TeleportScenario:
     reachable: tuple[str, ...] | None = None
     # the scenario's own measurement per (validate, tol), built on first use
     _measurements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the resource's nonzero indices, the key of its plan
+    _support: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_support",
+                           tuple(np.flatnonzero(self.resource.amplitudes).tolist()))
 
     def with_resource(self, resource: AnyonState) -> "TeleportScenario":
         copy = replace(self, resource=resource)
@@ -429,8 +439,8 @@ class SplitState:
     def __init__(self, scenario: TeleportScenario, message: MessageQubit):
         self._layout = layout = scenario._layout()
         self._message, self._resource = message, scenario.resource.amplitudes
-        support = tuple(np.flatnonzero(self._resource).tolist())
-        self.coefficients = _cached_plan(layout, support).coefficients(message, self._resource)
+        plan = _cached_plan(layout, scenario._support)
+        self.coefficients = plan.coefficients(message, self._resource)
         self.basis = layout.change.target
         self.part = layout.part
         self.receiver_side = layout.receiver_side
@@ -553,14 +563,18 @@ def sample_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-# Samples are drawn in chunks.  On the 34-dim 4-anyon measured basis one
-# sample's scratch is its Ginibre draw and top rows (2 d r values per
-# sector, under 2 KiB) and, per message, W with its moduli and the
-# off-support pair products (about 7 KiB).  A chunk of 8 keeps a sweep's
-# peak near 0.1 MiB with one message and 0.65 MiB with ten; an unchunked
-# stack of a few hundred samples leaves multi-MiB buffers that the
-# allocator keeps after they are freed.
-SAMPLE_CHUNK = 8
+# Samples are drawn in chunks of MESSAGE_SAMPLES // (number of messages)
+# samples, at least 1, so a chunk holds about MESSAGE_SAMPLES (sample,
+# message) pairs whatever the message count.  On the 34-dim 4-anyon
+# measured basis one sample's scratch is its Ginibre draw and top rows
+# (2 d r values per sector, under 2 KiB) and, per message, W and its
+# moduli (up to 2.5 KiB per sector).  So the chunk, not the sample count,
+# sets a sweep's traced peak: on main-text B->A about 470 KiB with one
+# message, 460 KiB with four and 470 KiB with ten.  Each chunk pays one
+# ``standard_normal`` call, a stacked QR and a pass over W per sector, so
+# smaller chunks cost time: a one-message sweep of 200 samples pays it 3
+# times here, and would pay it 25 times in chunks of 8 samples.
+MESSAGE_SAMPLES = 80
 
 
 def _sector_slices(basis: SectorBasis) -> list[slice]:
@@ -603,14 +617,16 @@ def _haar_rows(draws: np.ndarray, d: int, r: int) -> np.ndarray:
 def sampled_sweep(scenario: TeleportScenario, messages, samples: int,
                   rng: np.random.Generator):
     """The split state of every message and, per chunk of sampled measurements,
-    W and the outcome probabilities ||w_k||^2 of every measured sector reached.
+    W, its moduli and the outcome probabilities ||w_k||^2 (summed from those
+    moduli) of every measured sector reached.
 
     Returns (splits, chunks); `chunks` yields, per chunk of up to
-    SAMPLE_CHUNK samples, an iterator over the (W, probs) pairs of the
-    reached sectors.  Sample s measures each sector block of the measured
-    basis in the columns of a Haar unitary U-bar, one rank-1 projector per
-    column, and W[m, s, :, k] = C[m, :, block] u-bar_k is the unnormalised
-    receiver vector of outcome k.  With B = :func:`row_space` of the block
+    ``max(1, MESSAGE_SAMPLES // len(messages))`` samples, an iterator over
+    the (W, |W|, probs) triples of the reached sectors.  Sample s measures
+    each sector block of the measured basis in the columns of a Haar
+    unitary U-bar, one rank-1 projector per column, and
+    W[m, s, :, k] = C[m, :, block] u-bar_k is the unnormalised receiver
+    vector of outcome k.  With B = :func:`row_space` of the block
     over every message, C = C B B^dagger, so W = (C B)(B^dagger U-bar), and
     B^dagger U-bar is drawn as the top r rows of a Haar unitary: the draw is
     exact and joint over all messages and outcomes.  A sector with r = 0
@@ -640,11 +656,14 @@ def sampled_sweep(scenario: TeleportScenario, messages, samples: int,
         # one sector's W at a time keeps a chunk's peak to one sector
         for cb, d, r, columns in reduced:
             W = cb[:, None] @ _haar_rows(draws[:, columns], d, r)
-            yield W, np.sum(np.abs(W) ** 2, axis=-2)
+            moduli = np.abs(W)
+            yield W, moduli, np.sum(moduli ** 2, axis=-2)
+
+    chunk = max(1, MESSAGE_SAMPLES // len(message_list))
 
     def chunks():
-        for start in range(0, samples, SAMPLE_CHUNK):
-            yield outcomes(rng.standard_normal((min(SAMPLE_CHUNK, samples - start), width)))
+        for start in range(0, samples, chunk):
+            yield outcomes(rng.standard_normal((min(chunk, samples - start), width)))
 
     return splits, chunks()
 
@@ -653,7 +672,7 @@ def average_fidelities(chunk, receiver_mask: np.ndarray, targets: np.ndarray) ->
     """Uncorrected average fidelity sum_k <t|mask(w_k w_k^dagger)|t> over p_k > PROB_TOL,
     per message (row of `targets`) and sample of a :func:`sampled_sweep` chunk."""
     rho = 0.0
-    for W, probs in chunk:
+    for W, _, probs in chunk:
         kept = np.where(probs[..., None, :] > PROB_TOL, W, 0.0)
         rho = rho + kept @ kept.conj().swapaxes(-1, -2)
     rho = np.where(receiver_mask, rho, 0.0)
@@ -692,7 +711,8 @@ def receiver_reachability_check(
     reachable diagonal set.  Sample s measures each sector of the measured
     basis in the columns of a Haar unitary, one rank-1 projector per column;
     :func:`sampled_sweep` draws every sample from the one stream
-    ``sample_rng(seed)``, SAMPLE_CHUNK at a time for all messages at once.
+    ``sample_rng(seed)``, in chunks of about MESSAGE_SAMPLES (sample, message)
+    pairs, for all messages at once.
     """
     if scenario.reachable is None:
         raise ValueError(f"scenario {scenario.name}/{scenario.direction} declares no reachable set")
@@ -701,19 +721,20 @@ def receiver_reachability_check(
     allowed = [recv_basis.index_of_label(lbl) for lbl in scenario.reachable]
     off_mask = splits[0].receiver_mask.copy()
     off_mask[allowed, allowed] = False
-    # the off-support pairs (r, s) of the decohered state
-    rows, cols = np.nonzero(off_mask)
+    # per receiver row r with an off-support entry: the columns s of its entries
+    off_rows = [(r, np.flatnonzero(row)) for r, row in enumerate(off_mask) if row.any()]
 
-    # |rho_k[r, s]| = |w_r| |w_s| / p_k
+    # |rho_k[r, s]| = |w_r| |w_s| / p_k, and max_s |w_r| |w_s| = |w_r| max_s |w_s|
+    # bit for bit, because rounding a product is monotone in each factor
     worst = 0.0
     count = 0
     for chunk in chunks:
-        for W, probs in chunk:
+        for _, moduli, probs in chunk:
             keep = probs > PROB_TOL
-            mags = np.abs(W)
-            pairs = mags[..., rows, :]
-            pairs *= mags[..., cols, :]
-            peak = np.max(pairs, axis=-2, initial=0.0)
+            peak = np.zeros_like(probs)
+            for r, cols in off_rows:
+                np.maximum(peak, moduli[..., r, :] * np.max(moduli[..., cols, :], axis=-2),
+                           out=peak)
             worst = max(worst, float(np.max(peak[keep] / probs[keep], initial=0.0)))
             count += int(np.count_nonzero(keep))
     return ReachabilityReport(

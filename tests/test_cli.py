@@ -88,6 +88,9 @@ GOLDEN_CASES = [
     ),
     ("verify_dims.txt", ("verify", "--suite", "dims")),
     ("verify_teleportation_quick.txt", ("verify", "--suite", "teleportation", "--quick")),
+    # every bit of the oracle excess and the sweep, at the quick count's four messages
+    ("verify_teleportation_quick.json",
+     ("verify", "--suite", "teleportation", "--quick", "--format", "json")),
 ]
 
 

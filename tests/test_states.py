@@ -35,6 +35,8 @@ from fibanyon.states import (
     random_density,
     random_observable,
     random_pure_state,
+    rounded_outer,
+    rounded_product,
     spectra,
     spectrum,
     superpose,
@@ -56,6 +58,25 @@ def test_ket_unit_vector(model):
     state = ket(basis, "tau")
     assert state.norm() == 1.0
     assert state.sector == "tau"
+
+
+def test_rounded_outer_rounds_as_the_elementwise_product():
+    # the plan's operands: a message (alpha, beta) against 1-6 resource amplitudes
+    rng = np.random.default_rng(20)
+    cases = [(np.array(message, dtype=complex),
+              rng.standard_normal(s) + 1j * rng.standard_normal(s))
+             for message in ((0, 1), (1, 0), (0.6, 0.8j)) for s in (1, 4)]
+    for _ in range(20000):
+        parts = rng.standard_normal((2, 2)) * rng.choice([0.0, 1.0, 1e-300, 1e300], size=(2, 2))
+        s = int(rng.integers(1, 7))
+        resource = (rng.standard_normal(s) + 1j * rng.standard_normal(s)) * rng.choice(
+            [0.0, 1.0, -1.0, 1e-170], size=s)
+        cases.append((parts[0] + 1j * parts[1], resource))
+    for message, resource in cases:
+        out = rounded_outer(message, resource)
+        expected = rounded_product(message[:, None], resource[None, :])
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out.view(float)), np.signbit(expected.view(float)))
 
 
 def test_superpose_within_sector(basis2):

@@ -17,7 +17,7 @@ from fibanyon.teleport import (
     builtin_scenarios,
     d1_family_resource,
     PROB_TOL,
-    SAMPLE_CHUNK,
+    MESSAGE_SAMPLES,
     average_fidelities,
     diagonal_mixture_fidelity_bound,
     pauli_correction,
@@ -363,8 +363,9 @@ def test_reachability_matches_per_outcome_loop(catalog):
     off_mask = np.ones((recv_basis.dim, recv_basis.dim), dtype=bool)
     i_ee = recv_basis.index_of_label("e,e;e")
     off_mask[i_ee, i_ee] = False
-    # sample counts on both sides of chunk boundaries
-    for samples in (SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1, 30):
+    # sample counts on both sides of the two-message chunk boundary
+    chunk = MESSAGE_SAMPLES // len(messages)
+    for samples in (chunk - 1, chunk + 1, 30):
         report = receiver_reachability_check(scenario, messages, pvm_samples=samples, seed=seed)
         worst, conditionals = 0.0, 0
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
@@ -387,21 +388,22 @@ def test_sampled_outcomes_equal_the_completed_unitary(catalog):
     # message's main-text A->B tau block has rank 2, so there W's columns follow the draw
     for name, direction in (("main-text", "ba"), ("main-text", "ab"),
                             ("appendix-d2-asymmetric", "ab")):
-        seed, samples = 3, SAMPLE_CHUNK + 3
+        seed, samples = 3, MESSAGE_SAMPLES // 2 + 3  # two chunks of the two messages
         splits, chunks = sampled_sweep(catalog[name][direction],
                                        [MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2)],
                                        samples, sample_rng(seed))
         chunks = [list(chunk) for chunk in chunks]
         coefficients = np.stack([split.coefficients for split in splits])
         reached = [sl for sl in splits[0].measured_slices if np.any(coefficients[..., sl])]
-        assert [len(chunk) for chunk in chunks] == [len(reached)] * len(chunks)
+        assert [len(chunk) for chunk in chunks] == [len(reached)] * 2
         unitaries = _reference_unitaries(coefficients, splits[0].measured_basis,
                                          sample_rng(seed), samples)
         expected = np.stack([coefficients @ unitary for unitary in unitaries], axis=1)
         for k, sl in enumerate(reached):
-            W = np.concatenate([chunk[k][0] for chunk in chunks], axis=1)
-            probs = np.concatenate([chunk[k][1] for chunk in chunks], axis=1)
+            W, moduli, probs = (np.concatenate([chunk[k][i] for chunk in chunks], axis=1)
+                                for i in range(3))
             assert np.max(np.abs(W - expected[..., sl])) <= 1e-14
+            assert np.array_equal(moduli, np.abs(W))
             assert np.array_equal(probs, np.sum(np.abs(W) ** 2, axis=-2))
 
 
@@ -413,7 +415,7 @@ def test_stacked_draw_equals_per_sample_columns(basis2, basis4, catalog, monkeyp
         dims = [basis.sector_dim(g) for g in basis.model.charges if basis.sector_dim(g)]
         shapes = [(d, r) for d in dims for r in sorted({1, min(2, d), d})]
         width = sum(2 * d * r for d, r in shapes)
-        for samples in (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 2):
+        for samples in (1, 7, 8, 9, 26):
             # one stacked draw, one row per sample, against sample-by-sample draws of one stream
             draws = sample_rng(seed).standard_normal((samples, width))
             direct = sample_rng(seed)
@@ -424,32 +426,47 @@ def test_stacked_draw_equals_per_sample_columns(basis2, basis4, catalog, monkeyp
                     assert np.array_equal(stacked[s], one)
                     offset += 2 * d * r
 
-    # a sweep's sample s is the same whatever the chunk size and however many are drawn
-    messages = [MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2)]
-
-    def drawn(scenario, samples, chunk_size):
-        """Per reached sector, W and the probabilities of every sample."""
-        monkeypatch.setattr(teleport, "SAMPLE_CHUNK", chunk_size)
+    # a sweep's sample s is the same whatever the chunking and however many are drawn
+    def drawn(scenario, messages, samples):
+        """The chunk sizes and, per reached sector, W, |W| and the probabilities
+        of every sample."""
         _, chunks = sampled_sweep(scenario, messages, samples, sample_rng(seed))
         chunks = [list(chunk) for chunk in chunks]
-        sizes = [chunk[0][1].shape[1] for chunk in chunks]
-        assert sum(sizes) == samples and set(sizes[:-1]) <= {chunk_size}
-        return [[np.concatenate(parts, axis=1) for parts in zip(*sector)]
-                for sector in zip(*chunks)]
+        for chunk in chunks:
+            for W, moduli, probs in chunk:
+                assert np.array_equal(moduli, np.abs(W))
+                assert np.array_equal(probs, np.sum(moduli ** 2, axis=-2))
+        sizes = [chunk[0][2].shape[1] for chunk in chunks]
+        return sizes, [[np.concatenate(parts, axis=1) for parts in zip(*sector)]
+                       for sector in zip(*chunks)]
 
+    def same_samples(sector_lists, whole, samples):
+        assert len(sector_lists) == len(whole)
+        for sector, sector_whole in zip(sector_lists, whole):
+            assert all(np.array_equal(part, part_whole[:, :samples])
+                       for part, part_whole in zip(sector, sector_whole))
+
+    message_sets = [[MessageQubit(0.6, 0.8)], [MessageQubit(0.6, 0.8), MessageQubit(SQ2, 1j * SQ2)],
+                    _verify_messages(4), _verify_messages(10)]
     for name, direction in (("main-text", "ba"), ("main-text", "ab"),
                             ("appendix-d2-asymmetric", "ab")):
         scenario = catalog[name][direction]
-        whole = drawn(scenario, 27, 27)  # one 27-row draw
-        # chunks of 8, 8, 8 and 3 rows, and of one row each
-        for chunked in (drawn(scenario, 27, SAMPLE_CHUNK), drawn(scenario, 27, 1)):
-            assert len(chunked) == len(whole)
-            for sector, sector_whole in zip(chunked, whole):
-                assert all(map(np.array_equal, sector, sector_whole))
-        # fewer samples draw the first ones of the same stream
-        for sector, sector_whole in zip(drawn(scenario, SAMPLE_CHUNK + 3, SAMPLE_CHUNK), whole):
-            assert all(np.array_equal(part, part_whole[:, :SAMPLE_CHUNK + 3])
-                       for part, part_whole in zip(sector, sector_whole))
+        for messages in message_sets:
+            chunk = MESSAGE_SAMPLES // len(messages)  # 80, 40, 20 and 8 samples
+            counts = (1, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk + 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(teleport, "MESSAGE_SAMPLES", 10 ** 6)
+                sizes, whole = drawn(scenario, messages, counts[-1])  # one draw
+                assert sizes == [counts[-1]]
+                patch.setattr(teleport, "MESSAGE_SAMPLES", 1)
+                sizes, one_by_one = drawn(scenario, messages, counts[-1])  # one row a draw
+                assert sizes == [1] * counts[-1]
+            same_samples(one_by_one, whole, counts[-1])
+            for samples in counts:
+                sizes, chunked = drawn(scenario, messages, samples)
+                full, rest = divmod(samples, chunk)
+                assert sizes == [chunk] * full + [rest] * bool(rest)
+                same_samples(chunked, whole, samples)
 
 
 def _verify_messages(count):
@@ -527,7 +544,7 @@ def test_reduced_draw_matches_full_draw_in_distribution(catalog):
     chunks = [list(chunk) for chunk in chunks]
     coefficients = np.stack([split.coefficients for split in splits])
     slices = splits[0].measured_slices
-    reduced = [np.concatenate([chunk[k][1] for chunk in chunks], axis=1)
+    reduced = [np.concatenate([chunk[k][2] for chunk in chunks], axis=1)
                for k in range(len(chunks[0]))]
     rng = np.random.default_rng(12)
     full = np.stack([np.sum(np.abs(coefficients @ sector_haar_unitary(splits[0].measured_basis,
@@ -580,6 +597,21 @@ def test_reachability_sweep_memory_stays_bounded(catalog):
         tracemalloc.stop()
     assert report.ok and report.conditionals == 340000
     assert peak < 1 << 20
+
+
+def test_one_message_sweep_memory_stays_bounded(catalog):
+    # one message draws the largest chunks: MESSAGE_SAMPLES samples at a time
+    scenario = catalog["main-text"]["ba"]
+    messages = [MessageQubit(0.6, 0.8)]
+    receiver_reachability_check(scenario, messages, pvm_samples=1, seed=0)  # cache the layout
+    tracemalloc.start()
+    try:
+        report = receiver_reachability_check(scenario, messages, pvm_samples=200, seed=42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.conditionals == 200 * 34
+    assert peak < 512 << 10
 
 
 def test_superselection_disabled_enables_reverse_teleport(model):
@@ -990,6 +1022,18 @@ def test_resources_with_one_support_share_a_plan(model, catalog):
         SplitState(base.with_resource(d1_family_resource(model, a, b)), message)
     info = teleport._cached_plan.cache_info()
     assert (info.hits, info.misses) == (4, 2)
+
+
+def test_scenario_support_follows_its_resource(model, catalog):
+    # the plan's key is found once per scenario, and again for every new resource
+    base = catalog["appendix-d1-symmetric"]["ab"]
+    copies = [base, base.with_resource(d1_family_resource(model, 0.0, 1.0)),
+              dataclasses.replace(base, resource=d1_family_resource(model, 1.0, 0.0)),
+              superselection_violating_protocol(model), *_catalog_scenarios(catalog)]
+    for scenario in copies:
+        assert scenario._support == tuple(np.flatnonzero(scenario.resource.amplitudes).tolist())
+    assert copies[1]._support != base._support != copies[2]._support
+    assert copies[1] == dataclasses.replace(copies[1])  # not compared
 
 
 def test_warm_round_never_applies_the_regrouping_map(catalog, monkeypatch):
