@@ -41,14 +41,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BasisMismatchError, ShapeError, require_memory
+from .errors import ShapeError, require_memory
 from .states import (
     SPECTRAL_TOL,
     AnyonState,
     Bipartition,
     BlockOperator,
+    _require_same_basis,
     marginal_blocks,
-    partial_trace,
+    normalized_amplitudes,
+    partial_trace_blocks,
+    raveled_blocks,
     spectra,
     spectra_agree,
 )
@@ -91,6 +94,8 @@ class _Units(NamedTuple):
     as basis indices.  ``diag``, ``sym`` and ``anti`` number the diagonal,
     symmetric and antisymmetric units (each antisymmetric unit follows its
     symmetric one), which read the positions ``at_kk`` and ``at_kl``/``at_lk``.
+    ``flat`` says every sector is one-dimensional: then every position is a
+    diagonal unit and a basis index, and all these gathers are the identity.
     """
 
     count: int
@@ -103,6 +108,13 @@ class _Units(NamedTuple):
     at_kk: np.ndarray
     at_kl: np.ndarray
     at_lk: np.ndarray
+    flat: bool
+
+
+@functools.lru_cache(maxsize=256)
+def _unit_count(basis: SectorBasis) -> int:
+    """The number of matrix units, the sum of the squared sector dimensions."""
+    return sum(basis.sector_dim(g) ** 2 for g in basis.model.charges)
 
 
 @functools.lru_cache(maxsize=256)
@@ -124,30 +136,8 @@ def _units(basis: SectorBasis) -> _Units:
         first += d * d
     row, col, diag, sym, at_kk, at_kl, at_lk = (
         np.concatenate(x) for x in (row, col, diag, sym, at_kk, at_kl, at_lk))
-    return _Units(first, block, row, col, diag, sym, sym + 1, at_kk, at_kl, at_lk)
-
-
-class _Plan(NamedTuple):
-    """What every correlation test on one bipartition reuses: both parties'
-    units and, per charge block (g, x, y) in order, the positions of A and B
-    it fills and the gather from rho_g that realigns it.  All of it is
-    O(units + blocks); nothing is the size of the table."""
-
-    units_a: _Units
-    units_b: _Units
-    mixed: list
-
-
-@functools.lru_cache(maxsize=256)
-def _plan(part: Bipartition) -> _Plan:
-    units_a, units_b = _units(part.a_basis), _units(part.b_basis)
-    mixed = []
-    for g, x, y, index in part.blocks:
-        d_a, d_b = index.shape
-        flat = index.ravel()
-        mixed.append((g, units_a.block[x], units_b.block[y], flat[:, None], flat[None, :],
-                      (d_a, d_b, d_a, d_b), (d_a**2, d_b**2)))
-    return _Plan(units_a, units_b, mixed)
+    return _Units(first, block, row, col, diag, sym, sym + 1, at_kk, at_kl, at_lk,
+                  first == basis.dim)
 
 
 def _to_units(flat: np.ndarray, units: _Units) -> np.ndarray:
@@ -166,6 +156,13 @@ def _to_units(flat: np.ndarray, units: _Units) -> np.ndarray:
     return out
 
 
+def _require_table_memory(part: Bipartition):
+    """The table and its temporaries peak near five complex arrays of its
+    size; checked from the sector dimensions, before anything is built."""
+    require_memory(80 * _unit_count(part.a_basis) * _unit_count(part.b_basis),
+                   f"the correlation table of a {part.n_a}|{part.n_b} split")
+
+
 def local_observable_basis(basis: SectorBasis) -> list[BlockOperator]:
     """Hermitian spanning set of the block-diagonal operator algebra.
 
@@ -174,10 +171,10 @@ def local_observable_basis(basis: SectorBasis) -> list[BlockOperator]:
     by the antisymmetric one (-i at (k, l), i at (l, k)) - d^2 operators,
     all superselection-respecting by construction.
     """
-    units = _units(basis)
+    count = _unit_count(basis)
     # the identity, its unit coordinates and their conjugate: four count^2 arrays
-    require_memory(64 * units.count ** 2,
-                   f"the {units.count} local observables of a {basis.dim}-dim basis")
+    require_memory(64 * count ** 2, f"the {count} local observables of a {basis.dim}-dim basis")
+    units = _units(basis)
     # row i of the map to unit coordinates is unit i transposed: its conjugate
     rows = _to_units(np.eye(units.count), units).conj()
     return [
@@ -185,6 +182,107 @@ def local_observable_basis(basis: SectorBasis) -> list[BlockOperator]:
                               for g in basis.model.charges})
         for row in rows
     ]
+
+
+class _Plan:
+    """The correlation test compiled for one bipartition, built on its first
+    call and cached with it (:func:`_plan`, 256 bipartitions, like
+    :func:`~fibanyon.states.bipartition`).
+
+    It holds both parties' :class:`_Units`, whether the split is the
+    Fibonacci 2-anyon basis (whose pure states get a class), and, built on
+    the first density, :attr:`fills`: per global charge, where each entry
+    of rho_g lands in the realigned table.  A pure state's amplitude matrix
+    is gathered through the bipartition's cached tables, whose -1 entries
+    read an appended zero.  A one-dimensional-sector party's unit
+    coordinates are its positions, so its gathers and unit conversions are
+    skipped.  The memory guard runs on every call, from the sector
+    dimensions alone, before the plan or any marginal is built.  Every
+    report field and every table is bit for bit what the per-block route
+    it replaced computed.
+    """
+
+    def __init__(self, part: Bipartition):
+        self.part = part
+        self.units_a, self.units_b = _units(part.a_basis), _units(part.b_basis)
+        basis = part.basis
+        self.fibonacci_pair = basis.shape.n_leaves == 2 and basis.labels == _FIBONACCI_PAIR
+
+    @functools.cached_property
+    def fills(self) -> list:
+        """Per nonempty global charge g, in charge order: the flat table
+        positions of its blocks (g, x, y) and the flat rho_g entries they
+        read.  Block (g, x, y) puts rho_g[(a, b), (a', b')] at row (a, a') of
+        x's positions and column (b, b') of y's.  The blocks of one charge
+        fill disjoint positions, so one indexed add per charge adds each
+        entry in the per-block order."""
+        units_a, units_b, part = self.units_a, self.units_b, self.part
+        at, src = {}, {}
+        for g, x, y, index in part.blocks:
+            d_a, d_b = index.shape
+            rows = units_a.block[x].start + np.arange(d_a * d_a)
+            cols = units_b.block[y].start + np.arange(d_b * d_b)
+            at.setdefault(g, []).append((rows[:, None] * units_b.count + cols).ravel())
+            row = part.raveled_start[g] + index * part.basis.sector_dim(g)
+            src.setdefault(g, []).append((row[:, None, :, None] + index[None, :, None, :]).ravel())
+        return [(np.concatenate(at[g]), np.concatenate(src[g])) for g in at]
+
+    def realigned_pure(self, C: np.ndarray) -> np.ndarray:
+        """C[a, b] conj(C[a', b']) for the normalized pure state with amplitude
+        matrix C; C is 0 off the state's blocks, and so is the product."""
+        units_a, units_b = self.units_a, self.units_b
+        rows, cols = C, C
+        if not units_a.flat:
+            rows, cols = C.take(units_a.row, 0), C.take(units_a.col, 0)
+        realigned = rows.copy() if units_b.flat else rows.take(units_b.row, 1)
+        realigned *= (cols if units_b.flat else cols.take(units_b.col, 1)).conj()
+        return realigned
+
+    def realigned_mixed(self, raveled: np.ndarray) -> np.ndarray:
+        """sum_g rho_g[(a, b), (a', b')] on each block (g, x, y), from rho's
+        :func:`~fibanyon.states.raveled_blocks`."""
+        realigned = np.zeros(self.units_a.count * self.units_b.count, dtype=complex)
+        for at, src in self.fills:
+            realigned[at] += raveled.take(src)
+        return realigned.reshape(self.units_a.count, self.units_b.count)
+
+    def violations(self, realigned: np.ndarray) -> np.ndarray:
+        """The violation table from the realigned table."""
+        units_a, units_b = self.units_a, self.units_b
+        # unit coordinates of A's rows, then of B's columns (a C-ordered copy when flat)
+        table = realigned if units_a.flat else _to_units(realigned, units_a)
+        table = table.T.copy() if units_b.flat else _to_units(table.T, units_b)
+        lhs = table.T.real
+        # The diagonal units sum to the identity, so Tr(O_A^i rho_A) is the sum
+        # of row i over B's diagonal units.  Read from the table, not from
+        # separately rounded marginals, both terms of T use the same products.
+        exp_a = np.add.reduce(lhs[:, units_b.diag], axis=1)
+        exp_b = np.add.reduce(lhs[units_a.diag], axis=0)
+        norm = float(np.add.reduce(exp_b[units_b.diag]))  # Tr rho
+        if abs(norm - 1.0) > SPECTRAL_TOL:
+            raise ValueError(f"density operator has trace {norm!r}, not 1")
+        return lhs - np.multiply.outer(exp_a, exp_b)
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(part: Bipartition) -> _Plan:
+    return _Plan(part)
+
+
+def _checked_plan(state_or_rho, part: Bipartition) -> _Plan:
+    """The plan of `part`, after the basis and memory checks."""
+    _require_same_basis(state_or_rho.basis, part.basis)
+    _require_table_memory(part)
+    return _plan(part)
+
+
+def _pure(psi: AnyonState, part: Bipartition):
+    """(plan, normalized amplitudes, charge, amplitude matrix) of a pure
+    state, after the zero-state, basis and memory checks."""
+    amplitudes = normalized_amplitudes(psi.amplitudes)
+    plan = _checked_plan(psi, part)
+    g = part.basis.sector_of(amplitudes.nonzero()[0][0])
+    return plan, amplitudes, g, part.gather(amplitudes, g)
 
 
 def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
@@ -196,51 +294,19 @@ def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
     whose trace must be 1 within ``SPECTRAL_TOL``.
     """
     if isinstance(state_or_rho, AnyonState):
-        return _violations(part, part.amplitude_matrix(state_or_rho.normalized()))
-    return _violations(part, state_or_rho)
+        plan, _, _, C = _pure(state_or_rho, part)
+        return plan.violations(plan.realigned_pure(C))
+    plan = _checked_plan(state_or_rho, part)
+    return plan.violations(plan.realigned_mixed(raveled_blocks(state_or_rho.blocks, part.basis)))
 
 
-def _violations(part: Bipartition, source) -> np.ndarray:
-    """The violation table of a density :class:`BlockOperator`, or of the
-    normalized pure state with amplitude matrix `source`."""
-    plan = _plan(part)
-    units_a, units_b = plan.units_a, plan.units_b
-    # the table and its temporaries peak near five complex arrays of its size
-    require_memory(80 * units_a.count * units_b.count,
-                   f"the correlation table of a {part.n_a}|{part.n_b} split")
-    # realigned[(a, a'), (b, b')] = sum_g rho_g[(a, b), (a', b')] on each block (g, x, y)
-    if isinstance(source, np.ndarray):
-        # C[a, b] conj(C[a', b']): C is 0 off the state's blocks, and so is the product
-        realigned = source.take(units_a.row, 0).take(units_b.row, 1)
-        realigned *= source.take(units_a.col, 0).take(units_b.col, 1).conj()
-    else:
-        if not source.basis.compatible(part.basis):  # same sector sizes would go unnoticed
-            raise BasisMismatchError("objects live on different bases")
-        realigned = np.zeros((units_a.count, units_b.count), dtype=complex)
-        for g, at_a, at_b, rows, cols, shape, square in plan.mixed:
-            realigned[at_a, at_b] += (
-                source.blocks[g][rows, cols].reshape(shape).transpose(0, 2, 1, 3).reshape(square)
-            )
-    lhs = _to_units(_to_units(realigned, units_a).T, units_b).T.real
-    # The diagonal units sum to the identity, so Tr(O_A^i rho_A) is the sum
-    # of row i over B's diagonal units.  Read from the table, not from
-    # separately rounded marginals, both terms of T use the same products.
-    exp_a = lhs[:, units_b.diag].sum(axis=1)
-    exp_b = lhs[units_a.diag].sum(axis=0)
-    norm = float(exp_b[units_b.diag].sum())  # Tr rho
-    if abs(norm - 1.0) > SPECTRAL_TOL:
-        raise ValueError(f"density operator has trace {norm!r}, not 1")
-    return lhs - np.outer(exp_a, exp_b)
-
-
-def _witness(violations: np.ndarray) -> int:
-    """Flat index of the first entry within 4 ulps of the largest.
+def _witness(violations: np.ndarray, top: float) -> int:
+    """Flat index of the first entry within 4 ulps of the largest, `top`.
 
     Exact ties are common (a one-anyon party's P_e and P_tau sum to 1), so
     the first of them wins whatever the rounding of the last digit.
     """
-    top = violations.max()
-    return int(np.argmax(violations >= top - 4 * np.spacing(top)))
+    return int((violations >= top - 4 * np.spacing(top)).argmax())
 
 
 def is_uncorrelated(
@@ -256,27 +322,25 @@ def is_uncorrelated(
     pure state on the Fibonacci 2-anyon basis also gets its
     :func:`classify_pure_2anyon` class.
     """
-    pure = isinstance(state_or_rho, AnyonState)
-    if pure:
-        # normalized once: the marginals, the table and the class read the same vector
-        psi = state_or_rho.normalized()
-        C = part.amplitude_matrix(psi)
-        marginals = [marginal_blocks(C, part, traced).values() for traced in ("B", "A")]
-        violations = np.abs(_violations(part, C))
-    else:
-        marginals = [partial_trace(state_or_rho, part, traced).blocks.values()
-                     for traced in ("B", "A")]
-        violations = np.abs(_violations(part, state_or_rho))
-    top = float(violations.max())
-
-    spec_a, spec_b = spectra(*marginals)
     label = None
-    if pure and part.basis.shape.n_leaves == 2 and part.basis.labels == _FIBONACCI_PAIR:
-        label = _pure_class(psi, ZERO_COEFF_TOL)
+    if isinstance(state_or_rho, AnyonState):
+        plan, amplitudes, g, C = _pure(state_or_rho, part)
+        marginals = [marginal_blocks(C, part, traced) for traced in ("B", "A")]
+        realigned = plan.realigned_pure(C)
+        if plan.fibonacci_pair:
+            label = _pure_class(g == part.basis.model.vacuum, amplitudes, ZERO_COEFF_TOL)
+    else:
+        plan = _checked_plan(state_or_rho, part)
+        raveled = raveled_blocks(state_or_rho.blocks, part.basis)
+        marginals = [partial_trace_blocks(raveled, part, traced) for traced in ("B", "A")]
+        realigned = plan.realigned_mixed(raveled)
+    violations = np.abs(plan.violations(realigned))
+    top = float(np.maximum.reduce(violations, axis=None))
+    spec_a, spec_b = spectra(*marginals)
     return CorrelationReport(
         is_uncorrelated=top <= tol,
         max_violation=top,
-        witness=divmod(_witness(violations), violations.shape[1]),
+        witness=divmod(_witness(violations, top), violations.shape[1]),
         marginal_spectra=(spec_a, spec_b),
         spectra_symmetric=spectra_agree(spec_a, spec_b, tol),
         tol=tol,
@@ -303,23 +367,23 @@ def classify_pure_2anyon(psi: AnyonState, tol: float = ZERO_COEFF_TOL) -> str:
     """
     if psi.basis.shape.n_leaves != 2:
         raise ShapeError("classification applies to 2-anyon states")
-    return _pure_class(psi.normalized(), tol)
+    psi = psi.normalized()
+    amplitudes = [psi.amplitude(label) for label in _FIBONACCI_PAIR[:4]]
+    return _pure_class(psi.sector == psi.basis.model.vacuum, amplitudes, tol)
 
 
-def _pure_class(psi: AnyonState, tol: float) -> str:
-    """:func:`classify_pure_2anyon` of a normalized 2-anyon state."""
-    if psi.sector == psi.basis.model.vacuum:
-        c_ee = abs(psi.amplitude("e,e;e"))
-        c_tt = abs(psi.amplitude("tau,tau;e"))
-        if c_tt <= tol:
+def _pure_class(vacuum: bool, amplitudes, tol: float) -> str:
+    """:func:`classify_pure_2anyon` from the normalized amplitudes of the
+    first four trees of ``_FIBONACCI_PAIR``."""
+    c_ee, c_tt, c_et, c_te = amplitudes[:4]  # c_te: tau on side A
+    if vacuum:
+        if abs(c_tt) <= tol:
             return "product-e-alpha"
-        if c_ee <= tol:
+        if abs(c_ee) <= tol:
             return "product-e-beta"
         return "entangled"
-    c_te = abs(psi.amplitude("tau,e;tau"))  # tau on side A
-    c_et = abs(psi.amplitude("e,tau;tau"))  # tau on side B
-    if c_et <= tol:
+    if abs(c_et) <= tol:
         return "class-1-tau"
-    if c_te <= tol:
+    if abs(c_te) <= tol:
         return "class-2-tau"
     return "entangled"

@@ -50,9 +50,8 @@ def _available_bytes() -> int | None:
     return int(rest.split(None, 1)[0]) * 1024 if found else None
 
 
-# Any machine has this much to spare.  Between other work a read of
-# /proc/meminfo takes 40-100 us of CPU, as long as a whole 2|3 correlation
-# test, so tables this small skip it.
+# Any machine has this much to spare.  A read of /proc/meminfo can cost
+# as much as a whole small correlation test, so requests this small skip it.
 _ALWAYS_FITS = 256 * 2**10
 
 

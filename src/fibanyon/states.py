@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -50,6 +52,8 @@ from .errors import (
 )
 from .model import Charge
 from .trees import SectorBasis, TreeShape, enumerate_basis, subtree_shape
+
+_ZERO = np.zeros(1, dtype=complex)  # appended to amplitudes: where a -1 table entry reads
 
 STRUCT_TOL = 1e-12  # structural checks (unitarity, hermiticity)
 SPECTRAL_TOL = 1e-10  # positivity / normalization checks
@@ -85,18 +89,15 @@ class AnyonState:
         return self.basis.sector_of(nz[0]) if len(nz) else None
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def is_normalized(self, tol: float = SPECTRAL_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
 
     def normalized(self) -> "AnyonState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
         # scaling cannot widen the support, so the sector check is not repeated
         out = object.__new__(AnyonState)
-        out.basis, out.amplitudes = self.basis, self.amplitudes / n
+        out.basis, out.amplitudes = self.basis, normalized_amplitudes(self.amplitudes)
         return out
 
     def inner(self, other: "AnyonState") -> complex:
@@ -111,6 +112,22 @@ class AnyonState:
         terms = ", ".join(f"{self.amplitudes[i]:.4g}|{self.basis.labels[i]}>" for i in nz[:4])
         more = "" if len(nz) <= 4 else f" +{len(nz) - 4} terms"
         return f"AnyonState({terms}{more})"
+
+
+def _norm(amplitudes: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, by its own formula (the real and
+    the imaginary part's dot products) without its dispatch."""
+    flat = amplitudes.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def normalized_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
+    """The amplitudes over their norm; ValueError for the zero vector."""
+    n = _norm(amplitudes)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero state")
+    return amplitudes / n
 
 
 def rounded_product(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -365,26 +382,30 @@ def spectra(*parties) -> list[np.ndarray]:
     call, which runs LAPACK on each matrix in turn.
     """
     parties = [[b for b in blocks if len(b)] for blocks in parties]
-    flat = [b for blocks in parties for b in blocks]
-    vals = [b.real[0] for b in flat]  # a 1 x 1 block's eigenvalue; the rest are replaced
-    for d in {len(b) for b in flat} - {1}:
-        same = [k for k, b in enumerate(flat) if len(b) == d]
-        for k, v in zip(same, np.linalg.eigvalsh(np.stack([flat[k] for k in same]))):
-            vals[k] = v
-    out, first = [], 0
+    stacks = {}
+    for b in itertools.chain.from_iterable(parties):
+        if len(b) > 1:
+            stacks.setdefault(len(b), []).append(b)
+    eigenvalues = {d: iter(np.linalg.eigvalsh(np.stack(same)).tolist())
+                   for d, same in stacks.items()}
+    out = []
     for blocks in parties:
-        party = vals[first:first + len(blocks)] or [np.empty(0)]
-        out.append(np.sort(np.concatenate(party))[::-1])
-        first += len(blocks)
+        vals = []
+        for b in blocks:
+            if len(b) > 1:
+                vals.extend(next(eigenvalues[len(b)]))
+            else:  # a 1 x 1 block's eigenvalue
+                vals.append(b[0, 0].real)
+        vals = np.array(vals, dtype=float)
+        vals.sort()
+        out.append(vals[::-1])
     return out
 
 
 def spectra_agree(spec_a: np.ndarray, spec_b: np.ndarray, tol: float) -> bool:
     """True iff two descending spectra agree within tol, the shorter padded with zeros."""
-    padded = np.zeros((2, max(len(spec_a), len(spec_b))))
-    padded[0, : len(spec_a)] = spec_a
-    padded[1, : len(spec_b)] = spec_b
-    return bool(np.max(np.abs(padded[0] - padded[1])) <= tol)
+    pairs = itertools.zip_longest(spec_a.tolist(), spec_b.tolist(), fillvalue=0.0)
+    return all(abs(a - b) <= tol for a, b in pairs)
 
 
 def fidelity(psi: AnyonState, rho: BlockOperator | AnyonState) -> float:
@@ -439,6 +460,7 @@ class Bipartition:
         self.b_index = self.b_basis.index_of_rows(basis.charges[:, basis.shape.span(right_node)])
 
         self._tables: dict[Charge, np.ndarray] = {}
+        self._gathers: dict[Charge, np.ndarray] = {}
         self.blocks: list[tuple[Charge, Charge, Charge, np.ndarray]] = []
         for g in model.charges:
             sector = basis.sector_slice(g)
@@ -448,6 +470,8 @@ class Bipartition:
             table[self.a_index[sector], self.b_index[sector]] = np.arange(sector.start, sector.stop)
             table.setflags(write=False)
             self._tables[g] = table
+            # the same, with -1 at the appended zero of :meth:`gather`
+            self._gathers[g] = np.where(table < 0, basis.dim, table)
             for x in model.charges:
                 for y in model.charges:
                     index = table[self.a_basis.sector_slice(x), self.b_basis.sector_slice(y)]
@@ -464,8 +488,12 @@ class Bipartition:
         """C[a, b] = psi's amplitude on (A tree a, B tree b) at psi's charge, or 0
         where a and b cannot fuse to it; psi is taken as given, not normalized."""
         _require_same_basis(psi.basis, self.basis)
-        # -1 in the table reads the appended zero
-        return np.append(psi.amplitudes, 0.0)[self.table(psi.sector)]
+        return self.gather(psi.amplitudes, psi.sector)
+
+    def gather(self, amplitudes: np.ndarray, g: Charge) -> np.ndarray:
+        """:meth:`amplitude_matrix` of the amplitudes of a state of charge g."""
+        self.table(g)  # raises for a charge with no trees
+        return np.concatenate((amplitudes, _ZERO)).take(self._gathers[g])
 
     def kept_basis(self, traced: str) -> SectorBasis:
         if traced not in ("A", "B"):
@@ -479,15 +507,28 @@ class Bipartition:
         return [(g, y, index) for g, _, y, index in self.blocks]
 
     @functools.cached_property
-    def trace_gathers(self) -> dict[str, dict[Charge, list]]:
-        """Per traced side and kept charge, one (g, rows, cols) per block, in block
-        order: rho_g[rows, cols] stacks the kept-party matrices of its traced trees."""
+    def raveled_start(self) -> dict[Charge, int]:
+        """Where each sector block starts in :func:`raveled_blocks`."""
+        out, start = {}, 0
+        for g in self.basis.model.charges:
+            out[g] = start
+            start += self.basis.sector_dim(g) ** 2
+        return out
+
+    @functools.cached_property
+    def trace_gathers(self) -> dict[str, dict[Charge, np.ndarray | None]]:
+        """Per traced side and kept charge, the kept-party matrix of every
+        traced tree of every block, in block order, as one (terms, d, d) stack
+        of positions in :func:`raveled_blocks`; None where no block reaches
+        the charge.  Each position is read once, so a side's stacks hold at
+        most as many entries as rho."""
         out = {}
         for traced in ("A", "B"):
-            out[traced] = {c: [] for c in self.basis.model.charges}
+            stacks = {c: [] for c in self.basis.model.charges}
             for g, keep, index in self.kept_blocks(traced):
-                index = np.ascontiguousarray(index)  # a C-ordered stack, which the sum needs
-                out[traced][keep].append((g, index[:, :, None], index[:, None, :]))
+                at = self.raveled_start[g] + index * self.basis.sector_dim(g)
+                stacks[keep].append(at[:, :, None] + index[:, None, :])
+            out[traced] = {c: np.concatenate(s) if s else None for c, s in stacks.items()}
         return out
 
 
@@ -505,22 +546,42 @@ def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B
     """Anyonic partial trace onto the kept subsystem.
 
     Keeps matrix elements with identical traced-side labelings *and*
-    identical kept-side root charges; see the module docstring.  Each
-    block (g, x, y) of rho_g adds one kept-party matrix per traced tree,
-    in global-charge and then traced-basis order.  Maps density operators
-    to density operators and satisfies the consistency condition with
-    :func:`embed_local`.
+    identical kept-side root charges; see the module docstring.  Maps
+    density operators to density operators and satisfies the consistency
+    condition with :func:`embed_local`.
     """
     _require_same_basis(rho.basis, bipartition.basis)
     kept = bipartition.kept_basis(traced)
-    out = {}  # a kept charge that no block reaches stays zero
-    for keep, gathers in bipartition.trace_gathers[traced].items():
-        if gathers:
-            terms = np.concatenate([rho.blocks[g][rows, cols] for g, rows, cols in gathers])
+    raveled = raveled_blocks(rho.blocks, rho.basis)
+    return BlockOperator(kept, dict(zip(kept.model.charges,
+                                        partial_trace_blocks(raveled, bipartition, traced))))
+
+
+def raveled_blocks(blocks: dict, basis: SectorBasis) -> np.ndarray:
+    """The sector blocks of an operator on `basis`, each raveled, one after
+    another in charge order."""
+    return np.concatenate([blocks[g].ravel() for g in basis.model.charges])
+
+
+def partial_trace_blocks(raveled: np.ndarray, bipartition: Bipartition,
+                         traced: str = "B") -> list:
+    """The sector blocks of :func:`partial_trace`, in the kept party's charge
+    order, from rho's :func:`raveled_blocks` (unchecked).
+
+    Each block (g, x, y) of rho_g adds one kept-party matrix per traced
+    tree, in global-charge and then traced-basis order.
+    """
+    kept = bipartition.kept_basis(traced)
+    out = []
+    for keep, stack in bipartition.trace_gathers[traced].items():
+        if stack is None:  # a kept charge that no block reaches
+            out.append(np.zeros((kept.sector_dim(keep),) * 2, dtype=complex))
+        else:
             # Summed as reals, each term in turn from 0, as a per-term += would:
             # a complex sum over one-entry terms would be pairwise.
-            out[keep] = np.add.reduce(terms.view(float), axis=0, initial=0.0).view(complex)
-    return BlockOperator(kept, out)
+            terms = raveled.take(stack).view(float)
+            out.append(np.add.reduce(terms, axis=0, initial=0.0).view(complex))
+    return out
 
 
 def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
@@ -530,22 +591,26 @@ def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B"
     :func:`marginal_blocks`.
     """
     C = bipartition.amplitude_matrix(state.normalized())
-    return BlockOperator(bipartition.kept_basis(traced), marginal_blocks(C, bipartition, traced))
+    kept = bipartition.kept_basis(traced)
+    blocks = marginal_blocks(C, bipartition, traced)
+    return BlockOperator(kept, dict(zip(kept.model.charges, blocks)))
 
 
-def marginal_blocks(C: np.ndarray, bipartition: Bipartition, traced: str = "B") -> dict:
-    """The kept marginal's sector blocks for the pure state with
-    ``C = bipartition.amplitude_matrix(psi)``: C_x C_x^dagger for each root
-    charge x of A (traced B), or C_y^T conj(C_y) for each root charge y of B
-    (traced A)."""
+def marginal_blocks(C: np.ndarray, bipartition: Bipartition, traced: str = "B") -> list:
+    """The kept marginal's sector blocks, in the kept party's charge order, for
+    the pure state with ``C = bipartition.amplitude_matrix(psi)``: C_x C_x^dagger
+    for each root charge x of A (traced B), or C_y^T conj(C_y) for each root
+    charge y of B (traced A)."""
     kept = bipartition.kept_basis(traced)
     if traced == "A":
         C = C.T
-    blocks = {}
+    if kept.shape.n_leaves == 1:  # one anyon, one tree per charge: one stacked product
+        return list(np.matmul(C[:, None, :], np.conjugate(C, order="C")[:, :, None]))
+    out = []
     for c in kept.model.charges:
         rows = C[kept.sector_slice(c)]
-        blocks[c] = rows @ rows.conj().T
-    return blocks
+        out.append(rows @ rows.conj().T)
+    return out
 
 
 def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") -> BlockOperator:

@@ -45,17 +45,15 @@ One scenario runs over many messages, so the work is split in three:
   counterfactual is one).
 
 A :class:`SplitState` then only runs the plan: one outer product of (alpha,
-beta) with the resource's nonzero amplitudes and one sum by index, about
-16-23 us of CPU for C against 36-57 us for joining and regrouping the
-whole 233-dim state (one BLAS thread, 2 vCPU shared host).  That state is
+beta) with the resource's nonzero amplitudes and one sum by index gives
+C, without joining and regrouping the whole 233-dim state.  That state is
 built only when asked for, by the join and ``BasisChange.apply``, and is
 the reference the plan is tested against.  One round is a handful of
 stacked products over every outcome at once: D = C P^T, the
 probabilities, D D^dagger / p, the decoherence mask and U rho U^dagger,
-the last one gather and one multiply for the catalog's Paulis; a warm
-round takes 67-68 us against 104-114 us before.  Only each branch's
-fidelity is scored on its own: scoring them in one stacked product
-rounds differently.
+the last one gather and one multiply for the catalog's Paulis.  Only
+each branch's fidelity is scored on its own: scoring them in one stacked
+product rounds differently.
 
 Sampled measurements (the reachability sweep and the verification
 oracle) measure each charge sector of the measured basis in the columns
@@ -70,8 +68,7 @@ in chunks of ``MESSAGE_SAMPLES // len(messages)`` (80 samples for one
 message, 20 for four, 8 for ten), one ``standard_normal`` call per chunk,
 each sector's chunk is one stacked thin QR, and W and its moduli are one
 product and one ``abs`` per sector for every sample of the chunk and every
-message of the sweep.  A one-message sweep of 200 samples is 3 chunks and
-takes 2.5-2.8 ms of CPU, against 5.0-5.6 ms in chunks of 8 samples.
+message of the sweep; a one-message sweep of 200 samples is 3 chunks.
 """
 
 from __future__ import annotations
@@ -565,15 +562,13 @@ def sample_rng(seed: int, *key: int) -> np.random.Generator:
 
 # Samples are drawn in chunks of MESSAGE_SAMPLES // (number of messages)
 # samples, at least 1, so a chunk holds about MESSAGE_SAMPLES (sample,
-# message) pairs whatever the message count.  On the 34-dim 4-anyon
-# measured basis one sample's scratch is its Ginibre draw and top rows
-# (2 d r values per sector, under 2 KiB) and, per message, W and its
-# moduli (up to 2.5 KiB per sector).  So the chunk, not the sample count,
-# sets a sweep's traced peak: on main-text B->A about 470 KiB with one
-# message, 460 KiB with four and 470 KiB with ten.  Each chunk pays one
-# ``standard_normal`` call, a stacked QR and a pass over W per sector, so
-# smaller chunks cost time: a one-message sweep of 200 samples pays it 3
-# times here, and would pay it 25 times in chunks of 8 samples.
+# message) pairs whatever the message count.  One sample's scratch is its
+# Ginibre draw and top rows (2 d r values per sector) and, per message, W
+# and its moduli (a receiver vector per outcome of the sector), so the
+# chunk, not the sample count, bounds a sweep's memory.  Each chunk pays one ``standard_normal``
+# call, a stacked QR and a pass over W per sector, so smaller chunks cost
+# time: a one-message sweep of 200 samples pays it 3 times here, and would
+# pay it 25 times in chunks of 8 samples.
 MESSAGE_SAMPLES = 80
 
 
@@ -729,7 +724,7 @@ def receiver_reachability_check(
     worst = 0.0
     count = 0
     for chunk in chunks:
-        for _, moduli, probs in chunk:
+        for W, moduli, probs in chunk:
             keep = probs > PROB_TOL
             peak = np.zeros_like(probs)
             for r, cols in off_rows:
@@ -737,6 +732,8 @@ def receiver_reachability_check(
                            out=peak)
             worst = max(worst, float(np.max(peak[keep] / probs[keep], initial=0.0)))
             count += int(np.count_nonzero(keep))
+            # released before the generator computes the next sector's W
+            del W, moduli, probs, keep, peak
     return ReachabilityReport(
         scenario=scenario.name,
         direction=scenario.direction,

@@ -12,6 +12,10 @@ and shared by every test that compares against it.
 The sampled-measurement references draw one sample at a time: the square
 sector-Haar unitary, the top rows of Haar unitaries that the sweeps draw,
 and the completion of such rows to a full unitary.
+
+The correlation test's reference is the per-block route that the compiled
+plan replaced (:func:`is_uncorrelated`, :func:`violation_table`), which
+the plan must match bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +24,11 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
+
+from fibanyon.correlations import (_FIBONACCI_PAIR, ZERO_COEFF_TOL, CorrelationReport, _to_units,
+                                   _units)
+from fibanyon.errors import BasisMismatchError, require_memory
+from fibanyon.states import SPECTRAL_TOL, AnyonState
 
 
 class Reference(NamedTuple):
@@ -111,3 +120,164 @@ def complete_unitary(basis_columns, rows):
     b_perp = np.linalg.qr(basis_columns, mode="complete")[0][:, r:]
     z = np.linalg.qr(rows.conj().T, mode="complete")[0][:, r:].conj().T
     return basis_columns @ rows + b_perp @ z
+
+
+# ---------------------------------------------------------------------------
+# The correlation test through per-block gathers: a normalized AnyonState,
+# the pure marginals as dicts, a density's marginals one gather per block,
+# one indexed add per charge block (g, x, y), and the spectra, their
+# comparison, the witness and the 2-anyon class computed one block or one
+# label at a time.
+
+
+class CorrelationPlan(NamedTuple):
+    units_a: object
+    units_b: object
+    mixed: list
+
+
+@functools.lru_cache(maxsize=64)
+def correlation_plan(part) -> CorrelationPlan:
+    units_a, units_b = _units(part.a_basis), _units(part.b_basis)
+    mixed = []
+    for g, x, y, index in part.blocks:
+        d_a, d_b = index.shape
+        flat = index.ravel()
+        mixed.append((g, units_a.block[x], units_b.block[y], flat[:, None], flat[None, :],
+                      (d_a, d_b, d_a, d_b), (d_a**2, d_b**2)))
+    return CorrelationPlan(units_a, units_b, mixed)
+
+
+def _violations(part, source):
+    plan = correlation_plan(part)
+    units_a, units_b = plan.units_a, plan.units_b
+    require_memory(80 * units_a.count * units_b.count,
+                   f"the correlation table of a {part.n_a}|{part.n_b} split")
+    if isinstance(source, np.ndarray):
+        realigned = source.take(units_a.row, 0).take(units_b.row, 1)
+        realigned *= source.take(units_a.col, 0).take(units_b.col, 1).conj()
+    else:
+        if not source.basis.compatible(part.basis):
+            raise BasisMismatchError("objects live on different bases")
+        realigned = np.zeros((units_a.count, units_b.count), dtype=complex)
+        for g, at_a, at_b, rows, cols, shape, square in plan.mixed:
+            realigned[at_a, at_b] += (
+                source.blocks[g][rows, cols].reshape(shape).transpose(0, 2, 1, 3).reshape(square)
+            )
+    lhs = _to_units(_to_units(realigned, units_a).T, units_b).T.real
+    exp_a = lhs[:, units_b.diag].sum(axis=1)
+    exp_b = lhs[units_a.diag].sum(axis=0)
+    norm = float(exp_b[units_b.diag].sum())
+    if abs(norm - 1.0) > SPECTRAL_TOL:
+        raise ValueError(f"density operator has trace {norm!r}, not 1")
+    return lhs - np.outer(exp_a, exp_b)
+
+
+def violation_table(state_or_rho, part):
+    if isinstance(state_or_rho, AnyonState):
+        return _violations(part, part.amplitude_matrix(state_or_rho.normalized()))
+    return _violations(part, state_or_rho)
+
+
+def _marginal_blocks(C, part, traced):
+    kept = part.kept_basis(traced)
+    if traced == "A":
+        C = C.T
+    blocks = {}
+    for c in kept.model.charges:
+        rows = C[kept.sector_slice(c)]
+        blocks[c] = rows @ rows.conj().T
+    return blocks
+
+
+def _partial_trace_blocks(rho, part, traced):
+    """The kept marginal's blocks, per kept charge one broadcast gather per
+    block (g, x, y), summed as reals term by term."""
+    kept = part.kept_basis(traced)
+    gathers = {c: [] for c in kept.model.charges}
+    for g, keep, index in part.kept_blocks(traced):
+        index = np.ascontiguousarray(index)
+        gathers[keep].append((g, index[:, :, None], index[:, None, :]))
+    blocks = {}
+    for keep, per_block in gathers.items():
+        if per_block:
+            terms = np.concatenate([rho.blocks[g][rows, cols] for g, rows, cols in per_block])
+            blocks[keep] = np.add.reduce(terms.view(float), axis=0, initial=0.0).view(complex)
+        else:
+            blocks[keep] = np.zeros((kept.sector_dim(keep),) * 2, dtype=complex)
+    return blocks
+
+
+def _spectra(*parties):
+    parties = [[b for b in blocks if len(b)] for blocks in parties]
+    flat = [b for blocks in parties for b in blocks]
+    vals = [b.real[0] for b in flat]
+    for d in {len(b) for b in flat} - {1}:
+        same = [k for k, b in enumerate(flat) if len(b) == d]
+        for k, v in zip(same, np.linalg.eigvalsh(np.stack([flat[k] for k in same]))):
+            vals[k] = v
+    out, first = [], 0
+    for blocks in parties:
+        party = vals[first:first + len(blocks)] or [np.empty(0)]
+        out.append(np.sort(np.concatenate(party))[::-1])
+        first += len(blocks)
+    return out
+
+
+def _spectra_agree(spec_a, spec_b, tol):
+    padded = np.zeros((2, max(len(spec_a), len(spec_b))))
+    padded[0, : len(spec_a)] = spec_a
+    padded[1, : len(spec_b)] = spec_b
+    return bool(np.max(np.abs(padded[0] - padded[1])) <= tol)
+
+
+def _witness(violations):
+    top = violations.max()
+    return int(np.argmax(violations >= top - 4 * np.spacing(top)))
+
+
+def _pure_class(psi, tol):
+    if psi.sector == psi.basis.model.vacuum:
+        c_ee = abs(psi.amplitude("e,e;e"))
+        c_tt = abs(psi.amplitude("tau,tau;e"))
+        if c_tt <= tol:
+            return "product-e-alpha"
+        if c_ee <= tol:
+            return "product-e-beta"
+        return "entangled"
+    c_te = abs(psi.amplitude("tau,e;tau"))
+    c_et = abs(psi.amplitude("e,tau;tau"))
+    if c_et <= tol:
+        return "class-1-tau"
+    if c_te <= tol:
+        return "class-2-tau"
+    return "entangled"
+
+
+def is_uncorrelated(state_or_rho, part, tol=1e-10):
+    pure = isinstance(state_or_rho, AnyonState)
+    if pure:
+        psi = state_or_rho.normalized()
+        C = part.amplitude_matrix(psi)
+        marginals = [_marginal_blocks(C, part, traced).values() for traced in ("B", "A")]
+        violations = np.abs(_violations(part, C))
+    else:
+        if state_or_rho.basis is not part.basis and not state_or_rho.basis.compatible(part.basis):
+            raise BasisMismatchError("objects live on different bases")
+        marginals = [_partial_trace_blocks(state_or_rho, part, traced).values()
+                     for traced in ("B", "A")]
+        violations = np.abs(_violations(part, state_or_rho))
+    top = float(violations.max())
+    spec_a, spec_b = _spectra(*marginals)
+    label = None
+    if pure and part.basis.shape.n_leaves == 2 and part.basis.labels == _FIBONACCI_PAIR:
+        label = _pure_class(psi, ZERO_COEFF_TOL)
+    return CorrelationReport(
+        is_uncorrelated=top <= tol,
+        max_violation=top,
+        witness=divmod(_witness(violations), violations.shape[1]),
+        marginal_spectra=(spec_a, spec_b),
+        spectra_symmetric=_spectra_agree(spec_a, spec_b, tol),
+        tol=tol,
+        pure_class=label,
+    )

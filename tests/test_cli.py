@@ -91,6 +91,9 @@ GOLDEN_CASES = [
     # every bit of the oracle excess and the sweep, at the quick count's four messages
     ("verify_teleportation_quick.json",
      ("verify", "--suite", "teleportation", "--quick", "--format", "json")),
+    # every bit of the correlation residuals, which the text report rounds to three digits
+    ("verify_correlations_quick.json",
+     ("verify", "--suite", "correlations", "--quick", "--format", "json")),
 ]
 
 

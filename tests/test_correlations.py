@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibanyon import errors
+from fibanyon import correlations, errors
 from fibanyon.correlations import (
     PURE_CLASSES,
     _witness,
@@ -36,6 +37,8 @@ from fibanyon.states import (
     validate_cssr,
 )
 from fibanyon.trees import enumerate_basis, grouped_shape, left_comb
+
+import reference
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -288,7 +291,7 @@ def _assert_matches_table(state_or_rho, part):
     report = is_uncorrelated(state_or_rho, part)
     table = np.abs(violation_table(state_or_rho, part))
     assert report.max_violation == table.max()
-    assert report.witness == divmod(_witness(table), table.shape[1])
+    assert report.witness == divmod(_witness(table, table.max()), table.shape[1])
     return report, table
 
 
@@ -315,6 +318,12 @@ def test_table_matches_dense_loop_on_2anyon_families(basis2, unequal_marginals_s
 def models(model):
     z3 = load_model_text((Path(__file__).parent / "data" / "z3.model").read_text(), name="z3")
     return {"fibonacci": model, "z3": z3}
+
+
+@pytest.fixture(scope="module")
+def all_models(models):
+    z2 = load_model_text((Path(__file__).parent / "data" / "z2.model").read_text(), name="z2")
+    return {**models, "z2": z2}
 
 
 # Every split whose dense loop fits in about 100 MB, with the pure states
@@ -391,10 +400,10 @@ def test_table_matches_sampled_pairs_beyond_the_dense_loop(models, model_name, n
 def test_witness_is_first_pair_within_4_ulps():
     top = 0.25
     table = np.array([[0.0, top], [np.nextafter(top, 1.0), 0.0]])
-    assert _witness(table) == 1  # a later entry 1 ulp larger does not win
+    assert _witness(table, table.max()) == 1  # a later entry 1 ulp larger does not win
     table[1, 0] = top + 8 * np.spacing(top)
-    assert _witness(table) == 2
-    assert _witness(np.zeros((2, 3))) == 0
+    assert _witness(table, table.max()) == 2
+    assert _witness(np.zeros((2, 3)), 0.0) == 0
 
 
 def test_first_3_3_call_stays_small(model):
@@ -410,6 +419,27 @@ def test_first_3_3_call_stays_small(model):
     assert peak < 20 * 2**20
 
 
+def test_oversized_table_is_refused_before_anything_is_built(monkeypatch):
+    # a model loaded here, so no cache holds its bases or this bipartition yet
+    z3 = load_model_text((Path(__file__).parent / "data" / "z3.model").read_text(), name="z3")
+    part = Bipartition(enumerate_basis(z3, grouped_shape(3, 3)), 3)
+    rng = np.random.default_rng(36)
+    psi = random_pure_state(part.basis, "a", rng)
+    rho = mixture([(0.5, psi), (0.5, random_pure_state(part.basis, "e", rng))])
+    # 3^3 trees a party, 9 per charge: 243 units, a 243 x 243 table
+    need = f"~{80 * 243**2 / 2**30:.3g} GiB, {2**20 / 2**30:.3g} GiB available"
+    monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
+    before = correlations._units.cache_info(), correlations._plan.cache_info()
+    for call in (is_uncorrelated, violation_table):
+        for arg in (psi, rho):
+            with pytest.raises(MemoryBudgetError,
+                               match=rf"^the correlation table of a 3\|3 split needs {need}"):
+                call(arg, part)
+    with pytest.raises(MemoryBudgetError, match="^the 243 local observables of a 27-dim basis"):
+        local_observable_basis(part.a_basis)
+    assert (correlations._units.cache_info(), correlations._plan.cache_info()) == before
+
+
 def test_local_observable_basis_checks_memory_first(model, monkeypatch):
     # n=4: 13^2 + 21^2 = 610 units, four 610 x 610 arrays, over half of 1 MiB
     basis = enumerate_basis(model, left_comb(4))
@@ -420,3 +450,64 @@ def test_local_observable_basis_checks_memory_first(model, monkeypatch):
         local_observable_basis(basis)
     monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
     assert len(local_observable_basis(basis)) == 610
+
+
+# --- the compiled plan against the per-block route it replaced (tests/reference.py)
+
+
+def _assert_report_bytes_equal(report, expected):
+    assert dataclasses.fields(report) == dataclasses.fields(expected)
+    for field in dataclasses.fields(report):
+        got, want = getattr(report, field.name), getattr(expected, field.name)
+        if field.name == "marginal_spectra":
+            for spec, ref in zip(got, want, strict=True):
+                assert spec.dtype == ref.dtype and spec.tobytes() == ref.tobytes()
+        else:
+            assert type(got) is type(want) and repr(got) == repr(want), field.name
+
+
+def _assert_matches_previous_route(state_or_rho, part):
+    _assert_report_bytes_equal(is_uncorrelated(state_or_rho, part),
+                               reference.is_uncorrelated(state_or_rho, part))
+    table, expected = violation_table(state_or_rho, part), reference.violation_table(state_or_rho, part)
+    assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
+
+
+def _sparse_pure_state(basis, sector, rng):
+    """A pure state of one sector, about a third of its amplitudes exactly 0,
+    not normalized."""
+    psi = random_pure_state(basis, sector, rng)
+    amplitudes = np.where(rng.random(basis.dim) < 0.35, 0.0, psi.amplitudes)
+    if not amplitudes.any():
+        amplitudes = psi.amplitudes
+    return AnyonState(basis, amplitudes * rng.uniform(0.5, 2.0))
+
+
+# Fibonacci up to 3|3, Z2 and Z3 up to 2|2
+PREVIOUS_ROUTE_SPLITS = [
+    pytest.param(name, n_a, n_b, id=f"{name}-{n_a}-{n_b}")
+    for name, top in (("fibonacci", 3), ("z2", 2), ("z3", 2))
+    for n_a in range(1, top + 1) for n_b in range(1, top + 1)
+]
+
+
+@pytest.mark.parametrize("model_name,n_a,n_b", PREVIOUS_ROUTE_SPLITS)
+def test_report_and_table_bit_identical_to_previous_route(all_models, model_name, n_a, n_b):
+    model = all_models[model_name]
+    part = bipartition(enumerate_basis(model, grouped_shape(n_a, n_b)), n_a)
+    rng = np.random.default_rng([n_a, n_b, len(model.charges)])
+    sectors = [g for g in model.charges if part.basis.sector_dim(g)]
+    for g in sectors:
+        _assert_matches_previous_route(random_pure_state(part.basis, g, rng), part)
+        _assert_matches_previous_route(_sparse_pure_state(part.basis, g, rng), part)
+        members = [random_pure_state(part.basis, h, rng) for h in rng.choice(sectors, 3)]
+        _assert_matches_previous_route(mixture(zip(rng.dirichlet(np.ones(3)), members)), part)
+
+
+@pytest.mark.parametrize("model_name", ["fibonacci", "z2", "z3"])
+def test_every_2anyon_ket_bit_identical_to_previous_route(all_models, model_name):
+    basis = enumerate_basis(all_models[model_name], grouped_shape(1, 1))
+    part = bipartition(basis, 1)
+    for label in basis.labels:
+        _assert_matches_previous_route(ket(basis, label), part)
+        _assert_matches_previous_route(pure_density(ket(basis, label)), part)

@@ -611,7 +611,8 @@ def test_one_message_sweep_memory_stays_bounded(catalog):
     finally:
         tracemalloc.stop()
     assert report.ok and report.conditionals == 200 * 34
-    assert peak < 512 << 10
+    # about 330 KiB; 467 KiB if a sector's arrays outlive their use
+    assert peak < 400 << 10
 
 
 def test_superselection_disabled_enables_reverse_teleport(model):
