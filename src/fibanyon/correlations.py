@@ -211,9 +211,10 @@ class _Plan:
     @functools.cached_property
     def fills(self) -> list:
         """Per nonempty global charge g, in charge order: the flat table
-        positions of its blocks (g, x, y) and the flat rho_g entries they
-        read.  Block (g, x, y) puts rho_g[(a, b), (a', b')] at row (a, a') of
-        x's positions and column (b, b') of y's.  The blocks of one charge
+        positions of its blocks (g, x, y) and the positions in rho's
+        :func:`~fibanyon.states.raveled_blocks` they read.  Block (g, x, y)
+        puts rho_g[(a, b), (a', b')] at row (a, a') of x's positions and
+        column (b, b') of y's.  The blocks of one charge
         fill disjoint positions, so one indexed add per charge adds each
         entry in the per-block order."""
         units_a, units_b, part = self.units_a, self.units_b, self.part
@@ -264,9 +265,7 @@ class _Plan:
         return lhs - np.multiply.outer(exp_a, exp_b)
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(part: Bipartition) -> _Plan:
-    return _Plan(part)
+_plan = functools.lru_cache(maxsize=256)(_Plan)
 
 
 def _checked_plan(state_or_rho, part: Bipartition) -> _Plan:
