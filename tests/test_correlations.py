@@ -469,7 +469,8 @@ def _assert_report_bytes_equal(report, expected):
 def _assert_matches_previous_route(state_or_rho, part):
     _assert_report_bytes_equal(is_uncorrelated(state_or_rho, part),
                                reference.is_uncorrelated(state_or_rho, part))
-    table, expected = violation_table(state_or_rho, part), reference.violation_table(state_or_rho, part)
+    table = violation_table(state_or_rho, part)
+    expected = reference.violation_table(state_or_rho, part)
     assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
 
 
