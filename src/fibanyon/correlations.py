@@ -41,13 +41,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, require_memory
+from .errors import (BasisMismatchError, ShapeError, SuperselectionError, fibonacci_only,
+                     require_memory)
 from .states import (
     SPECTRAL_TOL,
     AnyonState,
     Bipartition,
     BlockOperator,
     _require_same_basis,
+    _row_norms,
     marginal_blocks,
     normalized_amplitudes,
     partial_trace_blocks,
@@ -141,26 +143,28 @@ def _units(basis: SectorBasis) -> _Units:
 
 
 def _to_units(flat: np.ndarray, units: _Units) -> np.ndarray:
-    """Rows of `flat`, indexed by position, in unit coordinates.
+    """Rows of `flat` (its second-to-last axis), indexed by position, in unit
+    coordinates.
 
     Tr(O rho) = sum O[k, l] rho[l, k], so a diagonal unit reads rho at
     (k, k), a symmetric one (k, l) + (l, k) and an antisymmetric one
     i (k, l) - i (l, k).
     """
     out = np.empty(flat.shape, dtype=complex)
-    out[units.diag] = flat[units.at_kk]
+    out[..., units.diag, :] = flat[..., units.at_kk, :]
     if len(units.sym):
-        kl, lk = flat[units.at_kl], flat[units.at_lk]
-        out[units.sym] = kl + lk
-        out[units.anti] = 1j * (kl - lk)
+        kl, lk = flat[..., units.at_kl, :], flat[..., units.at_lk, :]
+        out[..., units.sym, :] = kl + lk
+        out[..., units.anti, :] = 1j * (kl - lk)
     return out
 
 
-def _require_table_memory(part: Bipartition):
-    """The table and its temporaries peak near five complex arrays of its
-    size; checked from the sector dimensions, before anything is built."""
-    require_memory(80 * _unit_count(part.a_basis) * _unit_count(part.b_basis),
-                   f"the correlation table of a {part.n_a}|{part.n_b} split")
+def _require_table_memory(part: Bipartition, count: int = 1):
+    """`count` tables and their temporaries peak near five complex arrays of
+    their size; checked from the sector dimensions, before anything is built."""
+    tables = "the correlation table" if count == 1 else f"{count} correlation tables"
+    require_memory(80 * count * _unit_count(part.a_basis) * _unit_count(part.b_basis),
+                   f"{tables} of a {part.n_a}|{part.n_b} split")
 
 
 def local_observable_basis(basis: SectorBasis) -> list[BlockOperator]:
@@ -199,7 +203,9 @@ class _Plan:
     skipped.  The memory guard runs on every call, from the sector
     dimensions alone, before the plan or any marginal is built.  Every
     report field and every table is bit for bit what the per-block route
-    it replaced computed.
+    it replaced computed.  The pure route also takes a stack of amplitude
+    matrices (leading axes) and gives each one's table, bit for bit as
+    one at a time.
     """
 
     def __init__(self, part: Bipartition):
@@ -229,14 +235,14 @@ class _Plan:
         return [(np.concatenate(at[g]), np.concatenate(src[g])) for g in at]
 
     def realigned_pure(self, C: np.ndarray) -> np.ndarray:
-        """C[a, b] conj(C[a', b']) for the normalized pure state with amplitude
-        matrix C; C is 0 off the state's blocks, and so is the product."""
+        """C[..., a, b] conj(C[..., a', b']) for the normalized pure states with
+        amplitude matrices C; C is 0 off a state's blocks, and so is the product."""
         units_a, units_b = self.units_a, self.units_b
         rows, cols = C, C
         if not units_a.flat:
-            rows, cols = C.take(units_a.row, 0), C.take(units_a.col, 0)
-        realigned = rows.copy() if units_b.flat else rows.take(units_b.row, 1)
-        realigned *= (cols if units_b.flat else cols.take(units_b.col, 1)).conj()
+            rows, cols = C.take(units_a.row, -2), C.take(units_a.col, -2)
+        realigned = rows.copy() if units_b.flat else rows.take(units_b.row, -1)
+        realigned *= (cols if units_b.flat else cols.take(units_b.col, -1)).conj()
         return realigned
 
     def realigned_mixed(self, raveled: np.ndarray) -> np.ndarray:
@@ -248,21 +254,24 @@ class _Plan:
         return realigned.reshape(self.units_a.count, self.units_b.count)
 
     def violations(self, realigned: np.ndarray) -> np.ndarray:
-        """The violation table from the realigned table."""
+        """The violation table from the realigned table, or a stack of them
+        (leading axes) from a stack of realigned tables."""
         units_a, units_b = self.units_a, self.units_b
         # unit coordinates of A's rows, then of B's columns (a C-ordered copy when flat)
         table = realigned if units_a.flat else _to_units(realigned, units_a)
-        table = table.T.copy() if units_b.flat else _to_units(table.T, units_b)
-        lhs = table.T.real
+        table = table.swapaxes(-1, -2)
+        table = table.copy() if units_b.flat else _to_units(table, units_b)
+        lhs = table.swapaxes(-1, -2).real
         # The diagonal units sum to the identity, so Tr(O_A^i rho_A) is the sum
         # of row i over B's diagonal units.  Read from the table, not from
         # separately rounded marginals, both terms of T use the same products.
-        exp_a = np.add.reduce(lhs[:, units_b.diag], axis=1)
-        exp_b = np.add.reduce(lhs[units_a.diag], axis=0)
-        norm = float(np.add.reduce(exp_b[units_b.diag]))  # Tr rho
-        if abs(norm - 1.0) > SPECTRAL_TOL:
-            raise ValueError(f"density operator has trace {norm!r}, not 1")
-        return lhs - np.multiply.outer(exp_a, exp_b)
+        exp_a = np.add.reduce(lhs[..., units_b.diag], -1)
+        exp_b = np.add.reduce(lhs[..., units_a.diag, :], -2)
+        if realigned.ndim == 2:  # a stack is of normalized pure states; one may be a density
+            norm = float(np.add.reduce(exp_b[units_b.diag]))  # Tr rho
+            if abs(norm - 1.0) > SPECTRAL_TOL:
+                raise ValueError(f"density operator has trace {norm!r}, not 1")
+        return lhs - exp_a[..., :, None] * exp_b[..., None, :]
 
 
 _plan = functools.lru_cache(maxsize=256)(_Plan)
@@ -347,6 +356,45 @@ def is_uncorrelated(
     )
 
 
+def pure_max_violations(amplitudes: np.ndarray, part: Bipartition):
+    """The largest |T| of each pure state in a stack, and its 2-anyon class.
+
+    Each row of `amplitudes` is a pure state (normalized first) in one
+    global-charge sector of the grouped shape of `part`.  Returns the rows'
+    maxima and their :data:`PURE_CLASSES` labels (None off the Fibonacci
+    2-anyon basis), bit for bit the ``max_violation`` and ``pure_class``
+    that :func:`is_uncorrelated` gives each row, from one stacked pass of
+    the plan per sector.  The memory guard counts every row's table.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    basis = part.basis
+    if amplitudes.ndim != 2 or amplitudes.shape[1] != basis.dim:
+        raise BasisMismatchError(
+            f"amplitude rows have shape {amplitudes.shape}, basis dim {basis.dim}")
+    _require_table_memory(part, len(amplitudes))
+    norms = _row_norms(amplitudes)
+    if not norms.all():
+        raise ValueError("cannot normalize the zero state")
+    amplitudes = amplitudes / norms[:, None]
+    support = amplitudes != 0
+    charge = basis.charges[:, 0]  # each tree's global charge, as an index
+    sectors = charge[support.argmax(axis=1)]
+    if (support & (charge != sectors[:, None])).any():
+        raise SuperselectionError("a row has support in several global-charge sectors")
+    plan = _plan(part)
+    tops = np.empty(len(amplitudes))
+    labels = np.empty(len(amplitudes), dtype=object) if plan.fibonacci_pair else None
+    for k, g in enumerate(basis.model.charges):
+        rows = sectors == k
+        if rows.any():
+            C = part.gather(amplitudes[rows], g)
+            tops[rows] = np.abs(plan.violations(plan.realigned_pure(C))).max(axis=(-2, -1))
+            if labels is not None:
+                labels[rows] = _pure_classes(g == basis.model.vacuum, amplitudes[rows],
+                                             ZERO_COEFF_TOL)
+    return tops, labels
+
+
 # Class labels for pure 2-anyon states.  The vacuum-sector products keep
 # either |e,e;e> or |tau,tau;e>; the two tau-sector families are
 #   class-1-tau: no |e,tau;tau> component (spans |tau,e;tau>, |tau,tau;tau>)
@@ -356,7 +404,17 @@ PURE_CLASSES = ("product-e-alpha", "product-e-beta", "class-1-tau", "class-2-tau
 # The Fibonacci 2-anyon basis, in basis order: the one the classes are stated on.
 _FIBONACCI_PAIR = ("e,e;e", "tau,tau;e", "e,tau;tau", "tau,e;tau", "tau,tau;tau")
 
+# Per sector (vacuum or not): the positions in _FIBONACCI_PAIR of the two
+# coefficients whose vanishing puts a pure state in a product family, and the
+# classes: entangled, the first family's (which wins where both vanish) and
+# the second's.
+_FAMILIES = {
+    True: ((1, 0), ("entangled", "product-e-alpha", "product-e-beta")),
+    False: ((2, 3), ("entangled", "class-1-tau", "class-2-tau")),
+}
 
+
+@fibonacci_only("the pure 2-anyon classification")
 def classify_pure_2anyon(psi: AnyonState, tol: float = ZERO_COEFF_TOL) -> str:
     """Closed-form class of a pure 2-anyon state from its coefficient support.
 
@@ -374,15 +432,17 @@ def classify_pure_2anyon(psi: AnyonState, tol: float = ZERO_COEFF_TOL) -> str:
 def _pure_class(vacuum: bool, amplitudes, tol: float) -> str:
     """:func:`classify_pure_2anyon` from the normalized amplitudes of the
     first four trees of ``_FIBONACCI_PAIR``."""
-    c_ee, c_tt, c_et, c_te = amplitudes[:4]  # c_te: tau on side A
-    if vacuum:
-        if abs(c_tt) <= tol:
-            return "product-e-alpha"
-        if abs(c_ee) <= tol:
-            return "product-e-beta"
-        return "entangled"
-    if abs(c_et) <= tol:
-        return "class-1-tau"
-    if abs(c_te) <= tol:
-        return "class-2-tau"
-    return "entangled"
+    (first, second), (entangled, first_family, second_family) = _FAMILIES[vacuum]
+    if abs(amplitudes[first]) <= tol:
+        return first_family
+    if abs(amplitudes[second]) <= tol:
+        return second_family
+    return entangled
+
+
+def _pure_classes(vacuum: bool, amplitudes: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`_pure_class` of each row of normalized amplitudes; ``np.hypot``
+    rounds each modulus as ``abs`` of one complex number does."""
+    (first, second), classes = _FAMILIES[vacuum]
+    zero = np.hypot(amplitudes.real, amplitudes.imag) <= tol
+    return np.array(classes, dtype=object)[np.where(zero[:, first], 1, 2 * zero[:, second])]

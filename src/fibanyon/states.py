@@ -53,8 +53,6 @@ from .errors import (
 from .model import Charge
 from .trees import SectorBasis, TreeShape, enumerate_basis, subtree_shape
 
-_ZERO = np.zeros(1, dtype=complex)  # appended to amplitudes: where a -1 table entry reads
-
 STRUCT_TOL = 1e-12  # structural checks (unitarity, hermiticity)
 SPECTRAL_TOL = 1e-10  # positivity / normalization checks
 
@@ -120,6 +118,14 @@ def _norm(amplitudes: np.ndarray) -> float:
     flat = amplitudes.ravel(order="K")
     re, im = flat.real, flat.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """:func:`_norm` of each row (the last axis) of a stack of complex vectors,
+    bit for bit: a one-row product of each part with itself makes the same
+    strided BLAS dot call."""
+    re, im = rows.real[..., None, :], rows.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
 def normalized_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
@@ -491,9 +497,12 @@ class Bipartition:
         return self.gather(psi.amplitudes, psi.sector)
 
     def gather(self, amplitudes: np.ndarray, g: Charge) -> np.ndarray:
-        """:meth:`amplitude_matrix` of the amplitudes of a state of charge g."""
+        """:meth:`amplitude_matrix` of the amplitudes of a state of charge g, or
+        one matrix per row of a stack of such amplitudes."""
         self.table(g)  # raises for a charge with no trees
-        return np.concatenate((amplitudes, _ZERO)).take(self._gathers[g])
+        padded = np.zeros(amplitudes.shape[:-1] + (self.basis.dim + 1,), dtype=complex)
+        padded[..., :-1] = amplitudes  # the last entry, 0, is where -1 entries read
+        return padded.take(self._gathers[g], axis=-1)
 
     def kept_basis(self, traced: str) -> SectorBasis:
         if traced not in ("A", "B"):
@@ -639,14 +648,23 @@ def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") ->
 
 def random_pure_state(basis: SectorBasis, sector: Charge, rng: np.random.Generator) -> AnyonState:
     """Uniform (Haar) random pure state within one global-charge sector."""
+    return AnyonState(basis, random_pure_states(basis, sector, rng, 1)[0])
+
+
+def random_pure_states(basis: SectorBasis, sector: Charge, rng: np.random.Generator,
+                       count: int) -> np.ndarray:
+    """The amplitudes of `count` Haar random pure states in one global-charge
+    sector, one per row.  Each takes a real then an imaginary normal draw per
+    tree of the sector, so the rows are, bit for bit, `count` calls of
+    :func:`random_pure_state` in turn, and leave `rng` where they would."""
     d = basis.sector_dim(sector)
     if d == 0:
         raise ValueError(f"sector {sector!r} is empty")
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    vec /= np.linalg.norm(vec)
-    amplitudes = np.zeros(basis.dim, dtype=complex)
-    amplitudes[basis.sector_slice(sector)] = vec
-    return AnyonState(basis, amplitudes)
+    draws = rng.standard_normal((count, 2, d))
+    vecs = draws[:, 0] + 1j * draws[:, 1]
+    amplitudes = np.zeros((count, basis.dim), dtype=complex)
+    amplitudes[:, basis.sector_slice(sector)] = vecs / _row_norms(vecs)[:, None]
+    return amplitudes
 
 
 def random_density(basis: SectorBasis, rng: np.random.Generator) -> BlockOperator:

@@ -15,7 +15,9 @@ and the completion of such rows to a full unitary.
 
 The correlation test's reference is the per-block route that the compiled
 plan replaced (:func:`is_uncorrelated`, :func:`violation_table`), which
-the plan must match bit for bit.
+the plan must match bit for bit.  The verify suite's classification
+sweep has its one-state-at-a-time loop here (:func:`classification_sweep`),
+and random pure states their one-state draw (:func:`random_pure_amplitudes`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from fibanyon import correlations
 from fibanyon.correlations import (_FIBONACCI_PAIR, ZERO_COEFF_TOL, CorrelationReport, _to_units,
                                    _units)
 from fibanyon.errors import BasisMismatchError, require_memory
@@ -281,3 +284,41 @@ def is_uncorrelated(state_or_rho, part, tol=1e-10):
         tol=tol,
         pure_class=label,
     )
+
+
+# ---------------------------------------------------------------------------
+# Random pure states and the classification sweep, one state at a time.
+
+
+def random_pure_amplitudes(basis, sector, rng):
+    """A Haar random pure state of one sector: a real then an imaginary normal
+    draw per tree, over ``np.linalg.norm``."""
+    d = basis.sector_dim(sector)
+    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    vec /= np.linalg.norm(vec)
+    amplitudes = np.zeros(basis.dim, dtype=complex)
+    amplitudes[basis.sector_slice(sector)] = vec
+    return amplitudes
+
+
+def classification_sweep(part, sectors, rng, per_sector, class_tol, clear_margin):
+    """(mismatches, boundary redraws, states checked), one draw and one
+    ``is_uncorrelated`` call at a time."""
+    mismatches = boundary = redraws = checked = 0
+    for sector in sectors:
+        done = 0
+        while done < per_sector:
+            psi = AnyonState(part.basis, random_pure_amplitudes(part.basis, sector, rng))
+            report = correlations.is_uncorrelated(psi, part, tol=class_tol)
+            label = report.pure_class
+            if label == "entangled" and report.max_violation < clear_margin:
+                boundary += 1
+                redraws += 1
+                if redraws > 10 * per_sector:
+                    break
+                continue
+            if (label == "entangled") != (report.max_violation > class_tol):
+                mismatches += 1
+            done += 1
+            checked += 1
+    return mismatches, boundary, checked

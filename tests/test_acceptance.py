@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from fibanyon.correlations import classify_pure_2anyon, is_uncorrelated
+from fibanyon.correlations import is_uncorrelated, pure_max_violations
 from fibanyon.model import pentagon_residual, validate_model
 from fibanyon.recouple import shape_change
 from fibanyon.states import (
@@ -23,6 +23,7 @@ from fibanyon.states import (
     random_density,
     random_observable,
     random_pure_state,
+    random_pure_states,
     spectrum,
     trace,
 )
@@ -136,15 +137,13 @@ def test_criterion_05_pure_state_classification(model, basis2):
     for sector_key, sector in ((1, "e"), (2, "tau")):
         rng = _rng(5, sector_key)
         while checked < 5000 * sector_key:
-            psi = random_pure_state(basis2, sector, rng)
-            report = is_uncorrelated(psi, part, tol=1e-8)
-            label = classify_pure_2anyon(psi)
-            if label == "entangled" and report.max_violation < 1e-6:
-                boundary += 1  # degenerate near-boundary sample; redraw
-                continue
-            if (label == "entangled") != (report.max_violation > 1e-8):
-                mismatches += 1
-            checked += 1
+            amplitudes = random_pure_states(basis2, sector, rng, 5000 * sector_key - checked)
+            tops, labels = pure_max_violations(amplitudes, part)
+            entangled = labels == "entangled"
+            redrawn = entangled & (tops < 1e-6)  # degenerate near-boundary samples; redraw
+            boundary += int(np.count_nonzero(redrawn))
+            mismatches += int(np.count_nonzero(entangled[~redrawn] != (tops[~redrawn] > 1e-8)))
+            checked += int(np.count_nonzero(~redrawn))
     # the two explicit uncorrelated families stay below the violation floor
     worst_family = 0.0
     rng = _rng(5, 3)

@@ -14,9 +14,11 @@ from fibanyon.correlations import (
     classify_pure_2anyon,
     is_uncorrelated,
     local_observable_basis,
+    pure_max_violations,
     violation_table,
 )
-from fibanyon.errors import BasisMismatchError, MemoryBudgetError
+from fibanyon.errors import (BasisMismatchError, FibonacciOnlyError, MemoryBudgetError,
+                             SuperselectionError)
 from fibanyon.model import load_model_text
 from fibanyon.states import (
     AnyonState,
@@ -31,12 +33,14 @@ from fibanyon.states import (
     pure_marginal,
     random_density,
     random_pure_state,
+    random_pure_states,
     spectra,
     superpose,
     trace,
     validate_cssr,
 )
 from fibanyon.trees import enumerate_basis, grouped_shape, left_comb
+from fibanyon.verify import classification_sweep
 
 import reference
 
@@ -119,11 +123,8 @@ def test_classification_matches_numeric_verdict(model, basis2):
     part = bipartition(basis2, 1)
     rng = np.random.default_rng(7)
     for sector in ("e", "tau"):
-        for _ in range(500):
-            psi = random_pure_state(basis2, sector, rng)
-            report = is_uncorrelated(psi, part, tol=1e-8)
-            label = classify_pure_2anyon(psi)
-            assert (label == "entangled") == (report.max_violation > 1e-8)
+        tops, labels = pure_max_violations(random_pure_states(basis2, sector, rng, 500), part)
+        assert np.array_equal(labels == "entangled", tops > 1e-8)
 
 
 def test_uncorrelated_families_violation_floor(model, basis2):
@@ -512,3 +513,127 @@ def test_every_2anyon_ket_bit_identical_to_previous_route(all_models, model_name
     for label in basis.labels:
         _assert_matches_previous_route(ket(basis, label), part)
         _assert_matches_previous_route(pure_density(ket(basis, label)), part)
+
+
+# ---------------------------------------------------------------------------
+# The stacked test: pure_max_violations against one is_uncorrelated call per
+# state, and the verify sweep against the loop that drew one state at a time.
+
+
+def _assert_stack_matches_per_call(amplitudes, part):
+    """pure_max_violations on the rows gives each row's is_uncorrelated
+    max_violation and pure_class, bit for bit."""
+    tops, labels = pure_max_violations(amplitudes, part)
+    reports = [is_uncorrelated(AnyonState(part.basis, row), part) for row in amplitudes]
+    assert tops.tobytes() == np.array([r.max_violation for r in reports]).tobytes()
+    if labels is None:
+        assert all(r.pure_class is None for r in reports)
+    else:
+        assert list(labels) == [r.pure_class for r in reports]
+    return labels
+
+
+def test_stacked_verdicts_bit_identical_on_seeded_draws(basis2):
+    part = bipartition(basis2, 1)
+    rng = np.random.default_rng(23)
+    for sector in ("e", "tau"):
+        amplitudes = random_pure_states(basis2, sector, rng, 1000)
+        _assert_stack_matches_per_call(amplitudes, part)
+        # unnormalized rows, and both sectors in one stack
+        scaled = amplitudes[:100] * rng.uniform(0.5, 2.0, (100, 1))
+        _assert_stack_matches_per_call(np.concatenate([scaled, np.eye(basis2.dim)]), part)
+
+
+@pytest.mark.parametrize("model_name", ["fibonacci", "z2", "z3"])
+def test_stacked_verdicts_bit_identical_on_every_2anyon_ket(all_models, model_name):
+    basis = enumerate_basis(all_models[model_name], grouped_shape(1, 1))
+    labels = _assert_stack_matches_per_call(np.eye(basis.dim, dtype=complex), bipartition(basis, 1))
+    assert (labels is None) == (model_name != "fibonacci")
+
+
+def test_stacked_verdicts_bit_identical_on_uncorrelated_families(basis2):
+    part = bipartition(basis2, 1)
+    rng = np.random.default_rng(29)
+    rows = []
+    for _ in range(100):
+        th = rng.uniform(0, 2 * math.pi, 2)
+        c = math.sqrt(rng.uniform(0.02, 0.98))
+        s = math.sqrt(1 - c * c)
+        rows.append(_tau_state(basis2, c * np.exp(1j * th[0]), 0.0, s * np.exp(1j * th[1])))
+        rows.append(_tau_state(basis2, 0.0, c * np.exp(1j * th[0]), s * np.exp(1j * th[1])))
+    labels = _assert_stack_matches_per_call(np.array([psi.amplitudes for psi in rows]), part)
+    assert list(labels) == ["class-1-tau", "class-2-tau"] * 100
+    vacuum = np.eye(basis2.dim)[:2] * np.exp(1j * rng.uniform(0, 2 * math.pi, (2, 1)))
+    assert list(_assert_stack_matches_per_call(vacuum, part)) == [
+        "product-e-alpha", "product-e-beta"]
+
+
+def test_stacked_verdicts_bit_identical_with_a_coefficient_at_1e_7(basis2):
+    part = bipartition(basis2, 1)
+    rows = [_tau_state(basis2, *terms).amplitudes for terms in (
+        (1e-7, 0.6, 0.8), (0.6, 1e-7, 0.8), (0.6, 0.8, 1e-7), (1e-7, 1.0, 0.0))]
+    vacuum = np.zeros((2, basis2.dim), dtype=complex)
+    vacuum[:, :2] = [[1e-7, 1.0], [1.0, 1e-7j]]
+    labels = _assert_stack_matches_per_call(np.concatenate([rows, vacuum]), part)
+    assert list(labels) == ["entangled"] * 6
+
+
+def test_stacked_classes_round_moduli_as_one_state_does(basis2):
+    # moduli within an ulp of ZERO_COEFF_TOL on which np.abs of a complex array
+    # and abs of one complex number disagree; the row norm is exactly 1
+    part = bipartition(basis2, 1)
+    rows = np.zeros((4, basis2.dim), dtype=complex)
+    rows[:, 2] = [-3.695371538695892e-11 + 9.29215955475348e-11j,
+                  -9.306462313197199e-11 + 3.659201991287207e-11j,
+                  2.2295837502703602e-11 - 9.74827965851054e-11j,
+                  9.773507457882958e-11 - 2.1162589564385128e-11j]
+    rows[:, 3:] = [0.6, 0.8]
+    _assert_stack_matches_per_call(rows, part)
+
+
+def test_stacked_verdicts_reject_what_one_state_rejects(basis2, monkeypatch):
+    part = bipartition(basis2, 1)
+    with pytest.raises(ValueError, match="zero state"):
+        pure_max_violations(np.zeros((2, basis2.dim)), part)
+    with pytest.raises(SuperselectionError):
+        pure_max_violations(np.ones((1, basis2.dim)), part)
+    with pytest.raises(BasisMismatchError):
+        pure_max_violations(np.ones((1, basis2.dim + 1)), part)
+    # the guard counts every row's table: 2000 1|1 tables are 625 KiB, over half of 1 MiB
+    monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
+    with pytest.raises(MemoryBudgetError, match=r"^2000 correlation tables of a 1\|1 split"):
+        pure_max_violations(np.eye(basis2.dim)[np.zeros(2000, dtype=int)], part)
+
+
+@pytest.mark.parametrize("n,sector", [(2, "e"), (2, "tau"), (5, "tau"), (9, "e")])
+def test_random_pure_states_are_sequential_draws(model, n, sector):
+    basis = enumerate_basis(model, left_comb(n))
+    stacked_rng, single_rng = np.random.default_rng(8), np.random.default_rng(8)
+    stack = random_pure_states(basis, sector, stacked_rng, 25)
+    singles = [reference.random_pure_amplitudes(basis, sector, single_rng) for _ in range(25)]
+    assert stack.tobytes() == np.array(singles).tobytes()
+    assert stacked_rng.standard_normal() == single_rng.standard_normal()
+    assert random_pure_state(basis, sector, np.random.default_rng(8)).amplitudes.tobytes() \
+        == stack[0].tobytes()
+
+
+@pytest.mark.parametrize("clear_margin", [1e-6, 0.1, 0.2, 0.249])
+def test_classification_sweep_matches_one_draw_at_a_time(basis2, clear_margin):
+    """Same counts, and the generator left where the one-at-a-time loop leaves
+    it; at margins 0.2 and 0.249 most draws are redrawn and the redraw cap
+    ends a sector (the tau sector, then the vacuum one)."""
+    part = bipartition(basis2, 1)
+    batched_rng, single_rng = np.random.default_rng(31), np.random.default_rng(31)
+    got = classification_sweep(part, ["e", "tau"], batched_rng, 20, 1e-8, clear_margin)
+    expected = reference.classification_sweep(part, ["e", "tau"], single_rng, 20, 1e-8,
+                                              clear_margin)
+    assert got == expected
+    assert batched_rng.standard_normal() == single_rng.standard_normal()
+    assert (got[1] > 10 * 20) == (clear_margin >= 0.2)
+
+
+def test_classification_of_another_model_says_it_is_fibonacci_only(all_models):
+    basis = enumerate_basis(all_models["z2"], grouped_shape(1, 1))
+    for label in basis.labels:
+        with pytest.raises(FibonacciOnlyError, match="the pure 2-anyon classification is defined"):
+            classify_pure_2anyon(ket(basis, label))
