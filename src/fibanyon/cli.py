@@ -420,10 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", default="fibonacci",
                         help="built-in 'fibonacci' or path to a model definition file")
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--tol", type=float, default=1e-10)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", default=None, help="write the report to this path")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=42)
+    tolerant = argparse.ArgumentParser(add_help=False)
+    tolerant.add_argument("--tol", type=float, default=1e-10)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -436,18 +438,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=8)
     p.set_defaults(func=cmd_dims)
 
-    p = sub.add_parser("marginals", parents=[common], help="both marginals of a state file")
+    p = sub.add_parser("marginals", parents=[common, tolerant],
+                       help="both marginals of a state file")
     p.add_argument("--state", required=True, help="state file (see README for the format)")
     p.add_argument("--split", type=int, default=None, help="anyons in party A (default: half)")
     p.set_defaults(func=cmd_marginals)
 
-    p = sub.add_parser("correlations", parents=[common],
+    p = sub.add_parser("correlations", parents=[common, tolerant],
                        help="uncorrelated-state test on a state file")
     p.add_argument("--state", required=True)
     p.add_argument("--split", type=int, default=None)
     p.set_defaults(func=cmd_correlations)
 
-    p = sub.add_parser("teleport", parents=[common], help="run a teleportation scenario")
+    p = sub.add_parser("teleport", parents=[common, seeded, tolerant],
+                       help="run a teleportation scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--direction", required=True, choices=("ab", "ba"))
     p.add_argument("--alpha", default="0.6", help="complex: '0.6', 're,im' or 'r@theta'")
@@ -456,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="PVM samples for directions without a catalog PVM")
     p.set_defaults(func=cmd_teleport)
 
-    p = sub.add_parser("verify", parents=[common], help="run the invariant suites")
+    p = sub.add_parser("verify", parents=[common, seeded], help="run the invariant suites")
     p.add_argument("--suite", default=None, choices=tuple(SUITES))
     p.add_argument("--quick", action="store_true", help="reduced sample counts")
     p.set_defaults(func=cmd_verify)
@@ -467,9 +471,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0.0 <= args.tol < math.inf:
+        if "tol" in args and not 0.0 <= args.tol < math.inf:
             raise UsageError("--tol must be a finite number >= 0")
-        if args.seed < 0:
+        if "seed" in args and args.seed < 0:
             raise UsageError("--seed must be a non-negative integer")
         model = _load_model(args.model, validate=args.command != "verify")
         return args.func(args, model)

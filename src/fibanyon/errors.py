@@ -28,7 +28,7 @@ class BasisMismatchError(AnyonError, ValueError):
 
 
 class ModelFormatError(AnyonError, ValueError):
-    """A model/state/operator text file could not be parsed."""
+    """A model or state text file could not be parsed."""
 
 
 class FibonacciOnlyError(FusionError):
@@ -39,24 +39,51 @@ class MemoryBudgetError(AnyonError):
     """An array would not fit in the memory this machine has available."""
 
 
-def _available_bytes() -> int | None:
-    """MemAvailable from /proc/meminfo, or None where there is none."""
+def _read_head(path: str) -> bytes | None:
+    """The first 512 bytes of a file, or None where it cannot be read."""
     try:
-        with open("/proc/meminfo", "rb") as handle:
-            head = handle.read(512)
+        with open(path, "rb") as handle:
+            return handle.read(512)
     except OSError:
         return None
-    _, found, rest = head.partition(b"MemAvailable:")
-    return int(rest.split(None, 1)[0]) * 1024 if found else None
 
 
-# Any machine has this much to spare.  A read of /proc/meminfo can cost
-# as much as a whole small correlation test, so requests this small skip it.
+# (limit, usage) of this process's memory cgroup: v2, then v1
+_CGROUP_FILES = (("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
+                 ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
+                  "/sys/fs/cgroup/memory/memory.usage_in_bytes"))
+
+
+def _available_bytes() -> int | None:
+    """The smaller of MemAvailable from /proc/meminfo and the memory cgroup's
+    limit minus its usage; None where neither is known.
+
+    A v2 limit of ``max`` is no limit, and so is any v1 limit of 2**62 or
+    more: v1 writes none as the largest page-aligned int64
+    (9223372036854771712 with 4 KiB pages).
+    """
+    found = []
+    _, key, rest = (_read_head("/proc/meminfo") or b"").partition(b"MemAvailable:")
+    if key:
+        found.append(int(rest.split(None, 1)[0]) * 1024)
+    for limit_file, usage_file in _CGROUP_FILES:
+        limit, usage = _read_head(limit_file), _read_head(usage_file)
+        if limit is not None and usage is not None:
+            if limit.strip() != b"max" and int(limit) < 2**62:
+                found.append(max(int(limit) - int(usage), 0))
+            break
+    return min(found, default=None)
+
+
+# Any machine has this much to spare.  A read of /proc/meminfo and the cgroup
+# files can cost as much as a whole small correlation test, so requests this
+# small skip it.
 _ALWAYS_FITS = 256 * 2**10
 
 
 def require_memory(nbytes: int, what: str):
-    """Raise MemoryBudgetError if `what` needs more than half of MemAvailable.
+    """Raise MemoryBudgetError if `what` needs more than half of the available
+    memory (:func:`_available_bytes`).
 
     Half leaves room for the rest of the process and for other processes.
     """

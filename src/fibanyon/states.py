@@ -60,14 +60,14 @@ SPECTRAL_TOL = 1e-10  # positivity / normalization checks
 class AnyonState:
     """Complex amplitudes over a fusion-tree basis, confined to one sector.
 
-    Unnormalized intermediates are allowed; use :meth:`is_normalized` /
-    :meth:`normalized` when a physical state is required.
+    Unnormalized intermediates are allowed; use :meth:`normalized` when a
+    physical state is required.
     """
 
     __slots__ = ("basis", "amplitudes")
 
     def __init__(self, basis: SectorBasis, amplitudes):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
+        amplitudes = _frozen(amplitudes)
         if amplitudes.shape != (basis.dim,):
             raise BasisMismatchError(
                 f"amplitude vector has length {amplitudes.shape}, basis dim {basis.dim}"
@@ -89,13 +89,11 @@ class AnyonState:
     def norm(self) -> float:
         return _norm(self.amplitudes)
 
-    def is_normalized(self, tol: float = SPECTRAL_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
     def normalized(self) -> "AnyonState":
         # scaling cannot widen the support, so the sector check is not repeated
         out = object.__new__(AnyonState)
         out.basis, out.amplitudes = self.basis, normalized_amplitudes(self.amplitudes)
+        out.amplitudes.setflags(write=False)
         return out
 
     def inner(self, other: "AnyonState") -> complex:
@@ -110,6 +108,14 @@ class AnyonState:
         terms = ", ".join(f"{self.amplitudes[i]:.4g}|{self.basis.labels[i]}>" for i in nz[:4])
         more = "" if len(nz) <= 4 else f" +{len(nz) - 4} terms"
         return f"AnyonState({terms}{more})"
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only complex copy of `values`: a caller's later write cannot
+    reach a state or operator after its checks have passed."""
+    out = np.array(values, dtype=complex)
+    out.setflags(write=False)
+    return out
 
 
 def _norm(amplitudes: np.ndarray) -> float:
@@ -216,14 +222,11 @@ class BlockOperator:
         for g in basis.model.charges:
             d = basis.sector_dim(g)
             block = blocks.get(g)
-            if block is None:
-                block = np.zeros((d, d), dtype=complex)
-            else:
-                block = np.asarray(block, dtype=complex)
-                if block.shape != (d, d):
-                    raise BasisMismatchError(
-                        f"sector {g} block has shape {block.shape}, expected {(d, d)}"
-                    )
+            block = _frozen(np.zeros((d, d)) if block is None else block)
+            if block.shape != (d, d):
+                raise BasisMismatchError(
+                    f"sector {g} block has shape {block.shape}, expected {(d, d)}"
+                )
             self.blocks[g] = block
 
     @classmethod
@@ -231,18 +234,16 @@ class BlockOperator:
         return cls(basis, {g: np.eye(basis.sector_dim(g)) for g in basis.model.charges})
 
     @classmethod
-    def from_full(cls, matrix, basis: SectorBasis, tol: float = 0.0) -> "BlockOperator":
-        """Split a full matrix into sector blocks; off-block mass must be <= tol."""
+    def from_full(cls, matrix, basis: SectorBasis) -> "BlockOperator":
+        """Split a full matrix into sector blocks; every off-block entry must be 0."""
         matrix = np.asarray(matrix, dtype=complex)
         leak = _off_block_mass(matrix, basis)
-        if leak > tol:
-            raise SuperselectionError(
-                f"matrix has cross-sector entries (max {leak:.3e} > tol {tol:.1e})"
-            )
+        if leak > 0.0:
+            raise SuperselectionError(f"matrix has cross-sector entries (max {leak:.3e})")
         blocks = {}
         for g in basis.model.charges:
             sl = basis.sector_slice(g)
-            blocks[g] = matrix[sl, sl].copy()
+            blocks[g] = matrix[sl, sl]
         return cls(basis, blocks)
 
     @classmethod
@@ -708,34 +709,9 @@ def parse_state_text(model, text: str) -> AnyonState:
     shape, entries = _parse_entry_file(text)
     basis = enumerate_basis(model, shape)
     amplitudes = np.zeros(basis.dim, dtype=complex)
-    for labels, value in entries:
-        if len(labels) != 1:
-            raise ModelFormatError("state lines must contain a single basis label")
-        amplitudes[basis.index_of_label(labels[0])] += value
+    for label, value in entries:
+        amplitudes[basis.index_of_label(label)] += value
     return AnyonState(basis, amplitudes)
-
-
-def format_operator_text(op: BlockOperator) -> str:
-    """Operator file: lines ``<bra label> | <ket label> : re im`` per entry."""
-    lines = [f"shape: {op.basis.shape.serialize()}"]
-    labels = op.basis.labels
-    full = op.to_full()
-    rows, cols = np.nonzero(full)
-    for r, c in zip(rows, cols):
-        val = full[r, c]
-        lines.append(f"{labels[r]} | {labels[c]} : {float(val.real)!r} {float(val.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_operator_text(model, text: str) -> BlockOperator:
-    shape, entries = _parse_entry_file(text)
-    basis = enumerate_basis(model, shape)
-    full = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for labels, value in entries:
-        if len(labels) != 2:
-            raise ModelFormatError("operator lines must contain '<bra> | <ket>'")
-        full[basis.index_of_label(labels[0]), basis.index_of_label(labels[1])] += value
-    return BlockOperator.from_full(full, basis)
 
 
 def _parse_entry_file(text: str):
@@ -751,15 +727,14 @@ def _parse_entry_file(text: str):
         if shape is None:
             raise ModelFormatError(f"line {lineno}: 'shape:' header must come first")
         try:
-            label_part, value_part = line.rsplit(":", 1)
+            label, value_part = line.rsplit(":", 1)
             re_s, im_s = value_part.split()
-            labels = [seg.strip() for seg in label_part.split("|")]
             value = complex(float(re_s), float(im_s))
         except ValueError:
             raise ModelFormatError(f"line {lineno}: cannot parse entry {line!r}") from None
         if not cmath.isfinite(value):
             raise ModelFormatError(f"line {lineno}: amplitude is not finite in {line!r}")
-        entries.append((labels, value))
+        entries.append((label.strip(), value))
     if shape is None:
         raise ModelFormatError("missing 'shape:' header")
     return shape, entries

@@ -133,15 +133,11 @@ class MessageQubit:
 
 
 def _joined(table: np.ndarray, dim: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Joined amplitudes: left[i] * right[j] at table[i, j] over both supports."""
+    """Joined amplitudes: left[i] * right[j] at table[i, j] over both supports,
+    which :class:`_Plan` has checked."""
     l_nz, r_nz = left.nonzero()[0], right.nonzero()[0]
-    index = table[l_nz][:, r_nz]
-    if not index.size:
-        raise ValueError("cannot join a zero state")
-    if (index < 0).any():
-        raise FusionError("the channel is not a fusion outcome of the two factors' charges")
     amplitudes = np.zeros(dim, dtype=complex)
-    amplitudes[index] = rounded_product(left[l_nz, None], right[None, r_nz])
+    amplitudes[table[l_nz][:, r_nz]] = rounded_product(left[l_nz, None], right[None, r_nz])
     return amplitudes
 
 

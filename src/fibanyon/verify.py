@@ -86,19 +86,19 @@ class SuiteResult:
         return max((c.residual for c in self.checks), default=0.0)
 
 
-def suite_model(model: AnyonModel, tol: float = 1e-12) -> SuiteResult:
+def suite_model(model: AnyonModel) -> SuiteResult:
     out = SuiteResult("model")
-    report = validate_model(model, tol)
+    report = validate_model(model, 1e-12)
     out.add("model constraints hold", not report)
     for item in report:
         out.add(f"violation: {item}", False)
     return out
 
 
-def suite_dims(model: AnyonModel, max_n: int = 8) -> SuiteResult:
+def suite_dims(model: AnyonModel) -> SuiteResult:
     out = SuiteResult("dims")
     counts = dict.fromkeys(model.charges, 1)  # trees per root charge, from the fusion rules
-    for n in range(1, max_n + 1):
+    for n in range(1, 9):
         basis = enumerate_basis(model, left_comb(n))
         out.add(f"N={n} dim {basis.dim} (expect {sum(counts.values())})",
                 all(basis.sector_dim(g) == counts[g] for g in model.charges))
@@ -117,7 +117,7 @@ def suite_dims(model: AnyonModel, max_n: int = 8) -> SuiteResult:
     return out
 
 
-def suite_recoupling(model: AnyonModel, max_n: int = 5, tol: float = 1e-12) -> SuiteResult:
+def suite_recoupling(model: AnyonModel, max_n: int = 5) -> SuiteResult:
     out = SuiteResult("recoupling")
     worst_unitary = 0.0
     worst_sector = 0.0
@@ -144,17 +144,16 @@ def suite_recoupling(model: AnyonModel, max_n: int = 5, tol: float = 1e-12) -> S
                 )
                 alt = shape_change(model, src, tgt, via="right")
                 worst_path = max(worst_path, float(np.max(np.abs(alt.matrix - u))))
-    out.add_residual(f"unitarity over {pairs} shape pairs (N<={max_n})", worst_unitary, tol)
-    out.add_residual("global-charge sectors never mix", worst_sector, tol)
-    out.add_residual("round-trips A->B->A = identity", worst_roundtrip, tol)
-    out.add_residual("path independence (left vs right comb)", worst_path, tol)
+    out.add_residual(f"unitarity over {pairs} shape pairs (N<={max_n})", worst_unitary, 1e-12)
+    out.add_residual("global-charge sectors never mix", worst_sector, 1e-12)
+    out.add_residual("round-trips A->B->A = identity", worst_roundtrip, 1e-12)
+    out.add_residual("path independence (left vs right comb)", worst_path, 1e-12)
     return out
 
 
-def suite_algebra(
-    model: AnyonModel, seed: int = 42, pairs: int = 500, tol: float = 1e-10
-) -> SuiteResult:
+def suite_algebra(model: AnyonModel, seed: int = 42, pairs: int = 500) -> SuiteResult:
     out = SuiteResult("algebra")
+    tol = 1e-10
     # partial-trace consistency Tr(O_A Tr_B rho) == Tr(embed(O_A) rho)
     for n, n_a in ((4, 2), (6, 3)):
         basis = enumerate_basis(model, grouped_shape(n_a, n - n_a))
@@ -218,14 +217,8 @@ def suite_algebra(
 
 
 @fibonacci_only("the 2-anyon correlations suite")
-def suite_correlations(
-    model: AnyonModel,
-    seed: int = 42,
-    samples: int = 10000,
-    random_pairs: int = 1000,
-    class_tol: float = 1e-8,
-    clear_margin: float = 1e-6,
-) -> SuiteResult:
+def suite_correlations(model: AnyonModel, seed: int = 42, samples: int = 10000,
+                       random_pairs: int = 1000) -> SuiteResult:
     out = SuiteResult("correlations")
     basis = enumerate_basis(model, grouped_shape(1, 1))
     part = bipartition(basis, 1)
@@ -234,7 +227,7 @@ def suite_correlations(
     sectors = [c for c in model.charges if basis.sector_dim(c) > 0]
 
     mismatches, boundary, n_checked = classification_sweep(
-        part, sectors, sample_rng(seed, 201), samples // len(sectors), class_tol, clear_margin)
+        part, sectors, sample_rng(seed, 201), samples // len(sectors), 1e-8, 1e-6)
     out.add(
         f"classification agrees with numeric verdict on {n_checked} samples"
         f" ({boundary} boundary redraws)",
@@ -340,14 +333,10 @@ def _unequal_marginals_state(model: AnyonModel):
     return superpose([(1.0, ket(basis, "e,tau;tau")), (1.0, ket(basis, "tau,tau;tau"))])
 
 
-def suite_teleportation(
-    model: AnyonModel,
-    seed: int = 42,
-    pvm_samples: int = 1000,
-    message_count: int = 10,
-    tol: float = 1e-10,
-) -> SuiteResult:
+def suite_teleportation(model: AnyonModel, seed: int = 42, pvm_samples: int = 1000,
+                        message_count: int = 10) -> SuiteResult:
     out = SuiteResult("teleportation")
+    tol = 1e-10
     catalog = builtin_scenarios(model)
     rng = sample_rng(seed, 301)
 
@@ -458,16 +447,15 @@ def _random_message(rng) -> tuple[complex, complex]:
     return complex(vec[0]), complex(vec[1])
 
 
-# name -> (suite, whether it takes the seed, full keyword arguments, --quick ones)
+# name -> (suite, whether it takes the seed, its --quick keyword arguments);
+# the full sample counts are the suites' defaults
 SUITES = {
-    "model": (suite_model, False, {}, {}),
-    "dims": (suite_dims, False, {}, {}),
-    "recoupling": (suite_recoupling, False, {"max_n": 5}, {"max_n": 4}),
-    "algebra": (suite_algebra, True, {"pairs": 500}, {"pairs": 50}),
-    "correlations": (suite_correlations, True, {"samples": 10000, "random_pairs": 1000},
-                     {"samples": 1000, "random_pairs": 100}),
-    "teleportation": (suite_teleportation, True, {"pvm_samples": 1000, "message_count": 10},
-                      {"pvm_samples": 100, "message_count": 4}),
+    "model": (suite_model, False, {}),
+    "dims": (suite_dims, False, {}),
+    "recoupling": (suite_recoupling, False, {"max_n": 4}),
+    "algebra": (suite_algebra, True, {"pairs": 50}),
+    "correlations": (suite_correlations, True, {"samples": 1000, "random_pairs": 100}),
+    "teleportation": (suite_teleportation, True, {"pvm_samples": 100, "message_count": 4}),
 }
 
 
@@ -489,8 +477,8 @@ def run_suites(
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
-        suite, seeded, full, reduced = SUITES[name]
-        kwargs = reduced if quick else full
+        suite, seeded, reduced = SUITES[name]
+        kwargs = reduced if quick else {}
         try:
             results.append(suite(model, seed=seed, **kwargs) if seeded else suite(model, **kwargs))
         except FibonacciOnlyError as exc:

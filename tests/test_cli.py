@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -47,10 +48,13 @@ def run_cli(*argv):
 
 
 def run_cli_subprocess(*argv):
+    """Run the CLI in a child process under the Haswell OpenBLAS kernel, whose
+    digits the goldens hold whatever kernel this host would select."""
     proc = subprocess.run(
         [sys.executable, "-m", "fibanyon.cli", *argv],
         capture_output=True,
         cwd=str(Path(__file__).parent.parent),
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
     )
     return proc.returncode, proc.stdout
 
@@ -207,10 +211,11 @@ def test_non_finite_or_negative_numbers_are_usage_errors(capsys, argv):
 
 
 def test_negative_seed_is_usage_error(capsys):
-    code, out = run_cli("teleport", "--scenario", "main-text", "--direction", "ba",
-                        "--seed", "-1")
-    assert code == 2 and out == ""
-    assert capsys.readouterr().err == "usage error: --seed must be a non-negative integer\n"
+    for argv in (("teleport", "--scenario", "main-text", "--direction", "ba"),
+                 ("verify", "--suite", "dims")):
+        code, out = run_cli(*argv, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "usage error: --seed must be a non-negative integer\n"
 
 
 @pytest.mark.parametrize("flag, text", [
@@ -386,17 +391,56 @@ def test_verify_fibonacci_suites_on_other_model(capsys, suite, what):
     assert err.startswith(f"error: {what} is defined for the Fibonacci charges e and tau:")
 
 
+def _subcommand_parsers(parser):
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def test_no_hidden_options():
     parser = build_parser()
-    parsers = [parser]
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            parsers.extend(action.choices.values())
+    parsers = [parser, *_subcommand_parsers(parser).values()]
     hidden = [
         action.option_strings or action.dest
         for p in parsers for action in p._actions if action.help == argparse.SUPPRESS
     ]
     assert hidden == []
+
+
+# every option of every subcommand, each one read by its command
+SHARED_OPTIONS = {"--model", "--format", "--out"}
+SUBCOMMAND_OPTIONS = {
+    "basis": SHARED_OPTIONS | {"--n", "--shape"},
+    "dims": SHARED_OPTIONS | {"--max-n"},
+    "marginals": SHARED_OPTIONS | {"--tol", "--state", "--split"},
+    "correlations": SHARED_OPTIONS | {"--tol", "--state", "--split"},
+    "teleport": SHARED_OPTIONS | {"--seed", "--tol", "--scenario", "--direction", "--alpha",
+                                  "--beta", "--samples"},
+    "verify": SHARED_OPTIONS | {"--seed", "--suite", "--quick"},
+}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    options = {
+        name: {flag for action in p._actions for flag in action.option_strings
+               if action.dest != "help"}
+        for name, p in _subcommand_parsers(build_parser()).items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 37
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--tol", "1e-3"),
+    ("basis", "--n", "2", "--seed", "1"),
+    ("dims", "--tol", "0"),
+    ("marginals", "--state", STATE_FILE, "--seed", "1"),
+    ("correlations", "--state", STATE_FILE, "--seed", "1"),
+], ids=["verify-tol", "basis-seed", "dims-tol", "marginals-seed", "correlations-seed"])
+def test_flag_a_command_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -1,0 +1,47 @@
+import pytest
+
+from fibanyon import errors
+from fibanyon.errors import MemoryBudgetError, require_memory
+
+MEMINFO = b"MemTotal:       8000000 kB\nMemFree:        1000000 kB\nMemAvailable:   4000000 kB\n"
+V2 = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current")
+V1 = ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
+      "/sys/fs/cgroup/memory/memory.usage_in_bytes")
+
+
+def _files(monkeypatch, files):
+    monkeypatch.setattr(errors, "_read_head", files.get)
+
+
+@pytest.mark.parametrize("files, expected", [
+    ({}, None),
+    ({"/proc/meminfo": MEMINFO}, 4000000 * 1024),
+    ({"/proc/meminfo": b"MemTotal: 8000000 kB\n"}, None),
+    # a cgroup limit below MemAvailable wins, v2 and v1
+    ({"/proc/meminfo": MEMINFO, V2[0]: b"2147483648\n", V2[1]: b"1073741824\n"}, 2**30),
+    ({"/proc/meminfo": MEMINFO, V1[0]: b"2147483648\n", V1[1]: b"1610612736\n"}, 2**29),
+    # a cgroup with more headroom than MemAvailable does not raise it
+    ({"/proc/meminfo": MEMINFO, V2[0]: b"68719476736\n", V2[1]: b"0\n"}, 4000000 * 1024),
+    # no limit: v2 "max", v1's page-aligned largest int64
+    ({"/proc/meminfo": MEMINFO, V2[0]: b"max\n", V2[1]: b"1073741824\n"}, 4000000 * 1024),
+    ({"/proc/meminfo": MEMINFO, V1[0]: b"9223372036854771712\n", V1[1]: b"1300480000\n"},
+     4000000 * 1024),
+    # usage over the limit leaves nothing; a limit alone, without meminfo, still counts
+    ({V2[0]: b"1073741824\n", V2[1]: b"1073745920\n"}, 0),
+    ({V1[0]: b"1073741824\n", V1[1]: b"0\n"}, 2**30),
+    # a limit without its usage file is not read
+    ({"/proc/meminfo": MEMINFO, V2[0]: b"1073741824\n"}, 4000000 * 1024),
+], ids=["nothing", "meminfo", "meminfo-without-available", "v2-limit", "v1-limit",
+        "v2-roomy", "v2-max", "v1-unlimited", "v2-exhausted", "v1-only", "v2-no-usage"])
+def test_available_bytes_takes_the_smaller_of_meminfo_and_cgroup(monkeypatch, files, expected):
+    _files(monkeypatch, files)
+    assert errors._available_bytes() == expected
+
+
+def test_require_memory_refuses_over_half_the_cgroup_headroom(monkeypatch):
+    _files(monkeypatch, {"/proc/meminfo": MEMINFO, V2[0]: b"3221225472\n",
+                         V2[1]: b"1073741824\n"})
+    require_memory(2**30, "one GiB")  # half of the 2 GiB left
+    with pytest.raises(MemoryBudgetError,
+                       match=r"^two GiB needs ~2 GiB, 2 GiB available \(at most half may be used\)$"):
+        require_memory(2**31, "two GiB")

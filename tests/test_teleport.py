@@ -1025,6 +1025,22 @@ def test_resources_with_one_support_share_a_plan(model, catalog):
     assert (info.hits, info.misses) == (4, 2)
 
 
+def test_resource_cannot_move_off_the_scenario_support(model, catalog):
+    # the plan is keyed on the support found when the scenario was built;
+    # weight moved in place off that support used to give total probability 0
+    base = catalog["main-text"]["ab"]
+    amplitudes = base.resource.amplitudes.copy()
+    scenario = base.with_resource(AnyonState(base.resource.basis, amplitudes))
+    outside = next(i for i in range(len(amplitudes)) if i not in scenario._support
+                   and base.resource.basis.sector_of(i) == base.resource.sector)
+    amplitudes[outside], amplitudes[scenario._support[0]] = amplitudes[scenario._support[0]], 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        scenario.resource.amplitudes[outside] = 1.0
+    outcome = run_protocol(scenario, MessageQubit(0.6, 0.8))
+    assert outcome.total_probability() == pytest.approx(1.0)
+    assert outcome.average_fidelity == pytest.approx(1.0)
+
+
 def test_scenario_support_follows_its_resource(model, catalog):
     # the plan's key is found once per scenario, and again for every new resource
     base = catalog["appendix-d1-symmetric"]["ab"]
