@@ -324,7 +324,7 @@ def cmd_teleport(args, model: AnyonModel) -> int:
             ))
         return 0
 
-    outcome = run_protocol(scenario, message, tol=args.tol)
+    outcome = run_protocol(scenario, message)
     if args.format == "json":
         _emit_json(args, {
             "command": "teleport",

@@ -336,7 +336,7 @@ def is_uncorrelated(
         marginals = [marginal_blocks(C, part, traced) for traced in ("B", "A")]
         realigned = plan.realigned_pure(C)
         if plan.fibonacci_pair:
-            label = _pure_class(g == part.basis.model.vacuum, amplitudes, ZERO_COEFF_TOL)
+            label = _pure_class(g == part.basis.model.vacuum, amplitudes)
     else:
         plan = _checked_plan(state_or_rho, part)
         raveled = raveled_blocks(state_or_rho.blocks, part.basis)
@@ -390,8 +390,7 @@ def pure_max_violations(amplitudes: np.ndarray, part: Bipartition):
             C = part.gather(amplitudes[rows], g)
             tops[rows] = np.abs(plan.violations(plan.realigned_pure(C))).max(axis=(-2, -1))
             if labels is not None:
-                labels[rows] = _pure_classes(g == basis.model.vacuum, amplitudes[rows],
-                                             ZERO_COEFF_TOL)
+                labels[rows] = _pure_classes(g == basis.model.vacuum, amplitudes[rows])
     return tops, labels
 
 
@@ -415,34 +414,34 @@ _FAMILIES = {
 
 
 @fibonacci_only("the pure 2-anyon classification")
-def classify_pure_2anyon(psi: AnyonState, tol: float = ZERO_COEFF_TOL) -> str:
+def classify_pure_2anyon(psi: AnyonState) -> str:
     """Closed-form class of a pure 2-anyon state from its coefficient support.
 
-    Coefficients below `tol` in modulus count as zero; the state carried
-    by |tau,tau;tau> alone sits in both tau families and is assigned
-    class-1-tau deterministically.
+    Coefficients below ``ZERO_COEFF_TOL`` in modulus count as zero; the
+    state carried by |tau,tau;tau> alone sits in both tau families and is
+    assigned class-1-tau deterministically.
     """
     if psi.basis.shape.n_leaves != 2:
         raise ShapeError("classification applies to 2-anyon states")
     psi = psi.normalized()
     amplitudes = [psi.amplitude(label) for label in _FIBONACCI_PAIR[:4]]
-    return _pure_class(psi.sector == psi.basis.model.vacuum, amplitudes, tol)
+    return _pure_class(psi.sector == psi.basis.model.vacuum, amplitudes)
 
 
-def _pure_class(vacuum: bool, amplitudes, tol: float) -> str:
+def _pure_class(vacuum: bool, amplitudes) -> str:
     """:func:`classify_pure_2anyon` from the normalized amplitudes of the
     first four trees of ``_FIBONACCI_PAIR``."""
     (first, second), (entangled, first_family, second_family) = _FAMILIES[vacuum]
-    if abs(amplitudes[first]) <= tol:
+    if abs(amplitudes[first]) <= ZERO_COEFF_TOL:
         return first_family
-    if abs(amplitudes[second]) <= tol:
+    if abs(amplitudes[second]) <= ZERO_COEFF_TOL:
         return second_family
     return entangled
 
 
-def _pure_classes(vacuum: bool, amplitudes: np.ndarray, tol: float) -> np.ndarray:
+def _pure_classes(vacuum: bool, amplitudes: np.ndarray) -> np.ndarray:
     """:func:`_pure_class` of each row of normalized amplitudes; ``np.hypot``
     rounds each modulus as ``abs`` of one complex number does."""
     (first, second), classes = _FAMILIES[vacuum]
-    zero = np.hypot(amplitudes.real, amplitudes.imag) <= tol
+    zero = np.hypot(amplitudes.real, amplitudes.imag) <= ZERO_COEFF_TOL
     return np.array(classes, dtype=object)[np.where(zero[:, first], 1, 2 * zero[:, second])]

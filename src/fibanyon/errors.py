@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the guards that raise them."""
 
 import contextlib
+import functools
 
 
 class AnyonError(Exception):
@@ -54,6 +55,19 @@ _CGROUP_FILES = (("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory.current"),
                   "/sys/fs/cgroup/memory/memory.usage_in_bytes"))
 
 
+@functools.cache
+def _cgroup_files() -> tuple[str, str] | None:
+    """The first pair of :data:`_CGROUP_FILES` that can be read, or None.
+
+    Which cgroup version a process sees does not change while it runs, so
+    this is found once instead of opening missing files on every call.
+    """
+    for pair in _CGROUP_FILES:
+        if all(_read_head(path) is not None for path in pair):
+            return pair
+    return None
+
+
 def _available_bytes() -> int | None:
     """The smaller of MemAvailable from /proc/meminfo and the memory cgroup's
     limit minus its usage; None where neither is known.
@@ -66,12 +80,12 @@ def _available_bytes() -> int | None:
     _, key, rest = (_read_head("/proc/meminfo") or b"").partition(b"MemAvailable:")
     if key:
         found.append(int(rest.split(None, 1)[0]) * 1024)
-    for limit_file, usage_file in _CGROUP_FILES:
-        limit, usage = _read_head(limit_file), _read_head(usage_file)
+    pair = _cgroup_files()
+    if pair is not None:
+        limit, usage = map(_read_head, pair)
         if limit is not None and usage is not None:
             if limit.strip() != b"max" and int(limit) < 2**62:
                 found.append(max(int(limit) - int(usage), 0))
-            break
     return min(found, default=None)
 
 

@@ -24,6 +24,7 @@ from .errors import FusionError, ModelFormatError
 Charge = str
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+MODEL_TOL = 1e-12  # the residual every check of validate_model allows
 
 # F-symbol keys are (a, b, c, g, d, f): the coefficient relating the
 # left-coupled basis |(a,b),c; d; g> to the right-coupled |a,(b,c); f; g>.
@@ -236,7 +237,7 @@ def quantum_dimension(model: AnyonModel, a: Charge) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(fusion_matrix))))
 
 
-def validate_model(model: AnyonModel, tol: float = 1e-12) -> list[str]:
+def validate_model(model: AnyonModel) -> list[str]:
     """Check the model invariants; returns a report of violations.
 
     An empty report means: fusion symmetry and vacuum identity hold,
@@ -270,21 +271,21 @@ def validate_model(model: AnyonModel, tol: float = 1e-12) -> list[str]:
             report.append(f"F-matrix not square: [{a},{b},{c}; {g}]")
             continue
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(len(ds))))
-        if not dev <= tol:  # NaN fails
+        if not dev <= MODEL_TOL:  # NaN fails
             report.append(f"F-matrix not unitary: [{a},{b},{c}; {g}] (dev {dev:.2e})")
 
     for (a, b, c), val in model.r_symbols.items():
-        if not abs(abs(val) - 1.0) <= tol:
+        if not abs(abs(val) - 1.0) <= MODEL_TOL:
             report.append(f"R not a phase: {a} x {b} -> {c}")
-        if (a == model.vacuum or b == model.vacuum) and not abs(val - 1.0) <= tol:
+        if (a == model.vacuum or b == model.vacuum) and not abs(val - 1.0) <= MODEL_TOL:
             report.append(f"vacuum R not trivial: {a} x {b} -> {c}")
 
     dev = pentagon_residual(model)
-    if not dev <= tol:
+    if not dev <= MODEL_TOL:
         report.append(f"pentagon identity violated (residual {dev:.2e})")
 
     dev = hexagon_residual(model)
-    if not dev <= tol:
+    if not dev <= MODEL_TOL:
         report.append(f"hexagon identities violated (residual {dev:.2e})")
 
     return report

@@ -315,8 +315,9 @@ class BlockOperator:
 
     __rmul__ = __mul__
 
-    def is_hermitian(self, tol: float = SPECTRAL_TOL) -> bool:
-        return all(np.max(np.abs(b - b.conj().T), initial=0.0) <= tol for b in self.blocks.values())
+    def is_hermitian(self) -> bool:
+        return all(np.max(np.abs(b - b.conj().T), initial=0.0) <= SPECTRAL_TOL
+                   for b in self.blocks.values())
 
     def __repr__(self):
         dims = {g: b.shape[0] for g, b in self.blocks.items()}
@@ -424,12 +425,12 @@ def fidelity(psi: AnyonState, rho: BlockOperator | AnyonState) -> float:
     return float(rho.expectation(psi).real)
 
 
-def is_density(op: BlockOperator, tol: float = SPECTRAL_TOL) -> bool:
-    if not op.is_hermitian(tol):
+def is_density(op: BlockOperator) -> bool:
+    if not op.is_hermitian():
         return False
-    if abs(trace(op) - 1.0) > tol:
+    if abs(trace(op) - 1.0) > SPECTRAL_TOL:
         return False
-    return float(spectrum(op)[-1]) >= -tol
+    return float(spectrum(op)[-1]) >= -SPECTRAL_TOL
 
 
 class Bipartition:
@@ -600,8 +601,11 @@ def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B"
     Equal to the partial trace up to summation order; see
     :func:`marginal_blocks`.
     """
-    C = bipartition.amplitude_matrix(state.normalized())
     kept = bipartition.kept_basis(traced)
+    # the sector blocks, and the copy BlockOperator makes of them
+    require_memory(32 * sum(kept.sector_dim(c) ** 2 for c in kept.model.charges),
+                   f"the marginal on a {kept.dim}-dim basis")
+    C = bipartition.amplitude_matrix(state.normalized())
     blocks = marginal_blocks(C, bipartition, traced)
     return BlockOperator(kept, dict(zip(kept.model.charges, blocks)))
 

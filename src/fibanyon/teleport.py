@@ -34,7 +34,7 @@ One scenario runs over many messages, so the work is split in three:
   coefficient) terms that a state on that support reaches, in the
   map's order, so ``with_resource`` copies with one support share it.
   It runs the join's checks and the superselection check once.
-- The measurement, built once per (scenario, enforcement, tol): the PVM
+- The measurement, built once per (scenario, enforcement): the PVM
   and its no-click residual as one stack of transposed projectors,
   validated by :func:`validate_pvm`, and the corrections, each checked
   block diagonal and unitary whether or not its outcome can fire, as a
@@ -98,6 +98,7 @@ from .states import (
 from .trees import SectorBasis, enumerate_basis, grouped_shape, join_shapes
 
 PROB_TOL = 1e-12
+PVM_TOL = 1e-10  # validation of PVMs and corrections
 
 # Message grid used by the verification suites: basis points, balanced,
 # real-skewed, and a complex-phase case.
@@ -141,7 +142,7 @@ def _joined(table: np.ndarray, dim: int, left: np.ndarray, right: np.ndarray) ->
     return amplitudes
 
 
-def validate_pvm(pvm, basis: SectorBasis, tol: float = 1e-10) -> list[str]:
+def validate_pvm(pvm, basis: SectorBasis) -> list[str]:
     """Check PVM invariants; empty report means valid.
 
     Elements may be BlockOperator or raw matrices on `basis`.  Raw
@@ -159,20 +160,20 @@ def validate_pvm(pvm, basis: SectorBasis, tol: float = 1e-10) -> list[str]:
         if mat.shape != (basis.dim, basis.dim):
             report.append(f"projector {k}: wrong shape {mat.shape}")
             continue
-        if not validate_cssr(mat, basis, tol):
+        if not validate_cssr(mat, basis, PVM_TOL):
             report.append(f"projector {k}: cross-sector support (superselection violation)")
-        if np.max(np.abs(mat - mat.conj().T)) > tol:
+        if np.max(np.abs(mat - mat.conj().T)) > PVM_TOL:
             report.append(f"projector {k}: not Hermitian")
-        if np.max(np.abs(mat @ mat - mat)) > tol:
+        if np.max(np.abs(mat @ mat - mat)) > PVM_TOL:
             report.append(f"projector {k}: not idempotent")
         mats.append(mat)
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
-            if np.max(np.abs(mats[a] @ mats[b])) > tol:
+            if np.max(np.abs(mats[a] @ mats[b])) > PVM_TOL:
                 report.append(f"projectors {a},{b}: not mutually orthogonal")
     if mats:
         residual = np.eye(basis.dim) - sum(mats)
-        if float(np.min(np.linalg.eigvalsh((residual + residual.conj().T) / 2))) < -tol:
+        if float(np.min(np.linalg.eigvalsh((residual + residual.conj().T) / 2))) < -PVM_TOL:
             report.append("projector sum exceeds the identity")
     return report
 
@@ -288,9 +289,9 @@ class _Measurement:
     """
 
     def __init__(self, pvm, corrections, measured_basis: SectorBasis,
-                 receiver_basis: SectorBasis, validate: bool, tol: float):
+                 receiver_basis: SectorBasis, validate: bool):
         if validate:
-            problems = validate_pvm(pvm, measured_basis, tol)
+            problems = validate_pvm(pvm, measured_basis)
             if problems:
                 raise SuperselectionError("invalid PVM: " + "; ".join(problems))
         if corrections is not None and len(corrections) != len(pvm):
@@ -309,9 +310,9 @@ class _Measurement:
             for k, op in enumerate(corrections):
                 mat = _as_full(op, receiver_basis)
                 if validate:
-                    if not validate_cssr(mat, receiver_basis, tol):
+                    if not validate_cssr(mat, receiver_basis, PVM_TOL):
                         raise SuperselectionError(f"correction {k} mixes receiver charge sectors")
-                    if np.max(np.abs(mat.conj().T @ mat - np.eye(r))) > tol:
+                    if np.max(np.abs(mat.conj().T @ mat - np.eye(r))) > PVM_TOL:
                         raise ValueError(f"correction {k} is not unitary")
                 U[k] = mat
             self.gather = _phased_permutation_gather(U)
@@ -365,7 +366,7 @@ class TeleportScenario:
     corrections: tuple | None
     encoding: tuple[str, str]
     reachable: tuple[str, ...] | None = None
-    # the scenario's own measurement per (validate, tol), built on first use
+    # the scenario's own measurement per validate flag, built on first use
     _measurements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the resource's nonzero indices, the key of its plan
     _support: tuple = field(init=False, repr=False, compare=False)
@@ -383,15 +384,14 @@ class TeleportScenario:
     def _layout(self) -> _Layout:
         return _cached_layout(self.model, self.resource.basis, self.direction, self.channel)
 
-    def _measurement(self, validate: bool, tol: float) -> _Measurement:
-        key = (validate, tol)
-        if key not in self._measurements:
+    def _measurement(self, validate: bool) -> _Measurement:
+        if validate not in self._measurements:
             layout = self._layout()
-            self._measurements[key] = _Measurement(
+            self._measurements[validate] = _Measurement(
                 self.pvm, self.corrections, layout.measured_basis, layout.receiver_basis,
-                validate, tol,
+                validate,
             )
-        return self._measurements[key]
+        return self._measurements[validate]
 
 
 @dataclass
@@ -458,7 +458,6 @@ def run_protocol(
     scenario: TeleportScenario,
     message: MessageQubit,
     enforce_superselection: bool = True,
-    tol: float = 1e-10,
 ) -> TeleportOutcome:
     """Execute one teleportation round for every measurement outcome at once.
 
@@ -467,12 +466,12 @@ def run_protocol(
     PVM must validate and the receiver state is decohered across its charge
     sectors, as the anyonic partial trace demands; corrections are then
     required to be block diagonal and unitary.  The measurement is built and
-    validated once per (scenario, enforcement, tol).
+    validated once per (scenario, enforcement).
     """
     if scenario.pvm is None:
         raise ValueError(f"scenario {scenario.name}/{scenario.direction} has no PVM")
     split = SplitState(scenario, message)
-    measurement = scenario._measurement(enforce_superselection, tol)
+    measurement = scenario._measurement(enforce_superselection)
     D = split.coefficients @ measurement.projectors_t
     probabilities = (np.abs(D) ** 2).sum(axis=(1, 2))
     # a branch at p <= PROB_TOL is dropped: divide it by 1, not by ~0
@@ -484,9 +483,8 @@ def run_protocol(
                      message)
 
 
-def run_protocol_via_embedding(
-    scenario: TeleportScenario, message: MessageQubit, tol: float = 1e-10
-) -> TeleportOutcome:
+def run_protocol_via_embedding(scenario: TeleportScenario,
+                               message: MessageQubit) -> TeleportOutcome:
     """Reference path: embed each projector globally and partial-trace.
 
     Algebraically identical to :func:`run_protocol` for valid PVMs; kept
@@ -521,7 +519,7 @@ def run_protocol_via_embedding(
         if state is not None:
             rho[k] = state
     return _assemble(np.array([p for p, _ in raw]), rho,
-                     scenario._measurement(True, tol), split.target, split.receiver_basis,
+                     scenario._measurement(True), split.target, split.receiver_basis,
                      message)
 
 

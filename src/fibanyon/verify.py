@@ -88,7 +88,7 @@ class SuiteResult:
 
 def suite_model(model: AnyonModel) -> SuiteResult:
     out = SuiteResult("model")
-    report = validate_model(model, 1e-12)
+    report = validate_model(model)
     out.add("model constraints hold", not report)
     for item in report:
         out.add(f"violation: {item}", False)
@@ -177,7 +177,7 @@ def suite_algebra(model: AnyonModel, seed: int = 42, pairs: int = 500) -> SuiteR
         rho = random_density(basis4, rng)
         for traced in ("A", "B"):
             reduced = partial_trace(rho, part4, traced=traced)
-            density_ok = density_ok and is_density(reduced, tol)
+            density_ok = density_ok and is_density(reduced)
             vals = spectrum(reduced)
             spec_worst = max(
                 spec_worst, max(0.0, -float(vals[-1])), max(0.0, float(vals[0]) - 1.0),

@@ -85,7 +85,7 @@ def test_criterion_02_model_and_recoupling_consistency(model):
                 alt = shape_change(model, src, tgt, via="right").matrix
                 worst_path = max(worst_path, float(np.max(np.abs(alt - fwd))))
     ok = (
-        validate_model(model, 1e-12) == []
+        validate_model(model) == []
         and worst_f <= 1e-12
         and pent <= 1e-12
         and worst_round <= 1e-12

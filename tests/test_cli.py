@@ -183,6 +183,21 @@ def test_teleport_reachability_mode():
     assert payload["max_off_support"] == 0.0
 
 
+@pytest.mark.parametrize("scenario, direction", [
+    ("main-text", "ab"), ("appendix-d1-symmetric", "ab"), ("appendix-d1-symmetric", "ba"),
+    ("appendix-d2-asymmetric", "ba"),
+])
+def test_teleport_tol_does_not_move_pvm_validation(scenario, direction):
+    # --tol is the sweep's pass threshold; the catalog PVMs carry ~1e-16 rounding and
+    # are validated at a fixed threshold, so even a zero --tol leaves the report as it is
+    for fmt in ("text", "json"):
+        argv = ("teleport", "--scenario", scenario, "--direction", direction, "--format", fmt)
+        default = run_cli(*argv)
+        assert default[0] == 0
+        for tol in ("0", "1e-300"):
+            assert run_cli(*argv, "--tol", tol) == default
+
+
 def test_teleport_unknown_scenario_usage_error():
     assert run_cli("teleport", "--scenario", "nope", "--direction", "ab")[0] == 2
 
@@ -516,6 +531,21 @@ def test_correlation_table_over_memory_budget_exits_1(tmp_path, monkeypatch, cap
     )
     monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
     assert run_cli("correlations", "--state", path, "--split", "3")[0] == 0
+
+
+def test_marginal_over_memory_budget_exits_1(tmp_path, monkeypatch, capsys):
+    # 2|6: party A's 5-dim marginal always fits; party B's blocks on the 233-dim
+    # basis (89 and 144 per sector), and their copy, do not fit half of 1 MiB
+    path = _write_state(tmp_path / "two_six.state", 8, "tau", 5)
+    monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
+    code, out = run_cli("marginals", "--state", path, "--split", "2")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: the marginal on a 233-dim basis needs ~{32 * (89**2 + 144**2) / 2**30:.3g}"
+        f" GiB, {2**20 / 2**30:.3g} GiB available (at most half may be used)\n"
+    )
+    monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
+    assert run_cli("marginals", "--state", path, "--split", "2")[0] == 0
 
 
 # --- marginals reports: the streamed emission against the dense one it replaced

@@ -9,6 +9,15 @@ V1 = ("/sys/fs/cgroup/memory/memory.limit_in_bytes",
       "/sys/fs/cgroup/memory/memory.usage_in_bytes")
 
 
+@pytest.fixture(autouse=True)
+def _fresh_cgroup_probe():
+    """Each test finds the cgroup files of its own fake file system, and the
+    process's probe is found again afterwards from the real one."""
+    errors._cgroup_files.cache_clear()
+    yield
+    errors._cgroup_files.cache_clear()
+
+
 def _files(monkeypatch, files):
     monkeypatch.setattr(errors, "_read_head", files.get)
 
@@ -36,6 +45,17 @@ def _files(monkeypatch, files):
 def test_available_bytes_takes_the_smaller_of_meminfo_and_cgroup(monkeypatch, files, expected):
     _files(monkeypatch, files)
     assert errors._available_bytes() == expected
+
+
+def test_cgroup_files_are_found_once(monkeypatch):
+    files = {"/proc/meminfo": MEMINFO, V1[0]: b"2147483648\n", V1[1]: b"1610612736\n"}
+    opened = []
+    monkeypatch.setattr(errors, "_read_head", lambda path: opened.append(path) or files.get(path))
+    assert errors._available_bytes() == 2**29
+    assert V2[0] in opened and opened[-2:] == list(V1)
+    opened.clear()
+    assert errors._available_bytes() == 2**29
+    assert opened == ["/proc/meminfo", *V1]  # the missing v2 files are not tried again
 
 
 def test_require_memory_refuses_over_half_the_cgroup_headroom(monkeypatch):

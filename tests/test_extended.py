@@ -38,7 +38,7 @@ ABELIAN_MODEL = (Path(__file__).parent / "data" / "z2.model").read_text(encoding
 
 def test_abelian_model_loads_and_validates():
     z2 = load_model_text(ABELIAN_MODEL, name="z2")
-    assert validate_model(z2, 1e-12) == []
+    assert validate_model(z2) == []
     # every leaf labeling is allowed and the internal labels are forced
     for n in range(1, 7):
         basis = enumerate_basis(z2, left_comb(n))

@@ -67,7 +67,7 @@ def test_conjugates_self(model):
 
 
 def test_validate_clean(model):
-    assert validate_model(model, 1e-12) == []
+    assert validate_model(model) == []
 
 
 def test_pentagon_residual_tiny(model):
@@ -127,7 +127,7 @@ R tau tau ; tau = -0.3090169943749473 0.9510565162951536
 
 def test_load_model_text_matches_builtin(model):
     loaded = load_model_text(MODEL_TEXT)
-    assert validate_model(loaded, 1e-10) == []
+    assert validate_model(loaded) == []
     assert loaded.fusion_outcomes("tau", "tau") == ("e", "tau")
     for key, val in model.f_symbols.items():
         assert loaded.f_symbols[key] == pytest.approx(val, abs=1e-12)
@@ -236,10 +236,10 @@ def test_hexagon_identities(model):
     mirror = {key: val.conjugate() for key, val in model.r_symbols.items()}
     assert hexagon_residual(_corrupt(model, r_symbols=mirror)) <= 1e-12
     # Z2 as a boson, a fermion and, with F^{sss}_s = -1, the semion
-    assert validate_model(load_model_text(Z2_TEXT), 1e-12) == []
-    assert validate_model(load_model_text(Z2_TEXT + "R s s ; e = -1.0 0.0\n"), 1e-12) == []
+    assert validate_model(load_model_text(Z2_TEXT)) == []
+    assert validate_model(load_model_text(Z2_TEXT + "R s s ; e = -1.0 0.0\n")) == []
     semion = Z2_TEXT + "R s s ; e = 0.0 1.0\nF s s s ; s ; e e = -1.0 0.0\n"
-    assert validate_model(load_model_text(semion), 1e-12) == []
+    assert validate_model(load_model_text(semion)) == []
 
 
 def test_validate_flags_hexagon_violations(model):

@@ -126,7 +126,7 @@ def test_catalog_pvms_validate(model, catalog):
         for scenario in directions.values():
             if scenario.pvm is None:
                 continue
-            assert validate_pvm(scenario.pvm, g4, 1e-10) == []
+            assert validate_pvm(scenario.pvm, g4) == []
 
 
 def test_cross_sector_projector_rejected(model, basis4):
@@ -137,13 +137,13 @@ def test_cross_sector_projector_rejected(model, basis4):
     vec = lam_plus.amplitudes * SQ2
     vec[basis4.index_of_label("(e,tau),(e,tau);tau,tau;e")] = SQ2
     bad = np.outer(vec, vec.conj())
-    report = validate_pvm([bad], basis4, 1e-10)
+    report = validate_pvm([bad], basis4)
     assert any("cross-sector" in line for line in report)
 
 
 def test_d2_pvm_sum_below_identity(model, catalog, basis4):
     pvm = catalog["appendix-d2-asymmetric"]["ba"].pvm
-    assert validate_pvm(pvm, basis4, 1e-10) == []
+    assert validate_pvm(pvm, basis4) == []
     total = sum(op.to_full() for op in pvm)
     eigvals = np.linalg.eigvalsh(total)
     assert eigvals.min() >= -1e-12
@@ -730,7 +730,7 @@ def test_counterfactual_runs_on_the_catalog_main_text_ba(model, catalog):
     assert len(report) == 4 and all("cross-sector" in line for line in report)
     run_protocol(scenario, MessageQubit(0.6, 0.8), enforce_superselection=False)
     assert scenario._measurements is not expected._measurements
-    assert list(scenario._measurements) == [(False, 1e-10)] and not expected._measurements
+    assert list(scenario._measurements) == [False] and not expected._measurements
 
 
 # --- the cached layout and measurement against a per-call reference
@@ -922,8 +922,11 @@ def test_catalog_pvm_validated_once_per_scenario(model, monkeypatch):
     for alpha, beta in MESSAGE_GRID * 2:
         run_protocol(scenario, MessageQubit(alpha, beta))
     assert len(calls) == 1
-    run_protocol(scenario, MessageQubit(0.6, 0.8), tol=1e-9)
-    assert len(calls) == 2
+    # a run without enforcement builds its own measurement and validates nothing
+    unenforced = builtin_scenarios(model)["main-text"]["ab"]
+    for alpha, beta in MESSAGE_GRID:
+        run_protocol(unenforced, MessageQubit(alpha, beta), enforce_superselection=False)
+    assert len(calls) == 1 and list(unenforced._measurements) == [False]
 
 
 def test_with_resource_copies_share_layout(model, catalog):
@@ -1088,7 +1091,7 @@ def test_phased_permutation_corrections_take_the_gather(model, catalog):
     cases.append((counterfactual, False))
     rng = np.random.default_rng(23)
     for scenario, enforce in cases:
-        measurement = scenario._measurement(enforce, 1e-10)
+        measurement = scenario._measurement(enforce)
         assert measurement.gather is not None and measurement.dense is None
         n, r = len(scenario.corrections) + 1, scenario._layout().receiver_basis.dim
         for _ in range(50):
@@ -1111,7 +1114,7 @@ def test_other_block_diagonal_corrections_take_the_dense_path(model, catalog, ga
         unitary[np.ix_(pair, pair)] = gate
         corrections = (BlockOperator.from_full(unitary, g2),) + scenario.corrections[1:]
         copy = dataclasses.replace(scenario, corrections=corrections)
-        measurement = copy._measurement(True, 1e-10)
+        measurement = copy._measurement(True)
         assert measurement.gather is None and measurement.dense is not None
         for alpha, beta in MESSAGE_GRID:
             message = MessageQubit(alpha, beta)
