@@ -286,9 +286,15 @@ def cmd_teleport(args, model: AnyonModel) -> int:
     scenario = catalog[args.scenario][args.direction]
     alpha = _parse_amplitude("--alpha", args.alpha)
     beta = _parse_amplitude("--beta", args.beta)
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    if norm == 0.0:
+    try:
+        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    except OverflowError:
+        norm = math.inf
+    if alpha == beta == 0.0:
         raise UsageError("message amplitudes must not both vanish")
+    if not 0.0 < norm < math.inf:
+        raise UsageError("--alpha and --beta: the message norm "
+                         + ("underflows to 0" if norm == 0.0 else "overflows"))
     if abs(norm - 1.0) > 1e-10:
         print(f"note: normalizing message by 1/{norm:.6g}", file=sys.stderr)
     message = MessageQubit(alpha / norm, beta / norm)

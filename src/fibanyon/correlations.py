@@ -53,7 +53,6 @@ from .states import (
     marginal_blocks,
     normalized_amplitudes,
     partial_trace_blocks,
-    raveled_blocks,
     spectra,
     spectra_agree,
 )
@@ -90,18 +89,17 @@ class CorrelationReport:
 class _Units(NamedTuple):
     """Gathers from matrix-unit positions to :func:`local_observable_basis` coordinates.
 
-    A position is an entry (k, l) of one sector block, with the blocks
-    raveled and concatenated in charge order; ``block[g]`` is the slice of
-    sector g's positions, and ``row``/``col`` hold each position's k and l
-    as basis indices.  ``diag``, ``sym`` and ``anti`` number the diagonal,
-    symmetric and antisymmetric units (each antisymmetric unit follows its
-    symmetric one), which read the positions ``at_kk`` and ``at_kl``/``at_lk``.
+    A position is an entry (k, l) of one sector block, in an operator's
+    :attr:`~fibanyon.states.BlockOperator.data` layout
+    (:attr:`~fibanyon.trees.SectorBasis.block_slices`); ``row``/``col``
+    hold each position's k and l as basis indices.  ``diag``, ``sym`` and
+    ``anti`` number the diagonal, symmetric and antisymmetric units (each
+    antisymmetric unit follows its symmetric one), which read the
+    positions ``at_kk`` and ``at_kl``/``at_lk``.
     ``flat`` says every sector is one-dimensional: then every position is a
     diagonal unit and a basis index, and all these gathers are the identity.
     """
 
-    count: int
-    block: dict
     row: np.ndarray
     col: np.ndarray
     diag: np.ndarray
@@ -114,20 +112,13 @@ class _Units(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _unit_count(basis: SectorBasis) -> int:
-    """The number of matrix units, the sum of the squared sector dimensions."""
-    return sum(basis.sector_dim(g) ** 2 for g in basis.model.charges)
-
-
-@functools.lru_cache(maxsize=256)
 def _units(basis: SectorBasis) -> _Units:
-    block, row, col, diag, sym, at_kk, at_kl, at_lk = {}, [], [], [], [], [], [], []
-    first = 0  # the sector's first unit, and its first position
+    row, col, diag, sym, at_kk, at_kl, at_lk = [], [], [], [], [], [], []
     for g in basis.model.charges:
         sector = basis.sector_slice(g)
+        first = basis.block_slices[g].start  # the sector's first unit, and its first position
         d = sector.stop - sector.start
         k, l = np.triu_indices(d, 1)
-        block[g] = slice(first, first + d * d)
         row.append(np.repeat(np.arange(sector.start, sector.stop), d))
         col.append(np.tile(np.arange(sector.start, sector.stop), d))
         diag.append(first + np.arange(d))
@@ -135,11 +126,10 @@ def _units(basis: SectorBasis) -> _Units:
         at_kk.append(first + np.arange(d) * (d + 1))
         at_kl.append(first + k * d + l)
         at_lk.append(first + l * d + k)
-        first += d * d
     row, col, diag, sym, at_kk, at_kl, at_lk = (
         np.concatenate(x) for x in (row, col, diag, sym, at_kk, at_kl, at_lk))
-    return _Units(first, block, row, col, diag, sym, sym + 1, at_kk, at_kl, at_lk,
-                  first == basis.dim)
+    return _Units(row, col, diag, sym, sym + 1, at_kk, at_kl, at_lk,
+                  basis.unit_count == basis.dim)
 
 
 def _to_units(flat: np.ndarray, units: _Units) -> np.ndarray:
@@ -163,7 +153,7 @@ def _require_table_memory(part: Bipartition, count: int = 1):
     """`count` tables and their temporaries peak near five complex arrays of
     their size; checked from the sector dimensions, before anything is built."""
     tables = "the correlation table" if count == 1 else f"{count} correlation tables"
-    require_memory(80 * count * _unit_count(part.a_basis) * _unit_count(part.b_basis),
+    require_memory(80 * count * part.a_basis.unit_count * part.b_basis.unit_count,
                    f"{tables} of a {part.n_a}|{part.n_b} split")
 
 
@@ -175,17 +165,12 @@ def local_observable_basis(basis: SectorBasis) -> list[BlockOperator]:
     by the antisymmetric one (-i at (k, l), i at (l, k)) - d^2 operators,
     all superselection-respecting by construction.
     """
-    count = _unit_count(basis)
+    count = basis.unit_count
     # the identity, its unit coordinates and their conjugate: four count^2 arrays
     require_memory(64 * count ** 2, f"the {count} local observables of a {basis.dim}-dim basis")
-    units = _units(basis)
     # row i of the map to unit coordinates is unit i transposed: its conjugate
-    rows = _to_units(np.eye(units.count), units).conj()
-    return [
-        BlockOperator(basis, {g: row[units.block[g]].reshape((basis.sector_dim(g),) * 2)
-                              for g in basis.model.charges})
-        for row in rows
-    ]
+    rows = _to_units(np.eye(count), _units(basis)).conj()
+    return [BlockOperator._of(basis, row) for row in rows]
 
 
 class _Plan:
@@ -218,19 +203,19 @@ class _Plan:
     def fills(self) -> list:
         """Per nonempty global charge g, in charge order: the flat table
         positions of its blocks (g, x, y) and the positions in rho's
-        :func:`~fibanyon.states.raveled_blocks` they read.  Block (g, x, y)
+        :attr:`~fibanyon.states.BlockOperator.data` they read.  Block (g, x, y)
         puts rho_g[(a, b), (a', b')] at row (a, a') of x's positions and
         column (b, b') of y's.  The blocks of one charge
         fill disjoint positions, so one indexed add per charge adds each
         entry in the per-block order."""
-        units_a, units_b, part = self.units_a, self.units_b, self.part
+        part = self.part
         at, src = {}, {}
         for g, x, y, index in part.blocks:
             d_a, d_b = index.shape
-            rows = units_a.block[x].start + np.arange(d_a * d_a)
-            cols = units_b.block[y].start + np.arange(d_b * d_b)
-            at.setdefault(g, []).append((rows[:, None] * units_b.count + cols).ravel())
-            row = part.raveled_start[g] + index * part.basis.sector_dim(g)
+            rows = part.a_basis.block_slices[x].start + np.arange(d_a * d_a)
+            cols = part.b_basis.block_slices[y].start + np.arange(d_b * d_b)
+            at.setdefault(g, []).append((rows[:, None] * part.b_basis.unit_count + cols).ravel())
+            row = part.basis.block_slices[g].start + index * part.basis.sector_dim(g)
             src.setdefault(g, []).append((row[:, None, :, None] + index[None, :, None, :]).ravel())
         return [(np.concatenate(at[g]), np.concatenate(src[g])) for g in at]
 
@@ -245,13 +230,14 @@ class _Plan:
         realigned *= (cols if units_b.flat else cols.take(units_b.col, -1)).conj()
         return realigned
 
-    def realigned_mixed(self, raveled: np.ndarray) -> np.ndarray:
+    def realigned_mixed(self, data: np.ndarray) -> np.ndarray:
         """sum_g rho_g[(a, b), (a', b')] on each block (g, x, y), from rho's
-        :func:`~fibanyon.states.raveled_blocks`."""
-        realigned = np.zeros(self.units_a.count * self.units_b.count, dtype=complex)
+        :attr:`~fibanyon.states.BlockOperator.data`."""
+        shape = (self.part.a_basis.unit_count, self.part.b_basis.unit_count)
+        realigned = np.zeros(shape[0] * shape[1], dtype=complex)
         for at, src in self.fills:
-            realigned[at] += raveled.take(src)
-        return realigned.reshape(self.units_a.count, self.units_b.count)
+            realigned[at] += data.take(src)
+        return realigned.reshape(shape)
 
     def violations(self, realigned: np.ndarray) -> np.ndarray:
         """The violation table from the realigned table, or a stack of them
@@ -305,7 +291,7 @@ def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
         plan, _, _, C = _pure(state_or_rho, part)
         return plan.violations(plan.realigned_pure(C))
     plan = _checked_plan(state_or_rho, part)
-    return plan.violations(plan.realigned_mixed(raveled_blocks(state_or_rho.blocks, part.basis)))
+    return plan.violations(plan.realigned_mixed(state_or_rho.data))
 
 
 def _witness(violations: np.ndarray, top: float) -> int:
@@ -339,9 +325,9 @@ def is_uncorrelated(
             label = _pure_class(g == part.basis.model.vacuum, amplitudes)
     else:
         plan = _checked_plan(state_or_rho, part)
-        raveled = raveled_blocks(state_or_rho.blocks, part.basis)
-        marginals = [partial_trace_blocks(raveled, part, traced) for traced in ("B", "A")]
-        realigned = plan.realigned_mixed(raveled)
+        marginals = [partial_trace_blocks(state_or_rho.data, part, traced)
+                     for traced in ("B", "A")]
+        realigned = plan.realigned_mixed(state_or_rho.data)
     violations = np.abs(plan.violations(realigned))
     top = float(np.maximum.reduce(violations, axis=None))
     spec_a, spec_b = spectra(*marginals)

@@ -135,11 +135,20 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def normalized_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
-    """The amplitudes over their norm; ValueError for the zero vector."""
+    """The amplitudes over their norm; ValueError for the zero vector, or for
+    a norm that underflows to 0 or overflows."""
     n = _norm(amplitudes)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero state")
+    if not 0.0 < n < math.inf:
+        raise ValueError(_unnormalizable(amplitudes, n))
     return amplitudes / n
+
+
+def _unnormalizable(amplitudes: np.ndarray, n: float) -> str:
+    """Why amplitudes whose :func:`_norm` is `n`, 0 or not finite, cannot be normalized."""
+    if not amplitudes.any():
+        return "cannot normalize the zero state"
+    return ("cannot normalize: the norm of the amplitudes "
+            + ("underflows to 0" if n == 0.0 else "overflows"))
 
 
 def rounded_product(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -206,9 +215,15 @@ def superpose(terms) -> tuple[AnyonState, float]:
 
 
 class BlockOperator:
-    """Operator that is block diagonal across global-charge sectors."""
+    """Operator that is block diagonal across global-charge sectors.
 
-    __slots__ = ("basis", "blocks")
+    It is one read-only complex array, :attr:`data`, laid out as
+    :attr:`SectorBasis.block_slices` says, and :attr:`blocks` holds each
+    sector's block as a read-only square view of it.  The constructor
+    copies the blocks it is given (a missing one is zero).
+    """
+
+    __slots__ = ("basis", "data", "blocks")
 
     def __init__(self, basis: SectorBasis, blocks: dict[Charge, np.ndarray]):
         unknown = blocks.keys() - basis.model.charges
@@ -217,17 +232,26 @@ class BlockOperator:
                 f"block keys {', '.join(sorted(map(repr, unknown)))} are not charges"
                 f" of model {basis.model.name}"
             )
-        self.basis = basis
-        self.blocks = {}
-        for g in basis.model.charges:
+        data = np.zeros(basis.unit_count, dtype=complex)
+        for g, block in blocks.items():
             d = basis.sector_dim(g)
-            block = blocks.get(g)
-            block = _frozen(np.zeros((d, d)) if block is None else block)
+            block = np.asarray(block, dtype=complex)
             if block.shape != (d, d):
                 raise BasisMismatchError(
                     f"sector {g} block has shape {block.shape}, expected {(d, d)}"
                 )
-            self.blocks[g] = block
+            data[basis.block_slices[g]] = block.ravel()
+        data.setflags(write=False)
+        self.basis, self.data, self.blocks = basis, data, _sector_views(basis, data)
+
+    @classmethod
+    def _of(cls, basis: SectorBasis, data: np.ndarray) -> "BlockOperator":
+        """The operator whose :attr:`data` is `data`, a fresh complex array its
+        producer laid out on `basis`: taken as it is, not copied."""
+        op = object.__new__(cls)
+        data.setflags(write=False)
+        op.basis, op.data, op.blocks = basis, data, _sector_views(basis, data)
+        return op
 
     @classmethod
     def identity(cls, basis: SectorBasis) -> "BlockOperator":
@@ -257,13 +281,12 @@ class BlockOperator:
                 f"|{sk}><{sb}| mixes global-charge sectors and is not a physical operator"
             )
         basis = ket_state.basis
-        require_memory(16 * sum(basis.sector_dim(g) ** 2 for g in basis.model.charges),
-                       f"the ket-bra of a {basis.dim}-dim state")
-        blocks = {}
-        for g in basis.model.charges:
+        require_memory(16 * basis.unit_count, f"the ket-bra of a {basis.dim}-dim state")
+        data = np.empty(basis.unit_count, dtype=complex)
+        for g, block in _sector_views(basis, data).items():
             sl = basis.sector_slice(g)
-            blocks[g] = np.outer(ket_state.amplitudes[sl], bra_state.amplitudes[sl].conj())
-        return cls(basis, blocks)
+            np.outer(ket_state.amplitudes[sl], bra_state.amplitudes[sl].conj(), out=block)
+        return cls._of(basis, data)
 
     def to_full(self) -> np.ndarray:
         dim = self.basis.dim
@@ -300,18 +323,14 @@ class BlockOperator:
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         _require_same_basis(self.basis, other.basis)
-        return BlockOperator(
-            self.basis, {g: self.blocks[g] + other.blocks[g] for g in self.blocks}
-        )
+        return BlockOperator._of(self.basis, self.data + other.data)
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
         _require_same_basis(self.basis, other.basis)
-        return BlockOperator(
-            self.basis, {g: self.blocks[g] - other.blocks[g] for g in self.blocks}
-        )
+        return BlockOperator._of(self.basis, self.data - other.data)
 
     def __mul__(self, scalar) -> "BlockOperator":
-        return BlockOperator(self.basis, {g: complex(scalar) * b for g, b in self.blocks.items()})
+        return BlockOperator._of(self.basis, complex(scalar) * self.data)
 
     __rmul__ = __mul__
 
@@ -322,6 +341,11 @@ class BlockOperator:
     def __repr__(self):
         dims = {g: b.shape[0] for g, b in self.blocks.items()}
         return f"BlockOperator(shape={self.basis.shape}, sector_dims={dims})"
+
+
+def _sector_views(basis: SectorBasis, data: np.ndarray) -> dict:
+    """Each sector's block of `data`, an operator's array on `basis`, as a square view."""
+    return {g: data[sl].reshape((basis.sector_dim(g),) * 2) for g, sl in basis.block_slices.items()}
 
 
 def _off_block_mass(matrix: np.ndarray, basis: SectorBasis) -> float:
@@ -468,7 +492,6 @@ class Bipartition:
         self.b_index = self.b_basis.index_of_rows(basis.charges[:, basis.shape.span(right_node)])
 
         self._tables: dict[Charge, np.ndarray] = {}
-        self._gathers: dict[Charge, np.ndarray] = {}
         self.blocks: list[tuple[Charge, Charge, Charge, np.ndarray]] = []
         for g in model.charges:
             sector = basis.sector_slice(g)
@@ -478,8 +501,6 @@ class Bipartition:
             table[self.a_index[sector], self.b_index[sector]] = np.arange(sector.start, sector.stop)
             table.setflags(write=False)
             self._tables[g] = table
-            # the same, with -1 at the appended zero of :meth:`gather`
-            self._gathers[g] = np.where(table < 0, basis.dim, table)
             for x in model.charges:
                 for y in model.charges:
                     index = table[self.a_basis.sector_slice(x), self.b_basis.sector_slice(y)]
@@ -501,10 +522,9 @@ class Bipartition:
     def gather(self, amplitudes: np.ndarray, g: Charge) -> np.ndarray:
         """:meth:`amplitude_matrix` of the amplitudes of a state of charge g, or
         one matrix per row of a stack of such amplitudes."""
-        self.table(g)  # raises for a charge with no trees
         padded = np.zeros(amplitudes.shape[:-1] + (self.basis.dim + 1,), dtype=complex)
         padded[..., :-1] = amplitudes  # the last entry, 0, is where -1 entries read
-        return padded.take(self._gathers[g], axis=-1)
+        return padded.take(self.table(g), axis=-1)
 
     def kept_basis(self, traced: str) -> SectorBasis:
         if traced not in ("A", "B"):
@@ -518,26 +538,17 @@ class Bipartition:
         return [(g, y, index) for g, _, y, index in self.blocks]
 
     @functools.cached_property
-    def raveled_start(self) -> dict[Charge, int]:
-        """Where each sector block starts in :func:`raveled_blocks`."""
-        out, start = {}, 0
-        for g in self.basis.model.charges:
-            out[g] = start
-            start += self.basis.sector_dim(g) ** 2
-        return out
-
-    @functools.cached_property
     def trace_gathers(self) -> dict[str, dict[Charge, np.ndarray | None]]:
         """Per traced side and kept charge, the kept-party matrix of every
         traced tree of every block, in block order, as one (terms, d, d) stack
-        of positions in :func:`raveled_blocks`; None where no block reaches
-        the charge.  Each position is read once, so a side's stacks hold at
-        most as many entries as rho."""
+        of positions in rho's :attr:`BlockOperator.data`; None where no block
+        reaches the charge.  Each position is read once, so a side's stacks
+        hold at most as many entries as rho."""
         out = {}
         for traced in ("A", "B"):
             stacks = {c: [] for c in self.basis.model.charges}
             for g, keep, index in self.kept_blocks(traced):
-                at = self.raveled_start[g] + index * self.basis.sector_dim(g)
+                at = self.basis.block_slices[g].start + index * self.basis.sector_dim(g)
                 stacks[keep].append(at[:, :, None] + index[:, None, :])
             out[traced] = {c: np.concatenate(s) if s else None for c, s in stacks.items()}
         return out
@@ -547,10 +558,6 @@ class Bipartition:
 def bipartition(basis: SectorBasis, n_a: int) -> Bipartition:
     """Cached Bipartition; bases are interned so the tables are built once."""
     return Bipartition(basis, n_a)
-
-
-def _zero_blocks(basis: SectorBasis) -> dict[Charge, np.ndarray]:
-    return {g: np.zeros((basis.sector_dim(g),) * 2, dtype=complex) for g in basis.model.charges}
 
 
 def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
@@ -563,21 +570,13 @@ def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B
     """
     _require_same_basis(rho.basis, bipartition.basis)
     kept = bipartition.kept_basis(traced)
-    raveled = raveled_blocks(rho.blocks, rho.basis)
     return BlockOperator(kept, dict(zip(kept.model.charges,
-                                        partial_trace_blocks(raveled, bipartition, traced))))
+                                        partial_trace_blocks(rho.data, bipartition, traced))))
 
 
-def raveled_blocks(blocks: dict, basis: SectorBasis) -> np.ndarray:
-    """The sector blocks of an operator on `basis`, each raveled, one after
-    another in charge order."""
-    return np.concatenate([blocks[g].ravel() for g in basis.model.charges])
-
-
-def partial_trace_blocks(raveled: np.ndarray, bipartition: Bipartition,
-                         traced: str = "B") -> list:
+def partial_trace_blocks(data: np.ndarray, bipartition: Bipartition, traced: str) -> list:
     """The sector blocks of :func:`partial_trace`, in the kept party's charge
-    order, from rho's :func:`raveled_blocks` (unchecked).
+    order, from rho's :attr:`BlockOperator.data` (unchecked).
 
     Each block (g, x, y) of rho_g adds one kept-party matrix per traced
     tree, in global-charge and then traced-basis order.
@@ -590,7 +589,7 @@ def partial_trace_blocks(raveled: np.ndarray, bipartition: Bipartition,
         else:
             # Summed as reals, each term in turn from 0, as a per-term += would:
             # a complex sum over one-entry terms would be pairwise.
-            terms = raveled.take(stack).view(float)
+            terms = data.take(stack).view(float)
             out.append(np.add.reduce(terms, axis=0, initial=0.0).view(complex))
     return out
 
@@ -603,14 +602,13 @@ def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B"
     """
     kept = bipartition.kept_basis(traced)
     # the sector blocks, and the copy BlockOperator makes of them
-    require_memory(32 * sum(kept.sector_dim(c) ** 2 for c in kept.model.charges),
-                   f"the marginal on a {kept.dim}-dim basis")
+    require_memory(32 * kept.unit_count, f"the marginal on a {kept.dim}-dim basis")
     C = bipartition.amplitude_matrix(state.normalized())
     blocks = marginal_blocks(C, bipartition, traced)
     return BlockOperator(kept, dict(zip(kept.model.charges, blocks)))
 
 
-def marginal_blocks(C: np.ndarray, bipartition: Bipartition, traced: str = "B") -> list:
+def marginal_blocks(C: np.ndarray, bipartition: Bipartition, traced: str) -> list:
     """The kept marginal's sector blocks, in the kept party's charge order, for
     the pure state with ``C = bipartition.amplitude_matrix(psi)``: C_x C_x^dagger
     for each root charge x of A (traced B), or C_y^T conj(C_y) for each root
@@ -641,10 +639,11 @@ def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") ->
         raise ValueError("side must be 'A' or 'B'")
     traced = "B" if side == "A" else "A"
     _require_same_basis(op.basis, bipartition.kept_basis(traced))
-    out = _zero_blocks(bipartition.basis)
+    data = np.zeros(bipartition.basis.unit_count, dtype=complex)
+    out = _sector_views(bipartition.basis, data)
     for g, keep, index in bipartition.kept_blocks(traced):
         out[g][index[:, :, None], index[:, None, :]] = op.blocks[keep]
-    return BlockOperator(bipartition.basis, out)
+    return BlockOperator._of(bipartition.basis, data)
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +712,12 @@ def parse_state_text(model, text: str) -> AnyonState:
     shape, entries = _parse_entry_file(text)
     basis = enumerate_basis(model, shape)
     amplitudes = np.zeros(basis.dim, dtype=complex)
-    for label, value in entries:
-        amplitudes[basis.index_of_label(label)] += value
+    with np.errstate(over="ignore"):  # an overflow shows in the norm, checked below
+        for label, value in entries:
+            amplitudes[basis.index_of_label(label)] += value
+        norm = _norm(amplitudes)
+    if amplitudes.any() and not 0.0 < norm < math.inf:  # the zero state fails where normalized
+        raise ModelFormatError(_unnormalizable(amplitudes, norm))
     return AnyonState(basis, amplitudes)
 
 

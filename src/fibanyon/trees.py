@@ -233,6 +233,10 @@ class SectorBasis:
     mixed-radix number over (global charge, leaves, other internals), a
     row increases with its index, so :meth:`index_of_rows` is one
     ``searchsorted``.  Labels are built on demand, for I/O.
+
+    :attr:`block_slices` lays out an operator's sector blocks: each block
+    raveled, one after another in charge order, :attr:`unit_count` (the sum
+    of the squared sector dimensions) entries in all.
     """
 
     def __init__(self, model: AnyonModel, shape: TreeShape):
@@ -253,6 +257,9 @@ class SectorBasis:
         self.dim = len(table)
         bounds = np.searchsorted(self.charges[:, 0], np.arange(radix + 1)).tolist()
         self._slices = {c: slice(bounds[k], bounds[k + 1]) for k, c in enumerate(model.charges)}
+        starts = np.cumsum([0] + [(hi - lo) ** 2 for lo, hi in zip(bounds, bounds[1:])]).tolist()
+        self.block_slices = {c: slice(lo, hi) for c, lo, hi in zip(model.charges, starts, starts[1:])}
+        self.unit_count = starts[-1]
 
     def sector_dim(self, g: Charge) -> int:
         sl = self.sector_slice(g)

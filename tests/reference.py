@@ -146,7 +146,8 @@ def correlation_plan(part) -> CorrelationPlan:
     for g, x, y, index in part.blocks:
         d_a, d_b = index.shape
         flat = index.ravel()
-        mixed.append((g, units_a.block[x], units_b.block[y], flat[:, None], flat[None, :],
+        mixed.append((g, part.a_basis.block_slices[x], part.b_basis.block_slices[y],
+                      flat[:, None], flat[None, :],
                       (d_a, d_b, d_a, d_b), (d_a**2, d_b**2)))
     return CorrelationPlan(units_a, units_b, mixed)
 
@@ -154,7 +155,7 @@ def correlation_plan(part) -> CorrelationPlan:
 def _violations(part, source):
     plan = correlation_plan(part)
     units_a, units_b = plan.units_a, plan.units_b
-    require_memory(80 * units_a.count * units_b.count,
+    require_memory(80 * part.a_basis.unit_count * part.b_basis.unit_count,
                    f"the correlation table of a {part.n_a}|{part.n_b} split")
     if isinstance(source, np.ndarray):
         realigned = source.take(units_a.row, 0).take(units_b.row, 1)
@@ -162,7 +163,7 @@ def _violations(part, source):
     else:
         if not source.basis.compatible(part.basis):
             raise BasisMismatchError("objects live on different bases")
-        realigned = np.zeros((units_a.count, units_b.count), dtype=complex)
+        realigned = np.zeros((part.a_basis.unit_count, part.b_basis.unit_count), dtype=complex)
         for g, at_a, at_b, rows, cols, shape, square in plan.mixed:
             realigned[at_a, at_b] += (
                 source.blocks[g][rows, cols].reshape(shape).transpose(0, 2, 1, 3).reshape(square)

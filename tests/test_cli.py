@@ -7,15 +7,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibanyon import cli, errors
 from fibanyon.cli import DISPLAY_ZERO, build_parser, main
-from fibanyon.correlations import _units
 from fibanyon.model import fibonacci_model
 from fibanyon.states import (
     AnyonState,
@@ -98,6 +100,12 @@ GOLDEN_CASES = [
     # every bit of the correlation residuals, which the text report rounds to three digits
     ("verify_correlations_quick.json",
      ("verify", "--suite", "correlations", "--quick", "--format", "json")),
+    # every BlockOperator operation, partial trace and embedding; as text, because the
+    # JSON residuals' last digits differ between one BLAS thread and several
+    ("verify_algebra_quick.txt", ("verify", "--suite", "algebra", "--quick")),
+    # every bit of the recoupling residuals
+    ("verify_recoupling_quick.json",
+     ("verify", "--suite", "recoupling", "--quick", "--format", "json")),
 ]
 
 
@@ -264,6 +272,57 @@ def test_non_finite_amplitude_in_state_file_exits_1(tmp_path, capsys):
     assert code == 1 and out == ""
     assert capsys.readouterr().err == (
         f"error: state file {path}: line 2: amplitude is not finite in 'e,tau;tau : inf 0.0'\n")
+
+
+@pytest.mark.parametrize("entries, problem", [
+    # repeated labels add, and 1e308 + 1e308 overflows
+    ("e,tau;tau : 1e308 0\ne,tau;tau : 1e308 0\n", "overflows"),
+    # each amplitude is finite, the sum of their squares is not
+    ("e,tau;tau : 1e200 0\ntau,tau;tau : 1e200 0\n", "overflows"),
+    ("e,tau;tau : 1e-320 0\n", "underflows to 0"),
+], ids=["repeated-label-overflows", "norm-overflows", "norm-underflows"])
+@pytest.mark.parametrize("command", ["marginals", "correlations"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_state_file_norm_out_of_range_exits_1(tmp_path, capsys, entries, problem, command, fmt):
+    path = tmp_path / "extreme.state"
+    path.write_text("shape: (0 1)\n" + entries, encoding="utf-8")
+    code, out = run_cli(command, "--state", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: state file {path}: cannot normalize: the norm of the amplitudes {problem}\n")
+
+
+@pytest.mark.parametrize("alpha, beta, problem", [
+    ("1e308", "1e308", "overflows"),
+    ("1e200,1e200", "0", "overflows"),
+    ("1e-200", "1e-200", "underflows to 0"),
+])
+def test_message_norm_out_of_range_is_usage_error(capsys, alpha, beta, problem):
+    code, out = run_cli("teleport", "--scenario", "main-text", "--direction", "ab",
+                        "--alpha", alpha, "--beta", beta)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"usage error: --alpha and --beta: the message norm {problem}\n")
+
+
+_LABELS = ("(tau,e),(e,tau);tau,tau;e", "(e,e),(tau,tau);e,tau;tau", "(tau,tau),(tau,tau);e,e;e",
+           "(tau,tau),(tau,tau);tau,tau;e")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_LABELS), st.floats(-330, 308), st.floats(-330, 308),
+                          st.booleans()), min_size=1, max_size=4),
+       st.sampled_from(["marginals", "correlations"]), st.sampled_from(["text", "json"]))
+def test_state_files_at_any_magnitude_give_a_clean_report_or_error(entries, command, fmt):
+    # repeated labels add; exponents span underflow through overflow
+    lines = [f"{label} : {(-1) ** sign * 10.0 ** re!r} {10.0 ** im!r}"
+             for label, re, im, sign in entries]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.state"
+        path.write_text("shape: ((0 1)(2 3))\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        code, out = run_cli(command, "--state", str(path), "--format", fmt)
+    assert code in (0, 1, 2)
+    assert "NaN" not in out and "Infinity" not in out and "nan" not in out and "inf" not in out
 
 
 @pytest.mark.parametrize("command", ["marginals", "correlations"])
@@ -524,7 +583,7 @@ def test_correlation_table_over_memory_budget_exits_1(tmp_path, monkeypatch, cap
     monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
     code, out = run_cli("correlations", "--state", path, "--split", "3")
     assert code == 1 and out == ""
-    units = _units(enumerate_basis(fibonacci_model(), left_comb(3))).count  # per party
+    units = enumerate_basis(fibonacci_model(), left_comb(3)).unit_count  # per party
     assert capsys.readouterr().err == (
         f"error: the correlation table of a 3|3 split needs ~{80 * units**2 / 2**30:.3g} GiB,"
         f" {2**20 / 2**30:.3g} GiB available (at most half may be used)\n"

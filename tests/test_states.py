@@ -125,6 +125,28 @@ def test_operator_keeps_read_only_copies_of_its_blocks(basis2):
                 b[0, 0] = 2.0
 
 
+def test_operator_blocks_are_read_only_views_of_its_data(model, basis4, rng):
+    part = bipartition(basis4, 2)
+    psi = random_pure_state(basis4, "tau", rng)
+    obs, rho = random_observable(basis4, rng), random_density(basis4, rng)
+    local = random_observable(part.a_basis, rng)
+    ops = {
+        "dict": BlockOperator(basis4, {"e": np.eye(basis4.sector_dim("e"))}),
+        "embed_local": embed_local(local, part, side="A"),
+        "partial_trace": partial_trace(rho, part, traced="A"),
+        "from_ket_bra": BlockOperator.from_ket_bra(psi),
+        "+": obs + rho, "-": obs - rho, "*": 0.5 * rho, "@": obs @ rho,
+    }
+    for name, op in ops.items():
+        assert op.data.dtype == complex and op.data.shape == (op.basis.unit_count,), name
+        assert not op.data.flags.writeable, name
+        for g, sl in op.basis.block_slices.items():
+            block = op.blocks[g]
+            assert np.shares_memory(op.data, block) and not block.flags.writeable, (name, g)
+            assert block.shape == (op.basis.sector_dim(g),) * 2, (name, g)
+            assert np.array_equal(block.ravel(), op.data[sl]), (name, g)
+
+
 def test_ket_bra_across_sectors_forbidden(basis2):
     with pytest.raises(SuperselectionError):
         BlockOperator.from_ket_bra(ket(basis2, "e,e;e"), ket(basis2, "tau,e;tau"))
