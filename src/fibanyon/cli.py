@@ -24,6 +24,7 @@ from .model import AnyonModel, fibonacci_model, load_model_text, validate_model
 from .recouple import change_shape
 from .states import (
     bipartition,
+    norm_problem,
     parse_state_text,
     pure_marginal,
     purity,
@@ -287,14 +288,15 @@ def cmd_teleport(args, model: AnyonModel) -> int:
     alpha = _parse_amplitude("--alpha", args.alpha)
     beta = _parse_amplitude("--beta", args.beta)
     try:
-        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        squared = abs(alpha) ** 2 + abs(beta) ** 2
     except OverflowError:
-        norm = math.inf
+        squared = math.inf
     if alpha == beta == 0.0:
         raise UsageError("message amplitudes must not both vanish")
-    if not 0.0 < norm < math.inf:
-        raise UsageError("--alpha and --beta: the message norm "
-                         + ("underflows to 0" if norm == 0.0 else "overflows"))
+    problem = norm_problem(squared)
+    if problem:
+        raise UsageError(f"--alpha and --beta: the message norm {problem}")
+    norm = math.sqrt(squared)
     if abs(norm - 1.0) > 1e-10:
         print(f"note: normalizing message by 1/{norm:.6g}", file=sys.stderr)
     message = MessageQubit(alpha / norm, beta / norm)

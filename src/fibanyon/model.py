@@ -141,6 +141,11 @@ def build_model(
     physical freedom in a multiplicity-free theory.
     """
     charges = tuple(charges)
+    repeated = [c for k, c in enumerate(charges) if c in charges[:k]]
+    if repeated:
+        raise ModelFormatError(f"charge {repeated[0]!r} is declared more than once")
+    if vacuum not in charges:
+        raise ModelFormatError(f"vacuum {vacuum!r} is not a declared charge")
     for (a, b), out in fusion.items():
         undeclared = [c for c in (a, b, *out) if c not in charges]
         if undeclared:
@@ -237,6 +242,7 @@ def quantum_dimension(model: AnyonModel, a: Charge) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(fusion_matrix))))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # entries of any size are reported
 def validate_model(model: AnyonModel) -> list[str]:
     """Check the model invariants; returns a report of violations.
 
@@ -272,23 +278,28 @@ def validate_model(model: AnyonModel) -> list[str]:
             continue
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(len(ds))))
         if not dev <= MODEL_TOL:  # NaN fails
-            report.append(f"F-matrix not unitary: [{a},{b},{c}; {g}] (dev {dev:.2e})")
+            report.append(f"F-matrix not unitary: [{a},{b},{c}; {g}] (dev {_shown(dev)})")
 
     for (a, b, c), val in model.r_symbols.items():
-        if not abs(abs(val) - 1.0) <= MODEL_TOL:
+        if not np.abs(np.abs(val) - 1.0) <= MODEL_TOL:
             report.append(f"R not a phase: {a} x {b} -> {c}")
-        if (a == model.vacuum or b == model.vacuum) and not abs(val - 1.0) <= MODEL_TOL:
+        if (a == model.vacuum or b == model.vacuum) and not np.abs(val - 1.0) <= MODEL_TOL:
             report.append(f"vacuum R not trivial: {a} x {b} -> {c}")
 
     dev = pentagon_residual(model)
     if not dev <= MODEL_TOL:
-        report.append(f"pentagon identity violated (residual {dev:.2e})")
+        report.append(f"pentagon identity violated (residual {_shown(dev)})")
 
     dev = hexagon_residual(model)
     if not dev <= MODEL_TOL:
-        report.append(f"hexagon identities violated (residual {dev:.2e})")
+        report.append(f"hexagon identities violated (residual {_shown(dev)})")
 
     return report
+
+
+def _shown(dev: float) -> str:
+    """A deviation for a report: an overflowing or NaN one has no digits to show."""
+    return format(dev, ".2e") if math.isfinite(dev) else "not finite"
 
 
 def pentagon_residual(model: AnyonModel) -> float:

@@ -87,7 +87,7 @@ class AnyonState:
         return self.basis.sector_of(nz[0]) if len(nz) else None
 
     def norm(self) -> float:
-        return _norm(self.amplitudes)
+        return math.sqrt(_squared_norm(self.amplitudes))
 
     def normalized(self) -> "AnyonState":
         # scaling cannot widen the support, so the sector check is not repeated
@@ -118,37 +118,43 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-def _norm(amplitudes: np.ndarray) -> float:
-    """``np.linalg.norm`` of a complex vector, by its own formula (the real and
-    the imaginary part's dot products) without its dispatch."""
+def _squared_norm(amplitudes: np.ndarray) -> float:
+    """The square of ``np.linalg.norm`` of a complex vector, by its formula (the
+    real and the imaginary part's dot products) without its dispatch: its
+    square root is that norm bit for bit."""
     flat = amplitudes.ravel(order="K")
     re, im = flat.real, flat.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return float(re.dot(re) + im.dot(im))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """:func:`_norm` of each row (the last axis) of a stack of complex vectors,
-    bit for bit: a one-row product of each part with itself makes the same
-    strided BLAS dot call."""
+    """The norm of each row (the last axis) of a stack of complex vectors, the
+    square root of its :func:`_squared_norm` bit for bit: a one-row product of
+    each part with itself makes the same strided BLAS dot call."""
     re, im = rows.real[..., None, :], rows.imag[..., None, :]
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
 def normalized_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
     """The amplitudes over their norm; ValueError for the zero vector, or for
-    a norm that underflows to 0 or overflows."""
-    n = _norm(amplitudes)
-    if not 0.0 < n < math.inf:
-        raise ValueError(_unnormalizable(amplitudes, n))
-    return amplitudes / n
+    amplitudes whose squared norm is not a normal, finite float (see
+    :func:`norm_problem`)."""
+    squared = _squared_norm(amplitudes)
+    problem = norm_problem(squared)
+    if problem:
+        raise ValueError(f"cannot normalize: the norm of the amplitudes {problem}"
+                         if amplitudes.any() else "cannot normalize the zero state")
+    return amplitudes / math.sqrt(squared)
 
 
-def _unnormalizable(amplitudes: np.ndarray, n: float) -> str:
-    """Why amplitudes whose :func:`_norm` is `n`, 0 or not finite, cannot be normalized."""
-    if not amplitudes.any():
-        return "cannot normalize the zero state"
-    return ("cannot normalize: the norm of the amplitudes "
-            + ("underflows to 0" if n == 0.0 else "overflows"))
+def norm_problem(squared: float) -> str | None:
+    """Why a vector whose sum of squared moduli is `squared` has no usable norm,
+    or None.  A subnormal sum (below ``sys.float_info.min``) has lost digits,
+    so its norm is refused too."""
+    if 2.0 ** -1022 <= squared < math.inf:  # 2 ** -1022 is sys.float_info.min
+        return None
+    return ("underflows to 0" if squared == 0.0 else "underflows (its square is subnormal)"
+            if squared < 2.0 ** -1022 else "overflows")
 
 
 def rounded_product(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -715,9 +721,9 @@ def parse_state_text(model, text: str) -> AnyonState:
     with np.errstate(over="ignore"):  # an overflow shows in the norm, checked below
         for label, value in entries:
             amplitudes[basis.index_of_label(label)] += value
-        norm = _norm(amplitudes)
-    if amplitudes.any() and not 0.0 < norm < math.inf:  # the zero state fails where normalized
-        raise ModelFormatError(_unnormalizable(amplitudes, norm))
+        problem = norm_problem(_squared_norm(amplitudes))
+    if amplitudes.any() and problem:  # the zero state fails where normalized
+        raise ModelFormatError(f"cannot normalize: the norm of the amplitudes {problem}")
     return AnyonState(basis, amplitudes)
 
 

@@ -55,20 +55,13 @@ the last one gather and one multiply for the catalog's Paulis.  Only
 each branch's fidelity is scored on its own: scoring them in one stacked
 product rounds differently.
 
-Sampled measurements (the reachability sweep and the verification
-oracle) measure each charge sector of the measured basis in the columns
-of a Haar unitary U-bar, one rank-1 projector per column, and are read
-only through W = C U-bar.  Per sector, B spans the conjugated rows of
-every message's block, so C = C B B^dagger and W = (C B)(B^dagger U-bar),
-and B^dagger U-bar is drawn directly as the top r rows of a Haar unitary
-(r is 1 or 2 in the catalog's sweeps, against sector dimensions of 13
-and 21).  :func:`sampled_sweep` builds the split states, the row spaces
-and the draws for both, from one stream per sweep: the samples are drawn
-in chunks of ``MESSAGE_SAMPLES // len(messages)`` (80 samples for one
-message, 20 for four, 8 for ten), one ``standard_normal`` call per chunk,
-each sector's chunk is one stacked thin QR, and W and its moduli are one
-product and one ``abs`` per sector for every sample of the chunk and every
-message of the sweep; a one-message sweep of 200 samples is 3 chunks.
+Sampled measurements serve the reachability sweep alone: each charge
+sector of the measured basis is measured in the columns of a Haar unitary
+U-bar, read only through W = C U-bar, and :func:`sampled_sweep` draws only
+B^dagger U-bar, for B the row space of the messages' blocks, in chunks of
+``MESSAGE_SAMPLES`` (sample, message) pairs.  The verification oracle
+samples nothing: the receiver's uncorrected average fidelity is the same
+for every complete sector-respecting PVM (see ``verify.oracle_excess``).
 """
 
 from __future__ import annotations
@@ -554,15 +547,12 @@ def sample_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-# Samples are drawn in chunks of MESSAGE_SAMPLES // (number of messages)
-# samples, at least 1, so a chunk holds about MESSAGE_SAMPLES (sample,
-# message) pairs whatever the message count.  One sample's scratch is its
-# Ginibre draw and top rows (2 d r values per sector) and, per message, W
-# and its moduli (a receiver vector per outcome of the sector), so the
-# chunk, not the sample count, bounds a sweep's memory.  Each chunk pays one ``standard_normal``
-# call, a stacked QR and a pass over W per sector, so smaller chunks cost
-# time: a one-message sweep of 200 samples pays it 3 times here, and would
-# pay it 25 times in chunks of 8 samples.
+# A sweep draws its samples in chunks of MESSAGE_SAMPLES // (number of
+# messages), at least 1: about MESSAGE_SAMPLES (sample, message) pairs,
+# whose scratch (the draws, W and its moduli) bounds a sweep's memory.  Each
+# chunk pays one ``standard_normal`` call, a stacked QR and a pass over W
+# per sector: a one-message sweep of 200 samples pays it 3 times here, and
+# would pay it 25 times in chunks of 8 samples.
 MESSAGE_SAMPLES = 80
 
 
@@ -603,6 +593,15 @@ def _haar_rows(draws: np.ndarray, d: int, r: int) -> np.ndarray:
     return (q * phases.conj()[:, None, :]).swapaxes(1, 2)
 
 
+def split_states(scenario: TeleportScenario, messages) -> list[SplitState]:
+    """The split state of every message, each a MessageQubit or an (alpha, beta) pair."""
+    splits = [SplitState(scenario, m if isinstance(m, MessageQubit) else MessageQubit(*m))
+              for m in messages]
+    if not splits:
+        raise ValueError("at least one message is required")
+    return splits
+
+
 def sampled_sweep(scenario: TeleportScenario, messages, samples: int,
                   rng: np.random.Generator):
     """The split state of every message and, per chunk of sampled measurements,
@@ -627,10 +626,7 @@ def sampled_sweep(scenario: TeleportScenario, messages, samples: int,
     """
     if samples < 1:
         raise ValueError(f"pvm_samples must be at least 1, got {samples}")
-    message_list = [m if isinstance(m, MessageQubit) else MessageQubit(*m) for m in messages]
-    if not message_list:
-        raise ValueError("at least one message is required")
-    splits = [SplitState(scenario, m) for m in message_list]
+    splits = split_states(scenario, messages)
     coefficients = np.stack([split.coefficients for split in splits])
     blocks = [coefficients[..., sl] for sl in splits[0].measured_slices]
     # per reached sector: C B, the (d, r) of its draw and its columns of a draw row
@@ -648,7 +644,7 @@ def sampled_sweep(scenario: TeleportScenario, messages, samples: int,
             moduli = np.abs(W)
             yield W, moduli, np.sum(moduli ** 2, axis=-2)
 
-    chunk = max(1, MESSAGE_SAMPLES // len(message_list))
+    chunk = max(1, MESSAGE_SAMPLES // len(splits))
 
     def chunks():
         for start in range(0, samples, chunk):
@@ -657,25 +653,11 @@ def sampled_sweep(scenario: TeleportScenario, messages, samples: int,
     return splits, chunks()
 
 
-def average_fidelities(chunk, receiver_mask: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Uncorrected average fidelity sum_k <t|mask(w_k w_k^dagger)|t> over p_k > PROB_TOL,
-    per message (row of `targets`) and sample of a :func:`sampled_sweep` chunk."""
-    rho = 0.0
-    for W, _, probs in chunk:
-        kept = np.where(probs[..., None, :] > PROB_TOL, W, 0.0)
-        rho = rho + kept @ kept.conj().swapaxes(-1, -2)
-    rho = np.where(receiver_mask, rho, 0.0)
-    return np.einsum("mi,msij,mj->ms", targets.conj(), rho, targets).real
-
-
 @dataclass
 class ReachabilityReport:
     """Support sweep over sampled PVMs: how far receiver states stray."""
 
-    scenario: str
-    direction: str
     samples: int
-    messages: int
     conditionals: int
     max_off_support: float
     tol: float
@@ -728,15 +710,8 @@ def receiver_reachability_check(
             count += int(np.count_nonzero(keep))
             # released before the generator computes the next sector's W
             del W, moduli, probs, keep, peak
-    return ReachabilityReport(
-        scenario=scenario.name,
-        direction=scenario.direction,
-        samples=pvm_samples,
-        messages=len(splits),
-        conditionals=count,
-        max_off_support=worst,
-        tol=tol,
-    )
+    return ReachabilityReport(samples=pvm_samples, conditionals=count, max_off_support=worst,
+                              tol=tol)
 
 
 def diagonal_mixture_fidelity_bound(

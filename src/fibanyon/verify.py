@@ -22,7 +22,7 @@ from .correlations import (
     pure_max_violations,
     violation_table,
 )
-from .errors import FibonacciOnlyError, fibonacci_only
+from .errors import FibonacciOnlyError, ModelFormatError, fibonacci_only
 from .model import AnyonModel, fibonacci_model, validate_model
 from .recouple import shape_change
 from .states import (
@@ -44,7 +44,6 @@ from .states import (
 from .teleport import (
     MESSAGE_GRID,
     MessageQubit,
-    average_fidelities,
     builtin_scenarios,
     d1_family_resource,
     diagonal_mixture_fidelity_bound,
@@ -52,7 +51,7 @@ from .teleport import (
     run_protocol,
     run_protocol_via_embedding,
     sample_rng,
-    sampled_sweep,
+    split_states,
     superselection_violating_protocol,
 )
 from .trees import SectorBasis, all_shapes, enumerate_basis, grouped_shape, left_comb
@@ -378,7 +377,7 @@ def suite_teleportation(model: AnyonModel, seed: int = 42, pvm_samples: int = 10
         reach.max_off_support,
         tol,
     )
-    worst_excess = oracle_excess(scenario_ba, messages, max(1, pvm_samples // message_count), seed)
+    worst_excess = oracle_excess(scenario_ba, messages)
     out.add(
         "B->A average fidelity never beats the diagonal-mixture oracle",
         worst_excess <= tol,
@@ -423,21 +422,22 @@ def suite_teleportation(model: AnyonModel, seed: int = 42, pvm_samples: int = 10
     return out
 
 
-def oracle_excess(scenario, messages, samples: int, seed: int) -> float:
-    """Largest sampled average fidelity minus the diagonal-mixture bound, unclipped.
+def oracle_excess(scenario, messages) -> float:
+    """Largest uncorrected average fidelity minus the diagonal-mixture bound,
+    over `messages`, unclipped: exact for every complete sector-respecting PVM.
 
-    The samples are the sector-Haar measurements of :func:`sampled_sweep`,
-    drawn in sequence from the one stream ``sample_rng(seed, 302)``; each is
-    drawn once and shared by every message.
+    Outcome k of a PVM {P_k} leaves the receiver mask(D_k D_k^dagger), with
+    D_k = C P_k^T, weighted by its probability, so the average fidelity is
+    sum_k <t|mask(C P_k^T C^dagger)|t> = <t|mask(C C^dagger)|t>, because the
+    P_k sum to the identity: by no-signalling, the same for every such PVM,
+    of any rank.
     """
-    splits, chunks = sampled_sweep(scenario, messages, samples, sample_rng(seed, 302))
-    targets = np.stack([split.target for split in splits])
-    bounds = np.array([diagonal_mixture_fidelity_bound(split.target, split.receiver_basis,
-                                                       scenario.reachable) for split in splits])
     worst = -math.inf
-    for chunk in chunks:
-        fidelities = average_fidelities(chunk, splits[0].receiver_mask, targets)
-        worst = max(worst, float(np.max(fidelities - bounds[:, None])))
+    for split in split_states(scenario, messages):
+        C, target = split.coefficients, split.target
+        rho = np.where(split.receiver_mask, C @ C.conj().T, 0.0)
+        bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
+        worst = max(worst, float((target.conj() @ rho @ target).real) - bound)
     return worst
 
 
@@ -467,12 +467,14 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run the named suites (all by default).  `quick` shrinks sample counts.
 
-    In a run of all suites, a Fibonacci-only suite on another model is
-    returned as skipped; a suite named explicitly raises instead.
+    Every suite but "model" needs a model that passes :func:`validate_model`.
+    In a run of all suites, a suite that cannot run on the model is returned
+    as skipped; a suite named explicitly raises instead.
     """
     model = model or fibonacci_model()
     run_all = names is None
     names = list(SUITES) if run_all else list(names)
+    invalid = validate_model(model)
     results = []
     for name in names:
         if name not in SUITES:
@@ -480,8 +482,11 @@ def run_suites(
         suite, seeded, reduced = SUITES[name]
         kwargs = reduced if quick else {}
         try:
+            if invalid and name != "model":
+                raise ModelFormatError(f"model {model.name} fails validation: "
+                                       + "; ".join(invalid))
             results.append(suite(model, seed=seed, **kwargs) if seeded else suite(model, **kwargs))
-        except FibonacciOnlyError as exc:
+        except (FibonacciOnlyError, ModelFormatError) as exc:
             if not run_all:
                 raise
             results.append(SuiteResult(name, skipped=str(exc)))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -36,6 +37,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 STATE_FILE = str(DATA / "unequal_marginals.state")
 Z2_MODEL = str(DATA / "z2.model")
+ISING_MODEL = str(DATA / "ising.model")
 
 
 def run_cli(*argv):
@@ -280,7 +282,9 @@ def test_non_finite_amplitude_in_state_file_exits_1(tmp_path, capsys):
     # each amplitude is finite, the sum of their squares is not
     ("e,tau;tau : 1e200 0\ntau,tau;tau : 1e200 0\n", "overflows"),
     ("e,tau;tau : 1e-320 0\n", "underflows to 0"),
-], ids=["repeated-label-overflows", "norm-overflows", "norm-underflows"])
+    # nonzero, but the sum of the squares is subnormal and has lost digits
+    ("e,tau;tau : 1e-160 0\ntau,tau;tau : 1e-160 0\n", "underflows (its square is subnormal)"),
+], ids=["repeated-label-overflows", "norm-overflows", "norm-underflows", "norm-subnormal"])
 @pytest.mark.parametrize("command", ["marginals", "correlations"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_state_file_norm_out_of_range_exits_1(tmp_path, capsys, entries, problem, command, fmt):
@@ -296,6 +300,7 @@ def test_state_file_norm_out_of_range_exits_1(tmp_path, capsys, entries, problem
     ("1e308", "1e308", "overflows"),
     ("1e200,1e200", "0", "overflows"),
     ("1e-200", "1e-200", "underflows to 0"),
+    ("1e-160", "0", "underflows (its square is subnormal)"),
 ])
 def test_message_norm_out_of_range_is_usage_error(capsys, alpha, beta, problem):
     code, out = run_cli("teleport", "--scenario", "main-text", "--direction", "ab",
@@ -321,8 +326,194 @@ def test_state_files_at_any_magnitude_give_a_clean_report_or_error(entries, comm
         path = Path(tmp) / "random.state"
         path.write_text("shape: ((0 1)(2 3))\n" + "\n".join(lines) + "\n", encoding="utf-8")
         code, out = run_cli(command, "--state", str(path), "--format", fmt)
+        if code == 0 and fmt == "text":
+            code, out = run_cli(command, "--state", str(path), "--format", "json")
+            assert code == 0
     assert code in (0, 1, 2)
     assert "NaN" not in out and "Infinity" not in out and "nan" not in out and "inf" not in out
+    if code == 0:
+        report = json.loads(out)
+        for key in ("spectrum_a", "spectrum_b"):
+            assert abs(math.fsum(report[key]) - 1.0) <= 1e-12
+
+
+def _run_contract(argv):
+    """run_cli, with argparse's own exits read as exit codes."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code, ""
+
+
+def _assert_clean_exit(code, out):
+    assert code in (0, 1, 2)
+    assert not re.search(r"\b(nan|inf|infinity)\b", out, flags=re.IGNORECASE)
+
+
+def _fibonacci_model_text(*overrides):
+    """The built-in Fibonacci model in the model-file format, with the (key,
+    value) `overrides` replacing some of its F or R lines."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    r_e, r_tau = cmath.exp(-4j * math.pi / 5.0), cmath.exp(3j * math.pi / 5.0)
+    lines = {
+        "F tau tau tau ; tau ; e e": f"{inv_phi!r} 0.0",
+        "F tau tau tau ; tau ; e tau": f"{math.sqrt(inv_phi)!r} 0.0",
+        "F tau tau tau ; tau ; tau e": f"{math.sqrt(inv_phi)!r} 0.0",
+        "F tau tau tau ; tau ; tau tau": f"{-inv_phi!r} 0.0",
+        "R tau tau ; e": f"{r_e.real!r} {r_e.imag!r}",
+        "R tau tau ; tau": f"{r_tau.real!r} {r_tau.imag!r}",
+    }
+    lines.update(overrides)
+    return ("charges e tau\nvacuum e\nfusion e e -> e\nfusion e tau -> tau\n"
+            "fusion tau tau -> e tau\n"
+            + "".join(f"{key} = {value}\n" for key, value in lines.items()))
+
+
+# the model files the fuzz starts from: every F and R line is one a mutation may
+# rewrite; the Z2 and Z3 ones restate defaults
+_FUZZ_MODELS = {
+    "fibonacci": _fibonacci_model_text(),
+    "z2": (DATA / "z2.model").read_text(encoding="utf-8")
+          + "F s s s ; s ; e e = 1.0 0.0\nR s s ; e = 1.0 0.0\n",
+    "z3": (DATA / "z3.model").read_text(encoding="utf-8")
+          + "F a a a ; e ; b b = 1.0 0.0\nR a a ; b = 1.0 0.0\n",
+    "ising": (DATA / "ising.model").read_text(encoding="utf-8"),
+}
+
+# mostly finite entries, which load: signs, magnitudes from subnormal to the
+# largest float, and the loader's refusals
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.integers(-320, 308)).map(
+        lambda pair: repr(pair[0] * 10.0 ** pair[1])),
+    st.sampled_from(["1.7976931348623157e308", "0.7071067811865476", "nan", "-inf", "1e309"]),
+)
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("repeat charge"), st.integers(0, 2)),
+    st.tuples(st.just("undeclared charge"), st.integers(0, 20)),
+    st.tuples(st.just("undeclared vacuum"), st.just(0)),
+    st.tuples(st.just("drop line"), st.integers(0, 20)),
+    *[st.tuples(st.just("entry"), st.integers(0, 20), _NUMBERS, _NUMBERS)] * 4,
+)
+
+
+def _mutated_model(text, mutations):
+    """`text` with each mutation applied in turn (a line index wraps around)."""
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    for kind, index, *values in mutations:
+        charges = lines[0].split()[1:]
+        fusion = [k for k, line in enumerate(lines) if line.startswith("fusion")]
+        entries = [k for k, line in enumerate(lines) if line[:2] in ("F ", "R ")]
+        if kind == "repeat charge":
+            lines[0] += " " + charges[index % len(charges)]
+        elif kind == "undeclared charge" and fusion:
+            k = fusion[index % len(fusion)]
+            lines[k] = lines[k].replace(charges[-1], "x", 1)
+        elif kind == "undeclared vacuum":
+            lines[1] = "vacuum x"
+        elif kind == "drop line" and len(lines) > 2:
+            del lines[2 + index % (len(lines) - 2)]
+        elif kind == "entry" and entries:
+            k = entries[index % len(entries)]
+            lines[k] = lines[k].split("=")[0] + "= " + " ".join(values)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("line, value", [
+    ("F tau tau tau ; tau ; e e", "1e300 0.0"),
+    ("R tau tau ; e", "1e308 1e308"),
+], ids=["f-overflows", "r-modulus-overflows"])
+def test_model_file_with_huge_entries_exits_1(tmp_path, capsys, line, value):
+    path = _fibonacci_model_file(tmp_path, "huge.model", (line, value))
+    for fmt in ("text", "json"):
+        code, out = run_cli("verify", "--quick", "--model", path, "--format", fmt)
+        assert code == 1
+        _assert_clean_exit(code, out)
+        assert "not finite" in out
+    capsys.readouterr()
+    # a named suite other than the model one refuses the model, as other commands do
+    for argv in (("verify", "--quick", "--suite", "recoupling"), ("basis", "--n", "3")):
+        code, out = run_cli(*argv, "--model", path)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: model {path} fails validation: ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_MODELS)), st.lists(_MUTATIONS, max_size=3),
+       st.sampled_from([("basis", "--n", "3"), ("dims", "--max-n", "4"),
+                        ("marginals", "--state", STATE_FILE),
+                        ("verify", "--quick", "--suite", "model"),
+                        ("verify", "--quick", "--suite", "dims"),
+                        ("verify", "--quick", "--suite", "recoupling")]),
+       st.sampled_from(["text", "json"]))
+def test_model_files_of_any_content_give_a_clean_report_or_error(base, mutations, argv, fmt):
+    # repeated and undeclared charges, missing fusion rules, non-finite and
+    # non-unitary F and R entries
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.model"
+        path.write_text(_mutated_model(_FUZZ_MODELS[base], mutations), encoding="utf-8")
+        code, out = _run_contract((*argv, "--model", str(path), "--format", fmt))
+    _assert_clean_exit(code, out)
+
+
+_JUNK = st.sampled_from(["", "x", "nan", "inf", "-1", "1e308", "0.6,", "@1"])
+
+
+def _or_junk(valid):
+    """Mostly `valid` values, sometimes a malformed or out-of-range one."""
+    return st.one_of(valid, valid, valid, _JUNK)
+
+
+_INTS = st.integers(-2, 12).map(str)
+_FLOATS = st.one_of(st.floats(-1.0, 1.0), st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-330, 308).map(lambda e: 10.0 ** e)).map(repr)
+_TOLS = st.one_of(st.floats(0.0, 1.0), st.floats(min_value=0.0, allow_infinity=False)).map(repr)
+_AMPLITUDES = st.one_of(
+    _FLOATS,
+    st.tuples(_FLOATS, _FLOATS).map(",".join),
+    st.tuples(_FLOATS, _FLOATS).map("@".join),
+)
+_STATES = st.sampled_from([STATE_FILE, "missing.state"])
+# per subcommand: the options it requires, then those it may take (None: a bare flag)
+_SUBCOMMAND_OPTIONS = {
+    "basis": ({"--n": _or_junk(_INTS)},
+              {"--shape": _or_junk(st.sampled_from(["((0 1) 2)", "(0 (1 2))", "((0 1)(2 3))",
+                                                    "(0 1", "0", "(0 0)"]))}),
+    "dims": ({}, {"--max-n": _or_junk(_INTS)}),
+    "marginals": ({"--state": _STATES}, {"--split": _or_junk(_INTS), "--tol": _or_junk(_TOLS)}),
+    "correlations": ({"--state": _STATES},
+                     {"--split": _or_junk(_INTS), "--tol": _or_junk(_TOLS)}),
+    "teleport": ({"--scenario": _or_junk(st.sampled_from(["main-text", "appendix-d1-symmetric",
+                                                          "appendix-d2-asymmetric"])),
+                  "--direction": _or_junk(st.sampled_from(["ab", "ba"]))},
+                 {"--alpha": _or_junk(_AMPLITUDES), "--beta": _or_junk(_AMPLITUDES),
+                  "--samples": _or_junk(st.integers(-1, 5).map(str)),
+                  "--seed": _or_junk(_INTS), "--tol": _or_junk(_TOLS)}),
+    # the algebra suite alone takes a third of a second, quick or not
+    "verify": ({"--suite": _or_junk(st.sampled_from(["model", "dims", "recoupling",
+                                                     "correlations", "teleportation"])),
+                "--quick": st.none()},
+               {"--seed": _or_junk(_INTS)}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_OPTIONS)))
+    required, optional = _SUBCOMMAND_OPTIONS[command]
+    argv = [command]
+    for flag in [*required, *draw(st.lists(st.sampled_from(sorted(optional)), unique=True))]:
+        value = draw({**required, **optional}[flag])
+        argv += [flag] if value is None else [flag, value]
+    argv += draw(st.sampled_from([[], [], ["--format", "json"], ["--format", "json"],
+                                  ["--format", "xml"], ["--bogus"]]))
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argv())
+def test_any_argv_gives_a_clean_report_or_error(argv):
+    _assert_clean_exit(*_run_contract(argv))
 
 
 @pytest.mark.parametrize("command", ["marginals", "correlations"])
@@ -364,24 +555,8 @@ def test_verify_corrupted_model_fails(tmp_path):
 
 def _fibonacci_model_file(tmp_path, name, *overrides):
     """Fibonacci in the model-file format, with some F or R lines replaced."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    r_e, r_tau = cmath.exp(-4j * math.pi / 5.0), cmath.exp(3j * math.pi / 5.0)
-    lines = {
-        "F tau tau tau ; tau ; e e": f"{inv_phi!r} 0.0",
-        "F tau tau tau ; tau ; e tau": f"{math.sqrt(inv_phi)!r} 0.0",
-        "F tau tau tau ; tau ; tau e": f"{math.sqrt(inv_phi)!r} 0.0",
-        "F tau tau tau ; tau ; tau tau": f"{-inv_phi!r} 0.0",
-        "R tau tau ; e": f"{r_e.real!r} {r_e.imag!r}",
-        "R tau tau ; tau": f"{r_tau.real!r} {r_tau.imag!r}",
-    }
-    for key, value in overrides:
-        lines[key] = value
     path = tmp_path / name
-    path.write_text(
-        "charges e tau\nvacuum e\nfusion e e -> e\nfusion e tau -> tau\nfusion tau tau -> e tau\n"
-        + "".join(f"{key} = {value}\n" for key, value in lines.items()),
-        encoding="utf-8",
-    )
+    path.write_text(_fibonacci_model_text(*overrides), encoding="utf-8")
     return str(path)
 
 
@@ -402,6 +577,34 @@ def test_model_file_validated_on_load(tmp_path, capsys):
         assert f"model {corrupted} fails validation" in err
         assert "F-matrix not unitary: [tau,tau,tau; tau]" in err
         assert "pentagon identity violated" in err
+
+
+@pytest.mark.parametrize("charges, vacuum, suite, message", [
+    ("e s s", "e", "algebra", "charge 's' is declared more than once"),
+    ("e e s", "e", "algebra", "charge 'e' is declared more than once"),
+    ("e s", "x", "recoupling", "vacuum 'x' is not a declared charge"),
+], ids=["repeated-charge", "repeated-vacuum", "undeclared-vacuum"])
+def test_model_file_charges_checked_on_load(tmp_path, capsys, charges, vacuum, suite, message):
+    path = tmp_path / "z2.model"
+    path.write_text(f"charges {charges}\nvacuum {vacuum}\n"
+                    "fusion e e -> e\nfusion e s -> s\nfusion s s -> e\n", encoding="utf-8")
+    code, out = run_cli("verify", "--quick", "--suite", suite, "--model", str(path))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_ising_one_one_state_has_unequal_marginals(tmp_path):
+    # (|e,sigma;sigma> + |psi,sigma;sigma>)/sqrt(2): A holds e or psi, B always sigma
+    path = tmp_path / "ising.state"
+    path.write_text("shape: (0 1)\ne,sigma;sigma : 1.0 0.0\npsi,sigma;sigma : 1.0 0.0\n",
+                    encoding="utf-8")
+    code, out = run_cli("marginals", "--model", ISING_MODEL, "--state", str(path),
+                        "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["spectrum_a"] == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+    assert report["spectrum_b"] == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+    assert report["spectra_symmetric"] is False
 
 
 def test_hexagon_violation_fails_verify_and_load(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,14 +213,15 @@ def test_validate_flags_nan_overrides(model):
     f_symbols[("tau", "tau", "tau", "tau", "e", "e")] = math.nan
     report = validate_model(build_model("nan-f", ("e", "tau"), "e", fusion, f_symbols,
                                         model.r_symbols))
-    assert report == ["F-matrix not unitary: [tau,tau,tau; tau] (dev nan)",
-                      "pentagon identity violated (residual nan)",
-                      "hexagon identities violated (residual nan)"]
+    assert report == ["F-matrix not unitary: [tau,tau,tau; tau] (dev not finite)",
+                      "pentagon identity violated (residual not finite)",
+                      "hexagon identities violated (residual not finite)"]
     r_symbols = dict(model.r_symbols)
     r_symbols[("tau", "tau", "e")] = complex(math.nan, 0.0)
     report = validate_model(build_model("nan-r", ("e", "tau"), "e", fusion, model.f_symbols,
                                         r_symbols))
-    assert report == ["R not a phase: tau x tau -> e", "hexagon identities violated (residual nan)"]
+    assert report == ["R not a phase: tau x tau -> e",
+                      "hexagon identities violated (residual not finite)"]
 
 Z2_TEXT = """
 charges e s
@@ -255,3 +257,27 @@ def test_validate_flags_hexagon_violations(model):
     # a semion phase needs F^{sss}_s = -1
     report = validate_model(load_model_text(Z2_TEXT + "R s s ; e = 0.0 1.0\n"))
     assert report == ["hexagon identities violated (residual 2.00e+00)"]
+
+
+ISING_FILE = Path(__file__).parent / "data" / "ising.model"
+
+
+def test_ising_model_file_validates():
+    ising = load_model_text(ISING_FILE.read_text(encoding="utf-8"))
+    assert ising.charges == ("e", "sigma", "psi")
+    assert validate_model(ising) == []
+    assert quantum_dimension(ising, "sigma") == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    _, _, f_sss = ising.f_matrix("sigma", "sigma", "sigma", "sigma")
+    np.testing.assert_allclose(f_sss, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), atol=1e-15)
+
+
+def test_ising_sign_flip_breaks_pentagon_and_hexagon():
+    # F^{sigma psi sigma}_psi = +1 keeps every F-matrix unitary, but no longer
+    # solves the pentagon, nor the hexagons with the Ising R-symbols
+    text = ISING_FILE.read_text(encoding="utf-8").replace(
+        "F sigma psi sigma ; psi ; sigma sigma = -1.0 0.0",
+        "F sigma psi sigma ; psi ; sigma sigma = 1.0 0.0")
+    assert validate_model(load_model_text(text)) == [
+        "pentagon identity violated (residual 2.00e+00)",
+        "hexagon identities violated (residual 2.00e+00)",
+    ]

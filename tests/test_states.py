@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from fibanyon.states import (
     is_density,
     ket,
     mixture,
+    normalized_amplitudes,
     parse_state_text,
     partial_trace,
     pure_density,
@@ -564,3 +566,22 @@ def test_pure_density_checks_memory_first(model, monkeypatch):
         pure_density(state)
     monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
     assert [block.shape for block in pure_density(state).blocks.values()] == [(89, 89), (144, 144)]
+
+
+@pytest.mark.parametrize("amplitudes, problem", [
+    ([0.0, 0.0], "cannot normalize the zero state"),
+    ([1e-320, 0.0], "cannot normalize: the norm of the amplitudes underflows to 0"),
+    ([1e-160, 1e-160j],
+     "cannot normalize: the norm of the amplitudes underflows (its square is subnormal)"),
+    ([1e200, 1e200], "cannot normalize: the norm of the amplitudes overflows"),
+])
+def test_normalized_amplitudes_refuses_an_unusable_norm(amplitudes, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        with np.errstate(over="ignore"):  # the overflow shows in the message
+            normalized_amplitudes(np.array(amplitudes, dtype=complex))
+
+
+def test_normalized_amplitudes_keeps_the_smallest_normal_squared_norm():
+    # a squared norm of exactly the smallest normal float is accepted
+    amplitudes = np.array([math.sqrt(2.0 ** -1022), 0.0], dtype=complex)
+    assert np.abs(normalized_amplitudes(amplitudes)[0] - 1.0) <= 1e-15

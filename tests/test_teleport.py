@@ -18,7 +18,6 @@ from fibanyon.teleport import (
     d1_family_resource,
     PROB_TOL,
     MESSAGE_SAMPLES,
-    average_fidelities,
     diagonal_mixture_fidelity_bound,
     pauli_correction,
     receiver_reachability_check,
@@ -294,33 +293,35 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
     target = message.target_vector(split.receiver_basis, scenario.encoding)
     bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
     assert bound == pytest.approx(0.5, abs=1e-6)
+    excess = oracle_excess(scenario, [message])
+    assert excess <= 1e-10
     seed, samples = 1000, 25
-    _, chunks = sampled_sweep(scenario, [message], samples, sample_rng(seed))
-    fidelities = np.concatenate([
-        average_fidelities(chunk, split.receiver_mask, target[None])[0] for chunk in chunks
-    ])
-    assert fidelities.shape == (samples,)
     unitaries = _reference_unitaries(split.coefficients[None], split.measured_basis,
                                      sample_rng(seed), samples)
-    for unitary, fidelity in zip(unitaries, fidelities):
+    for unitary in unitaries:
         # one rank-1 projector per column of each sector's completed unitary
-        pvm = [BlockOperator.from_full(np.outer(u.conj(), u), split.measured_basis)
-               for u in unitary.T]
-        avg = 0.0
-        for proj in pvm:
-            D = split.coefficients @ proj.to_full().T
-            p = float(np.sum(np.abs(D) ** 2))
-            if p > PROB_TOL:
-                rho = np.where(split.receiver_mask, D @ D.conj().T / p, 0.0)
-                avg += p * float(np.real(target.conj() @ rho @ target))
+        avg = _pvm_average_fidelity(split, [np.outer(u.conj(), u) for u in unitary.T], target)
         assert avg <= bound + 1e-10
-        assert abs(fidelity - avg) <= 1e-14
+        assert abs(avg - bound - excess) <= 1e-12
 
     skewed = MessageQubit(0.6, 0.8)
     target = skewed.target_vector(split.receiver_basis, scenario.encoding)
     i_tau_e = split.receiver_basis.index_of_label("tau,e;tau")
     bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
     assert bound == abs(target[i_tau_e]) ** 2
+
+
+def _pvm_average_fidelity(split, projectors, target):
+    """The uncorrected average fidelity of the measurement `projectors`, outcome by
+    outcome: sum_k p_k <t|mask(rho_k)|t> over the outcomes with p_k > PROB_TOL."""
+    avg = 0.0
+    for proj in projectors:
+        D = split.coefficients @ BlockOperator.from_full(proj, split.measured_basis).to_full().T
+        p = float(np.sum(np.abs(D) ** 2))
+        if p > PROB_TOL:
+            rho = np.where(split.receiver_mask, D @ D.conj().T / p, 0.0)
+            avg += p * float(np.real(target.conj() @ rho @ target))
+    return avg
 
 
 def test_sector_haar_rows_are_orthonormal(model, basis4):
@@ -485,21 +486,56 @@ def _reference_average_fidelity(split, unitary, target):
 
 @pytest.mark.parametrize("samples, message_count", [(25, 4), (100, 10)])
 def test_oracle_excess_matches_per_sample_loop(catalog, samples, message_count):
-    # the quick and full counts of the teleportation suite
-    scenario = catalog["main-text"]["ba"]
-    messages = _verify_messages(message_count)
-    seed = 42
-    splits = [SplitState(scenario, message) for message in messages]
-    # one measurement per sample for every message: B spans all of their blocks
-    unitaries = _reference_unitaries(np.stack([split.coefficients for split in splits]),
-                                     splits[0].measured_basis, sample_rng(seed, 302), samples)
-    worst = -math.inf
-    for message, split in zip(messages, splits):
-        target = message.target_vector(split.receiver_basis, scenario.encoding)
-        bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
-        for unitary in unitaries:
-            worst = max(worst, _reference_average_fidelity(split, unitary, target) - bound)
-    assert abs(oracle_excess(scenario, messages, samples, seed) - worst) <= 1e-14
+    # the quick and full message counts of the teleportation suite: the closed
+    # form equals every sampled rank-1 measurement's fidelity minus the bound
+    for name, direction in (("main-text", "ba"), ("appendix-d2-asymmetric", "ab")):
+        scenario = catalog[name][direction]
+        messages = _verify_messages(message_count)
+        splits = [SplitState(scenario, message) for message in messages]
+        excesses = [oracle_excess(scenario, [message]) for message in messages]
+        assert oracle_excess(scenario, messages) == max(excesses)
+        for seed in (7, 42):
+            # one measurement per sample for every message: B spans all of their blocks
+            unitaries = _reference_unitaries(np.stack([split.coefficients for split in splits]),
+                                             splits[0].measured_basis, sample_rng(seed),
+                                             samples)
+            for message, split, excess in zip(messages, splits, excesses):
+                target = message.target_vector(split.receiver_basis, scenario.encoding)
+                bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis,
+                                                        scenario.reachable)
+                for unitary in unitaries:
+                    fidelity = _reference_average_fidelity(split, unitary, target)
+                    assert abs(fidelity - bound - excess) <= 1e-12
+
+
+def test_oracle_excess_is_exact_for_random_messages_and_projectors_of_any_rank(catalog):
+    # rank-1 and rank-2 projectors, and one projector per whole sector: no-signalling
+    rng = sample_rng(11)
+    messages = [MessageQubit(*verify._random_message(rng)) for _ in range(3)]
+    for name, direction in (("main-text", "ba"), ("appendix-d2-asymmetric", "ab")):
+        scenario = catalog[name][direction]
+        for message in messages:
+            split = SplitState(scenario, message)
+            excess = oracle_excess(scenario, [(message.alpha, message.beta)])
+            bound = diagonal_mixture_fidelity_bound(split.target, split.receiver_basis,
+                                                    scenario.reachable)
+            for unitary in _reference_unitaries(split.coefficients[None], split.measured_basis,
+                                                rng, 5):
+                for rank in (1, 2, split.measured_basis.dim):
+                    projectors = [_sector_projector(unitary, sl, rank, start)
+                                  for sl in split.measured_slices
+                                  for start in range(sl.start, sl.stop, rank)]
+                    assert sum(projectors) == pytest.approx(np.eye(split.measured_basis.dim),
+                                                            abs=1e-12)
+                    fidelity = _pvm_average_fidelity(split, projectors, split.target)
+                    assert abs(fidelity - bound - excess) <= 1e-12
+
+
+def _sector_projector(unitary, sector, rank, start):
+    """The projector onto columns start .. start + rank of `unitary`, cut at the
+    end of `sector`."""
+    columns = unitary[:, start:min(start + rank, sector.stop)]
+    return columns.conj() @ columns.T
 
 
 def test_row_space_reproduces_every_sampled_block(catalog):
@@ -704,7 +740,7 @@ def test_scenario_without_pvm_refuses_run(catalog):
         run_protocol(catalog["main-text"]["ba"], MessageQubit(0.6, 0.8))
 
 
-@pytest.mark.parametrize("sweep", [receiver_reachability_check, oracle_excess])
+@pytest.mark.parametrize("sweep", [receiver_reachability_check])
 def test_reachability_rejects_empty_sweep(catalog, sweep):
     for samples in (0, -3):
         with pytest.raises(ValueError, match=f"^pvm_samples must be at least 1, got {samples}$"):
@@ -713,8 +749,10 @@ def test_reachability_rejects_empty_sweep(catalog, sweep):
 
 @pytest.mark.parametrize("sweep", [receiver_reachability_check, oracle_excess])
 def test_sweeps_reject_an_empty_message_list(catalog, sweep):
+    # the sweep takes a sample count and a seed; the oracle samples nothing
+    extra = (5, 0) if sweep is receiver_reachability_check else ()
     with pytest.raises(ValueError, match="^at least one message is required$"):
-        sweep(catalog["main-text"]["ba"], [], 5, 0)
+        sweep(catalog["main-text"]["ba"], [], *extra)
 
 
 def test_counterfactual_runs_on_the_catalog_main_text_ba(model, catalog):
