@@ -297,6 +297,13 @@ def validate_model(model: AnyonModel) -> list[str]:
     return report
 
 
+def require_valid(model: AnyonModel) -> None:
+    """ModelFormatError naming every violation if `model` fails :func:`validate_model`."""
+    problems = validate_model(model)
+    if problems:
+        raise ModelFormatError(f"model {model.name} fails validation: " + "; ".join(problems))
+
+
 def _shown(dev: float) -> str:
     """A deviation for a report: an overflowing or NaN one has no digits to show."""
     return format(dev, ".2e") if math.isfinite(dev) else "not finite"

@@ -39,6 +39,7 @@ import cmath
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -151,10 +152,13 @@ def norm_problem(squared: float) -> str | None:
     """Why a vector whose sum of squared moduli is `squared` has no usable norm,
     or None.  A subnormal sum (below ``sys.float_info.min``) has lost digits,
     so its norm is refused too."""
-    if 2.0 ** -1022 <= squared < math.inf:  # 2 ** -1022 is sys.float_info.min
+    if squared == 0.0:
+        return "underflows to 0"
+    if squared < sys.float_info.min:
+        return "underflows (its square is subnormal)"
+    if squared < math.inf:
         return None
-    return ("underflows to 0" if squared == 0.0 else "underflows (its square is subnormal)"
-            if squared < 2.0 ** -1022 else "overflows")
+    return "overflows"
 
 
 def rounded_product(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:

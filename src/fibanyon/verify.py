@@ -23,7 +23,7 @@ from .correlations import (
     violation_table,
 )
 from .errors import FibonacciOnlyError, ModelFormatError, fibonacci_only
-from .model import AnyonModel, fibonacci_model, validate_model
+from .model import AnyonModel, fibonacci_model, require_valid, validate_model
 from .recouple import shape_change
 from .states import (
     AnyonState,
@@ -474,19 +474,26 @@ def run_suites(
     model = model or fibonacci_model()
     run_all = names is None
     names = list(SUITES) if run_all else list(names)
-    invalid = validate_model(model)
+    refusal = None
+    if any(name != "model" for name in names):
+        try:
+            require_valid(model)
+        except ModelFormatError as exc:
+            refusal = exc
     results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
+        if refusal and name != "model":
+            if not run_all:
+                raise refusal
+            results.append(SuiteResult(name, skipped=str(refusal)))
+            continue
         suite, seeded, reduced = SUITES[name]
         kwargs = reduced if quick else {}
         try:
-            if invalid and name != "model":
-                raise ModelFormatError(f"model {model.name} fails validation: "
-                                       + "; ".join(invalid))
             results.append(suite(model, seed=seed, **kwargs) if seeded else suite(model, **kwargs))
-        except (FibonacciOnlyError, ModelFormatError) as exc:
+        except FibonacciOnlyError as exc:
             if not run_all:
                 raise
             results.append(SuiteResult(name, skipped=str(exc)))

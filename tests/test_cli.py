@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibanyon import cli, errors
+from fibanyon import cli, errors, verify
 from fibanyon.cli import DISPLAY_ZERO, build_parser, main
 from fibanyon.model import fibonacci_model
 from fibanyon.states import (
@@ -326,15 +326,15 @@ def test_state_files_at_any_magnitude_give_a_clean_report_or_error(entries, comm
         path = Path(tmp) / "random.state"
         path.write_text("shape: ((0 1)(2 3))\n" + "\n".join(lines) + "\n", encoding="utf-8")
         code, out = run_cli(command, "--state", str(path), "--format", fmt)
-        if code == 0 and fmt == "text":
-            code, out = run_cli(command, "--state", str(path), "--format", "json")
-            assert code == 0
-    assert code in (0, 1, 2)
-    assert "NaN" not in out and "Infinity" not in out and "nan" not in out and "inf" not in out
-    if code == 0:
-        report = json.loads(out)
-        for key in ("spectrum_a", "spectrum_b"):
-            assert abs(math.fsum(report[key]) - 1.0) <= 1e-12
+        assert code in (0, 1, 2)
+        assert "NaN" not in out and "Infinity" not in out and "nan" not in out and "inf" not in out
+        if code == 0:
+            code_json, out_json = (code, out) if fmt == "json" else run_cli(
+                command, "--state", str(path), "--format", "json")
+            assert code_json == 0
+            report = json.loads(out_json)
+            for key in ("spectrum_a", "spectrum_b"):
+                assert abs(math.fsum(report[key]) - 1.0) <= 1e-12
 
 
 def _run_contract(argv):
@@ -436,6 +436,16 @@ def test_model_file_with_huge_entries_exits_1(tmp_path, capsys, line, value):
         code, out = run_cli(*argv, "--model", path)
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith(f"error: model {path} fails validation: ")
+
+
+def test_model_format_error_inside_a_suite_fails_a_run_of_all(monkeypatch):
+    # only a model that fails validation turns the other suites into skips
+    def broken(model):
+        raise errors.ModelFormatError("raised inside the suite")
+
+    monkeypatch.setitem(verify.SUITES, "dims", (broken, False, {}))
+    with pytest.raises(errors.ModelFormatError, match="inside the suite"):
+        verify.run_suites(quick=True)
 
 
 @settings(max_examples=60, deadline=None)
