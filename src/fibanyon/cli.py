@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from .correlations import is_uncorrelated
-from .errors import AnyonError, ShapeError
-from .model import AnyonModel, fibonacci_model, load_model_text, require_valid
+from .errors import AnyonError, ModelFormatError, ShapeError
+from .model import AnyonModel, fibonacci_model, load_model_text, validation_refusal
 from .recouple import change_shape
 from .states import (
     bipartition,
@@ -53,8 +53,9 @@ def _load_model(spec: str, validate: bool) -> AnyonModel:
         return fibonacci_model()
     with open(spec, encoding="utf-8") as handle:
         model = load_model_text(handle.read(), name=spec)
-    if validate:
-        require_valid(model)
+    refusal = validation_refusal(model) if validate else None
+    if refusal:
+        raise ModelFormatError(refusal)
     return model
 
 

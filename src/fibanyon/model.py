@@ -297,11 +297,10 @@ def validate_model(model: AnyonModel) -> list[str]:
     return report
 
 
-def require_valid(model: AnyonModel) -> None:
-    """ModelFormatError naming every violation if `model` fails :func:`validate_model`."""
+def validation_refusal(model: AnyonModel) -> str | None:
+    """Why `model` is refused, naming every violation :func:`validate_model` reports, or None."""
     problems = validate_model(model)
-    if problems:
-        raise ModelFormatError(f"model {model.name} fails validation: " + "; ".join(problems))
+    return f"model {model.name} fails validation: " + "; ".join(problems) if problems else None
 
 
 def _shown(dev: float) -> str:

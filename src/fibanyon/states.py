@@ -138,8 +138,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def normalized_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
     """The amplitudes over their norm; ValueError for the zero vector, or for
-    amplitudes whose squared norm is not a normal, finite float (see
-    :func:`norm_problem`)."""
+    a squared norm that :func:`norm_problem` refuses."""
     squared = _squared_norm(amplitudes)
     problem = norm_problem(squared)
     if problem:
@@ -156,9 +155,7 @@ def norm_problem(squared: float) -> str | None:
         return "underflows to 0"
     if squared < sys.float_info.min:
         return "underflows (its square is subnormal)"
-    if squared < math.inf:
-        return None
-    return "overflows"
+    return None if squared < math.inf else "overflows"  # NaN overflows too
 
 
 def rounded_product(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:

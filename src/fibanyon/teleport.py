@@ -55,13 +55,10 @@ the last one gather and one multiply for the catalog's Paulis.  Only
 each branch's fidelity is scored on its own: scoring them in one stacked
 product rounds differently.
 
-Sampled measurements serve the reachability sweep alone: each charge
-sector of the measured basis is measured in the columns of a Haar unitary
-U-bar, read only through W = C U-bar, and :func:`sampled_sweep` draws only
-B^dagger U-bar, for B the row space of the messages' blocks, in chunks of
-``MESSAGE_SAMPLES`` (sample, message) pairs.  The verification oracle
-samples nothing: the receiver's uncorrected average fidelity is the same
-for every complete sector-respecting PVM (see ``verify.oracle_excess``).
+Sampled measurements (:func:`sampled_sweep`) serve the reachability sweep
+alone.  The verification oracle samples nothing: the receiver's uncorrected
+average fidelity is the same for every complete sector-respecting PVM (see
+``verify.oracle_excess``).
 """
 
 from __future__ import annotations
