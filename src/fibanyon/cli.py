@@ -4,6 +4,10 @@ Subcommands: basis, dims, marginals, correlations, teleport, verify.
 Reports go to stdout (or --out) and are byte-stable for fixed flags and
 seed; timing and diagnostics go to stderr.  Exit codes: 0 success,
 1 domain/validation failure, 2 usage error.
+
+Each run is a fresh process, so the top level imports only what basis,
+dims and marginals need; cmd_correlations, cmd_teleport and cmd_verify
+each import their own module when they run.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import time
 
 import numpy as np
 
-from .correlations import is_uncorrelated
 from .errors import AnyonError, ModelFormatError, ShapeError
 from .model import AnyonModel, fibonacci_model, load_model_text, validation_refusal
 from .recouple import change_shape
@@ -31,11 +34,13 @@ from .states import (
     spectra,
     spectra_agree,
 )
-from .teleport import MessageQubit, builtin_scenarios, receiver_reachability_check, run_protocol
 from .trees import TreeShape, enumerate_basis, grouped_shape, left_comb
-from .verify import SUITES, run_suites
 
 DISPLAY_ZERO = 1e-12  # magnitudes below this render as 0 (API values untouched)
+
+# verify.SUITES' names in its order, spelled out so that parsing does not load
+# verify; a test pins the two
+_SUITE_NAMES = ("model", "dims", "recoupling", "algebra", "correlations", "teleportation")
 
 
 def _clip(x: float) -> float:
@@ -252,6 +257,8 @@ def _write_marginals(out, fmt: str, split: int, n: int, rho_a, rho_b, tol: float
 
 
 def cmd_correlations(args, model: AnyonModel) -> int:
+    from .correlations import is_uncorrelated
+
     state, part, split = _load_split_state(args, model)
     report = is_uncorrelated(state, part, tol=args.tol)
     payload = report.to_json_dict()
@@ -277,6 +284,8 @@ def cmd_correlations(args, model: AnyonModel) -> int:
 
 
 def cmd_teleport(args, model: AnyonModel) -> int:
+    from .teleport import MessageQubit, builtin_scenarios, receiver_reachability_check, run_protocol
+
     catalog = builtin_scenarios(model)
     if args.scenario not in catalog:
         raise UsageError(
@@ -377,6 +386,8 @@ def _fmt_imag(x: float) -> str:
 
 
 def cmd_verify(args, model: AnyonModel) -> int:
+    from .verify import run_suites
+
     names = [args.suite] if args.suite else None
     start = time.monotonic()
     results = run_suites(model, names=names, seed=args.seed, quick=args.quick)
@@ -469,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_teleport)
 
     p = sub.add_parser("verify", parents=[common, seeded], help="run the invariant suites")
-    p.add_argument("--suite", default=None, choices=tuple(SUITES))
+    p.add_argument("--suite", default=None, choices=_SUITE_NAMES)
     p.add_argument("--quick", action="store_true", help="reduced sample counts")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -371,6 +371,13 @@ class TeleportScenario:
         object.__setattr__(copy, "_measurements", self._measurements)
         return copy
 
+    def reachable_kets(self) -> tuple[str, ...]:
+        """The receiver's reachable diagonal kets; a ValueError on a direction
+        that declares none (one with a catalog PVM)."""
+        if self.reachable is None:
+            raise ValueError(f"scenario {self.name}/{self.direction} declares no reachable set")
+        return self.reachable
+
     def _layout(self) -> _Layout:
         return _cached_layout(self.model, self.resource.basis, self.direction, self.channel)
 
@@ -682,11 +689,10 @@ def receiver_reachability_check(
     ``sample_rng(seed)``, in chunks of about MESSAGE_SAMPLES (sample, message)
     pairs, for all messages at once.
     """
-    if scenario.reachable is None:
-        raise ValueError(f"scenario {scenario.name}/{scenario.direction} declares no reachable set")
+    reachable = scenario.reachable_kets()
     splits, chunks = sampled_sweep(scenario, messages, pvm_samples, sample_rng(seed))
     recv_basis = splits[0].receiver_basis
-    allowed = [recv_basis.index_of_label(lbl) for lbl in scenario.reachable]
+    allowed = [recv_basis.index_of_label(lbl) for lbl in reachable]
     off_mask = splits[0].receiver_mask.copy()
     off_mask[allowed, allowed] = False
     # per receiver row r with an off-support entry: the columns s of its entries

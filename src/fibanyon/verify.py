@@ -425,11 +425,12 @@ def oracle_excess(scenario, messages) -> float:
     P_k sum to the identity: by no-signalling, the same for every such PVM,
     of any rank.
     """
+    reachable = scenario.reachable_kets()
     worst = -math.inf
     for split in split_states(scenario, messages):
         C, target = split.coefficients, split.target
         rho = np.where(split.receiver_mask, C @ C.conj().T, 0.0)
-        bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
+        bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, reachable)
         worst = max(worst, float((target.conj() @ rho @ target).real) - bound)
     return worst
 

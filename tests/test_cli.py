@@ -716,6 +716,54 @@ def test_each_subcommand_has_exactly_its_options():
     assert sum(map(len, options.values())) == 37
 
 
+def test_suite_choices_are_verify_suites_in_order():
+    verify_parser = _subcommand_parsers(build_parser())["verify"]
+    suite = next(action for action in verify_parser._actions if action.dest == "suite")
+    assert suite.choices == tuple(verify.SUITES)
+
+
+def test_unknown_suite_is_usage_error_listing_the_suites(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "bogus"])
+    assert excinfo.value.code == 2
+    choices = ", ".join(map(repr, verify.SUITES))
+    assert f"invalid choice: 'bogus' (choose from {choices})" in capsys.readouterr().err
+
+
+# Prints which of the per-subcommand modules a child loaded, after running
+# `fibanyon.cli.main` on its arguments (none: the bare import).
+_IMPORT_SCOPE_CHILD = """
+import contextlib, io, sys
+import fibanyon.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fibanyon.cli.main(sys.argv[1:]) == 0
+print(*(m for m in ("fibanyon.correlations", "fibanyon.teleport", "fibanyon.verify")
+        if m in sys.modules))
+"""
+
+
+def test_each_subcommand_imports_only_its_own_module():
+    expected = {
+        (): "",
+        ("basis", "--n", "2"): "",
+        ("dims",): "",
+        ("marginals", "--state", STATE_FILE): "",
+        ("correlations", "--state", STATE_FILE): "fibanyon.correlations",
+        ("teleport", "--scenario", "main-text", "--direction", "ab"): "fibanyon.teleport",
+    }
+    # all children at once: a cold start each, so together under a second
+    children = {
+        argv: subprocess.Popen([sys.executable, "-c", _IMPORT_SCOPE_CHILD, *argv],
+                               stdout=subprocess.PIPE, text=True,
+                               cwd=str(Path(__file__).parent.parent))
+        for argv in expected
+    }
+    loaded = {argv: child.communicate()[0].strip() for argv, child in children.items()}
+    assert all(child.returncode == 0 for child in children.values())
+    assert loaded == expected
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--tol", "1e-3"),
     ("basis", "--n", "2", "--seed", "1"),

@@ -748,6 +748,14 @@ def test_reachability_rejects_empty_sweep(catalog, sweep):
 
 
 @pytest.mark.parametrize("sweep", [receiver_reachability_check, oracle_excess])
+def test_sweeps_refuse_a_direction_with_a_catalog_pvm(catalog, sweep):
+    # main-text ab has a PVM and no reachable set for either sweep to read
+    extra = (5, 0) if sweep is receiver_reachability_check else ()
+    with pytest.raises(ValueError, match="^scenario main-text/ab declares no reachable set$"):
+        sweep(catalog["main-text"]["ab"], [MessageQubit(0.6, 0.8)], *extra)
+
+
+@pytest.mark.parametrize("sweep", [receiver_reachability_check, oracle_excess])
 def test_sweeps_reject_an_empty_message_list(catalog, sweep):
     # the sweep takes a sample count and a seed; the oracle samples nothing
     extra = (5, 0) if sweep is receiver_reachability_check else ()
