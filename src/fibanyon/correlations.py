@@ -319,13 +319,13 @@ def is_uncorrelated(
     label = None
     if isinstance(state_or_rho, AnyonState):
         plan, amplitudes, g, C = _pure(state_or_rho, part)
-        marginals = [marginal_blocks(C, part, traced) for traced in ("B", "A")]
+        marginals = [marginal_blocks(C, part, traced, None) for traced in ("B", "A")]
         realigned = plan.realigned_pure(C)
         if plan.fibonacci_pair:
             label = _pure_class(g == part.basis.model.vacuum, amplitudes)
     else:
         plan = _checked_plan(state_or_rho, part)
-        marginals = [partial_trace_blocks(state_or_rho.data, part, traced)
+        marginals = [partial_trace_blocks(state_or_rho.data, part, traced, None)
                      for traced in ("B", "A")]
         realigned = plan.realigned_mixed(state_or_rho.data)
     violations = np.abs(plan.violations(realigned))

@@ -206,18 +206,22 @@ def superpose(terms) -> tuple[AnyonState, float]:
     basis = terms[0][1].basis
     sectors = set()
     acc = np.zeros(basis.dim, dtype=complex)
-    for weight, state in terms:
-        _require_same_basis(basis, state.basis)
-        if state.sector is not None:
-            sectors.add(state.sector)
-        acc += complex(weight) * state.amplitudes
+    with np.errstate(over="ignore"):  # an overflow shows in the norm, checked below
+        for weight, state in terms:
+            _require_same_basis(basis, state.basis)
+            if state.sector is not None:
+                sectors.add(state.sector)
+            acc += complex(weight) * state.amplitudes
+        squared = _squared_norm(acc)
     if len(sectors) > 1:
         raise SuperselectionError(
             f"superposition across global-charge sectors {sorted(sectors)} is unphysical"
         )
-    norm = float(np.linalg.norm(acc))
-    if norm == 0.0:
-        raise ValueError("superposition vanished; cannot normalize")
+    problem = norm_problem(squared)
+    if problem:
+        raise ValueError(f"cannot normalize the superposition: its norm {problem}"
+                         if acc.any() else "superposition vanished; cannot normalize")
+    norm = math.sqrt(squared)
     return AnyonState(basis, acc / norm), norm
 
 
@@ -308,7 +312,7 @@ class BlockOperator:
         return self.blocks[g]
 
     def adjoint(self) -> "BlockOperator":
-        return BlockOperator(self.basis, {g: b.conj().T for g, b in self.blocks.items()})
+        return BlockOperator._of(self.basis, adjoint_data(self.basis, self.data))
 
     def apply(self, state: AnyonState) -> AnyonState:
         _require_same_basis(self.basis, state.basis)
@@ -324,9 +328,7 @@ class BlockOperator:
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         _require_same_basis(self.basis, other.basis)
-        return BlockOperator(
-            self.basis, {g: self.blocks[g] @ other.blocks[g] for g in self.blocks}
-        )
+        return BlockOperator._of(self.basis, product_data(self.basis, self.data, other.data))
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         _require_same_basis(self.basis, other.basis)
@@ -351,8 +353,40 @@ class BlockOperator:
 
 
 def _sector_views(basis: SectorBasis, data: np.ndarray) -> dict:
-    """Each sector's block of `data`, an operator's array on `basis`, as a square view."""
-    return {g: data[sl].reshape((basis.sector_dim(g),) * 2) for g, sl in basis.block_slices.items()}
+    """Each sector's block of `data`, an operator's array on `basis`, as a square
+    view; for a stack of such arrays (the last axis), a stack of blocks."""
+    lead = data.shape[:-1]
+    return {g: data[..., sl].reshape(lead + shape) for g, sl, shape in basis.block_layout}
+
+
+# Operator data with a stack axis.  The ``*_data`` functions of this module
+# and :func:`density_flags` take the :attr:`BlockOperator.data` of one
+# operator, or a stack of them along the leading axes, unchecked, and make a
+# fresh array.  A stack gives, bit for bit, what one call per operator gives:
+# every sector block goes through the same BLAS or LAPACK call, and every
+# elementwise or reduced entry through the same operations in the same order.
+
+
+def product_data(basis: SectorBasis, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The data of ``lhs @ rhs``: one matrix product per sector block."""
+    out = np.empty(lhs.shape, dtype=complex)
+    for view, a, b in zip(_sector_views(basis, out).values(), _sector_views(basis, lhs).values(),
+                          _sector_views(basis, rhs).values()):
+        np.matmul(a, b, out=view)
+    return out
+
+
+def adjoint_data(basis: SectorBasis, data: np.ndarray) -> np.ndarray:
+    """The data of the adjoint: each sector block conjugated and transposed."""
+    out = np.empty(data.shape, dtype=complex)
+    for view, block in zip(_sector_views(basis, out).values(), _sector_views(basis, data).values()):
+        np.conjugate(block.swapaxes(-1, -2), out=view)
+    return out
+
+
+def trace_data(basis: SectorBasis, data: np.ndarray):
+    """The trace: each sector block's, summed in charge order."""
+    return sum(np.trace(b, axis1=-2, axis2=-1) for b in _sector_views(basis, data).values())
 
 
 def _off_block_mass(matrix: np.ndarray, basis: SectorBasis) -> float:
@@ -398,7 +432,7 @@ def mixture(terms) -> BlockOperator:
 
 
 def trace(op: BlockOperator) -> complex:
-    return complex(sum(np.trace(b) for b in op.blocks.values()))
+    return complex(trace_data(op.basis, op.data))
 
 
 def purity(rho: BlockOperator) -> float:
@@ -457,11 +491,20 @@ def fidelity(psi: AnyonState, rho: BlockOperator | AnyonState) -> float:
 
 
 def is_density(op: BlockOperator) -> bool:
-    if not op.is_hermitian():
-        return False
-    if abs(trace(op) - 1.0) > SPECTRAL_TOL:
-        return False
-    return float(spectrum(op)[-1]) >= -SPECTRAL_TOL
+    return bool(density_flags(op.basis, op.data[None])[0])
+
+
+def density_flags(basis: SectorBasis, data: np.ndarray) -> np.ndarray:
+    """Whether each operator of a stack of operator data on `basis` (one per
+    row) is a density operator: Hermitian, of trace 1 and with no eigenvalue
+    below 0, each within SPECTRAL_TOL."""
+    blocks = _sector_views(basis, data).values()
+    flags = np.abs(trace_data(basis, data) - 1.0) <= SPECTRAL_TOL
+    for b in blocks:
+        skew = np.abs(b - np.conjugate(b.swapaxes(-1, -2)))
+        flags &= np.max(skew, axis=(-2, -1), initial=0.0) <= SPECTRAL_TOL
+    lowest = np.array([vals[-1] for vals in spectra(*zip(*blocks))])
+    return flags & (lowest >= -SPECTRAL_TOL)
 
 
 class Bipartition:
@@ -576,29 +619,43 @@ def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B
     condition with :func:`embed_local`.
     """
     _require_same_basis(rho.basis, bipartition.basis)
-    kept = bipartition.kept_basis(traced)
-    return BlockOperator(kept, dict(zip(kept.model.charges,
-                                        partial_trace_blocks(rho.data, bipartition, traced))))
+    return BlockOperator._of(bipartition.kept_basis(traced),
+                             partial_trace_data(rho.data, bipartition, traced))
 
 
-def partial_trace_blocks(data: np.ndarray, bipartition: Bipartition, traced: str) -> list:
+def partial_trace_data(data: np.ndarray, bipartition: Bipartition, traced: str) -> np.ndarray:
+    """The :attr:`BlockOperator.data` of :func:`partial_trace` from rho's
+    (unchecked), or of each operator of a stack of them (the last axis)."""
+    out = np.zeros(data.shape[:-1] + (bipartition.kept_basis(traced).unit_count,), dtype=complex)
+    partial_trace_blocks(data, bipartition, traced, out)
+    return out
+
+
+def partial_trace_blocks(data: np.ndarray, bipartition: Bipartition, traced: str, out) -> list:
     """The sector blocks of :func:`partial_trace`, in the kept party's charge
-    order, from rho's :attr:`BlockOperator.data` (unchecked).
+    order, from rho's :attr:`BlockOperator.data` (unchecked), or a stack of
+    blocks per charge from a stack of such data (the last axis).  Each block
+    is written into `out`, the kept operator's data (zeroed), and is a view of
+    it; with `out` None, each is a fresh array.
 
     Each block (g, x, y) of rho_g adds one kept-party matrix per traced
     tree, in global-charge and then traced-basis order.
     """
-    kept = bipartition.kept_basis(traced)
-    out = []
-    for keep, stack in bipartition.trace_gathers[traced].items():
+    lead = data.shape[:-1]
+    blocks = []
+    for c, sl, shape in bipartition.kept_basis(traced).block_layout:
+        stack = bipartition.trace_gathers[traced][c]
+        target = None if out is None else out[..., sl].reshape(lead + shape)
         if stack is None:  # a kept charge that no block reaches
-            out.append(np.zeros((kept.sector_dim(keep),) * 2, dtype=complex))
+            blocks.append(np.zeros(lead + shape, dtype=complex) if target is None else target)
         else:
             # Summed as reals, each term in turn from 0, as a per-term += would:
             # a complex sum over one-entry terms would be pairwise.
-            terms = data.take(stack).view(float)
-            out.append(np.add.reduce(terms, axis=0, initial=0.0).view(complex))
-    return out
+            terms = data.take(stack, axis=-1).view(float)
+            blocks.append(np.add.reduce(terms, axis=-3, initial=0.0,
+                                        out=None if target is None else target.view(float))
+                          .view(complex))
+    return blocks
 
 
 def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
@@ -608,28 +665,33 @@ def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B"
     :func:`marginal_blocks`.
     """
     kept = bipartition.kept_basis(traced)
-    # the sector blocks, and the copy BlockOperator makes of them
+    # the marginal's data, and as much again as a margin for its products' temporaries
     require_memory(32 * kept.unit_count, f"the marginal on a {kept.dim}-dim basis")
     C = bipartition.amplitude_matrix(state.normalized())
-    blocks = marginal_blocks(C, bipartition, traced)
-    return BlockOperator(kept, dict(zip(kept.model.charges, blocks)))
+    data = np.empty(kept.unit_count, dtype=complex)
+    marginal_blocks(C, bipartition, traced, data)
+    return BlockOperator._of(kept, data)
 
 
-def marginal_blocks(C: np.ndarray, bipartition: Bipartition, traced: str) -> list:
+def marginal_blocks(C: np.ndarray, bipartition: Bipartition, traced: str, out) -> list:
     """The kept marginal's sector blocks, in the kept party's charge order, for
     the pure state with ``C = bipartition.amplitude_matrix(psi)``: C_x C_x^dagger
     for each root charge x of A (traced B), or C_y^T conj(C_y) for each root
-    charge y of B (traced A)."""
+    charge y of B (traced A).  Each block is written into `out`, the
+    marginal's :attr:`BlockOperator.data`, and is a view of it; with `out`
+    None, each is a fresh array."""
     kept = bipartition.kept_basis(traced)
     if traced == "A":
         C = C.T
-    if kept.shape.n_leaves == 1:  # one anyon, one tree per charge: one stacked product
-        return list(np.matmul(C[:, None, :], np.conjugate(C, order="C")[:, :, None]))
-    out = []
-    for c in kept.model.charges:
+    if kept.shape.n_leaves == 1:  # one anyon, one 1 x 1 block per charge: one stacked product
+        return list(np.matmul(C[:, None, :], np.conjugate(C, order="C")[:, :, None],
+                              out=None if out is None else out.reshape(-1, 1, 1)))
+    blocks = []
+    for c, sl, shape in kept.block_layout:
         rows = C[kept.sector_slice(c)]
-        out.append(rows @ rows.conj().T)
-    return out
+        blocks.append(np.matmul(rows, rows.conj().T,
+                                out=None if out is None else out[sl].reshape(shape)))
+    return blocks
 
 
 def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") -> BlockOperator:
@@ -644,17 +706,30 @@ def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") ->
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
+    _require_same_basis(op.basis, bipartition.kept_basis("B" if side == "A" else "A"))
+    return BlockOperator._of(bipartition.basis, embed_data(op.data, bipartition, side))
+
+
+def embed_data(data: np.ndarray, bipartition: Bipartition, side: str) -> np.ndarray:
+    """The :attr:`BlockOperator.data` of :func:`embed_local` from the subsystem
+    operator's (unchecked), or of each operator of a stack of them (the last
+    axis)."""
     traced = "B" if side == "A" else "A"
-    _require_same_basis(op.basis, bipartition.kept_basis(traced))
-    data = np.zeros(bipartition.basis.unit_count, dtype=complex)
-    out = _sector_views(bipartition.basis, data)
+    out = np.zeros(data.shape[:-1] + (bipartition.basis.unit_count,), dtype=complex)
+    views = _sector_views(bipartition.basis, out)
+    blocks = _sector_views(bipartition.kept_basis(traced), data)
     for g, keep, index in bipartition.kept_blocks(traced):
-        out[g][index[:, :, None], index[:, None, :]] = op.blocks[keep]
-    return BlockOperator._of(bipartition.basis, data)
+        views[g][..., index[:, :, None], index[:, None, :]] = blocks[keep][..., None, :, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # random objects (seeded); used by the verification suites and tests
+
+
+def sample_rng(seed: int, *key: int) -> np.random.Generator:
+    """Independent seeded stream per (seed, key): ``SeedSequence(seed, spawn_key=key)``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def random_pure_state(basis: SectorBasis, sector: Charge, rng: np.random.Generator) -> AnyonState:
@@ -671,34 +746,64 @@ def random_pure_states(basis: SectorBasis, sector: Charge, rng: np.random.Genera
     d = basis.sector_dim(sector)
     if d == 0:
         raise ValueError(f"sector {sector!r} is empty")
-    draws = rng.standard_normal((count, 2, d))
+    return sector_states(basis, sector, rng.standard_normal((count, 2, d)))
+
+
+def sector_states(basis: SectorBasis, sector: Charge, draws: np.ndarray) -> np.ndarray:
+    """:func:`random_pure_states` from its normal draws, (count, 2, sector dim)."""
     vecs = draws[:, 0] + 1j * draws[:, 1]
-    amplitudes = np.zeros((count, basis.dim), dtype=complex)
+    amplitudes = np.zeros((len(draws), basis.dim), dtype=complex)
     amplitudes[:, basis.sector_slice(sector)] = vecs / _row_norms(vecs)[:, None]
     return amplitudes
 
 
 def random_density(basis: SectorBasis, rng: np.random.Generator) -> BlockOperator:
     """Random density operator: Ginibre block per sector, then normalized."""
-    blocks = {}
-    total = 0.0
-    for g in basis.model.charges:
-        d = basis.sector_dim(g)
-        gin = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        block = gin @ gin.conj().T
-        total += float(np.trace(block).real)
-        blocks[g] = block
-    return BlockOperator(basis, {g: b / total for g, b in blocks.items()})
+    return BlockOperator._of(basis, density_data(basis, rng.standard_normal(2 * basis.unit_count)))
 
 
 def random_observable(basis: SectorBasis, rng: np.random.Generator) -> BlockOperator:
     """Random Hermitian block operator (a superselection-respecting observable)."""
-    blocks = {}
-    for g in basis.model.charges:
-        d = basis.sector_dim(g)
-        gin = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        blocks[g] = (gin + gin.conj().T) / 2.0
-    return BlockOperator(basis, blocks)
+    normals = rng.standard_normal(2 * basis.unit_count)
+    return BlockOperator._of(basis, observable_data(basis, normals))
+
+
+def density_data(basis: SectorBasis, normals: np.ndarray) -> np.ndarray:
+    """:func:`random_density`'s data from its normal draws (the last axis, 2 *
+    unit_count long), or one operator's per row of a stack of draws: G G^dagger
+    for each sector's Ginibre block G, over the sum of their traces."""
+    gin = _ginibre(basis, normals)
+    out = np.empty(gin.shape, dtype=complex)
+    total = 0.0
+    for block, view in zip(_sector_views(basis, gin).values(), _sector_views(basis, out).values()):
+        np.matmul(block, np.conjugate(block).swapaxes(-1, -2), out=view)
+        total = total + np.trace(view, axis1=-2, axis2=-1).real
+    out /= np.asarray(total)[..., None]
+    return out
+
+
+def observable_data(basis: SectorBasis, normals: np.ndarray) -> np.ndarray:
+    """:func:`random_observable`'s data from its normal draws, as
+    :func:`density_data` takes them: (G + G^dagger) / 2 per sector."""
+    gin = _ginibre(basis, normals)
+    out = np.empty(gin.shape, dtype=complex)
+    for block, view in zip(_sector_views(basis, gin).values(), _sector_views(basis, out).values()):
+        np.add(block, np.conjugate(block).swapaxes(-1, -2), out=view)
+    out /= 2.0
+    return out
+
+
+def _ginibre(basis: SectorBasis, normals: np.ndarray) -> np.ndarray:
+    """Operator data whose sector blocks are Ginibre matrices: in charge order,
+    each sector's d * d real parts and then its d * d imaginary parts are the
+    next 2 * d * d entries of the last axis of `normals`, as the draws of one
+    d x d real and then one d x d imaginary matrix per sector would be."""
+    out = np.empty(normals.shape[:-1] + (basis.unit_count,), dtype=complex)
+    for sl in basis.block_slices.values():
+        size = sl.stop - sl.start
+        out.real[..., sl] = normals[..., 2 * sl.start:2 * sl.start + size]
+        out.imag[..., sl] = normals[..., 2 * sl.start + size:2 * sl.stop]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,7 @@ from .states import (
     pure_density,
     rounded_outer,
     rounded_product,
+    sample_rng,
     superpose,
     validate_cssr,
 )
@@ -544,11 +545,6 @@ def _assemble(probabilities, rho, measurement: _Measurement, target, receiver_ba
 
 # ---------------------------------------------------------------------------
 # sampled measurements and reachability
-
-
-def sample_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent seeded stream per (seed, key): ``SeedSequence(seed, spawn_key=key)``."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 # A sweep draws its samples in chunks of MESSAGE_SAMPLES // (number of

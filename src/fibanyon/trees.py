@@ -260,6 +260,9 @@ class SectorBasis:
         starts = np.cumsum([0] + [(hi - lo) ** 2 for lo, hi in zip(bounds, bounds[1:])]).tolist()
         self.block_slices = {c: slice(lo, hi) for c, lo, hi in zip(model.charges, starts, starts[1:])}
         self.unit_count = starts[-1]
+        # (charge, block slice, block shape) per sector, for views of an operator's blocks
+        self.block_layout = tuple((c, self.block_slices[c], (hi - lo,) * 2)
+                                  for c, lo, hi in zip(model.charges, bounds, bounds[1:]))
 
     def sector_dim(self, g: Charge) -> int:
         sl = self.sector_slice(g)

@@ -16,43 +16,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import (
-    is_uncorrelated,
-    local_observable_basis,
-    pure_max_violations,
-    violation_table,
-)
 from .errors import FibonacciOnlyError, ModelFormatError, fibonacci_only
 from .model import AnyonModel, fibonacci_model, validate_model, validation_refusal
 from .recouple import shape_change
 from .states import (
     AnyonState,
+    _row_norms,
+    _sector_views,
+    adjoint_data,
     bipartition,
+    density_data,
+    density_flags,
+    embed_data,
     embed_local,
-    is_density,
     ket,
+    observable_data,
     partial_trace,
+    partial_trace_data,
     pure_density,
-    purity,
-    random_density,
-    random_observable,
+    product_data,
     random_pure_state,
     random_pure_states,
-    spectrum,
-    trace,
-)
-from .teleport import (
-    MESSAGE_GRID,
-    MessageQubit,
-    builtin_scenarios,
-    d1_family_resource,
-    diagonal_mixture_fidelity_bound,
-    receiver_reachability_check,
-    run_protocol,
-    run_protocol_via_embedding,
     sample_rng,
-    split_states,
-    superselection_violating_protocol,
+    sector_states,
+    spectra,
+    superpose,
+    trace,
+    trace_data,
 )
 from .trees import SectorBasis, all_shapes, enumerate_basis, grouped_shape, left_comb
 
@@ -153,71 +143,148 @@ def suite_recoupling(model: AnyonModel, max_n: int = 5) -> SuiteResult:
 def suite_algebra(model: AnyonModel, seed: int = 42, pairs: int = 500) -> SuiteResult:
     out = SuiteResult("algebra")
     tol = 1e-10
+    samples = algebra_samples(model, seed, pairs)
+    for n in (4, 6):
+        out.add_residual(f"partial-trace consistency N={n} ({pairs} pairs)",
+                         _worst(samples[f"consistency N={n}"]), tol)
+    out.add("partial trace maps densities to densities", samples["densities"].all())
+    out.add_residual("marginal spectra in [0,1], sum 1", _worst(samples["spreads"]), tol)
+    out.add_residual("embedding is an algebra homomorphism", _worst(samples["homomorphism"]),
+                     1e-12)
+    out.add_residual("purity 1 for all kets and random sector states", _worst(samples["purity"]),
+                     tol)
+    return out
+
+
+def algebra_samples(model: AnyonModel, seed: int, pairs: int) -> dict[str, np.ndarray]:
+    """Each algebra check's value per sample, from its own seeded stream."""
+    samples = {}
     # partial-trace consistency Tr(O_A Tr_B rho) == Tr(embed(O_A) rho)
     for n, n_a in ((4, 2), (6, 3)):
-        basis = enumerate_basis(model, grouped_shape(n_a, n - n_a))
-        part = bipartition(basis, n_a)
-        rng = sample_rng(seed, n)
-        worst = 0.0
-        for _ in range(pairs):
-            obs = random_observable(part.a_basis, rng)
-            rho = random_density(basis, rng)
-            lhs = trace(obs @ partial_trace(rho, part, traced="B"))
-            rhs = trace(embed_local(obs, part, side="A") @ rho)
-            worst = max(worst, abs(lhs - rhs))
-        out.add_residual(f"partial-trace consistency N={n} ({pairs} pairs)", worst, tol)
-
-    basis4 = enumerate_basis(model, grouped_shape(2, 2))
-    part4 = bipartition(basis4, 2)
+        part = bipartition(enumerate_basis(model, grouped_shape(n_a, n - n_a)), n_a)
+        samples[f"consistency N={n}"] = consistency_gaps(part, sample_rng(seed, n), pairs)
+    part4 = bipartition(enumerate_basis(model, grouped_shape(2, 2)), 2)
     rng = sample_rng(seed, 104)
-    density_ok = True
-    spec_worst = 0.0
-    for _ in range(50):
-        rho = random_density(basis4, rng)
-        for traced in ("A", "B"):
-            reduced = partial_trace(rho, part4, traced=traced)
-            density_ok = density_ok and is_density(reduced)
-            vals = spectrum(reduced)
-            spec_worst = max(
-                spec_worst, max(0.0, -float(vals[-1])), max(0.0, float(vals[0]) - 1.0),
-                abs(float(np.sum(vals)) - 1.0),
-            )
-    out.add("partial trace maps densities to densities", density_ok)
-    out.add_residual("marginal spectra in [0,1], sum 1", spec_worst, tol)
+    samples["densities"], samples["spreads"] = marginal_checks(part4, rng, 50)
+    samples["homomorphism"] = homomorphism_gaps(part4, rng, 50)
+    samples["purity"] = purity_gaps(model, sample_rng(seed, 105), 1000)
+    return samples
 
-    hom_worst = 0.0
-    for _ in range(50):
-        o1 = random_observable(part4.a_basis, rng)
-        o2 = random_observable(part4.a_basis, rng)
-        lhs = embed_local(o1 @ o2, part4, side="A").to_full()
-        rhs = (embed_local(o1, part4, side="A") @ embed_local(o2, part4, side="A")).to_full()
-        hom_worst = max(hom_worst, float(np.max(np.abs(lhs - rhs))))
-        adj = embed_local(o1.adjoint(), part4, side="A").to_full()
-        adj2 = embed_local(o1, part4, side="A").adjoint().to_full()
-        hom_worst = max(hom_worst, float(np.max(np.abs(adj - adj2))))
-    out.add_residual("embedding is an algebra homomorphism", hom_worst, 1e-12)
 
-    purity_worst = 0.0
-    for n in range(1, 5):
-        basis = enumerate_basis(model, left_comb(n))
-        for label in basis.labels:
-            purity_worst = max(purity_worst, abs(purity(pure_density(ket(basis, label))) - 1.0))
-    rng = sample_rng(seed, 105)
-    for _ in range(1000):
+# The algebra checks draw their samples in the order that one draw per
+# operator or state, one sample after another, would take, and evaluate
+# them as stacks along a leading axis (see the data functions of
+# fibanyon.states): every value is bit for bit what one sample at a time
+# gives.  A stack of operators on the split's whole basis holds at most
+# STACK_UNITS complex entries (128 KiB): 13 samples on the Fibonacci 2|2
+# basis (610 entries), but one N=6 consistency pair at a time, since a
+# 3|3 density alone holds 28 657.
+STACK_UNITS = 1 << 13
+
+
+def _stacks(rng, count: int, units: int, draws: tuple):
+    """The normal draws of `count` samples, each of shape `draws`, in stacks
+    of at most STACK_UNITS // `units` samples (at least one), drawn one stack
+    at a time as the caller asks for them."""
+    size = max(1, STACK_UNITS // units)
+    for start in range(0, count, size):
+        yield rng.standard_normal((min(size, count - start),) + draws)
+
+
+def consistency_gaps(part, rng, pairs: int) -> np.ndarray:
+    """|Tr(O_A Tr_B rho) - Tr(embed(O_A) rho)| for `pairs` pairs of a random
+    observable O_A on A and a random density rho, drawn in that order."""
+    a, full = part.a_basis, part.basis
+    gaps = []
+    for normals in _stacks(rng, pairs, full.unit_count, (2 * (a.unit_count + full.unit_count),)):
+        obs = observable_data(a, normals[:, :2 * a.unit_count])
+        rho = density_data(full, normals[:, 2 * a.unit_count:])
+        lhs = trace_data(a, product_data(a, obs, partial_trace_data(rho, part, "B")))
+        rhs = trace_data(full, product_data(full, embed_data(obs, part, "A"), rho))
+        gaps.extend(abs(z) for z in (lhs - rhs).tolist())  # Python's complex abs
+    return np.array(gaps)
+
+
+def marginal_checks(part, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """For both marginals (traced A, then B) of `count` random densities, each
+    a (count, 2) array: whether it is a density, and how far its spectrum
+    strays from [0, 1] or its sum from 1."""
+    units = part.basis.unit_count
+    densities, spreads = ([], []), ([], [])
+    for normals in _stacks(rng, count, units, (2 * units,)):
+        rho = density_data(part.basis, normals)
+        for side, traced in enumerate("AB"):
+            kept = part.kept_basis(traced)
+            reduced = partial_trace_data(rho, part, traced)
+            densities[side].extend(density_flags(kept, reduced).tolist())
+            spreads[side].extend(max(0.0, -float(vals[-1]), float(vals[0]) - 1.0,
+                                     abs(float(np.sum(vals)) - 1.0))
+                                 for vals in spectra(*zip(*_sector_views(kept, reduced).values())))
+    return np.array(densities).T, np.array(spreads).T
+
+
+def homomorphism_gaps(part, rng, count: int) -> np.ndarray:
+    """For `count` pairs of random observables O1, O2 on A, drawn in that
+    order, the larger entry gap of embed(O1 O2) against embed(O1) embed(O2)
+    and of embed(O1^dagger) against embed(O1)^dagger."""
+    a, full = part.a_basis, part.basis
+    gaps = []
+    for normals in _stacks(rng, count, full.unit_count, (2, 2 * a.unit_count)):
+        o1, o2 = observable_data(a, normals[:, 0]), observable_data(a, normals[:, 1])
+        e1, e2 = embed_data(o1, part, "A"), embed_data(o2, part, "A")
+        product = embed_data(product_data(a, o1, o2), part, "A") - product_data(full, e1, e2)
+        adjoint = embed_data(adjoint_data(a, o1), part, "A") - adjoint_data(full, e1)
+        gaps.append(np.maximum(np.max(np.abs(product), axis=-1, initial=0.0),
+                               np.max(np.abs(adjoint), axis=-1, initial=0.0)))
+    return np.concatenate(gaps)
+
+
+def purity_gaps(model: AnyonModel, rng, draws: int) -> np.ndarray:
+    """|Tr(rho^2) - 1| for the pure density of every ket of 1 to 4 anyons, in
+    basis order, then of Haar random states: each of `draws` draws picks N,
+    then a sector, then (if the sector is not empty) a state."""
+    bases = {n: enumerate_basis(model, left_comb(n)) for n in range(1, 5)}
+    gaps = []
+    for basis in bases.values():
+        kets = np.eye(basis.dim, dtype=complex)
+        for g in model.charges:
+            if basis.sector_dim(g):
+                gaps.extend(_purity_gaps(basis, g, kets[basis.sector_slice(g)]))
+    groups, order = {}, []
+    for _ in range(draws):
         n = int(rng.integers(1, 5))
-        basis = enumerate_basis(model, left_comb(n))
         sector = model.charges[int(rng.integers(0, len(model.charges)))]
-        if basis.sector_dim(sector) == 0:
-            continue
-        state = random_pure_state(basis, sector, rng)
-        purity_worst = max(purity_worst, abs(purity(pure_density(state)) - 1.0))
-    out.add_residual("purity 1 for all kets and random sector states", purity_worst, tol)
-    return out
+        d = bases[n].sector_dim(sector)
+        if d:
+            groups.setdefault((n, sector), []).append(rng.standard_normal((2, d)))
+            order.append((n, sector))
+    drawn = {(n, g): iter(_purity_gaps(bases[n], g, sector_states(bases[n], g, np.array(normals))))
+             for (n, g), normals in groups.items()}
+    gaps.extend(next(drawn[key]) for key in order)
+    return np.array(gaps)
+
+
+def _purity_gaps(basis, sector, amplitudes: np.ndarray) -> list:
+    """``abs(purity(pure_density(psi)) - 1.0)`` for each row of a stack of
+    amplitudes of charge `sector`, bit for bit: the whole row normalised, then
+    one product of the sector block with itself per state (the other blocks
+    are 0)."""
+    unit = amplitudes / _row_norms(amplitudes)[:, None]
+    kets = unit[:, basis.sector_slice(sector)]
+    blocks = kets[:, :, None] * np.conjugate(kets)[:, None, :]  # np.outer, as from_ket_bra
+    return [abs(float(np.einsum("ij,ji->", b, b).real) - 1.0) for b in blocks]
+
+
+def _worst(residuals) -> float:
+    return float(np.max(residuals, initial=0.0))
 
 
 @fibonacci_only("the 2-anyon correlations suite")
 def suite_correlations(model: AnyonModel, seed: int = 42, samples: int = 10000,
                        random_pairs: int = 1000) -> SuiteResult:
+    from .correlations import is_uncorrelated, local_observable_basis, violation_table
+    from .teleport import MessageQubit
+
     out = SuiteResult("correlations")
     basis = enumerate_basis(model, grouped_shape(1, 1))
     part = bipartition(basis, 1)
@@ -302,6 +369,8 @@ def classification_sweep(part, sectors, rng, per_sector: int, class_tol: float,
     than are still owed, nor more than one redraw past the cap, so `rng`
     ends where one-at-a-time draws leave it.
     """
+    from .correlations import pure_max_violations
+
     mismatches = boundary = checked = 0
     cap = 10 * per_sector
     for sector in sectors:
@@ -323,14 +392,23 @@ def classification_sweep(part, sectors, rng, per_sector: int, class_tol: float,
 
 def _unequal_marginals_state(model: AnyonModel):
     """(|e,tau;tau> + |tau,tau;tau>)/sqrt(2): unequal marginal spectra."""
-    from .states import superpose
-
     basis = enumerate_basis(model, grouped_shape(1, 1))
     return superpose([(1.0, ket(basis, "e,tau;tau")), (1.0, ket(basis, "tau,tau;tau"))])
 
 
 def suite_teleportation(model: AnyonModel, seed: int = 42, pvm_samples: int = 1000,
                         message_count: int = 10) -> SuiteResult:
+    from .teleport import (
+        MESSAGE_GRID,
+        MessageQubit,
+        builtin_scenarios,
+        d1_family_resource,
+        receiver_reachability_check,
+        run_protocol,
+        run_protocol_via_embedding,
+        superselection_violating_protocol,
+    )
+
     out = SuiteResult("teleportation")
     tol = 1e-10
     catalog = builtin_scenarios(model)
@@ -425,6 +503,8 @@ def oracle_excess(scenario, messages) -> float:
     P_k sum to the identity: by no-signalling, the same for every such PVM,
     of any rank.
     """
+    from .teleport import diagonal_mixture_fidelity_bound, split_states
+
     reachable = scenario.reachable_kets()
     worst = -math.inf
     for split in split_states(scenario, messages):

@@ -18,6 +18,8 @@ plan replaced (:func:`is_uncorrelated`, :func:`violation_table`), which
 the plan must match bit for bit.  The verify suite's classification
 sweep has its one-state-at-a-time loop here (:func:`classification_sweep`),
 and random pure states their one-state draw (:func:`random_pure_amplitudes`).
+The algebra suite has its per-sample loop here (:func:`suite_algebra`), with
+random operators drawn one sector block at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ from fibanyon import correlations
 from fibanyon.correlations import (_FIBONACCI_PAIR, ZERO_COEFF_TOL, CorrelationReport, _to_units,
                                    _units)
 from fibanyon.errors import BasisMismatchError, require_memory
-from fibanyon.states import SPECTRAL_TOL, AnyonState
+from fibanyon.states import (SPECTRAL_TOL, AnyonState, BlockOperator, bipartition, embed_local, ket,
+                             partial_trace, pure_density, purity, random_pure_state, sample_rng,
+                             spectrum, trace)
+from fibanyon.trees import enumerate_basis, grouped_shape, left_comb
+from fibanyon.verify import SuiteResult
 
 
 class Reference(NamedTuple):
@@ -323,3 +329,117 @@ def classification_sweep(part, sectors, rng, per_sector, class_tol, clear_margin
             done += 1
             checked += 1
     return mismatches, boundary, checked
+
+
+# ---------------------------------------------------------------------------
+# The algebra suite, one sample at a time: the loop that verify's stacked
+# checks replaced, with the random operators drawn one block at a time.
+
+
+def random_density(basis, rng):
+    """Random density operator: Ginibre block per sector, then normalized."""
+    blocks = {}
+    total = 0.0
+    for g in basis.model.charges:
+        d = basis.sector_dim(g)
+        gin = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        block = gin @ gin.conj().T
+        total += float(np.trace(block).real)
+        blocks[g] = block
+    return BlockOperator(basis, {g: b / total for g, b in blocks.items()})
+
+
+def random_observable(basis, rng):
+    """Random Hermitian block operator (a superselection-respecting observable)."""
+    blocks = {}
+    for g in basis.model.charges:
+        d = basis.sector_dim(g)
+        gin = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        blocks[g] = (gin + gin.conj().T) / 2.0
+    return BlockOperator(basis, blocks)
+
+
+def is_density(op):
+    if not op.is_hermitian():
+        return False
+    if abs(trace(op) - 1.0) > SPECTRAL_TOL:
+        return False
+    return float(spectrum(op)[-1]) >= -SPECTRAL_TOL
+
+
+def suite_algebra(model, seed, pairs):
+    """(the suite's result, each check's per-sample values): the loop body as
+    it was, plus one line per check that records each sample's value."""
+    samples = {"consistency N=4": [], "consistency N=6": [], "densities": [], "spreads": [],
+               "homomorphism": [], "purity": []}
+    out = SuiteResult("algebra")
+    tol = 1e-10
+    # partial-trace consistency Tr(O_A Tr_B rho) == Tr(embed(O_A) rho)
+    for n, n_a in ((4, 2), (6, 3)):
+        basis = enumerate_basis(model, grouped_shape(n_a, n - n_a))
+        part = bipartition(basis, n_a)
+        rng = sample_rng(seed, n)
+        worst = 0.0
+        for _ in range(pairs):
+            obs = random_observable(part.a_basis, rng)
+            rho = random_density(basis, rng)
+            lhs = trace(obs @ partial_trace(rho, part, traced="B"))
+            rhs = trace(embed_local(obs, part, side="A") @ rho)
+            worst = max(worst, abs(lhs - rhs))
+            samples[f"consistency N={n}"].append(abs(lhs - rhs))
+        out.add_residual(f"partial-trace consistency N={n} ({pairs} pairs)", worst, tol)
+
+    basis4 = enumerate_basis(model, grouped_shape(2, 2))
+    part4 = bipartition(basis4, 2)
+    rng = sample_rng(seed, 104)
+    density_ok = True
+    spec_worst = 0.0
+    for _ in range(50):
+        rho = random_density(basis4, rng)
+        for traced in ("A", "B"):
+            reduced = partial_trace(rho, part4, traced=traced)
+            density_ok = density_ok and is_density(reduced)
+            vals = spectrum(reduced)
+            spec_worst = max(
+                spec_worst, max(0.0, -float(vals[-1])), max(0.0, float(vals[0]) - 1.0),
+                abs(float(np.sum(vals)) - 1.0),
+            )
+            samples["densities"].append(is_density(reduced))
+            samples["spreads"].append(max(max(0.0, -float(vals[-1])),
+                                          max(0.0, float(vals[0]) - 1.0),
+                                          abs(float(np.sum(vals)) - 1.0)))
+    out.add("partial trace maps densities to densities", density_ok)
+    out.add_residual("marginal spectra in [0,1], sum 1", spec_worst, tol)
+
+    hom_worst = 0.0
+    for _ in range(50):
+        o1 = random_observable(part4.a_basis, rng)
+        o2 = random_observable(part4.a_basis, rng)
+        lhs = embed_local(o1 @ o2, part4, side="A").to_full()
+        rhs = (embed_local(o1, part4, side="A") @ embed_local(o2, part4, side="A")).to_full()
+        hom_worst = max(hom_worst, float(np.max(np.abs(lhs - rhs))))
+        adj = embed_local(o1.adjoint(), part4, side="A").to_full()
+        adj2 = embed_local(o1, part4, side="A").adjoint().to_full()
+        hom_worst = max(hom_worst, float(np.max(np.abs(adj - adj2))))
+        samples["homomorphism"].append(max(float(np.max(np.abs(lhs - rhs))),
+                                           float(np.max(np.abs(adj - adj2)))))
+    out.add_residual("embedding is an algebra homomorphism", hom_worst, 1e-12)
+
+    purity_worst = 0.0
+    for n in range(1, 5):
+        basis = enumerate_basis(model, left_comb(n))
+        for label in basis.labels:
+            purity_worst = max(purity_worst, abs(purity(pure_density(ket(basis, label))) - 1.0))
+            samples["purity"].append(abs(purity(pure_density(ket(basis, label))) - 1.0))
+    rng = sample_rng(seed, 105)
+    for _ in range(1000):
+        n = int(rng.integers(1, 5))
+        basis = enumerate_basis(model, left_comb(n))
+        sector = model.charges[int(rng.integers(0, len(model.charges)))]
+        if basis.sector_dim(sector) == 0:
+            continue
+        state = random_pure_state(basis, sector, rng)
+        purity_worst = max(purity_worst, abs(purity(pure_density(state)) - 1.0))
+        samples["purity"].append(abs(purity(pure_density(state)) - 1.0))
+    out.add_residual("purity 1 for all kets and random sector states", purity_worst, tol)
+    return out, samples

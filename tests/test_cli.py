@@ -751,6 +751,8 @@ def test_each_subcommand_imports_only_its_own_module():
         ("marginals", "--state", STATE_FILE): "",
         ("correlations", "--state", STATE_FILE): "fibanyon.correlations",
         ("teleport", "--scenario", "main-text", "--direction", "ab"): "fibanyon.teleport",
+        ("verify", "--suite", "algebra", "--quick"): "fibanyon.verify",
+        ("verify", "--suite", "recoupling", "--quick"): "fibanyon.verify",
     }
     # all children at once: a cold start each, so together under a second
     children = {

@@ -86,6 +86,13 @@ def test_superpose_within_sector(basis2):
     assert state.amplitude("tau,tau;tau") == pytest.approx(SQ2)
 
 
+def test_superpose_whose_norm_underflows_is_refused(basis2):
+    # a nonzero sum whose squared norm underflows to 0 has not vanished
+    with pytest.raises(ValueError,
+                       match="^cannot normalize the superposition: its norm underflows to 0$"):
+        superpose([(1e-170, ket(basis2, "e,tau;tau")), (1e-170, ket(basis2, "tau,tau;tau"))])
+
+
 def test_superpose_across_sectors_forbidden(basis2):
     with pytest.raises(SuperselectionError):
         superpose([(1.0, ket(basis2, "e,e;e")), (1.0, ket(basis2, "tau,e;tau"))])
@@ -127,8 +134,8 @@ def test_operator_keeps_read_only_copies_of_its_blocks(basis2):
                 b[0, 0] = 2.0
 
 
-def test_operator_blocks_are_read_only_views_of_its_data(model, basis4, rng):
-    part = bipartition(basis4, 2)
+def test_operator_blocks_are_read_only_views_of_its_data(model, basis2, basis4, rng):
+    part, pair = bipartition(basis4, 2), bipartition(basis2, 1)
     psi = random_pure_state(basis4, "tau", rng)
     obs, rho = random_observable(basis4, rng), random_density(basis4, rng)
     local = random_observable(part.a_basis, rng)
@@ -138,6 +145,11 @@ def test_operator_blocks_are_read_only_views_of_its_data(model, basis4, rng):
         "partial_trace": partial_trace(rho, part, traced="A"),
         "from_ket_bra": BlockOperator.from_ket_bra(psi),
         "+": obs + rho, "-": obs - rho, "*": 0.5 * rho, "@": obs @ rho,
+        "adjoint": obs.adjoint(),
+        "pure_marginal": pure_marginal(psi, part, traced="B"),
+        "pure_marginal of one anyon": pure_marginal(random_pure_state(basis2, "tau", rng), pair,
+                                                    traced="A"),
+        "random_density": rho, "random_observable": obs,
     }
     for name, op in ops.items():
         assert op.data.dtype == complex and op.data.shape == (op.basis.unit_count,), name

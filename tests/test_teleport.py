@@ -210,6 +210,14 @@ def test_d1_family_resource_at_one_one_is_the_catalog_resource(model, catalog):
         assert family.amplitudes[family.basis.index_of_label(label)] == pytest.approx(weight)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_d1_family_resource_whose_norm_overflows_is_refused(model):
+    # an infinite norm would scale the amplitudes to a zero resource
+    with pytest.raises(ValueError,
+                       match="^cannot normalize the superposition: its norm overflows$"):
+        d1_family_resource(model, 1e200, 1e200)
+
+
 def test_pauli_correction_rejects_unknown_kind(basis2):
     with pytest.raises(ValueError, match="^unknown Pauli kind 'W'$"):
         pauli_correction(basis2, *MESSAGE_KETS, "W")
