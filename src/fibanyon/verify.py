@@ -157,7 +157,8 @@ def suite_algebra(model: AnyonModel, seed: int = 42, pairs: int = 500) -> SuiteR
 
 
 def algebra_samples(model: AnyonModel, seed: int, pairs: int) -> dict[str, np.ndarray]:
-    """Each algebra check's value per sample, from its own seeded stream."""
+    """Each algebra check's value per sample, drawn as :func:`suite_algebra`
+    draws them."""
     samples = {}
     # partial-trace consistency Tr(O_A Tr_B rho) == Tr(embed(O_A) rho)
     for n, n_a in ((4, 2), (6, 3)):
