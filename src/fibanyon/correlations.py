@@ -48,8 +48,8 @@ from .states import (
     AnyonState,
     Bipartition,
     BlockOperator,
+    _normalized_rows,
     _require_same_basis,
-    _row_norms,
     marginal_blocks,
     normalized_amplitudes,
     partial_trace_blocks,
@@ -111,7 +111,6 @@ class _Units(NamedTuple):
     flat: bool
 
 
-@functools.lru_cache(maxsize=256)
 def _units(basis: SectorBasis) -> _Units:
     row, col, diag, sym, at_kk, at_kl, at_lk = [], [], [], [], [], [], []
     for g in basis.model.charges:
@@ -178,11 +177,12 @@ class _Plan:
     call and cached with it (:func:`_plan`, 256 bipartitions, like
     :func:`~fibanyon.states.bipartition`).
 
-    It holds both parties' :class:`_Units`, whether the split is the
-    Fibonacci 2-anyon basis (whose pure states get a class), and, built on
-    the first density, :attr:`fills`: per global charge, where each entry
-    of rho_g lands in the realigned table.  A pure state's amplitude matrix
-    is gathered through the bipartition's cached tables, whose -1 entries
+    It holds both parties' :class:`_Units`, built here (one set when both
+    parties have one basis), whether the split is the Fibonacci 2-anyon
+    basis (whose pure states get a class), and, built on the first
+    density, :attr:`fills`: per global charge, where each entry of rho_g
+    lands in the realigned table.  A pure state's amplitude matrix is
+    gathered through the bipartition's cached tables, whose -1 entries
     read an appended zero.  A one-dimensional-sector party's unit
     coordinates are its positions, so its gathers and unit conversions are
     skipped.  The memory guard runs on every call, from the sector
@@ -195,7 +195,9 @@ class _Plan:
 
     def __init__(self, part: Bipartition):
         self.part = part
-        self.units_a, self.units_b = _units(part.a_basis), _units(part.b_basis)
+        self.units_a = _units(part.a_basis)
+        # one set for both parties keeps a warm call's working set small
+        self.units_b = self.units_a if part.b_basis is part.a_basis else _units(part.b_basis)
         basis = part.basis
         self.fibonacci_pair = basis.shape.n_leaves == 2 and basis.labels == _FIBONACCI_PAIR
 
@@ -350,7 +352,8 @@ def pure_max_violations(amplitudes: np.ndarray, part: Bipartition):
     maxima and their :data:`PURE_CLASSES` labels (None off the Fibonacci
     2-anyon basis), bit for bit the ``max_violation`` and ``pure_class``
     that :func:`is_uncorrelated` gives each row, from one stacked pass of
-    the plan per sector.  The memory guard counts every row's table.
+    the plan per sector; a row it refuses to normalize is refused alike.
+    The memory guard counts every row's table.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     basis = part.basis
@@ -358,10 +361,7 @@ def pure_max_violations(amplitudes: np.ndarray, part: Bipartition):
         raise BasisMismatchError(
             f"amplitude rows have shape {amplitudes.shape}, basis dim {basis.dim}")
     _require_table_memory(part, len(amplitudes))
-    norms = _row_norms(amplitudes)
-    if not norms.all():
-        raise ValueError("cannot normalize the zero state")
-    amplitudes = amplitudes / norms[:, None]
+    amplitudes = _normalized_rows(amplitudes)
     support = amplitudes != 0
     charge = basis.charges[:, 0]  # each tree's global charge, as an index
     sectors = charge[support.argmax(axis=1)]

@@ -128,23 +128,35 @@ def _squared_norm(amplitudes: np.ndarray) -> float:
     return float(re.dot(re) + im.dot(im))
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """The norm of each row (the last axis) of a stack of complex vectors, the
-    square root of its :func:`_squared_norm` bit for bit: a one-row product of
-    each part with itself makes the same strided BLAS dot call."""
+def _normalized_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row (the last axis) of a stack of complex vectors over its norm,
+    bit for bit :func:`normalized_amplitudes` of the row, and refused as it
+    refuses the row: a one-row product of each part with itself makes the
+    same strided BLAS dot call as :func:`_squared_norm`."""
     re, im = rows.real[..., None, :], rows.imag[..., None, :]
-    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        squared = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    # norm_problem refuses exactly the squares outside [smallest normal, inf)
+    if not ((squared >= sys.float_info.min) & (squared < math.inf)).all():
+        for row, value in zip(rows.reshape(-1, rows.shape[-1]), squared.ravel().tolist()):
+            _refuse_norm(row, value)
+    return rows / np.sqrt(squared)[..., None]
 
 
 def normalized_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
     """The amplitudes over their norm; ValueError for the zero vector, or for
     a squared norm that :func:`norm_problem` refuses."""
     squared = _squared_norm(amplitudes)
+    _refuse_norm(amplitudes, squared)
+    return amplitudes / math.sqrt(squared)
+
+
+def _refuse_norm(amplitudes: np.ndarray, squared: float):
+    """ValueError if :func:`norm_problem` refuses `squared`, the squared norm of `amplitudes`."""
     problem = norm_problem(squared)
     if problem:
         raise ValueError(f"cannot normalize: the norm of the amplitudes {problem}"
                          if amplitudes.any() else "cannot normalize the zero state")
-    return amplitudes / math.sqrt(squared)
 
 
 def norm_problem(squared: float) -> str | None:
@@ -713,13 +725,16 @@ def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") ->
 def embed_data(data: np.ndarray, bipartition: Bipartition, side: str) -> np.ndarray:
     """The :attr:`BlockOperator.data` of :func:`embed_local` from the subsystem
     operator's (unchecked), or of each operator of a stack of them (the last
-    axis)."""
+    axis).  Each kept charge's block is written, once per traced tree, at the
+    positions :func:`partial_trace` reads for it
+    (:attr:`Bipartition.trace_gathers`), so the two maps are adjoint by
+    construction."""
     traced = "B" if side == "A" else "A"
     out = np.zeros(data.shape[:-1] + (bipartition.basis.unit_count,), dtype=complex)
-    views = _sector_views(bipartition.basis, out)
     blocks = _sector_views(bipartition.kept_basis(traced), data)
-    for g, keep, index in bipartition.kept_blocks(traced):
-        views[g][..., index[:, :, None], index[:, None, :]] = blocks[keep][..., None, :, :]
+    for c, stack in bipartition.trace_gathers[traced].items():
+        if stack is not None:
+            out[..., stack] = blocks[c][..., None, :, :]
     return out
 
 
@@ -753,7 +768,7 @@ def sector_states(basis: SectorBasis, sector: Charge, draws: np.ndarray) -> np.n
     """:func:`random_pure_states` from its normal draws, (count, 2, sector dim)."""
     vecs = draws[:, 0] + 1j * draws[:, 1]
     amplitudes = np.zeros((len(draws), basis.dim), dtype=complex)
-    amplitudes[:, basis.sector_slice(sector)] = vecs / _row_norms(vecs)[:, None]
+    amplitudes[:, basis.sector_slice(sector)] = _normalized_rows(vecs)
     return amplitudes
 
 

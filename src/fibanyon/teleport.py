@@ -19,21 +19,20 @@ step and admitting sector-mixing projectors reproduces ordinary qudit
 teleportation - the ``enforce_superselection=False`` mode, kept as an
 executable counterfactual.
 
-One scenario runs over many messages, so the work is split in three:
+One scenario runs over many messages, so the work is split in two:
 
-- The layout, cached per (model, resource basis, direction, channel):
-  the two rows of the joined basis's table at the channel that belong to
-  the message kets (the joined index of every (message ket, resource
-  tree) pair), the regrouping map, the bipartition and its table at the
-  channel (the index of every C entry), and the receiver and measured
-  bases.  :meth:`MessageQubit.target_vector` places the target, so
-  scenarios that differ only in their encoding share one layout, and so
-  do ``with_resource`` copies.
-- The plan, cached per (layout, support of the resource): the join, the
-  regrouping map and the gather composed into the few (C entry, product,
-  coefficient) terms that a state on that support reaches, in the
-  map's order, so ``with_resource`` copies with one support share it.
-  It runs the join's checks and the superselection check once.
+- The plan, cached per (model, resource basis, direction, channel, support
+  of the resource): the two rows of the joined basis's table at the
+  channel that belong to the message kets (the joined index of every
+  (message ket, resource tree) pair), the regrouping map, the bipartition
+  and its table at the channel (the index of every C entry), the receiver
+  and measured bases, and then the join, the regrouping map and that
+  gather composed into the few (C entry, product, coefficient) terms that
+  a state on the support reaches, in the map's order.  It runs the join's
+  checks and the superselection check once.
+  :meth:`MessageQubit.target_vector` places the target, so scenarios that
+  differ only in their encoding share one plan, and so do
+  ``with_resource`` copies with one support.
 - The measurement, built once per (scenario, enforcement): the PVM
   and its no-click residual as one stack of transposed projectors,
   validated by :func:`validate_pvm`, and the corrections, each checked
@@ -175,12 +174,23 @@ def _as_full(op, basis: SectorBasis) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
-class _Layout:
-    """What every run of one scenario shares: all but the message and the
-    resource amplitudes.  Build it through :func:`_cached_layout`."""
+class _Plan:
+    """C as a function of the message, for one scenario geometry and resource
+    support.  It holds the tables the module docstring lists (`gather` is
+    the channel's, oriented receiver x measured) and composes them: C's
+    flat entry slot[k] adds coeffs[k] * prod[src[k]], where prod is the row-major product of
+    (alpha, beta) with the resource's amplitudes on `support`.  The entries
+    keep the regrouping map's order, so each C entry adds its terms in the
+    order ``BasisChange.apply`` does; the map's entries that read an
+    amplitude outside the joined support are left out, which is exact,
+    because ``bincount`` starts at +0.0 and x + (+-0) = x; for the same
+    reason a message amplitude of 0, whose terms are +-0, is kept.  The
+    join's checks and the superselection check run here, once.  Build it
+    through :func:`_cached_plan`.
+    """
 
     def __init__(self, model: AnyonModel, resource_basis: SectorBasis, direction: str,
-                 channel: Charge):
+                 channel: Charge, support: tuple[int, ...]):
         message_basis = enumerate_basis(model, grouped_shape(1, 1))
         message_first = direction == "ab"
         if message_first:
@@ -196,8 +206,8 @@ class _Layout:
         kets = [message_basis.index_of_label(lbl) for lbl in MESSAGE_KETS]
         # row k: the joined index of (message ket k, resource tree j)
         self.message_rows = join[kets] if message_first else join[:, kets].T
-        self.change = shape_change(model, joined.shape, measured_shape)
-        self.part = part = bipartition(self.change.target, n_a)
+        self.change = change = shape_change(model, joined.shape, measured_shape)
+        self.part = part = bipartition(change.target, n_a)
         # the regrouped state lives in the channel sector: C gathers it
         # through that sector's table, oriented receiver x measured
         self.gather = part.table(channel)
@@ -206,43 +216,22 @@ class _Layout:
         else:
             self.receiver_basis, self.measured_basis = part.b_basis, part.a_basis
             self.gather = self.gather.T
-        self.measured_slices = _sector_slices(self.measured_basis)
+        slices = (self.measured_basis.sector_slice(g) for g in model.charges)
+        self.measured_slices = [sl for sl in slices if sl.stop > sl.start]
 
-
-# keyed on (model, resource basis, direction, channel)
-_cached_layout = functools.lru_cache(maxsize=64)(_Layout)
-
-
-class _Plan:
-    """C as a function of the message, for one layout and resource support.
-
-    The join, the regrouping map and the gather in one: C's flat entry
-    slot[k] adds coeffs[k] * prod[src[k]], where prod is the row-major
-    product of (alpha, beta) with the resource's amplitudes on `support`.
-    The entries keep the regrouping map's order, so each C entry adds its
-    terms in the order ``BasisChange.apply`` does; the map's entries that
-    read an amplitude outside the joined support are left out, which is
-    exact, because ``bincount`` starts at +0.0 and x + (+-0) = x; for the
-    same reason a message amplitude of 0, whose terms are +-0, is kept.  The
-    join's checks and the superselection check run here, once.  Build it
-    through :func:`_cached_plan`.
-    """
-
-    def __init__(self, layout: _Layout, support: tuple[int, ...]):
         self.support = np.array(support, dtype=np.intp)
-        index = layout.message_rows[:, self.support]
+        index = self.message_rows[:, self.support]
         if not index.size:
             raise ValueError("cannot join a zero state")
         if (index < 0).any():
             raise FusionError("the channel is not a fusion outcome of the two factors' charges")
-        change = layout.change
         # the product read by each joined index, -1 off the support
         product = np.full(change.source.dim, -1)
         product[index.ravel()] = np.arange(index.size)
         src = product[change.cols]
         kept = src >= 0
         # the flat C entry of each regrouped index, -1 outside the channel sector
-        gather = layout.gather.ravel()
+        gather = self.gather.ravel()
         inside = gather >= 0
         entry = np.full(change.target.dim, -1)
         entry[gather[inside]] = np.flatnonzero(inside)
@@ -250,16 +239,15 @@ class _Plan:
         if (self.slot < 0).any():
             raise SuperselectionError("the regrouped state has support outside the channel sector")
         self.src, self.coeffs = src[kept], change.coeffs[kept]
-        self.shape = layout.gather.shape
 
     def coefficients(self, message: MessageQubit, resource: np.ndarray) -> np.ndarray:
         prod = rounded_outer(np.array([message.alpha, message.beta], dtype=complex),
                              resource[self.support])
         terms = self.coeffs * prod.ravel()[self.src]
-        return _sum_by_index(self.slot, terms, math.prod(self.shape)).reshape(self.shape)
+        return _sum_by_index(self.slot, terms, self.gather.size).reshape(self.gather.shape)
 
 
-# keyed on (layout, the resource's nonzero indices)
+# keyed on (model, resource basis, direction, channel, the resource's nonzero indices)
 _cached_plan = functools.lru_cache(maxsize=256)(_Plan)
 
 
@@ -281,17 +269,17 @@ class _Measurement:
 
     def __init__(self, pvm, corrections, measured_basis: SectorBasis,
                  receiver_basis: SectorBasis, validate: bool):
+        m = measured_basis.dim
+        # the projectors, densified once for validation and the run, and their transposed stack
+        require_memory(32 * (len(pvm) + 1) * m * m,
+                       f"the stack of {len(pvm) + 1} {m} x {m} projectors")
+        projectors = [_as_full(op, measured_basis) for op in pvm]
         if validate:
-            problems = validate_pvm(pvm, measured_basis)
+            problems = validate_pvm(projectors, measured_basis)
             if problems:
                 raise SuperselectionError("invalid PVM: " + "; ".join(problems))
         if corrections is not None and len(corrections) != len(pvm):
             raise ValueError("one correction per projector is required (use identity to skip)")
-        m = measured_basis.dim
-        # the projectors as given and their transposed stack
-        require_memory(32 * (len(pvm) + 1) * m * m,
-                       f"the stack of {len(pvm) + 1} {m} x {m} projectors")
-        projectors = [_as_full(op, measured_basis) for op in pvm]
         projectors.append(np.eye(m, dtype=complex) - sum(projectors))
         self.projectors_t = np.stack(projectors).swapaxes(1, 2)
         self.gather = self.dense = None
@@ -363,6 +351,8 @@ class TeleportScenario:
     _support: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.direction not in ("ab", "ba"):
+            raise ValueError(f"direction must be 'ab' or 'ba', got {self.direction!r}")
         object.__setattr__(self, "_support",
                            tuple(np.flatnonzero(self.resource.amplitudes).tolist()))
 
@@ -379,16 +369,15 @@ class TeleportScenario:
             raise ValueError(f"scenario {self.name}/{self.direction} declares no reachable set")
         return self.reachable
 
-    def _layout(self) -> _Layout:
-        return _cached_layout(self.model, self.resource.basis, self.direction, self.channel)
+    def _plan(self) -> _Plan:
+        return _cached_plan(self.model, self.resource.basis, self.direction, self.channel,
+                            self._support)
 
     def _measurement(self, validate: bool) -> _Measurement:
         if validate not in self._measurements:
-            layout = self._layout()
+            plan = self._plan()
             self._measurements[validate] = _Measurement(
-                self.pvm, self.corrections, layout.measured_basis, layout.receiver_basis,
-                validate,
-            )
+                self.pvm, self.corrections, plan.measured_basis, plan.receiver_basis, validate)
         return self._measurements[validate]
 
 
@@ -422,33 +411,32 @@ class TeleportOutcome:
 class SplitState:
     """Regrouped 6-anyon state as a receiver x measured coefficient matrix.
 
-    The scenario's cached layout holds every table, and the cached plan of
-    its resource's support composes them: construction only runs the plan.
+    The scenario's cached plan holds every table and composes them:
+    construction only runs the plan.
     `target` is the message re-encoded on the scenario's encoding pair.
     """
 
     def __init__(self, scenario: TeleportScenario, message: MessageQubit):
-        self._layout = layout = scenario._layout()
+        self._plan = plan = scenario._plan()
         self._message, self._resource = message, scenario.resource.amplitudes
-        plan = _cached_plan(layout, scenario._support)
         self.coefficients = plan.coefficients(message, self._resource)
-        self.basis = layout.change.target
-        self.part = layout.part
-        self.receiver_side = layout.receiver_side
-        self.receiver_basis = layout.receiver_basis
-        self.measured_basis = layout.measured_basis
+        self.basis = plan.change.target
+        self.part = plan.part
+        self.receiver_side = plan.receiver_side
+        self.receiver_basis = plan.receiver_basis
+        self.measured_basis = plan.measured_basis
         self.receiver_mask = self.receiver_basis.sector_mask
-        self.measured_slices = layout.measured_slices
+        self.measured_slices = plan.measured_slices
         self.target = message.target_vector(self.receiver_basis, scenario.encoding)
 
     @functools.cached_property
     def state(self) -> AnyonState:
         """The regrouped 6-anyon state, built the long way: the message joined
         to the resource, then regrouped by ``BasisChange.apply``.  C is its
-        amplitudes read through the layout's gather."""
-        change = self._layout.change
+        amplitudes read through the plan's gather."""
+        change = self._plan.change
         message = np.array([self._message.alpha, self._message.beta], dtype=complex)
-        joined = _joined(self._layout.message_rows, change.source.dim, message, self._resource)
+        joined = _joined(self._plan.message_rows, change.source.dim, message, self._resource)
         return AnyonState(self.basis, change.apply(joined))
 
 
@@ -554,12 +542,6 @@ def _assemble(probabilities, rho, measurement: _Measurement, target, receiver_ba
 # per sector: a one-message sweep of 200 samples pays it 3 times here, and
 # would pay it 25 times in chunks of 8 samples.
 MESSAGE_SAMPLES = 80
-
-
-def _sector_slices(basis: SectorBasis) -> list[slice]:
-    """The slices of the nonempty charge sectors of `basis`, in charge order."""
-    slices = (basis.sector_slice(g) for g in basis.model.charges)
-    return [sl for sl in slices if sl.stop > sl.start]
 
 
 def row_space(block: np.ndarray) -> np.ndarray:

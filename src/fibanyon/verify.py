@@ -21,7 +21,7 @@ from .model import AnyonModel, fibonacci_model, validate_model, validation_refus
 from .recouple import shape_change
 from .states import (
     AnyonState,
-    _row_norms,
+    _normalized_rows,
     _sector_views,
     adjoint_data,
     bipartition,
@@ -270,7 +270,7 @@ def _purity_gaps(basis, sector, amplitudes: np.ndarray) -> list:
     amplitudes of charge `sector`, bit for bit: the whole row normalised, then
     one product of the sector block with itself per state (the other blocks
     are 0)."""
-    unit = amplitudes / _row_norms(amplitudes)[:, None]
+    unit = _normalized_rows(amplitudes)
     kets = unit[:, basis.sector_slice(sector)]
     blocks = kets[:, :, None] * np.conjugate(kets)[:, None, :]  # np.outer, as from_ket_bra
     return [abs(float(np.einsum("ij,ji->", b, b).real) - 1.0) for b in blocks]

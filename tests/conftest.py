@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread unless the caller sets a count: OpenBLAS threads spin on the
+# larger products, so with more threads than idle cores the run time depends
+# on the host's load.  Set before numpy loads, which reads it once.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

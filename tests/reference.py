@@ -19,7 +19,9 @@ the plan must match bit for bit.  The verify suite's classification
 sweep has its one-state-at-a-time loop here (:func:`classification_sweep`),
 and random pure states their one-state draw (:func:`random_pure_amplitudes`).
 The algebra suite has its per-sample loop here (:func:`suite_algebra`), with
-random operators drawn one sector block at a time.
+random operators drawn one sector block at a time.  The embedding has the
+per-block loop that writes O_x (x) 1_y into each block (g, x, y) of the
+result (:func:`embed_data`).
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from fibanyon import correlations
 from fibanyon.correlations import (_FIBONACCI_PAIR, ZERO_COEFF_TOL, CorrelationReport, _to_units,
                                    _units)
 from fibanyon.errors import BasisMismatchError, require_memory
-from fibanyon.states import (SPECTRAL_TOL, AnyonState, BlockOperator, bipartition, embed_local, ket,
-                             partial_trace, pure_density, purity, random_pure_state, sample_rng,
-                             spectrum, trace)
+from fibanyon.states import (SPECTRAL_TOL, AnyonState, BlockOperator, _sector_views, bipartition,
+                             embed_local, ket, partial_trace, pure_density, purity,
+                             random_pure_state, sample_rng, spectrum, trace)
 from fibanyon.trees import enumerate_basis, grouped_shape, left_comb
 from fibanyon.verify import SuiteResult
 
@@ -216,6 +218,18 @@ def _partial_trace_blocks(rho, part, traced):
         else:
             blocks[keep] = np.zeros((kept.sector_dim(keep),) * 2, dtype=complex)
     return blocks
+
+
+def embed_data(data, part, side):
+    """The data of ``embed_local``, block by block, for one operator's data or a
+    stack of them (the last axis)."""
+    traced = "B" if side == "A" else "A"
+    out = np.zeros(data.shape[:-1] + (part.basis.unit_count,), dtype=complex)
+    views = _sector_views(part.basis, out)
+    blocks = _sector_views(part.kept_basis(traced), data)
+    for g, keep, index in part.kept_blocks(traced):
+        views[g][..., index[:, :, None], index[:, None, :]] = blocks[keep][..., None, :, :]
+    return out
 
 
 def _spectra(*parties):

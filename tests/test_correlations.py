@@ -430,7 +430,9 @@ def test_oversized_table_is_refused_before_anything_is_built(monkeypatch):
     # 3^3 trees a party, 9 per charge: 243 units, a 243 x 243 table
     need = f"~{80 * 243**2 / 2**30:.3g} GiB, {2**20 / 2**30:.3g} GiB available"
     monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
-    before = correlations._units.cache_info(), correlations._plan.cache_info()
+    units = []
+    monkeypatch.setattr(correlations, "_units", lambda basis: units.append(basis))
+    before = correlations._plan.cache_info()
     for call in (is_uncorrelated, violation_table):
         for arg in (psi, rho):
             with pytest.raises(MemoryBudgetError,
@@ -438,7 +440,7 @@ def test_oversized_table_is_refused_before_anything_is_built(monkeypatch):
                 call(arg, part)
     with pytest.raises(MemoryBudgetError, match="^the 243 local observables of a 27-dim basis"):
         local_observable_basis(part.a_basis)
-    assert (correlations._units.cache_info(), correlations._plan.cache_info()) == before
+    assert units == [] and correlations._plan.cache_info() == before
 
 
 def test_local_observable_basis_checks_memory_first(model, monkeypatch):
@@ -603,6 +605,21 @@ def test_stacked_verdicts_reject_what_one_state_rejects(basis2, monkeypatch):
     monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
     with pytest.raises(MemoryBudgetError, match=r"^2000 correlation tables of a 1\|1 split"):
         pure_max_violations(np.eye(basis2.dim)[np.zeros(2000, dtype=int)], part)
+
+
+@pytest.mark.parametrize("scale, problem", [(1e200, "overflows"), (1e-170, "underflows to 0")])
+def test_stacked_verdicts_refuse_an_unusable_norm_as_one_state_does(basis2, scale, problem):
+    # a stack used to score the 1e200 row 0.0 and product-e-alpha, and to call
+    # the 1e-170 row the zero state
+    part = bipartition(basis2, 1)
+    row = np.zeros(basis2.dim, dtype=complex)
+    row[[basis2.index_of_label("e,tau;tau"), basis2.index_of_label("tau,e;tau")]] = scale
+    message = f"^cannot normalize: the norm of the amplitudes {problem}$"
+    with pytest.raises(ValueError, match=message):
+        with np.errstate(over="ignore"):  # one state's dot warns of the overflow
+            is_uncorrelated(AnyonState(basis2, row), part)
+    with pytest.raises(ValueError, match=message):
+        pure_max_violations(np.stack([ket(basis2, "e,e;e").amplitudes, row]), part)
 
 
 @pytest.mark.parametrize("n,sector", [(2, "e"), (2, "tau"), (5, "tau"), (9, "e")])

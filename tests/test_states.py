@@ -20,6 +20,7 @@ from fibanyon.states import (
     AnyonState,
     BlockOperator,
     bipartition,
+    embed_data,
     embed_local,
     fidelity,
     format_state_text,
@@ -45,6 +46,7 @@ from fibanyon.states import (
 )
 from fibanyon.model import load_model_text
 from fibanyon.trees import all_shapes, enumerate_basis, grouped_shape, left_comb, subtree_shape
+from reference import embed_data as per_block_embed_data
 from reference import global_charge, reference
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -328,6 +330,33 @@ def test_embed_and_partial_trace_equal_dense_reference(model, n, n_a):
             partial_trace(rho, part, traced=traced).to_full(),
             _dense_partial_trace(rho, part, traced).to_full(),
         )
+
+
+@pytest.fixture(scope="module")
+def four_models(model):
+    data = Path(__file__).parent / "data"
+    return [model] + [load_model_text((data / f"{name}.model").read_text(), name=name)
+                      for name in ("z2", "z3", "ising")]
+
+
+def test_embedding_writes_what_the_per_block_loop_wrote(four_models):
+    # every grouped split with N <= 6, both sides, one operator and a stack of
+    # two, with signed zeros among the entries
+    for model in four_models:
+        for n, n_a in _splits(6):
+            part = bipartition(enumerate_basis(model, grouped_shape(n_a, n - n_a)), n_a)
+            rng = np.random.default_rng(10 * n + n_a)
+            for side, sub in (("A", part.a_basis), ("B", part.b_basis)):
+                data = rng.standard_normal((2, sub.unit_count)) * (1 + 0j)
+                data.imag = rng.standard_normal((2, sub.unit_count))
+                data.real[:, ::3] = -0.0
+                data.imag[:, ::5] = -0.0
+                for operand in (data[0], data):
+                    got = embed_data(operand, part, side)
+                    expected = per_block_embed_data(operand, part, side)
+                    assert np.array_equal(got, expected)
+                    assert np.array_equal(np.signbit(got.view(float)),
+                                          np.signbit(expected.view(float)))
 
 
 @pytest.mark.parametrize("n", range(2, 9))

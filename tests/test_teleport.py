@@ -632,7 +632,7 @@ def test_reachability_sweep_memory_stays_bounded(catalog):
     scenario = catalog["main-text"]["ba"]
     messages = [MessageQubit(SQ2, np.exp(1j * th) * SQ2)
                 for th in np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)]
-    receiver_reachability_check(scenario, messages, pvm_samples=1, seed=0)  # cache the layout
+    receiver_reachability_check(scenario, messages, pvm_samples=1, seed=0)  # cache the plan
     tracemalloc.start()
     try:
         report = receiver_reachability_check(scenario, messages, pvm_samples=1000, seed=42)
@@ -647,7 +647,7 @@ def test_one_message_sweep_memory_stays_bounded(catalog):
     # one message draws the largest chunks: MESSAGE_SAMPLES samples at a time
     scenario = catalog["main-text"]["ba"]
     messages = [MessageQubit(0.6, 0.8)]
-    receiver_reachability_check(scenario, messages, pvm_samples=1, seed=0)  # cache the layout
+    receiver_reachability_check(scenario, messages, pvm_samples=1, seed=0)  # cache the plan
     tracemalloc.start()
     try:
         report = receiver_reachability_check(scenario, messages, pvm_samples=200, seed=42)
@@ -787,7 +787,7 @@ def test_counterfactual_runs_on_the_catalog_main_text_ba(model, catalog):
     assert list(scenario._measurements) == [False] and not expected._measurements
 
 
-# --- the cached layout and measurement against a per-call reference
+# --- the cached plan and measurement against a per-call reference
 
 
 def _reference_join(scenario, message):
@@ -983,24 +983,39 @@ def test_catalog_pvm_validated_once_per_scenario(model, monkeypatch):
     assert len(calls) == 1 and list(unenforced._measurements) == [False]
 
 
-def test_with_resource_copies_share_layout(model, catalog):
+def test_measurement_densifies_each_operator_once(catalog, monkeypatch):
+    calls = []
+    to_full = BlockOperator.to_full
+
+    def counting(op):
+        calls.append(op)
+        return to_full(op)
+
+    monkeypatch.setattr(BlockOperator, "to_full", counting)
+    for scenario in _catalog_runs(catalog):
+        calls.clear()
+        dataclasses.replace(scenario)._measurement(True)
+        assert len(calls) == len(scenario.pvm) + len(scenario.corrections)
+
+
+def test_with_resource_copies_share_a_plan(model, catalog):
     base = catalog["appendix-d1-symmetric"]["ab"]
     first = base.with_resource(d1_family_resource(model, 0.6, 0.8))
     second = base.with_resource(d1_family_resource(model, 0.8, -0.6j))
     SplitState(first, MessageQubit(0.6, 0.8))
-    hits = teleport._cached_layout.cache_info().hits
+    hits = teleport._cached_plan.cache_info().hits
     SplitState(second, MessageQubit(0.6, 0.8))
-    assert teleport._cached_layout.cache_info().hits == hits + 1
+    assert teleport._cached_plan.cache_info().hits == hits + 1
 
 
-def test_encodings_share_one_layout(catalog):
+def test_encodings_share_one_plan(catalog):
     base = catalog["main-text"]["ab"]
     other = dataclasses.replace(base, encoding=("e,e;e", "tau,tau;e"))
     message = MessageQubit(0.6, 0.8j)
     split = SplitState(base, message)
-    hits = teleport._cached_layout.cache_info().hits
+    hits = teleport._cached_plan.cache_info().hits
     other_split = SplitState(other, message)
-    assert teleport._cached_layout.cache_info().hits == hits + 1
+    assert teleport._cached_plan.cache_info().hits == hits + 1
     assert np.array_equal(other_split.coefficients, split.coefficients)
     for scenario, target in ((base, split.target), (other, other_split.target)):
         basis = split.receiver_basis
@@ -1060,7 +1075,7 @@ def _plan_scenarios(model, catalog):
 def test_plan_equals_regrouped_state_read_through_the_gather(model, catalog):
     messages = [MessageQubit(a, b) for a, b in MESSAGE_GRID] + _seeded_messages(19, 200)
     for scenario in _plan_scenarios(model, catalog):
-        gather = scenario._layout().gather
+        gather = scenario._plan().gather
         for message in messages:
             split = SplitState(scenario, message)
             expected = np.append(split.state.amplitudes, 0.0)[gather]
@@ -1110,6 +1125,24 @@ def test_scenario_support_follows_its_resource(model, catalog):
     assert copies[1] == dataclasses.replace(copies[1])  # not compared
 
 
+def test_warm_round_makes_one_plan_lookup(catalog):
+    scenarios = _catalog_runs(catalog)
+    for scenario in scenarios:
+        run_protocol(scenario, MessageQubit(1.0, 0.0))
+    before = teleport._cached_plan.cache_info()
+    for scenario in scenarios:
+        run_protocol(scenario, MessageQubit(0.6, 0.8))
+    after = teleport._cached_plan.cache_info()
+    assert (after.hits - before.hits, after.misses) == (len(scenarios), before.misses)
+
+
+@pytest.mark.parametrize("direction", ["AB", None])
+def test_scenario_refuses_an_unknown_direction(catalog, direction):
+    # "AB" used to run silently as "ba": the plan only tests for "ab"
+    with pytest.raises(ValueError, match=f"^direction must be 'ab' or 'ba', got {direction!r}$"):
+        dataclasses.replace(catalog["appendix-d1-symmetric"]["ba"], direction=direction)
+
+
 def test_warm_round_never_applies_the_regrouping_map(catalog, monkeypatch):
     from fibanyon.recouple import BasisChange
 
@@ -1147,7 +1180,7 @@ def test_phased_permutation_corrections_take_the_gather(model, catalog):
     for scenario, enforce in cases:
         measurement = scenario._measurement(enforce)
         assert measurement.gather is not None and measurement.dense is None
-        n, r = len(scenario.corrections) + 1, scenario._layout().receiver_basis.dim
+        n, r = len(scenario.corrections) + 1, scenario._plan().receiver_basis.dim
         for _ in range(50):
             rho = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
             expected = _dense_corrected(scenario.corrections, rho)
