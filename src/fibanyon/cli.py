@@ -38,6 +38,10 @@ from .trees import TreeShape, enumerate_basis, grouped_shape, left_comb
 
 DISPLAY_ZERO = 1e-12  # magnitudes below this render as 0 (API values untouched)
 
+# teleport's largest --samples: a one-message sweep costs about 2.6 us per
+# sample, so this many take about 3 s
+MAX_SAMPLES = 10**6
+
 # verify.SUITES' names in its order, spelled out so that parsing does not load
 # verify; a test pins the two
 _SUITE_NAMES = ("model", "dims", "recoupling", "algebra", "correlations", "teleportation")
@@ -291,8 +295,8 @@ def cmd_teleport(args, model: AnyonModel) -> int:
         raise UsageError(
             f"unknown scenario {args.scenario!r} (choose from {', '.join(sorted(catalog))})"
         )
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise UsageError(f"--samples must be from 1 to {MAX_SAMPLES}")
     scenario = catalog[args.scenario][args.direction]
     alpha = _parse_amplitude("--alpha", args.alpha)
     beta = _parse_amplitude("--beta", args.beta)

@@ -243,7 +243,8 @@ class BlockOperator:
     It is one read-only complex array, :attr:`data`, laid out as
     :attr:`SectorBasis.block_slices` says, and :attr:`blocks` holds each
     sector's block as a read-only square view of it.  The constructor
-    copies the blocks it is given (a missing one is zero).
+    copies the blocks it is given (a missing one is zero), and refuses a
+    block with a non-finite entry.
     """
 
     __slots__ = ("basis", "data", "blocks")
@@ -263,6 +264,8 @@ class BlockOperator:
                 raise BasisMismatchError(
                     f"sector {g} block has shape {block.shape}, expected {(d, d)}"
                 )
+            if not np.isfinite(block).all():
+                raise ValueError(f"sector {g} block has a non-finite entry")
             data[basis.block_slices[g]] = block.ravel()
         data.setflags(write=False)
         self.basis, self.data, self.blocks = basis, data, _sector_views(basis, data)
@@ -285,7 +288,7 @@ class BlockOperator:
         """Split a full matrix into sector blocks; every off-block entry must be 0."""
         matrix = np.asarray(matrix, dtype=complex)
         leak = _off_block_mass(matrix, basis)
-        if leak > 0.0:
+        if leak != 0.0:  # also NaN
             raise SuperselectionError(f"matrix has cross-sector entries (max {leak:.3e})")
         blocks = {}
         for g in basis.model.charges:
@@ -354,10 +357,6 @@ class BlockOperator:
         return BlockOperator._of(self.basis, complex(scalar) * self.data)
 
     __rmul__ = __mul__
-
-    def is_hermitian(self) -> bool:
-        return all(np.max(np.abs(b - b.conj().T), initial=0.0) <= SPECTRAL_TOL
-                   for b in self.blocks.values())
 
     def __repr__(self):
         dims = {g: b.shape[0] for g, b in self.blocks.items()}
@@ -500,10 +499,6 @@ def fidelity(psi: AnyonState, rho: BlockOperator | AnyonState) -> float:
         rho = pure_density(rho)
     _require_same_basis(psi.basis, rho.basis)
     return float(rho.expectation(psi).real)
-
-
-def is_density(op: BlockOperator) -> bool:
-    return bool(density_flags(op.basis, op.data[None])[0])
 
 
 def density_flags(basis: SectorBasis, data: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .model import AnyonModel, fibonacci_model, validate_model, validation_refus
 from .recouple import shape_change
 from .states import (
     AnyonState,
+    BlockOperator,
     _normalized_rows,
     _sector_views,
     adjoint_data,
@@ -107,43 +108,78 @@ def suite_dims(model: AnyonModel) -> SuiteResult:
 
 
 def suite_recoupling(model: AnyonModel, max_n: int = 5) -> SuiteResult:
+    return _recoupling_checks(recoupling_residuals(model, max_n), max_n)
+
+
+def _recoupling_checks(residuals: dict[str, np.ndarray], max_n: int) -> SuiteResult:
     out = SuiteResult("recoupling")
-    worst_unitary = 0.0
-    worst_sector = 0.0
-    worst_roundtrip = 0.0
-    worst_path = 0.0
-    pairs = 0
-    for n in range(2, max_n + 1):
-        shapes = all_shapes(n)
-        for src in shapes:
-            basis = enumerate_basis(model, src)
-            off_sector = ~basis.sector_mask
-            for tgt in shapes:
-                pairs += 1
-                fwd = shape_change(model, src, tgt)
-                u = fwd.matrix
-                worst_unitary = max(
-                    worst_unitary, float(np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))))
-                )
-                worst_sector = max(worst_sector, float(np.max(np.abs(u[off_sector]), initial=0.0)))
-                back = shape_change(model, tgt, src)
-                worst_roundtrip = max(
-                    worst_roundtrip,
-                    float(np.max(np.abs(back.matrix @ u - np.eye(basis.dim)))),
-                )
-                alt = shape_change(model, src, tgt, via="right")
-                worst_path = max(worst_path, float(np.max(np.abs(alt.matrix - u))))
-    out.add_residual(f"unitarity over {pairs} shape pairs (N<={max_n})", worst_unitary, 1e-12)
-    out.add_residual("global-charge sectors never mix", worst_sector, 1e-12)
-    out.add_residual("round-trips A->B->A = identity", worst_roundtrip, 1e-12)
-    out.add_residual("path independence (left vs right comb)", worst_path, 1e-12)
+    out.add_residual(f"unitarity over {len(residuals['unitarity'])} shape pairs (N<={max_n})",
+                     _worst(residuals["unitarity"]), 1e-12)
+    out.add_residual("global-charge sectors never mix", _worst(residuals["sector mixing"]), 1e-12)
+    out.add_residual("round-trips A->B->A = identity", _worst(residuals["round trip"]), 1e-12)
+    out.add_residual("path independence (left vs right comb)", _worst(residuals["path"]), 1e-12)
     return out
 
 
+def recoupling_residuals(model: AnyonModel, max_n: int) -> dict[str, np.ndarray]:
+    """Each recoupling check's residual per ordered shape pair, for n = 2 to
+    `max_n`, by source, then target, in :func:`all_shapes` order.
+
+    A change is checked one global-charge block at a time: its entries inside
+    the blocks, as operator data (every shape of n has the same sector slices,
+    since sector dimensions do not depend on the shape), go through the
+    products of :func:`product_data`, which give each entry what the dense
+    product gives, its off-block zeros adding nothing.  Its entries outside
+    every block are the sector-mixing residual.  Each n's left-routed changes
+    are composed once per pair, into one table that the round trip reads the
+    reverse pair's change from.
+    """
+    residuals = {"unitarity": [], "sector mixing": [], "round trip": [], "path": []}
+    for n in range(2, max_n + 1):
+        shapes = all_shapes(n)
+        layout = enumerate_basis(model, shapes[0])
+        sector = layout.charges[:, 0]  # each index's global charge, in every shape of n
+        # in-block entry (r, c) is entry at[r] + c of the data
+        at = np.concatenate([sl.start + d * np.arange(d) - layout.sector_slice(g).start
+                             for g, sl, (d, _) in layout.block_layout])
+        eye = BlockOperator.identity(layout).data
+
+        def blocks(changes) -> np.ndarray:
+            """The changes' in-block entries, as a stack of data on `layout`."""
+            data = np.zeros((len(changes), layout.unit_count), dtype=complex)
+            for out, change in zip(data, changes):
+                inside = sector[change.rows] == sector[change.cols]
+                out[at[change.rows[inside]] + change.cols[inside]] = change.coeffs[inside]
+            return data
+
+        table = [[shape_change(model, src, tgt) for tgt in shapes] for src in shapes]
+        residuals["sector mixing"].append(
+            [np.max(np.abs(c.coeffs[sector[c.rows] != sector[c.cols]]), initial=0.0)
+             for row in table for c in row])
+        for i, src in enumerate(shapes):
+            fwd = blocks(table[i])
+            residuals["unitarity"].append(
+                _gaps(product_data(layout, adjoint_data(layout, fwd), fwd), eye))
+            residuals["round trip"].append(
+                _gaps(product_data(layout, blocks([row[i] for row in table]), fwd), eye))
+            residuals["path"].append(
+                _gaps(blocks([shape_change(model, src, tgt, via="right") for tgt in shapes]), fwd))
+    return {key: np.concatenate(values) for key, values in residuals.items()}
+
+
+def _gaps(data: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The largest |entry| of ``data - other`` for each operator of a stack of
+    data; overwrites `data`."""
+    return np.max(np.abs(np.subtract(data, other, out=data)), axis=-1, initial=0.0)
+
+
 def suite_algebra(model: AnyonModel, seed: int = 42, pairs: int = 500) -> SuiteResult:
+    return _algebra_checks(algebra_samples(model, seed, pairs), pairs)
+
+
+def _algebra_checks(samples: dict[str, np.ndarray], pairs: int) -> SuiteResult:
     out = SuiteResult("algebra")
     tol = 1e-10
-    samples = algebra_samples(model, seed, pairs)
     for n in (4, 6):
         out.add_residual(f"partial-trace consistency N={n} ({pairs} pairs)",
                          _worst(samples[f"consistency N={n}"]), tol)
@@ -320,15 +356,9 @@ def suite_correlations(model: AnyonModel, seed: int = 42, samples: int = 10000,
     ops_a = local_observable_basis(part.a_basis)
     ops_b = local_observable_basis(part.b_basis)
     rng = sample_rng(seed, 203)
-    worst_recon = 0.0
-    worst_excess = 0.0
-    for which in range(3):
-        if which == 0:
-            psi, _ = _unequal_marginals_state(model)
-        elif which == 1:
-            psi = random_pure_state(basis, "tau", rng)
-        else:
-            psi = random_pure_state(basis, "e", rng)
+    worst_recon = worst_excess = 0.0
+    for sector in (None, "tau", "e"):  # the unequal-marginals state, then two random ones
+        psi = random_pure_state(basis, sector, rng) if sector else _unequal_marginals_state(model)
         table = violation_table(psi, part)
         rho = pure_density(psi)
         rho_a = partial_trace(rho, part, traced="B")
@@ -394,7 +424,7 @@ def classification_sweep(part, sectors, rng, per_sector: int, class_tol: float,
 def _unequal_marginals_state(model: AnyonModel):
     """(|e,tau;tau> + |tau,tau;tau>)/sqrt(2): unequal marginal spectra."""
     basis = enumerate_basis(model, grouped_shape(1, 1))
-    return superpose([(1.0, ket(basis, "e,tau;tau")), (1.0, ket(basis, "tau,tau;tau"))])
+    return superpose([(1.0, ket(basis, "e,tau;tau")), (1.0, ket(basis, "tau,tau;tau"))])[0]
 
 
 def suite_teleportation(model: AnyonModel, seed: int = 42, pvm_samples: int = 1000,
@@ -416,8 +446,7 @@ def suite_teleportation(model: AnyonModel, seed: int = 42, pvm_samples: int = 10
     rng = sample_rng(seed, 301)
 
     # probability conservation + fidelity bounds over random messages
-    worst_prob = 0.0
-    worst_fid = 0.0
+    worst_prob = worst_fid = 0.0
     runnable = [s for directions in catalog.values() for s in directions.values()
                 if s.pvm is not None]
     for scenario in runnable:
@@ -487,9 +516,8 @@ def suite_teleportation(model: AnyonModel, seed: int = 42, pvm_samples: int = 10
                           outcome_b.branches + [outcome_b.no_click]):
             worst_agree = max(worst_agree, abs(ba.probability - bb.probability))
             if ba.receiver_state is not None and bb.receiver_state is not None:
-                worst_agree = max(
-                    worst_agree, float(np.max(np.abs(ba.receiver_state - bb.receiver_state)))
-                )
+                worst_agree = max(worst_agree,
+                                  float(np.max(np.abs(ba.receiver_state - bb.receiver_state))))
     out.add_residual("split engine matches global embedding route", worst_agree, tol)
     return out
 

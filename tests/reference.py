@@ -19,7 +19,8 @@ the plan must match bit for bit.  The verify suite's classification
 sweep has its one-state-at-a-time loop here (:func:`classification_sweep`),
 and random pure states their one-state draw (:func:`random_pure_amplitudes`).
 The algebra suite has its per-sample loop here (:func:`suite_algebra`), with
-random operators drawn one sector block at a time.  The embedding has the
+random operators drawn one sector block at a time, and the recoupling suite
+its loop over dense matrices (:func:`suite_recoupling`).  The embedding has the
 per-block loop that writes O_x (x) 1_y into each block (g, x, y) of the
 result (:func:`embed_data`).
 """
@@ -35,10 +36,11 @@ from fibanyon import correlations
 from fibanyon.correlations import (_FIBONACCI_PAIR, ZERO_COEFF_TOL, CorrelationReport, _to_units,
                                    _units)
 from fibanyon.errors import BasisMismatchError, require_memory
+from fibanyon.recouple import shape_change
 from fibanyon.states import (SPECTRAL_TOL, AnyonState, BlockOperator, _sector_views, bipartition,
                              embed_local, ket, partial_trace, pure_density, purity,
                              random_pure_state, sample_rng, spectrum, trace)
-from fibanyon.trees import enumerate_basis, grouped_shape, left_comb
+from fibanyon.trees import all_shapes, enumerate_basis, grouped_shape, left_comb
 from fibanyon.verify import SuiteResult
 
 
@@ -374,7 +376,8 @@ def random_observable(basis, rng):
 
 
 def is_density(op):
-    if not op.is_hermitian():
+    if not all(np.max(np.abs(b - b.conj().T), initial=0.0) <= SPECTRAL_TOL
+               for b in op.blocks.values()):
         return False
     if abs(trace(op) - 1.0) > SPECTRAL_TOL:
         return False
@@ -457,3 +460,48 @@ def suite_algebra(model, seed, pairs):
         samples["purity"].append(abs(purity(pure_density(state)) - 1.0))
     out.add_residual("purity 1 for all kets and random sector states", purity_worst, tol)
     return out, samples
+
+
+def suite_recoupling(model, max_n):
+    """(the suite's result, each check's residual per shape pair): the loop
+    over dense matrices as it was, plus one line per check that records each
+    pair's residual."""
+    residuals = {"unitarity": [], "sector mixing": [], "round trip": [], "path": []}
+    out = SuiteResult("recoupling")
+    worst_unitary = 0.0
+    worst_sector = 0.0
+    worst_roundtrip = 0.0
+    worst_path = 0.0
+    pairs = 0
+    for n in range(2, max_n + 1):
+        shapes = all_shapes(n)
+        for src in shapes:
+            basis = enumerate_basis(model, src)
+            off_sector = ~basis.sector_mask
+            for tgt in shapes:
+                pairs += 1
+                fwd = shape_change(model, src, tgt)
+                u = fwd.matrix
+                worst_unitary = max(
+                    worst_unitary, float(np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))))
+                )
+                worst_sector = max(worst_sector, float(np.max(np.abs(u[off_sector]), initial=0.0)))
+                back = shape_change(model, tgt, src)
+                worst_roundtrip = max(
+                    worst_roundtrip,
+                    float(np.max(np.abs(back.matrix @ u - np.eye(basis.dim)))),
+                )
+                alt = shape_change(model, src, tgt, via="right")
+                worst_path = max(worst_path, float(np.max(np.abs(alt.matrix - u))))
+                residuals["unitarity"].append(float(np.max(np.abs(u.conj().T @ u
+                                                                  - np.eye(basis.dim)))))
+                residuals["sector mixing"].append(float(np.max(np.abs(u[off_sector]),
+                                                               initial=0.0)))
+                residuals["round trip"].append(float(np.max(np.abs(back.matrix @ u
+                                                                   - np.eye(basis.dim)))))
+                residuals["path"].append(float(np.max(np.abs(alt.matrix - u))))
+    out.add_residual(f"unitarity over {pairs} shape pairs (N<={max_n})", worst_unitary, 1e-12)
+    out.add_residual("global-charge sectors never mix", worst_sector, 1e-12)
+    out.add_residual("round-trips A->B->A = identity", worst_roundtrip, 1e-12)
+    out.add_residual("path independence (left vs right comb)", worst_path, 1e-12)
+    return out, residuals

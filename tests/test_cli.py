@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -105,9 +106,10 @@ GOLDEN_CASES = [
     # every BlockOperator operation, partial trace and embedding; as text, because the
     # JSON residuals' last digits differ between one BLAS thread and several
     ("verify_algebra_quick.txt", ("verify", "--suite", "algebra", "--quick")),
-    # every bit of the recoupling residuals
+    # every bit of the recoupling residuals, up to N=4 and (every shape pair) up to N=5
     ("verify_recoupling_quick.json",
      ("verify", "--suite", "recoupling", "--quick", "--format", "json")),
+    ("verify_recoupling.json", ("verify", "--suite", "recoupling", "--format", "json")),
 ]
 
 
@@ -219,6 +221,17 @@ def test_teleport_empty_sweep_usage_error(samples):
                         "--samples", samples)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("samples", [str(cli.MAX_SAMPLES + 1), "100000000000"])
+def test_teleport_refuses_samples_over_the_cap_at_once(samples, capsys):
+    # 10**11 samples would sweep for hours; the refusal comes before any sweep
+    start = time.process_time()
+    code, out = run_cli("teleport", "--scenario", "main-text", "--direction", "ba",
+                        "--samples", samples)
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"--samples must be from 1 to {cli.MAX_SAMPLES}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -24,7 +24,6 @@ from fibanyon.states import (
     embed_local,
     fidelity,
     format_state_text,
-    is_density,
     ket,
     mixture,
     normalized_amplitudes,
@@ -47,7 +46,7 @@ from fibanyon.states import (
 from fibanyon.model import load_model_text
 from fibanyon.trees import all_shapes, enumerate_basis, grouped_shape, left_comb, subtree_shape
 from reference import embed_data as per_block_embed_data
-from reference import global_charge, reference
+from reference import global_charge, is_density, reference
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -549,6 +548,23 @@ def test_block_operator_rejects_keys_that_are_not_charges(basis2):
     with pytest.raises(BasisMismatchError,
                        match=r"^block keys 'sigma', 'tau ' are not charges of model fibonacci$"):
         BlockOperator(basis2, {"e": np.eye(2), "tau ": np.eye(3), "sigma": np.eye(1)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_block_operator_rejects_non_finite_blocks(basis2, bad):
+    # a NaN block would otherwise give a NaN spectrum, purity and trace
+    block = np.eye(2, dtype=complex)
+    block[1, 0] = bad
+    with pytest.raises(ValueError, match=r"^sector e block has a non-finite entry$"):
+        BlockOperator(basis2, {"e": block, "tau": np.eye(3)})
+    full = np.eye(basis2.dim, dtype=complex)
+    full[basis2.sector_slice("e")][1, 0] = bad
+    with pytest.raises(ValueError, match=r"^sector e block has a non-finite entry$"):
+        BlockOperator.from_full(full, basis2)
+    full = np.eye(basis2.dim, dtype=complex)
+    full[basis2.sector_slice("e").start, basis2.sector_slice("tau").start] = bad
+    with pytest.raises(SuperselectionError, match="cross-sector"):
+        BlockOperator.from_full(full, basis2)
 
 
 # --- superselection validation of raw matrices
