@@ -39,6 +39,9 @@ GOLDEN = Path(__file__).parent / "golden"
 STATE_FILE = str(DATA / "unequal_marginals.state")
 Z2_MODEL = str(DATA / "z2.model")
 ISING_MODEL = str(DATA / "ising.model")
+Z3_MODEL = str(DATA / "z3.model")
+ISING_STATE = str(DATA / "ising_one_one.state")
+Z3_STATE = str(DATA / "z3_five.state")
 
 
 def run_cli(*argv):
@@ -110,6 +113,14 @@ GOLDEN_CASES = [
     ("verify_recoupling_quick.json",
      ("verify", "--suite", "recoupling", "--quick", "--format", "json")),
     ("verify_recoupling.json", ("verify", "--suite", "recoupling", "--format", "json")),
+    # the other models' state files: their labels parsed (both spellings) and rendered
+    *(
+        (f"{command}_{name}.{ext}", (command, "--model", model, "--state", state, *argv))
+        for name, model, state in (("ising_one_one", ISING_MODEL, ISING_STATE),
+                                   ("z3_five", Z3_MODEL, Z3_STATE))
+        for command, ext, argv in (("marginals", "txt", ()),
+                                   ("correlations", "json", ("--format", "json")))
+    ),
 ]
 
 
@@ -616,12 +627,9 @@ def test_model_file_charges_checked_on_load(tmp_path, capsys, charges, vacuum, s
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_ising_one_one_state_has_unequal_marginals(tmp_path):
+def test_ising_one_one_state_has_unequal_marginals():
     # (|e,sigma;sigma> + |psi,sigma;sigma>)/sqrt(2): A holds e or psi, B always sigma
-    path = tmp_path / "ising.state"
-    path.write_text("shape: (0 1)\ne,sigma;sigma : 1.0 0.0\npsi,sigma;sigma : 1.0 0.0\n",
-                    encoding="utf-8")
-    code, out = run_cli("marginals", "--model", ISING_MODEL, "--state", str(path),
+    code, out = run_cli("marginals", "--model", ISING_MODEL, "--state", ISING_STATE,
                         "--format", "json")
     assert code == 0
     report = json.loads(out)
