@@ -410,8 +410,12 @@ def classify_pure_2anyon(psi: AnyonState) -> str:
     if psi.basis.shape.n_leaves != 2:
         raise ShapeError("classification applies to 2-anyon states")
     psi = psi.normalized()
-    amplitudes = [psi.amplitude(label) for label in _FIBONACCI_PAIR[:4]]
+    amplitudes = psi.amplitudes[_pair_index(psi.basis)].tolist()
     return _pure_class(psi.sector == psi.basis.model.vacuum, amplitudes)
+
+
+# the indices of the first four trees of _FIBONACCI_PAIR, looked up once per basis
+_pair_index = functools.lru_cache(maxsize=256)(lambda b: b.index_of_labels(_FIBONACCI_PAIR[:4]))
 
 
 def _pure_class(vacuum: bool, amplitudes) -> str:

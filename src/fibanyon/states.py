@@ -62,7 +62,7 @@ class AnyonState:
     """Complex amplitudes over a fusion-tree basis, confined to one sector.
 
     Unnormalized intermediates are allowed; use :meth:`normalized` when a
-    physical state is required.
+    physical state is required.  A non-finite amplitude is refused.
     """
 
     __slots__ = ("basis", "amplitudes")
@@ -73,6 +73,8 @@ class AnyonState:
             raise BasisMismatchError(
                 f"amplitude vector has length {amplitudes.shape}, basis dim {basis.dim}"
             )
+        if not np.isfinite(amplitudes).all():
+            raise ValueError("state has a non-finite amplitude")
         support = [g for g in basis.model.charges if np.any(amplitudes[basis.sector_slice(g)])]
         if len(support) > 1:
             raise SuperselectionError(
@@ -146,7 +148,8 @@ def _normalized_rows(rows: np.ndarray) -> np.ndarray:
 def normalized_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
     """The amplitudes over their norm; ValueError for the zero vector, or for
     a squared norm that :func:`norm_problem` refuses."""
-    squared = _squared_norm(amplitudes)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        squared = _squared_norm(amplitudes)
     _refuse_norm(amplitudes, squared)
     return amplitudes / math.sqrt(squared)
 
@@ -834,9 +837,10 @@ def parse_state_text(model, text: str) -> AnyonState:
     shape, entries = _parse_entry_file(text)
     basis = enumerate_basis(model, shape)
     amplitudes = np.zeros(basis.dim, dtype=complex)
+    index = basis.index_of_labels([label for label, _ in entries])
     with np.errstate(over="ignore"):  # an overflow shows in the norm, checked below
-        for label, value in entries:
-            amplitudes[basis.index_of_label(label)] += value
+        # unbuffered: a repeated label's values add in file order
+        np.add.at(amplitudes, index, [value for _, value in entries])
         problem = norm_problem(_squared_norm(amplitudes))
     if amplitudes.any() and problem:  # the zero state fails where normalized
         raise ModelFormatError(f"cannot normalize: the norm of the amplitudes {problem}")

@@ -30,7 +30,8 @@ One scenario runs over many messages, so the work is split in two:
   gather composed into the few (C entry, product, coefficient) terms that
   a state on the support reaches, in the map's order.  It runs the join's
   checks and the superselection check once.
-  :meth:`MessageQubit.target_vector` places the target, so scenarios that
+  :meth:`MessageQubit.target_vector` places the target on the scenario's
+  encoding pair, whose indices the scenario looks up once, so scenarios that
   differ only in their encoding share one plan, and so do
   ``with_resource`` copies with one support.
 - The measurement, built once per (scenario, enforcement): the PVM
@@ -115,11 +116,11 @@ class MessageQubit:
         if not abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) <= 1e-10:  # NaN fails
             raise ValueError("message amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
 
-    def target_vector(self, basis: SectorBasis, encoding: tuple[str, str]) -> np.ndarray:
-        """The message placed on a basis pair (ket0, ket1): alpha on ket0, beta on ket1."""
-        vec = np.zeros(basis.dim, dtype=complex)
-        vec[basis.index_of_label(encoding[0])] = self.alpha
-        vec[basis.index_of_label(encoding[1])] = self.beta
+    def target_vector(self, dim: int, pair) -> np.ndarray:
+        """The message placed on a basis pair, given by its indices in a basis
+        of dimension `dim`: alpha at pair[0], beta at pair[1]."""
+        vec = np.zeros(dim, dtype=complex)
+        vec[pair] = self.alpha, self.beta
         return vec
 
 
@@ -203,7 +204,7 @@ class _Plan:
             n_a, self.receiver_side = 2, "A"
         joined = enumerate_basis(model, join_shapes(left, right))
         join = bipartition(joined, left.n_leaves).table(channel)
-        kets = [message_basis.index_of_label(lbl) for lbl in MESSAGE_KETS]
+        kets = message_basis.index_of_labels(MESSAGE_KETS)
         # row k: the joined index of (message ket k, resource tree j)
         self.message_rows = join[kets] if message_first else join[:, kets].T
         self.change = change = shape_change(model, joined.shape, measured_shape)
@@ -373,6 +374,11 @@ class TeleportScenario:
         return _cached_plan(self.model, self.resource.basis, self.direction, self.channel,
                             self._support)
 
+    @functools.cached_property
+    def _encoding_index(self) -> np.ndarray:
+        """The encoding pair's indices in the receiver's two-anyon basis, looked up once."""
+        return enumerate_basis(self.model, grouped_shape(1, 1)).index_of_labels(self.encoding)
+
     def _measurement(self, validate: bool) -> _Measurement:
         if validate not in self._measurements:
             plan = self._plan()
@@ -427,7 +433,7 @@ class SplitState:
         self.measured_basis = plan.measured_basis
         self.receiver_mask = self.receiver_basis.sector_mask
         self.measured_slices = plan.measured_slices
-        self.target = message.target_vector(self.receiver_basis, scenario.encoding)
+        self.target = message.target_vector(self.receiver_basis.dim, scenario._encoding_index)
 
     @functools.cached_property
     def state(self) -> AnyonState:
@@ -670,7 +676,7 @@ def receiver_reachability_check(
     reachable = scenario.reachable_kets()
     splits, chunks = sampled_sweep(scenario, messages, pvm_samples, sample_rng(seed))
     recv_basis = splits[0].receiver_basis
-    allowed = [recv_basis.index_of_label(lbl) for lbl in reachable]
+    allowed = recv_basis.index_of_labels(reachable)
     off_mask = splits[0].receiver_mask.copy()
     off_mask[allowed, allowed] = False
     # per receiver row r with an off-support entry: the columns s of its entries
@@ -705,7 +711,7 @@ def diagonal_mixture_fidelity_bound(
     for one-way protocols whose receiver states are confined to a
     diagonal family.
     """
-    return float(max(abs(target[basis.index_of_label(lbl)]) ** 2 for lbl in kets))
+    return float(max(abs(target[i]) ** 2 for i in basis.index_of_labels(kets)))
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +773,7 @@ def pauli_correction(basis: SectorBasis, ket0: str, ket1: str, kind: str) -> Blo
     """Encoded Pauli acting on the (ket0, ket1) pair, identity elsewhere."""
     if kind not in _PAULIS:
         raise ValueError(f"unknown Pauli kind {kind!r}")
-    pair = np.array([basis.index_of_label(ket0), basis.index_of_label(ket1)])
+    pair = basis.index_of_labels((ket0, ket1))
     mat = np.eye(basis.dim, dtype=complex)
     mat[pair[:, None], pair] = _PAULIS[kind]
     return BlockOperator.from_full(mat, basis)
@@ -842,12 +848,12 @@ def superselection_violating_protocol(model: AnyonModel | None = None) -> Telepo
                  ("(e,tau),(e,tau);tau,tau;e", "(tau,e),(tau,e);tau,tau;tau")):
         for sign in (s, -s):
             vec = np.zeros(g4.dim, dtype=complex)
-            vec[[g4.index_of_label(u), g4.index_of_label(v)]] = s, sign
+            vec[g4.index_of_labels((u, v))] = s, sign
             pvm.append(np.outer(vec, vec.conj()))
 
     # signed permutations of (|e,e;e>, |tau,e;tau>, |e,tau;tau>): the images of
     # the three kets, as positions in that tuple, and the sign on |tau,e;tau>'s
-    kets = [g2.index_of_label(lbl) for lbl in ("e,e;e", "tau,e;tau", "e,tau;tau")]
+    kets = g2.index_of_labels(("e,e;e", "tau,e;tau", "e,tau;tau"))
     corrections = []
     for images, sign in (
         ((1, 2, 0), 1.0),    # alpha|e,e;e> + beta|tau,e;tau> -> message

@@ -17,6 +17,7 @@ the global charge (:attr:`TreeShape.label_format` is the one renderer).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,6 @@ class TreeShape:
     @functools.cached_property
     def n_leaves(self) -> int:
         return len(_leaves(self.structure))
-
-    @property
-    def n_internal(self) -> int:
-        return self.n_leaves - 1 if self.n_leaves > 1 else 0
 
     @functools.cached_property
     def _spans(self) -> dict:
@@ -185,28 +182,30 @@ def subtree_shape(node) -> TreeShape:
 
 def parse_tree_label(shape: TreeShape, text: str) -> tuple[Charge, ...]:
     """A label's charge names in :attr:`TreeShape.label_format` order, for a
-    known shape: the leaves, the non-root internals, the root.
+    known shape: the leaves, the non-root internals, the root."""
+    return tuple(map(normalize_charge_label, _label_names(shape, text)))
+
+
+def _label_names(shape: TreeShape, text: str) -> list[str]:
+    """:func:`parse_tree_label`'s names as written, not yet normalized.
 
     The leaf grouping parentheses are decorative (the shape fixes the
     structure); only the charge order matters.
     """
-    head, *tail = (seg.strip() for seg in text.split(";"))
-    leaf_part = head.replace("(", " ").replace(")", " ").replace(",", " ")
-    leaf_charges = tuple(map(normalize_charge_label, leaf_part.split()))
-    if len(leaf_charges) != shape.n_leaves:
-        raise ShapeError(
-            f"label {text!r} has {len(leaf_charges)} leaves, shape has {shape.n_leaves}"
-        )
+    head, *tail = text.split(";")
+    names = head.replace("(", " ").replace(")", " ").replace(",", " ").split()
+    if len(names) != shape.n_leaves:
+        raise ShapeError(f"label {text!r} has {len(names)} leaves, shape has {shape.n_leaves}")
     if shape.n_leaves == 1 and tail:
         raise ShapeError(f"single-anyon label {text!r} must have no ';'")
     if shape.n_leaves > 1 and len(tail) not in (1, 2):
         raise ShapeError(f"cannot parse basis label {text!r}")
     # the other internals (the middle segment, if any), then the global charge
-    inner = [t for t in tail[0].split(",") if t.strip()] if len(tail) == 2 else []
-    internals = tuple(map(normalize_charge_label, inner + tail[-1:]))
-    if len(internals) != shape.n_internal:
+    names += filter(str.strip, tail[0].split(",") if len(tail) == 2 else ())
+    names += tail[-1:]
+    if len(names) != 2 * shape.n_leaves - 1:
         raise ShapeError("wrong number of internal charges")
-    return leaf_charges + internals
+    return names
 
 
 def _labelings(fusion: np.ndarray, node) -> np.ndarray:
@@ -232,7 +231,10 @@ class SectorBasis:
     every subtree is a run of columns (:meth:`TreeShape.span`).  Read as a
     mixed-radix number over (global charge, leaves, other internals), a
     row increases with its index, so :meth:`index_of_rows` is one
-    ``searchsorted``.  Labels are built on demand, for I/O.
+    ``searchsorted`` over those integer keys, the basis's one lookup.
+    :meth:`index_of_labels` parses labels - canonical, without the leaf
+    parentheses, with ``τ`` for tau or with extra spaces - into rows and
+    looks them up there.  :attr:`labels` renders every tree, for output only.
 
     :attr:`block_slices` lays out an operator's sector blocks: each block
     raveled, one after another in charge order, :attr:`unit_count` (the sum
@@ -247,13 +249,13 @@ class SectorBasis:
         radix = len(model.charges)
         if radix > 127 or radix ** len(self._key_cols) > np.iinfo(np.int64).max:
             raise ShapeError(f"shape {shape} over {radix} charges is too large to index")
-        self._weights = radix ** np.arange(len(self._key_cols) - 1, -1, -1, dtype=np.int64)
+        self._radices = (radix,) * len(self._key_cols)
         table = _labelings(model.fusion_array, shape.structure)
-        keys = table[:, self._key_cols] @ self._weights
+        keys = self._keys(table)
         order = np.argsort(keys)
         self.charges = table[order]
         self.charges.setflags(write=False)
-        self._keys = keys[order]
+        self._tree_keys = keys[order]
         self.dim = len(table)
         bounds = np.searchsorted(self.charges[:, 0], np.arange(radix + 1)).tolist()
         self._slices = {c: slice(bounds[k], bounds[k + 1]) for k, c in enumerate(model.charges)}
@@ -283,12 +285,17 @@ class SectorBasis:
     def sector_of(self, index: int) -> Charge:
         return self.model.charges[self.charges[index, 0]]
 
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        """Each charge-table row's (the last axis's) mixed-radix key, computed
+        entry by entry in C: the int8 rows are never widened to a copy."""
+        return np.ravel_multi_index(tuple(rows[..., c] for c in self._key_cols), self._radices)
+
     def index_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Indices of the trees given as charge-table rows (the last axis);
         raises FusionError if a row is not a tree of this basis."""
-        keys = rows[..., self._key_cols] @ self._weights
-        index = np.searchsorted(self._keys, keys)
-        if not np.array_equal(self._keys[np.minimum(index, self.dim - 1)], keys):
+        keys = self._keys(rows)
+        index = np.searchsorted(self._tree_keys, keys)
+        if not np.array_equal(self._tree_keys[np.minimum(index, self.dim - 1)], keys):
             raise FusionError(f"charge rows are not trees of {self!r}")
         return index
 
@@ -297,42 +304,45 @@ class SectorBasis:
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
-        """Every tree's label, in index order: one ``%`` per tree."""
-        return self._render(self.shape.label_format[0])
-
-    def _render(self, template: str) -> tuple[str, ...]:
+        """Every tree's label, in index order, for output: one ``%`` per tree."""
+        template, columns = self.shape.label_format
         names = np.array(self.model.charges, dtype=object)
-        rows = names[self.charges[:, self.shape.label_format[1]]].tolist()
-        return tuple(template % tuple(row) for row in rows)
+        return tuple(template % tuple(row) for row in names[self.charges[:, columns]].tolist())
 
-    @functools.cached_property
-    def _label_index(self) -> dict[str, int]:
-        """Every tree's canonical label and its spelling without the leaf
-        segment's parentheses (``tau,e,e,tau;tau,tau;e``), which state files
-        often use."""
-        template = self.shape.label_format[0]
-        head, sep, tail = template.partition(";")
-        flat = head.replace("(", "").replace(")", "") + sep + tail
-        index = {label: i for i, label in enumerate(self.labels)}
-        if flat != template:
-            index.update((label, i) for i, label in enumerate(self._render(flat)))
-        return index
+    def index_of_labels(self, texts) -> np.ndarray:
+        """Indices of the trees with the labels of the sequence `texts`, in order.
+
+        Each label is parsed once, as :func:`parse_tree_label` parses it,
+        whatever its spelling; each distinct charge name is normalized and
+        mapped to its index once, and one :meth:`index_of_rows` call finds
+        every tree.  No label is rendered.  The first faulty label raises
+        what it would raise alone: ShapeError if it is malformed, FusionError
+        for an unknown charge (checked as leaves, root, other internals) or
+        for a tree that does not fuse.
+        """
+        n, columns = self.shape.n_leaves, self.shape.label_format[1]
+        try:
+            names = [_label_names(self.shape, text) for text in texts]
+            code = {c: i for i, c in enumerate(self.model.charges)}
+            lookup = {t: code.get(normalize_charge_label(t), -1) for t in set().union(*names)}
+            if -1 not in lookup.values():  # every name is a charge
+                rows = np.empty((len(texts), 2 * n - 1), dtype=np.int8)
+                codes = map(lookup.__getitem__, itertools.chain.from_iterable(names))
+                rows[:, columns] = np.fromiter(codes, np.int8, rows.size).reshape(rows.shape)
+                return self.index_of_rows(rows)
+        except (ShapeError, FusionError):
+            pass  # a malformed label, or a row that is not a tree: found below
+        if len(texts) > 1:  # the first faulty label raises
+            for text in texts:
+                self.index_of_labels([text])
+        label = parse_tree_label(self.shape, texts[0])
+        for c in label[:n] + label[-1:] + label[n:-1]:
+            self.model.charge_index(c)  # an unknown charge raises here
+        raise FusionError(f"tree {self.shape.label_format[0] % label!r} is not fusion-consistent")
 
     def index_of_label(self, text: str) -> int:
-        """Index of a tree by label; a canonical label, or one without the leaf
-        parentheses, is one dict lookup, any other spelling (``τ``, extra
-        spaces) is parsed and re-rendered."""
-        index = self._label_index.get(text)
-        if index is None:
-            names = parse_tree_label(self.shape, text)
-            label = self.shape.label_format[0] % names
-            index = self._label_index.get(label)
-            if index is None:
-                n = self.shape.n_leaves  # checked as leaves, root, other internals
-                for c in names[:n] + names[-1:] + names[n:-1]:
-                    self.model.charge_index(c)  # an unknown charge raises here
-                raise FusionError(f"tree {label!r} is not fusion-consistent")
-        return index
+        """Index of a tree by label: :meth:`index_of_labels` of one."""
+        return int(self.index_of_labels([text])[0])
 
     def compatible(self, other: "SectorBasis") -> bool:
         return self.model is other.model and self.shape == other.shape

@@ -341,13 +341,14 @@ def suite_correlations(model: AnyonModel, seed: int = 42, samples: int = 10000,
     # the two explicit uncorrelated families satisfy the product condition
     worst_family = 0.0
     rng = sample_rng(seed, 202)
+    families = [basis.index_of_labels((ket, "tau,tau;tau")) for ket in ("tau,e;tau", "e,tau;tau")]
     for _ in range(50):
         th = rng.uniform(0, 2 * math.pi, size=4)
         mag = math.sqrt(rng.uniform(0.05, 0.95))
         c1, c2 = mag * np.exp(1j * th[0]), math.sqrt(1 - mag**2) * np.exp(1j * th[1])
         pair = MessageQubit(c1, c2)  # c1 on the first ket, c2 on the second
-        for kets in (("tau,e;tau", "tau,tau;tau"), ("e,tau;tau", "tau,tau;tau")):
-            psi = AnyonState(basis, pair.target_vector(basis, kets))
+        for kets in families:
+            psi = AnyonState(basis, pair.target_vector(basis.dim, kets))
             report = is_uncorrelated(psi, part)
             worst_family = max(worst_family, report.max_violation)
     out.add_residual("both uncorrelated families satisfy the product rule", worst_family, 1e-12)

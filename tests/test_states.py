@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fibanyon import errors
 from fibanyon.errors import (
     BasisMismatchError,
+    FusionError,
     MemoryBudgetError,
     ModelFormatError,
     ShapeError,
@@ -105,6 +106,12 @@ def test_state_constructor_enforces_single_sector(basis2):
     amps[2] = 1.0  # |e,e;e> plus |e,tau;tau>: different sectors
     with pytest.raises(SuperselectionError):
         AnyonState(basis2, amps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_state_refuses_a_non_finite_amplitude(basis2, bad):
+    with pytest.raises(ValueError, match=r"^state has a non-finite amplitude$"):
+        AnyonState(basis2, [bad, 0, 0, 0, 0])
 
 
 def test_state_keeps_a_read_only_copy_of_its_amplitudes(basis2):
@@ -260,7 +267,7 @@ def _families(part, traced):
 def _party_trees(part, tree):
     """The A and B subtrees of a joint reference tree."""
     (leaves, ints), n_a = tree, part.n_a
-    n_int_a = part.a_basis.shape.n_internal
+    n_int_a = n_a - 1  # A's internal charges
     return (leaves[:n_a], ints[1 : 1 + n_int_a]), (leaves[n_a:], ints[1 + n_int_a :])
 
 
@@ -605,6 +612,53 @@ def test_entry_files_reject_non_finite_values(model, value):
         parse_state_text(model, f"shape: (0 1)\ne,tau;tau : 0.6 0.0\ntau,tau;tau : {value}")
 
 
+# a file's first faulty label raises what it would raise alone, whatever the later ones hold
+FIRST_FAULTS = [
+    ("(sigma,e),(e,tau);tau,tau;e\ntau,e;tau", "fibonacci",
+     (FusionError, "unknown charge 'sigma' (model fibonacci)")),
+    ("tau,e;tau\n(sigma,e),(e,tau);tau,tau;e", "fibonacci",
+     (ShapeError, "label 'tau,e;tau' has 2 leaves, shape has 4")),
+    ("tau,e,e,tau;tau,tau;e\n(e,e),(e,tau);tau,tau;e\n(tau,e),(e,tau);tau;e", "fibonacci",
+     (FusionError, "tree '(e,e),(e,tau);tau,tau;e' is not fusion-consistent")),
+    ("(tau,e),(e,tau);tau;e\n(e,e),(e,tau);tau,tau;e", "fibonacci",
+     (ShapeError, "wrong number of internal charges")),
+    ("(x,e),(e);tau,tau;e", "fibonacci",
+     (ShapeError, "label '(x,e),(e);tau,tau;e' has 3 leaves, shape has 4")),
+    ("(tau,e),(e,tau);x,tau;y", "fibonacci", (FusionError, "unknown charge 'y' (model fibonacci)")),
+    ("(τ,a),(a,e);b,a;a\n(a,a),(a,a);a,b;e", "z3", (FusionError, "unknown charge 'tau' (model z3)")),
+    ("(a,a),(a,a);a,b;e\n(τ,a),(a,e);b,a;a", "z3",
+     (FusionError, "tree '(a,a),(a,a);a,b;e' is not fusion-consistent")),
+]
+
+
+@pytest.mark.parametrize("labels, model_name, expected", FIRST_FAULTS)
+def test_state_file_reports_its_first_faulty_label(model, labels, model_name, expected):
+    if model_name == "z3":
+        model = load_model_text((Path(__file__).parent / "data" / "z3.model").read_text(), name="z3")
+    text = "shape: ((0 1)(2 3))\n" + "".join(f"{label} : 1.0 0.0\n" for label in labels.split("\n"))
+    error, message = expected
+    with pytest.raises(error) as raised:
+        parse_state_text(model, text)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_state_file_adds_a_repeated_tree_in_file_order(model, basis4):
+    # one tree in three spellings: (1e16 + 1) + -1e16 is 0, 1e16 + -1e16 + 1 would be 1
+    text = ("shape: ((0 1)(2 3))\n"
+            "(tau,e),(e,tau);tau,tau;e : 1e16 1.0\n"
+            "(e,e),(e,e);e,e;e : 1.0 0.0\n"
+            "tau,e,e,tau;tau,tau;e : 1.0 1e16\n"
+            " ( τ , e ) , ( e , τ ) ; τ , τ ; e : -1e16 -1e16\n")
+    state = parse_state_text(model, text)
+    total = 0j
+    for value in (1e16 + 1j, 1.0 + 1e16j, -1e16 - 1e16j):
+        total += value
+    assert total == 0
+    assert state.amplitude("(tau,e),(e,tau);tau,tau;e") == total
+    assert state.amplitude("(e,e),(e,e);e,e;e") == 1.0
+    assert np.count_nonzero(state.amplitudes) == 1
+
+
 def test_state_file_rejects_malformed(model):
     with pytest.raises(ModelFormatError):
         parse_state_text(model, "e,tau;tau : 1.0 0.0")  # missing shape header
@@ -633,9 +687,9 @@ def test_pure_density_checks_memory_first(model, monkeypatch):
     ([1e200, 1e200], "cannot normalize: the norm of the amplitudes overflows"),
 ])
 def test_normalized_amplitudes_refuses_an_unusable_norm(amplitudes, problem):
+    # and without a RuntimeWarning first: tier-1 turns one into an error
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-        with np.errstate(over="ignore"):  # the overflow shows in the message
-            normalized_amplitudes(np.array(amplitudes, dtype=complex))
+        normalized_amplitudes(np.array(amplitudes, dtype=complex))
 
 
 def test_normalized_amplitudes_keeps_the_smallest_normal_squared_norm():

@@ -29,12 +29,17 @@ from fibanyon.teleport import (
     superselection_violating_protocol,
     validate_pvm,
 )
-from fibanyon.trees import enumerate_basis, grouped_shape, join_shapes, left_comb
+from fibanyon.trees import SectorBasis, enumerate_basis, grouped_shape, join_shapes, left_comb
 from fibanyon.verify import oracle_excess
 from reference import (complete_unitary, global_charge, haar_rows, reference,
                        sector_haar_unitary)
 
 SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def _target(message, basis, encoding):
+    """The message placed on the encoding pair of `basis`, given by labels."""
+    return message.target_vector(basis.dim, basis.index_of_labels(encoding))
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +303,7 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
     scenario = catalog["main-text"]["ba"]
     message = MessageQubit(SQ2, SQ2 * np.exp(0.37j))
     split = SplitState(scenario, message)
-    target = message.target_vector(split.receiver_basis, scenario.encoding)
+    target = _target(message, split.receiver_basis, scenario.encoding)
     bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
     assert bound == pytest.approx(0.5, abs=1e-6)
     excess = oracle_excess(scenario, [message])
@@ -313,7 +318,7 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
         assert abs(avg - bound - excess) <= 1e-12
 
     skewed = MessageQubit(0.6, 0.8)
-    target = skewed.target_vector(split.receiver_basis, scenario.encoding)
+    target = _target(skewed, split.receiver_basis, scenario.encoding)
     i_tau_e = split.receiver_basis.index_of_label("tau,e;tau")
     bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
     assert bound == abs(target[i_tau_e]) ** 2
@@ -508,7 +513,7 @@ def test_oracle_excess_matches_per_sample_loop(catalog, samples, message_count):
                                              splits[0].measured_basis, sample_rng(seed),
                                              samples)
             for message, split, excess in zip(messages, splits, excesses):
-                target = message.target_vector(split.receiver_basis, scenario.encoding)
+                target = _target(message, split.receiver_basis, scenario.encoding)
                 bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis,
                                                         scenario.reachable)
                 for unitary in unitaries:
@@ -794,7 +799,7 @@ def _reference_join(scenario, message):
     """The message joined to the scenario's resource tree by tree, in its channel."""
     model = scenario.model
     g2 = enumerate_basis(model, grouped_shape(1, 1))
-    msg = AnyonState(g2, message.target_vector(g2, MESSAGE_KETS))
+    msg = AnyonState(g2, _target(message, g2, MESSAGE_KETS))
     left, right = ((msg, scenario.resource) if scenario.direction == "ab"
                    else (scenario.resource, msg))
     shape = join_shapes(left.basis.shape, right.basis.shape)
@@ -837,7 +842,7 @@ def _reference_protocol(scenario, message, decohere=True):
         C[recv_idx[i], meas_idx[i]] = regrouped.amplitudes[i]
     roots = [global_charge(t) for t in reference(model, recv_basis.shape).trees]
     mask = np.equal.outer(np.array(roots), np.array(roots))
-    target = message.target_vector(recv_basis, scenario.encoding)
+    target = _target(message, recv_basis, scenario.encoding)
 
     def branch(projector):
         D = C @ projector.T
@@ -1006,6 +1011,19 @@ def test_with_resource_copies_share_a_plan(model, catalog):
     hits = teleport._cached_plan.cache_info().hits
     SplitState(second, MessageQubit(0.6, 0.8))
     assert teleport._cached_plan.cache_info().hits == hits + 1
+
+
+def test_a_round_looks_up_no_label(monkeypatch, catalog):
+    # the scenario resolves its encoding pair once; a round reads the indices
+    scenario = catalog["main-text"]["ab"]
+    run_protocol(scenario, MessageQubit(1.0, 0.0))
+
+    def refuse(self, texts):
+        raise AssertionError(f"label lookup of {list(texts)} in a round")
+
+    monkeypatch.setattr(SectorBasis, "index_of_labels", refuse)
+    for alpha, beta in MESSAGE_GRID:
+        assert run_protocol(scenario, MessageQubit(alpha, beta)).average_fidelity > 0.99
 
 
 def test_encodings_share_one_plan(catalog):

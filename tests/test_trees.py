@@ -150,43 +150,20 @@ def test_label_accepts_unicode_tau(basis2):
     assert basis2.index_of_label("τ,e;τ") == basis2.index_of_label("tau,e;tau")
 
 
-def test_canonical_labels_resolve_without_parsing(monkeypatch, model, basis2, basis4):
-    from fibanyon import trees
-    from fibanyon.correlations import classify_pure_2anyon
-    from fibanyon.states import AnyonState, random_pure_state
+def test_label_lookups_render_no_labels():
+    from fibanyon.states import AnyonState, ket, parse_state_text
 
-    calls = []
-    parse = trees.parse_tree_label
-
-    def counting_parse(shape, text):
-        calls.append(text)
-        return parse(shape, text)
-
-    monkeypatch.setattr(trees, "parse_tree_label", counting_parse)
-    rng = np.random.default_rng(3)
-    states = [random_pure_state(basis2, ("e", "tau")[i % 2], rng) for i in range(10)]
-    for i in range(1000):
-        classify_pure_2anyon(states[i % 10])
-    for basis in (basis2, basis4, enumerate_basis(model, left_comb(6))):
-        for index, label in enumerate(basis.labels):
-            assert basis.index_of_label(label) == index
-            # the spelling of state files: no parentheses in the leaf segment
-            head, tail = label.split(";", 1)
-            flat = head.replace("(", "").replace(")", "") + ";" + tail
-            assert basis.index_of_label(flat) == index
-    assert calls == []
-
-    # any other spelling falls back to the parser, with its errors unchanged
-    assert basis2.index_of_label("τ,e;τ") == basis2.index_of_label("tau,e;tau")
-    assert basis2.index_of_label(" tau , e ; tau ") == basis2.index_of_label("tau,e;tau")
-    assert calls == ["τ,e;τ", " tau , e ; tau "]
-    with pytest.raises(FusionError, match=r"^tree 'e,e;tau' is not fusion-consistent$"):
-        basis2.index_of_label("e,e;tau")
-    with pytest.raises(FusionError, match=r"^unknown charge 'sigma' \(model fibonacci\)$"):
-        basis2.index_of_label("sigma,e;sigma")
-    with pytest.raises(ShapeError, match=r"^label 'e;e' has 1 leaves, shape has 2$"):
-        basis2.index_of_label("e;e")
-    assert AnyonState(basis2, np.eye(5)[0]).amplitude("e,e;e") == 1.0
+    # a freshly loaded model: no cached basis of it has rendered its labels yet
+    data = Path(__file__).parent / "data"
+    z3 = load_model_text((data / "z3.model").read_text(), name="z3")
+    state = parse_state_text(z3, (data / "z3_five.state").read_text())
+    basis = state.basis
+    assert basis.index_of_label("e,e,e,a,e;a,a,a;a") == basis.index_of_label(
+        "e,(e,(e,(a,e)));a,a,a;a")
+    assert state.amplitude("e,e,e,a,e;a,a,a;a") != 0
+    assert ket(basis, "a,e,e,e,e;e,e,e;a").sector == "a"
+    assert AnyonState(basis, np.eye(basis.dim)[0]).amplitude("e,e,e,e,e;e,e,e;e") == 1.0
+    assert "labels" not in basis.__dict__
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +172,35 @@ def reference_models(model):
     data = Path(__file__).parent / "data"
     return [model] + [load_model_text((data / f"{name}.model").read_text(), name=name)
                       for name in ("z2", "z3")]
+
+
+def _flat(label: str) -> str:
+    """A label without the leaf segment's parentheses, as state files often write it."""
+    head, sep, tail = label.partition(";")
+    return head.replace("(", "").replace(")", "") + sep + tail
+
+
+def _spaced(label: str) -> str:
+    """A label with spaces around every separator and name, and τ for tau."""
+    spaced = " ".join(label.replace(",", " , ").replace(";", " ; ").split())
+    return f" {spaced} ".replace("tau", "τ")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_spelling_of_every_label_finds_its_tree(reference_models, n):
+    # the canonical and the flat spelling on every model, and with τ and spaces on Fibonacci's
+    data = Path(__file__).parent / "data"
+    ising = load_model_text((data / "ising.model").read_text(), name="ising")
+    for m in reference_models + [ising]:
+        spellings = (str, _flat) + ((_spaced, lambda label: _spaced(_flat(label)))
+                                    if m.name == "fibonacci" else ())
+        for shape in all_shapes(n):
+            basis = SectorBasis(m, shape)
+            for spelling in spellings:
+                labels = [spelling(label) for label in basis.labels]
+                assert basis.index_of_labels(labels).tolist() == list(range(basis.dim))
+            for i in range(0, basis.dim, max(1, basis.dim // 7)):
+                assert basis.index_of_label(_flat(basis.labels[i])) == i
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -211,8 +217,7 @@ def test_basis_equals_per_tree_reference(reference_models, n):
             for g in m.charges:
                 sl = basis.sector_slice(g)
                 assert roots[sl] == [g] * (sl.stop - sl.start) == [r for r in roots if r == g]
-            # one lookup, the label dict
-            assert [basis.index_of_label(label) for label in ref.labels] == list(range(basis.dim))
+            assert basis.index_of_labels(ref.labels).tolist() == list(range(basis.dim))
             assert [parse_tree_label(shape, label) for label in ref.labels] == [
                 leaves + internals[1:] + internals[:1] for leaves, internals in ref.trees]
 
@@ -260,7 +265,7 @@ Z3_SPELLINGS = [
     ("((0 1) 2)", "(a,a),a;b;e;", (ShapeError, "cannot parse basis label '(a,a),a;b;e;'")),
 ]
 
-# flat spellings (no leaf parentheses) hit a second dict; a parenthesis in
+# flat spellings (no leaf parentheses) parse as the canonical ones; a parenthesis in
 # the internal segment still fails as before
 FLAT_SPELLINGS = [(0, *case) for case in [
     ("((0 1)(2 3))", "τ,e,e,τ;τ,τ;e", 5),
