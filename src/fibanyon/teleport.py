@@ -31,9 +31,14 @@ One scenario runs over many messages, so the work is split in two:
   a state on the support reaches, in the map's order.  It runs the join's
   checks and the superselection check once.
   :meth:`MessageQubit.target_vector` places the target on the scenario's
-  encoding pair, whose indices the scenario looks up once, so scenarios that
-  differ only in their encoding share one plan, and so do
-  ``with_resource`` copies with one support.
+  encoding pair, so scenarios that differ only in their encoding share one
+  plan, and so do ``with_resource`` copies with one support.
+- The labels, resolved once: a scenario builder makes one lookup per basis
+  (the resource terms and Bell pairs on the 4-anyon basis, the encoding
+  pair on the 2-anyon one), and a scenario one cached lookup of its
+  encoding pair and reachable kets, which ``with_resource`` copies share.
+  Every helper after the builder takes tree indices; labels are left to
+  the table and the reports.
 - The measurement, built once per (scenario, enforcement): the PVM
   and its no-click residual as one stack of transposed projectors,
   validated by :func:`validate_pvm`, and the corrections, each checked
@@ -77,7 +82,6 @@ from .states import (
     BlockOperator,
     bipartition,
     embed_local,
-    ket,
     partial_trace,
     pure_density,
     rounded_outer,
@@ -91,14 +95,16 @@ from .trees import SectorBasis, enumerate_basis, grouped_shape, join_shapes
 PROB_TOL = 1e-12
 PVM_TOL = 1e-10  # validation of PVMs and corrections
 
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
 # Message grid used by the verification suites: basis points, balanced,
 # real-skewed, and a complex-phase case.
 MESSAGE_GRID = (
     (1.0, 0.0),
     (0.0, 1.0),
-    (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
+    (_SQRT_HALF, _SQRT_HALF),
     (0.6, 0.8),
-    (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)),
+    (_SQRT_HALF, 1j * _SQRT_HALF),
 )
 
 # The kets carrying a message's alpha and beta on two anyons.
@@ -359,25 +365,27 @@ class TeleportScenario:
 
     def with_resource(self, resource: AnyonState) -> "TeleportScenario":
         copy = replace(self, resource=resource)
-        # the measurement does not depend on the resource, so copies share it
-        object.__setattr__(copy, "_measurements", self._measurements)
+        # neither the measurement nor the kets depend on the resource, so copies share them
+        vars(copy).update(_measurements=self._measurements, _kets=self._kets)
         return copy
 
-    def reachable_kets(self) -> tuple[str, ...]:
-        """The receiver's reachable diagonal kets; a ValueError on a direction
-        that declares none (one with a catalog PVM)."""
+    def reachable_index(self) -> np.ndarray:
+        """The reachable diagonal kets' indices in the receiver's basis; a
+        ValueError on a direction that declares none (one with a catalog PVM)."""
         if self.reachable is None:
             raise ValueError(f"scenario {self.name}/{self.direction} declares no reachable set")
-        return self.reachable
+        return self._kets[2:]
 
     def _plan(self) -> _Plan:
         return _cached_plan(self.model, self.resource.basis, self.direction, self.channel,
                             self._support)
 
     @functools.cached_property
-    def _encoding_index(self) -> np.ndarray:
-        """The encoding pair's indices in the receiver's two-anyon basis, looked up once."""
-        return enumerate_basis(self.model, grouped_shape(1, 1)).index_of_labels(self.encoding)
+    def _kets(self) -> np.ndarray:
+        """The indices, in the receiver's two-anyon basis, of the encoding pair
+        and then of the reachable kets: the scenario's one label lookup."""
+        labels = (*self.encoding, *(self.reachable or ()))
+        return enumerate_basis(self.model, grouped_shape(1, 1)).index_of_labels(labels)
 
     def _measurement(self, validate: bool) -> _Measurement:
         if validate not in self._measurements:
@@ -433,7 +441,7 @@ class SplitState:
         self.measured_basis = plan.measured_basis
         self.receiver_mask = self.receiver_basis.sector_mask
         self.measured_slices = plan.measured_slices
-        self.target = message.target_vector(self.receiver_basis.dim, scenario._encoding_index)
+        self.target = message.target_vector(self.receiver_basis.dim, scenario._kets[:2])
 
     @functools.cached_property
     def state(self) -> AnyonState:
@@ -673,10 +681,8 @@ def receiver_reachability_check(
     ``sample_rng(seed)``, in chunks of about MESSAGE_SAMPLES (sample, message)
     pairs, for all messages at once.
     """
-    reachable = scenario.reachable_kets()
+    allowed = scenario.reachable_index()
     splits, chunks = sampled_sweep(scenario, messages, pvm_samples, sample_rng(seed))
-    recv_basis = splits[0].receiver_basis
-    allowed = recv_basis.index_of_labels(reachable)
     off_mask = splits[0].receiver_mask.copy()
     off_mask[allowed, allowed] = False
     # per receiver row r with an off-support entry: the columns s of its entries
@@ -684,8 +690,7 @@ def receiver_reachability_check(
 
     # |rho_k[r, s]| = |w_r| |w_s| / p_k, and max_s |w_r| |w_s| = |w_r| max_s |w_s|
     # bit for bit, because rounding a product is monotone in each factor
-    worst = 0.0
-    count = 0
+    worst, count = 0.0, 0
     for chunk in chunks:
         for W, moduli, probs in chunk:
             keep = probs > PROB_TOL
@@ -701,17 +706,16 @@ def receiver_reachability_check(
                               tol=tol)
 
 
-def diagonal_mixture_fidelity_bound(
-    target: np.ndarray, basis: SectorBasis, kets: tuple[str, ...]
-) -> float:
-    """Oracle: best fidelity any diagonal mixture of `kets` reaches.
+def diagonal_mixture_fidelity_bound(target: np.ndarray, kets) -> float:
+    """Oracle: best fidelity any diagonal mixture of the kets at the indices
+    `kets` of the target's basis reaches.
 
     Fidelity is linear in the mixing weights, so the best mixture is the
     single ket with the largest overlap.  Used as the classical ceiling
     for one-way protocols whose receiver states are confined to a
     diagonal family.
     """
-    return float(max(abs(target[i]) ** 2 for i in basis.index_of_labels(kets)))
+    return float(max(abs(target[i]) ** 2 for i in kets))
 
 
 # ---------------------------------------------------------------------------
@@ -769,19 +773,19 @@ _PAULIS = {
 }
 
 
-def pauli_correction(basis: SectorBasis, ket0: str, ket1: str, kind: str) -> BlockOperator:
-    """Encoded Pauli acting on the (ket0, ket1) pair, identity elsewhere."""
+def pauli_correction(basis: SectorBasis, pair, kind: str) -> BlockOperator:
+    """Encoded Pauli acting on the two trees at the indices `pair`, identity elsewhere."""
     if kind not in _PAULIS:
         raise ValueError(f"unknown Pauli kind {kind!r}")
-    pair = basis.index_of_labels((ket0, ket1))
     mat = np.eye(basis.dim, dtype=complex)
-    mat[pair[:, None], pair] = _PAULIS[kind]
+    mat[np.ix_(pair, pair)] = _PAULIS[kind]
     return BlockOperator.from_full(mat, basis)
 
 
 def _superposed(basis: SectorBasis, terms) -> AnyonState:
-    """The normalized sum of w |label> over the (w, label) terms."""
-    return superpose([(w, ket(basis, lbl)) for w, lbl in terms])[0]
+    """The normalized sum of w |i> over the (w, tree index i) terms."""
+    units = np.identity(basis.dim, dtype=complex)
+    return superpose([(w, AnyonState(basis, units[i])) for w, i in terms])[0]
 
 
 def builtin_scenarios(model: AnyonModel | None = None) -> dict[str, dict[str, TeleportScenario]]:
@@ -800,16 +804,20 @@ def _scenario(model: AnyonModel, name: str, direction: str) -> TeleportScenario:
     """One direction of one :data:`SCENARIO_TABLE` row, for the catalog and
     the counterfactual alike."""
     row = SCENARIO_TABLE[name]
-    g4 = enumerate_basis(model, grouped_shape(2, 2))
-    resource = _superposed(g4, row["resource"])
     kind, items = row[direction]
+    weights, labels = zip(*row["resource"])
+    bell = [label for pair in items for label in pair] if kind == "pvm" else []
+    g4 = enumerate_basis(model, grouped_shape(2, 2))
+    index = g4.index_of_labels([*labels, *bell])  # the Bell pairs follow the resource terms
+    resource = _superposed(g4, zip(weights, index))
     pvm = corrections = reachable = None
     if kind == "pvm":
-        s = 1.0 / math.sqrt(2.0)
-        pvm = tuple(BlockOperator.from_ket_bra(_superposed(g4, [(s, u), (sign, v)]))
-                    for u, v in items for sign in (s, -s))
+        pvm = tuple(BlockOperator.from_ket_bra(_superposed(g4, [(_SQRT_HALF, u), (sign, v)]))
+                    for u, v in index[len(weights):].reshape(-1, 2)
+                    for sign in (_SQRT_HALF, -_SQRT_HALF))
         g2 = enumerate_basis(model, grouped_shape(1, 1))
-        corrections = tuple(pauli_correction(g2, *row["encoding"], pauli) for pauli in "XYIZ")
+        pair = g2.index_of_labels(row["encoding"])
+        corrections = tuple(pauli_correction(g2, pair, pauli) for pauli in "XYIZ")
     else:
         reachable = items
     return TeleportScenario(name, direction, model, resource, row["channel"], pvm, corrections,
@@ -818,8 +826,9 @@ def _scenario(model: AnyonModel, name: str, direction: str) -> TeleportScenario:
 
 def d1_family_resource(model: AnyonModel, a: complex, b: complex) -> AnyonState:
     """Resource a|(e,e),(e,e);e,e;e> + b|(tau,tau),(tau,tau);e,e;e> (normalized)."""
-    (_, first), (_, second) = SCENARIO_TABLE["appendix-d1-symmetric"]["resource"]
-    return _superposed(enumerate_basis(model, grouped_shape(2, 2)), [(a, first), (b, second)])
+    _, labels = zip(*SCENARIO_TABLE["appendix-d1-symmetric"]["resource"])
+    g4 = enumerate_basis(model, grouped_shape(2, 2))
+    return _superposed(g4, zip((a, b), g4.index_of_labels(labels)))
 
 
 def superselection_violating_protocol(model: AnyonModel | None = None) -> TeleportScenario:
@@ -840,16 +849,14 @@ def superselection_violating_protocol(model: AnyonModel | None = None) -> Telepo
     model = model or fibonacci_model()
     g4 = enumerate_basis(model, grouped_shape(2, 2))
     g2 = enumerate_basis(model, grouped_shape(1, 1))
-    s = 1.0 / math.sqrt(2.0)
     # raw (|u> +- |v>)/sqrt(2) across the e and tau sectors, which superpose
-    # and BlockOperator refuse
-    pvm = []
-    for u, v in (("(e,tau),(tau,e);tau,tau;e", "(tau,e),(e,tau);tau,tau;tau"),
-                 ("(e,tau),(e,tau);tau,tau;e", "(tau,e),(tau,e);tau,tau;tau")):
-        for sign in (s, -s):
-            vec = np.zeros(g4.dim, dtype=complex)
-            vec[g4.index_of_labels((u, v))] = s, sign
-            pvm.append(np.outer(vec, vec.conj()))
+    # and BlockOperator refuse: one vector per (u, v) pair and sign
+    pairs = g4.index_of_labels(("(e,tau),(tau,e);tau,tau;e", "(tau,e),(e,tau);tau,tau;tau",
+                                "(e,tau),(e,tau);tau,tau;e", "(tau,e),(tau,e);tau,tau;tau"))
+    vecs = np.zeros((4, g4.dim), dtype=complex)
+    for vec, pair, sign in zip(vecs, pairs.reshape(-1, 2).repeat(2, axis=0), (1.0, -1.0) * 2):
+        vec[pair] = _SQRT_HALF, sign * _SQRT_HALF
+    pvm = [np.outer(vec, vec.conj()) for vec in vecs]
 
     # signed permutations of (|e,e;e>, |tau,e;tau>, |e,tau;tau>): the images of
     # the three kets, as positions in that tuple, and the sign on |tau,e;tau>'s

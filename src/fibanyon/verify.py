@@ -535,12 +535,12 @@ def oracle_excess(scenario, messages) -> float:
     """
     from .teleport import diagonal_mixture_fidelity_bound, split_states
 
-    reachable = scenario.reachable_kets()
+    reachable = scenario.reachable_index()
     worst = -math.inf
     for split in split_states(scenario, messages):
         C, target = split.coefficients, split.target
         rho = np.where(split.receiver_mask, C @ C.conj().T, 0.0)
-        bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, reachable)
+        bound = diagonal_mixture_fidelity_bound(target, reachable)
         worst = max(worst, float((target.conj() @ rho @ target).real) - bound)
     return worst
 

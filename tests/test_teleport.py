@@ -225,7 +225,7 @@ def test_d1_family_resource_whose_norm_overflows_is_refused(model):
 
 def test_pauli_correction_rejects_unknown_kind(basis2):
     with pytest.raises(ValueError, match="^unknown Pauli kind 'W'$"):
-        pauli_correction(basis2, *MESSAGE_KETS, "W")
+        pauli_correction(basis2, basis2.index_of_labels(MESSAGE_KETS), "W")
 
 
 # --- protocols
@@ -304,7 +304,8 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
     message = MessageQubit(SQ2, SQ2 * np.exp(0.37j))
     split = SplitState(scenario, message)
     target = _target(message, split.receiver_basis, scenario.encoding)
-    bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
+    bound = diagonal_mixture_fidelity_bound(
+        target, split.receiver_basis.index_of_labels(scenario.reachable))
     assert bound == pytest.approx(0.5, abs=1e-6)
     excess = oracle_excess(scenario, [message])
     assert excess <= 1e-10
@@ -320,7 +321,8 @@ def test_main_ba_cannot_beat_diagonal_oracle(model, catalog):
     skewed = MessageQubit(0.6, 0.8)
     target = _target(skewed, split.receiver_basis, scenario.encoding)
     i_tau_e = split.receiver_basis.index_of_label("tau,e;tau")
-    bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis, scenario.reachable)
+    bound = diagonal_mixture_fidelity_bound(
+        target, split.receiver_basis.index_of_labels(scenario.reachable))
     assert bound == abs(target[i_tau_e]) ** 2
 
 
@@ -514,8 +516,8 @@ def test_oracle_excess_matches_per_sample_loop(catalog, samples, message_count):
                                              samples)
             for message, split, excess in zip(messages, splits, excesses):
                 target = _target(message, split.receiver_basis, scenario.encoding)
-                bound = diagonal_mixture_fidelity_bound(target, split.receiver_basis,
-                                                        scenario.reachable)
+                bound = diagonal_mixture_fidelity_bound(
+                    target, split.receiver_basis.index_of_labels(scenario.reachable))
                 for unitary in unitaries:
                     fidelity = _reference_average_fidelity(split, unitary, target)
                     assert abs(fidelity - bound - excess) <= 1e-12
@@ -530,8 +532,8 @@ def test_oracle_excess_is_exact_for_random_messages_and_projectors_of_any_rank(c
         for message in messages:
             split = SplitState(scenario, message)
             excess = oracle_excess(scenario, [(message.alpha, message.beta)])
-            bound = diagonal_mixture_fidelity_bound(split.target, split.receiver_basis,
-                                                    scenario.reachable)
+            bound = diagonal_mixture_fidelity_bound(
+                split.target, split.receiver_basis.index_of_labels(scenario.reachable))
             for unitary in _reference_unitaries(split.coefficients[None], split.measured_basis,
                                                 rng, 5):
                 for rank in (1, 2, split.measured_basis.dim):
@@ -1024,6 +1026,54 @@ def test_a_round_looks_up_no_label(monkeypatch, catalog):
     monkeypatch.setattr(SectorBasis, "index_of_labels", refuse)
     for alpha, beta in MESSAGE_GRID:
         assert run_protocol(scenario, MessageQubit(alpha, beta)).average_fidelity > 0.99
+
+
+def _count_lookups(monkeypatch) -> list:
+    """The label lists every later ``SectorBasis.index_of_labels`` call is given."""
+    calls = []
+    index_of_labels = SectorBasis.index_of_labels
+
+    def counting(self, texts):
+        calls.append(list(texts))
+        return index_of_labels(self, texts)
+
+    monkeypatch.setattr(SectorBasis, "index_of_labels", counting)
+    return calls
+
+
+def test_the_catalog_looks_up_one_label_list_per_basis(monkeypatch, model):
+    # per direction: the resource and Bell pairs on the 4-anyon basis, and a
+    # PVM direction's encoding pair on the 2-anyon basis
+    calls = _count_lookups(monkeypatch)
+    builtin_scenarios(model)
+    assert len(calls) <= 10
+
+
+def test_the_quick_teleportation_suite_looks_up_few_labels(monkeypatch, model):
+    # cold plans: each looks up the message kets once
+    teleport._cached_plan.cache_clear()
+    calls = _count_lookups(monkeypatch)
+    result = verify.suite_teleportation(model, pvm_samples=100, message_count=4)
+    assert all(check.ok for check in result.checks)
+    assert len(calls) <= 40
+
+
+def test_a_sweep_and_a_with_resource_copy_look_up_no_label(monkeypatch, model, catalog):
+    # a scenario that has run once, and its with_resource copies, read cached indices
+    base = catalog["appendix-d1-symmetric"]["ba"]
+    reachable = catalog["appendix-d2-asymmetric"]["ab"]
+    message = MessageQubit(0.6, 0.8)
+    expected = run_protocol(base, message).average_fidelity
+    receiver_reachability_check(reachable, [message], pvm_samples=5, seed=1)
+    resource = d1_family_resource(model, 1.0, 1.0)
+    calls = _count_lookups(monkeypatch)
+    copy = base.with_resource(resource)
+    assert run_protocol(copy, message).average_fidelity == expected
+    report = receiver_reachability_check(reachable, [message, (SQ2, SQ2)], pvm_samples=40,
+                                         seed=11)
+    assert report.ok and report.conditionals > 0
+    assert oracle_excess(reachable, [message]) <= 1e-10
+    assert calls == []
 
 
 def test_encodings_share_one_plan(catalog):

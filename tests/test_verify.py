@@ -1,6 +1,10 @@
 """The stacked algebra suite against its per-sample loop, and the per-block
 recoupling suite against its dense loop (tests/reference.py)."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +48,39 @@ def test_algebra_suite_matches_per_sample_loop_bit_for_bit(model_name, pairs, se
     assert check_bits(verify._algebra_checks(samples, pairs)) == check_bits(expected)
 
 
-@pytest.mark.parametrize("model_name,max_n", [("fibonacci", 5), ("z2", 4), ("z3", 4),
-                                              ("ising", 4)])
-def test_recoupling_suite_matches_dense_loop_bit_for_bit(model_name, max_n):
+def recoupling_sides(model_name, max_n) -> dict:
+    """Both sides of the recoupling comparison, as JSON: per side, each check
+    residual's per-pair values as hex bytes, and the suite's checks."""
     model = MODELS[model_name]
     expected, expected_residuals = reference.suite_recoupling(model, max_n)
     residuals = verify.recoupling_residuals(model, max_n)
-    assert residuals.keys() == expected_residuals.keys()
-    for key, values in residuals.items():
-        assert bits(values) == bits(expected_residuals[key]), key
-    assert check_bits(verify._recoupling_checks(residuals, max_n)) == check_bits(expected)
+    return {
+        "suite": {"residuals": {key: bits(values).hex() for key, values in residuals.items()},
+                  "checks": check_bits(verify._recoupling_checks(residuals, max_n))},
+        "dense": {"residuals": {key: bits(values).hex()
+                                for key, values in expected_residuals.items()},
+                  "checks": check_bits(expected)},
+    }
+
+
+@pytest.mark.parametrize("model_name,max_n", [("fibonacci", 5), ("z2", 4), ("z3", 4),
+                                              ("ising", 4)])
+def test_recoupling_suite_matches_dense_loop_bit_for_bit(model_name, max_n):
+    # both sides run in a child under the Haswell OpenBLAS kernel: the dense
+    # reference's own digits depend on the kernel (at one thread, Sandybridge
+    # rounds 9 of Fibonacci's 226 pairs unlike its four-thread run)
+    root = Path(__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, test_verify; print(json.dumps("
+         "test_verify.recoupling_sides(sys.argv[1], int(sys.argv[2]))))", model_name, str(max_n)],
+        capture_output=True, text=True, cwd=str(root / "tests"),
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+             "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    sides = json.loads(proc.stdout)
+    suite, dense = sides["suite"], sides["dense"]
+    assert suite["residuals"].keys() == dense["residuals"].keys()
+    for key, values in suite["residuals"].items():
+        assert values == dense["residuals"][key], key
+    assert suite["checks"] == dense["checks"]
