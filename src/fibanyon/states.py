@@ -201,10 +201,10 @@ def _require_same_basis(a: SectorBasis, b: SectorBasis):
         raise BasisMismatchError("objects live on different bases")
 
 
-def ket(basis: SectorBasis, label: str) -> AnyonState:
-    """Unit basis vector for one fusion tree, by label."""
+def ket(basis: SectorBasis, tree: str | int) -> AnyonState:
+    """Unit basis vector for one fusion tree, by label or by index."""
     amplitudes = np.zeros(basis.dim, dtype=complex)
-    amplitudes[basis.index_of_label(label)] = 1.0
+    amplitudes[basis.index_of_label(tree) if isinstance(tree, str) else tree] = 1.0
     return AnyonState(basis, amplitudes)
 
 

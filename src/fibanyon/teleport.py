@@ -82,6 +82,7 @@ from .states import (
     BlockOperator,
     bipartition,
     embed_local,
+    ket,
     partial_trace,
     pure_density,
     rounded_outer,
@@ -95,16 +96,14 @@ from .trees import SectorBasis, enumerate_basis, grouped_shape, join_shapes
 PROB_TOL = 1e-12
 PVM_TOL = 1e-10  # validation of PVMs and corrections
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-
 # Message grid used by the verification suites: basis points, balanced,
 # real-skewed, and a complex-phase case.
 MESSAGE_GRID = (
     (1.0, 0.0),
     (0.0, 1.0),
-    (_SQRT_HALF, _SQRT_HALF),
+    (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
     (0.6, 0.8),
-    (_SQRT_HALF, 1j * _SQRT_HALF),
+    (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)),
 )
 
 # The kets carrying a message's alpha and beta on two anyons.
@@ -496,17 +495,16 @@ def run_protocol_via_embedding(scenario: TeleportScenario,
     split = SplitState(scenario, message)
     meas_basis = split.measured_basis
     measured_side = "A" if split.receiver_side == "B" else "B"
-    traced = measured_side
     psi = split.state
 
     def receiver_branch(op_block: BlockOperator):
         embedded = embed_local(op_block, split.part, side=measured_side)
         conditional = embedded.apply(psi)
         p = float(np.real(conditional.inner(conditional)))
-        if p <= PROB_TOL:
-            return max(p, 0.0), None
+        if p <= PROB_TOL:  # a dropped branch: its matrix is never read
+            return max(p, 0.0), np.zeros(split.receiver_mask.shape, dtype=complex)
         normalized = AnyonState(psi.basis, conditional.amplitudes / math.sqrt(p))
-        return p, partial_trace(pure_density(normalized), split.part, traced=traced).to_full()
+        return p, partial_trace(pure_density(normalized), split.part, measured_side).to_full()
 
     blocks = [op if isinstance(op, BlockOperator) else BlockOperator.from_full(op, meas_basis)
               for op in scenario.pvm]
@@ -514,11 +512,7 @@ def run_protocol_via_embedding(scenario: TeleportScenario,
     for block in blocks:
         total = total - block
     raw = [receiver_branch(block) for block in blocks + [total]]
-    rho = np.zeros((len(raw), split.receiver_basis.dim, split.receiver_basis.dim), dtype=complex)
-    for k, (_, state) in enumerate(raw):
-        if state is not None:
-            rho[k] = state
-    return _assemble(np.array([p for p, _ in raw]), rho,
+    return _assemble(np.array([p for p, _ in raw]), np.stack([state for _, state in raw]),
                      scenario._measurement(True), split.target, split.receiver_basis,
                      message)
 
@@ -690,7 +684,8 @@ def receiver_reachability_check(
 
     # |rho_k[r, s]| = |w_r| |w_s| / p_k, and max_s |w_r| |w_s| = |w_r| max_s |w_s|
     # bit for bit, because rounding a product is monotone in each factor
-    worst, count = 0.0, 0
+    worst = 0.0
+    count = 0
     for chunk in chunks:
         for W, moduli, probs in chunk:
             keep = probs > PROB_TOL
@@ -784,8 +779,7 @@ def pauli_correction(basis: SectorBasis, pair, kind: str) -> BlockOperator:
 
 def _superposed(basis: SectorBasis, terms) -> AnyonState:
     """The normalized sum of w |i> over the (w, tree index i) terms."""
-    units = np.identity(basis.dim, dtype=complex)
-    return superpose([(w, AnyonState(basis, units[i])) for w, i in terms])[0]
+    return superpose([(w, ket(basis, i)) for w, i in terms])[0]
 
 
 def builtin_scenarios(model: AnyonModel | None = None) -> dict[str, dict[str, TeleportScenario]]:
@@ -812,9 +806,9 @@ def _scenario(model: AnyonModel, name: str, direction: str) -> TeleportScenario:
     resource = _superposed(g4, zip(weights, index))
     pvm = corrections = reachable = None
     if kind == "pvm":
-        pvm = tuple(BlockOperator.from_ket_bra(_superposed(g4, [(_SQRT_HALF, u), (sign, v)]))
-                    for u, v in index[len(weights):].reshape(-1, 2)
-                    for sign in (_SQRT_HALF, -_SQRT_HALF))
+        s = 1.0 / math.sqrt(2.0)
+        pvm = tuple(BlockOperator.from_ket_bra(_superposed(g4, [(s, u), (sign, v)]))
+                    for u, v in index[len(weights):].reshape(-1, 2) for sign in (s, -s))
         g2 = enumerate_basis(model, grouped_shape(1, 1))
         pair = g2.index_of_labels(row["encoding"])
         corrections = tuple(pauli_correction(g2, pair, pauli) for pauli in "XYIZ")
@@ -849,14 +843,17 @@ def superselection_violating_protocol(model: AnyonModel | None = None) -> Telepo
     model = model or fibonacci_model()
     g4 = enumerate_basis(model, grouped_shape(2, 2))
     g2 = enumerate_basis(model, grouped_shape(1, 1))
+    s = 1.0 / math.sqrt(2.0)
     # raw (|u> +- |v>)/sqrt(2) across the e and tau sectors, which superpose
-    # and BlockOperator refuse: one vector per (u, v) pair and sign
+    # and BlockOperator refuse
     pairs = g4.index_of_labels(("(e,tau),(tau,e);tau,tau;e", "(tau,e),(e,tau);tau,tau;tau",
                                 "(e,tau),(e,tau);tau,tau;e", "(tau,e),(tau,e);tau,tau;tau"))
-    vecs = np.zeros((4, g4.dim), dtype=complex)
-    for vec, pair, sign in zip(vecs, pairs.reshape(-1, 2).repeat(2, axis=0), (1.0, -1.0) * 2):
-        vec[pair] = _SQRT_HALF, sign * _SQRT_HALF
-    pvm = [np.outer(vec, vec.conj()) for vec in vecs]
+    pvm = []
+    for u, v in pairs.reshape(-1, 2):
+        for sign in (s, -s):
+            vec = np.zeros(g4.dim, dtype=complex)
+            vec[[u, v]] = s, sign
+            pvm.append(np.outer(vec, vec.conj()))
 
     # signed permutations of (|e,e;e>, |tau,e;tau>, |e,tau;tau>): the images of
     # the three kets, as positions in that tuple, and the sign on |tau,e;tau>'s

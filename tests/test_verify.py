@@ -68,10 +68,12 @@ def recoupling_sides(model_name, max_n) -> dict:
 def test_recoupling_suite_matches_dense_loop_bit_for_bit(model_name, max_n):
     # both sides run in a child under the Haswell OpenBLAS kernel: the dense
     # reference's own digits depend on the kernel (at one thread, Sandybridge
-    # rounds 9 of Fibonacci's 226 pairs unlike its four-thread run)
+    # rounds 9 of Fibonacci's 226 pairs unlike its four-thread run); the child
+    # turns RuntimeWarnings into errors, as pyproject.toml does for pytest
     root = Path(__file__).parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys, test_verify; print(json.dumps("
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         "import json, sys, test_verify; print(json.dumps("
          "test_verify.recoupling_sides(sys.argv[1], int(sys.argv[2]))))", model_name, str(max_n)],
         capture_output=True, text=True, cwd=str(root / "tests"),
         env={**os.environ, "OPENBLAS_CORETYPE": "Haswell",
