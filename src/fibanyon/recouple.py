@@ -5,24 +5,31 @@ with coefficients given by the F-symbols of the subtree root charges:
 
     |(a,b),c; d; g>  =  sum_f  [F^{abc}_g]_{df}  |a,(b,c); f; g>
 
-F is unitary, so the left move (A (B C)) -> ((A B) C) is the right move
-from the rotated shape, inverted (Bonderson, PhD thesis, Caltech 2007).
+F is unitary, so the left move (A (B C)) -> ((A B) C) has the conjugate
+coefficients, [F^{abc}_g]_{df}^* (Bonderson, PhD thesis, Caltech 2007).
 
 A move touches one internal label, so it sends each tree to at most
-|fusion outcomes| trees.  Basis changes are therefore stored sparsely, as
-their nonzero (row, col, coeff) entries, and composed and applied without
-ever forming a dim x dim matrix; ``BasisChange.matrix`` builds the dense
-matrix only when asked.  Each shape's route to the left (or right) comb is
-composed once and cached, and a shape-to-shape change is the source's map
-to the comb followed by the inverse of the target's.  Every such change is
-unitary and block diagonal in the global charge; routing through either
-comb gives the same change (pentagon identity), which the tests check.
+|fusion outcomes| trees.  :func:`change_shape` regroups a state by
+applying its route's moves one at a time to the state's nonzero trees, as
+anyonic tensor networks do (Pfeifer et al., PRB 82, 115126 (2010)): no
+intermediate basis is enumerated and no change is composed.
+
+:func:`shape_change` builds the whole change as a sparse map, its nonzero
+(row, col, coeff) entries, composed and applied without ever forming a
+dim x dim matrix; ``BasisChange.matrix`` builds the dense matrix only when
+asked.  Each shape's route to the left (or right) comb is composed once
+and cached, and a shape-to-shape change is the source's map to the comb
+followed by the inverse of the target's.  The teleport plan compiles it
+further, and it is the reference the routed regroup is tested against.
+Every such change is unitary and block diagonal in the global charge;
+routing through either comb gives the same change (pentagon identity),
+which the tests check.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,6 +138,39 @@ def _rotated_structure(shape: TreeShape, vertex: int, direction: str):
     return TreeShape(walk(shape.structure))
 
 
+def _fmove_rows(model: AnyonModel, shape: TreeShape, vertex: int, direction: str,
+                rows: np.ndarray):
+    """One move's column rewrite of charge-table rows of `shape`.
+
+    A right move rewrites the vertex's columns [g, d, A.., B.., C..] as
+    [g, A.., f, B.., C..] with coefficient [F^{abc}_g]_{df}; a left move
+    rewrites [g, A.., f, B.., C..] as [g, d, A.., B.., C..] with its
+    conjugate.  Every other column carries through.  Returns the rotated
+    shape and, per image, the index of its input row, the image row and
+    the coefficient, by input row, then by the new label in charge order.
+    """
+    target = _rotated_structure(shape, vertex, direction)
+    node = shape.internal_nodes[vertex]
+    if direction == "right":
+        (a_node, b_node), c_node = node
+        old, new = node[0], (b_node, c_node)
+    else:
+        a_node, (b_node, c_node) = node
+        old, new = node[1], (a_node, b_node)
+    g, x, a, b, c = (rows[:, shape.span(v).start] for v in (node, old, a_node, b_node, c_node))
+    f_array = model.f_array
+    coeffs = f_array[a, b, c, g, x] if direction == "right" else f_array[a, b, c, g, :, x].conj()
+    src, label = np.nonzero(coeffs)
+    # target column j holds source column columns[j]; the new label overwrites its own
+    identity = np.arange(rows.shape[1])
+    columns = identity.copy()
+    for v in (a_node, b_node, c_node):
+        columns[target.span(v)] = identity[shape.span(v)]
+    out = rows.take(columns, axis=1).take(src, axis=0)
+    out[:, target.span(new).start] = label
+    return target, src, out, coeffs[src, label]
+
+
 def elementary_fmove(
     model: AnyonModel, shape: TreeShape, vertex: int, direction: str = "right"
 ) -> BasisChange:
@@ -138,33 +178,15 @@ def elementary_fmove(
 
     ``direction="right"`` turns ((A B) C) into (A (B C)) at the vertex,
     ``"left"`` is the inverse.  All other labels carry through unchanged.
-    The left move is the inverted right move from the rotated shape, its
-    entries listed by source index, then by the new label d in charge order.
+    Entries are listed by source index, then by the new label (f for a
+    right move, d for a left one) in charge order.
     """
     if direction not in ("right", "left"):
         raise ShapeError(f"direction must be 'right' or 'left', got {direction!r}")
-    target_shape = _rotated_structure(shape, vertex, direction)
-    if direction == "left":
-        move = elementary_fmove(model, target_shape, vertex, "right").inverse()
-        order = np.lexsort((move.rows, move.cols))
-        return replace(move, rows=move.rows[order], cols=move.cols[order],
-                       coeffs=move.coeffs[order])
     source = enumerate_basis(model, shape)
+    target_shape, cols, rows, coeffs = _fmove_rows(model, shape, vertex, direction, source.charges)
     target = enumerate_basis(model, target_shape)
-
-    # The move rewrites the vertex's columns [g, d, A.., B.., C..] as
-    # [g, A.., f, B.., C..]; every other column carries through.
-    (a_node, b_node), c_node = node = shape.internal_nodes[vertex]
-    g, d, a, b, c = (source.charges[:, shape.span(x).start]
-                     for x in (node, node[0], a_node, b_node, c_node))
-    coeffs = model.f_array[a, b, c, g, d]
-    cols, f = np.nonzero(coeffs)  # by source index, then f in charge order
-    moved = source.charges[cols]
-    target_rows = moved.copy()
-    for x in (a_node, b_node, c_node):
-        target_rows[:, target_shape.span(x)] = moved[:, shape.span(x)]
-    target_rows[:, target_shape.span((b_node, c_node)).start] = f
-    return BasisChange(source, target, target.index_of_rows(target_rows), cols, coeffs[cols, f])
+    return BasisChange(source, target, target.index_of_rows(rows), cols, coeffs)
 
 
 def _moves_to_comb(shape: TreeShape, via: str) -> list[tuple[int, str]]:
@@ -219,10 +241,60 @@ def shape_change(
     return _to_comb(model, source, via).then(_to_comb(model, target, via).inverse())
 
 
+def _route(source: TreeShape, target: TreeShape) -> list[tuple[int, str]]:
+    """Moves taking `source` to `target`: the source's left moves to the left
+    comb, then the target's, undone in reverse order as right moves."""
+    back = [(vertex, "right") for vertex, _ in reversed(_moves_to_comb(target, "left"))]
+    return _moves_to_comb(source, "left") + back
+
+
+def _merged(rows: np.ndarray, terms: np.ndarray, radix: int):
+    """The distinct rows (by key order) and, for each, the sum of its terms."""
+    keys, slot = np.unique(np.ravel_multi_index(tuple(rows.T), (radix,) * rows.shape[1]),
+                           return_inverse=True)
+    distinct = np.empty((len(keys), rows.shape[1]), dtype=rows.dtype)
+    distinct[slot] = rows
+    return distinct, _sum_by_index(slot, terms, len(keys))
+
+
 def change_shape(model: AnyonModel, state, target: TreeShape):
-    """Re-express a state in the target-shape basis; norm is preserved."""
-    change = shape_change(model, state.basis.shape, target)
-    return AnyonState(change.target, change.apply(state.amplitudes))
+    """Re-express a state in the target-shape basis; norm is preserved.
+
+    The route's moves (:func:`_route`) are applied one at a time to the
+    state's nonzero trees, as charge-table rows with their amplitudes; the
+    images of each move that coincide are summed.  No intermediate basis is
+    enumerated and no change is composed: the final rows are looked up in
+    the target basis once.  A move sends a tree to at most the model's
+    largest F fan-out of trees and keeps its global charge; that bounds the
+    rows held, and the memory they need is checked before anything is
+    allocated.
+    """
+    basis = state.basis
+    if basis.shape.n_leaves != target.n_leaves:
+        raise ShapeError("source and target shapes have different leaf counts")
+    route = _route(basis.shape, target)
+    f_array = model.f_array != 0
+    fan_out = int(max(f_array.sum(axis=-1).max(), f_array.sum(axis=-2).max()))
+    growth = fan_out ** len(route)
+    support = sum(min(np.count_nonzero(state.amplitudes[s]) * growth, s.stop - s.start)
+                  for s in map(basis.sector_slice, model.charges))
+    # Per image of a move: two copies of its charge row, its source index,
+    # label, key, sort order and slot (8 bytes each) and three complex terms;
+    # per input row, its F-symbol row and conjugate.  Summing the output
+    # vector takes 48 bytes a tree: two float halves, a complex one and the sum.
+    radix, n_cols = len(model.charges), basis.charges.shape[1]
+    require_memory(support * (fan_out * (2 * n_cols + 88) + 32 * radix) + 48 * basis.dim,
+                   f"regrouping {support} trees to {target}")
+    nz = np.flatnonzero(state.amplitudes)
+    rows, terms = basis.charges[nz], state.amplitudes[nz]
+    shape = basis.shape
+    for k, (vertex, direction) in enumerate(route):
+        if k:
+            rows, terms = _merged(rows, terms, radix)
+        shape, src, rows, coeffs = _fmove_rows(model, shape, vertex, direction, rows)
+        terms = coeffs * terms[src]
+    out = enumerate_basis(model, target)
+    return AnyonState(out, _sum_by_index(out.index_of_rows(rows), terms, out.dim))
 
 
 def braid_adjacent(model: AnyonModel, state, leaf_pair: tuple[int, int], direction: str = "ccw"):

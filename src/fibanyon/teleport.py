@@ -820,9 +820,13 @@ def _scenario(model: AnyonModel, name: str, direction: str) -> TeleportScenario:
 
 def d1_family_resource(model: AnyonModel, a: complex, b: complex) -> AnyonState:
     """Resource a|(e,e),(e,e);e,e;e> + b|(tau,tau),(tau,tau);e,e;e> (normalized)."""
-    _, labels = zip(*SCENARIO_TABLE["appendix-d1-symmetric"]["resource"])
     g4 = enumerate_basis(model, grouped_shape(2, 2))
-    return _superposed(g4, zip((a, b), g4.index_of_labels(labels)))
+    return _superposed(g4, zip((a, b), _d1_index(g4)))
+
+
+# the indices of the appendix-d1 resource's two trees, looked up once per basis
+_d1_index = functools.lru_cache(maxsize=256)(lambda b: b.index_of_labels(
+    [label for _, label in SCENARIO_TABLE["appendix-d1-symmetric"]["resource"]]))
 
 
 def superselection_violating_protocol(model: AnyonModel | None = None) -> TeleportScenario:

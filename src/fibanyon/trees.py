@@ -55,11 +55,11 @@ class TreeShape:
         preorder: a subtree of k leaves is the run of its 2k - 1 nodes."""
         spans = {}
 
-        def walk(node, start: int):
-            spans[node] = slice(start, start + 2 * len(_leaves(node)) - 1)
-            if not isinstance(node, int):
-                walk(node[0], start + 1)
-                walk(node[1], spans[node[0]].stop)
+        def walk(node, start: int) -> int:
+            spans[node] = None  # keeps the keys in preorder
+            stop = start + 1 if isinstance(node, int) else walk(node[1], walk(node[0], start + 1))
+            spans[node] = slice(start, stop)
+            return stop
 
         walk(self.structure, 0)
         return spans

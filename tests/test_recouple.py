@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,21 +10,30 @@ from hypothesis import strategies as st
 
 from fibanyon import errors
 from fibanyon.errors import MemoryBudgetError, ShapeError
+from fibanyon.model import load_model_text
 from fibanyon.recouple import (
     BasisChange,
     _moves_to_comb,
     _rotated_structure,
+    _route,
     _to_comb,
     braid_adjacent,
     change_shape,
     elementary_fmove,
     shape_change,
 )
-from fibanyon.states import BlockOperator, ket, random_pure_state
-from fibanyon.trees import all_shapes, enumerate_basis, grouped_shape, left_comb, right_comb
+from fibanyon.states import AnyonState, BlockOperator, ket, random_pure_state
+from fibanyon.trees import (SectorBasis, all_shapes, enumerate_basis, grouped_shape, left_comb,
+                            right_comb)
 from reference import reference
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
+DATA = Path(__file__).parent / "data"
+
+
+def _load(name):
+    """A fresh instance of a model file in tests/data: no basis of it is cached."""
+    return load_model_text((DATA / f"{name}.model").read_text(encoding="utf-8"), name=name)
 
 
 def test_fmove_block_is_f_matrix_on_all_tau(model):
@@ -335,3 +346,131 @@ def test_dense_matrices_check_memory_first(model, monkeypatch):
         op.to_full()
     monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
     assert move.matrix.shape == op.to_full().shape == (233, 233)
+
+
+# --- change_shape applies the route to the state's trees; shape_change composes it
+
+
+def _unit_batches(basis):
+    """Vectors that hold every unit vector of `basis` between them, one sector each.
+
+    A move keeps the leaf charges and the global charge, so trees that differ
+    in them never meet: the r-th tree of every (global charge, leaf charges)
+    class of a sector rides in one vector, and each class's part of the image
+    is that tree's own image, summed in the same order.
+    """
+    columns = [0] + [basis.shape.span(i).start for i in range(basis.shape.n_leaves)]
+    _, cls = np.unique(basis.charges[:, columns], axis=0, return_inverse=True)
+    cls = cls.reshape(-1)
+    order = np.argsort(cls, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(basis.dim) - np.searchsorted(cls[order], cls[order])
+    roots = basis.charges[:, 0]
+    for root, r in sorted(set(zip(roots.tolist(), rank.tolist()))):
+        yield ((roots == root) & (rank == r)).astype(complex)
+
+
+def _routed_and_composed(model, source, target):
+    """(change_shape's image, the composed shape_change's image) of each unit batch."""
+    basis = enumerate_basis(model, source)
+    change = shape_change(model, source, target)
+    for vec in _unit_batches(basis):
+        yield change_shape(model, AnyonState(basis, vec), target).amplitudes, change.apply(vec)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "z2", "z3", "ising"])
+def test_routed_regroup_matches_composed_map_on_unit_vectors(model, name):
+    # Z2 and Z3 have one F-symbol per move, all 1: there the route is exact
+    model = model if name == "fibonacci" else _load(name)
+    pairs = 0
+    for n in range(2, 6):
+        shapes = all_shapes(n)
+        for src in shapes:
+            for tgt in shapes:
+                for got, want in _routed_and_composed(model, src, tgt):
+                    if name in ("z2", "z3"):
+                        assert got.tobytes() == want.tobytes()
+                    else:
+                        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+                pairs += 1
+    assert pairs == 226
+
+
+def test_routed_regroup_matches_composed_map_from_and_to_the_six_leaf_comb(model):
+    for shape in all_shapes(6):
+        for src, tgt in ((left_comb(6), shape), (shape, left_comb(6))):
+            for got, want in _routed_and_composed(model, src, tgt):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_routed_regroup_builds_no_intermediate_basis(monkeypatch):
+    model = _load("ising")
+    source, target = right_comb(7), grouped_shape(3, 4)
+    state = random_pure_state(enumerate_basis(model, source), "sigma", np.random.default_rng(7))
+    built = []
+    init = SectorBasis.__init__
+
+    def counting(self, *args):
+        built.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(SectorBasis, "__init__", counting)
+    moved = change_shape(model, state, target)
+    assert built == [target]
+    assert len(_route(source, target)) == 8
+    monkeypatch.undo()
+    np.testing.assert_allclose(moved.amplitudes,
+                               shape_change(model, source, target).apply(state.amplitudes),
+                               rtol=0, atol=1e-13)
+
+
+def test_regroup_n13_composes_nothing_and_peaks_under_100_mib(model, monkeypatch):
+    def no_composition(self, other):
+        raise AssertionError("a basis change was composed")
+
+    monkeypatch.setattr(BasisChange, "then", no_composition)
+    target = grouped_shape(2, 11)
+    enumerate_basis(model, target)
+    state = random_pure_state(enumerate_basis(model, left_comb(13)), "tau",
+                              np.random.default_rng(13))
+    tracemalloc.start()
+    try:
+        moved = change_shape(model, state, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(moved.norm() - 1.0) <= 1e-12
+    assert peak < 100 * 2**20
+
+
+def _traced_regroup(model, state, target):
+    """change_shape's result or error, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        try:
+            result = change_shape(model, state, target)
+        except MemoryBudgetError as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_regroup_checks_memory_before_allocating(model, monkeypatch):
+    # 46 368 tau-sector trees at n=12: their charge rows alone take 1 MiB
+    basis, target = enumerate_basis(model, left_comb(12)), grouped_shape(6, 6)
+    enumerate_basis(model, target)
+    state = random_pure_state(basis, "tau", np.random.default_rng(12))
+    monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
+    refusal, peak = _traced_regroup(model, state, target)
+    assert isinstance(refusal, MemoryBudgetError)
+    match = re.fullmatch(rf"regrouping {basis.sector_dim('tau')} trees to {re.escape(str(target))} needs "
+                         rf"~(\S+) GiB, {2**20 / 2**30:.3g} GiB available \(at most half may be used\)",
+                         str(refusal))
+    assert match
+    assert peak < 64 * 2**10
+    # the estimate bounds what the regroup then takes
+    monkeypatch.setattr(errors, "_available_bytes", lambda: None)
+    moved, peak = _traced_regroup(model, state, target)
+    assert abs(moved.norm() - 1.0) <= 1e-12
+    assert peak <= float(match[1]) * 2**30

@@ -7,7 +7,7 @@ import pytest
 
 from fibanyon import errors, teleport, verify
 from fibanyon.errors import FusionError, MemoryBudgetError, SuperselectionError
-from fibanyon.recouple import change_shape
+from fibanyon.recouple import change_shape, shape_change
 from fibanyon.states import AnyonState, BlockOperator, bipartition, ket, superpose
 from fibanyon.teleport import (
     MESSAGE_GRID,
@@ -838,10 +838,15 @@ def _reference_protocol(scenario, message, decohere=True):
         part = bipartition(enumerate_basis(model, measured_shape), 2)
         recv_basis, meas_basis = part.a_basis, part.b_basis
         recv_idx, meas_idx = part.a_index, part.b_index
-    regrouped = change_shape(model, _reference_join(scenario, message), measured_shape)
+    # the composed map, which the plan compiles; the routed change_shape rounds
+    # differently in the last bit
+    joined = _reference_join(scenario, message)
+    regrouped = shape_change(model, joined.basis.shape, measured_shape).apply(joined.amplitudes)
+    np.testing.assert_allclose(change_shape(model, joined, measured_shape).amplitudes,
+                               regrouped, rtol=0, atol=1e-13)
     C = np.zeros((recv_basis.dim, meas_basis.dim), dtype=complex)
-    for i in np.nonzero(regrouped.amplitudes)[0]:
-        C[recv_idx[i], meas_idx[i]] = regrouped.amplitudes[i]
+    for i in np.nonzero(regrouped)[0]:
+        C[recv_idx[i], meas_idx[i]] = regrouped[i]
     roots = [global_charge(t) for t in reference(model, recv_basis.shape).trees]
     mask = np.equal.outer(np.array(roots), np.array(roots))
     target = _target(message, recv_basis, scenario.encoding)
@@ -1056,6 +1061,16 @@ def test_the_quick_teleportation_suite_looks_up_few_labels(monkeypatch, model):
     result = verify.suite_teleportation(model, pvm_samples=100, message_count=4)
     assert all(check.ok for check in result.checks)
     assert len(calls) <= 40
+
+
+def test_the_d1_family_looks_up_its_pair_once_per_basis(monkeypatch, model):
+    # the direction-symmetry loop's ten random resources share one lookup
+    teleport._cached_plan.cache_clear()
+    teleport._d1_index.cache_clear()
+    calls = _count_lookups(monkeypatch)
+    verify.suite_teleportation(model, pvm_samples=100, message_count=4)
+    assert len(calls) == 25
+    assert calls.count(["(e,e),(e,e);e,e;e", "(tau,tau),(tau,tau);e,e;e"]) == 1
 
 
 def test_a_sweep_and_a_with_resource_copy_look_up_no_label(monkeypatch, model, catalog):
