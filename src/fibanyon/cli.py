@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from .errors import AnyonError, ModelFormatError, ShapeError
+from .errors import AnyonError, ModelFormatError, ShapeError, stack_slices
 from .model import AnyonModel, fibonacci_model, load_model_text, validation_refusal
 from .recouple import change_shape
 from .states import (
@@ -98,9 +98,6 @@ def _emit_json(args, payload: dict):
     _emit(args, json.dumps(payload, indent=2) + "\n")
 
 
-# Entries per write: a few hundred kB of text, whatever the size of the report.
-_CHUNK_ENTRIES = 4096
-
 # json writes a finite float as float.__repr__ (%r).  A marginal of a normalized
 # state has no infinite entry, and a NaN one fails the DISPLAY_ZERO test.
 _JSON_ENTRY = '    {\n      "bra": %s,\n      "ket": %s,\n      "re": %r,\n      "im": %r\n    }'
@@ -108,21 +105,23 @@ _JSON_ENTRY = '    {\n      "bra": %s,\n      "ket": %s,\n      "re": %r,\n     
 
 def _entry_chunks(op):
     """The entries of `op` with modulus >= DISPLAY_ZERO, in row-major order of
-    the full matrix, as (rows, cols, re, im) arrays of about _CHUNK_ENTRIES.
+    the full matrix, as (rows, cols, re, im) arrays of row ranges of a block.
 
     Sector slices are contiguous and in charge order, and the full matrix is
     zero off the blocks, so walking each block a row range at a time gives
-    ``np.nonzero``'s order on the full matrix without forming it.
+    ``np.nonzero``'s order on the full matrix without forming it.  A range
+    holds one stack of :func:`~fibanyon.errors.stack_slices` at 32 bytes an
+    entry (4 096 entries, a few hundred kB of text), whatever the size of
+    the report.
     """
     for g in op.basis.model.charges:
         block, first = op.blocks[g], op.basis.sector_slice(g).start
-        step = max(1, _CHUNK_ENTRIES // max(1, block.shape[1]))
-        for r0 in range(0, block.shape[0], step):
-            rows = block[r0:r0 + step]
+        for stack in stack_slices(block.shape[0], 32 * max(1, block.shape[1])):
+            rows = block[stack]
             r, c = np.nonzero(np.abs(rows) >= DISPLAY_ZERO)
             if r.size:
                 values = rows[r, c]
-                yield (r + (first + r0), c + first,
+                yield (r + (first + stack.start), c + first,
                        np.where(np.abs(values.real) < DISPLAY_ZERO, 0.0, values.real),
                        np.where(np.abs(values.imag) < DISPLAY_ZERO, 0.0, values.imag))
 

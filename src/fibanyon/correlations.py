@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (BasisMismatchError, ShapeError, SuperselectionError, fibonacci_only,
-                     require_memory)
+                     require_memory, stack_slices)
 from .states import (
     SPECTRAL_TOL,
     AnyonState,
@@ -148,12 +148,13 @@ def _to_units(flat: np.ndarray, units: _Units) -> np.ndarray:
     return out
 
 
-def _require_table_memory(part: Bipartition, count: int = 1):
-    """`count` tables and their temporaries peak near five complex arrays of
-    their size; checked from the sector dimensions, before anything is built."""
-    tables = "the correlation table" if count == 1 else f"{count} correlation tables"
-    require_memory(80 * count * part.a_basis.unit_count * part.b_basis.unit_count,
-                   f"{tables} of a {part.n_a}|{part.n_b} split")
+def _require_table_memory(part: Bipartition) -> int:
+    """The bytes of one table and its temporaries, which peak near five
+    complex arrays of its size, after checking that they fit; from the
+    sector dimensions, before anything is built."""
+    nbytes = 80 * part.a_basis.unit_count * part.b_basis.unit_count
+    require_memory(nbytes, f"the correlation table of a {part.n_a}|{part.n_b} split")
+    return nbytes
 
 
 def local_observable_basis(basis: SectorBasis) -> list[BlockOperator]:
@@ -321,14 +322,16 @@ def is_uncorrelated(
     label = None
     if isinstance(state_or_rho, AnyonState):
         plan, amplitudes, g, C = _pure(state_or_rho, part)
-        marginals = [marginal_blocks(C, part, traced, None) for traced in ("B", "A")]
+        marginals = [marginal_blocks(C, part, traced, np.empty(kept.unit_count, dtype=complex))
+                     for traced, kept in (("B", part.a_basis), ("A", part.b_basis))]
         realigned = plan.realigned_pure(C)
         if plan.fibonacci_pair:
             label = _pure_class(g == part.basis.model.vacuum, amplitudes)
     else:
         plan = _checked_plan(state_or_rho, part)
-        marginals = [partial_trace_blocks(state_or_rho.data, part, traced, None)
-                     for traced in ("B", "A")]
+        marginals = [partial_trace_blocks(state_or_rho.data, part, traced,
+                                          np.zeros(kept.unit_count, dtype=complex))
+                     for traced, kept in (("B", part.a_basis), ("A", part.b_basis))]
         realigned = plan.realigned_mixed(state_or_rho.data)
     violations = np.abs(plan.violations(realigned))
     top = float(np.maximum.reduce(violations, axis=None))
@@ -351,16 +354,17 @@ def pure_max_violations(amplitudes: np.ndarray, part: Bipartition):
     global-charge sector of the grouped shape of `part`.  Returns the rows'
     maxima and their :data:`PURE_CLASSES` labels (None off the Fibonacci
     2-anyon basis), bit for bit the ``max_violation`` and ``pure_class``
-    that :func:`is_uncorrelated` gives each row, from one stacked pass of
-    the plan per sector; a row it refuses to normalize is refused alike.
-    The memory guard counts every row's table.
+    that :func:`is_uncorrelated` gives each row, from stacked passes of the
+    plan, each sector's rows a stack of :func:`~fibanyon.errors.stack_slices`
+    at a time; a row it refuses to normalize is refused alike.  The memory
+    guard checks one table, so the rows' count is not bounded.
     """
     amplitudes = np.asarray(amplitudes, dtype=complex)
     basis = part.basis
     if amplitudes.ndim != 2 or amplitudes.shape[1] != basis.dim:
         raise BasisMismatchError(
             f"amplitude rows have shape {amplitudes.shape}, basis dim {basis.dim}")
-    _require_table_memory(part, len(amplitudes))
+    table_bytes = _require_table_memory(part)
     amplitudes = _normalized_rows(amplitudes)
     support = amplitudes != 0
     charge = basis.charges[:, 0]  # each tree's global charge, as an index
@@ -371,12 +375,12 @@ def pure_max_violations(amplitudes: np.ndarray, part: Bipartition):
     tops = np.empty(len(amplitudes))
     labels = np.empty(len(amplitudes), dtype=object) if plan.fibonacci_pair else None
     for k, g in enumerate(basis.model.charges):
-        rows = sectors == k
-        if rows.any():
-            C = part.gather(amplitudes[rows], g)
-            tops[rows] = np.abs(plan.violations(plan.realigned_pure(C))).max(axis=(-2, -1))
-            if labels is not None:
-                labels[rows] = _pure_classes(g == basis.model.vacuum, amplitudes[rows])
+        rows = np.flatnonzero(sectors == k)
+        for stack in stack_slices(len(rows), table_bytes):
+            C = part.gather(amplitudes[rows[stack]], g)
+            tops[rows[stack]] = np.abs(plan.violations(plan.realigned_pure(C))).max(axis=(-2, -1))
+        if labels is not None:
+            labels[rows] = _pure_classes(g == basis.model.vacuum, amplitudes[rows])
     return tops, labels
 
 

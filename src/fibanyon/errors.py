@@ -111,6 +111,19 @@ def require_memory(nbytes: int, what: str):
         )
 
 
+# The bytes one stack of a stacked pass may hold: the marginals report's
+# entry chunks, verify's algebra samples and the pure correlation tables.
+STACK_BYTES = 1 << 17
+
+
+def stack_slices(count: int, unit_bytes: int):
+    """Consecutive slices of ``range(count)``, each of at most
+    ``max(1, STACK_BYTES // unit_bytes)`` items, for a pass whose items
+    need `unit_bytes` each."""
+    size = max(1, STACK_BYTES // unit_bytes)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 @contextlib.contextmanager
 def fibonacci_only(what: str):
     """Re-raise a FusionError as one saying that `what` assumes Fibonacci; also a decorator."""

@@ -646,26 +646,20 @@ def partial_trace_blocks(data: np.ndarray, bipartition: Bipartition, traced: str
     order, from rho's :attr:`BlockOperator.data` (unchecked), or a stack of
     blocks per charge from a stack of such data (the last axis).  Each block
     is written into `out`, the kept operator's data (zeroed), and is a view of
-    it; with `out` None, each is a fresh array.
+    it.
 
     Each block (g, x, y) of rho_g adds one kept-party matrix per traced
     tree, in global-charge and then traced-basis order.
     """
-    lead = data.shape[:-1]
-    blocks = []
-    for c, sl, shape in bipartition.kept_basis(traced).block_layout:
+    views = _sector_views(bipartition.kept_basis(traced), out)
+    for c, target in views.items():
         stack = bipartition.trace_gathers[traced][c]
-        target = None if out is None else out[..., sl].reshape(lead + shape)
-        if stack is None:  # a kept charge that no block reaches
-            blocks.append(np.zeros(lead + shape, dtype=complex) if target is None else target)
-        else:
+        if stack is not None:  # else a kept charge that no block reaches: zero
             # Summed as reals, each term in turn from 0, as a per-term += would:
             # a complex sum over one-entry terms would be pairwise.
             terms = data.take(stack, axis=-1).view(float)
-            blocks.append(np.add.reduce(terms, axis=-3, initial=0.0,
-                                        out=None if target is None else target.view(float))
-                          .view(complex))
-    return blocks
+            np.add.reduce(terms, axis=-3, initial=0.0, out=target.view(float))
+    return list(views.values())
 
 
 def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
@@ -688,19 +682,17 @@ def marginal_blocks(C: np.ndarray, bipartition: Bipartition, traced: str, out) -
     the pure state with ``C = bipartition.amplitude_matrix(psi)``: C_x C_x^dagger
     for each root charge x of A (traced B), or C_y^T conj(C_y) for each root
     charge y of B (traced A).  Each block is written into `out`, the
-    marginal's :attr:`BlockOperator.data`, and is a view of it; with `out`
-    None, each is a fresh array."""
+    marginal's :attr:`BlockOperator.data`, and is a view of it."""
     kept = bipartition.kept_basis(traced)
     if traced == "A":
         C = C.T
     if kept.shape.n_leaves == 1:  # one anyon, one 1 x 1 block per charge: one stacked product
         return list(np.matmul(C[:, None, :], np.conjugate(C, order="C")[:, :, None],
-                              out=None if out is None else out.reshape(-1, 1, 1)))
+                              out=out.reshape(-1, 1, 1)))
     blocks = []
     for c, sl, shape in kept.block_layout:
         rows = C[kept.sector_slice(c)]
-        blocks.append(np.matmul(rows, rows.conj().T,
-                                out=None if out is None else out[sl].reshape(shape)))
+        blocks.append(np.matmul(rows, rows.conj().T, out=out[sl].reshape(shape)))
     return blocks
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,13 @@ class TreeShape:
 
     @staticmethod
     def parse(text: str) -> "TreeShape":
+        """The shape written as nested parentheses.  Its walks recurse once per
+        level, so a shape nested deeper than a quarter of Python's recursion
+        limit (250 levels by default) is refused before any of them runs."""
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+        limit = sys.getrecursionlimit() // 4
+        if max(itertools.accumulate((t == "(") - (t == ")") for t in tokens), default=0) > limit:
+            raise ShapeError(f"shape expression nested more than {limit} levels deep")
         pos = 0
 
         def parse_node():

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FibonacciOnlyError, ModelFormatError, fibonacci_only
+from .errors import FibonacciOnlyError, ModelFormatError, fibonacci_only, stack_slices
 from .model import AnyonModel, fibonacci_model, validate_model, validation_refusal
 from .recouple import shape_change
 from .states import (
@@ -212,20 +212,16 @@ def algebra_samples(model: AnyonModel, seed: int, pairs: int) -> dict[str, np.nd
 # operator or state, one sample after another, would take, and evaluate
 # them as stacks along a leading axis (see the data functions of
 # fibanyon.states): every value is bit for bit what one sample at a time
-# gives.  A stack of operators on the split's whole basis holds at most
-# STACK_UNITS complex entries (128 KiB): 13 samples on the Fibonacci 2|2
-# basis (610 entries), but one N=6 consistency pair at a time, since a
-# 3|3 density alone holds 28 657.
-STACK_UNITS = 1 << 13
-
-
+# gives.  A stack of operators on the split's whole basis is one stack of
+# fibanyon.errors.stack_slices at 16 bytes a complex entry: 13 samples on
+# the Fibonacci 2|2 basis (610 entries), but one N=6 consistency pair at a
+# time, since a 3|3 density alone holds 28 657.
 def _stacks(rng, count: int, units: int, draws: tuple):
-    """The normal draws of `count` samples, each of shape `draws`, in stacks
-    of at most STACK_UNITS // `units` samples (at least one), drawn one stack
-    at a time as the caller asks for them."""
-    size = max(1, STACK_UNITS // units)
-    for start in range(0, count, size):
-        yield rng.standard_normal((min(size, count - start),) + draws)
+    """The normal draws of `count` samples, each of shape `draws` and held
+    as operators of `units` complex entries, in stacks drawn one at a time
+    as the caller asks for them."""
+    for stack in stack_slices(count, 16 * units):
+        yield rng.standard_normal((stack.stop - stack.start,) + draws)
 
 
 def consistency_gaps(part, rng, pairs: int) -> np.ndarray:

@@ -300,6 +300,25 @@ def test_non_finite_amplitude_in_state_file_exits_1(tmp_path, capsys):
         f"error: state file {path}: line 2: amplitude is not finite in 'e,tau;tau : inf 0.0'\n")
 
 
+def test_deeply_nested_shape_exits_1_with_one_line(tmp_path, capsys):
+    # both used to end in a RecursionError traceback
+    limit = sys.getrecursionlimit() // 4
+    code, out = run_cli("basis", "--n", "2", "--shape", "(" * 3000 + "0 1" + ")" * 3000)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: shape expression nested more than {limit} levels deep\n")
+    comb = "0"
+    for leaf in range(1, 1200):
+        comb = f"({comb} {leaf})"
+    path = tmp_path / "comb.state"
+    path.write_text(f"shape: {comb}\n" + ",".join(["tau"] * 1200) + ";"
+                    + ",".join(["tau"] * 1198) + ";tau : 1.0 0.0\n", encoding="utf-8")
+    code, out = run_cli("marginals", "--state", str(path))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: state file {path}: shape expression nested more than {limit} levels deep\n")
+
+
 @pytest.mark.parametrize("entries, problem", [
     # repeated labels add, and 1e308 + 1e308 overflows
     ("e,tau;tau : 1e308 0\ne,tau;tau : 1e308 0\n", "overflows"),
@@ -1035,7 +1054,7 @@ def test_streamed_report_splits_blocks_mid_block(tmp_path, monkeypatch, chunk):
     # some block must span several row ranges, each ending inside the block
     assert any(b.shape[0] * b.shape[1] > chunk and b.shape[0] > max(1, chunk // b.shape[1])
                for b in rho_b.blocks.values())
-    monkeypatch.setattr(cli, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(errors, "STACK_BYTES", 32 * chunk)  # 32 bytes an entry
     for fmt in ("json", "text"):
         _assert_same_report(_streamed_report(fmt, *marginals),
                             _reference_marginals_report(fmt, *marginals))
@@ -1044,7 +1063,7 @@ def test_streamed_report_splits_blocks_mid_block(tmp_path, monkeypatch, chunk):
 def test_streamed_report_memory_stays_small(tmp_path):
     path = _write_state(tmp_path / "eight.state", 8, "tau", 8)
     marginals = _marginals_of(path, 2)
-    assert max(b.size for b in marginals[3].blocks.values()) > cli._CHUNK_ENTRIES
+    assert max(b.size for b in marginals[3].blocks.values()) > errors.STACK_BYTES // 32
 
     class NullSink:
         def write(self, text):

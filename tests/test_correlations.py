@@ -601,10 +601,63 @@ def test_stacked_verdicts_reject_what_one_state_rejects(basis2, monkeypatch):
         pure_max_violations(np.ones((1, basis2.dim)), part)
     with pytest.raises(BasisMismatchError):
         pure_max_violations(np.ones((1, basis2.dim + 1)), part)
-    # the guard counts every row's table: 2000 1|1 tables are 625 KiB, over half of 1 MiB
+    # the guard checks one table: 2000 1|1 tables (625 KiB) run in stacks at 1 MiB available
     monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
-    with pytest.raises(MemoryBudgetError, match=r"^2000 correlation tables of a 1\|1 split"):
-        pure_max_violations(np.eye(basis2.dim)[np.zeros(2000, dtype=int)], part)
+    rows = random_pure_states(basis2, "tau", np.random.default_rng(37), 2000)
+    _assert_stack_matches_per_call(rows, part)
+
+
+def test_stacked_verdicts_refuse_one_oversized_table_before_anything_is_built(model, monkeypatch):
+    # a fresh Bipartition, so no cache holds its plan; 89 units a party, so
+    # one 3|3 table needs 80 * 89^2 bytes (619 KiB), over half of 1 MiB
+    part = Bipartition(enumerate_basis(model, grouped_shape(3, 3)), 3)
+    rows = random_pure_states(part.basis, "tau", np.random.default_rng(38), 2)
+    need = f"~{80 * 89**2 / 2**30:.3g} GiB, {2**20 / 2**30:.3g} GiB available"
+    monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
+    units = []
+    monkeypatch.setattr(correlations, "_units", lambda basis: units.append(basis))
+    before = correlations._plan.cache_info()
+    with pytest.raises(MemoryBudgetError,
+                       match=rf"^the correlation table of a 3\|3 split needs {need}"):
+        pure_max_violations(rows, part)
+    assert units == [] and correlations._plan.cache_info() == before
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("per_stack", [1, 7, None], ids=["1-row", "7-rows", "all-rows"])
+def test_stacked_verdicts_bit_identical_at_every_stack_size(model, monkeypatch, n, per_stack):
+    part = bipartition(enumerate_basis(model, grouped_shape(n, n)), n)
+    rng = np.random.default_rng(39 + n)
+    amplitudes = np.concatenate([random_pure_states(part.basis, g, rng, 15) for g in ("e", "tau")])
+    amplitudes = amplitudes[rng.permutation(len(amplitudes))]  # the sectors interleaved
+    table_bytes = 80 * part.a_basis.unit_count * part.b_basis.unit_count
+    monkeypatch.setattr(errors, "STACK_BYTES", (per_stack or len(amplitudes)) * table_bytes)
+    stacks = []
+    violations = correlations._Plan.violations
+
+    def counting(plan, realigned):
+        stacks.append(len(realigned))
+        return violations(plan, realigned)
+
+    monkeypatch.setattr(correlations._Plan, "violations", counting)
+    _assert_stack_matches_per_call(amplitudes, part)
+    # the per-call reports ran one 2-d table each, after the stacks
+    stacks = stacks[:-len(amplitudes)]
+    assert stacks == {1: [1] * 15, 7: [7, 7, 1], None: [15]}[per_stack] * 2
+
+
+def test_stacked_verdicts_memory_stays_within_one_stack(model):
+    part = bipartition(enumerate_basis(model, grouped_shape(3, 3)), 3)
+    amplitudes = random_pure_states(part.basis, "tau", np.random.default_rng(40), 600)
+    pure_max_violations(amplitudes[:1], part)  # the plan, built once
+    tracemalloc.start()
+    try:
+        pure_max_violations(amplitudes, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all 600 tables at once peaked at 314 MiB
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("scale, problem", [(1e200, "overflows"), (1e-170, "underflows to 0")])

@@ -65,3 +65,27 @@ def test_require_memory_refuses_over_half_the_cgroup_headroom(monkeypatch):
     with pytest.raises(MemoryBudgetError,
                        match=r"^two GiB needs ~2 GiB, 2 GiB available \(at most half may be used\)$"):
         require_memory(2**31, "two GiB")
+
+
+@pytest.mark.parametrize("count, unit_bytes, size", [
+    (10, 1, 10),
+    (10, errors.STACK_BYTES // 3, 3),
+    (9, errors.STACK_BYTES // 3, 3),
+    (3, errors.STACK_BYTES, 1),
+    # an item over the budget still makes a stack of one
+    (3, errors.STACK_BYTES + 1, 1),
+    (2, 10 * errors.STACK_BYTES, 1),
+    # the marginals report's entries (32 bytes) and verify's complex units (16 bytes)
+    (3 * 4096 + 5, 32, 4096),
+    (50, 16 * 610, 13),
+])
+def test_stack_slices_cover_the_range_in_order(count, unit_bytes, size):
+    slices = errors.stack_slices(count, unit_bytes)
+    assert [i for stack in slices for i in range(count)[stack]] == list(range(count))
+    assert [stack.stop - stack.start for stack in slices] == (
+        [size] * (count // size) + ([count % size] if count % size else []))
+
+
+def test_stack_slices_of_no_items():
+    assert list(errors.stack_slices(0, 16)) == []
+    assert list(errors.stack_slices(0, 10 * errors.STACK_BYTES)) == []

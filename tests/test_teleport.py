@@ -1010,16 +1010,6 @@ def test_measurement_densifies_each_operator_once(catalog, monkeypatch):
         assert len(calls) == len(scenario.pvm) + len(scenario.corrections)
 
 
-def test_with_resource_copies_share_a_plan(model, catalog):
-    base = catalog["appendix-d1-symmetric"]["ab"]
-    first = base.with_resource(d1_family_resource(model, 0.6, 0.8))
-    second = base.with_resource(d1_family_resource(model, 0.8, -0.6j))
-    SplitState(first, MessageQubit(0.6, 0.8))
-    hits = teleport._cached_plan.cache_info().hits
-    SplitState(second, MessageQubit(0.6, 0.8))
-    assert teleport._cached_plan.cache_info().hits == hits + 1
-
-
 def test_a_round_looks_up_no_label(monkeypatch, catalog):
     # the scenario resolves its encoding pair once; a round reads the indices
     scenario = catalog["main-text"]["ab"]

@@ -1,7 +1,8 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-
-from pathlib import Path
 
 from fibanyon.errors import FusionError, ShapeError
 from fibanyon.model import load_model_text
@@ -113,6 +114,14 @@ def test_shape_parse_rejects_malformed():
     for text in ["(0 1", "(0 1))", "(0 (1)", "(a b)"]:
         with pytest.raises(ShapeError):
             TreeShape.parse(text)
+
+
+def test_shape_parse_refuses_nesting_its_walks_cannot_recurse_through():
+    limit = sys.getrecursionlimit() // 4
+    deepest = left_comb(limit + 1).serialize()
+    assert TreeShape.parse(deepest).serialize() == deepest
+    with pytest.raises(ShapeError, match=f"^shape expression nested more than {limit} levels"):
+        TreeShape.parse(right_comb(limit + 2).serialize())
 
 
 def test_combs_and_grouped():
