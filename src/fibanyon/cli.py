@@ -502,8 +502,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (AnyonError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AnyonError, OSError, ValueError, MemoryError) as exc:
+        # numpy names the allocation it failed; a bare MemoryError() names nothing
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

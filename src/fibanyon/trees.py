@@ -254,9 +254,13 @@ class SectorBasis:
         # (global charge, leaves, other internals): the label columns, root first
         self._key_cols = np.roll(shape.label_format[1], 1)
         radix = len(model.charges)
-        if radix > 127 or radix ** len(self._key_cols) > np.iinfo(np.int64).max:
-            raise ShapeError(f"shape {shape} over {radix} charges is too large to index")
         self._radices = (radix,) * len(self._key_cols)
+        try:  # charges are int8, and numpy bounds a key's columns and radix ** columns
+            if radix > 127:
+                raise ValueError
+            self._keys(np.empty((0, len(self._key_cols)), np.int8))
+        except ValueError:
+            raise ShapeError(f"shape {shape} over {radix} charges is too large to index") from None
         table = _labelings(model.fusion_array, shape.structure)
         keys = self._keys(table)
         order = np.argsort(keys)

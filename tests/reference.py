@@ -17,7 +17,9 @@ The correlation test's reference is the per-block route that the compiled
 plan replaced (:func:`is_uncorrelated`, :func:`violation_table`), which
 the plan must match bit for bit.  The verify suite's classification
 sweep has its one-state-at-a-time loop here (:func:`classification_sweep`),
-and random pure states their one-state draw (:func:`random_pure_amplitudes`).
+its uncorrelated-family check one ``is_uncorrelated`` call per state
+(:func:`family_residual`), and random pure states their one-state draw
+(:func:`random_pure_amplitudes`).
 The algebra suite has its per-sample loop here (:func:`suite_algebra`), with
 random operators drawn one sector block at a time, and the recoupling suite
 its loop over dense matrices (:func:`suite_recoupling`).  The embedding has the
@@ -28,6 +30,7 @@ result (:func:`embed_data`).
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -345,6 +348,29 @@ def classification_sweep(part, sectors, rng, per_sector, class_tol, clear_margin
             done += 1
             checked += 1
     return mismatches, boundary, checked
+
+
+def family_residual(model, seed):
+    """The correlation suite's worst product-rule violation over its two
+    uncorrelated tau families, one ``is_uncorrelated`` call per family state:
+    50 (c1, c2) pairs, each placed on a family's two kets by ``MessageQubit``."""
+    from fibanyon.teleport import MessageQubit
+
+    basis = enumerate_basis(model, grouped_shape(1, 1))
+    part = bipartition(basis, 1)
+    worst_family = 0.0
+    rng = sample_rng(seed, 202)
+    families = [basis.index_of_labels((ket, "tau,tau;tau")) for ket in ("tau,e;tau", "e,tau;tau")]
+    for _ in range(50):
+        th = rng.uniform(0, 2 * math.pi, size=4)
+        mag = math.sqrt(rng.uniform(0.05, 0.95))
+        c1, c2 = mag * np.exp(1j * th[0]), math.sqrt(1 - mag**2) * np.exp(1j * th[1])
+        pair = MessageQubit(c1, c2)  # c1 on the first ket, c2 on the second
+        for kets in families:
+            psi = AnyonState(basis, pair.target_vector(basis.dim, kets))
+            report = correlations.is_uncorrelated(psi, part)
+            worst_family = max(worst_family, report.max_violation)
+    return worst_family
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ ISING_MODEL = str(DATA / "ising.model")
 Z3_MODEL = str(DATA / "z3.model")
 ISING_STATE = str(DATA / "ising_one_one.state")
 Z3_STATE = str(DATA / "z3_five.state")
+ALL_TAU_13_STATE = str(DATA / "all_tau_13.state")  # written as CI writes the N=16 file
+TAU_EIGHT_STATE = str(DATA / "tau_eight.state")
 
 
 def run_cli(*argv):
@@ -120,6 +122,16 @@ GOLDEN_CASES = [
                                    ("z3_five", Z3_MODEL, Z3_STATE))
         for command, ext, argv in (("marginals", "txt", ()),
                                    ("correlations", "json", ("--format", "json")))
+    ),
+    # large N: the all-tau N=13 comb (233 trees) at its balanced split, regrouped by route
+    ("marginals_all_tau_13.json",
+     ("marginals", "--state", ALL_TAU_13_STATE, "--split", "6", "--format", "json")),
+    # a seeded N=8 tau-sector state on the all-tau leaves, at a lopsided and the balanced split
+    *(
+        (f"{command}_tau_eight_split{split}.json",
+         (command, "--state", TAU_EIGHT_STATE, "--split", split, "--format", "json"))
+        for command in ("marginals", "correlations")
+        for split in ("2", "4")
     ),
 ]
 
@@ -317,6 +329,38 @@ def test_deeply_nested_shape_exits_1_with_one_line(tmp_path, capsys):
     assert code == 1 and out == ""
     assert capsys.readouterr().err == (
         f"error: state file {path}: shape expression nested more than {limit} levels deep\n")
+
+
+def test_shape_with_more_key_columns_than_numpy_indexes_exits_1_with_one_line(tmp_path, capsys):
+    # a one-charge model: 32 leaves are indexed, 33 used to fail inside numpy
+    model = tmp_path / "one.model"
+    model.write_text("charges e\nvacuum e\nfusion e e -> e\n", encoding="utf-8")
+    for n in (32, 33):
+        path = tmp_path / f"comb{n}.state"
+        path.write_text(f"shape: {left_comb(n).serialize()}\n" + ",".join(["e"] * n) + ";"
+                        + ",".join(["e"] * (n - 2)) + ";e : 1.0 0.0\n", encoding="utf-8")
+        code, out = run_cli("marginals", "--model", str(model), "--state", str(path), "--split", "3")
+        err = capsys.readouterr().err
+        if n == 32:
+            assert code == 0 and out.startswith("marginals at split 3|29\n")
+    assert code == 1 and out == ""
+    assert err == (f"error: state file {path}: shape {left_comb(33).serialize()}"
+                   " over 1 charges is too large to index\n")
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 806. MiB for an array with shape (24157817, 35)"),
+     "Unable to allocate 806. MiB for an array with shape (24157817, 35)"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy-allocation", "bare"])
+def test_out_of_memory_exits_1_with_one_line(monkeypatch, capsys, error, line):
+    def parse_state_text(model, text):
+        raise error
+
+    monkeypatch.setattr(cli, "parse_state_text", parse_state_text)
+    code, out = run_cli("marginals", "--state", STATE_FILE)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("entries, problem", [
@@ -792,6 +836,7 @@ def test_each_subcommand_imports_only_its_own_module():
         ("correlations", "--state", STATE_FILE): "fibanyon.correlations",
         ("teleport", "--scenario", "main-text", "--direction", "ab"): "fibanyon.teleport",
         ("verify", "--suite", "algebra", "--quick"): "fibanyon.verify",
+        ("verify", "--suite", "correlations", "--quick"): "fibanyon.correlations fibanyon.verify",
         ("verify", "--suite", "recoupling", "--quick"): "fibanyon.verify",
     }
     # all children at once: a cold start each, so together under a second

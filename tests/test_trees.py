@@ -124,6 +124,15 @@ def test_shape_parse_refuses_nesting_its_walks_cannot_recurse_through():
         TreeShape.parse(right_comb(limit + 2).serialize())
 
 
+def test_basis_refuses_more_key_columns_than_numpy_indexes():
+    # one charge never overflows radix ** columns; a 33-leaf comb's 65 key
+    # columns (2n - 1) are more than np.ravel_multi_index takes
+    model = load_model_text("charges e\nvacuum e\nfusion e e -> e\n")
+    assert enumerate_basis(model, left_comb(32)).dim == 1
+    with pytest.raises(ShapeError, match=r"^shape .* over 1 charges is too large to index$"):
+        enumerate_basis(model, left_comb(33))
+
+
 def test_combs_and_grouped():
     assert left_comb(4).serialize() == "(((0 1) 2) 3)"
     assert right_comb(4).serialize() == "(0(1(2 3)))"

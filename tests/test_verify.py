@@ -1,5 +1,6 @@
-"""The stacked algebra suite against its per-sample loop, and the per-block
-recoupling suite against its dense loop (tests/reference.py)."""
+"""The stacked algebra suite against its per-sample loop, the per-block
+recoupling suite against its dense loop, and the correlation suite's stacked
+family check against its per-state loop (tests/reference.py)."""
 
 import json
 import os
@@ -86,3 +87,13 @@ def test_recoupling_suite_matches_dense_loop_bit_for_bit(model_name, max_n):
     for key, values in suite["residuals"].items():
         assert values == dense["residuals"][key], key
     assert suite["checks"] == dense["checks"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_correlations_suite_families_match_per_state_loop_bit_for_bit(seed):
+    # two samples and no random pairs: the classification and bilinearity
+    # sections barely run, and the family section does not depend on them
+    result = verify.suite_correlations(MODELS["fibonacci"], seed=seed, samples=2, random_pairs=0)
+    [family] = [c for c in result.checks if c.label.startswith("both uncorrelated families")]
+    assert family.residual.hex() == reference.family_residual(MODELS["fibonacci"], seed).hex()
+    assert family.ok
