@@ -3,6 +3,11 @@
 import contextlib
 import functools
 
+try:
+    import resource
+except ImportError:  # Windows has none: no address-space limit is read there
+    resource = None
+
 
 class AnyonError(Exception):
     """Base class for all fibanyon errors."""
@@ -40,11 +45,12 @@ class MemoryBudgetError(AnyonError):
     """An array would not fit in the memory this machine has available."""
 
 
-def _read_head(path: str) -> bytes | None:
-    """The first 512 bytes of a file, or None where it cannot be read."""
+def _read_head(path: str, size: int = 512) -> bytes | None:
+    """The first `size` bytes of a file (all of it for -1), or None where it
+    cannot be read."""
     try:
         with open(path, "rb") as handle:
-            return handle.read(512)
+            return handle.read(size)
     except OSError:
         return None
 
@@ -69,12 +75,16 @@ def _cgroup_files() -> tuple[str, str] | None:
 
 
 def _available_bytes() -> int | None:
-    """The smaller of MemAvailable from /proc/meminfo and the memory cgroup's
-    limit minus its usage; None where neither is known.
+    """The smallest of MemAvailable from /proc/meminfo, the memory cgroup's
+    limit minus its usage and the soft address-space limit (``ulimit -v``)
+    minus the process's VmSize from /proc/self/status; None where none is
+    known.
 
     A v2 limit of ``max`` is no limit, and so is any v1 limit of 2**62 or
     more: v1 writes none as the largest page-aligned int64
-    (9223372036854771712 with 4 KiB pages).
+    (9223372036854771712 with 4 KiB pages).  An address-space limit of
+    ``RLIM_INFINITY`` is none either.  VmSize is read from the whole status
+    file, whose earlier lines (``Groups``, say) vary in length.
     """
     found = []
     _, key, rest = (_read_head("/proc/meminfo") or b"").partition(b"MemAvailable:")
@@ -86,12 +96,16 @@ def _available_bytes() -> int | None:
         if limit is not None and usage is not None:
             if limit.strip() != b"max" and int(limit) < 2**62:
                 found.append(max(int(limit) - int(usage), 0))
+    if resource and (cap := resource.getrlimit(resource.RLIMIT_AS)[0]) != resource.RLIM_INFINITY:
+        _, key, rest = (_read_head("/proc/self/status", -1) or b"").partition(b"VmSize:")
+        if key:
+            found.append(max(cap - int(rest.split(None, 1)[0]) * 1024, 0))
     return min(found, default=None)
 
 
 # Any machine has this much to spare.  A read of /proc/meminfo and the cgroup
-# files can cost as much as a whole small correlation test, so requests this
-# small skip it.
+# files (and of /proc/self/status under an address-space limit) can cost as
+# much as a whole small correlation test, so requests this small skip it.
 _ALWAYS_FITS = 256 * 2**10
 
 

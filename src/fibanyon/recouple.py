@@ -14,16 +14,14 @@ applying its route's moves one at a time to the state's nonzero trees, as
 anyonic tensor networks do (Pfeifer et al., PRB 82, 115126 (2010)): no
 intermediate basis is enumerated and no change is composed.
 
-:func:`shape_change` builds the whole change as a sparse map, its nonzero
-(row, col, coeff) entries, composed and applied without ever forming a
-dim x dim matrix; ``BasisChange.matrix`` builds the dense matrix only when
-asked.  Each shape's route to the left (or right) comb is composed once
-and cached, and a shape-to-shape change is the source's map to the comb
-followed by the inverse of the target's.  The teleport plan compiles it
-further, and it is the reference the routed regroup is tested against.
-Every such change is unitary and block diagonal in the global charge;
-routing through either comb gives the same change (pentagon identity),
-which the tests check.
+:func:`shape_change` runs the same moves over every tree of the source
+basis separately, each tree's index riding in a trailing column, and
+returns the whole change as a sparse map, its (row, col, coeff) entries,
+applied without ever forming a dim x dim matrix; ``BasisChange.matrix``
+builds the dense matrix only when asked.  The teleport plan compiles it
+further.  Nothing here composes changes: verify's recoupling suite composes
+its own maps through either comb and checks them (unitarity, round trips,
+path independence by the pentagon identity).
 """
 
 from __future__ import annotations
@@ -37,17 +35,6 @@ from .errors import ShapeError, require_memory
 from .model import AnyonModel
 from .states import AnyonState, rounded_product
 from .trees import SectorBasis, TreeShape, enumerate_basis
-
-
-def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs (i, j) with left[i] == right[j], by i, then by j."""
-    order = np.argsort(right, kind="stable")
-    ordered = right[order]
-    starts = np.searchsorted(ordered, left, side="left")
-    counts = np.searchsorted(ordered, left, side="right") - starts
-    i = np.repeat(np.arange(len(left)), counts)
-    offsets = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return i, order[np.repeat(starts, counts) + offsets]
 
 
 def _sum_by_index(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -70,11 +57,6 @@ class BasisChange:
     cols: np.ndarray
     coeffs: np.ndarray
 
-    @classmethod
-    def identity(cls, basis: SectorBasis) -> "BasisChange":
-        index = np.arange(basis.dim, dtype=np.intp)
-        return cls(basis, basis, index, index, np.ones(basis.dim, dtype=complex))
-
     @property
     def matrix(self) -> np.ndarray:
         """The dense target.dim x source.dim matrix, built on every access."""
@@ -88,25 +70,6 @@ class BasisChange:
         """``self.matrix @ vec`` for a source-basis vector, without the matrix."""
         terms = self.coeffs * np.asarray(vec, dtype=complex)[self.cols]
         return _sum_by_index(self.rows, terms, self.target.dim)
-
-    def then(self, other: "BasisChange") -> "BasisChange":
-        """This change followed by `other`: joins on the middle index."""
-        if not other.source.compatible(self.target):
-            raise ShapeError("basis changes do not compose: shape mismatch")
-        # pair entry i of self with every entry j of other where other.cols[j]
-        # == self.rows[i]: `left` lists the i's, `right` the matching j's
-        left, right = _join(self.rows, other.cols)
-        terms = other.coeffs[right] * self.coeffs[left]
-        keys, slot = np.unique(
-            other.rows[right] * self.source.dim + self.cols[left], return_inverse=True
-        )
-        coeffs = _sum_by_index(slot, terms, len(keys))
-        keep = coeffs != 0
-        rows, cols = np.divmod(keys[keep], self.source.dim)
-        return BasisChange(self.source, other.target, rows, cols, coeffs[keep])
-
-    def inverse(self) -> "BasisChange":
-        return BasisChange(self.target, self.source, self.cols, self.rows, self.coeffs.conj())
 
 
 def _rotated_structure(shape: TreeShape, vertex: int, direction: str):
@@ -207,71 +170,81 @@ def _moves_to_comb(shape: TreeShape, via: str) -> list[tuple[int, str]]:
         current = _rotated_structure(current, *pick)
 
 
-@functools.lru_cache(maxsize=256)
-def _to_comb(model: AnyonModel, shape: TreeShape, via: str) -> BasisChange:
-    """Composed moves from the `shape` basis to the left (or right) comb basis."""
-    steps = []
-    current = shape
-    for vertex, direction in _moves_to_comb(shape, via):
-        steps.append(elementary_fmove(model, current, vertex, direction))
-        current = steps[-1].target.shape
-    # Fold from the comb end: the inverse, used on the target side of a shape
-    # change, then associates like undoing the moves one at a time.
-    change = BasisChange.identity(enumerate_basis(model, current))
-    for step in reversed(steps):
-        change = step.then(change)
-    return change
-
-
-@functools.lru_cache(maxsize=128)
-def shape_change(
-    model: AnyonModel, source: TreeShape, target: TreeShape, via: str = "left"
-) -> BasisChange:
-    """Sparse unitary from the source-shape basis to the target-shape basis.
-
-    Routed through the left comb by default (``via="right"`` uses the
-    right comb; both give the same change by path independence).
-    Results are cached per (model, source, target, via), and each shape's
-    route to the comb per (model, shape, via).
-    """
-    if source.n_leaves != target.n_leaves:
-        raise ShapeError("source and target shapes have different leaf counts")
-    if source == target:
-        return BasisChange.identity(enumerate_basis(model, source))
-    return _to_comb(model, source, via).then(_to_comb(model, target, via).inverse())
-
-
 def _route(source: TreeShape, target: TreeShape) -> list[tuple[int, str]]:
     """Moves taking `source` to `target`: the source's left moves to the left
     comb, then the target's, undone in reverse order as right moves."""
+    if source.n_leaves != target.n_leaves:
+        raise ShapeError("source and target shapes have different leaf counts")
     back = [(vertex, "right") for vertex, _ in reversed(_moves_to_comb(target, "left"))]
     return _moves_to_comb(source, "left") + back
 
 
-def _merged(rows: np.ndarray, terms: np.ndarray, radix: int):
-    """The distinct rows (by key order) and, for each, the sum of its terms."""
-    keys, slot = np.unique(np.ravel_multi_index(tuple(rows.T), (radix,) * rows.shape[1]),
-                           return_inverse=True)
+def _merged(rows: np.ndarray, terms: np.ndarray, radix: int, width: int):
+    """The distinct rows (by key order) and, for each, the sum of its terms.
+
+    A row's first `width` columns, its tree, are keyed in `radix`.  A column
+    past them (the source tree's index, in :func:`shape_change`) is keyed on
+    its own, by the pair (tree key, index): no key has more columns than a
+    tree, whose count numpy bounds.
+    """
+    keys = np.ravel_multi_index(tuple(rows[:, :width].T), (radix,) * width)
+    if rows.shape[1] > width:
+        index = rows[:, width]
+        keys = np.unique(keys, return_inverse=True)[1] * (int(index.max()) + 1) + index
+    keys, slot = np.unique(keys, return_inverse=True)
     distinct = np.empty((len(keys), rows.shape[1]), dtype=rows.dtype)
     distinct[slot] = rows
     return distinct, _sum_by_index(slot, terms, len(keys))
+
+
+def _routed(model: AnyonModel, shape: TreeShape, route, rows: np.ndarray, terms: np.ndarray):
+    """Charge-table rows of `shape` and their terms, taken along `route` one
+    move at a time; the images of each move that coincide are summed before
+    the next move.  Columns past the tree's ride along unchanged."""
+    radix, width = len(model.charges), 2 * shape.n_leaves - 1
+    for k, (vertex, direction) in enumerate(route):
+        if k:
+            rows, terms = _merged(rows, terms, radix, width)
+        shape, src, rows, coeffs = _fmove_rows(model, shape, vertex, direction, rows)
+        terms = coeffs * terms[src]
+    return rows, terms
+
+
+@functools.lru_cache(maxsize=128)
+def shape_change(model: AnyonModel, source: TreeShape, target: TreeShape) -> BasisChange:
+    """Sparse unitary from the source-shape basis to the target-shape basis.
+
+    :func:`change_shape`'s moves, run over every source tree separately: a
+    trailing column holds each tree's index, which the moves carry through
+    and which keeps the images of different trees apart.  The nonzero
+    entries are listed by target index, then by source index.  Only the
+    source and target bases are enumerated.  Results are cached per
+    (model, source, target): teleport plans of one geometry share a map.
+    """
+    route = _route(source, target)
+    basis = enumerate_basis(model, source)
+    rows = np.column_stack([basis.charges, np.arange(basis.dim)])
+    rows, terms = _routed(model, source, route, rows, np.ones(basis.dim, dtype=complex))
+    out = enumerate_basis(model, target)
+    keys, slot = np.unique(out.index_of_rows(rows[:, :-1]) * basis.dim + rows[:, -1],
+                           return_inverse=True)
+    coeffs = _sum_by_index(slot, terms, len(keys))
+    keep = coeffs != 0  # images that cancel exactly
+    return BasisChange(basis, out, *np.divmod(keys[keep], basis.dim), coeffs[keep])
 
 
 def change_shape(model: AnyonModel, state, target: TreeShape):
     """Re-express a state in the target-shape basis; norm is preserved.
 
     The route's moves (:func:`_route`) are applied one at a time to the
-    state's nonzero trees, as charge-table rows with their amplitudes; the
-    images of each move that coincide are summed.  No intermediate basis is
-    enumerated and no change is composed: the final rows are looked up in
-    the target basis once.  A move sends a tree to at most the model's
-    largest F fan-out of trees and keeps its global charge; that bounds the
-    rows held, and the memory they need is checked before anything is
-    allocated.
+    state's nonzero trees, as charge-table rows with their amplitudes
+    (:func:`_routed`).  No intermediate basis is enumerated and no change is
+    composed: the final rows are looked up in the target basis once.  A move
+    sends a tree to at most the model's largest F fan-out of trees and keeps
+    its global charge; that bounds the rows held, and the memory they need
+    is checked before anything is allocated.
     """
     basis = state.basis
-    if basis.shape.n_leaves != target.n_leaves:
-        raise ShapeError("source and target shapes have different leaf counts")
     route = _route(basis.shape, target)
     f_array = model.f_array != 0
     fan_out = int(max(f_array.sum(axis=-1).max(), f_array.sum(axis=-2).max()))
@@ -286,13 +259,7 @@ def change_shape(model: AnyonModel, state, target: TreeShape):
     require_memory(support * (fan_out * (2 * n_cols + 88) + 32 * radix) + 48 * basis.dim,
                    f"regrouping {support} trees to {target}")
     nz = np.flatnonzero(state.amplitudes)
-    rows, terms = basis.charges[nz], state.amplitudes[nz]
-    shape = basis.shape
-    for k, (vertex, direction) in enumerate(route):
-        if k:
-            rows, terms = _merged(rows, terms, radix)
-        shape, src, rows, coeffs = _fmove_rows(model, shape, vertex, direction, rows)
-        terms = coeffs * terms[src]
+    rows, terms = _routed(model, basis.shape, route, basis.charges[nz], state.amplitudes[nz])
     out = enumerate_basis(model, target)
     return AnyonState(out, _sum_by_index(out.index_of_rows(rows), terms, out.dim))
 

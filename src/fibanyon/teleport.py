@@ -185,9 +185,11 @@ class _Plan:
     support.  It holds the tables the module docstring lists (`gather` is
     the channel's, oriented receiver x measured) and composes them: C's
     flat entry slot[k] adds coeffs[k] * prod[src[k]], where prod is the row-major product of
-    (alpha, beta) with the resource's amplitudes on `support`.  The entries
-    keep the regrouping map's order, so each C entry adds its terms in the
-    order ``BasisChange.apply`` does; the map's entries that read an
+    (alpha, beta) with the resource's amplitudes on `support`.  The
+    regrouping map is :func:`fibanyon.recouple.shape_change`, the F-move
+    route run tree by tree, its entries by target index, then by source
+    index.  The entries keep that order, so each C entry adds its terms in
+    the order ``BasisChange.apply`` does; the map's entries that read an
     amplitude outside the joined support are left out, which is exact,
     because ``bincount`` starts at +0.0 and x + (+-0) = x; for the same
     reason a message amplitude of 0, whose terms are +-0, is kept.  The
@@ -445,8 +447,9 @@ class SplitState:
     @functools.cached_property
     def state(self) -> AnyonState:
         """The regrouped 6-anyon state, built the long way: the message joined
-        to the resource, then regrouped by ``BasisChange.apply``.  C is its
-        amplitudes read through the plan's gather."""
+        to the resource, then regrouped by ``BasisChange.apply`` of the
+        plan's route map, over the whole joined basis.  C is its amplitudes
+        read through the plan's gather, bit for bit."""
         change = self._plan.change
         message = np.array([self._message.alpha, self._message.beta], dtype=complex)
         joined = _joined(self._plan.message_rows, change.source.dim, message, self._resource)

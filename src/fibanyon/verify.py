@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FibonacciOnlyError, ModelFormatError, fibonacci_only, stack_slices
 from .model import AnyonModel, fibonacci_model, validate_model, validation_refusal
-from .recouple import shape_change
+from .recouple import BasisChange, _moves_to_comb, _sum_by_index, elementary_fmove
 from .states import (
     BlockOperator,
     _normalized_rows,
@@ -129,9 +129,10 @@ def recoupling_residuals(model: AnyonModel, max_n: int) -> dict[str, np.ndarray]
     since sector dimensions do not depend on the shape), go through the
     products of :func:`product_data`, which give each entry what the dense
     product gives, its off-block zeros adding nothing.  Its entries outside
-    every block are the sector-mixing residual.  Each n's left-routed changes
-    are composed once per pair, into one table that the round trip reads the
-    reverse pair's change from.
+    every block are the sector-mixing residual.  Each n's left- and
+    right-routed changes are composed once per pair, into two tables
+    (:func:`composed_changes`); the round trip reads the reverse pair's
+    change from the left one.
     """
     residuals = {"unitarity": [], "sector mixing": [], "round trip": [], "path": []}
     for n in range(2, max_n + 1):
@@ -151,19 +152,73 @@ def recoupling_residuals(model: AnyonModel, max_n: int) -> dict[str, np.ndarray]
                 out[at[change.rows[inside]] + change.cols[inside]] = change.coeffs[inside]
             return data
 
-        table = [[shape_change(model, src, tgt) for tgt in shapes] for src in shapes]
+        table = composed_changes(model, shapes, "left")
+        right = composed_changes(model, shapes, "right")
         residuals["sector mixing"].append(
             [np.max(np.abs(c.coeffs[sector[c.rows] != sector[c.cols]]), initial=0.0)
              for row in table for c in row])
-        for i, src in enumerate(shapes):
+        for i in range(len(shapes)):
             fwd = blocks(table[i])
             residuals["unitarity"].append(
                 _gaps(product_data(layout, adjoint_data(layout, fwd), fwd), eye))
             residuals["round trip"].append(
                 _gaps(product_data(layout, blocks([row[i] for row in table]), fwd), eye))
-            residuals["path"].append(
-                _gaps(blocks([shape_change(model, src, tgt, via="right") for tgt in shapes]), fwd))
+            residuals["path"].append(_gaps(blocks(right[i]), fwd))
     return {key: np.concatenate(values) for key, values in residuals.items()}
+
+
+def _then(first: BasisChange, second: BasisChange) -> BasisChange:
+    """`first` followed by `second`: joins on the middle index."""
+    # pair entry i of first with every entry j of second where second.cols[j]
+    # == first.rows[i]: `left` lists the i's, by i, `right` the matching j's
+    order = np.argsort(second.cols, kind="stable")
+    ordered = second.cols[order]
+    starts = np.searchsorted(ordered, first.rows, side="left")
+    counts = np.searchsorted(ordered, first.rows, side="right") - starts
+    left = np.repeat(np.arange(len(first.rows)), counts)
+    offsets = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
+    right = order[np.repeat(starts, counts) + offsets]
+    terms = second.coeffs[right] * first.coeffs[left]
+    keys, slot = np.unique(second.rows[right] * first.source.dim + first.cols[left],
+                           return_inverse=True)
+    coeffs = _sum_by_index(slot, terms, len(keys))
+    keep = coeffs != 0
+    rows, cols = np.divmod(keys[keep], first.source.dim)
+    return BasisChange(first.source, second.target, rows, cols, coeffs[keep])
+
+
+def _identity(basis: SectorBasis) -> BasisChange:
+    index = np.arange(basis.dim, dtype=np.intp)
+    return BasisChange(basis, basis, index, index, np.ones(basis.dim, dtype=complex))
+
+
+def _comb_fold(model: AnyonModel, shape, via: str) -> BasisChange:
+    """The composed moves from the `shape` basis to the left (or right) comb
+    basis, folded from the comb end: its inverse, used on the target side of
+    a shape change, then associates like undoing the moves one at a time."""
+    steps = []
+    for vertex, direction in _moves_to_comb(shape, via):
+        steps.append(elementary_fmove(model, shape, vertex, direction))
+        shape = steps[-1].target.shape
+    change = _identity(enumerate_basis(model, shape))
+    for step in reversed(steps):
+        change = _then(step, change)
+    return change
+
+
+def composed_changes(model: AnyonModel, shapes, via: str) -> list[list[BasisChange]]:
+    """The composed change between every ordered pair of `shapes` (one leaf
+    count), by source, then target: the source's fold to the left (or right)
+    comb followed by the inverse of the target's, and the identity from a
+    shape to itself.  Each shape's fold is built once.
+
+    These are the maps the recoupling suite checks; the library regroups
+    along the route instead (:func:`fibanyon.recouple.shape_change`).
+    """
+    folds = [_comb_fold(model, shape, via) for shape in shapes]
+    return [[_identity(f.source) if f is g else
+             _then(f, BasisChange(g.target, g.source, g.cols, g.rows, g.coeffs.conj()))
+             for g in folds] for f in folds]
 
 
 def _gaps(data: np.ndarray, other: np.ndarray) -> np.ndarray:

@@ -39,12 +39,11 @@ from fibanyon import correlations
 from fibanyon.correlations import (_FIBONACCI_PAIR, ZERO_COEFF_TOL, CorrelationReport, _to_units,
                                    _units)
 from fibanyon.errors import BasisMismatchError, require_memory
-from fibanyon.recouple import shape_change
 from fibanyon.states import (SPECTRAL_TOL, AnyonState, BlockOperator, _sector_views, bipartition,
                              embed_local, ket, partial_trace, pure_density, purity,
                              random_pure_state, sample_rng, spectrum, trace)
 from fibanyon.trees import all_shapes, enumerate_basis, grouped_shape, left_comb
-from fibanyon.verify import SuiteResult
+from fibanyon.verify import SuiteResult, composed_changes
 
 
 class Reference(NamedTuple):
@@ -491,7 +490,9 @@ def suite_algebra(model, seed, pairs):
 def suite_recoupling(model, max_n):
     """(the suite's result, each check's residual per shape pair): the loop
     over dense matrices as it was, plus one line per check that records each
-    pair's residual."""
+    pair's residual.  It reads the maps that verify composes
+    (:func:`fibanyon.verify.composed_changes`), so the two compare the same
+    entries."""
     residuals = {"unitarity": [], "sector mixing": [], "round trip": [], "path": []}
     out = SuiteResult("recoupling")
     worst_unitary = 0.0
@@ -501,23 +502,24 @@ def suite_recoupling(model, max_n):
     pairs = 0
     for n in range(2, max_n + 1):
         shapes = all_shapes(n)
-        for src in shapes:
+        table = composed_changes(model, shapes, "left")
+        right = composed_changes(model, shapes, "right")
+        for i, src in enumerate(shapes):
             basis = enumerate_basis(model, src)
             off_sector = ~basis.sector_mask
-            for tgt in shapes:
+            for j in range(len(shapes)):
                 pairs += 1
-                fwd = shape_change(model, src, tgt)
-                u = fwd.matrix
+                u = table[i][j].matrix
                 worst_unitary = max(
                     worst_unitary, float(np.max(np.abs(u.conj().T @ u - np.eye(basis.dim))))
                 )
                 worst_sector = max(worst_sector, float(np.max(np.abs(u[off_sector]), initial=0.0)))
-                back = shape_change(model, tgt, src)
+                back = table[j][i]
                 worst_roundtrip = max(
                     worst_roundtrip,
                     float(np.max(np.abs(back.matrix @ u - np.eye(basis.dim)))),
                 )
-                alt = shape_change(model, src, tgt, via="right")
+                alt = right[i][j]
                 worst_path = max(worst_path, float(np.max(np.abs(alt.matrix - u))))
                 residuals["unitarity"].append(float(np.max(np.abs(u.conj().T @ u
                                                                   - np.eye(basis.dim)))))

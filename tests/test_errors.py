@@ -19,7 +19,14 @@ def _fresh_cgroup_probe():
 
 
 def _files(monkeypatch, files):
-    monkeypatch.setattr(errors, "_read_head", files.get)
+    monkeypatch.setattr(errors, "_read_head", lambda path, size=512: files.get(path))
+
+
+@pytest.fixture(autouse=True)
+def _no_address_space_limit(monkeypatch):
+    """Whatever ``ulimit -v`` the tests run under, none is seen unless a test sets one."""
+    monkeypatch.setattr(errors.resource, "getrlimit",
+                        lambda which: (errors.resource.RLIM_INFINITY,) * 2)
 
 
 @pytest.mark.parametrize("files, expected", [
@@ -50,12 +57,59 @@ def test_available_bytes_takes_the_smaller_of_meminfo_and_cgroup(monkeypatch, fi
 def test_cgroup_files_are_found_once(monkeypatch):
     files = {"/proc/meminfo": MEMINFO, V1[0]: b"2147483648\n", V1[1]: b"1610612736\n"}
     opened = []
-    monkeypatch.setattr(errors, "_read_head", lambda path: opened.append(path) or files.get(path))
+    monkeypatch.setattr(errors, "_read_head",
+                        lambda path, size=512: opened.append(path) or files.get(path))
     assert errors._available_bytes() == 2**29
     assert V2[0] in opened and opened[-2:] == list(V1)
     opened.clear()
     assert errors._available_bytes() == 2**29
     assert opened == ["/proc/meminfo", *V1]  # the missing v2 files are not tried again
+
+
+# VmSize past the first 512 bytes, as a long Groups line puts it
+STATUS = b"Name:\tpython\nGroups:\t" + b"1000 " * 120 + b"\nVmPeak:\t 3000000 kB\nVmSize:\t 1000000 kB\n"
+
+
+@pytest.mark.parametrize("files, cap, expected", [
+    # the cap minus VmSize, when it is the smallest
+    ({"/proc/meminfo": MEMINFO, "/proc/self/status": STATUS}, 3 * 2**30, 3 * 2**30 - 1000000 * 1024),
+    ({"/proc/self/status": STATUS}, 3 * 2**30, 3 * 2**30 - 1000000 * 1024),
+    # a roomy cap does not raise MemAvailable, and a cap under VmSize leaves nothing
+    ({"/proc/meminfo": MEMINFO, "/proc/self/status": STATUS}, 2**40, 4000000 * 1024),
+    ({"/proc/meminfo": MEMINFO, "/proc/self/status": STATUS}, 2**29, 0),
+    # a cap smaller than the cgroup's headroom wins over it
+    ({V2[0]: b"8589934592\n", V2[1]: b"0\n", "/proc/self/status": STATUS}, 2 * 2**30,
+     2 * 2**30 - 1000000 * 1024),
+    # no limit, or no status to read it against
+    ({"/proc/meminfo": MEMINFO, "/proc/self/status": STATUS}, None, 4000000 * 1024),
+    ({"/proc/meminfo": MEMINFO}, 2**29, 4000000 * 1024),
+    ({"/proc/meminfo": MEMINFO, "/proc/self/status": b"Name:\tpython\n"}, 2**29, 4000000 * 1024),
+], ids=["cap", "cap-only", "cap-roomy", "cap-exhausted", "cap-under-cgroup", "unlimited",
+        "no-status", "status-without-vmsize"])
+def test_available_bytes_takes_the_address_space_limit_less_vmsize(monkeypatch, files, cap,
+                                                                    expected):
+    assert STATUS.index(b"VmSize:") > 512
+    asked = []
+    if cap is None:
+        cap = errors.resource.RLIM_INFINITY
+    monkeypatch.setattr(errors.resource, "getrlimit", lambda which: asked.append(which) or (cap, cap))
+    read = []
+    monkeypatch.setattr(errors, "_read_head",
+                        lambda path, size=512: read.append((path, size)) or files.get(path))
+    assert errors._available_bytes() == expected
+    assert asked == [errors.resource.RLIMIT_AS]
+    if cap != errors.resource.RLIM_INFINITY:
+        assert ("/proc/self/status", -1) in read  # the whole file, not its head
+    else:
+        assert "/proc/self/status" not in {path for path, _ in read}
+
+
+def test_read_head_reads_the_whole_file_for_minus_one(tmp_path):
+    path = tmp_path / "status"
+    path.write_bytes(STATUS)
+    assert errors._read_head(str(path)) == STATUS[:512]
+    assert errors._read_head(str(path), -1) == STATUS
+    assert errors._read_head(str(tmp_path / "missing"), -1) is None
 
 
 def test_require_memory_refuses_over_half_the_cgroup_headroom(monkeypatch):

@@ -16,7 +16,6 @@ from fibanyon.recouple import (
     _moves_to_comb,
     _rotated_structure,
     _route,
-    _to_comb,
     braid_adjacent,
     change_shape,
     elementary_fmove,
@@ -25,6 +24,7 @@ from fibanyon.recouple import (
 from fibanyon.states import AnyonState, BlockOperator, ket, random_pure_state
 from fibanyon.trees import (SectorBasis, all_shapes, enumerate_basis, grouped_shape, left_comb,
                             right_comb)
+from fibanyon.verify import composed_changes
 from reference import reference
 
 PHI_INV = (math.sqrt(5.0) - 1.0) / 2.0
@@ -184,11 +184,13 @@ def test_shape_change_unitary_and_sector_diagonal(model, n):
 
 
 def test_shape_change_path_independent(model):
+    # the route through the left comb against the composed fold through the right one
     shapes = all_shapes(5)
-    for src in shapes[::3]:
-        for tgt in shapes[::4]:
-            left = shape_change(model, src, tgt, via="left").matrix
-            right = shape_change(model, src, tgt, via="right").matrix
+    right_table = composed_changes(model, shapes, "right")
+    for i, src in enumerate(shapes[::3]):
+        for j, tgt in enumerate(shapes[::4]):
+            left = shape_change(model, src, tgt).matrix
+            right = right_table[3 * i][4 * j].matrix
             np.testing.assert_allclose(left, right, atol=1e-12)
 
 
@@ -212,13 +214,15 @@ def _dense_route(model, shape, via):
 
 @pytest.mark.parametrize("via", ["left", "right"])
 def test_sparse_shape_change_matches_dense_products(model, via):
+    # via the left comb: shape_change's route; via the right one: verify's composed fold
     for n in range(2, 6):
         shapes = all_shapes(n)
         routes = {shape: _dense_route(model, shape, via) for shape in shapes}
-        for src in shapes:
-            for tgt in shapes:
+        right_table = composed_changes(model, shapes, "right")
+        for i, src in enumerate(shapes):
+            for j, tgt in enumerate(shapes):
                 expected = routes[tgt].conj().T @ routes[src]
-                got = shape_change(model, src, tgt, via=via).matrix
+                got = (shape_change(model, src, tgt) if via == "left" else right_table[i][j]).matrix
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
@@ -238,7 +242,6 @@ def test_regroup_n9_stays_sparse(model, monkeypatch):
 
     monkeypatch.setattr(BasisChange, "matrix", property(no_dense))
     shape_change.cache_clear()
-    _to_comb.cache_clear()
     state = random_pure_state(enumerate_basis(model, left_comb(9)), "tau", np.random.default_rng(9))
     tracemalloc.start()
     try:
@@ -348,7 +351,8 @@ def test_dense_matrices_check_memory_first(model, monkeypatch):
     assert move.matrix.shape == op.to_full().shape == (233, 233)
 
 
-# --- change_shape applies the route to the state's trees; shape_change composes it
+# --- change_shape applies the route to the state's trees, and shape_change runs
+# it tree by tree; verify's recoupling suite composes the moves instead
 
 
 def _unit_batches(basis):
@@ -370,12 +374,12 @@ def _unit_batches(basis):
         yield ((roots == root) & (rank == r)).astype(complex)
 
 
-def _routed_and_composed(model, source, target):
-    """(change_shape's image, the composed shape_change's image) of each unit batch."""
-    basis = enumerate_basis(model, source)
-    change = shape_change(model, source, target)
-    for vec in _unit_batches(basis):
-        yield change_shape(model, AnyonState(basis, vec), target).amplitudes, change.apply(vec)
+def _routed_and_composed(model, change):
+    """(change_shape's image, the image under `change`, one of verify's
+    composed maps) of each unit batch of its source basis."""
+    for vec in _unit_batches(change.source):
+        yield (change_shape(model, AnyonState(change.source, vec), change.target.shape).amplitudes,
+               change.apply(vec))
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "z2", "z3", "ising"])
@@ -384,10 +388,9 @@ def test_routed_regroup_matches_composed_map_on_unit_vectors(model, name):
     model = model if name == "fibonacci" else _load(name)
     pairs = 0
     for n in range(2, 6):
-        shapes = all_shapes(n)
-        for src in shapes:
-            for tgt in shapes:
-                for got, want in _routed_and_composed(model, src, tgt):
+        for row in composed_changes(model, all_shapes(n), "left"):
+            for change in row:
+                for got, want in _routed_and_composed(model, change):
                     if name in ("z2", "z3"):
                         assert got.tobytes() == want.tobytes()
                     else:
@@ -398,9 +401,30 @@ def test_routed_regroup_matches_composed_map_on_unit_vectors(model, name):
 
 def test_routed_regroup_matches_composed_map_from_and_to_the_six_leaf_comb(model):
     for shape in all_shapes(6):
-        for src, tgt in ((left_comb(6), shape), (shape, left_comb(6))):
-            for got, want in _routed_and_composed(model, src, tgt):
+        table = composed_changes(model, [left_comb(6), shape], "left")
+        for change in (table[0][1], table[1][0]):
+            for got, want in _routed_and_composed(model, change):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "z2", "z3", "ising"])
+def test_shape_change_lists_each_entry_once_by_target_then_source(model, name):
+    model = model if name == "fibonacci" else _load(name)
+    for n in range(2, 6):
+        for src in all_shapes(n):
+            for tgt in all_shapes(n):
+                change = shape_change(model, src, tgt)
+                keys = change.rows * change.source.dim + change.cols
+                assert (np.diff(keys) > 0).all()
+
+
+@pytest.mark.parametrize("n", [31, 32])
+def test_shape_change_at_numpy_key_column_limit(n):
+    # a 32-leaf tree has 63 label columns; the source tree's index is keyed
+    # apart from them, not raveled as one more column
+    model = load_model_text("charges e\nvacuum e\nfusion e e -> e\n", name="one")
+    change = shape_change(model, left_comb(n), grouped_shape(n // 2, n - n // 2))
+    assert (change.rows.tolist(), change.cols.tolist(), change.coeffs.tolist()) == ([0], [0], [1])
 
 
 def test_routed_regroup_builds_no_intermediate_basis(monkeypatch):
@@ -419,16 +443,16 @@ def test_routed_regroup_builds_no_intermediate_basis(monkeypatch):
     assert built == [target]
     assert len(_route(source, target)) == 8
     monkeypatch.undo()
-    np.testing.assert_allclose(moved.amplitudes,
-                               shape_change(model, source, target).apply(state.amplitudes),
+    composed = composed_changes(model, [source, target], "left")[0][1]
+    np.testing.assert_allclose(moved.amplitudes, composed.apply(state.amplitudes),
                                rtol=0, atol=1e-13)
 
 
 def test_regroup_n13_composes_nothing_and_peaks_under_100_mib(model, monkeypatch):
-    def no_composition(self, other):
-        raise AssertionError("a basis change was composed")
+    def no_composition(self, *args):
+        raise AssertionError("a basis change was built")
 
-    monkeypatch.setattr(BasisChange, "then", no_composition)
+    monkeypatch.setattr(BasisChange, "__init__", no_composition)
     target = grouped_shape(2, 11)
     enumerate_basis(model, target)
     state = random_pure_state(enumerate_basis(model, left_comb(13)), "tau",

@@ -7,6 +7,7 @@ import pytest
 
 from fibanyon import errors, teleport, verify
 from fibanyon.errors import FusionError, MemoryBudgetError, SuperselectionError
+from fibanyon.model import fibonacci_model
 from fibanyon.recouple import change_shape, shape_change
 from fibanyon.states import AnyonState, BlockOperator, bipartition, ket, superpose
 from fibanyon.teleport import (
@@ -838,8 +839,8 @@ def _reference_protocol(scenario, message, decohere=True):
         part = bipartition(enumerate_basis(model, measured_shape), 2)
         recv_basis, meas_basis = part.a_basis, part.b_basis
         recv_idx, meas_idx = part.a_index, part.b_index
-    # the composed map, which the plan compiles; the routed change_shape rounds
-    # differently in the last bit
+    # the route map, which the plan compiles; change_shape, which merges the
+    # images of all trees at once, rounds differently in the last bit
     joined = _reference_join(scenario, message)
     regrouped = shape_change(model, joined.basis.shape, measured_shape).apply(joined.amplitudes)
     np.testing.assert_allclose(change_shape(model, joined, measured_shape).amplitudes,
@@ -1169,6 +1170,25 @@ def test_resources_with_one_support_share_a_plan(model, catalog):
         SplitState(base.with_resource(d1_family_resource(model, a, b)), message)
     info = teleport._cached_plan.cache_info()
     assert (info.hits, info.misses) == (4, 2)
+
+
+def test_both_plans_enumerate_only_the_joined_and_measured_bases(monkeypatch):
+    # a fresh model: no basis of it is cached.  The regrouping map runs the
+    # route tree by tree, so no intermediate six-leaf basis is enumerated;
+    # each direction's joined basis is the other's measured one
+    scenarios = builtin_scenarios(fibonacci_model.__wrapped__())["main-text"]
+    built = []
+    init = SectorBasis.__init__
+
+    def counting(self, *args):
+        built.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(SectorBasis, "__init__", counting)
+    for direction in ("ab", "ba"):
+        scenarios[direction]._plan()
+    assert built == [join_shapes(grouped_shape(1, 1), grouped_shape(2, 2)),
+                     join_shapes(grouped_shape(2, 2), grouped_shape(1, 1))]
 
 
 def test_resource_cannot_move_off_the_scenario_support(model, catalog):
