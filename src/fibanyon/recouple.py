@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ShapeError, require_memory
 from .model import AnyonModel
 from .states import AnyonState, rounded_product
-from .trees import SectorBasis, TreeShape, enumerate_basis
+from .trees import SectorBasis, TreeShape, _leaves, enumerate_basis
 
 
 def _sum_by_index(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -197,6 +197,18 @@ def _merged(rows: np.ndarray, terms: np.ndarray, radix: int, width: int):
     return distinct, _sum_by_index(slot, terms, len(keys))
 
 
+def _fan_out(model: AnyonModel) -> int:
+    """The most trees one move sends a tree to, or takes it from."""
+    f_array = model.f_array != 0
+    return int(max(f_array.sum(axis=-1).max(), f_array.sum(axis=-2).max()))
+
+
+def _subtrees(shape: TreeShape) -> dict:
+    """Each node of `shape`, the leaves included, keyed by its set of leaves."""
+    return {frozenset(_leaves(node)): node
+            for node in (*range(shape.n_leaves), *shape.internal_nodes)}
+
+
 def _routed(model: AnyonModel, shape: TreeShape, route, rows: np.ndarray, terms: np.ndarray):
     """Charge-table rows of `shape` and their terms, taken along `route` one
     move at a time; the images of each move that coincide are summed before
@@ -220,10 +232,33 @@ def shape_change(model: AnyonModel, source: TreeShape, target: TreeShape) -> Bas
     entries are listed by target index, then by source index.  Only the
     source and target bases are enumerated.  Results are cached per
     (model, source, target): teleport plans of one geometry share a map.
+
+    A move relabels only the subtree it replaces, so a subtree (a set of
+    leaves) found in every shape on the route keeps its label: the trees
+    that agree on those labels span one block of the map, and a block of N
+    trees holds at most N^2 rows at any move.  That bounds the rows held,
+    and the memory they need is checked before they are built.
     """
     route = _route(source, target)
     basis = enumerate_basis(model, source)
-    rows = np.column_stack([basis.charges, np.arange(basis.dim)])
+    kept, shape = _subtrees(source), source
+    for move in route:
+        shape = _rotated_structure(shape, *move)
+        kept = {key: node for key, node in kept.items() if key in _subtrees(shape)}
+    # each tree's block as a mixed-radix key, one column at a time; a key that
+    # wraps can only merge blocks, which raises the bound
+    radix, keys = len(model.charges), np.zeros(basis.dim, dtype=np.int64)
+    for node in kept.values():
+        keys *= radix
+        keys += basis.charges[:, source.span(node).start]
+    bound = int(np.sum(np.unique(keys, return_counts=True)[1] ** 2))
+    # the charges and each tree's index, in the narrowest type that holds both
+    dtype, n_cols = np.min_scalar_type(-basis.dim), basis.charges.shape[1] + 1
+    # change_shape's estimate per row, with the index column
+    require_memory(bound * (_fan_out(model) * (2 * dtype.itemsize * n_cols + 88) + 32 * radix),
+                   f"the basis change from {source} to {target}")
+    rows = np.empty((basis.dim, n_cols), dtype)
+    rows[:, :-1], rows[:, -1] = basis.charges, np.arange(basis.dim)
     rows, terms = _routed(model, source, route, rows, np.ones(basis.dim, dtype=complex))
     out = enumerate_basis(model, target)
     keys, slot = np.unique(out.index_of_rows(rows[:, :-1]) * basis.dim + rows[:, -1],
@@ -246,8 +281,7 @@ def change_shape(model: AnyonModel, state, target: TreeShape):
     """
     basis = state.basis
     route = _route(basis.shape, target)
-    f_array = model.f_array != 0
-    fan_out = int(max(f_array.sum(axis=-1).max(), f_array.sum(axis=-2).max()))
+    fan_out = _fan_out(model)
     growth = fan_out ** len(route)
     support = sum(min(np.count_nonzero(state.amplitudes[s]) * growth, s.stop - s.start)
                   for s in map(basis.sector_slice, model.charges))

@@ -42,9 +42,10 @@ One scenario runs over many messages, so the work is split in two:
 - The measurement, built once per (scenario, enforcement): the PVM
   and its no-click residual as one stack of transposed projectors,
   validated by :func:`validate_pvm`, and the corrections, each checked
-  block diagonal and unitary whether or not its outcome can fire, as a
-  gather and a phase per entry when all are phased permutations, else
-  as stacks U and U^dagger.  A scenario is always run with its own
+  finite, block diagonal and unitary whether or not its outcome can fire,
+  folded with the receiver's sector mask (when enforcing) into one stack
+  of linear maps on the receiver's matrices, one per outcome, the
+  no-click one the mask alone.  A scenario is always run with its own
   measurement; another PVM or other corrections make a
   ``dataclasses.replace`` copy, which starts with an empty cache (the
   counterfactual is one).
@@ -55,8 +56,8 @@ C, without joining and regrouping the whole 233-dim state.  That state is
 built only when asked for, by the join and ``BasisChange.apply``, and is
 the reference the plan is tested against.  One round is a handful of
 stacked products over every outcome at once: D = C P^T, the
-probabilities, D D^dagger / p, the decoherence mask and U rho U^dagger,
-the last one gather and one multiply for the catalog's Paulis.  Only
+probabilities, D D^dagger / p, and the decoherence and U rho U^dagger as
+one product of the channel stack with the vec'd matrices.  Only
 each branch's fidelity is scored on its own: scoring them in one stacked
 product rounds differently.
 
@@ -144,7 +145,8 @@ def validate_pvm(pvm, basis: SectorBasis) -> list[str]:
     Elements may be BlockOperator or raw matrices on `basis`.  Raw
     matrices with cross-sector support are flagged - projectors that
     superpose different global charges of the measured subsystem are
-    unphysical, which is the headline violation here.
+    unphysical, which is the headline violation here.  A projector with
+    a non-finite entry is reported and left out of the other checks.
     """
     # the dense projectors, their products and the residual's eigensolve
     require_memory(16 * (len(pvm) + 4) * basis.dim ** 2,
@@ -155,6 +157,9 @@ def validate_pvm(pvm, basis: SectorBasis) -> list[str]:
         mat = _as_full(op, basis)
         if mat.shape != (basis.dim, basis.dim):
             report.append(f"projector {k}: wrong shape {mat.shape}")
+            continue
+        if not np.isfinite(mat).all():
+            report.append(f"projector {k}: non-finite entries")
             continue
         if not validate_cssr(mat, basis, PVM_TOL):
             report.append(f"projector {k}: cross-sector support (superselection violation)")
@@ -260,27 +265,32 @@ _cached_plan = functools.lru_cache(maxsize=256)(_Plan)
 
 
 class _Measurement:
-    """A PVM and its corrections as the stacks one run applies.
+    """A PVM and its corrections as the two stacks one run applies.
 
     `projectors_t` holds P_k^T for every outcome k, the no-click residual
-    last.  :meth:`correct` applies the corrections, one per projector.
-    When every correction is a phased permutation, one nonzero per row and
-    each of them 1, -1, i or -i (the catalog's Paulis and the
-    counterfactual's signed permutations), U rho U^dagger is held as a
-    gather of rho's entries and a phase per entry; otherwise it is the
-    stacks (U, U^dagger).  Both give the same values: each entry of the
-    product has one nonzero term, and a unit phase rounds nothing.  With
+    last.  `channel` holds, per outcome, the r^2 x r^2 map that decoheres
+    and corrects the receiver's matrix in one product on its row-major
+    vec: vec(U (M o rho) U^dagger) = (U (x) conj(U)) diag(vec M) vec(rho),
+    with U the outcome's correction (the identity for the no-click outcome
+    and when there are none) and M the receiver's sector mask when
+    `validate` enforces superselection, all ones otherwise.  For a phased
+    permutation U, one nonzero per row and each of them 1, -1, i or -i (the
+    catalog's Paulis and the counterfactual's signed permutations), entry
+    (i, l) of the product has one nonzero term, u_i conj(u_l) rho[p_i, p_l],
+    and a unit phase rounds nothing: the sum adds exact zeros.  With
     `validate`, the PVM must pass :func:`validate_pvm` and every correction
-    must be block diagonal and unitary on the receiver, whether or not its
-    outcome can fire.
+    must be finite, block diagonal and unitary on the receiver, whether or
+    not its outcome can fire.
     """
 
     def __init__(self, pvm, corrections, measured_basis: SectorBasis,
                  receiver_basis: SectorBasis, validate: bool):
-        m = measured_basis.dim
-        # the projectors, densified once for validation and the run, and their transposed stack
-        require_memory(32 * (len(pvm) + 1) * m * m,
-                       f"the stack of {len(pvm) + 1} {m} x {m} projectors")
+        m, r, n = measured_basis.dim, receiver_basis.dim, len(pvm) + 1
+        # the projectors, densified once for validation and the run, their
+        # transposed stack, and the channel stack
+        require_memory(32 * n * m * m + 16 * n * r ** 4,
+                       f"a measurement of {n} {m} x {m} projectors with {r * r} x {r * r}"
+                       " receiver channels")
         projectors = [_as_full(op, measured_basis) for op in pvm]
         if validate:
             problems = validate_pvm(projectors, measured_basis)
@@ -290,48 +300,28 @@ class _Measurement:
             raise ValueError("one correction per projector is required (use identity to skip)")
         projectors.append(np.eye(m, dtype=complex) - sum(projectors))
         self.projectors_t = np.stack(projectors).swapaxes(1, 2)
-        self.gather = self.dense = None
-        if corrections is not None:
-            r = receiver_basis.dim
-            U = np.empty((len(corrections), r, r), dtype=complex)
-            for k, op in enumerate(corrections):
-                mat = _as_full(op, receiver_basis)
-                if validate:
-                    if not validate_cssr(mat, receiver_basis, PVM_TOL):
-                        raise SuperselectionError(f"correction {k} mixes receiver charge sectors")
-                    if np.max(np.abs(mat.conj().T @ mat - np.eye(r))) > PVM_TOL:
-                        raise ValueError(f"correction {k} is not unitary")
-                U[k] = mat
-            self.gather = _phased_permutation_gather(U)
-            if self.gather is None:
-                self.dense = (U, U.conj().swapaxes(1, 2))
+        U = np.tile(np.eye(r, dtype=complex), (n, 1, 1))
+        for k, op in enumerate(corrections or ()):
+            mat = _as_full(op, receiver_basis)
+            if validate:
+                if not np.isfinite(mat).all():
+                    raise ValueError(f"correction {k} has a non-finite entry")
+                if not validate_cssr(mat, receiver_basis, PVM_TOL):
+                    raise SuperselectionError(f"correction {k} mixes receiver charge sectors")
+                if np.max(np.abs(mat.conj().T @ mat - np.eye(r))) > PVM_TOL:
+                    raise ValueError(f"correction {k} is not unitary")
+            U[k] = mat
+        # channel[k, (i, l), (j, s)] = U_k[i, j] conj(U_k[l, s]) M[j, s]
+        channel = U[:, :, None, :, None] * U.conj()[:, None, :, None, :]
+        if validate:
+            channel *= receiver_basis.sector_mask
+        self.channel = channel.reshape(n, r * r, r * r)
 
-    def correct(self, rho: np.ndarray):
-        """U_k rho_k U_k^dagger in place for every corrected outcome k of the
-        stack `rho`; the no-click matrix, last, is never corrected."""
-        if self.gather is not None:
-            index, phases = self.gather
-            rho[:len(phases)] = np.take(rho, index) * phases
-        elif self.dense is not None:
-            U, U_dagger = self.dense
-            rho[:len(U)] = U @ rho[:len(U)] @ U_dagger
-
-
-def _phased_permutation_gather(U: np.ndarray):
-    """(index, phases) with (U rho U^dagger)[k] = rho.flat[index[k]] * phases[k]
-    for a stack of matrices each with one nonzero per row, all in {1, -1, i, -i};
-    None for any other stack.  Row i of U_k is u_i at column p_i, so entry
-    (i, l) of U_k rho_k U_k^dagger is u_i conj(u_l) rho_k[p_i, p_l]."""
-    nonzero = U != 0
-    if not (nonzero.sum(axis=2) == 1).all():
-        return None
-    perm = nonzero.argmax(axis=2)
-    unit = np.take_along_axis(U, perm[..., None], axis=2)[..., 0]
-    if not np.isin(unit, (1, -1, 1j, -1j)).all():
-        return None
-    n, r = perm.shape
-    index = (np.arange(n)[:, None, None] * r + perm[:, :, None]) * r + perm[:, None, :]
-    return index, unit[:, :, None] * unit.conj()[:, None, :]
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The stack `rho` of receiver matrices, one per outcome, each
+        decohered and corrected: one product with the channel stack."""
+        n, r, _ = rho.shape
+        return (self.channel @ rho.reshape(n, r * r, 1)).reshape(n, r, r)
 
 
 @dataclass(frozen=True)
@@ -465,10 +455,11 @@ def run_protocol(
 
     The scenario's PVM and corrections are measured; another measurement is
     a ``dataclasses.replace`` copy of the scenario.  With enforcement on, the
-    PVM must validate and the receiver state is decohered across its charge
-    sectors, as the anyonic partial trace demands; corrections are then
-    required to be block diagonal and unitary.  The measurement is built and
-    validated once per (scenario, enforcement).
+    PVM must validate, corrections are required to be finite, block diagonal
+    and unitary, and the receiver state is decohered across its charge
+    sectors, as the anyonic partial trace demands.  The measurement is built
+    and validated once per (scenario, enforcement); its channel stack
+    decoheres and corrects every outcome in one product (:func:`_assemble`).
     """
     if scenario.pvm is None:
         raise ValueError(f"scenario {scenario.name}/{scenario.direction} has no PVM")
@@ -479,8 +470,6 @@ def run_protocol(
     # a branch at p <= PROB_TOL is dropped: divide it by 1, not by ~0
     scale = np.where(probabilities > PROB_TOL, probabilities, 1.0)
     rho = D @ D.conj().swapaxes(1, 2) / scale[:, None, None]
-    if enforce_superselection:
-        rho = np.where(split.receiver_mask, rho, 0.0)
     return _assemble(probabilities, rho, measurement, split.target, split.receiver_basis,
                      message)
 
@@ -491,10 +480,12 @@ def run_protocol_via_embedding(scenario: TeleportScenario,
 
     Algebraically identical to :func:`run_protocol` for valid PVMs; kept
     as an independent route for consistency testing.  It shares only the
-    validated corrections and the final assembly.
+    validated measurement's channel and the final assembly; its partial
+    traces are block diagonal already, so the channel's mask changes nothing.
     """
     if scenario.pvm is None:
         raise ValueError("scenario has no PVM")
+    measurement = scenario._measurement(True)
     split = SplitState(scenario, message)
     meas_basis = split.measured_basis
     measured_side = "A" if split.receiver_side == "B" else "B"
@@ -516,19 +507,19 @@ def run_protocol_via_embedding(scenario: TeleportScenario,
         total = total - block
     raw = [receiver_branch(block) for block in blocks + [total]]
     return _assemble(np.array([p for p, _ in raw]), np.stack([state for _, state in raw]),
-                     scenario._measurement(True), split.target, split.receiver_basis,
-                     message)
+                     measurement, split.target, split.receiver_basis, message)
 
 
 def _assemble(probabilities, rho, measurement: _Measurement, target, receiver_basis,
               message) -> TeleportOutcome:
-    """Correct every branch, score each against `target` and sum the average fidelity.
+    """Decohere and correct every branch, score each against `target` and sum
+    the average fidelity.
 
     `probabilities` and `rho` hold one probability and one receiver matrix
     per outcome, the no-click branch last; a branch at p <= PROB_TOL has
-    no state.  `measurement` corrects every branch but the no-click one.
+    no state.  `measurement` maps every matrix, the no-click one included.
     """
-    measurement.correct(rho)
+    rho = measurement.apply(rho)
     bra = target.conj()
     branches = [
         Branch(float(p), state, float((bra @ state @ target).real)) if p > PROB_TOL

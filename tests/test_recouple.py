@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibanyon import errors
+from fibanyon import errors, recouple
 from fibanyon.errors import MemoryBudgetError, ShapeError
 from fibanyon.model import load_model_text
 from fibanyon.recouple import (
@@ -498,3 +498,53 @@ def test_regroup_checks_memory_before_allocating(model, monkeypatch):
     moved, peak = _traced_regroup(model, state, target)
     assert abs(moved.norm() - 1.0) <= 1e-12
     assert peak <= float(match[1]) * 2**30
+
+
+# --- shape_change checks a bound on its rows before it builds them
+
+
+def test_shape_change_checks_memory_before_building_its_rows(model, monkeypatch):
+    # n=11: the 28 657 source trees' charge rows and indices alone take 1.2 MiB
+    source, target = left_comb(11), grouped_shape(5, 6)
+    basis = enumerate_basis(model, source)
+    enumerate_basis(model, target)
+
+    def no_rows(*args):
+        raise AssertionError("the rows were routed")
+
+    monkeypatch.setattr(recouple, "_routed", no_rows)
+    monkeypatch.setattr(errors, "_available_bytes", lambda: 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match=(
+                rf"^the basis change from {re.escape(str(source))} to {re.escape(str(target))}"
+                rf" needs ~\S+ GiB, {2**20 / 2**30:.3g} GiB available")):
+            shape_change.__wrapped__(model, source, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.dim * (basis.charges.shape[1] + 1) * 2
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_shape_change_estimate_covers_its_peak_within_4x(model, monkeypatch, n):
+    source, target = left_comb(n), grouped_shape(n // 2, n - n // 2)
+    enumerate_basis(model, source)
+    enumerate_basis(model, target)
+    estimates = []
+
+    def recording(nbytes, what):
+        estimates.append(nbytes)
+
+    monkeypatch.setattr(recouple, "require_memory", recording)
+    tracemalloc.start()
+    try:
+        change = shape_change.__wrapped__(model, source, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    assert peak <= estimates[0] <= 4 * peak
+    # the rows are held as narrow integers: the parent's int64 rows peaked at 473 MiB
+    assert n < 13 or peak <= 300 * 2**20
+    assert len(change.coeffs) == {11: 82282, 13: 718994}[n]

@@ -961,8 +961,8 @@ def test_dense_measurements_check_memory_first(catalog, monkeypatch):
         validate_pvm(pvm, split.measured_basis)
     dense = dataclasses.replace(scenario, pvm=tuple(pvm), corrections=tuple(identities))
     with pytest.raises(MemoryBudgetError, match=(
-            f"^the stack of 13 34 x 34 projectors needs ~{32 * 13 * m * m / 2**30:.3g}"
-            f" GiB, {available}")):
+            f"^a measurement of 13 34 x 34 projectors with 25 x 25 receiver channels needs"
+            f" ~{(32 * 13 * m * m + 16 * 13 * r**4) / 2**30:.3g} GiB, {available}")):
         run_protocol(dense, MessageQubit(0.6, 0.8), enforce_superselection=False)
     monkeypatch.setattr(errors, "_available_bytes", lambda: None)  # no meminfo: no guard
     assert validate_pvm(pvm, split.measured_basis) == []
@@ -1255,48 +1255,81 @@ def test_warm_round_never_applies_the_regrouping_map(catalog, monkeypatch):
         _ = SplitState(scenarios[0], MessageQubit(0.6, 0.8)).state  # the reference route
 
 
-# --- corrections: a gather and a phase, or the dense stacks
+# --- the channel stack: decoherence and correction in one product
 
 
-def _dense_corrected(corrections, rho):
-    out = rho.copy()
+def _reference_channel(corrections, mask, rho):
+    """mask o rho_k, then U_k (mask o rho_k) U_k^dagger for each corrected
+    outcome k: the no-click matrix, last, gets the mask alone."""
+    out = np.where(mask, rho, 0.0)
     for k, op in enumerate(corrections):
         U = op.to_full() if isinstance(op, BlockOperator) else np.asarray(op, dtype=complex)
-        out[k] = U @ rho[k] @ U.conj().T
+        out[k] = U @ out[k] @ U.conj().T
     return out
 
 
-def test_phased_permutation_corrections_take_the_gather(model, catalog):
-    counterfactual = superselection_violating_protocol(model)
-    cases = [(scenario, True) for scenario in _catalog_runs(catalog)]
-    cases.append((counterfactual, False))
+def _random_phased_permutation(basis, rng):
+    """A permutation within each sector of `basis`, each nonzero 1, -1, i or -i."""
+    unitary = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for g in basis.model.charges:
+        rows = np.arange(basis.dim)[basis.sector_slice(g)]
+        unitary[rows, rng.permutation(rows)] = rng.choice([1, -1, 1j, -1j], size=len(rows))
+    return unitary
+
+
+def _random_stacks(rng, n, r, count=50):
+    return [rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
+            for _ in range(count)]
+
+
+def test_phased_permutation_channels_equal_the_dense_reference(model, catalog):
+    # the catalog's Paulis (enforcing), the counterfactual's signed permutations
+    # (not enforcing) and random phased permutations (both): every entry of the
+    # product has one nonzero term, so the channel is exact
     rng = np.random.default_rng(23)
+    cases = [(scenario, True) for scenario in _catalog_runs(catalog)]
+    cases.append((superselection_violating_protocol(model), False))
+    for scenario in _catalog_runs(catalog):
+        basis = scenario._plan().receiver_basis
+        for enforce in (True, False):
+            corrections = tuple(_random_phased_permutation(basis, rng)
+                                for _ in scenario.corrections)
+            cases.append((dataclasses.replace(scenario, corrections=corrections), enforce))
     for scenario, enforce in cases:
         measurement = scenario._measurement(enforce)
-        assert measurement.gather is not None and measurement.dense is None
-        n, r = len(scenario.corrections) + 1, scenario._plan().receiver_basis.dim
-        for _ in range(50):
-            rho = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
-            expected = _dense_corrected(scenario.corrections, rho)
-            got = rho.copy()
-            measurement.correct(got)
-            assert np.array_equal(got, expected)
+        basis = scenario._plan().receiver_basis
+        mask = basis.sector_mask if enforce else True  # the mask only when enforcing
+        for rho in _random_stacks(rng, len(scenario.corrections) + 1, basis.dim):
+            assert np.array_equal(measurement.apply(rho),
+                                  _reference_channel(scenario.corrections, mask, rho))
 
 
-@pytest.mark.parametrize("gate", [
-    np.array([[1.0, 1.0], [1.0, -1.0]]) * SQ2,       # Hadamard: two nonzeros a row
-    np.diag([1.0, np.exp(0.25j * math.pi)]),          # T: a phase that is not a unit
-])
-def test_other_block_diagonal_corrections_take_the_dense_path(model, catalog, gate):
+def _on_encoding_pair(gate):
+    def unitary(basis, pair, rng):
+        out = np.eye(basis.dim, dtype=complex)
+        out[np.ix_(pair, pair)] = gate
+        return out
+    return unitary
+
+
+@pytest.mark.parametrize("unitary", [
+    _on_encoding_pair(np.array([[1.0, 1.0], [1.0, -1.0]]) * SQ2),  # two nonzeros a row
+    _on_encoding_pair(np.diag([1.0, np.exp(0.25j * math.pi)])),     # a phase that is not a unit
+    lambda basis, pair, rng: sector_haar_unitary(basis, rng),       # Haar in every sector
+], ids=["hadamard", "t", "haar"])
+def test_other_block_diagonal_channels_equal_the_dense_reference(model, catalog, unitary):
     g2 = enumerate_basis(model, grouped_shape(1, 1))
+    rng = np.random.default_rng(29)
     for scenario in _catalog_runs(catalog):
-        pair = [g2.index_of_label(lbl) for lbl in scenario.encoding]
-        unitary = np.eye(g2.dim, dtype=complex)
-        unitary[np.ix_(pair, pair)] = gate
-        corrections = (BlockOperator.from_full(unitary, g2),) + scenario.corrections[1:]
+        pair = g2.index_of_labels(scenario.encoding)
+        corrections = ((BlockOperator.from_full(unitary(g2, pair, rng), g2),)
+                       + scenario.corrections[1:])
         copy = dataclasses.replace(scenario, corrections=corrections)
         measurement = copy._measurement(True)
-        assert measurement.gather is None and measurement.dense is not None
+        for rho in _random_stacks(rng, len(corrections) + 1, g2.dim):
+            np.testing.assert_allclose(measurement.apply(rho),
+                                       _reference_channel(corrections, g2.sector_mask, rho),
+                                       rtol=0, atol=1e-13)
         for alpha, beta in MESSAGE_GRID:
             message = MessageQubit(alpha, beta)
             split_out = run_protocol(copy, message)
@@ -1309,3 +1342,32 @@ def test_other_block_diagonal_corrections_take_the_dense_path(model, catalog, ga
                                                atol=1e-10)
             assert split_out.average_fidelity == pytest.approx(embed_out.average_fidelity,
                                                                abs=1e-10)
+
+
+# --- non-finite projectors and corrections
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_projector_is_reported_and_refused(catalog, bad):
+    scenario = catalog["main-text"]["ab"]
+    basis = scenario._plan().measured_basis
+    pvm = [op.to_full() for op in scenario.pvm]
+    pvm[1][0, 0] = bad
+    # reported by name, before any eigensolve sees the residual
+    assert validate_pvm(pvm, basis) == ["projector 1: non-finite entries"]
+    copy = dataclasses.replace(scenario, pvm=tuple(pvm))
+    for run in (run_protocol, run_protocol_via_embedding):
+        with pytest.raises(SuperselectionError,
+                           match="^invalid PVM: projector 1: non-finite entries$"):
+            run(copy, MessageQubit(0.6, 0.8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_correction_is_refused(catalog, bad):
+    scenario = catalog["main-text"]["ab"]
+    corrections = [op.to_full() for op in scenario.corrections]
+    corrections[2][0, 0] = bad  # inside a sector: the block-diagonal check passes it
+    copy = dataclasses.replace(scenario, corrections=tuple(corrections))
+    for run in (run_protocol, run_protocol_via_embedding):
+        with pytest.raises(ValueError, match="^correction 2 has a non-finite entry$"):
+            run(copy, MessageQubit(0.6, 0.8))
