@@ -36,6 +36,7 @@ deterministically as the first class.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,11 +51,13 @@ from .states import (
     BlockOperator,
     _normalized_rows,
     _require_same_basis,
-    marginal_blocks,
+    buffer_spectra,
+    gathered_sums,
+    marginal_into,
     normalized_amplitudes,
-    partial_trace_blocks,
-    spectra,
     spectra_agree,
+    spectra_layout,
+    summed_gather,
 )
 from .trees import SectorBasis
 
@@ -131,20 +134,23 @@ def _units(basis: SectorBasis) -> _Units:
                   basis.unit_count == basis.dim)
 
 
-def _to_units(flat: np.ndarray, units: _Units) -> np.ndarray:
-    """Rows of `flat` (its second-to-last axis), indexed by position, in unit
-    coordinates.
+def _to_units(flat: np.ndarray, units: _Units, axis: int = -2) -> np.ndarray:
+    """`flat` in unit coordinates along `axis`, its rows (-2) or its columns
+    (-1), which are indexed by position.
 
     Tr(O rho) = sum O[k, l] rho[l, k], so a diagonal unit reads rho at
     (k, k), a symmetric one (k, l) + (l, k) and an antisymmetric one
     i (k, l) - i (l, k).
     """
+    def at(index):
+        return (Ellipsis, index) if axis == -1 else (Ellipsis, index, slice(None))
+
     out = np.empty(flat.shape, dtype=complex)
-    out[..., units.diag, :] = flat[..., units.at_kk, :]
+    out[at(units.diag)] = flat[at(units.at_kk)]
     if len(units.sym):
-        kl, lk = flat[..., units.at_kl, :], flat[..., units.at_lk, :]
-        out[..., units.sym, :] = kl + lk
-        out[..., units.anti, :] = 1j * (kl - lk)
+        kl, lk = flat[at(units.at_kl)], flat[at(units.at_lk)]
+        out[at(units.sym)] = kl + lk
+        out[at(units.anti)] = 1j * (kl - lk)
     return out
 
 
@@ -153,7 +159,7 @@ def _require_table_memory(part: Bipartition) -> int:
     complex arrays of its size, after checking that they fit; from the
     sector dimensions, before anything is built."""
     nbytes = 80 * part.a_basis.unit_count * part.b_basis.unit_count
-    require_memory(nbytes, f"the correlation table of a {part.n_a}|{part.n_b} split")
+    require_memory(nbytes, "the correlation table of a %d|%d split", part.n_a, part.n_b)
     return nbytes
 
 
@@ -179,19 +185,21 @@ class _Plan:
     :func:`~fibanyon.states.bipartition`).
 
     It holds both parties' :class:`_Units`, built here (one set when both
-    parties have one basis), whether the split is the Fibonacci 2-anyon
-    basis (whose pure states get a class), and, built on the first
-    density, :attr:`fills`: per global charge, where each entry of rho_g
-    lands in the realigned table.  A pure state's amplitude matrix is
-    gathered through the bipartition's cached tables, whose -1 entries
-    read an appended zero.  A one-dimensional-sector party's unit
-    coordinates are its positions, so its gathers and unit conversions are
-    skipped.  The memory guard runs on every call, from the sector
-    dimensions alone, before the plan or any marginal is built.  Every
-    report field and every table is bit for bit what the per-block route
-    it replaced computed.  The pure route also takes a stack of amplitude
-    matrices (leading axes) and gives each one's table, bit for bit as
-    one at a time.
+    parties have one basis); whether the split is the Fibonacci 2-anyon
+    basis (whose pure states get a class); where the marginals buffer, A's
+    marginal data followed by B's, splits and how its spectra are read
+    (:func:`~fibanyon.states.spectra_layout`); and, built on the first
+    density, the gathers that sum a density's entries into the realigned
+    table (:attr:`fills`) and into the marginals buffer (:attr:`traces`).
+    A pure state's amplitude matrix is gathered through the bipartition's
+    cached tables.  A one-anyon party's unit coordinates are its positions
+    (``flat``), so its gathers and unit conversions are skipped.  The
+    memory guard runs on every call, from the sector dimensions alone,
+    before the plan or any marginal is built; a density's trace is checked
+    on its A marginal (:func:`_density`).  Every report field and every
+    table is bit for bit what the per-block route it replaced computed.
+    The pure route also takes a stack of amplitude matrices (leading axes)
+    and gives each one's table, bit for bit as one at a time.
     """
 
     def __init__(self, part: Bipartition):
@@ -201,66 +209,88 @@ class _Plan:
         self.units_b = self.units_a if part.b_basis is part.a_basis else _units(part.b_basis)
         basis = part.basis
         self.fibonacci_pair = basis.shape.n_leaves == 2 and basis.labels == _FIBONACCI_PAIR
+        self.split = part.a_basis.unit_count
+        self.spectra = spectra_layout(tuple(tuple(d for _, _, (d, _) in party.block_layout if d)
+                                            for party in (part.a_basis, part.b_basis)))
 
     @functools.cached_property
-    def fills(self) -> list:
-        """Per nonempty global charge g, in charge order: the flat table
-        positions of its blocks (g, x, y) and the positions in rho's
-        :attr:`~fibanyon.states.BlockOperator.data` they read.  Block (g, x, y)
-        puts rho_g[(a, b), (a', b')] at row (a, a') of x's positions and
-        column (b, b') of y's.  The blocks of one charge
-        fill disjoint positions, so one indexed add per charge adds each
-        entry in the per-block order."""
+    def fills(self) -> tuple[np.ndarray, tuple]:
+        """A :func:`~fibanyon.states.summed_gather` of rho's
+        :attr:`~fibanyon.states.BlockOperator.data` into the flat realigned
+        table.  Block (g, x, y) puts rho_g[(a, b), (a', b')] at row (a, a') of
+        x's positions and column (b, b') of y's; a column lists its entries in
+        global-charge order, the order in which one add per charge summed
+        them."""
         part = self.part
-        at, src = {}, {}
-        for g, x, y, index in part.blocks:
+        columns = [[] for _ in range(self.split * part.b_basis.unit_count)]
+        for g, x, y, index in part.blocks:  # in global-charge order
             d_a, d_b = index.shape
             rows = part.a_basis.block_slices[x].start + np.arange(d_a * d_a)
             cols = part.b_basis.block_slices[y].start + np.arange(d_b * d_b)
-            at.setdefault(g, []).append((rows[:, None] * part.b_basis.unit_count + cols).ravel())
+            at = (rows[:, None] * part.b_basis.unit_count + cols).ravel()
             row = part.basis.block_slices[g].start + index * part.basis.sector_dim(g)
-            src.setdefault(g, []).append((row[:, None, :, None] + index[None, :, None, :]).ravel())
-        return [(np.concatenate(at[g]), np.concatenate(src[g])) for g in at]
+            src = (row[:, None, :, None] + index[None, :, None, :]).ravel()
+            for p, q in zip(at.tolist(), src.tolist()):
+                columns[p].append(q)
+        return summed_gather(columns, part.basis.unit_count)
 
-    def realigned_pure(self, C: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def traces(self) -> tuple[np.ndarray, tuple]:
+        """Both partial traces, A's marginal (traced B) first, as one
+        :func:`~fibanyon.states.summed_gather` of rho's data into the
+        marginals buffer (:meth:`~fibanyon.states.Bipartition.trace_columns`)."""
+        part = self.part
+        return summed_gather(part.trace_columns("B") + part.trace_columns("A"),
+                             part.basis.unit_count)
+
+    def pure_marginals(self, C: np.ndarray, conj: np.ndarray) -> np.ndarray:
+        """The marginals buffer of the normalized pure state with amplitude
+        matrix C, and ``conj = C.conj()``."""
+        out = np.empty(self.split + self.part.b_basis.unit_count, dtype=complex)
+        marginal_into(C, conj, self.part, "B", out[:self.split])
+        marginal_into(C, conj, self.part, "A", out[self.split:])
+        return out
+
+    def mixed_marginals(self, data: np.ndarray) -> np.ndarray:
+        """The marginals buffer of the density with :attr:`~fibanyon.states.BlockOperator.data`
+        `data`."""
+        out = np.empty(self.split + self.part.b_basis.unit_count, dtype=complex)
+        gathered_sums(data, self.traces, out)
+        return out
+
+    def realigned_pure(self, C: np.ndarray, conj: np.ndarray) -> np.ndarray:
         """C[..., a, b] conj(C[..., a', b']) for the normalized pure states with
-        amplitude matrices C; C is 0 off a state's blocks, and so is the product."""
+        amplitude matrices C, and ``conj = C.conj()``; C is 0 off a state's
+        blocks, and so is the product."""
         units_a, units_b = self.units_a, self.units_b
-        rows, cols = C, C
+        rows, cols = C, conj
         if not units_a.flat:
-            rows, cols = C.take(units_a.row, -2), C.take(units_a.col, -2)
-        realigned = rows.copy() if units_b.flat else rows.take(units_b.row, -1)
-        realigned *= (cols if units_b.flat else cols.take(units_b.col, -1)).conj()
-        return realigned
+            rows, cols = C.take(units_a.row, -2), conj.take(units_a.col, -2)
+        if units_b.flat:
+            return rows * cols
+        return rows.take(units_b.row, -1) * cols.take(units_b.col, -1)
 
     def realigned_mixed(self, data: np.ndarray) -> np.ndarray:
         """sum_g rho_g[(a, b), (a', b')] on each block (g, x, y), from rho's
         :attr:`~fibanyon.states.BlockOperator.data`."""
-        shape = (self.part.a_basis.unit_count, self.part.b_basis.unit_count)
-        realigned = np.zeros(shape[0] * shape[1], dtype=complex)
-        for at, src in self.fills:
-            realigned[at] += data.take(src)
-        return realigned.reshape(shape)
+        out = np.empty((self.split, self.part.b_basis.unit_count), dtype=complex)
+        gathered_sums(data, self.fills, out.reshape(-1))
+        return out
 
     def violations(self, realigned: np.ndarray) -> np.ndarray:
         """The violation table from the realigned table, or a stack of them
         (leading axes) from a stack of realigned tables."""
         units_a, units_b = self.units_a, self.units_b
-        # unit coordinates of A's rows, then of B's columns (a C-ordered copy when flat)
+        # unit coordinates of A's rows, then of B's columns
         table = realigned if units_a.flat else _to_units(realigned, units_a)
-        table = table.swapaxes(-1, -2)
-        table = table.copy() if units_b.flat else _to_units(table, units_b)
-        lhs = table.swapaxes(-1, -2).real
+        lhs = (table if units_b.flat else _to_units(table, units_b, -1)).real
         # The diagonal units sum to the identity, so Tr(O_A^i rho_A) is the sum
         # of row i over B's diagonal units.  Read from the table, not from
         # separately rounded marginals, both terms of T use the same products.
-        exp_a = np.add.reduce(lhs[..., units_b.diag], -1)
-        exp_b = np.add.reduce(lhs[..., units_a.diag, :], -2)
-        if realigned.ndim == 2:  # a stack is of normalized pure states; one may be a density
-            norm = float(np.add.reduce(exp_b[units_b.diag]))  # Tr rho
-            if abs(norm - 1.0) > SPECTRAL_TOL:
-                raise ValueError(f"density operator has trace {norm!r}, not 1")
-        return lhs - exp_a[..., :, None] * exp_b[..., None, :]
+        # (kept as a column and a row, so that they broadcast to the table)
+        exp_a = np.add.reduce(lhs if units_b.flat else lhs[..., units_b.diag], -1, keepdims=True)
+        exp_b = np.add.reduce(lhs if units_a.flat else lhs[..., units_a.diag, :], -2, keepdims=True)
+        return lhs - exp_a * exp_b
 
 
 _plan = functools.lru_cache(maxsize=256)(_Plan)
@@ -273,13 +303,23 @@ def _checked_plan(state_or_rho, part: Bipartition) -> _Plan:
     return _plan(part)
 
 
+def _density(rho: BlockOperator, part: Bipartition):
+    """(plan, marginals buffer) of a density, after the basis, memory and
+    trace checks; its trace is read off A's marginal."""
+    plan = _checked_plan(rho, part)
+    marginals = plan.mixed_marginals(rho.data)
+    norm = float(np.add.reduce(marginals.real.take(plan.units_a.at_kk)))
+    if abs(norm - 1.0) > SPECTRAL_TOL:
+        raise ValueError(f"density operator has trace {norm!r}, not 1")
+    return plan, marginals
+
+
 def _pure(psi: AnyonState, part: Bipartition):
     """(plan, normalized amplitudes, charge, amplitude matrix) of a pure
     state, after the zero-state, basis and memory checks."""
     amplitudes = normalized_amplitudes(psi.amplitudes)
     plan = _checked_plan(psi, part)
-    g = part.basis.sector_of(amplitudes.nonzero()[0][0])
-    return plan, amplitudes, g, part.gather(amplitudes, g)
+    return plan, amplitudes, psi.sector, part.gather(amplitudes, psi.sector)
 
 
 def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
@@ -292,8 +332,8 @@ def violation_table(state_or_rho, part: Bipartition) -> np.ndarray:
     """
     if isinstance(state_or_rho, AnyonState):
         plan, _, _, C = _pure(state_or_rho, part)
-        return plan.violations(plan.realigned_pure(C))
-    plan = _checked_plan(state_or_rho, part)
+        return plan.violations(plan.realigned_pure(C, C.conj()))
+    plan, _ = _density(state_or_rho, part)
     return plan.violations(plan.realigned_mixed(state_or_rho.data))
 
 
@@ -303,7 +343,7 @@ def _witness(violations: np.ndarray, top: float) -> int:
     Exact ties are common (a one-anyon party's P_e and P_tau sum to 1), so
     the first of them wins whatever the rounding of the last digit.
     """
-    return int((violations >= top - 4 * np.spacing(top)).argmax())
+    return int((violations >= top - 4 * math.ulp(top)).argmax())
 
 
 def is_uncorrelated(
@@ -318,24 +358,26 @@ def is_uncorrelated(
     (row-major) spanning pair within 4 ulps of the largest violation.  A
     pure state on the Fibonacci 2-anyon basis also gets its
     :func:`classify_pure_2anyon` class.
+
+    One pass per call: the amplitude matrix (or gathers of the density),
+    both marginals into one buffer, the realigned and the violation table,
+    |T| with its top and witness, and the spectra read off the buffer.
     """
     label = None
     if isinstance(state_or_rho, AnyonState):
         plan, amplitudes, g, C = _pure(state_or_rho, part)
-        marginals = [marginal_blocks(C, part, traced, np.empty(kept.unit_count, dtype=complex))
-                     for traced, kept in (("B", part.a_basis), ("A", part.b_basis))]
-        realigned = plan.realigned_pure(C)
+        conj = C.conj()
+        marginals = plan.pure_marginals(C, conj)
+        realigned = plan.realigned_pure(C, conj)
         if plan.fibonacci_pair:
             label = _pure_class(g == part.basis.model.vacuum, amplitudes)
     else:
-        plan = _checked_plan(state_or_rho, part)
-        marginals = [partial_trace_blocks(state_or_rho.data, part, traced,
-                                          np.zeros(kept.unit_count, dtype=complex))
-                     for traced, kept in (("B", part.a_basis), ("A", part.b_basis))]
+        plan, marginals = _density(state_or_rho, part)
         realigned = plan.realigned_mixed(state_or_rho.data)
-    violations = np.abs(plan.violations(realigned))
+    violations = plan.violations(realigned)
+    np.abs(violations, out=violations)
     top = float(np.maximum.reduce(violations, axis=None))
-    spec_a, spec_b = spectra(*marginals)
+    spec_a, spec_b = buffer_spectra(plan.spectra, marginals)
     return CorrelationReport(
         is_uncorrelated=top <= tol,
         max_violation=top,
@@ -378,7 +420,8 @@ def pure_max_violations(amplitudes: np.ndarray, part: Bipartition):
         rows = np.flatnonzero(sectors == k)
         for stack in stack_slices(len(rows), table_bytes):
             C = part.gather(amplitudes[rows[stack]], g)
-            tops[rows[stack]] = np.abs(plan.violations(plan.realigned_pure(C))).max(axis=(-2, -1))
+            violations = plan.violations(plan.realigned_pure(C, C.conj()))
+            tops[rows[stack]] = np.abs(violations, out=violations).max(axis=(-2, -1))
         if labels is not None:
             labels[rows] = _pure_classes(g == basis.model.vacuum, amplitudes[rows])
     return tops, labels

@@ -109,19 +109,21 @@ def _available_bytes() -> int | None:
 _ALWAYS_FITS = 256 * 2**10
 
 
-def require_memory(nbytes: int, what: str):
+def require_memory(nbytes: int, what: str, *args):
     """Raise MemoryBudgetError if `what` needs more than half of the available
     memory (:func:`_available_bytes`).
 
     Half leaves room for the rest of the process and for other processes.
+    With `args`, the message is ``what % args``, formatted only for a
+    refusal: a warm caller checks on every call.
     """
     if nbytes < _ALWAYS_FITS:
         return
     available = _available_bytes()
     if available is not None and nbytes > available // 2:
         raise MemoryBudgetError(
-            f"{what} needs ~{nbytes / 2**30:.3g} GiB, {available / 2**30:.3g} GiB available"
-            " (at most half may be used)"
+            f"{what % args if args else what} needs ~{nbytes / 2**30:.3g} GiB,"
+            f" {available / 2**30:.3g} GiB available (at most half may be used)"
         )
 
 

@@ -63,9 +63,11 @@ class AnyonState:
 
     Unnormalized intermediates are allowed; use :meth:`normalized` when a
     physical state is required.  A non-finite amplitude is refused.
+    :attr:`sector` is the global charge of the support, found by the
+    constructor's superselection check; None for the zero vector.
     """
 
-    __slots__ = ("basis", "amplitudes")
+    __slots__ = ("basis", "amplitudes", "sector")
 
     def __init__(self, basis: SectorBasis, amplitudes):
         amplitudes = _frozen(amplitudes)
@@ -82,12 +84,7 @@ class AnyonState:
             )
         self.basis = basis
         self.amplitudes = amplitudes
-
-    @property
-    def sector(self) -> Charge | None:
-        """Global charge of the support; None for the zero vector."""
-        nz = np.nonzero(self.amplitudes)[0]
-        return self.basis.sector_of(nz[0]) if len(nz) else None
+        self.sector = support[0] if support else None
 
     def norm(self) -> float:
         return math.sqrt(_squared_norm(self.amplitudes))
@@ -96,6 +93,7 @@ class AnyonState:
         # scaling cannot widen the support, so the sector check is not repeated
         out = object.__new__(AnyonState)
         out.basis, out.amplitudes = self.basis, normalized_amplitudes(self.amplitudes)
+        out.sector = self.sector
         out.amplitudes.setflags(write=False)
         return out
 
@@ -463,27 +461,70 @@ def spectra(*parties) -> list[np.ndarray]:
     """The spectrum of each party, given as its Hermitian sector blocks.
 
     Bit for bit what per-block ``np.linalg.eigvalsh``, concatenated in block
-    order and sorted descending, gives.  A 1 x 1 block's eigenvalue is read
-    off as its real diagonal, which is all LAPACK's ``heevd`` returns for
-    one row, and the same-size blocks of all parties go through one stacked
-    call, which runs LAPACK on each matrix in turn.
+    order and sorted descending, gives, as :func:`buffer_spectra` computes it.
     """
     parties = [[b for b in blocks if len(b)] for blocks in parties]
-    stacks = {}
-    for b in itertools.chain.from_iterable(parties):
-        if len(b) > 1:
-            stacks.setdefault(len(b), []).append(b)
-    eigenvalues = {d: iter(np.linalg.eigvalsh(np.stack(same)).tolist())
-                   for d, same in stacks.items()}
+    flat = list(itertools.chain.from_iterable(parties))
+    ones = np.array([b[0, 0].real for b in flat if len(b) == 1], dtype=float)
+    eigenvalues = [np.linalg.eigvalsh(np.stack([b for b in flat if len(b) == d])).ravel()
+                   for d in sorted({len(b) for b in flat} - {1})]
+    order = _value_order(tuple(tuple(len(b) for b in blocks) for blocks in parties))
+    return _party_spectra(order, ones, eigenvalues)
+
+
+@functools.lru_cache(maxsize=256)
+def _value_order(dims: tuple) -> tuple[np.ndarray | None, tuple]:
+    """For parties whose nonzero block sizes are `dims`: the positions of
+    each party's eigenvalues, block by block, among the 1 x 1 blocks' values
+    followed by each size's stacked eigenvalues, sizes ascending (None when
+    every block is 1 x 1: they are in that order already), and each party's
+    (start, stop) in that order."""
+    flat = list(itertools.chain.from_iterable(dims))
+    reads = sorted(range(len(flat)), key=flat.__getitem__)  # the 1 x 1 blocks, then each stack
+    value = dict(zip(reads, np.cumsum([0] + [flat[k] for k in reads]).tolist()))
+    order = np.array([value[k] + i for k, d in enumerate(flat) for i in range(d)], dtype=np.intp)
+    bounds = np.cumsum([0] + [sum(party) for party in dims]).tolist()
+    return order if max(flat, default=1) > 1 else None, tuple(zip(bounds, bounds[1:]))
+
+
+def spectra_layout(dims: tuple) -> tuple:
+    """Where :func:`buffer_spectra` reads Hermitian blocks raveled one after
+    another into one buffer, in party order and within a party in block
+    order; `dims` holds each party's block sizes, all nonzero.  It is the
+    buffer position of every 1 x 1 block, one (count, d, d) table of
+    positions per block size d > 1, sizes ascending, and the parties'
+    :func:`_value_order`."""
+    flat = list(itertools.chain.from_iterable(dims))
+    starts = np.cumsum([0] + [d * d for d in flat]).tolist()
+    ones = np.array([starts[k] for k, d in enumerate(flat) if d == 1], dtype=np.intp)
+    stacks = tuple(np.array([starts[k] + np.arange(d * d) for k, e in enumerate(flat) if e == d])
+                   .reshape(-1, d, d) for d in sorted(set(flat) - {1}))
+    return ones, stacks, _value_order(dims)
+
+
+def buffer_spectra(layout: tuple, buffer: np.ndarray) -> list[np.ndarray]:
+    """Each party's spectrum, sorted descending, from its blocks in `buffer`.
+
+    A 1 x 1 block's eigenvalue is read off as its real entry, which is all
+    LAPACK's ``heevd`` returns for one row, and the same-size blocks of all
+    parties go through one stacked ``eigvalsh`` call, which runs LAPACK on
+    each matrix in turn; each party's values are sorted in block order.
+    """
+    ones, stacks, order = layout
+    # with no stack, every block is 1 x 1 and the buffer holds them in order
+    ones = buffer.real.take(ones) if stacks else buffer.real
+    eigenvalues = [np.linalg.eigvalsh(buffer.take(at)).ravel() for at in stacks]
+    return _party_spectra(order, ones, eigenvalues)
+
+
+def _party_spectra(order: tuple, ones: np.ndarray, eigenvalues: list) -> list[np.ndarray]:
+    """Each party's sorted spectrum from the 1 x 1 blocks' values and each
+    stack's eigenvalues, sizes ascending (each stack is freed once solved)."""
+    at, bounds = order
+    values = ones if at is None else np.concatenate([ones] + eigenvalues).take(at)
     out = []
-    for blocks in parties:
-        vals = []
-        for b in blocks:
-            if len(b) > 1:
-                vals.extend(next(eigenvalues[len(b)]))
-            else:  # a 1 x 1 block's eigenvalue
-                vals.append(b[0, 0].real)
-        vals = np.array(vals, dtype=float)
+    for lo, hi in bounds:
+        vals = values[lo:hi].copy()
         vals.sort()
         out.append(vals[::-1])
     return out
@@ -491,8 +532,10 @@ def spectra(*parties) -> list[np.ndarray]:
 
 def spectra_agree(spec_a: np.ndarray, spec_b: np.ndarray, tol: float) -> bool:
     """True iff two descending spectra agree within tol, the shorter padded with zeros."""
-    pairs = itertools.zip_longest(spec_a.tolist(), spec_b.tolist(), fillvalue=0.0)
-    return all(abs(a - b) <= tol for a, b in pairs)
+    for a, b in itertools.zip_longest(spec_a.tolist(), spec_b.tolist(), fillvalue=0.0):
+        if not abs(a - b) <= tol:  # a NaN disagrees
+            return False
+    return True
 
 
 def fidelity(psi: AnyonState, rho: BlockOperator | AnyonState) -> float:
@@ -597,27 +640,58 @@ class Bipartition:
             return [(g, x, index.T) for g, x, _, index in self.blocks]
         return [(g, y, index) for g, _, y, index in self.blocks]
 
+    def trace_columns(self, traced: str) -> list[list[int]]:
+        """What each entry p of the kept operator's :attr:`BlockOperator.data`
+        sums: one position in rho's per traced tree of every block that
+        reaches p's charge, in block order.  Each entry of rho is listed
+        once."""
+        kept = self.kept_basis(traced)
+        stacks = {c: [] for c in self.basis.model.charges}
+        for g, keep, index in self.kept_blocks(traced):
+            at = self.basis.block_slices[g].start + index * self.basis.sector_dim(g)
+            stacks[keep].append((at[:, :, None] + index[:, None, :]).reshape(len(index), -1))
+        columns = [[] for _ in range(kept.unit_count)]
+        for c, stack in stacks.items():
+            if stack:
+                columns[kept.block_slices[c]] = np.concatenate(stack).T.tolist()
+        return columns
+
     @functools.cached_property
-    def trace_gathers(self) -> dict[str, dict[Charge, np.ndarray | None]]:
-        """Per traced side and kept charge, the kept-party matrix of every
-        traced tree of every block, in block order, as one (terms, d, d) stack
-        of positions in rho's :attr:`BlockOperator.data`; None where no block
-        reaches the charge.  Each position is read once, so a side's stacks
-        hold at most as many entries as rho."""
-        out = {}
-        for traced in ("A", "B"):
-            stacks = {c: [] for c in self.basis.model.charges}
-            for g, keep, index in self.kept_blocks(traced):
-                at = self.basis.block_slices[g].start + index * self.basis.sector_dim(g)
-                stacks[keep].append(at[:, :, None] + index[:, None, :])
-            out[traced] = {c: np.concatenate(s) if s else None for c, s in stacks.items()}
-        return out
+    def trace_gathers(self) -> dict[str, tuple[np.ndarray, tuple]]:
+        """Per traced side, the :func:`summed_gather` of :meth:`trace_columns`."""
+        return {traced: summed_gather(self.trace_columns(traced), self.basis.unit_count)
+                for traced in ("A", "B")}
 
 
 @functools.lru_cache(maxsize=256)
 def bipartition(basis: SectorBasis, n_a: int) -> Bipartition:
     """Cached Bipartition; bases are interned so the tables are built once."""
     return Bipartition(basis, n_a)
+
+
+def summed_gather(columns, size: int) -> tuple[np.ndarray, tuple]:
+    """The (terms, len(columns)) table of the positions, in an array of
+    `size` entries, that each column lists, in order, and the (row, column)
+    indices of the table's padding: a shorter column is filled with `size`,
+    which :func:`gathered_sums` reads as 0 and :func:`embed_data` writes
+    past the end."""
+    terms = max(map(len, columns), default=0)
+    table = np.full((terms, len(columns)), size)
+    for p, column in enumerate(columns):
+        table[:len(column), p] = column
+    return table, np.nonzero(table == size)
+
+
+def gathered_sums(data: np.ndarray, gather: tuple[np.ndarray, tuple], out: np.ndarray):
+    """Write into `out` each column's sum of the entries of `data` (the last
+    axis) that a :func:`summed_gather` lists, summed as reals, each term in
+    turn from +0.0 as a per-term ``+=`` would (a complex sum of one-entry
+    terms would be pairwise).  The padding reads +0.0, which adds exactly
+    nothing: a sum begun at +0.0 is never -0.0."""
+    table, (rows, cols) = gather
+    terms = data.take(table, axis=-1, mode="clip")
+    terms[..., rows, cols] = 0.0
+    np.add.reduce(terms.view(float), axis=-2, initial=0.0, out=out.view(float))
 
 
 def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
@@ -635,65 +709,47 @@ def partial_trace(rho: BlockOperator, bipartition: Bipartition, traced: str = "B
 
 def partial_trace_data(data: np.ndarray, bipartition: Bipartition, traced: str) -> np.ndarray:
     """The :attr:`BlockOperator.data` of :func:`partial_trace` from rho's
-    (unchecked), or of each operator of a stack of them (the last axis)."""
-    out = np.zeros(data.shape[:-1] + (bipartition.kept_basis(traced).unit_count,), dtype=complex)
-    partial_trace_blocks(data, bipartition, traced, out)
-    return out
-
-
-def partial_trace_blocks(data: np.ndarray, bipartition: Bipartition, traced: str, out) -> list:
-    """The sector blocks of :func:`partial_trace`, in the kept party's charge
-    order, from rho's :attr:`BlockOperator.data` (unchecked), or a stack of
-    blocks per charge from a stack of such data (the last axis).  Each block
-    is written into `out`, the kept operator's data (zeroed), and is a view of
-    it.
+    (unchecked), or of each operator of a stack of them (the last axis).
 
     Each block (g, x, y) of rho_g adds one kept-party matrix per traced
-    tree, in global-charge and then traced-basis order.
+    tree, in global-charge and then traced-basis order
+    (:attr:`Bipartition.trace_gathers`).
     """
-    views = _sector_views(bipartition.kept_basis(traced), out)
-    for c, target in views.items():
-        stack = bipartition.trace_gathers[traced][c]
-        if stack is not None:  # else a kept charge that no block reaches: zero
-            # Summed as reals, each term in turn from 0, as a per-term += would:
-            # a complex sum over one-entry terms would be pairwise.
-            terms = data.take(stack, axis=-1).view(float)
-            np.add.reduce(terms, axis=-3, initial=0.0, out=target.view(float))
-    return list(views.values())
+    out = np.empty(data.shape[:-1] + (bipartition.kept_basis(traced).unit_count,), dtype=complex)
+    gathered_sums(data, bipartition.trace_gathers[traced], out)
+    return out
 
 
 def pure_marginal(state: AnyonState, bipartition: Bipartition, traced: str = "B") -> BlockOperator:
     """``partial_trace(pure_density(state), ...)`` without forming the density.
 
     Equal to the partial trace up to summation order; see
-    :func:`marginal_blocks`.
+    :func:`marginal_into`.
     """
     kept = bipartition.kept_basis(traced)
     # the marginal's data, and as much again as a margin for its products' temporaries
     require_memory(32 * kept.unit_count, f"the marginal on a {kept.dim}-dim basis")
     C = bipartition.amplitude_matrix(state.normalized())
     data = np.empty(kept.unit_count, dtype=complex)
-    marginal_blocks(C, bipartition, traced, data)
+    marginal_into(C, C.conj(), bipartition, traced, data)
     return BlockOperator._of(kept, data)
 
 
-def marginal_blocks(C: np.ndarray, bipartition: Bipartition, traced: str, out) -> list:
-    """The kept marginal's sector blocks, in the kept party's charge order, for
-    the pure state with ``C = bipartition.amplitude_matrix(psi)``: C_x C_x^dagger
-    for each root charge x of A (traced B), or C_y^T conj(C_y) for each root
-    charge y of B (traced A).  Each block is written into `out`, the
-    marginal's :attr:`BlockOperator.data`, and is a view of it."""
+def marginal_into(C: np.ndarray, conj: np.ndarray, bipartition: Bipartition, traced: str,
+                  out: np.ndarray):
+    """Write the kept marginal's :attr:`BlockOperator.data` into `out` for the
+    pure state with ``C = bipartition.amplitude_matrix(psi)`` and ``conj =
+    C.conj()``: C_x C_x^dagger for each root charge x of A (traced B), or
+    C_y^T conj(C_y) for each root charge y of B (traced A)."""
     kept = bipartition.kept_basis(traced)
     if traced == "A":
-        C = C.T
+        C, conj = C.T, conj.T
     if kept.shape.n_leaves == 1:  # one anyon, one 1 x 1 block per charge: one stacked product
-        return list(np.matmul(C[:, None, :], np.conjugate(C, order="C")[:, :, None],
-                              out=out.reshape(-1, 1, 1)))
-    blocks = []
+        np.matmul(C[:, None, :], np.ascontiguousarray(conj)[:, :, None], out=out.reshape(-1, 1, 1))
+        return
     for c, sl, shape in kept.block_layout:
-        rows = C[kept.sector_slice(c)]
-        blocks.append(np.matmul(rows, rows.conj().T, out=out[sl].reshape(shape)))
-    return blocks
+        at = kept.sector_slice(c)
+        np.matmul(C[at], conj[at].T, out=out[sl].reshape(shape))
 
 
 def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") -> BlockOperator:
@@ -715,17 +771,14 @@ def embed_local(op: BlockOperator, bipartition: Bipartition, side: str = "A") ->
 def embed_data(data: np.ndarray, bipartition: Bipartition, side: str) -> np.ndarray:
     """The :attr:`BlockOperator.data` of :func:`embed_local` from the subsystem
     operator's (unchecked), or of each operator of a stack of them (the last
-    axis).  Each kept charge's block is written, once per traced tree, at the
-    positions :func:`partial_trace` reads for it
-    (:attr:`Bipartition.trace_gathers`), so the two maps are adjoint by
-    construction."""
+    axis).  Each entry is written, once per traced tree, at the positions
+    :func:`partial_trace` sums for it (:attr:`Bipartition.trace_gathers`),
+    so the two maps are adjoint by construction; what the table's padding
+    writes lands on an appended entry, which is dropped."""
     traced = "B" if side == "A" else "A"
-    out = np.zeros(data.shape[:-1] + (bipartition.basis.unit_count,), dtype=complex)
-    blocks = _sector_views(bipartition.kept_basis(traced), data)
-    for c, stack in bipartition.trace_gathers[traced].items():
-        if stack is not None:
-            out[..., stack] = blocks[c][..., None, :, :]
-    return out
+    out = np.zeros(data.shape[:-1] + (bipartition.basis.unit_count + 1,), dtype=complex)
+    out[..., bipartition.trace_gathers[traced][0]] = data[..., None, :]
+    return out[..., :-1]
 
 
 # ---------------------------------------------------------------------------

@@ -153,28 +153,35 @@ def validate_pvm(pvm, basis: SectorBasis) -> list[str]:
                    f"validating {len(pvm)} projectors on a {basis.dim}-dim basis")
     report = []
     mats = []
-    for k, op in enumerate(pvm):
-        mat = _as_full(op, basis)
-        if mat.shape != (basis.dim, basis.dim):
-            report.append(f"projector {k}: wrong shape {mat.shape}")
-            continue
-        if not np.isfinite(mat).all():
-            report.append(f"projector {k}: non-finite entries")
-            continue
-        if not validate_cssr(mat, basis, PVM_TOL):
-            report.append(f"projector {k}: cross-sector support (superselection violation)")
-        if np.max(np.abs(mat - mat.conj().T)) > PVM_TOL:
-            report.append(f"projector {k}: not Hermitian")
-        if np.max(np.abs(mat @ mat - mat)) > PVM_TOL:
-            report.append(f"projector {k}: not idempotent")
-        mats.append(mat)
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            if np.max(np.abs(mats[a] @ mats[b])) > PVM_TOL:
-                report.append(f"projectors {a},{b}: not mutually orthogonal")
+    # Finite entries can still overflow a product or the sum: such a check
+    # reads inf or NaN, and fails (a NaN compares false with `<=`).
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, op in enumerate(pvm):
+            mat = _as_full(op, basis)
+            if mat.shape != (basis.dim, basis.dim):
+                report.append(f"projector {k}: wrong shape {mat.shape}")
+                continue
+            if not np.isfinite(mat).all():
+                report.append(f"projector {k}: non-finite entries")
+                continue
+            if not validate_cssr(mat, basis, PVM_TOL):
+                report.append(f"projector {k}: cross-sector support (superselection violation)")
+            if not np.max(np.abs(mat - mat.conj().T)) <= PVM_TOL:
+                report.append(f"projector {k}: not Hermitian")
+            if not np.max(np.abs(mat @ mat - mat)) <= PVM_TOL:
+                report.append(f"projector {k}: not idempotent")
+            mats.append(mat)
+        for a in range(len(mats)):
+            for b in range(a + 1, len(mats)):
+                if not np.max(np.abs(mats[a] @ mats[b])) <= PVM_TOL:
+                    report.append(f"projectors {a},{b}: not mutually orthogonal")
+        if mats:
+            residual = np.eye(basis.dim) - sum(mats)
+            residual = (residual + residual.conj().T) / 2
     if mats:
-        residual = np.eye(basis.dim) - sum(mats)
-        if float(np.min(np.linalg.eigvalsh((residual + residual.conj().T) / 2))) < -PVM_TOL:
+        if not np.isfinite(residual).all():  # not eigensolved
+            report.append("projector sum has non-finite entries")
+        elif float(np.min(np.linalg.eigvalsh(residual))) < -PVM_TOL:
             report.append("projector sum exceeds the identity")
     return report
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -136,10 +137,44 @@ GOLDEN_CASES = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
+# Runs every argv it reads from stdin through fibanyon.cli.main, as
+# ``python -m fibanyon.cli`` would run it alone, and writes each exit code and
+# the bytes its report wrote to stdout.
+_GOLDEN_CHILD = """
+import io, pickle, sys
+from fibanyon.cli import main
+real, results = sys.stdout, []
+for argv in pickle.load(sys.stdin.buffer):
+    sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding=real.encoding, errors=real.errors)
+    code = main(list(argv))
+    sys.stdout.flush()
+    results.append((code, sys.stdout.buffer.getvalue()))
+sys.stdout = real
+real.buffer.write(pickle.dumps(results))
+"""
+
+
+@functools.cache
+def _golden_outputs() -> dict:
+    """(exit code, stdout bytes) of every GOLDEN_CASES argv, from one child
+    under the Haswell OpenBLAS kernel, as :func:`run_cli_subprocess` runs one:
+    interpreter and numpy start-up are paid once, not once per case."""
+    argvs = [argv for _, argv in GOLDEN_CASES]
+    proc = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_CHILD],
+        input=pickle.dumps(argvs),
+        capture_output=True,
+        cwd=str(Path(__file__).parent.parent),
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return dict(zip(argvs, pickle.loads(proc.stdout), strict=True))
+
+
 def golden_run(argv):
-    """run_cli_subprocess(*argv), once per session: both golden tests compare its bytes."""
-    return run_cli_subprocess(*argv)
+    """(exit code, stdout bytes) of the CLI on one GOLDEN_CASES argv: both
+    golden tests compare these bytes."""
+    return _golden_outputs()[argv]
 
 
 @pytest.mark.parametrize("golden_name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])

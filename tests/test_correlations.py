@@ -487,6 +487,37 @@ def _sparse_pure_state(basis, sector, rng):
     return AnyonState(basis, amplitudes * rng.uniform(0.5, 2.0))
 
 
+# perfbench's correlations-warm families on Fibonacci (perfbench/inputs.py,
+# PAIR_FAMILIES); on another model, each sector's trees and each single tree
+_FAMILY_LABELS = [("e,e;e", "tau,tau;e"), ("tau,e;tau", "e,tau;tau", "tau,tau;tau"),
+                  ("tau,e;tau", "tau,tau;tau"), ("e,tau;tau", "tau,tau;tau"), ("e,e;e",)]
+
+
+def _families(basis):
+    if basis.model.name == "fibonacci":
+        return [basis.index_of_labels(labels) for labels in _FAMILY_LABELS]
+    sectors = [np.arange(basis.dim)[basis.sector_slice(g)] for g in basis.model.charges]
+    return [s for s in sectors if len(s)] + [np.array([k]) for k in range(basis.dim)]
+
+
+def _family_state(basis, family, rng):
+    """A state on the trees `family`, drawn as perfbench's pair_state_text draws
+    one: weights uniform in [0.1, 1), normalized, and uniform phases."""
+    weights = rng.uniform(0.1, 1.0, size=len(family))
+    weights /= weights.sum()
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=len(family))
+    amplitudes = np.zeros(basis.dim, dtype=complex)
+    amplitudes[family] = [math.sqrt(w) * complex(math.cos(t), math.sin(t))
+                          for w, t in zip(weights, phases)]
+    return AnyonState(basis, amplitudes)
+
+
+def _workload_weights(rng, k):
+    """Mixture weights as perfbench draws them: uniform in [0.2, 1), normalized."""
+    weights = rng.uniform(0.2, 1.0, size=k)
+    return [float(w) for w in weights / weights.sum()]
+
+
 # Fibonacci up to 3|3, Z2 and Z3 up to 2|2
 PREVIOUS_ROUTE_SPLITS = [
     pytest.param(name, n_a, n_b, id=f"{name}-{n_a}-{n_b}")
@@ -506,6 +537,19 @@ def test_report_and_table_bit_identical_to_previous_route(all_models, model_name
         _assert_matches_previous_route(_sparse_pure_state(part.basis, g, rng), part)
         members = [random_pure_state(part.basis, h, rng) for h in rng.choice(sectors, 3)]
         _assert_matches_previous_route(mixture(zip(rng.dirichlet(np.ones(3)), members)), part)
+    # correlations-warm's busiest jobs, 1|1 mixtures of two family states,
+    # and its 3-state mixtures at 2|2 and 2|3
+    if (n_a, n_b) == (1, 1):
+        families = _families(part.basis)
+        for _ in range(40):
+            picks = rng.choice(len(families), size=2)
+            states = [_family_state(part.basis, families[k], rng) for k in picks]
+            _assert_matches_previous_route(mixture(zip(_workload_weights(rng, 2), states)), part)
+    elif (n_a, n_b) in [(2, 2), (2, 3)]:
+        for k in range(10):
+            states = [random_pure_state(part.basis, sectors[(k + i) % len(sectors)], rng)
+                      for i in range(3)]
+            _assert_matches_previous_route(mixture(zip(_workload_weights(rng, 3), states)), part)
 
 
 @pytest.mark.parametrize("model_name", ["fibonacci", "z2", "z3"])
@@ -515,6 +559,8 @@ def test_every_2anyon_ket_bit_identical_to_previous_route(all_models, model_name
     for label in basis.labels:
         _assert_matches_previous_route(ket(basis, label), part)
         _assert_matches_previous_route(pure_density(ket(basis, label)), part)
+
+
 
 
 # ---------------------------------------------------------------------------

@@ -1362,6 +1362,25 @@ def test_non_finite_projector_is_reported_and_refused(catalog, bad):
             run(copy, MessageQubit(0.6, 0.8))
 
 
+@pytest.mark.parametrize("at, expected", [
+    ((0, 0), ["projector 0: not idempotent", "projector 1: not idempotent",
+              "projectors 0,1: not mutually orthogonal", "projector sum has non-finite entries"]),
+    # off the diagonal, where the residual's eigensolve does not converge
+    ((0, 1), ["projector 0: not Hermitian", "projector 0: not idempotent",
+              "projector 1: not Hermitian", "projector 1: not idempotent",
+              "projector sum has non-finite entries"]),
+])
+def test_overflowing_projectors_are_reported_without_a_warning(catalog, at, expected):
+    # finite entries whose products and sum overflow; tier-1 turns every
+    # RuntimeWarning into an error, so an unguarded overflow fails here
+    scenario = catalog["main-text"]["ab"]
+    basis = scenario._plan().measured_basis
+    pvm = [op.to_full() for op in scenario.pvm[:2]]
+    for projector in pvm:
+        projector[at] = 1e308
+    assert validate_pvm(pvm, basis) == expected
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_correction_is_refused(catalog, bad):
     scenario = catalog["main-text"]["ab"]
